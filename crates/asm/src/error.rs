@@ -33,13 +33,6 @@ pub enum AsmError {
     },
     /// Attempted to materialize an empty code buffer.
     EmptyCode,
-    /// A patch into a writable buffer fell outside the mapped code bytes.
-    PatchOutOfRange {
-        /// Byte offset of the attempted patch.
-        at: usize,
-        /// Length of the mapped code.
-        code_len: usize,
-    },
 }
 
 impl fmt::Display for AsmError {
@@ -56,9 +49,6 @@ impl fmt::Display for AsmError {
                 write!(f, "{call} for executable memory failed with errno {code}")
             }
             AsmError::EmptyCode => write!(f, "cannot make an empty code buffer executable"),
-            AsmError::PatchOutOfRange { at, code_len } => {
-                write!(f, "8-byte patch at offset {at} exceeds mapped code of {code_len} bytes")
-            }
         }
     }
 }
@@ -77,7 +67,6 @@ mod tests {
             AsmError::JumpOutOfRange { at: 10, disp: 1 << 40 },
             AsmError::ExecAlloc { code: 12, call: "mmap" },
             AsmError::EmptyCode,
-            AsmError::PatchOutOfRange { at: 100, code_len: 64 },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -2,14 +2,10 @@
 //!
 //! Generated machine code is copied into a page-aligned anonymous mapping
 //! which is then flipped from writable to executable (W^X): the buffer is
-//! never writable and executable at the same time. [`WritableBuffer`] extends
-//! the same discipline to file-backed code: a private (copy-on-write) mapping
-//! of an on-disk kernel image stays writable only long enough to patch
-//! relocation slots, then [`WritableBuffer::seal`] flips it to read+exec.
+//! never writable and executable at the same time.
 
 use crate::error::AsmError;
 use std::ffi::c_void;
-use std::os::unix::io::AsRawFd;
 
 extern "C" {
     fn mmap(
@@ -179,127 +175,6 @@ impl Drop for ExecutableBuffer {
     }
 }
 
-/// A private, writable, file-backed mapping of machine code awaiting
-/// relocation patches.
-///
-/// Created by [`WritableBuffer::map_file`] over a stored kernel image. The
-/// mapping is copy-on-write (`MAP_PRIVATE`): patches land in anonymous pages
-/// owned by this process and never touch the backing file. Once every
-/// relocation slot is patched, [`WritableBuffer::seal`] flips the pages to
-/// read+exec and hands back an [`ExecutableBuffer`], so code is — as with
-/// [`ExecutableBuffer::from_code`] — never writable and executable at once.
-#[derive(Debug)]
-pub struct WritableBuffer {
-    ptr: *mut u8,
-    map_len: usize,
-    code_len: usize,
-}
-
-// SAFETY: the mapping is private to this value until `seal` consumes it, and
-// freed only in `Drop`, so moving it across threads is sound.
-unsafe impl Send for WritableBuffer {}
-
-impl WritableBuffer {
-    /// Map `code_len` bytes of `file` starting at `offset` as private
-    /// writable memory.
-    ///
-    /// `offset` must be page-aligned (4096) and `[offset, offset + code_len)`
-    /// must lie within the file — pages past end-of-file fault with `SIGBUS`
-    /// on access, so the caller validates the file length first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AsmError::EmptyCode`] for a zero-length request,
-    /// [`AsmError::PatchOutOfRange`] for a misaligned offset, and
-    /// [`AsmError::ExecAlloc`] if the kernel refuses the mapping.
-    pub fn map_file(
-        file: &std::fs::File,
-        offset: u64,
-        code_len: usize,
-    ) -> Result<WritableBuffer, AsmError> {
-        if code_len == 0 {
-            return Err(AsmError::EmptyCode);
-        }
-        let page = 4096usize;
-        if !offset.is_multiple_of(page as u64) {
-            return Err(AsmError::PatchOutOfRange { at: offset as usize, code_len });
-        }
-        let map_len = code_len.div_ceil(page) * page;
-        // SAFETY: a fresh private file mapping with no required address; the
-        // fd stays open for the duration of the call and the kernel keeps the
-        // mapping alive after the fd closes.
-        let ptr = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                map_len,
-                PROT_READ | PROT_WRITE,
-                MAP_PRIVATE,
-                file.as_raw_fd(),
-                offset as i64,
-            )
-        };
-        if ptr as isize == MAP_FAILED || ptr.is_null() {
-            return Err(AsmError::ExecAlloc { code: errno(), call: "mmap" });
-        }
-        Ok(WritableBuffer { ptr: ptr as *mut u8, map_len, code_len })
-    }
-
-    /// Overwrite the 8 bytes at `at` with `value` (little-endian) — the
-    /// immediate slot of a `mov r64, imm64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AsmError::PatchOutOfRange`] if `at + 8` exceeds the code.
-    pub fn patch_u64(&mut self, at: usize, value: u64) -> Result<(), AsmError> {
-        if at.checked_add(8).is_none_or(|end| end > self.code_len) {
-            return Err(AsmError::PatchOutOfRange { at, code_len: self.code_len });
-        }
-        // SAFETY: bounds-checked above; the mapping is PROT_WRITE and private.
-        unsafe {
-            std::ptr::copy_nonoverlapping(value.to_le_bytes().as_ptr(), self.ptr.add(at), 8);
-        }
-        Ok(())
-    }
-
-    /// A read-only view of the (possibly patched) code bytes.
-    pub fn code(&self) -> &[u8] {
-        // SAFETY: the mapping is PROT_READ|PROT_WRITE and `code_len` long.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.code_len) }
-    }
-
-    /// Flip the pages to read+exec and return the finished
-    /// [`ExecutableBuffer`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AsmError::ExecAlloc`] if the protection change fails (the
-    /// mapping is released either way).
-    pub fn seal(self) -> Result<ExecutableBuffer, AsmError> {
-        let this = std::mem::ManuallyDrop::new(self);
-        // SAFETY: `ptr`/`map_len` describe the live mapping owned by `this`.
-        let rc = unsafe { mprotect(this.ptr as *mut c_void, this.map_len, PROT_READ | PROT_EXEC) };
-        if rc != 0 {
-            let err = AsmError::ExecAlloc { code: errno(), call: "mprotect" };
-            // SAFETY: unmapping the region owned by `this`, which is never
-            // dropped (ManuallyDrop), so this is the only unmap.
-            unsafe {
-                munmap(this.ptr as *mut c_void, this.map_len);
-            }
-            return Err(err);
-        }
-        Ok(ExecutableBuffer { ptr: this.ptr, map_len: this.map_len, code_len: this.code_len })
-    }
-}
-
-impl Drop for WritableBuffer {
-    fn drop(&mut self) {
-        // SAFETY: `ptr`/`map_len` describe a live mapping owned by `self`.
-        unsafe {
-            munmap(self.ptr as *mut c_void, self.map_len);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,73 +216,6 @@ mod tests {
         let buf = ExecutableBuffer::from_code(&code).unwrap();
         assert_eq!(buf.code(), &code[..]);
         assert_eq!(buf.code_len(), 2);
-    }
-
-    /// Write `header_pad` zero bytes then `code` to a fresh temp file and
-    /// return it reopened read-only.
-    fn code_file(header_pad: usize, code: &[u8]) -> std::fs::File {
-        use std::io::Write;
-        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let path = std::env::temp_dir()
-            .join(format!("jitspmm-asm-exec-test-{}-{seq}.bin", std::process::id()));
-        let mut f = std::fs::File::create(&path).unwrap();
-        f.write_all(&vec![0u8; header_pad]).unwrap();
-        f.write_all(code).unwrap();
-        drop(f);
-        let f = std::fs::File::open(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        f
-    }
-
-    #[test]
-    fn file_mapped_code_patches_and_executes() {
-        // mov rax, imm64 (slot zeroed); ret — patch the slot, seal, run.
-        let mut asm = Assembler::new();
-        asm.mov_ri64(Gpr::Rax, 0);
-        asm.ret();
-        let code = asm.finalize().unwrap();
-        let slot = code.len() - 8 - 1; // imm64 sits before the 1-byte ret
-        let file = code_file(4096, &code);
-        let mut buf = WritableBuffer::map_file(&file, 4096, code.len()).unwrap();
-        assert_eq!(buf.code(), &code[..]);
-        buf.patch_u64(slot, 0xFEED_FACE_CAFE_BEEF).unwrap();
-        let exec = buf.seal().unwrap();
-        let f: extern "C" fn() -> u64 = unsafe { exec.as_fn0() };
-        assert_eq!(f(), 0xFEED_FACE_CAFE_BEEF);
-    }
-
-    #[test]
-    fn file_mapping_is_copy_on_write() {
-        let mut asm = Assembler::new();
-        asm.mov_ri64(Gpr::Rax, 0);
-        asm.ret();
-        let code = asm.finalize().unwrap();
-        let file = code_file(0, &code);
-        let mut a = WritableBuffer::map_file(&file, 0, code.len()).unwrap();
-        let b = WritableBuffer::map_file(&file, 0, code.len()).unwrap();
-        a.patch_u64(code.len() - 9, 7).unwrap();
-        // The sibling mapping of the same file bytes must not see the patch.
-        assert_eq!(b.code(), &code[..]);
-    }
-
-    #[test]
-    fn writable_buffer_rejects_bad_requests() {
-        let file = code_file(0, &[0xC3]);
-        assert_eq!(WritableBuffer::map_file(&file, 0, 0).unwrap_err(), AsmError::EmptyCode);
-        assert_eq!(
-            WritableBuffer::map_file(&file, 17, 1).unwrap_err(),
-            AsmError::PatchOutOfRange { at: 17, code_len: 1 }
-        );
-        let mut buf = WritableBuffer::map_file(&file, 0, 1).unwrap();
-        assert_eq!(
-            buf.patch_u64(0, 1).unwrap_err(),
-            AsmError::PatchOutOfRange { at: 0, code_len: 1 }
-        );
-        assert_eq!(
-            buf.patch_u64(usize::MAX - 3, 1).unwrap_err(),
-            AsmError::PatchOutOfRange { at: usize::MAX - 3, code_len: 1 }
-        );
     }
 
     #[test]

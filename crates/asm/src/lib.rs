@@ -55,7 +55,7 @@ pub use buffer::CodeBuffer;
 pub use cond::Cond;
 pub use cpu::{CpuFeatures, IsaLevel};
 pub use error::AsmError;
-pub use exec::{ExecutableBuffer, WritableBuffer};
+pub use exec::ExecutableBuffer;
 pub use label::Label;
 pub use mem::{Mem, Scale};
 pub use reg::{Gpr, VecReg, VecWidth, Xmm, Ymm, Zmm};

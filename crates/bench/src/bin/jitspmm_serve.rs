@@ -1,15 +1,12 @@
-//! `jitspmm-serve` — a TCP front end over [`jitspmm::SpmmServer`], built for
-//! warm-restart validation: start it with `--cache DIR`, kill it, start it
-//! again, and the second process serves bit-identical outputs from the
-//! persistent kernel cache without re-running code generation.
+//! `jitspmm-serve` — a TCP front end over [`jitspmm::SpmmServer`].
 //!
 //! Engines are described by **synthetic matrix specs** so a restarted server
-//! reconstructs byte-identical matrices (and therefore identical cache
-//! fingerprints) from the command line alone:
+//! reconstructs byte-identical matrices — and therefore serves bit-identical
+//! outputs — from the command line alone:
 //!
 //! ```text
 //! jitspmm-serve serve --listen 127.0.0.1:17171 \
-//!     --matrix uniform:512,512,4000,1,8 --cache /tmp/kcache --tiered
+//!     --matrix uniform:512,512,4000,1,8
 //! jitspmm-serve client 127.0.0.1:17171 info
 //! jitspmm-serve client 127.0.0.1:17171 mul 0 42 --out /tmp/y.bin
 //! jitspmm-serve client 127.0.0.1:17171 shutdown
@@ -41,20 +38,20 @@
 //! the delta is queued through [`jitspmm::serve::ControlHandle::apply_update`]
 //! and the serving loop swaps the merged generation in between launches —
 //! in-flight MULs finish on the old matrix, later MULs see the new one.
-//! INFO reports each engine's live tier, nonzero count and matrix revision,
-//! plus the server-wide applied/failed update counters.
+//! INFO reports each engine's live nonzero count and matrix revision, plus
+//! the server-wide applied/failed update counters.
 
 use jitspmm::serve::{
     AdmissionPolicy, ControlHandle, ServeOptions, ServerRequest, ServerResponse, SpmmServer,
 };
-use jitspmm::{JitSpmmBuilder, KernelCache, MutableSpmm, ShardOptions, TierPolicy, WorkerPool};
+use jitspmm::{JitSpmmBuilder, MutableSpmm, WorkerPool};
 use jitspmm_sparse::{generate, CsrMatrix, DeltaBatch, DenseMatrix};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 const OP_INFO: u8 = 1;
@@ -66,7 +63,7 @@ const OP_UPDATE: u8 = 4;
 const UPDATE_OP_BYTES: usize = 13;
 
 /// A synthetic matrix an engine serves: `uniform:rows,cols,nnz,seed,d`.
-/// Deterministic by construction, so every restart fingerprints identically.
+/// Deterministic by construction, so every restart rebuilds the same matrix.
 #[derive(Debug, Clone, Copy)]
 struct MatrixSpec {
     rows: usize,
@@ -139,8 +136,7 @@ fn error_frame(message: &str) -> Vec<u8> {
 
 fn usage() -> String {
     "usage:\n  jitspmm-serve serve [--listen ADDR] [--matrix uniform:rows,cols,nnz,seed,d]...\n    \
-     [--cache DIR] [--numa NODE] [--tiered] [--threads N] [--queue N]\n    \
-     [--mutable] [--shards N]\n  \
+     [--numa NODE] [--threads N] [--queue N] [--mutable] [--shards N]\n  \
      jitspmm-serve client ADDR info\n  \
      jitspmm-serve client ADDR mul ENGINE SEED [--out FILE] [--expect FILE]\n  \
      jitspmm-serve client ADDR update ENGINE OPS   (OPS: row:col:value or row:col:del, comma-separated)\n  \
@@ -167,9 +163,7 @@ fn main() -> ExitCode {
 struct ServerConfig {
     listen: String,
     specs: Vec<MatrixSpec>,
-    cache_dir: Option<String>,
     numa: Option<usize>,
-    tiered: bool,
     threads: usize,
     queue: usize,
     /// Register engines as updatable [`MutableSpmm`]s (enables UPDATE).
@@ -182,9 +176,7 @@ fn parse_server_args(args: &[String]) -> Result<ServerConfig, String> {
     let mut config = ServerConfig {
         listen: "127.0.0.1:17171".to_string(),
         specs: Vec::new(),
-        cache_dir: None,
         numa: None,
-        tiered: false,
         threads: 2,
         queue: 64,
         mutable: false,
@@ -197,12 +189,10 @@ fn parse_server_args(args: &[String]) -> Result<ServerConfig, String> {
         match flag.as_str() {
             "--listen" => config.listen = value("--listen")?,
             "--matrix" => config.specs.push(MatrixSpec::parse(&value("--matrix")?)?),
-            "--cache" => config.cache_dir = Some(value("--cache")?),
             "--numa" => {
                 config.numa =
                     Some(value("--numa")?.parse().map_err(|_| "bad --numa node".to_string())?);
             }
-            "--tiered" => config.tiered = true,
             "--threads" => {
                 config.threads =
                     value("--threads")?.parse().map_err(|_| "bad --threads".to_string())?;
@@ -231,49 +221,28 @@ type ReplySlot = mpsc::Sender<ServerResponse<f32>>;
 
 fn run_server(args: &[String]) -> Result<(), String> {
     let config = parse_server_args(args)?;
-    let cache = config.cache_dir.as_ref().map(KernelCache::open);
     let pool = WorkerPool::new(config.threads.max(1));
     let matrices: Vec<CsrMatrix<f32>> = config.specs.iter().map(MatrixSpec::build).collect();
 
     let server: SpmmServer<'_, f32> = SpmmServer::with_pool(pool.clone());
     for (spec, matrix) in config.specs.iter().zip(&matrices) {
         if config.mutable {
-            let mut options = ShardOptions::new();
-            if let Some(cache) = &cache {
-                options = options.kernel_cache(Arc::clone(cache));
-            }
-            if config.tiered {
-                options = options.tiered(TierPolicy::new().warmup(1));
-            }
-            options.numa_node = config.numa;
             let engine = MutableSpmm::compile_with(
                 matrix,
                 config.shards.max(1),
                 config.threads.max(1),
                 spec.d,
                 pool.clone(),
-                options,
+                config.numa,
             )
             .map_err(|e| format!("compile failed: {e}"))?;
             server.add_mutable(engine).map_err(|e| format!("server: {e}"))?;
         } else {
-            let mut builder =
-                JitSpmmBuilder::new().pool(pool.clone()).threads(config.threads.max(1));
-            if let Some(cache) = &cache {
-                builder = builder.kernel_cache_in(Arc::clone(cache));
-            }
-            if config.tiered {
-                builder = builder.tiered(TierPolicy::new().warmup(1));
-            }
-            let engine =
-                builder.build(matrix, spec.d).map_err(|e| format!("compile failed: {e}"))?;
-            if config.tiered {
-                // Promote before serving: a cache-enabled server persists
-                // the promotion record now, so its own restart warm-starts
-                // straight onto the promoted kernel (`tier=promoted` in
-                // INFO, with zero in-process promotions).
-                engine.promote_now();
-            }
+            let engine = JitSpmmBuilder::new()
+                .pool(pool.clone())
+                .threads(config.threads.max(1))
+                .build(matrix, spec.d)
+                .map_err(|e| format!("compile failed: {e}"))?;
             server.add_engine_on_node(engine, config.numa).map_err(|e| format!("server: {e}"))?;
         }
     }
@@ -287,18 +256,12 @@ fn run_server(args: &[String]) -> Result<(), String> {
     let routes: Vec<Mutex<VecDeque<ReplySlot>>> =
         config.specs.iter().map(|_| Mutex::new(VecDeque::new())).collect();
     let specs = &config.specs;
-    let info_cache = cache.clone();
     let shutdown = &shutdown;
     let routes = &routes;
     let server_ref = &server;
     let control = server.control();
 
-    let mut options = ServeOptions::new(AdmissionPolicy::shedding(config.queue.max(1)));
-    if config.tiered && config.mutable {
-        // Mutable engines are not pre-promoted; let the serving loop's
-        // tiering sweeps promote their shards between launches.
-        options = options.tiering(TierPolicy::new().warmup(1));
-    }
+    let options = ServeOptions::new(AdmissionPolicy::shedding(config.queue.max(1)));
     let (report, ()) = server
         .serve_controlled(
             options,
@@ -310,18 +273,10 @@ fn run_server(args: &[String]) -> Result<(), String> {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
                             let sender = sender.clone();
-                            let info_cache = info_cache.clone();
                             let control = control.clone();
                             conns.spawn(move || {
                                 serve_connection(
-                                    stream,
-                                    &sender,
-                                    server_ref,
-                                    &control,
-                                    specs,
-                                    info_cache.as_deref(),
-                                    routes,
-                                    shutdown,
+                                    stream, &sender, server_ref, &control, specs, routes, shutdown,
                                 );
                             });
                         }
@@ -352,25 +307,16 @@ fn run_server(args: &[String]) -> Result<(), String> {
         "jitspmm-serve done: {} completed, {} rejected, {} failed",
         report.requests, report.rejected, report.failed
     );
-    if let Some(cache) = &cache {
-        let stats = cache.stats();
-        println!(
-            "cache: hits={} misses={} rejects={} stores={} evictions={}",
-            stats.hits, stats.misses, stats.rejects, stats.stores, stats.evictions
-        );
-    }
     Ok(())
 }
 
 /// Handle one client connection: a sequence of request frames until EOF.
-#[allow(clippy::too_many_arguments)]
 fn serve_connection(
     mut stream: TcpStream,
     sender: &jitspmm::serve::RequestSender<f32>,
     server: &SpmmServer<'_, f32>,
     control: &ControlHandle,
     specs: &[MatrixSpec],
-    cache: Option<&KernelCache>,
     routes: &[Mutex<VecDeque<ReplySlot>>],
     shutdown: &AtomicBool,
 ) {
@@ -378,30 +324,24 @@ fn serve_connection(
     while let Ok(Some(payload)) = read_frame(&mut stream) {
         let reply = match payload.first() {
             Some(&OP_INFO) => {
-                // Rendered live per request: tier, nonzero count and matrix
-                // revision move while the server runs (tiering sweeps,
-                // UPDATE frames).
+                // Rendered live per request: nonzero count and matrix
+                // revision move while the server runs (UPDATE frames).
                 let mut text = format!("engines: {}\n", specs.len());
                 for (id, spec) in specs.iter().enumerate() {
                     let line = if let Some(mutable) = server.mutable(id) {
                         format!(
-                            "engine {id}: {}x{} nnz={} d={} tier={} kind=mutable shards={} rev={}\n",
+                            "engine {id}: {}x{} nnz={} d={} kind=mutable shards={} rev={}\n",
                             spec.rows,
                             spec.cols,
                             mutable.nnz(),
                             spec.d,
-                            mutable.tier().label(),
                             mutable.shards(),
                             mutable.revision()
                         )
-                    } else if let Some(engine) = server.single(id) {
+                    } else if server.single(id).is_some() {
                         format!(
-                            "engine {id}: {}x{} nnz={} d={} tier={} kind=single\n",
-                            spec.rows,
-                            spec.cols,
-                            spec.nnz,
-                            spec.d,
-                            engine.tier().label()
+                            "engine {id}: {}x{} nnz={} d={} kind=single\n",
+                            spec.rows, spec.cols, spec.nnz, spec.d
                         )
                     } else {
                         format!("engine {id}: unregistered\n")
@@ -410,16 +350,6 @@ fn serve_connection(
                 }
                 let (applied, failed) = control.update_counts();
                 text.push_str(&format!("updates: applied={applied} failed={failed}\n"));
-                match cache {
-                    Some(cache) => {
-                        let stats = cache.stats();
-                        text.push_str(&format!(
-                            "cache: hits={} misses={} rejects={} stores={} evictions={}\n",
-                            stats.hits, stats.misses, stats.rejects, stats.stores, stats.evictions
-                        ));
-                    }
-                    None => text.push_str("cache: disabled\n"),
-                }
                 let mut frame = vec![0u8];
                 frame.extend_from_slice(text.as_bytes());
                 frame
@@ -689,5 +619,27 @@ fn run_client(args: &[String]) -> Result<(), String> {
             }
         }
         other => Err(format!("unknown client command {other:?}\n{}", usage())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn removed_cache_and_tiered_flags_are_unknown() {
+        for flags in [&["--cache", "x"][..], &["--tiered"][..]] {
+            let message = parse_server_args(&args(flags)).err().expect("flag must be rejected");
+            assert!(message.starts_with(&format!("unknown flag {:?}", flags[0])), "{message}");
+            assert!(message.contains("usage:"), "{message}");
+        }
+        let config =
+            parse_server_args(&args(&["--mutable", "--shards", "4", "--numa", "0"])).unwrap();
+        assert!(config.mutable);
+        assert_eq!((config.shards, config.numa), (4, Some(0)));
     }
 }

@@ -92,28 +92,6 @@ impl MatrixBinding {
     }
 }
 
-/// Which process-specific address a relocation slot holds.
-///
-/// Generated kernels embed raw pointers as `mov r64, imm64` immediates; every
-/// such site is recorded so the persistent kernel cache can zero the slots
-/// before storing (making the on-disk image address-independent) and patch
-/// them with this process's addresses when loading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RelocSym {
-    /// Base of the CSR `row_ptr` array.
-    RowPtr,
-    /// Base of the CSR `col_indices` array.
-    ColIndices,
-    /// Base of the CSR `values` array.
-    Values,
-    /// Address of the dynamic-dispatch claim counter.
-    NextCounter,
-}
-
-/// A relocation site: which symbol, and the byte offset of its 8-byte
-/// little-endian immediate slot within the finalized code.
-pub(crate) type KernelReloc = (RelocSym, usize);
-
 /// The generated machine code plus the information the engine needs to wrap
 /// it.
 #[derive(Debug)]
@@ -125,10 +103,6 @@ pub(crate) struct GeneratedCode {
     /// The CCM plan used (also present for non-CCM kernels, where it only
     /// describes the vector width).
     pub plan: CcmPlan,
-    /// Embedded-pointer slots (see [`RelocSym`]). Everything else in the code
-    /// depends only on the kernel configuration and the matrix shape, never
-    /// on where its arrays happen to live.
-    pub relocs: Vec<KernelReloc>,
 }
 
 // Fixed register roles (see module docs).
@@ -191,11 +165,10 @@ pub(crate) fn generate_static_kernel(
     // System V argument order: rdi = row_start, rsi = row_end, rdx = x, rcx = y.
     asm.mov_rr64(XBASE, Gpr::Rdx);
     asm.mov_rr64(YBASE, Gpr::Rcx);
-    let mut relocs = Vec::with_capacity(3);
-    emit_matrix_bases(&mut asm, &binding, &mut relocs);
+    emit_matrix_bases(&mut asm, &binding);
     emit_row_range_loop(&mut asm, &plan, d, kind, options)?;
     emit_epilogue(&mut asm);
-    finish(asm, plan, relocs)
+    finish(asm, plan)
 }
 
 /// Generate a dynamic-dispatch kernel `fn(x, y)` claiming `batch` rows at a
@@ -218,10 +191,8 @@ pub(crate) fn generate_dynamic_kernel(
     // Arguments: rdi = x, rsi = y.
     asm.mov_rr64(XBASE, Gpr::Rdi);
     asm.mov_rr64(YBASE, Gpr::Rsi);
-    let mut relocs = Vec::with_capacity(4);
-    emit_matrix_bases(&mut asm, &binding, &mut relocs);
+    emit_matrix_bases(&mut asm, &binding);
     asm.mov_ri64(NEXT_ADDR, next_addr as i64);
-    relocs.push((RelocSym::NextCounter, asm.len() - 8));
     asm.mov_ri64(NROWS, binding.nrows as i64);
 
     let claim = asm.new_label();
@@ -244,7 +215,7 @@ pub(crate) fn generate_dynamic_kernel(
     asm.jmp(claim);
     asm.bind(done)?;
     emit_epilogue(&mut asm);
-    finish(asm, plan, relocs)
+    finish(asm, plan)
 }
 
 fn new_assembler(options: &KernelOptions) -> Assembler {
@@ -255,16 +226,10 @@ fn new_assembler(options: &KernelOptions) -> Assembler {
     }
 }
 
-fn finish(
-    asm: Assembler,
-    plan: CcmPlan,
-    relocs: Vec<KernelReloc>,
-) -> Result<GeneratedCode, JitSpmmError> {
+fn finish(asm: Assembler, plan: CcmPlan) -> Result<GeneratedCode, JitSpmmError> {
     let listing = asm.listing().map(|l| l.to_vec());
-    // `finalize` patches rel32 label fixups in place without moving bytes,
-    // so the reloc offsets recorded during emission stay valid.
     let code = asm.finalize()?;
-    Ok(GeneratedCode { code, listing, plan, relocs })
+    Ok(GeneratedCode { code, listing, plan })
 }
 
 fn emit_prologue(asm: &mut Assembler) {
@@ -280,15 +245,10 @@ fn emit_epilogue(asm: &mut Assembler) {
     asm.ret();
 }
 
-fn emit_matrix_bases(asm: &mut Assembler, binding: &MatrixBinding, relocs: &mut Vec<KernelReloc>) {
-    // `mov_ri64` encodes REX.W + opcode + imm64, so the immediate is always
-    // the last 8 bytes emitted.
+fn emit_matrix_bases(asm: &mut Assembler, binding: &MatrixBinding) {
     asm.mov_ri64(ROWPTR, binding.row_ptr as i64);
-    relocs.push((RelocSym::RowPtr, asm.len() - 8));
     asm.mov_ri64(COLIDX, binding.col_indices as i64);
-    relocs.push((RelocSym::ColIndices, asm.len() - 8));
     asm.mov_ri64(VALS, binding.values as i64);
-    relocs.push((RelocSym::Values, asm.len() - 8));
 }
 
 /// Emit the loop over rows `[CUR, END)`, leaving `CUR == END` afterwards.

@@ -3,7 +3,7 @@
 //! both borrowed ([`BatchStream::push`]) and owned
 //! ([`BatchStream::push_owned`]) inputs.
 
-use crate::engine::compile::{EngineCore, JitSpmm, SlotKernel};
+use crate::engine::compile::{JitSpmm, SlotKernel};
 use crate::engine::launch::LaunchGuard;
 use crate::engine::report::{BatchReport, BatchStats, ExecutionReport};
 use crate::error::JitSpmmError;
@@ -213,14 +213,10 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             n => (n.min(MAX_BATCH_DEPTH), false),
         };
         let launch = self.begin_launch(true)?;
-        // The stream runs its whole lifetime against this snapshot: the
-        // launch lock (held until finish/drop) pins it as the active core,
-        // and a tier promotion can only install a new core afterwards.
-        let core = self.active();
-        let spares = self.spare_slot_kernels(&core, depth - 1)?;
+        let spares = self.spare_slot_kernels(depth - 1)?;
         let mut slots = Vec::with_capacity(depth);
         slots.push(BatchSlot { kernel: None, payload: LaunchPayload::new(), busy: false });
-        match core.kernel.kind() {
+        match self.core.kernel.kind() {
             // Each concurrently in-flight dynamic launch needs its own
             // claim counter, hence its own compiled kernel copy.
             KernelKind::DynamicDispatch => {
@@ -246,7 +242,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         }
         Ok(BatchStream {
             engine: self,
-            core,
             scope,
             slots,
             in_flight: VecDeque::with_capacity(depth),
@@ -339,10 +334,6 @@ struct InFlight<'scope, T: Scalar> {
 /// like a leaked [`crate::ExecutionHandle`].
 pub struct BatchStream<'scope, 'env, T: Scalar> {
     engine: &'env JitSpmm<'env, T>,
-    /// The compiled core every launch of this stream runs against,
-    /// snapshotted at open under the launch lock (see
-    /// [`JitSpmm::batch_stream`]).
-    core: Arc<EngineCore<T>>,
     scope: &'scope PoolScope<'scope, 'env>,
     slots: Vec<BatchSlot<T>>,
     /// Launches in flight, oldest first.
@@ -513,9 +504,7 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         // Sequential launches all ran single-lane, whatever the engine is
         // configured with; the aggregate report matches the per-input ones.
         let threads = if self.sequential { 1 } else { self.engine.threads };
-        let mut report = stats.report(elapsed, self.slots.len(), threads, self.core.strategy);
-        report.tier = self.core.tier;
-        report.promotions = self.engine.promotions();
+        let report = stats.report(elapsed, self.slots.len(), threads, self.engine.core.strategy);
         (rest, report)
     }
 
@@ -541,7 +530,7 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         let slot = &mut self.slots[index];
         let (kernel, counter): (&CompiledKernel<T>, &DynamicCounter) = match &slot.kernel {
             Some(spare) => (&spare.kernel, &spare.counter),
-            None => (&self.core.kernel, &self.core.counter),
+            None => (&engine.core.kernel, &engine.core.counter),
         };
         // The slot is free — its previous launch was joined — so nothing is
         // mid-claim on this counter: the per-launch reset that
@@ -552,7 +541,7 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
             engine.output_pool.acquire(engine.matrix.nrows(), engine.d),
             Arc::clone(&engine.output_pool),
         );
-        let job = KernelJob::new(kernel, &self.core.partition.ranges, x_ptr, y.as_mut_ptr());
+        let job = KernelJob::new(kernel, &engine.core.partition.ranges, x_ptr, y.as_mut_ptr());
         let spec = job.spec(kernel.kind(), engine.threads);
         // SAFETY: the slot is free, so no in-flight job references its
         // payload.
@@ -562,11 +551,10 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         // SAFETY: the payload slot is owned by `self.slots` and only freed
         // (in the stream's drop) or rewritten (in a later `submit`) after
         // this launch has been joined — or leaked, never freed, if the
-        // stream is leaked. The kernel (the core's, or a spare kept alive by
-        // the slot's `Arc` and the core's cache) and the partition live in
-        // the stream's core snapshot, and the engine-borrowed CSR arrays
-        // live for at least 'env, which cannot end before the scope has
-        // joined the job; the input behind
+        // stream is leaked. The kernel (the engine's, or a spare kept alive
+        // by the slot's `Arc` and the core's cache), the partition and the
+        // engine-borrowed CSR arrays live for at least 'env, which cannot
+        // end before the scope has joined the job; the input behind
         // `x_ptr` is either borrowed for 'env or owned by the in-flight
         // entry pushed below, which the stream only drops (or returns) after
         // joining this launch — and leaks, never frees, if the stream is
@@ -605,7 +593,7 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         // The launch lock is held for the stream's lifetime and nothing else
         // is in flight (sequential mode), so the core's own counter is
         // free to reset.
-        self.core.counter.reset();
+        engine.core.counter.reset();
         let kernel_start = Instant::now();
         // SAFETY: shapes were validated before this call, the engine borrows
         // the CSR arrays its kernel embeds, the input behind `x_ptr` is kept
@@ -613,9 +601,11 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         // reset above under the held launch lock, and a single lane
         // trivially keeps row writes disjoint.
         unsafe {
-            match self.core.kernel.kind() {
-                KernelKind::DynamicDispatch => self.core.kernel.call_dynamic(x_ptr, y.as_mut_ptr()),
-                KernelKind::StaticRange => self.core.kernel.call_static(
+            match engine.core.kernel.kind() {
+                KernelKind::DynamicDispatch => {
+                    engine.core.kernel.call_dynamic(x_ptr, y.as_mut_ptr())
+                }
+                KernelKind::StaticRange => engine.core.kernel.call_static(
                     0,
                     engine.matrix.nrows() as u64,
                     x_ptr,
@@ -662,10 +652,9 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
             dispatch: elapsed.saturating_sub(kernel),
             wake,
             threads,
-            strategy: self.core.strategy,
+            strategy: self.engine.core.strategy,
         };
         self.stats.record(&report);
-        self.engine.tier_observe(&report);
         // `launch` (with any owned input) drops at the end of this function,
         // strictly after the join above.
         (launch.y.take().expect("output held until completion"), report)

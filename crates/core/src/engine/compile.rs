@@ -1,26 +1,21 @@
 //! Engine construction: code generation, partitioning and the compiled
 //! state a [`JitSpmm`] carries between launches.
 //!
-//! Since the adaptive-tiering work the compiled state lives in an
-//! [`EngineCore`] behind an `Arc` swap point: every launch path snapshots
-//! the active core under the launch lock, and the tier layer
-//! ([`crate::engine::tier`]) can install a recompiled core between batches
-//! without invalidating anything a running launch holds.
+//! The compiled state lives in one immutable [`EngineCore`], built once at
+//! construction and never replaced. It sits behind an `Arc` only so that
+//! [`KernelRef`] guards and engines adopted by the update layer
+//! ([`JitSpmm::adopt`]) can share it without recompiling.
 
-use crate::cache::key::CacheKey;
-use crate::cache::{KernelCache, RelocTargets};
 use crate::codegen::{
     generate_dynamic_kernel, generate_static_kernel, KernelOptions, MatrixBinding,
 };
 use crate::engine::options::SpmmOptions;
-use crate::engine::tier::{KernelTier, TierState};
 use crate::error::JitSpmmError;
 use crate::kernel::{CompiledKernel, KernelKind, KernelMeta};
 use crate::runtime::dispatch::BufferPool;
 use crate::runtime::WorkerPool;
 use crate::schedule::{partition, DynamicCounter, Partition, Strategy};
-use crate::tiling::CcmPlan;
-use jitspmm_asm::{CpuFeatures, IsaLevel};
+use jitspmm_asm::CpuFeatures;
 use jitspmm_sparse::{CsrMatrix, DenseMatrix, Scalar};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
@@ -39,36 +34,21 @@ use std::time::{Duration, Instant};
 /// unless [`crate::JitSpmmBuilder::pool`] supplied one): no threads are
 /// spawned per call, and [`JitSpmm::execute`] recycles output buffers, so
 /// steady-state repeated execution performs no allocation at all.
-///
-/// Under a [`crate::TierPolicy`] ([`crate::JitSpmmBuilder::tiered`]) the
-/// engine starts on a cheap scalar tier-0 kernel and hot-swaps to the
-/// requested configuration once observed launches justify the recompile;
-/// see [`crate::engine::tier`].
 pub struct JitSpmm<'a, T: Scalar> {
     pub(super) matrix: &'a CsrMatrix<T>,
     pub(super) d: usize,
-    /// The *requested* configuration. For a fixed engine this is also what
-    /// compiled; for a tiered engine it is the promotion target while the
-    /// active core starts at tier 0.
-    pub(super) options: SpmmOptions,
     pub(super) threads: usize,
     /// Soft NUMA placement hint stamped on every job this engine submits
     /// (see [`SpmmOptions::numa_node`]); `None` = any worker.
     pub(super) node: Option<usize>,
-    /// The compiled state launches run against. Swapped atomically (as an
-    /// `Arc`) by the tier layer while the launch lock is held, so any
-    /// snapshot taken under a [`crate::engine::launch::LaunchGuard`] stays
-    /// coherent for that launch's whole lifetime.
-    pub(super) active: Mutex<Arc<EngineCore<T>>>,
-    /// Present only for tiered engines: warmup observations, the recompile
-    /// state machine, and the promotion counter.
-    pub(super) tier_state: Option<TierState<T>>,
+    /// The compiled state every launch runs against: set once at
+    /// construction, immutable afterwards.
+    pub(super) core: Arc<EngineCore<T>>,
     /// Serializes launches of this engine's kernel. The dynamic counter is
     /// shared mutable state embedded in the generated code, so two
     /// concurrent launches of one engine (possible from safe code — the
     /// engine is `Sync`) must not interleave a reset with a running claim
-    /// loop. Holding it is also what makes a core snapshot stable: the tier
-    /// layer only swaps `active` while holding this lock itself.
+    /// loop.
     pub(super) launch: Mutex<()>,
     /// The launch-thread token of the thread currently holding `launch`
     /// (0 = unheld); lets a same-thread re-entry fail fast instead of
@@ -78,12 +58,9 @@ pub struct JitSpmm<'a, T: Scalar> {
     pub(super) output_pool: Arc<BufferPool<T>>,
 }
 
-/// One compiled configuration of an engine: the kernel, its metadata, the
+/// The compiled configuration of an engine: the kernel, its metadata, the
 /// partition and claim counter it launches with, and the per-slot spare
-/// kernels batches compile against it. [`JitSpmm::active`] holds the
-/// current one; a tier promotion builds a fresh core and swaps the `Arc`,
-/// which also drops the old core's cached slot kernels — their embedded
-/// counter addresses belong to the retired configuration.
+/// kernels batches compile against it.
 pub(super) struct EngineCore<T: Scalar> {
     pub(super) kernel: CompiledKernel<T>,
     pub(super) meta: KernelMeta,
@@ -92,28 +69,22 @@ pub(super) struct EngineCore<T: Scalar> {
     /// The options this core's kernel was generated with, kept so the batch
     /// pipeline can compile spare slot kernels ([`SlotKernel`]) on demand.
     pub(super) kernel_options: KernelOptions,
-    /// The workload-division strategy this core compiled (for a tier-0 core
-    /// this differs from the engine's requested strategy).
+    /// The workload-division strategy this core compiled.
     pub(super) strategy: Strategy,
-    /// Which tier this core belongs to; stamped into batch reports.
-    pub(super) tier: KernelTier,
     /// Lazily compiled spare kernels backing batch pipeline slots 1.. for
-    /// dynamic-dispatch cores (see [`SlotKernel`]); cached per core so
-    /// repeated [`JitSpmm::execute_batch`] calls pay codegen once, and
-    /// discarded wholesale when the core is replaced.
+    /// dynamic-dispatch cores (see [`SlotKernel`]); cached so repeated
+    /// [`JitSpmm::execute_batch`] calls pay codegen once.
     pub(super) batch_kernels: Mutex<Vec<Arc<SlotKernel<T>>>>,
 }
 
 impl<T: Scalar> std::fmt::Debug for JitSpmm<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let core = self.active();
         f.debug_struct("JitSpmm")
             .field("d", &self.d)
-            .field("strategy", &core.strategy)
-            .field("tier", &core.tier)
+            .field("strategy", &self.core.strategy)
             .field("threads", &self.threads)
             .field("pool_workers", &self.pool.size())
-            .field("code_bytes", &core.meta.code_bytes)
+            .field("code_bytes", &self.core.meta.code_bytes)
             .finish()
     }
 }
@@ -150,83 +121,15 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         let features = CpuFeatures::detect();
         let isa = options.isa.unwrap_or_else(|| features.best_isa());
         let threads = pool.lanes_for(options.threads);
-        // Listings only exist on the codegen path, so a listing engine
-        // bypasses the cache entirely (it neither loads nor stores).
-        let cache = if options.listing { None } else { options.kernel_cache.clone() };
-        // A tiered engine compiles the cheapest safe configuration first —
-        // scalar code, static row split — and keeps the requested one as the
-        // promotion target; a fixed engine compiles the request directly.
-        // With a cache, a tiered engine first consults the persisted
-        // promotion record for its requested configuration: a hit means an
-        // earlier process already profiled this exact workload, so the engine
-        // warm-starts on the promoted configuration and skips tier-0 and the
-        // warmup phase altogether.
-        let mut promoted_plan: Option<(Strategy, KernelOptions)> = None;
-        if options.tier.is_some() {
-            if let Some(cache) = cache.as_ref() {
-                let requested = KernelOptions { isa, ccm: options.ccm, features, listing: false };
-                let key = CacheKey::for_kernel(matrix, d, options.strategy, &requested);
-                if let Some(record) = cache.load_promotion(&key) {
-                    let kernel_options = KernelOptions {
-                        isa: record.isa,
-                        ccm: record.ccm,
-                        features,
-                        listing: false,
-                    };
-                    // Feature bits are part of the key, so the record was
-                    // written by a host with identical features; validate
-                    // anyway — a failure just falls back to tier 0.
-                    if crate::codegen::validate_options(&kernel_options).is_ok() {
-                        promoted_plan = Some((record.strategy, kernel_options));
-                    }
-                }
-            }
-        }
-        let (core_strategy, kernel_options, tier) = match (&options.tier, promoted_plan) {
-            (Some(_), Some((strategy, kernel_options))) => {
-                (strategy, kernel_options, KernelTier::Promoted)
-            }
-            (Some(_), None) => (
-                Strategy::RowSplitStatic,
-                KernelOptions {
-                    isa: IsaLevel::Scalar,
-                    ccm: options.ccm,
-                    features,
-                    listing: options.listing,
-                },
-                KernelTier::Tier0,
-            ),
-            (None, _) => (
-                options.strategy,
-                KernelOptions { isa, ccm: options.ccm, features, listing: options.listing },
-                KernelTier::Fixed,
-            ),
-        };
-        let core = JitSpmm::build_core(
-            matrix,
-            d,
-            core_strategy,
-            kernel_options,
-            threads,
-            tier,
-            cache.as_deref(),
-        )?;
-        let tier_state = options.tier.map(|policy| {
-            if tier == KernelTier::Promoted {
-                TierState::warm_promoted(policy)
-            } else {
-                TierState::new(policy)
-            }
-        });
-        let node = options.numa_node;
+        let kernel_options =
+            KernelOptions { isa, ccm: options.ccm, features, listing: options.listing };
+        let core = JitSpmm::build_core(matrix, d, options.strategy, kernel_options, threads)?;
         Ok(JitSpmm {
             matrix,
             d,
-            options,
             threads,
-            node,
-            active: Mutex::new(Arc::new(core)),
-            tier_state,
+            node: options.numa_node,
+            core: Arc::new(core),
             launch: Mutex::new(()),
             launch_owner: AtomicU64::new(0),
             pool,
@@ -234,22 +137,13 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         })
     }
 
-    /// Generate, assemble and partition one complete engine configuration.
-    /// Shared by initial compilation (tier 0, warm-started promoted, or
-    /// fixed) and the tier layer's background promotion build.
-    ///
-    /// With a `cache`, the kernel image is first looked up on disk (a hit
-    /// maps, patches and seals it — skipping code generation entirely) and
-    /// stored after a fresh compile. Cache failures of any kind degrade to
-    /// the fresh-compile path.
-    pub(super) fn build_core(
+    /// Generate, assemble and partition the engine's compiled configuration.
+    fn build_core(
         matrix: &CsrMatrix<T>,
         d: usize,
         strategy: Strategy,
         kernel_options: KernelOptions,
         threads: usize,
-        tier: KernelTier,
-        cache: Option<&KernelCache>,
     ) -> Result<EngineCore<T>, JitSpmmError> {
         crate::codegen::validate_options(&kernel_options)?;
         if let Strategy::RowSplitDynamic { batch: 0 } = strategy {
@@ -261,50 +155,8 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             Strategy::RowSplitDynamic { .. } => KernelKind::DynamicDispatch,
             _ => KernelKind::StaticRange,
         };
-        // Listing engines bypass the cache: listings exist only on the
-        // codegen path, and a cached image must not shadow them.
-        let cache = if kernel_options.listing { None } else { cache };
-        let key = cache.map(|_| CacheKey::for_kernel(matrix, d, strategy, &kernel_options));
 
         let start = Instant::now();
-        if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-            let targets = RelocTargets {
-                row_ptr: binding.row_ptr as u64,
-                col_indices: binding.col_indices as u64,
-                values: binding.values as u64,
-                next_counter: counter.as_ptr() as u64,
-            };
-            if let Some(buf) = cache.load_kernel(key, kind, &targets) {
-                let load_time = start.elapsed();
-                // The plan is a pure function of (d, isa, kind) — recompute
-                // it instead of serializing it.
-                let plan = CcmPlan::new(d, kernel_options.isa, T::KIND);
-                let kernel = CompiledKernel::from_buffer(buf, kind);
-                let meta = KernelMeta {
-                    d,
-                    kind: T::KIND,
-                    isa: kernel_options.isa,
-                    ccm: kernel_options.ccm,
-                    strategy,
-                    code_bytes: kernel.code().len(),
-                    codegen_time: load_time,
-                    register_plan: plan.describe(),
-                    nnz_passes: plan.passes(),
-                };
-                let partition = partition(matrix, strategy, threads);
-                return Ok(EngineCore {
-                    kernel,
-                    meta,
-                    partition,
-                    counter,
-                    kernel_options,
-                    strategy,
-                    tier,
-                    batch_kernels: Mutex::new(Vec::new()),
-                });
-            }
-        }
-
         let generated = match strategy {
             Strategy::RowSplitDynamic { batch } => generate_dynamic_kernel(
                 binding,
@@ -318,9 +170,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         };
         let kernel = CompiledKernel::new(&generated.code, kind, generated.listing)?;
         let codegen_time = start.elapsed();
-        if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-            cache.store_kernel(key, &generated.code, &generated.relocs, kind);
-        }
 
         let meta = KernelMeta {
             d,
@@ -341,22 +190,14 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             counter,
             kernel_options,
             strategy,
-            tier,
             batch_kernels: Mutex::new(Vec::new()),
         })
     }
 
-    /// Snapshot the active core. Stable for the lifetime of any launch that
-    /// snapshotted it under the launch lock (swaps happen only while that
-    /// lock is held by the swapper).
-    pub(super) fn active(&self) -> Arc<EngineCore<T>> {
-        Arc::clone(&crate::runtime::pool::lock(&self.active))
-    }
-
     /// Build an engine for `matrix` that **shares the donor's compiled
-    /// state**: the active [`EngineCore`] `Arc` (kernel, partition, claim
-    /// counter, cached slot kernels) is cloned, not recompiled, so the new
-    /// engine's core is pointer-identical to the donor's.
+    /// state**: the [`EngineCore`] `Arc` (kernel, partition, claim counter,
+    /// cached slot kernels) is cloned, not recompiled, so the new engine's
+    /// core is pointer-identical to the donor's.
     ///
     /// This is the untouched-shard path of the incremental-update subsystem
     /// ([`crate::update`]): `matrix` must be **content-identical** to the
@@ -367,26 +208,15 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// point at the *donor's* buffers. The update layer guarantees both by
     /// retaining every superseded generation for the life of the mutable
     /// engine, and never launching two generations concurrently.
-    ///
-    /// A tiered donor's settled state carries over: a promoted (or
-    /// warm-started) donor yields an engine that never re-enters warmup,
-    /// while a donor still observing on tier 0 restarts its warmup window.
     pub(crate) fn adopt(donor: &JitSpmm<'_, T>, matrix: &'a CsrMatrix<T>) -> JitSpmm<'a, T> {
         debug_assert_eq!(matrix.row_ptr(), donor.matrix.row_ptr());
         debug_assert_eq!(matrix.nnz(), donor.matrix.nnz());
-        let core = donor.active();
-        let tier_state = donor.tier_state.as_ref().map(|state| match core.tier {
-            KernelTier::Tier0 => TierState::new(state.policy),
-            _ => TierState::warm_promoted(state.policy),
-        });
         JitSpmm {
             matrix,
             d: donor.d,
-            options: donor.options.clone(),
             threads: donor.threads,
             node: donor.node,
-            active: Mutex::new(core),
-            tier_state,
+            core: Arc::clone(&donor.core),
             launch: Mutex::new(()),
             launch_owner: AtomicU64::new(0),
             pool: donor.pool.clone(),
@@ -394,39 +224,14 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         }
     }
 
-    /// Probe the persistent kernel cache for the active core's stored image
-    /// and discard the result. A hit both counts in [`crate::CacheStats`]
-    /// and refreshes the entry's modification time, which is what the
-    /// mtime-LRU eviction orders by — so the update layer calls this for
-    /// every adopted (not recompiled) shard, keeping live shards' entries
-    /// from aging out under entries of shards that actually recompiled.
-    /// No-op without a cache.
-    pub(crate) fn touch_cache_entry(&self) {
-        let Some(cache) = self.options.kernel_cache.as_deref() else { return };
-        if self.options.listing {
-            return;
-        }
-        let core = self.active();
-        let key = CacheKey::for_kernel(self.matrix, self.d, core.strategy, &core.kernel_options);
-        let binding = MatrixBinding::of(self.matrix);
-        let targets = RelocTargets {
-            row_ptr: binding.row_ptr as u64,
-            col_indices: binding.col_indices as u64,
-            values: binding.values as u64,
-            // The probed image is dropped unexecuted; any address patches
-            // fine, and 0 avoids fabricating a counter.
-            next_counter: 0,
-        };
-        drop(cache.load_kernel(&key, core.kernel.kind(), &targets));
-    }
-
-    /// An opaque identity for the currently active compiled core: two
-    /// engines report the same value iff they share the same core (kernel,
-    /// partition, claim counter) in memory. Diagnostic only — the
-    /// incremental-update tests use it to assert untouched shards were
-    /// adopted pointer-identically rather than recompiled.
+    /// An opaque identity for the compiled core: two engines report the
+    /// same value iff they share the same core (kernel, partition, claim
+    /// counter) in memory, and one engine reports the same value for its
+    /// whole life. Diagnostic only — the incremental-update tests use it to
+    /// assert untouched shards were adopted pointer-identically rather than
+    /// recompiled.
     pub fn core_id(&self) -> usize {
-        Arc::as_ptr(&self.active()) as usize
+        Arc::as_ptr(&self.core) as usize
     }
 
     /// The sparse matrix this engine was compiled against.
@@ -458,36 +263,32 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// Re-pin the soft NUMA placement hint after construction (see
     /// [`SpmmOptions::numa_node`]): subsequent launches prefer workers on
     /// `node`; `None` clears the hint. Servers that place engines by hand
-    /// use this via [`crate::serve::SpmmServer::add_engine_on_node`], e.g.
-    /// to land a warm-started engine on the node it was profiled on.
+    /// use this via [`crate::serve::SpmmServer::add_engine_on_node`].
     pub fn place_on_node(&mut self, node: Option<usize>) {
         self.node = node;
     }
 
-    /// The scheduling strategy of the currently active kernel; the serving
-    /// layer stamps it into synthesized (zero-input) per-engine reports.
+    /// The scheduling strategy of the compiled kernel; the serving layer
+    /// stamps it into synthesized (zero-input) per-engine reports.
     pub(crate) fn strategy(&self) -> Strategy {
-        self.active().strategy
+        self.core.strategy
     }
 
-    /// Kernel metadata of the **currently active** core: code size, register
-    /// plan, code-generation time. Returned by value — a tiered engine may
-    /// hot-swap its core between calls, so the snapshot is the honest view.
+    /// Kernel metadata: code size, register plan, code-generation time.
     pub fn meta(&self) -> KernelMeta {
-        self.active().meta.clone()
+        self.core.meta.clone()
     }
 
-    /// The compiled kernel (code bytes, listing) of the currently active
-    /// core, behind a [`KernelRef`] guard that keeps the snapshot alive.
+    /// The compiled kernel (code bytes, listing), behind a [`KernelRef`]
+    /// guard that shares ownership of the compiled core.
     pub fn kernel(&self) -> KernelRef<T> {
-        KernelRef(self.active())
+        KernelRef(Arc::clone(&self.core))
     }
 
-    /// The static row partition the active core launches with (one range per
+    /// The static row partition the engine launches with (one range per
     /// lane; for the dynamic strategy this is only a fallback description).
-    /// An owned snapshot, for the same hot-swap reason as [`JitSpmm::meta`].
     pub fn partition(&self) -> Partition {
-        self.active().partition.clone()
+        self.core.partition.clone()
     }
 
     /// The cached spare [`SlotKernel`]s for batch pipeline slots `1..=extra`
@@ -495,9 +296,9 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// Static-range cores need none and get an empty list.
     pub(super) fn spare_slot_kernels(
         &self,
-        core: &EngineCore<T>,
         extra: usize,
     ) -> Result<Vec<Arc<SlotKernel<T>>>, JitSpmmError> {
+        let core = &self.core;
         if extra == 0 || core.kernel.kind() != KernelKind::DynamicDispatch {
             return Ok(Vec::new());
         }
@@ -507,50 +308,19 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         // Listings are a debugging aid of the primary kernel; spare copies
         // are byte-identical except for the counter address.
         let options = KernelOptions { listing: false, ..core.kernel_options };
-        // Spare kernels differ from the primary only in their embedded
-        // counter address — a relocation slot — so they share the primary's
-        // cache entry: one stored image instantiates every pipeline slot.
-        let disk = self.options.kernel_cache.as_deref();
-        let key = disk.map(|_| CacheKey::for_kernel(self.matrix, self.d, core.strategy, &options));
         let binding = MatrixBinding::of(self.matrix);
         let mut slots = crate::runtime::pool::lock(&core.batch_kernels);
         while slots.len() < extra {
             let counter = Box::new(DynamicCounter::new());
-            let cached = match (disk, key.as_ref()) {
-                (Some(disk), Some(key)) => {
-                    let targets = RelocTargets {
-                        row_ptr: binding.row_ptr as u64,
-                        col_indices: binding.col_indices as u64,
-                        values: binding.values as u64,
-                        next_counter: counter.as_ptr() as u64,
-                    };
-                    disk.load_kernel(key, KernelKind::DynamicDispatch, &targets)
-                        .map(|buf| CompiledKernel::from_buffer(buf, KernelKind::DynamicDispatch))
-                }
-                _ => None,
-            };
-            let kernel = match cached {
-                Some(kernel) => kernel,
-                None => {
-                    let generated = generate_dynamic_kernel(
-                        binding,
-                        self.d,
-                        T::KIND,
-                        batch,
-                        counter.as_ptr() as *const u8,
-                        &options,
-                    )?;
-                    if let (Some(disk), Some(key)) = (disk, key.as_ref()) {
-                        disk.store_kernel(
-                            key,
-                            &generated.code,
-                            &generated.relocs,
-                            KernelKind::DynamicDispatch,
-                        );
-                    }
-                    CompiledKernel::new(&generated.code, KernelKind::DynamicDispatch, None)?
-                }
-            };
+            let generated = generate_dynamic_kernel(
+                binding,
+                self.d,
+                T::KIND,
+                batch,
+                counter.as_ptr() as *const u8,
+                &options,
+            )?;
+            let kernel = CompiledKernel::new(&generated.code, KernelKind::DynamicDispatch, None)?;
             slots.push(Arc::new(SlotKernel { kernel, counter }));
         }
         Ok(slots.iter().take(extra).cloned().collect())
@@ -604,10 +374,9 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     }
 
     /// Fraction of the total build+execute time spent generating code, as
-    /// reported in Table IV, given a measured execution time. Reflects the
-    /// currently active core's codegen cost.
+    /// reported in Table IV, given a measured execution time.
     pub fn codegen_overhead_ratio(&self, execution: Duration) -> f64 {
-        let cg = self.active().meta.codegen_time.as_secs_f64();
+        let cg = self.core.meta.codegen_time.as_secs_f64();
         let total = cg + execution.as_secs_f64();
         if total == 0.0 {
             0.0
@@ -617,9 +386,8 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     }
 }
 
-/// A borrow-like guard over the active core's [`CompiledKernel`], returned
-/// by [`JitSpmm::kernel`]. Dereferences to the kernel; holding it keeps the
-/// snapshotted core alive even if the engine promotes meanwhile.
+/// A borrow-like guard over the engine's [`CompiledKernel`], returned by
+/// [`JitSpmm::kernel`]. Dereferences to the kernel.
 pub struct KernelRef<T: Scalar>(Arc<EngineCore<T>>);
 
 impl<T: Scalar> std::ops::Deref for KernelRef<T> {

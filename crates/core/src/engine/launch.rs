@@ -1,13 +1,10 @@
 //! Single-launch execution paths: the launch lock, the blocking `execute*`
 //! family, and the asynchronous [`ExecutionHandle`].
 //!
-//! Every path here snapshots the engine's active [`EngineCore`] once, under
-//! the launch lock, and runs entirely against that snapshot — so a tier
-//! promotion ([`crate::engine::tier`]) swapping the core between launches
-//! can never change the kernel, partition or counter a launch already
-//! started with.
+//! Every path here runs against the engine's one immutable compiled core
+//! (kernel, partition, claim counter), under the launch lock.
 
-use crate::engine::compile::{EngineCore, JitSpmm};
+use crate::engine::compile::JitSpmm;
 use crate::engine::report::ExecutionReport;
 use crate::error::JitSpmmError;
 use crate::kernel::KernelKind;
@@ -62,9 +59,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// (for static-range kernels it is a harmless store to memory nothing
     /// reads), and under the launch lock, so a concurrent launch of the same
     /// engine can never interleave a reset with a running claim loop.
-    /// Holding the lock also pins the active core: the tier layer only swaps
-    /// it while holding this lock itself, so a snapshot taken under the
-    /// guard stays the launching core for the guard's whole lifetime.
     ///
     /// # Errors
     ///
@@ -88,7 +82,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             }
         };
         self.launch_owner.store(launch_thread_token(), Ordering::Release);
-        self.active().counter.reset();
+        self.core.counter.reset();
         Ok(LaunchGuard { owner: &self.launch_owner, _guard: guard })
     }
 
@@ -116,12 +110,11 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         // another launch must not pay the buffer-pool round trip first.
         self.check_input_shape(x)?;
         let launch = self.begin_launch(true)?;
-        let core = self.active();
         let mut y = PooledMatrix::new(
             self.output_pool.acquire(self.matrix.nrows(), self.d),
             Arc::clone(&self.output_pool),
         );
-        let report = self.launch_kernel(&launch, &core, x, &mut y);
+        let report = self.launch_kernel(&launch, x, &mut y);
         Ok((y, report))
     }
 
@@ -204,7 +197,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         // buffer-pool round trip for an output it will never produce.
         self.check_input_shape(x)?;
         let guard = self.begin_launch(false)?;
-        let core = self.active();
+        let core = &self.core;
         let mut y = PooledMatrix::new(
             self.output_pool.acquire(self.matrix.nrows(), self.d),
             Arc::clone(&self.output_pool),
@@ -220,22 +213,19 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         // SAFETY: the payload allocation and the output buffer are owned by
         // the returned handle — released only after its drop has joined the
         // job, and leaked (never freed) if the handle is leaked — while the
-        // kernel and partition live in the core snapshot the handle also
-        // owns, and the engine-borrowed CSR arrays and `x` are borrowed for
-        // 'env, which cannot end before the scope has joined the job. Shapes
-        // were checked above and the counter reset under the launch lock
-        // held in `guard`.
+        // engine (with its kernel and partition), the CSR arrays it borrows
+        // and `x` are borrowed for 'env, which cannot end before the scope
+        // has joined the job. Shapes were checked above and the counter reset
+        // under the launch lock held in `guard`.
         let job =
             unsafe { scope.submit_erased(spec, payload as *const (), KernelJob::<T>::erased()) };
-        let strategy = core.strategy;
         Ok(ExecutionHandle {
             job: Some(job),
             payload,
             y: Some(y),
             start,
             threads: self.threads,
-            strategy,
-            _core: core,
+            strategy: core.strategy,
             _launch: guard,
         })
     }
@@ -269,28 +259,26 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         y: *mut T,
     ) -> Result<ExecutionHandle<'scope, T>, JitSpmmError> {
         let guard = self.begin_launch(true)?;
-        let core = self.active();
+        let core = &self.core;
         let job = KernelJob::new(&core.kernel, &core.partition.ranges, x, y);
         let spec = job.spec(core.kernel.kind(), self.threads).prefer_node(self.node);
         // Owned through a raw pointer, exactly as in `execute_async`.
         let payload: *mut KernelJob<T> = Box::into_raw(Box::new(job));
         let start = Instant::now();
         // SAFETY: payload ownership and join discipline as in
-        // `execute_async`, with the kernel and partition kept alive by the
-        // handle's core snapshot; liveness and exclusivity of `x`/`y` are
+        // `execute_async`, with the kernel and partition borrowed from the
+        // engine for 'env; liveness and exclusivity of `x`/`y` are
         // the caller's contract, and the counter was reset under the launch
         // lock held in `guard`.
         let job =
             unsafe { scope.submit_erased(spec, payload as *const (), KernelJob::<T>::erased()) };
-        let strategy = core.strategy;
         Ok(ExecutionHandle {
             job: Some(job),
             payload,
             y: None,
             start,
             threads: self.threads,
-            strategy,
-            _core: core,
+            strategy: core.strategy,
             _launch: guard,
         })
     }
@@ -313,20 +301,19 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     ) -> Result<ExecutionReport, JitSpmmError> {
         self.check_shapes(x, y)?;
         let launch = self.begin_launch(true)?;
-        let core = self.active();
-        Ok(self.launch_kernel(&launch, &core, x, y))
+        Ok(self.launch_kernel(&launch, x, y))
     }
 
-    /// Dispatch one launch of the snapshotted core's kernel over the pool.
-    /// The caller has already validated the shapes and holds the launch lock
-    /// (`_launch` proves it, and pins `core` as the active core).
+    /// Dispatch one launch of the kernel over the pool. The caller has
+    /// already validated the shapes and holds the launch lock (`_launch`
+    /// proves it).
     fn launch_kernel(
         &self,
         _launch: &LaunchGuard<'_>,
-        core: &EngineCore<T>,
         x: &DenseMatrix<T>,
         y: &mut DenseMatrix<T>,
     ) -> ExecutionReport {
+        let core = &self.core;
         let start = Instant::now();
         // SAFETY: the engine borrows the CSR matrix whose pointers the kernel
         // embeds, the caller checked the shapes, and rows are partitioned
@@ -354,16 +341,14 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             }
         };
         let elapsed = start.elapsed();
-        let report = ExecutionReport {
+        ExecutionReport {
             elapsed,
             kernel,
             dispatch: elapsed.saturating_sub(kernel),
             wake,
             threads: self.threads,
             strategy: core.strategy,
-        };
-        self.tier_observe(&report);
-        report
+        }
     }
 
     /// Compute `Y = A * X` by spawning fresh OS threads for this one call —
@@ -381,7 +366,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     ) -> Result<ExecutionReport, JitSpmmError> {
         self.check_shapes(x, y)?;
         let _launch = self.begin_launch(true)?;
-        let core = self.active();
+        let core = &self.core;
         let x_addr = x.as_ptr() as usize;
         let y_addr = y.as_mut_ptr() as usize;
         let busy_ns = AtomicU64::new(0);
@@ -391,7 +376,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
                 std::thread::scope(|scope| {
                     for _ in 0..self.threads {
                         let busy_ns = &busy_ns;
-                        let core = &core;
                         scope.spawn(move || {
                             let lane_start = Instant::now();
                             // SAFETY: as in `execute_into`; the dynamic
@@ -414,7 +398,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
                             continue;
                         }
                         let busy_ns = &busy_ns;
-                        let core = &core;
                         scope.spawn(move || {
                             let lane_start = Instant::now();
                             // SAFETY: as above; static ranges are disjoint by
@@ -463,7 +446,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     ) -> Result<ExecutionReport, JitSpmmError> {
         self.check_shapes(x, y)?;
         let _launch = self.begin_launch(true)?;
-        let core = self.active();
+        let core = &self.core;
         let start = Instant::now();
         match core.kernel.kind() {
             KernelKind::DynamicDispatch => {
@@ -526,10 +509,6 @@ pub struct ExecutionHandle<'s, T: Scalar> {
     start: Instant,
     threads: usize,
     strategy: Strategy,
-    /// The core snapshot this launch runs against: keeps the compiled kernel
-    /// and partition behind the payload's raw pointers alive for the
-    /// launch's whole lifetime, whatever the tier layer installs meanwhile.
-    _core: Arc<EngineCore<T>>,
     /// Holds the engine's launch lock for the lifetime of the launch (the
     /// dynamic counter must not be reset mid-claim by another launch).
     _launch: LaunchGuard<'s>,

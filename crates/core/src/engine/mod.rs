@@ -5,11 +5,10 @@
 //! | module | layer |
 //! |---|---|
 //! | `options` | configuration: [`SpmmOptions`], [`JitSpmmBuilder`] |
-//! | `compile` | [`JitSpmm`] construction: codegen, partitioning, spare slot kernels |
+//! | `compile` | [`JitSpmm`] construction: codegen, partitioning, the immutable compiled core, spare slot kernels |
 //! | `launch` | single launches: `execute*`, `execute_async`, [`ExecutionHandle`], the launch lock |
 //! | `batch` | the pipelined stream: `execute_batch`, [`BatchStream`], owned-input slots |
 //! | `report` | timing aggregation: [`ExecutionReport`], [`BatchReport`], reservoir percentiles |
-//! | `tier` | adaptive tiering: [`TierPolicy`], warmup observation, background recompile, hot-swap |
 //!
 //! Everything public is re-exported here, so the paths callers use
 //! (`jitspmm::engine::JitSpmm`, `jitspmm::BatchStream`, …) are unchanged
@@ -21,7 +20,6 @@ mod compile;
 mod launch;
 mod options;
 mod report;
-pub mod tier;
 
 #[cfg(test)]
 mod batch_tests;
@@ -33,7 +31,5 @@ pub use compile::{JitSpmm, KernelRef};
 pub use launch::ExecutionHandle;
 pub use options::{JitSpmmBuilder, SpmmOptions};
 pub use report::{BatchReport, ExecutionReport};
-pub use tier::{KernelTier, TierPolicy};
 
 pub(crate) use report::BatchStats;
-pub(crate) use tier::TierAction;

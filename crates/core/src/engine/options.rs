@@ -1,17 +1,14 @@
 //! Engine configuration: [`SpmmOptions`] and the [`JitSpmmBuilder`].
 
 use super::compile::JitSpmm;
-use super::tier::TierPolicy;
-use crate::cache::KernelCache;
 use crate::error::JitSpmmError;
 use crate::runtime::WorkerPool;
 use crate::schedule::Strategy;
 use jitspmm_asm::IsaLevel;
 use jitspmm_sparse::{CsrMatrix, Scalar};
-use std::sync::Arc;
 
 /// Configuration of a [`JitSpmm`] engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpmmOptions {
     /// Workload-division strategy (default: dynamic row-split with the
     /// paper's batch size of 128).
@@ -26,11 +23,6 @@ pub struct SpmmOptions {
     pub ccm: bool,
     /// Record an instruction listing alongside the generated code.
     pub listing: bool,
-    /// Adaptive tiering: `Some` starts the engine on a cheap scalar tier-0
-    /// kernel and hot-swaps to the configuration above once observed
-    /// launches justify the recompile (see [`crate::engine::tier`]); `None`
-    /// (the default) compiles the requested configuration up front.
-    pub tier: Option<TierPolicy>,
     /// NUMA node this engine's launches prefer ([`crate::NumaTopology`]
     /// node id). A **soft** placement hint: on a multi-node host, pool
     /// workers pinned to this node claim the engine's jobs first, keeping
@@ -39,13 +31,6 @@ pub struct SpmmOptions {
     /// any worker claim, and on single-node hosts the hint is ignored
     /// entirely.
     pub numa_node: Option<usize>,
-    /// Persistent kernel cache: compiled kernels (and tier-promotion
-    /// outcomes) are stored here and reloaded by later processes, skipping
-    /// code generation — and, for tiered engines, the whole tier-0 warmup
-    /// phase — on a hit. `None` (the default) compiles fresh every time.
-    /// Ignored while `listing` is set, since listings only exist on the
-    /// codegen path.
-    pub kernel_cache: Option<Arc<KernelCache>>,
 }
 
 impl Default for SpmmOptions {
@@ -56,28 +41,8 @@ impl Default for SpmmOptions {
             threads: 0,
             ccm: true,
             listing: false,
-            tier: None,
             numa_node: None,
-            kernel_cache: None,
         }
-    }
-}
-
-impl PartialEq for SpmmOptions {
-    fn eq(&self, other: &SpmmOptions) -> bool {
-        let cache_eq = match (&self.kernel_cache, &other.kernel_cache) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
-        };
-        cache_eq
-            && self.strategy == other.strategy
-            && self.isa == other.isa
-            && self.threads == other.threads
-            && self.ccm == other.ccm
-            && self.listing == other.listing
-            && self.tier == other.tier
-            && self.numa_node == other.numa_node
     }
 }
 
@@ -143,16 +108,6 @@ impl JitSpmmBuilder {
         self
     }
 
-    /// Compile adaptively: start on a cheap scalar tier-0 kernel and
-    /// hot-swap to this builder's configuration once `policy` says observed
-    /// launches justify the recompile. See [`crate::engine::tier`] for the
-    /// promotion machinery and [`crate::serve::ServeOptions::tiering`] for
-    /// the serving-session integration.
-    pub fn tiered(mut self, policy: TierPolicy) -> Self {
-        self.options.tier = Some(policy);
-        self
-    }
-
     /// Prefer scheduling this engine's launches on NUMA node `node` (see
     /// [`SpmmOptions::numa_node`]). A soft hint — work-conserving claiming
     /// means no worker ever idles to honor it — and a no-op on single-node
@@ -160,23 +115,6 @@ impl JitSpmmBuilder {
     /// automatically, spreading shards round-robin across detected nodes.
     pub fn numa_node(mut self, node: usize) -> Self {
         self.options.numa_node = Some(node);
-        self
-    }
-
-    /// Persist compiled kernels in the cache directory `dir` and reload them
-    /// on the next start instead of re-running code generation (see
-    /// [`SpmmOptions::kernel_cache`] and [`crate::cache`] for the on-disk
-    /// format). Opens an uncapped [`KernelCache`]; share a configured handle
-    /// across engines with [`JitSpmmBuilder::kernel_cache_in`].
-    pub fn kernel_cache(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.options.kernel_cache = Some(KernelCache::open(dir));
-        self
-    }
-
-    /// Use an already-opened [`KernelCache`] (shared across engines and with
-    /// [`crate::ShardedSpmm`], so hit statistics aggregate in one place).
-    pub fn kernel_cache_in(mut self, cache: Arc<KernelCache>) -> Self {
-        self.options.kernel_cache = Some(cache);
         self
     }
 

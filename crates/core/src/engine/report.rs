@@ -4,7 +4,6 @@
 //! [`crate::serve::ServerReport`] aggregates one [`BatchReport`] per engine
 //! through the same machinery.
 
-use crate::engine::tier::KernelTier;
 use crate::schedule::Strategy;
 use std::time::Duration;
 
@@ -63,13 +62,6 @@ pub struct BatchReport {
     pub threads: usize,
     /// Strategy of the engine that ran the batch.
     pub strategy: Strategy,
-    /// Tier of the kernel that finished the batch ([`KernelTier::Fixed`]
-    /// for non-tiered engines; a tiered engine reports the tier it ended
-    /// on — [`KernelTier::Promoted`] once a hot-swap has happened).
-    pub tier: KernelTier,
-    /// Hot-swap promotions the engine has performed so far (see
-    /// [`crate::TierPolicy`]); `0` for non-tiered engines.
-    pub promotions: usize,
     /// Sum of per-input critical-path kernel times.
     pub kernel_total: Duration,
     /// Median per-input kernel time.
@@ -156,14 +148,6 @@ impl BatchStats {
         }
     }
 
-    /// Median of the kernel-time reservoir without consuming the stats —
-    /// the tier layer's promotion evidence, read mid-window.
-    pub(crate) fn kernel_p50(&self) -> Duration {
-        let mut sorted = self.kernel.clone();
-        sorted.sort_unstable();
-        percentile(&sorted, 50.0)
-    }
-
     pub(crate) fn report(
         mut self,
         elapsed: Duration,
@@ -180,8 +164,6 @@ impl BatchStats {
             depth,
             threads,
             strategy,
-            tier: KernelTier::Fixed,
-            promotions: 0,
             kernel_total: self.kernel_total,
             kernel_p50: percentile(&self.kernel, 50.0),
             kernel_p99: percentile(&self.kernel, 99.0),
@@ -245,8 +227,6 @@ mod tests {
             depth: 1,
             threads: 1,
             strategy: Strategy::RowSplitStatic,
-            tier: KernelTier::Fixed,
-            promotions: 0,
             kernel_total: Duration::ZERO,
             kernel_p50: Duration::ZERO,
             kernel_p99: Duration::ZERO,

@@ -76,14 +76,6 @@ impl<T> CompiledKernel<T> {
         })
     }
 
-    /// Wrap an already-materialized executable buffer (a cache-loaded kernel
-    /// image that was patched and sealed). No listing is available on this
-    /// path: listings are a codegen-time artifact, and engines that request
-    /// one bypass the cache.
-    pub(crate) fn from_buffer(buf: ExecutableBuffer, kernel_kind: KernelKind) -> CompiledKernel<T> {
-        CompiledKernel { buf, kernel_kind, listing: None, _marker: PhantomData }
-    }
-
     /// The call shape of this kernel.
     pub fn kind(&self) -> KernelKind {
         self.kernel_kind

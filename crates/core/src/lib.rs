@@ -255,79 +255,15 @@
 //! ([`serve::SpmmServer::add_sharded`]), so mixed streams can target huge
 //! sharded matrices and small single-engine ones uniformly.
 //!
-//! # Adaptive kernel tiering
+//! # One immutable compiled core per engine
 //!
-//! Picking the *right* kernel configuration up front requires knowing the
-//! traffic — which a server does not, until it has served some. A tiered
-//! engine ([`JitSpmmBuilder::tiered`]) starts on a cheap safe **tier-0**
-//! kernel (scalar code, static row split), records its first
-//! [`TierPolicy::warmup`] launches, then recompiles for the configuration
-//! the observations and the analytic instruction model justify and
-//! **hot-swaps** the new kernel in between launches. Promotion never
-//! changes results: outputs across the swap boundary are bit-identical to a
-//! fixed engine compiled at the promoted configuration. Serving sessions
-//! promote automatically ([`serve::ServeOptions::tiering`] — the recompile
-//! rides the shared pool as a lane-capped background job, and
-//! [`serve::ServerReport`] counts the swaps); standalone engines can watch
-//! a promotion by hand:
-//!
-//! ```
-//! use jitspmm::{IsaLevel, JitSpmmBuilder, KernelTier, Strategy, TierPolicy};
-//! use jitspmm_sparse::{generate, DenseMatrix};
-//!
-//! # fn main() -> Result<(), jitspmm::JitSpmmError> {
-//! let a = generate::rmat::<f32>(9, 6_000, generate::RmatConfig::GRAPH500, 11);
-//! let x = DenseMatrix::random(a.ncols(), 8, 3);
-//! // Request a dynamic row split, but let tiering decide when it is worth
-//! // compiling (the scalar pin keeps this doctest host-independent).
-//! let engine = JitSpmmBuilder::new()
-//!     .strategy(Strategy::row_split_dynamic_default())
-//!     .isa(IsaLevel::Scalar)
-//!     .tiered(TierPolicy::new().warmup(4))
-//!     .build(&a, x.ncols())?;
-//! assert_eq!(engine.tier(), KernelTier::Tier0); // serving already, cheaply
-//! let (y0, _) = engine.execute(&x)?;
-//! assert!(engine.promote_now()); // warmup not done: promote explicitly
-//! assert_eq!(engine.tier(), KernelTier::Promoted);
-//! let (y1, _) = engine.execute(&x)?;
-//! assert_eq!(y0.max_abs_diff(&y1), 0.0); // bit-identical across the swap
-//! # Ok(())
-//! # }
-//! ```
-//!
-//! # Warm restarts: the persistent kernel cache
-//!
-//! Code generation is cheap next to steady-state execution, but a restarted
-//! server pays it again for *every* engine — and a tiered engine also
-//! re-pays the tier-0 warmup and the profile-guided recompile it already
-//! did last boot. The [`cache`] module makes compilation artifacts survive
-//! the process: [`JitSpmmBuilder::kernel_cache`] points an engine at a
-//! directory, compiled kernels are persisted as relocatable templates, and
-//! the next process **mmaps them back** instead of generating code
-//! ([`CacheStats`] records hits/misses/rejects per cache).
-//!
-//! Entries are keyed by everything the generated code depends on: a 128-bit
-//! fingerprint of the sparse matrix (structure *and* values), the dense
-//! width `d`, scalar kind, strategy (with dynamic batch), ISA tier, CCM
-//! flag, detected CPU features, and the crate/codegen revision — so a
-//! library upgrade or a different machine re-keys rather than mis-executes.
-//! On disk an entry is a 4 KiB header (magic, bytewise key echo, code
-//! length, checksum, relocation table) followed by the code at page offset
-//! 4096; the matrix-address `mov` immediates are stored **zeroed** and
-//! patched per process after a copy-on-write file mapping, so a loaded
-//! kernel is bit-identical to a fresh compile. Any mismatch — truncation,
-//! checksum, foreign CPU features, colliding key digest — degrades to a
-//! silent recompile; a corrupt cache can never crash or corrupt results.
-//! Tier promotions persist too: a promotion record keyed by the *requested*
-//! configuration lets the next boot warm-start straight onto the promoted
-//! kernel ([`KernelTier::Promoted`] with zero in-process promotions),
-//! skipping warmup entirely. Directories are bounded
-//! ([`KernelCache::with_capacity`] evicts oldest-first;
-//! [`KernelCache::clear`] empties) and shared safely across engines,
-//! sharded compiles ([`ShardOptions::kernel_cache`]) and processes (atomic
-//! tmp+rename stores serialized by an advisory `flock` on the directory).
-//! The `jitspmm-serve` binary (crates/bench) wraps this in a TCP front end
-//! whose warm-restart round trip CI exercises end to end.
+//! [`JitSpmmBuilder::build`] generates the kernel for exactly the requested
+//! configuration — a few microseconds of code generation, independent of
+//! the matrix size (the paper's Table IV) — and the resulting compiled core
+//! (kernel, partition, row-claim counter) is fixed for the engine's life:
+//! every launch path runs against the same core, and [`JitSpmm::core_id`]
+//! never changes. A restarted process simply compiles again; a different
+//! configuration is a different engine.
 //!
 //! # Memory locality: NUMA placement and the futex wake path
 //!
@@ -356,9 +292,9 @@
 //! **shard**: a [`MutableSpmm`] owns its shard plan, and
 //! [`MutableSpmm::apply`] merges a [`jitspmm_sparse::DeltaBatch`] of edge
 //! upserts/deletes into **only the shards the delta touches** —
-//! re-materializing and recompiling those (probing the kernel cache) while
-//! every untouched shard keeps its compiled core pointer-identically and
-//! shares the previous generation's non-zero storage. The rebuilt engine
+//! re-materializing and recompiling those while every untouched shard
+//! keeps its compiled core pointer-identically and shares the previous
+//! generation's non-zero storage. The rebuilt engine
 //! becomes a new *generation* that swaps in between launches; when
 //! accumulated deltas skew the shard balance past 1.5x the update re-cuts
 //! the whole matrix instead ([`UpdateReport::replanned`]). Because
@@ -402,14 +338,10 @@
 //! jitspmm (crates/core)
 //! ├── engine/            compile once, execute many
 //! │   ├── options        SpmmOptions, JitSpmmBuilder
-//! │   ├── compile        JitSpmm construction, spare slot kernels
+//! │   ├── compile        JitSpmm construction: the immutable compiled core, spare slot kernels
 //! │   ├── launch         execute / execute_async, launch lock, ExecutionHandle
 //! │   ├── batch          execute_batch, BatchStream (borrowed + owned pushes)
-//! │   ├── tier           adaptive tiering: tier-0 start, profiled recompile, hot-swap
 //! │   └── report         ExecutionReport, BatchReport, reservoir percentiles
-//! ├── cache/             persistent kernel cache (mmap-backed warm starts)
-//! │   ├── key            CacheKey: matrix fingerprint + config + CPU + revision
-//! │   └── (mod)          KernelCache: store/load/evict, flock'd stores, promotions
 //! ├── update/            incremental matrix updates behind live serving
 //! │   ├── delta          delta routing onto shard row ranges
 //! │   ├── apply          shard-local merge + recompile, re-plan on drift
@@ -446,7 +378,6 @@
 #![deny(missing_docs)]
 
 pub mod baseline;
-pub mod cache;
 pub mod codegen;
 pub mod engine;
 pub mod error;
@@ -459,11 +390,10 @@ pub mod shard;
 pub mod tiling;
 pub mod update;
 
-pub use cache::{CacheStats, KernelCache};
 pub use codegen::KernelOptions;
 pub use engine::{
     BatchReport, BatchStream, ExecutionHandle, ExecutionReport, JitSpmm, JitSpmmBuilder, KernelRef,
-    KernelTier, SpmmOptions, TierPolicy, DEFAULT_BATCH_DEPTH,
+    SpmmOptions, DEFAULT_BATCH_DEPTH,
 };
 pub use error::JitSpmmError;
 pub use kernel::{CompiledKernel, KernelKind, KernelMeta};
@@ -478,9 +408,7 @@ pub use serve::{
     RequestQueue, RequestSender, SendError, ServeOptions, ServerReport, ServerRequest,
     ServerResponse, ServerSession, SpmmServer,
 };
-pub use shard::{
-    plan_shards, ShardOptions, ShardPlan, ShardReport, ShardSpec, ShardedSpmm, ShardedStream,
-};
+pub use shard::{plan_shards, ShardPlan, ShardReport, ShardSpec, ShardedSpmm, ShardedStream};
 pub use tiling::{CcmPlan, ColumnTile, Segment, SegmentWidth};
 pub use update::{MutableSpmm, MutableStream, UpdateReport};
 

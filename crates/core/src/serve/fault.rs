@@ -23,11 +23,6 @@ use std::time::Duration;
 /// to tell injected failures from real ones.
 pub const INJECTED_PANIC: &str = "fault-injection: kernel job panic";
 
-/// The panic message of an injected tier-recompile fault. The tiering layer
-/// catches it (a failed background recompile must never take down a serving
-/// engine), so tests assert on the *absence* of promotion instead.
-pub const INJECTED_RECOMPILE_PANIC: &str = "fault-injection: tier recompile panic";
-
 /// Fast-path switch: kernel entries load this (relaxed) and return when no
 /// fault is armed, so the hook costs one atomic load in the common case.
 static ARMED: AtomicBool = AtomicBool::new(false);
@@ -39,9 +34,6 @@ static PANIC_COUNTDOWN: AtomicU64 = AtomicU64::new(0);
 /// How many upcoming kernel entries sleep before running, and for how long.
 static DELAY_TICKETS: AtomicU64 = AtomicU64::new(0);
 static DELAY_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// Fire a panic on the Nth tier-recompile entry from arming. 0 = disarmed.
-static RECOMPILE_COUNTDOWN: AtomicU64 = AtomicU64::new(0);
 
 /// Serializes fault-armed tests; faults are process-global state.
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
@@ -82,22 +74,12 @@ pub fn arm_kernel_delay(delay: Duration, count: u64) {
     ARMED.store(true, Ordering::SeqCst);
 }
 
-/// Arm a one-shot panic on the `nth` tier-recompile entry from now (1 = the
-/// very next one) — a crash inside the background specializing compile. The
-/// tiering layer must contain it: the engine keeps serving on its current
-/// kernel and simply never promotes.
-pub fn arm_recompile_panic(nth: u64) {
-    RECOMPILE_COUNTDOWN.store(nth.max(1), Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-}
-
 /// Clear every armed fault.
 pub fn disarm() {
     ARMED.store(false, Ordering::SeqCst);
     PANIC_COUNTDOWN.store(0, Ordering::SeqCst);
     DELAY_TICKETS.store(0, Ordering::SeqCst);
     DELAY_NANOS.store(0, Ordering::SeqCst);
-    RECOMPILE_COUNTDOWN.store(0, Ordering::SeqCst);
 }
 
 /// The hook: called at every kernel-job entry (worker-side
@@ -139,30 +121,6 @@ pub(crate) fn kernel_entry() {
     }
 }
 
-/// The hook called at every tier-recompile entry (the start of the
-/// background specializing compile). No-op unless a recompile fault is
-/// armed.
-pub(crate) fn recompile_entry() {
-    if !ARMED.load(Ordering::Relaxed) {
-        return;
-    }
-    loop {
-        let left = RECOMPILE_COUNTDOWN.load(Ordering::SeqCst);
-        if left == 0 {
-            break;
-        }
-        if RECOMPILE_COUNTDOWN
-            .compare_exchange(left, left - 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            if left == 1 {
-                panic!("{INJECTED_RECOMPILE_PANIC}");
-            }
-            break;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,18 +150,6 @@ mod tests {
         // Spent tickets: no further sleeping (bounded by being instant-ish;
         // just assert it runs).
         kernel_entry();
-    }
-
-    #[test]
-    fn recompile_countdown_is_independent_of_kernel_entries() {
-        let _guard = exclusive();
-        arm_recompile_panic(1);
-        // Kernel entries do not consume the recompile ticket.
-        kernel_entry();
-        kernel_entry();
-        let fired = std::panic::catch_unwind(recompile_entry);
-        assert!(fired.is_err(), "recompile entry fires the armed panic");
-        recompile_entry();
     }
 
     #[test]

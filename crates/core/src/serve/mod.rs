@@ -63,15 +63,6 @@
 //!   disturbing the others; [`ControlHandle::drain`] is a barrier that
 //!   stops admission and waits until every admitted request has been
 //!   answered.
-//! * **Adaptive tiering** — with [`ServeOptions::tiering`], engines built
-//!   via [`crate::JitSpmmBuilder::tiered`] start serving on their cheap
-//!   tier-0 kernel and the session promotes them mid-stream: the control
-//!   loop polls each engine's tier state between sweeps, runs the
-//!   profile-guided recompile as a lane-capped background job on the shared
-//!   pool (or inline under [`crate::TierPolicy::foreground`]), and
-//!   hot-swaps the promoted kernel between batches — outputs stay
-//!   bit-identical across the swap and [`ServerReport::promotions`] counts
-//!   the swaps (sharded engines promote per shard).
 //! * **Fault containment** — under [`SpmmServer::serve_controlled`], a
 //!   worker panic (a crash in generated code) becomes a typed
 //!   [`ServerResponse::Failed`] for exactly the request that hit it;

@@ -32,11 +32,6 @@ pub struct ServerReport {
     /// a typed [`crate::serve::ServerResponse::Failed`], or a shape
     /// mismatch caught at routing time.
     pub failed: usize,
-    /// Kernel hot-swaps applied by adaptive tiering during this run
-    /// ([`crate::serve::ServeOptions::tiering`]); sharded engines count one
-    /// per promoted shard. The per-engine reports carry the tier each
-    /// engine finished the run on.
-    pub promotions: usize,
     /// Per-engine batch statistics, indexed by engine id. An engine that
     /// received no requests reports `inputs == 0`.
     pub per_engine: Vec<BatchReport>,
@@ -90,7 +85,6 @@ mod tests {
             rejected: 0,
             shed_deadline: 0,
             failed: 0,
-            promotions: 0,
             per_engine: Vec::new(),
         }
     }

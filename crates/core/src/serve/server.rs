@@ -2,13 +2,10 @@
 //! stream, plus the control plane that keeps it bounded under overload and
 //! alive under faults.
 
-use crate::engine::{
-    BatchReport, BatchStats, BatchStream, ExecutionReport, JitSpmm, KernelTier, TierAction,
-    TierPolicy,
-};
+use crate::engine::{BatchReport, BatchStats, BatchStream, ExecutionReport, JitSpmm};
 use crate::error::JitSpmmError;
 use crate::runtime::pool::lock;
-use crate::runtime::{JobSpec, PoolScope, PooledMatrix, WorkerPool};
+use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
 use crate::schedule::Strategy;
 use crate::serve::control::{
     AdmissionPolicy, ControlHandle, ControlShared, EngineStatus, PendingUpdate, RejectReason,
@@ -189,8 +186,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// [`SpmmServer::add_engine`] with explicit NUMA placement: re-pins the
     /// engine's soft placement hint ([`JitSpmm::place_on_node`]) to `node`
     /// before registration, overriding whatever the builder chose. For
-    /// servers that place engines by hand — e.g. to land a warm-started
-    /// engine (see [`crate::cache`]) on the node it was profiled on.
+    /// servers that place engines by hand.
     ///
     /// # Errors
     ///
@@ -382,45 +378,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
             EngineEntry::Sharded(sharded) => sharded.dominant_strategy(),
             EngineEntry::Mutable(mutable) => mutable.dominant_strategy(),
         })
-    }
-
-    /// Engine `id`'s current kernel tier and promotion count, for stamping
-    /// per-engine reports.
-    pub(crate) fn engine_tier_info(&self, id: usize) -> Option<(KernelTier, usize)> {
-        self.with_entry(id, |entry| match entry {
-            EngineEntry::Single(engine) => (engine.tier(), engine.promotions()),
-            EngineEntry::Sharded(sharded) => (sharded.tier(), sharded.promotions()),
-            EngineEntry::Mutable(mutable) => (mutable.tier(), mutable.promotions()),
-        })
-    }
-
-    /// Run the profile-guided tier recompile for engine `id` (one shard of
-    /// it, for sharded engines). Called from a background pool job or inline
-    /// by the serving loop; never panics (the tier layer contains recompile
-    /// failures) and takes no engine lock, so serving proceeds throughout.
-    pub(crate) fn tier_recompile_entry(&self, id: usize, shard: Option<usize>) {
-        enum Target<'a, T: Scalar> {
-            Single(Arc<JitSpmm<'a, T>>),
-            Sharded(Arc<ShardedSpmm<'a, T>>),
-            Mutable(Arc<MutableSpmm<T>>),
-        }
-        // Clone the Arc out so code generation runs outside the registry
-        // lock.
-        let target = self.with_entry(id, |entry| match entry {
-            EngineEntry::Single(engine) => Target::Single(Arc::clone(engine)),
-            EngineEntry::Sharded(sharded) => Target::Sharded(Arc::clone(sharded)),
-            EngineEntry::Mutable(mutable) => Target::Mutable(Arc::clone(mutable)),
-        });
-        match target {
-            Some(Target::Single(engine)) => engine.tier_recompile(),
-            Some(Target::Sharded(sharded)) => {
-                if let Some(engine) = sharded.engines().get(shard.unwrap_or(0)) {
-                    engine.tier_recompile();
-                }
-            }
-            Some(Target::Mutable(mutable)) => mutable.tier_recompile_shard(shard.unwrap_or(0)),
-            None => {}
-        }
     }
 
     /// Shape-check `input` against logical engine `id` (single or sharded).
@@ -772,19 +729,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         let (sender, queue) =
             RequestQueue::controlled(options.admission, Arc::clone(&self.control));
         let tick = options.tick.max(Duration::from_micros(100));
-        // Background tier recompiles: the sweep queues (engine, shard) ids
-        // here and submits one lane-capped pool job per entry, so a
-        // recompile never occupies more than one worker and never blocks
-        // the serving thread. Inline (policy `background == false`, or a
-        // zero-worker pool) recompiles skip the queue entirely.
-        let tier_jobs: Mutex<VecDeque<(usize, Option<usize>)>> = Mutex::new(VecDeque::new());
-        let tier_task = |_lane: usize| {
-            if let Some((id, shard)) = lock(&tier_jobs).pop_front() {
-                self.tier_recompile_entry(id, shard);
-            }
-        };
-        let tier_background =
-            options.tiering.is_some_and(|policy| policy.background) && self.pool.size() > 0;
         std::thread::scope(|threads| {
             let _close = CloseOnExit(&queue);
             let producer_thread = threads.spawn(move || producer(sender));
@@ -795,12 +739,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
                 let mut disconnected = false;
                 loop {
                     session.apply_control();
-                    if options.tiering.is_some() {
-                        session.apply_tiering(tier_background, &mut |id, shard| {
-                            lock(&tier_jobs).push_back((id, shard));
-                            drop(scope.submit(JobSpec::new(1).max_lanes(1), &tier_task));
-                        });
-                    }
                     // Hand out everything ready; each emission answers one
                     // admitted request on the control plane (consumer first,
                     // so a drain barrier returning implies the consumer saw
@@ -877,41 +815,23 @@ pub struct ServeOptions {
     /// responses (on by default). Off restores the strict re-raise
     /// behavior of [`SpmmServer::serve_stream_with`].
     pub fault_containment: bool,
-    /// Promote tiered engines mid-session: every control sweep polls their
-    /// warmup state, schedules the profile-guided recompile, and hot-swaps
-    /// ready kernels between batches (sharded engines promote per shard).
-    /// Engines decide *whether and to what* to promote from the
-    /// [`TierPolicy`] they were built with
-    /// ([`crate::JitSpmmBuilder::tiered`]); this policy's `background` flag
-    /// decides *where* the recompile runs — on the serving pool (default)
-    /// or inline on the serving thread. `None` (the default) never
-    /// promotes: tiered engines stay on whatever tier they are on.
-    pub tiering: Option<TierPolicy>,
 }
 
 impl ServeOptions {
-    /// Defaults (auto depth, 1ms tick, fault containment on, no tiering)
-    /// with the given admission policy.
+    /// Defaults (auto depth, 1ms tick, fault containment on) with the given
+    /// admission policy.
     pub fn new(admission: AdmissionPolicy) -> ServeOptions {
         ServeOptions {
             depth: 0,
             admission,
             tick: Duration::from_millis(1),
             fault_containment: true,
-            tiering: None,
         }
     }
 
     /// Set the per-engine pipeline depth.
     pub fn with_depth(mut self, depth: usize) -> ServeOptions {
         self.depth = depth;
-        self
-    }
-
-    /// Promote tiered engines during the session (see
-    /// [`ServeOptions::tiering`]).
-    pub fn tiering(mut self, policy: TierPolicy) -> ServeOptions {
-        self.tiering = Some(policy);
         self
     }
 }
@@ -1066,8 +986,6 @@ struct ServeCounters {
     rejected: usize,
     shed_deadline: usize,
     failed: usize,
-    /// Tier hot-swaps installed by this session's sweeps.
-    promotions: usize,
 }
 
 /// One logical engine's lane inside a session: its pipeline (opened lazily
@@ -1083,8 +1001,8 @@ struct Lane<'scope, 'env, T: Scalar> {
     /// Completed responses handed out so far (the per-engine index).
     completed: usize,
     /// Per-launch statistics accumulated across **every** pipeline this
-    /// lane opened: a tier hot-swap recycles the pipeline mid-session, so
-    /// the lane — not the stream — owns the session-spanning view.
+    /// lane opened: a live matrix update recycles the pipeline mid-session,
+    /// so the lane — not the stream — owns the session-spanning view.
     stats: BatchStats,
     /// First-submission timestamp, for the lane's wall clock.
     started: Option<Instant>,
@@ -1170,26 +1088,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Build a lane's per-engine [`BatchReport`] from the statistics it
-/// accumulated (zero-input lanes report zeros), stamped with the engine's
-/// current tier and promotion count. Free function so callers can hold
-/// disjoint field borrows.
-fn lane_report<T: Scalar>(
-    lane: &mut Lane<'_, '_, T>,
-    strategy: Option<Strategy>,
-    tier: Option<(KernelTier, usize)>,
-) -> BatchReport {
+/// accumulated (zero-input lanes report zeros). Free function so callers
+/// can hold disjoint field borrows.
+fn lane_report<T: Scalar>(lane: &mut Lane<'_, '_, T>, strategy: Option<Strategy>) -> BatchReport {
     let elapsed = lane.started.map(|t| t.elapsed()).unwrap_or_default();
-    let mut report = std::mem::take(&mut lane.stats).report(
+    std::mem::take(&mut lane.stats).report(
         elapsed,
         lane.depth.max(1),
         lane.max_threads.max(1),
         strategy.expect("lane ids mirror registered engines"),
-    );
-    if let Some((tier, promotions)) = tier {
-        report.tier = tier;
-        report.promotions = promotions;
-    }
-    report
+    )
 }
 
 /// Pop the lane's oldest pending sequence number and queue a completed
@@ -1388,11 +1296,7 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
                             "sharded lane poisoned by a worker panic".to_string(),
                         );
                     }
-                    lane.report = Some(lane_report(
-                        lane,
-                        server.engine_strategy(id),
-                        server.engine_tier_info(id),
-                    ));
+                    lane.report = Some(lane_report(lane, server.engine_strategy(id)));
                 }
             }
         }
@@ -1418,10 +1322,9 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     /// Release lane `id`'s pipeline — joining its in-flight launches
     /// (fault-aware, one at a time) and queueing the remaining responses —
     /// **without** closing the lane. The per-engine statistics live in the
-    /// lane and span the gap; the next submission lazily reopens a pipeline,
-    /// which then snapshots the engine's current (possibly hot-swapped)
-    /// core. This is what frees an engine's launch lock for a tier install
-    /// mid-session. Idempotent.
+    /// lane and span the gap; the next submission lazily reopens a pipeline.
+    /// This is what frees a mutable engine's generation lock for a live
+    /// update mid-session. Idempotent.
     fn recycle_lane(&mut self, id: usize) {
         loop {
             let Some(lane) = self.lanes.get(id) else {
@@ -1456,74 +1359,7 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
             return;
         };
         if lane.report.is_none() {
-            lane.report =
-                Some(lane_report(lane, server.engine_strategy(id), server.engine_tier_info(id)));
-        }
-    }
-
-    /// One tiering sweep (driven by [`SpmmServer::serve_controlled`] when
-    /// [`ServeOptions::tiering`] is set): poll every open lane's engine —
-    /// each shard of a sharded engine — and act. A claimed recompile is
-    /// handed to `spawn` (a background pool job) or run inline when
-    /// `background` is off; a ready core is installed after recycling the
-    /// lane's pipeline, which releases the launch lock the install needs.
-    /// Non-tiered engines poll as idle, so the sweep is cheap.
-    fn apply_tiering(&mut self, background: bool, spawn: &mut dyn FnMut(usize, Option<usize>)) {
-        for id in 0..self.lanes.len() {
-            if self.lanes[id].report.is_some() {
-                continue;
-            }
-            let Some(actions) = self.server.with_entry(id, |entry| match entry {
-                EngineEntry::Single(engine) => vec![(None, engine.tier_poll())],
-                EngineEntry::Sharded(sharded) => sharded
-                    .engines()
-                    .iter()
-                    .enumerate()
-                    .map(|(shard, engine)| (Some(shard), engine.tier_poll()))
-                    .collect::<Vec<_>>(),
-                EngineEntry::Mutable(mutable) => mutable
-                    .tier_actions()
-                    .into_iter()
-                    .map(|(shard, action)| (Some(shard), action))
-                    .collect::<Vec<_>>(),
-            }) else {
-                continue;
-            };
-            let mut recycled = false;
-            for (shard, action) in actions {
-                match action {
-                    TierAction::Idle => {}
-                    TierAction::Recompile => {
-                        if background {
-                            spawn(id, shard);
-                        } else {
-                            self.server.tier_recompile_entry(id, shard);
-                        }
-                    }
-                    TierAction::Install => {
-                        if !recycled {
-                            self.recycle_lane(id);
-                            recycled = true;
-                        }
-                        let installed = self
-                            .server
-                            .with_entry(id, |entry| match entry {
-                                EngineEntry::Single(engine) => engine.tier_try_install(),
-                                EngineEntry::Sharded(sharded) => sharded
-                                    .engines()
-                                    .get(shard.unwrap_or(0))
-                                    .is_some_and(|engine| engine.tier_try_install()),
-                                EngineEntry::Mutable(mutable) => {
-                                    mutable.tier_try_install_shard(shard.unwrap_or(0))
-                                }
-                            })
-                            .unwrap_or(false);
-                        if installed {
-                            self.counters.promotions += 1;
-                        }
-                    }
-                }
-            }
+            lane.report = Some(lane_report(lane, server.engine_strategy(id)));
         }
     }
 
@@ -1755,11 +1591,7 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
                             "sharded lane poisoned by a worker panic".to_string(),
                         );
                     }
-                    lane.report = Some(lane_report(
-                        lane,
-                        server.engine_strategy(engine),
-                        server.engine_tier_info(engine),
-                    ));
+                    lane.report = Some(lane_report(lane, server.engine_strategy(engine)));
                 }
             }
         }
@@ -1795,7 +1627,6 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
             rejected: self.counters.rejected,
             shed_deadline: self.counters.shed_deadline,
             failed: self.counters.failed,
-            promotions: self.counters.promotions,
             per_engine,
         };
         (responses, report)

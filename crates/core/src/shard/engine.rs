@@ -2,8 +2,7 @@
 //! [`ShardPlan`], executing as overlapped lane-capped launches on a shared
 //! [`WorkerPool`], with shard outputs stitched into full-height results.
 
-use crate::cache::KernelCache;
-use crate::engine::{ExecutionHandle, JitSpmm, JitSpmmBuilder, KernelTier, TierPolicy};
+use crate::engine::{ExecutionHandle, JitSpmm, JitSpmmBuilder};
 use crate::error::JitSpmmError;
 use crate::runtime::dispatch::BufferPool;
 use crate::runtime::{JobSpec, NumaTopology, PoolScope, PooledMatrix, WorkerPool};
@@ -14,48 +13,6 @@ use crate::shard::stream::ShardedStream;
 use jitspmm_sparse::{DenseMatrix, Scalar};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Cross-cutting options for compiling a sharded engine
-/// ([`ShardedSpmm::compile_with`]): tiering, the persistent kernel cache,
-/// and explicit NUMA placement.
-#[derive(Debug, Clone, Default)]
-pub struct ShardOptions {
-    /// Adaptive tiering policy; every shard engine promotes independently.
-    pub tier: Option<TierPolicy>,
-    /// Persistent kernel cache shared by every shard engine: per-shard
-    /// kernels (and per-shard promotion outcomes) are keyed by each shard's
-    /// own matrix fingerprint, so a restart warm-starts all K shards.
-    pub kernel_cache: Option<Arc<KernelCache>>,
-    /// Pin every shard engine's soft NUMA hint to this node, overriding the
-    /// automatic contiguous spread across detected nodes. For servers that
-    /// place sharded engines by hand.
-    pub numa_node: Option<usize>,
-}
-
-impl ShardOptions {
-    /// Default options: no tiering, no cache, automatic NUMA spread.
-    pub fn new() -> ShardOptions {
-        ShardOptions::default()
-    }
-
-    /// Enable adaptive tiering under `policy`.
-    pub fn tiered(mut self, policy: TierPolicy) -> ShardOptions {
-        self.tier = Some(policy);
-        self
-    }
-
-    /// Persist and reload per-shard kernels through `cache`.
-    pub fn kernel_cache(mut self, cache: Arc<KernelCache>) -> ShardOptions {
-        self.kernel_cache = Some(cache);
-        self
-    }
-
-    /// Pin every shard engine to NUMA node `node`.
-    pub fn numa_node(mut self, node: usize) -> ShardOptions {
-        self.numa_node = Some(node);
-        self
-    }
-}
 
 /// A sharded SpMM engine: K independently compiled [`JitSpmm`] engines —
 /// one per row shard of a [`ShardPlan`] — sharing one [`WorkerPool`].
@@ -128,31 +85,13 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         d: usize,
         pool: WorkerPool,
     ) -> Result<ShardedSpmm<'a, T>, JitSpmmError> {
-        ShardedSpmm::compile_with(plan, d, pool, ShardOptions::new())
+        ShardedSpmm::compile_with(plan, d, pool, None)
     }
 
-    /// [`ShardedSpmm::compile`] with adaptive tiering: every shard engine
-    /// starts on a cheap scalar tier-0 kernel and promotes independently
-    /// under `policy` (see [`crate::engine::tier`]) — shards promote *per
-    /// shard*, so a straggler shard's recompile never holds back the others.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedSpmm::compile`].
-    pub fn compile_tiered(
-        plan: &'a ShardPlan<T>,
-        d: usize,
-        pool: WorkerPool,
-        policy: TierPolicy,
-    ) -> Result<ShardedSpmm<'a, T>, JitSpmmError> {
-        ShardedSpmm::compile_with(plan, d, pool, ShardOptions::new().tiered(policy))
-    }
-
-    /// [`ShardedSpmm::compile`] with the full option set ([`ShardOptions`]):
-    /// tiering, a shared persistent kernel cache (each shard's kernel is
-    /// keyed by its own matrix fingerprint, so a restarted process
-    /// warm-starts all K shards without codegen), and explicit NUMA
-    /// placement.
+    /// [`ShardedSpmm::compile`] with explicit NUMA placement: `Some(node)`
+    /// pins every shard engine's soft NUMA hint to `node`, overriding the
+    /// automatic contiguous spread across detected nodes. For servers that
+    /// place sharded engines by hand.
     ///
     /// # Errors
     ///
@@ -161,58 +100,18 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         plan: &'a ShardPlan<T>,
         d: usize,
         pool: WorkerPool,
-        options: ShardOptions,
+        numa_node: Option<usize>,
     ) -> Result<ShardedSpmm<'a, T>, JitSpmmError> {
-        // On a multi-node host, spread shards contiguously across NUMA nodes
-        // (shard k of K prefers node k*N/K): shards are row-contiguous, so
-        // contiguous assignment keeps each node's workers walking one
-        // locality-coherent slice of the matrix. A soft hint only — claiming
-        // stays work-conserving — and absent entirely on single-node hosts.
-        // An explicit `ShardOptions::numa_node` overrides the spread.
-        let topology = NumaTopology::detect();
-        let nodes = topology.is_multi_node().then(|| topology.num_nodes());
-        let shard_count = plan.shards().len();
-        let engines: Vec<JitSpmm<'a, T>> = plan
-            .shards()
-            .iter()
-            .enumerate()
-            .map(|(k, spec)| {
-                let mut builder = JitSpmmBuilder::new()
-                    .pool(pool.clone())
-                    .threads(plan.lanes())
-                    .strategy(spec.strategy);
-                if let Some(policy) = options.tier {
-                    builder = builder.tiered(policy);
-                }
-                if let Some(cache) = &options.kernel_cache {
-                    builder = builder.kernel_cache_in(Arc::clone(cache));
-                }
-                if let Some(node) = options.numa_node {
-                    builder = builder.numa_node(node);
-                } else if let Some(n) = nodes {
-                    builder = builder.numa_node(k * n / shard_count.max(1));
-                }
-                builder.build(&spec.matrix, d)
-            })
-            .collect::<Result<_, _>>()?;
-        // The one-pool invariant (the disjoint-lane overlap only holds
-        // within one pool) is true by construction here — every builder was
-        // handed a clone of `pool` — so it is asserted, not returned as an
-        // error. The boundary where foreign pools can actually arrive is
-        // [`crate::serve::SpmmServer::add_sharded`], which does the real
-        // [`WorkerPool::same_pool`] check.
-        debug_assert!(engines.iter().all(|e| e.pool().same_pool(&pool)));
-        Ok(ShardedSpmm { plan, engines, pool, d, output_pool: Arc::new(BufferPool::new()) })
+        let donors = vec![None; plan.shards().len()];
+        let output_pool = Arc::new(BufferPool::new());
+        ShardedSpmm::compile_with_reuse(plan, d, pool, numa_node, &donors, output_pool)
     }
 
     /// [`ShardedSpmm::compile_with`] for the incremental-update path
     /// ([`crate::update`]): shard `k` with `donors[k] == Some(engine)` is
     /// **adopted** — its compiled core is shared pointer-identically from
-    /// the donor ([`JitSpmm::adopt`]) instead of recompiled, and the shared
-    /// kernel cache entry (when one is configured) is probed so live shards
-    /// register as hits and keep their mtime fresh against LRU eviction.
-    /// Shards with `donors[k] == None` compile fresh exactly as
-    /// [`ShardedSpmm::compile_with`] would, consulting the cache per shard.
+    /// the donor ([`JitSpmm::adopt`]) instead of recompiled. Shards with
+    /// `donors[k] == None` compile fresh.
     ///
     /// `output_pool` carries the previous generation's full-height buffer
     /// pool across the swap, so a live server keeps recycling its outputs
@@ -229,11 +128,17 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         plan: &'a ShardPlan<T>,
         d: usize,
         pool: WorkerPool,
-        options: &ShardOptions,
+        numa_node: Option<usize>,
         donors: &[Option<&JitSpmm<'_, T>>],
         output_pool: Arc<BufferPool<T>>,
     ) -> Result<ShardedSpmm<'a, T>, JitSpmmError> {
         debug_assert_eq!(donors.len(), plan.shards().len());
+        // On a multi-node host, spread shards contiguously across NUMA nodes
+        // (shard k of K prefers node k*N/K): shards are row-contiguous, so
+        // contiguous assignment keeps each node's workers walking one
+        // locality-coherent slice of the matrix. A soft hint only — claiming
+        // stays work-conserving — and absent entirely on single-node hosts.
+        // An explicit `numa_node` overrides the spread.
         let topology = NumaTopology::detect();
         let nodes = topology.is_multi_node().then(|| topology.num_nodes());
         let shard_count = plan.shards().len();
@@ -244,21 +149,13 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
             .enumerate()
             .map(|(k, (spec, donor))| {
                 if let Some(donor) = donor {
-                    let engine = JitSpmm::adopt(donor, &spec.matrix);
-                    engine.touch_cache_entry();
-                    return Ok(engine);
+                    return Ok(JitSpmm::adopt(donor, &spec.matrix));
                 }
                 let mut builder = JitSpmmBuilder::new()
                     .pool(pool.clone())
                     .threads(plan.lanes())
                     .strategy(spec.strategy);
-                if let Some(policy) = options.tier {
-                    builder = builder.tiered(policy);
-                }
-                if let Some(cache) = &options.kernel_cache {
-                    builder = builder.kernel_cache_in(Arc::clone(cache));
-                }
-                if let Some(node) = options.numa_node {
+                if let Some(node) = numa_node {
                     builder = builder.numa_node(node);
                 } else if let Some(n) = nodes {
                     builder = builder.numa_node(k * n / shard_count.max(1));
@@ -266,6 +163,13 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
                 builder.build(&spec.matrix, d)
             })
             .collect::<Result<_, _>>()?;
+        // The one-pool invariant (the disjoint-lane overlap only holds
+        // within one pool) is true by construction here — every builder was
+        // handed a clone of `pool`, and adopted engines share their donor's —
+        // so it is asserted, not returned as an error. The boundary where
+        // foreign pools can actually arrive is
+        // [`crate::serve::SpmmServer::add_sharded`], which does the real
+        // [`WorkerPool::same_pool`] check.
         debug_assert!(engines.iter().all(|e| e.pool().same_pool(&pool)));
         Ok(ShardedSpmm { plan, engines, pool, d, output_pool })
     }
@@ -299,25 +203,6 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     /// The worker pool every shard executes on.
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
-    }
-
-    /// The slowest-progressing tier across the shard engines: `Tier0` while
-    /// any shard still runs its starter kernel, `Promoted` once every shard
-    /// has hot-swapped, `Fixed` for a non-tiered compile. Shards promote
-    /// independently, so this is the honest aggregate for merged reports.
-    pub fn tier(&self) -> KernelTier {
-        if self.engines.iter().any(|e| e.tier() == KernelTier::Tier0) {
-            KernelTier::Tier0
-        } else if self.engines.iter().any(|e| e.tier() == KernelTier::Promoted) {
-            KernelTier::Promoted
-        } else {
-            KernelTier::Fixed
-        }
-    }
-
-    /// Total hot-swap promotions across the shard engines.
-    pub fn promotions(&self) -> usize {
-        self.engines.iter().map(JitSpmm::promotions).sum()
     }
 
     /// Re-pin every shard engine's soft NUMA placement hint to `node` (see
@@ -386,22 +271,11 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         let elapsed = started.elapsed();
         let mut merged = single_launch_report(&merge_input_reports(&reports), 1);
         merged.elapsed = elapsed;
-        merged.tier = self.tier();
-        merged.promotions = self.promotions();
         let report = ShardReport {
             shards: self.engines.len(),
             nnz_imbalance: self.plan.nnz_imbalance(),
             merged,
-            per_shard: reports
-                .iter()
-                .zip(&self.engines)
-                .map(|(r, engine)| {
-                    let mut shard = single_launch_report(r, 1);
-                    shard.tier = engine.tier();
-                    shard.promotions = engine.promotions();
-                    shard
-                })
-                .collect(),
+            per_shard: reports.iter().map(|r| single_launch_report(r, 1)).collect(),
         };
         Ok((y, report))
     }

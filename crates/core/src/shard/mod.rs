@@ -47,7 +47,7 @@ mod stream;
 #[cfg(test)]
 mod shard_tests;
 
-pub use engine::{ShardOptions, ShardedSpmm};
+pub use engine::ShardedSpmm;
 pub(crate) use plan::{choose_strategy, nnz_imbalance_of_specs};
 pub use plan::{plan_shards, ShardPlan, ShardSpec};
 pub use report::ShardReport;

@@ -2,7 +2,7 @@
 //! through the batch layer's reservoir, a merged critical-path view, and
 //! the plan's achieved non-zero balance.
 
-use crate::engine::{BatchReport, ExecutionReport, KernelTier};
+use crate::engine::{BatchReport, ExecutionReport};
 use std::time::Duration;
 
 /// Aggregated timing for one sharded run, returned by
@@ -82,8 +82,7 @@ pub(crate) fn merge_input_reports(reports: &[ExecutionReport]) -> ExecutionRepor
 
 /// Build the single-launch [`BatchReport`] [`ShardReport`] uses for a
 /// one-shot [`crate::shard::ShardedSpmm::execute`]: one input, so every
-/// percentile *is* the measurement. Tier labels default to
-/// [`KernelTier::Fixed`]; the sharded engine stamps the real ones.
+/// percentile *is* the measurement.
 pub(crate) fn single_launch_report(report: &ExecutionReport, depth: usize) -> BatchReport {
     BatchReport {
         inputs: 1,
@@ -91,8 +90,6 @@ pub(crate) fn single_launch_report(report: &ExecutionReport, depth: usize) -> Ba
         depth,
         threads: report.threads,
         strategy: report.strategy,
-        tier: KernelTier::Fixed,
-        promotions: 0,
         kernel_total: report.kernel,
         kernel_p50: report.kernel,
         kernel_p99: report.kernel,

@@ -198,14 +198,12 @@ impl<'scope, 'env, T: Scalar> ShardedStream<'scope, 'env, T> {
         let elapsed = self.first_submit.map(|t| t.elapsed()).unwrap_or_default();
         let depth = per_shard.first().map(|r| r.depth).unwrap_or(1);
         let threads = per_shard.iter().map(|r| r.threads).sum();
-        let mut merged = std::mem::take(&mut self.merged).report(
+        let merged = std::mem::take(&mut self.merged).report(
             elapsed,
             depth,
             threads,
             self.sharded.dominant_strategy(),
         );
-        merged.tier = self.sharded.tier();
-        merged.promotions = self.sharded.promotions();
         let report = ShardReport {
             shards: per_shard.len(),
             nnz_imbalance: self.sharded.plan().nnz_imbalance(),

@@ -115,14 +115,14 @@ impl<T: Scalar> MutableSpmm<T> {
                 revision,
                 self.d,
                 self.pool.clone(),
-                &self.options,
+                self.numa_node,
                 &[],
                 Some(&current.engine),
             )?
         } else {
             // Incremental path: keep the cut points, adopt every untouched
             // shard's compiled core from the current generation, recompile
-            // only the touched shards (probing the kernel cache first).
+            // only the touched shards.
             let plan = ShardPlan::from_parts(specs, self.ncols, current.plan.lanes());
             let donors: Vec<Option<&JitSpmm<'_, T>>> = locals
                 .iter()
@@ -134,7 +134,7 @@ impl<T: Scalar> MutableSpmm<T> {
                 revision,
                 self.d,
                 self.pool.clone(),
-                &self.options,
+                self.numa_node,
                 &donors,
                 Some(&current.engine),
             )?

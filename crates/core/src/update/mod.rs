@@ -13,10 +13,10 @@
 //!   (`delta` submodule) — each op lands in exactly one shard;
 //! * touched shards re-materialize via
 //!   [`CsrMatrix::apply_delta`](jitspmm_sparse::CsrMatrix::apply_delta) on
-//!   their own sub-matrix and recompile (consulting the shared kernel
-//!   cache); **untouched shards keep their compiled cores
-//!   pointer-identically** ([`crate::JitSpmm`]'s adopt path) and their
-//!   spec matrices share the previous generation's non-zero storage;
+//!   their own sub-matrix and recompile; **untouched shards keep their
+//!   compiled cores pointer-identically** ([`crate::JitSpmm`]'s adopt
+//!   path) and their spec matrices share the previous generation's
+//!   non-zero storage;
 //! * the rebuilt engine becomes a new *generation* that swaps in between
 //!   launches — in-flight work finishes on the old cores, everything
 //!   admitted afterwards sees the new matrix;
@@ -62,11 +62,11 @@ mod delta;
 
 pub use apply::UpdateReport;
 
-use crate::engine::{ExecutionReport, JitSpmm, KernelTier, TierAction};
+use crate::engine::{ExecutionReport, JitSpmm};
 use crate::error::JitSpmmError;
 use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
 use crate::schedule::Strategy;
-use crate::shard::{plan_shards, ShardOptions, ShardPlan, ShardReport, ShardedSpmm, ShardedStream};
+use crate::shard::{plan_shards, ShardPlan, ShardReport, ShardedSpmm, ShardedStream};
 use jitspmm_sparse::{CsrMatrix, DeltaBatch, DenseMatrix, Scalar};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, TryLockError};
 
@@ -93,7 +93,7 @@ impl<T: Scalar> Generation<T> {
         revision: u64,
         d: usize,
         pool: WorkerPool,
-        options: &ShardOptions,
+        numa_node: Option<usize>,
         donors: &[Option<&JitSpmm<'_, T>>],
         output_pool: Option<&ShardedSpmm<'_, T>>,
     ) -> Result<Arc<Generation<T>>, JitSpmmError> {
@@ -110,12 +110,12 @@ impl<T: Scalar> Generation<T> {
                     plan_ref,
                     d,
                     pool,
-                    options,
+                    numa_node,
                     &fresh,
                     previous.output_pool(),
                 )?
             }
-            None => ShardedSpmm::compile_with(plan_ref, d, pool, options.clone())?,
+            None => ShardedSpmm::compile_with(plan_ref, d, pool, numa_node)?,
         };
         Ok(Arc::new(Generation { engine, plan, revision }))
     }
@@ -158,7 +158,9 @@ pub struct MutableSpmm<T: Scalar> {
     generations: RwLock<Vec<Arc<Generation<T>>>>,
     pool: WorkerPool,
     d: usize,
-    options: ShardOptions,
+    /// Explicit NUMA placement every generation compiles with (see
+    /// [`ShardedSpmm::compile_with`]).
+    numa_node: Option<usize>,
     /// The shard count originally requested — a full re-plan re-cuts to it.
     shard_request: usize,
     nrows: usize,
@@ -193,12 +195,11 @@ impl<T: Scalar> MutableSpmm<T> {
         d: usize,
         pool: WorkerPool,
     ) -> Result<MutableSpmm<T>, JitSpmmError> {
-        MutableSpmm::compile_with(matrix, shards, lanes, d, pool, ShardOptions::new())
+        MutableSpmm::compile_with(matrix, shards, lanes, d, pool, None)
     }
 
-    /// [`MutableSpmm::compile`] with the full [`ShardOptions`] set —
-    /// tiering, the persistent kernel cache (updates probe it per rebuilt
-    /// shard and refresh untouched shards' entries), NUMA placement.
+    /// [`MutableSpmm::compile`] with explicit NUMA placement, applied to
+    /// every generation (see [`ShardedSpmm::compile_with`]).
     ///
     /// # Errors
     ///
@@ -209,15 +210,15 @@ impl<T: Scalar> MutableSpmm<T> {
         lanes: usize,
         d: usize,
         pool: WorkerPool,
-        options: ShardOptions,
+        numa_node: Option<usize>,
     ) -> Result<MutableSpmm<T>, JitSpmmError> {
         let plan = plan_shards(matrix, shards, lanes)?;
-        let generation = Generation::compile(plan, 0, d, pool.clone(), &options, &[], None)?;
+        let generation = Generation::compile(plan, 0, d, pool.clone(), numa_node, &[], None)?;
         Ok(MutableSpmm {
             generations: RwLock::new(vec![generation]),
             pool,
             d,
-            options,
+            numa_node,
             shard_request: shards,
             nrows: matrix.nrows(),
             ncols: matrix.ncols(),
@@ -253,8 +254,8 @@ impl<T: Scalar> MutableSpmm<T> {
 
     /// Run `f` against the current generation's engine without pinning the
     /// generation lock for `f`'s duration (an `Arc` clone keeps the
-    /// generation alive instead). For inspection and tier bookkeeping only
-    /// — **never for launches**, which must hold the read guard.
+    /// generation alive instead). For inspection only — **never for
+    /// launches**, which must hold the read guard.
     fn with_current<R>(&self, f: impl FnOnce(&Generation<T>) -> R) -> R {
         let generation = Arc::clone(self.read().last().expect("always one generation"));
         f(&generation)
@@ -321,12 +322,12 @@ impl<T: Scalar> MutableSpmm<T> {
     }
 
     /// Apply an edge-delta batch, compiling the next generation: touched
-    /// shards re-materialize and recompile (consulting the kernel cache),
-    /// untouched shards carry their compiled cores over pointer-identically,
-    /// and the swap waits for in-flight launches (the write lock) so no
-    /// launch ever spans two revisions. When the delta skews the shard
-    /// balance past the re-plan threshold the whole matrix is re-cut and
-    /// recompiled instead ([`UpdateReport::replanned`]).
+    /// shards re-materialize and recompile, untouched shards carry their
+    /// compiled cores over pointer-identically, and the swap waits for
+    /// in-flight launches (the write lock) so no launch ever spans two
+    /// revisions. When the delta skews the shard balance past the re-plan
+    /// threshold the whole matrix is re-cut and recompiled instead
+    /// ([`UpdateReport::replanned`]).
     ///
     /// An empty batch is a no-op: no generation is built and the revision
     /// does not advance.
@@ -408,17 +409,6 @@ impl<T: Scalar> MutableSpmm<T> {
         &self.pool
     }
 
-    /// The slowest-progressing tier across the current generation's shard
-    /// engines (see [`ShardedSpmm::tier`]).
-    pub fn tier(&self) -> KernelTier {
-        self.with_current(|g| g.engine.tier())
-    }
-
-    /// Total hot-swap promotions across the current generation's engines.
-    pub fn promotions(&self) -> usize {
-        self.with_current(|g| g.engine.promotions())
-    }
-
     /// Stable identities of the current generation's compiled cores, one
     /// per shard in row order ([`JitSpmm::core_id`]). Diagnostic: two
     /// snapshots straddling an [`MutableSpmm::apply`] agree exactly on the
@@ -461,40 +451,6 @@ impl<T: Scalar> MutableSpmm<T> {
     /// The heaviest current shard's strategy, for merged serving reports.
     pub(crate) fn dominant_strategy(&self) -> Strategy {
         self.with_current(|g| g.engine.dominant_strategy())
-    }
-
-    /// Poll every current shard engine's tier state machine, returning the
-    /// shard indices that need work (see [`JitSpmm::tier_poll`]); the
-    /// serving session turns these into background recompile jobs.
-    pub(crate) fn tier_actions(&self) -> Vec<(usize, TierAction)> {
-        self.with_current(|g| {
-            g.engine
-                .engines()
-                .iter()
-                .enumerate()
-                .map(|(shard, engine)| (shard, engine.tier_poll()))
-                .filter(|(_, action)| *action != TierAction::Idle)
-                .collect()
-        })
-    }
-
-    /// Run the profile-guided recompile for one shard of the current
-    /// generation (a stale index from before a swap is skipped; the shard
-    /// will be re-polled). Codegen runs outside the generation lock.
-    pub(crate) fn tier_recompile_shard(&self, shard: usize) {
-        self.with_current(|g| {
-            if let Some(engine) = g.engine.engines().get(shard) {
-                engine.tier_recompile();
-            }
-        });
-    }
-
-    /// Try to hot-swap one shard's ready promoted kernel in (stale indices
-    /// are skipped). Returns whether a swap happened.
-    pub(crate) fn tier_try_install_shard(&self, shard: usize) -> bool {
-        self.with_current(|g| {
-            g.engine.engines().get(shard).is_some_and(|engine| engine.tier_try_install())
-        })
     }
 }
 

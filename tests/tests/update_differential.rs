@@ -4,15 +4,13 @@
 //! scratch, on all three serving paths — blocking execute, batch execute,
 //! and the live-swap path behind [`SpmmServer::serve_controlled`] — and the
 //! incremental path must recompile only the shards a delta touches (the
-//! rest adopt their compiled cores pointer-identically, answered by kernel
-//! cache hits, not new stores).
+//! rest adopt their compiled cores pointer-identically).
 
 use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
-use jitspmm::shard::{plan_shards, ShardOptions, ShardedSpmm};
-use jitspmm::{KernelCache, MutableSpmm, WorkerPool};
+use jitspmm::shard::{plan_shards, ShardedSpmm};
+use jitspmm::{MutableSpmm, WorkerPool};
 use jitspmm_integration_tests::{host_supports_jit, pathological, small_skewed, small_uniform};
 use jitspmm_sparse::{CsrMatrix, DeltaBatch, DenseMatrix};
-use std::sync::Arc;
 use std::time::Duration;
 
 const SHARDS: usize = 3;
@@ -170,27 +168,20 @@ fn live_update_behind_serve_controlled_is_bit_identical() {
     }
 }
 
-/// Untouched-shard stability under a kernel cache: a single-shard delta
-/// recompiles exactly one shard; every other shard adopts its compiled core
-/// pointer-identically and re-probes the cache as a **hit** (refreshing the
-/// entry), never as a new store.
+/// Untouched-shard stability: a single-shard delta recompiles exactly one
+/// shard (exactly one `core_id` changes); every other shard adopts its
+/// compiled core pointer-identically.
 #[test]
-fn untouched_shards_reuse_cores_and_hit_the_kernel_cache() {
+fn single_shard_delta_changes_exactly_one_core_id() {
     if !host_supports_jit() {
         return;
     }
-    let dir =
-        std::env::temp_dir().join(format!("jitspmm-update-diff-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = KernelCache::open(&dir);
     let pool = WorkerPool::new(2);
     let base = small_uniform();
-    let options = ShardOptions::new().kernel_cache(Arc::clone(&cache));
-    let engine = MutableSpmm::compile_with(&base, 4, 1, D, pool.clone(), options).unwrap();
+    let engine = MutableSpmm::compile(&base, 4, 1, D, pool.clone()).unwrap();
     let shards = engine.shards();
     assert!(shards >= 2, "the scenario must actually shard");
     let before_cores = engine.core_ids();
-    let before = cache.stats();
 
     // Touch only row 0 — the first shard.
     let mut delta = DeltaBatch::new();
@@ -204,14 +195,6 @@ fn untouched_shards_reuse_cores_and_hit_the_kernel_cache() {
     assert_ne!(before_cores[0], after_cores[0], "the touched shard recompiles");
     assert_eq!(&before_cores[1..], &after_cores[1..], "untouched cores adopt pointer-identically");
 
-    let after = cache.stats();
-    assert_eq!(
-        after.hits - before.hits,
-        (shards - 1) as u64,
-        "each untouched shard answers its cache probe with a hit"
-    );
-    assert_eq!(after.stores - before.stores, 1, "only the touched shard stores a new kernel");
-
     // And the updated engine still matches a from-scratch compile.
     let merged = base.apply_delta(&delta).unwrap();
     let plan = plan_shards(&merged, 4, 1).unwrap();
@@ -220,5 +203,4 @@ fn untouched_shards_reuse_cores_and_hit_the_kernel_cache() {
     let (y_inc, _) = pool.scope(|s| engine.execute(s, &x)).unwrap();
     let (y_ref, _) = pool.scope(|s| fresh.execute(s, &x)).unwrap();
     assert_eq!(y_inc.max_abs_diff(&y_ref), 0.0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
