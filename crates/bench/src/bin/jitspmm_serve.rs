@@ -85,13 +85,23 @@ impl MatrixSpec {
         let num = |i: usize| {
             fields[i].parse::<u64>().map_err(|_| format!("bad number {:?} in {text:?}", fields[i]))
         };
-        Ok(MatrixSpec {
+        let spec = MatrixSpec {
             rows: num(0)? as usize,
             cols: num(1)? as usize,
             nnz: num(2)? as usize,
             seed: num(3)?,
             d: num(4)? as usize,
-        })
+        };
+        // The generator samples indices from `0..rows` x `0..cols` and the
+        // compiler refuses `d == 0`: an empty dimension is a usage error
+        // here, not a panic downstream.
+        if spec.rows == 0 || spec.cols == 0 || spec.d == 0 {
+            return Err(format!(
+                "matrix spec {text:?}: rows, cols and d must be non-zero\n{}",
+                usage()
+            ));
+        }
+        Ok(spec)
     }
 
     fn build(&self) -> CsrMatrix<f32> {
@@ -136,7 +146,7 @@ fn error_frame(message: &str) -> Vec<u8> {
 
 fn usage() -> String {
     "usage:\n  jitspmm-serve serve [--listen ADDR] [--matrix uniform:rows,cols,nnz,seed,d]...\n    \
-     [--numa NODE] [--threads N] [--queue N] [--mutable] [--shards N]\n  \
+     [--threads N] [--queue N] [--mutable] [--shards N]\n  \
      jitspmm-serve client ADDR info\n  \
      jitspmm-serve client ADDR mul ENGINE SEED [--out FILE] [--expect FILE]\n  \
      jitspmm-serve client ADDR update ENGINE OPS   (OPS: row:col:value or row:col:del, comma-separated)\n  \
@@ -163,7 +173,6 @@ fn main() -> ExitCode {
 struct ServerConfig {
     listen: String,
     specs: Vec<MatrixSpec>,
-    numa: Option<usize>,
     threads: usize,
     queue: usize,
     /// Register engines as updatable [`MutableSpmm`]s (enables UPDATE).
@@ -176,7 +185,6 @@ fn parse_server_args(args: &[String]) -> Result<ServerConfig, String> {
     let mut config = ServerConfig {
         listen: "127.0.0.1:17171".to_string(),
         specs: Vec::new(),
-        numa: None,
         threads: 2,
         queue: 64,
         mutable: false,
@@ -189,10 +197,6 @@ fn parse_server_args(args: &[String]) -> Result<ServerConfig, String> {
         match flag.as_str() {
             "--listen" => config.listen = value("--listen")?,
             "--matrix" => config.specs.push(MatrixSpec::parse(&value("--matrix")?)?),
-            "--numa" => {
-                config.numa =
-                    Some(value("--numa")?.parse().map_err(|_| "bad --numa node".to_string())?);
-            }
             "--threads" => {
                 config.threads =
                     value("--threads")?.parse().map_err(|_| "bad --threads".to_string())?;
@@ -227,13 +231,12 @@ fn run_server(args: &[String]) -> Result<(), String> {
     let server: SpmmServer<'_, f32> = SpmmServer::with_pool(pool.clone());
     for (spec, matrix) in config.specs.iter().zip(&matrices) {
         if config.mutable {
-            let engine = MutableSpmm::compile_with(
+            let engine = MutableSpmm::compile(
                 matrix,
                 config.shards.max(1),
                 config.threads.max(1),
                 spec.d,
                 pool.clone(),
-                config.numa,
             )
             .map_err(|e| format!("compile failed: {e}"))?;
             server.add_mutable(engine).map_err(|e| format!("server: {e}"))?;
@@ -243,7 +246,7 @@ fn run_server(args: &[String]) -> Result<(), String> {
                 .threads(config.threads.max(1))
                 .build(matrix, spec.d)
                 .map_err(|e| format!("compile failed: {e}"))?;
-            server.add_engine_on_node(engine, config.numa).map_err(|e| format!("server: {e}"))?;
+            server.add_engine(engine).map_err(|e| format!("server: {e}"))?;
         }
     }
 
@@ -632,14 +635,24 @@ mod tests {
 
     #[test]
     fn removed_cache_and_tiered_flags_are_unknown() {
-        for flags in [&["--cache", "x"][..], &["--tiered"][..]] {
+        for flags in [&["--cache", "x"][..], &["--tiered"][..], &["--numa", "0"][..]] {
             let message = parse_server_args(&args(flags)).err().expect("flag must be rejected");
             assert!(message.starts_with(&format!("unknown flag {:?}", flags[0])), "{message}");
             assert!(message.contains("usage:"), "{message}");
         }
-        let config =
-            parse_server_args(&args(&["--mutable", "--shards", "4", "--numa", "0"])).unwrap();
+        let config = parse_server_args(&args(&["--mutable", "--shards", "4"])).unwrap();
         assert!(config.mutable);
-        assert_eq!((config.shards, config.numa), (4, Some(0)));
+        assert_eq!(config.shards, 4);
+    }
+
+    #[test]
+    fn matrix_specs_with_an_empty_dimension_are_usage_errors() {
+        for spec in ["uniform:0,512,10,1,8", "uniform:512,0,10,1,8", "uniform:512,512,10,1,0"] {
+            let message = MatrixSpec::parse(spec).expect_err("an empty dimension must be rejected");
+            assert!(message.contains("must be non-zero"), "{message}");
+            assert!(message.contains("usage:"), "{message}");
+        }
+        let spec = MatrixSpec::parse("uniform:512,256,0,1,8").expect("zero nnz is a valid matrix");
+        assert_eq!((spec.rows, spec.cols, spec.nnz, spec.d), (512, 256, 0, 8));
     }
 }

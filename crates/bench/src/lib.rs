@@ -88,7 +88,7 @@ pub fn host_cores() -> usize {
 }
 
 /// Best and mean wall-clock time of one measured configuration — the record
-/// the JSON-emitting benches (`dispatch_overhead`, `batch_size`) serialize.
+/// the JSON-emitting `batch_size` bench serializes.
 #[derive(Debug, Clone, Copy)]
 pub struct Stats {
     /// Fastest single repetition.

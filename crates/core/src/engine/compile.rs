@@ -38,9 +38,6 @@ pub struct JitSpmm<'a, T: Scalar> {
     pub(super) matrix: &'a CsrMatrix<T>,
     pub(super) d: usize,
     pub(super) threads: usize,
-    /// Soft NUMA placement hint stamped on every job this engine submits
-    /// (see [`SpmmOptions::numa_node`]); `None` = any worker.
-    pub(super) node: Option<usize>,
     /// The compiled state every launch runs against: set once at
     /// construction, immutable afterwards.
     pub(super) core: Arc<EngineCore<T>>,
@@ -128,7 +125,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             matrix,
             d,
             threads,
-            node: options.numa_node,
             core: Arc::new(core),
             launch: Mutex::new(()),
             launch_owner: AtomicU64::new(0),
@@ -215,7 +211,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             matrix,
             d: donor.d,
             threads: donor.threads,
-            node: donor.node,
             core: Arc::clone(&donor.core),
             launch: Mutex::new(()),
             launch_owner: AtomicU64::new(0),
@@ -252,20 +247,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// The worker pool this engine executes on.
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
-    }
-
-    /// The NUMA node this engine's launches prefer, if one was configured
-    /// (see [`SpmmOptions::numa_node`]).
-    pub fn numa_node(&self) -> Option<usize> {
-        self.node
-    }
-
-    /// Re-pin the soft NUMA placement hint after construction (see
-    /// [`SpmmOptions::numa_node`]): subsequent launches prefer workers on
-    /// `node`; `None` clears the hint. Servers that place engines by hand
-    /// use this via [`crate::serve::SpmmServer::add_engine_on_node`].
-    pub fn place_on_node(&mut self, node: Option<usize>) {
-        self.node = node;
     }
 
     /// The scheduling strategy of the compiled kernel; the serving layer

@@ -53,12 +53,12 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// Invariant: the [`crate::DynamicCounter`] is core-owned shared state
     /// whose address is embedded in dynamically dispatched kernels, so it
     /// must be at row zero whenever such a kernel starts — whether the
-    /// launch goes through the pool, the legacy spawning path, the
-    /// single-thread path or the emulator. To keep that invariant in one
-    /// place the reset happens here, unconditionally, before *every* launch
-    /// (for static-range kernels it is a harmless store to memory nothing
-    /// reads), and under the launch lock, so a concurrent launch of the same
-    /// engine can never interleave a reset with a running claim loop.
+    /// launch goes through the pool, the single-thread path or the
+    /// emulator. To keep that invariant in one place the reset happens
+    /// here, unconditionally, before *every* launch (for static-range
+    /// kernels it is a harmless store to memory nothing reads), and under
+    /// the launch lock, so a concurrent launch of the same engine can never
+    /// interleave a reset with a running claim loop.
     ///
     /// # Errors
     ///
@@ -203,7 +203,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             Arc::clone(&self.output_pool),
         );
         let job = KernelJob::new(&core.kernel, &core.partition.ranges, x.as_ptr(), y.as_mut_ptr());
-        let spec = job.spec(core.kernel.kind(), self.threads).prefer_node(self.node);
+        let spec = job.spec(core.kernel.kind(), self.threads);
         // Owned through `Box::into_raw`/`from_raw` rather than as a `Box`
         // field: workers hold a raw pointer to the payload, which moving a
         // box (with every move of the handle) would invalidate under the
@@ -261,7 +261,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         let guard = self.begin_launch(true)?;
         let core = &self.core;
         let job = KernelJob::new(&core.kernel, &core.partition.ranges, x, y);
-        let spec = job.spec(core.kernel.kind(), self.threads).prefer_node(self.node);
+        let spec = job.spec(core.kernel.kind(), self.threads);
         // Owned through a raw pointer, exactly as in `execute_async`.
         let payload: *mut KernelJob<T> = Box::into_raw(Box::new(job));
         let start = Instant::now();
@@ -327,7 +327,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
                     self.threads,
                     x.as_ptr(),
                     y.as_mut_ptr(),
-                    self.node,
                 ),
                 KernelKind::StaticRange => dispatch::run_static(
                     &self.pool,
@@ -336,7 +335,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
                     self.threads,
                     x.as_ptr(),
                     y.as_mut_ptr(),
-                    self.node,
                 ),
             }
         };
@@ -349,88 +347,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             threads: self.threads,
             strategy: core.strategy,
         }
-    }
-
-    /// Compute `Y = A * X` by spawning fresh OS threads for this one call —
-    /// the pre-pool dispatch path, kept as the baseline for the
-    /// `dispatch_overhead` benchmark and for environments where a persistent
-    /// pool is undesirable.
-    ///
-    /// # Errors
-    ///
-    /// Same shape requirements as [`JitSpmm::execute_into`].
-    pub fn execute_into_spawning(
-        &self,
-        x: &DenseMatrix<T>,
-        y: &mut DenseMatrix<T>,
-    ) -> Result<ExecutionReport, JitSpmmError> {
-        self.check_shapes(x, y)?;
-        let _launch = self.begin_launch(true)?;
-        let core = &self.core;
-        let x_addr = x.as_ptr() as usize;
-        let y_addr = y.as_mut_ptr() as usize;
-        let busy_ns = AtomicU64::new(0);
-        let start = Instant::now();
-        match core.kernel.kind() {
-            KernelKind::DynamicDispatch => {
-                std::thread::scope(|scope| {
-                    for _ in 0..self.threads {
-                        let busy_ns = &busy_ns;
-                        scope.spawn(move || {
-                            let lane_start = Instant::now();
-                            // SAFETY: as in `execute_into`; the dynamic
-                            // counter partitions rows disjointly.
-                            unsafe {
-                                core.kernel.call_dynamic(x_addr as *const T, y_addr as *mut T);
-                            }
-                            busy_ns.fetch_max(
-                                lane_start.elapsed().as_nanos() as u64,
-                                Ordering::Relaxed,
-                            );
-                        });
-                    }
-                });
-            }
-            KernelKind::StaticRange => {
-                std::thread::scope(|scope| {
-                    for range in &core.partition.ranges {
-                        if range.is_empty() {
-                            continue;
-                        }
-                        let busy_ns = &busy_ns;
-                        scope.spawn(move || {
-                            let lane_start = Instant::now();
-                            // SAFETY: as above; static ranges are disjoint by
-                            // construction.
-                            unsafe {
-                                core.kernel.call_static(
-                                    range.start as u64,
-                                    range.end as u64,
-                                    x_addr as *const T,
-                                    y_addr as *mut T,
-                                );
-                            }
-                            busy_ns.fetch_max(
-                                lane_start.elapsed().as_nanos() as u64,
-                                Ordering::Relaxed,
-                            );
-                        });
-                    }
-                });
-            }
-        }
-        let elapsed = start.elapsed();
-        let kernel = Duration::from_nanos(busy_ns.load(Ordering::Relaxed));
-        Ok(ExecutionReport {
-            elapsed,
-            kernel,
-            dispatch: elapsed.saturating_sub(kernel),
-            // No pool handoff on the spawning path; thread-spawn cost shows
-            // up in `dispatch` as before.
-            wake: Duration::ZERO,
-            threads: self.threads,
-            strategy: core.strategy,
-        })
     }
 
     /// Run the kernel single-threaded over the whole matrix (used by the

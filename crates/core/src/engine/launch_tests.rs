@@ -29,7 +29,7 @@ fn shape_mismatch_is_detected() {
     let x = DenseMatrix::<f32>::zeros(60, 8);
     let mut bad_y = DenseMatrix::<f32>::zeros(50, 9);
     assert!(engine.execute_into(&x, &mut bad_y).is_err());
-    assert!(engine.execute_into_spawning(&x, &mut bad_y).is_err());
+    assert!(engine.execute_single_thread(&x, &mut bad_y).is_err());
 }
 
 #[test]
@@ -84,8 +84,8 @@ fn reports_split_dispatch_from_kernel_time() {
     let report = engine.execute_into(&x, &mut y).unwrap();
     assert!(report.kernel <= report.elapsed);
     assert_eq!(report.elapsed, report.kernel + report.dispatch);
-    let legacy = engine.execute_into_spawning(&x, &mut y).unwrap();
-    assert!(legacy.kernel <= legacy.elapsed);
+    let single = engine.execute_single_thread(&x, &mut y).unwrap();
+    assert!(single.kernel <= single.elapsed);
 }
 
 #[test]
@@ -269,7 +269,7 @@ fn execute_async_rejects_bad_shapes() {
 }
 
 #[test]
-fn spawning_path_matches_pooled_path() {
+fn single_thread_path_matches_pooled_path() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -278,9 +278,9 @@ fn spawning_path_matches_pooled_path() {
     let x = DenseMatrix::random(a.ncols(), 16, 2);
     for strategy in [Strategy::RowSplitStatic, Strategy::row_split_dynamic_default()] {
         let engine = JitSpmmBuilder::new().strategy(strategy).threads(3).build(&a, 16).unwrap();
-        let mut y_spawn = DenseMatrix::zeros(a.nrows(), 16);
-        engine.execute_into_spawning(&x, &mut y_spawn).unwrap();
+        let mut y_single = DenseMatrix::zeros(a.nrows(), 16);
+        engine.execute_single_thread(&x, &mut y_single).unwrap();
         let (y_pool, _) = engine.execute(&x).unwrap();
-        assert_eq!(y_pool, y_spawn, "strategy {strategy}");
+        assert_eq!(y_pool, y_single, "strategy {strategy}");
     }
 }

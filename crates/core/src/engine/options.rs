@@ -23,14 +23,6 @@ pub struct SpmmOptions {
     pub ccm: bool,
     /// Record an instruction listing alongside the generated code.
     pub listing: bool,
-    /// NUMA node this engine's launches prefer ([`crate::NumaTopology`]
-    /// node id). A **soft** placement hint: on a multi-node host, pool
-    /// workers pinned to this node claim the engine's jobs first, keeping
-    /// the kernel's matrix traffic on local memory; workers on other nodes
-    /// still pick the jobs up rather than idle. `None` (the default) lets
-    /// any worker claim, and on single-node hosts the hint is ignored
-    /// entirely.
-    pub numa_node: Option<usize>,
 }
 
 impl Default for SpmmOptions {
@@ -41,7 +33,6 @@ impl Default for SpmmOptions {
             threads: 0,
             ccm: true,
             listing: false,
-            numa_node: None,
         }
     }
 }
@@ -105,16 +96,6 @@ impl JitSpmmBuilder {
     /// Record a textual listing of the generated instructions.
     pub fn listing(mut self, listing: bool) -> Self {
         self.options.listing = listing;
-        self
-    }
-
-    /// Prefer scheduling this engine's launches on NUMA node `node` (see
-    /// [`SpmmOptions::numa_node`]). A soft hint — work-conserving claiming
-    /// means no worker ever idles to honor it — and a no-op on single-node
-    /// hosts. The sharded engine ([`crate::ShardedSpmm`]) sets this
-    /// automatically, spreading shards round-robin across detected nodes.
-    pub fn numa_node(mut self, node: usize) -> Self {
-        self.options.numa_node = Some(node);
         self
     }
 

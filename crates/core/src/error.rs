@@ -34,14 +34,6 @@ pub enum JitSpmmError {
         /// How many engines the server owns.
         engines: usize,
     },
-    /// A serving request named an engine id that has been retired (or is
-    /// draining) via the control plane
-    /// ([`crate::serve::SpmmServer::retire_engine`]); retired ids are never
-    /// reused.
-    EngineRetired {
-        /// The retired engine id the request named.
-        id: usize,
-    },
     /// An error bubbled up from the assembler.
     Asm(AsmError),
     /// The requested configuration cannot be code-generated.
@@ -67,9 +59,6 @@ impl fmt::Display for JitSpmmError {
                 "request routed to engine {requested} but the server only has {engines} \
                  engine(s) (valid ids are 0..{engines})"
             ),
-            JitSpmmError::EngineRetired { id } => {
-                write!(f, "engine {id} is draining or retired and no longer accepts requests")
-            }
             JitSpmmError::Asm(e) => write!(f, "assembler error: {e}"),
             JitSpmmError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }

@@ -171,10 +171,10 @@
 //! any launch state, feeds each engine's requests through its own batch
 //! pipeline by value, keeps concurrent engines on disjoint lane-capped
 //! worker subsets, and reports per-engine tail latency plus whole-server
-//! throughput in a [`serve::ServerReport`]. Producers on other threads feed
-//! it through a bounded [`serve::RequestQueue`]
-//! ([`serve::SpmmServer::serve_stream`]); pre-collected request batches go
-//! through [`serve::SpmmServer::serve_batch`].
+//! throughput in a [`serve::ServerReport`]. There is one entry point,
+//! [`serve::SpmmServer::serve_controlled`]: a producer thread feeds the
+//! bounded request queue through its [`serve::RequestSender`] while the
+//! calling thread routes and hands each response to a consumer callback.
 //!
 //! # The serving control plane
 //!
@@ -187,12 +187,12 @@
 //! producer flooding ten times the queue depth never blocks indefinitely
 //! and learns each verdict in nanoseconds. Requests carry priorities and
 //! deadline budgets ([`serve::ServerRequest::with_priority`] /
-//! [`serve::ServerRequest::with_deadline`]); a [`serve::ReorderBuffer`]
+//! [`serve::ServerRequest::with_deadline`]); a reorder buffer
 //! schedules urgent work first and expired requests are shed before launch,
 //! while the admitted subset still produces **bit-identical** outputs to
 //! FIFO serving. A [`serve::ControlHandle`] retires engines mid-stream,
 //! drains to a barrier (every admitted request answered) and resumes, and
-//! engines can be added while a session is open. A panic in generated code
+//! engines can be added while a serve is running. A panic in generated code
 //! is contained to a typed [`serve::ServerResponse::Failed`] for exactly
 //! the request that hit it — unrelated engines keep serving and the server
 //! stays usable; the cfg-gated `serve::fault` module injects such crashes
@@ -265,24 +265,14 @@
 //! never changes. A restarted process simply compiles again; a different
 //! configuration is a different engine.
 //!
-//! # Memory locality: NUMA placement and the futex wake path
+//! # The futex wake path
 //!
-//! SpMM is memory-bound, so the runtime fights for locality on two fronts.
-//! On multi-socket hosts the pool detects the NUMA topology from sysfs
-//! ([`NumaTopology::detect`] — single-node fallback everywhere else), pins
-//! workers round-robin across nodes, and honors a **soft node preference**
-//! per job: [`JitSpmmBuilder::numa_node`] stamps it on an engine's
-//! launches, and [`shard::ShardedSpmm`] assigns shards contiguously across
-//! nodes automatically, first-touching each shard's rows of a fresh output
-//! on its node so kernel, CSR slice and output pages share a memory
-//! controller. Preferences never idle a worker: claiming stays
-//! work-conserving, so a mismatched job is still picked up when nothing
-//! local is queued. Independently, the park/wake handoff between submitters
-//! and workers runs on raw futex words on Linux ([`WakeSlot`], a condvar
-//! fallback elsewhere via `--no-default-features`), and every
-//! [`ExecutionReport`] exposes the measured handoff as
-//! [`ExecutionReport::wake`] (p50/p99 in [`BatchReport`]) so the dispatch
-//! tail is attributable per launch, not just in benchmarks.
+//! The park/wake handoff between submitters and workers runs on raw futex
+//! words on Linux ([`WakeSlot`], a condvar fallback elsewhere via
+//! `--no-default-features`), and every [`ExecutionReport`] exposes the
+//! measured handoff as [`ExecutionReport::wake`] (p50/p99 in
+//! [`BatchReport`]) so the dispatch tail is attributable per launch, not
+//! just in benchmarks.
 //!
 //! # Dynamic graphs: incremental matrix updates
 //!
@@ -347,9 +337,9 @@
 //! │   ├── apply          shard-local merge + recompile, re-plan on drift
 //! │   └── (mod)          MutableSpmm generations, MutableStream revision pinning
 //! ├── serve/             multi-engine serving router + control plane
-//! │   ├── server         SpmmServer, ServerSession, serve_controlled loop
-//! │   ├── queue          bounded RequestQueue / RequestSender, admission gate
-//! │   ├── control        AdmissionPolicy, ControlHandle, ReorderBuffer
+//! │   ├── server         SpmmServer, the serve_controlled loop
+//! │   ├── queue          bounded request queue behind RequestSender, admission gate
+//! │   ├── control        AdmissionPolicy, ControlHandle, priority/deadline reorder buffer
 //! │   ├── fault          cfg-gated crash/delay injection for chaos tests
 //! │   └── report         ServerReport (per-engine tails + verdict counters)
 //! ├── shard/             nnz-balanced multi-engine sharding
@@ -358,9 +348,8 @@
 //! │   ├── stream         ShardedStream: lockstep pipelined shard batches
 //! │   └── report         ShardReport (per-shard + merged critical path)
 //! ├── runtime/           persistent execution substrate
-//! │   ├── pool           WorkerPool: FIFO job queue, lane caps, scopes, node claiming
+//! │   ├── pool           WorkerPool: FIFO job queue, lane caps, scopes
 //! │   ├── wake           WakeSlot: futex wake path (condvar fallback)
-//! │   ├── numa           NumaTopology: sysfs detection, worker pinning
 //! │   └── dispatch       KernelJob, LaunchPayload slots, BufferPool
 //! ├── schedule           workload-division strategies and partitioning
 //! ├── tiling             coarse-grain column merging register allocation
@@ -399,14 +388,12 @@ pub use error::JitSpmmError;
 pub use kernel::{CompiledKernel, KernelKind, KernelMeta};
 pub use profile::ProfileCounts;
 pub use runtime::{
-    JobHandle, JobSpec, NumaNode, NumaTopology, PoolScope, PooledMatrix, ScopedJobHandle, WakeSlot,
-    WorkerPool,
+    JobHandle, JobSpec, PoolScope, PooledMatrix, ScopedJobHandle, WakeSlot, WorkerPool,
 };
 pub use schedule::{DynamicCounter, Partition, RowRange, Strategy};
 pub use serve::{
-    AdmissionPolicy, ControlHandle, EngineStatus, RecvTimeout, RejectReason, ReorderBuffer,
-    RequestQueue, RequestSender, SendError, ServeOptions, ServerReport, ServerRequest,
-    ServerResponse, ServerSession, SpmmServer,
+    AdmissionPolicy, ControlHandle, EngineStatus, RejectReason, RequestSender, SendError,
+    ServeOptions, ServerReport, ServerRequest, ServerResponse, SpmmServer,
 };
 pub use shard::{plan_shards, ShardPlan, ShardReport, ShardSpec, ShardedSpmm, ShardedStream};
 pub use tiling::{CcmPlan, ColumnTile, Segment, SegmentWidth};

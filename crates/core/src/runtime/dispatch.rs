@@ -188,10 +188,9 @@ pub(crate) unsafe fn run_static<T: Scalar>(
     lanes: usize,
     x: *const T,
     y: *mut T,
-    node: Option<usize>,
 ) -> (Duration, Duration) {
     let job = KernelJob::new(kernel, ranges, x, y);
-    pool.run_spec_timed(job.spec(KernelKind::StaticRange, lanes).prefer_node(node), &|index| {
+    pool.run_spec_timed(job.spec(KernelKind::StaticRange, lanes), &|index| {
         // SAFETY: forwarded from the caller's contract.
         unsafe { job.run(index) };
     })
@@ -212,10 +211,9 @@ pub(crate) unsafe fn run_dynamic<T: Scalar>(
     lanes: usize,
     x: *const T,
     y: *mut T,
-    node: Option<usize>,
 ) -> (Duration, Duration) {
     let job = KernelJob::new(kernel, &[], x, y);
-    pool.run_spec_timed(job.spec(KernelKind::DynamicDispatch, lanes).prefer_node(node), &|index| {
+    pool.run_spec_timed(job.spec(KernelKind::DynamicDispatch, lanes), &|index| {
         // SAFETY: forwarded from the caller's contract.
         unsafe { job.run(index) };
     })
@@ -274,28 +272,17 @@ impl<T: Scalar> BufferPool<T> {
     /// unspecified (stale values from a previous execution); the caller must
     /// overwrite every element before exposing them.
     pub(crate) fn acquire(&self, rows: usize, cols: usize) -> DenseMatrix<T> {
-        self.acquire_tracked(rows, cols).0
-    }
-
-    /// As [`BufferPool::acquire`], additionally reporting whether the buffer
-    /// was freshly allocated (`true`) rather than recycled. A fresh zeroed
-    /// allocation's pages typically come from the allocator unmapped (zero
-    /// pages, faulted in on first write), so the caller can still decide
-    /// *which thread* first touches — and thereby NUMA-places — each row
-    /// range; a recycled buffer keeps whatever placement its first touch
-    /// established.
-    pub(crate) fn acquire_tracked(&self, rows: usize, cols: usize) -> (DenseMatrix<T>, bool) {
         let len = rows * cols;
         let mut free = lock(&self.free);
         while let Some(buffer) = free.pop() {
             if buffer.len() == len {
-                return (DenseMatrix::from_vec(rows, cols, buffer), false);
+                return DenseMatrix::from_vec(rows, cols, buffer);
             }
             // Shape changed (possible only if the pool is shared across
             // engines in the future); discard mismatched buffers.
         }
         drop(free);
-        (DenseMatrix::from_vec(rows, cols, vec![T::ZERO; len]), true)
+        DenseMatrix::from_vec(rows, cols, vec![T::ZERO; len])
     }
 
     fn release(&self, buffer: Vec<T>) {

@@ -58,13 +58,11 @@
 //! paper's JIT-vs-AOT comparisons apples-to-apples: both sides pay the same
 //! dispatch cost.
 
-pub mod numa;
 pub mod pool;
 pub mod wake;
 
 pub(crate) mod dispatch;
 
 pub use dispatch::PooledMatrix;
-pub use numa::{NumaNode, NumaTopology};
 pub use pool::{JobHandle, JobSpec, PoolScope, ScopedJobHandle, WorkerPool};
 pub use wake::WakeSlot;

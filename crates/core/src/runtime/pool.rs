@@ -1,8 +1,7 @@
 //! The persistent worker pool: threads are spawned once, park on a
 //! [`WakeSlot`] (a futex word on Linux, a condvar elsewhere — see
 //! [`super::wake`]), and serve jobs from a FIFO queue with per-job lane
-//! capping, a notify-one wake chain, NUMA-aware worker pinning and deferred
-//! (asynchronous) submission.
+//! capping, a notify-one wake chain and deferred (asynchronous) submission.
 //!
 //! # Why not `std::thread::scope` per call?
 //!
@@ -37,17 +36,6 @@
 //! (`JobCore::wake_ns`), which the engine surfaces as
 //! [`crate::ExecutionReport::wake`].
 //!
-//! # NUMA placement
-//!
-//! On multi-node hosts ([`NumaTopology::is_multi_node`]) worker `i` is
-//! pinned to node `i % nodes`. A job may carry a soft node preference
-//! ([`JobSpec::prefer_node`]): a claiming worker scans the queue for the
-//! first job that prefers its node (or has no preference) and only falls
-//! back to a mismatched job when nothing else is claimable — locality
-//! steering that never idles a worker while work exists. On single-node
-//! hosts nothing is pinned and claiming degenerates to the exact FIFO
-//! front-of-queue behaviour it always had.
-//!
 //! # Blocking and deferred submission
 //!
 //! [`WorkerPool::run`] (and [`WorkerPool::run_spec`]) submit a job and block
@@ -73,7 +61,6 @@
 //! joins all of its jobs inside [`WorkerPool::scope`]'s own stack frame,
 //! which no handle-leaking can skip, before any borrow handed to it can end.
 
-use super::numa::{pin_current_thread, NumaTopology};
 use super::wake::WakeSlot;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -172,32 +159,17 @@ pub struct JobSpec {
     /// run on disjoint worker subsets instead of contending for the whole
     /// pool.
     pub max_lanes: usize,
-    /// Soft NUMA placement preference: workers pinned to this node claim
-    /// the job first. `None` (the default) means any worker. See
-    /// [`JobSpec::prefer_node`].
-    pub node: Option<usize>,
 }
 
 impl JobSpec {
-    /// A job with `tasks` indices, no lane cap and no node preference.
+    /// A job with `tasks` indices and no lane cap.
     pub fn new(tasks: usize) -> JobSpec {
-        JobSpec { tasks, max_lanes: 0, node: None }
+        JobSpec { tasks, max_lanes: 0 }
     }
 
     /// Cap the job to at most `max_lanes` pool workers (`0` = uncapped).
     pub fn max_lanes(mut self, max_lanes: usize) -> JobSpec {
         self.max_lanes = max_lanes;
-        self
-    }
-
-    /// Prefer workers pinned to NUMA node `node` (`None` = no preference).
-    ///
-    /// This is a *soft* preference: matching workers claim the job ahead of
-    /// queue order, but a worker with nothing matching to do still takes
-    /// mismatched jobs — locality never costs throughput. On single-node
-    /// hosts (where workers are unpinned) the preference is ignored.
-    pub fn prefer_node(mut self, node: Option<usize>) -> JobSpec {
-        self.node = node;
         self
     }
 }
@@ -240,8 +212,6 @@ struct JobCore {
     done: AtomicBool,
     /// Maximum per-participant busy time, in nanoseconds.
     busy_ns: AtomicU64,
-    /// Soft NUMA node preference carried from the [`JobSpec`].
-    node: Option<usize>,
     /// When the job was created (immediately before it was enqueued).
     enqueued: Instant,
     /// Enqueue→first-participant latency in nanoseconds — the wake/handoff
@@ -255,13 +225,7 @@ struct JobCore {
 }
 
 impl JobCore {
-    fn new(
-        tasks: usize,
-        worker_lanes: usize,
-        data: usize,
-        call: usize,
-        node: Option<usize>,
-    ) -> JobCore {
+    fn new(tasks: usize, worker_lanes: usize, data: usize, call: usize) -> JobCore {
         JobCore {
             tasks,
             data,
@@ -272,7 +236,6 @@ impl JobCore {
             queued: AtomicBool::new(true),
             done: AtomicBool::new(false),
             busy_ns: AtomicU64::new(0),
-            node,
             enqueued: Instant::now(),
             wake_ns: AtomicU64::new(u64::MAX),
             panic: Mutex::new(None),
@@ -299,7 +262,6 @@ impl JobCore {
             queued: AtomicBool::new(false),
             done: AtomicBool::new(true),
             busy_ns: AtomicU64::new(busy.as_nanos() as u64),
-            node: None,
             enqueued: Instant::now(),
             wake_ns: AtomicU64::new(u64::MAX),
             panic: Mutex::new(panic),
@@ -374,71 +336,42 @@ impl Shared {
     }
 
     /// Retire exhausted jobs and claim one lane of the first job that still
-    /// needs workers, preferring jobs whose [`JobSpec::prefer_node`] matches
-    /// the claimer's `node`. Must be called with the state mutex held
-    /// (`state`). Continues the notify-one wake chain if claimable lanes
-    /// remain after this claim.
-    ///
-    /// The preference is soft: with no match anywhere in the queue the
-    /// claimer takes the frontmost mismatched job — a worker never idles
-    /// while work exists. With `node == None` (unpinned claimer, i.e. every
-    /// single-node host) every job matches and this is exactly the old
-    /// front-of-queue FIFO claim.
-    fn claim_lane(&self, state: &mut QueueState, node: Option<usize>) -> Option<JobPtr> {
-        let mut index = 0;
-        let mut fallback = None;
-        while index < state.queue.len() {
+    /// needs workers. Must be called with the state mutex held (`state`).
+    /// Continues the notify-one wake chain if claimable lanes remain after
+    /// this claim.
+    fn claim_lane(&self, state: &mut QueueState) -> Option<JobPtr> {
+        while let Some(front) = state.queue.front() {
+            let ptr = JobPtr(front.0);
             // SAFETY: queued jobs are kept alive by their submitter.
-            let job = unsafe { &*state.queue[index].0 };
+            let job = unsafe { &*ptr.0 };
             if job.next.load(Ordering::Relaxed) >= job.tasks {
                 // Every task index is already claimed; retire the job
-                // instead of pointlessly joining it. (Removal at `index`
-                // cannot shift `fallback`, which is always < `index`.)
-                state.queue.remove(index);
+                // instead of pointlessly joining it.
+                state.queue.pop_front();
                 job.queued.store(false, Ordering::Relaxed);
                 self.finish_if_complete(job);
                 continue;
             }
-            let matches = match (node, job.node) {
-                (Some(have), Some(want)) => have == want,
-                // Unpinned claimer or unpreferenced job: anything goes.
-                _ => true,
-            };
-            if matches {
-                return Some(self.claim_at(state, index));
+            let lanes = job.lanes_left.load(Ordering::Relaxed);
+            debug_assert!(lanes > 0, "queued jobs always have unclaimed lanes");
+            job.lanes_left.store(lanes - 1, Ordering::Relaxed);
+            job.active.fetch_add(1, Ordering::Relaxed);
+            if lanes == 1 {
+                // Last lane slot: the job has all the workers it may use.
+                state.queue.pop_front();
+                job.queued.store(false, Ordering::Relaxed);
             }
-            if fallback.is_none() {
-                fallback = Some(index);
+            if !state.queue.is_empty() {
+                // More lane slots are claimable (this job's remainder, or a
+                // queued successor): wake one more worker. This chain bounds
+                // wake-ups by the lanes actually used instead of the pool
+                // size.
+                self.work.bump();
+                self.work.wake_one();
             }
-            index += 1;
+            return Some(ptr);
         }
-        fallback.map(|index| self.claim_at(state, index))
-    }
-
-    /// Claim one lane of the job at queue position `index`. Must be called
-    /// with the state mutex held; the entry must not be exhausted.
-    fn claim_at(&self, state: &mut QueueState, index: usize) -> JobPtr {
-        let ptr = JobPtr(state.queue[index].0);
-        // SAFETY: queued jobs are kept alive by their submitter.
-        let job = unsafe { &*ptr.0 };
-        let lanes = job.lanes_left.load(Ordering::Relaxed);
-        debug_assert!(lanes > 0, "queued jobs always have unclaimed lanes");
-        job.lanes_left.store(lanes - 1, Ordering::Relaxed);
-        job.active.fetch_add(1, Ordering::Relaxed);
-        if lanes == 1 {
-            // Last lane slot: the job has all the workers it may use.
-            state.queue.remove(index);
-            job.queued.store(false, Ordering::Relaxed);
-        }
-        if !state.queue.is_empty() {
-            // More lane slots are claimable (this job's remainder, or a
-            // queued successor): wake one more worker. This chain bounds
-            // wake-ups by the lanes actually used instead of the pool
-            // size.
-            self.work.bump();
-            self.work.wake_one();
-        }
-        ptr
+        None
     }
 
     /// Run `job`'s claim loop on the current thread and check in. The caller
@@ -589,23 +522,12 @@ impl WorkerPool {
             work: WakeSlot::new(),
             done: WakeSlot::new(),
         });
-        // Only pin on genuinely multi-node hosts: single-node pinning buys
-        // nothing and would fight the OS scheduler (and test runners).
-        let topology = NumaTopology::detect();
-        let placement = topology.is_multi_node().then(|| topology.nodes());
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let home = placement.map(|nodes| nodes[i % nodes.len()].clone());
                 std::thread::Builder::new()
                     .name(format!("jitspmm-worker-{i}"))
-                    .spawn(move || {
-                        let node = home.map(|node| {
-                            pin_current_thread(&node.cpus);
-                            node.id
-                        });
-                        worker_loop(&shared, node)
-                    })
+                    .spawn(move || worker_loop(&shared))
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -718,7 +640,6 @@ impl WorkerPool {
             self.worker_lanes(&spec),
             task as *const F as usize,
             trampoline::<F> as ErasedTask as usize,
-            spec.node,
         );
         self.enqueue(&core);
         // Participate and block; `core` lives on this stack frame, which
@@ -790,7 +711,6 @@ impl WorkerPool {
             self.worker_lanes(&spec),
             data as usize,
             call as usize,
-            spec.node,
         ));
         self.enqueue(&core);
         JobHandle { pool: self, join: DeferredJoin::queued(core), payload: None }
@@ -1158,13 +1078,8 @@ impl<'scope, 'env> PoolScope<'scope, 'env> {
             let core = JobCore::completed_inline(spec.tasks, busy, panic);
             return self.adopt(core);
         }
-        let core = JobCore::new(
-            spec.tasks,
-            self.pool.worker_lanes(&spec),
-            data as usize,
-            call as usize,
-            spec.node,
-        );
+        let core =
+            JobCore::new(spec.tasks, self.pool.worker_lanes(&spec), data as usize, call as usize);
         let handle = self.adopt(core);
         // The scope's share of the descriptor (registered in `adopt` before
         // workers can see the job, so an exiting scope can never miss it)
@@ -1309,12 +1224,12 @@ fn default_parallelism() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-fn worker_loop(shared: &Shared, node: Option<usize>) {
+fn worker_loop(shared: &Shared) {
     loop {
         let job = {
             let mut state = lock(&shared.state);
             loop {
-                if let Some(job) = shared.claim_lane(&mut state, node) {
+                if let Some(job) = shared.claim_lane(&mut state) {
                     break job;
                 }
                 if state.shutdown {
@@ -1722,71 +1637,6 @@ mod tests {
         }
         // wait() on an already-done job must not block (is_done promised so).
         handle.wait();
-    }
-
-    #[test]
-    fn claim_prefers_matching_node_but_stays_work_conserving() {
-        // Exercises the queue-scan policy directly (no threads): a pinned
-        // claimer takes the first job preferring its node, an unpinned
-        // claimer takes the queue front, and a claimer whose node matches
-        // nothing falls back to the frontmost mismatch instead of idling.
-        let shared = Shared {
-            state: Mutex::new(QueueState { shutdown: false, queue: VecDeque::new() }),
-            work: WakeSlot::new(),
-            done: WakeSlot::new(),
-        };
-        // Dummy task: claim_lane only does bookkeeping, never calls it.
-        fn noop(_data: *const (), _index: usize) {}
-        let make = |node| JobCore::new(4, 4, 0, noop as unsafe fn(*const (), usize) as usize, node);
-        let on_one = make(Some(1));
-        let on_zero = make(Some(0));
-        let anywhere = make(None);
-        {
-            let mut state = lock(&shared.state);
-            for job in [&on_one, &on_zero, &anywhere] {
-                state.queue.push_back(JobPtr(job as *const JobCore));
-            }
-            // Node-0 claimer: skips the node-1 job, takes the node-0 job.
-            let claimed = shared.claim_lane(&mut state, Some(0)).unwrap();
-            assert!(std::ptr::eq(claimed.0, &on_zero));
-            // Node-2 claimer: nothing prefers node 2, `anywhere` matches.
-            let claimed = shared.claim_lane(&mut state, Some(2)).unwrap();
-            assert!(std::ptr::eq(claimed.0, &anywhere));
-            // Unpinned claimer: plain FIFO front.
-            let claimed = shared.claim_lane(&mut state, None).unwrap();
-            assert!(std::ptr::eq(claimed.0, &on_one));
-            // Exhaust everything except the node-1 job: a node-0 claimer
-            // now finds only mismatched work — work conservation takes it
-            // anyway, and the exhausted jobs retire from mid-queue.
-            on_zero.next.store(4, Ordering::Relaxed);
-            anywhere.next.store(4, Ordering::Relaxed);
-            let claimed = shared.claim_lane(&mut state, Some(0)).unwrap();
-            assert!(std::ptr::eq(claimed.0, &on_one));
-            assert!(!on_zero.queued.load(Ordering::Relaxed));
-            assert!(!anywhere.queued.load(Ordering::Relaxed));
-        }
-        // Undo the fake claims so nothing asserts in drop paths.
-        for job in [&on_one, &on_zero, &anywhere] {
-            job.active.store(0, Ordering::Relaxed);
-        }
-    }
-
-    #[test]
-    fn jobs_with_node_preferences_still_all_complete() {
-        // End-to-end: on a (likely single-node) host the preference is
-        // inert, but every task must still run exactly once regardless of
-        // what the preference says.
-        let pool = WorkerPool::new(2);
-        let hits = AtomicUsize::new(0);
-        let task = |_i: usize| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        };
-        pool.scope(|scope| {
-            for node in [None, Some(0), Some(1), Some(99)] {
-                scope.submit(JobSpec::new(16).prefer_node(node), &task);
-            }
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 4 * 16);
     }
 
     #[test]

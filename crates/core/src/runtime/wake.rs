@@ -8,7 +8,7 @@
 //! went through `std::sync::Condvar`. A condvar wake takes the associated
 //! mutex on the waiter's way out and round-trips through the parking-lot
 //! machinery; on small engines that latency dominates the dispatch tail
-//! (`BENCH_serve_mixed.json` showed dispatch p99 at 3-8x kernel p50). A raw
+//! (`runtime.wake_us_p50` in `benchmark/` is the number to watch). A raw
 //! futex word needs no mutex to *wait* — the kernel compares the word and
 //! sleeps atomically — so the completion wait in
 //! `WorkerPool::help_and_wait` becomes entirely lock-free, and wake-ups are

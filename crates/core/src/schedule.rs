@@ -258,7 +258,7 @@ pub fn partition<T: Scalar>(
 /// # Invariant
 ///
 /// The counter is engine-owned state shared by *every* launch of that
-/// engine's kernel — pooled, spawning, single-thread or emulated — and a
+/// engine's kernel — pooled, single-thread or emulated — and a
 /// dynamic kernel reads it before doing any work, so it must be back at row
 /// zero when a launch starts. The engine maintains this by resetting the
 /// counter unconditionally (for static kernels too, where the store is

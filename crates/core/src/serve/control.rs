@@ -3,10 +3,10 @@
 //! reorder buffer the controlled serving loop drains from.
 //!
 //! Everything here is scalar-independent bookkeeping — no kernels, no
-//! buffers. The [`crate::serve::RequestQueue`] consults the shared control
-//! state at admission time, [`crate::serve::ServerSession`] applies engine
-//! lifecycle transitions between launches, and producers observe the plane
-//! through a cloneable [`ControlHandle`].
+//! buffers. The request queue consults the shared control state at
+//! admission time, the serving session applies engine lifecycle transitions
+//! between launches, and producers observe the plane through a cloneable
+//! [`ControlHandle`].
 
 use crate::runtime::pool::lock;
 use crate::serve::queue::ServerRequest;
@@ -70,22 +70,20 @@ impl std::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// How a [`crate::serve::RequestQueue`] admits requests.
+/// How the request queue behind a [`crate::serve::RequestSender`] admits
+/// requests.
 ///
 /// `queue_depth` bounds how many requests may sit in the queue; what happens
-/// at the bound is the policy: block the producer (backpressure, the
-/// pre-control-plane behavior) or shed with a typed
-/// [`RejectReason::QueueFull`]. An optional `max_in_flight` cap additionally
-/// bounds requests admitted but not yet responded to across the whole
-/// server — queue plus reorder buffer plus engine pipelines — which is the
-/// cap a latency SLO actually wants.
+/// at the bound is the policy: block the producer (backpressure) or shed
+/// with a typed [`RejectReason::QueueFull`]. An optional `max_in_flight`
+/// cap additionally bounds requests admitted but not yet responded to
+/// across the whole server — queue plus reorder buffer plus engine
+/// pipelines — which is the cap a latency SLO actually wants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionPolicy {
     /// Maximum queued (admitted, not yet received) requests; at least 1.
     pub queue_depth: usize,
-    /// Cap on admitted-but-unanswered requests across the server, enforced
-    /// only on control-plane queues (the ones
-    /// [`crate::serve::SpmmServer::serve_controlled`] creates). `None`
+    /// Cap on admitted-but-unanswered requests across the server. `None`
     /// disables the cap.
     pub max_in_flight: Option<usize>,
     /// At the bound: `true` sheds with [`RejectReason::QueueFull`], `false`
@@ -135,13 +133,13 @@ pub enum EngineStatus {
 struct ControlCore {
     /// Lifecycle per logical engine id (same id space as the server's).
     engines: Vec<EngineStatus>,
-    /// Requests admitted by a control-plane queue and not yet responded to.
+    /// Requests admitted by the request queue and not yet responded to.
     outstanding: usize,
     /// Server-wide drain: every new send is rejected with
     /// [`RejectReason::Draining`] until [`ControlHandle::resume`].
     draining: bool,
-    /// Open [`crate::serve::ServerSession`]s; a retire with no session to
-    /// apply it completes immediately.
+    /// Open serving sessions; a retire with no session to apply it
+    /// completes immediately.
     sessions: usize,
     /// Bumped on every lifecycle change; sessions compare it to skip the
     /// per-engine scan on the hot path.
@@ -691,24 +689,17 @@ impl<T: Scalar> Ord for Entry<T> {
     }
 }
 
-/// The priority/deadline reorder buffer between [`crate::serve::RequestQueue`]
+/// The priority/deadline reorder buffer between request-queue
 /// arrival order and per-engine pipeline pushes: a binary max-heap keyed by
 /// priority (higher first), then deadline (earlier first, and any deadline
 /// before none), then arrival order — so equal-priority traffic without
 /// deadlines still serves FIFO, deterministically.
 ///
 /// [`crate::serve::SpmmServer::serve_controlled`] drains every queued
-/// arrival into this buffer before popping the next request to launch;
-/// construct one directly only to test or replicate that ordering.
-pub struct ReorderBuffer<T: Scalar> {
+/// arrival into this buffer before popping the next request to launch.
+pub(crate) struct ReorderBuffer<T: Scalar> {
     heap: BinaryHeap<Entry<T>>,
     arrivals: u64,
-}
-
-impl<T: Scalar> Default for ReorderBuffer<T> {
-    fn default() -> ReorderBuffer<T> {
-        ReorderBuffer::new()
-    }
 }
 
 impl<T: Scalar> ReorderBuffer<T> {
@@ -732,22 +723,6 @@ impl<T: Scalar> ReorderBuffer<T> {
     /// Remove and return the most urgent buffered request.
     pub fn pop(&mut self) -> Option<ServerRequest<T>> {
         self.heap.pop().map(|entry| entry.request)
-    }
-
-    /// Number of buffered requests.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<T: Scalar> std::fmt::Debug for ReorderBuffer<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReorderBuffer").field("buffered", &self.heap.len()).finish()
     }
 }
 
@@ -774,7 +749,7 @@ mod tests {
         // Priority 7 first; within priority 1 the tighter deadline wins, any
         // deadline beats none, and deadline-free ties break by arrival.
         assert_eq!(order, vec![4, 3, 2, 0, 5, 1]);
-        assert!(buffer.is_empty());
+        assert!(buffer.pop().is_none());
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! and strategies — and accepts a mixed stream of owned requests, each
 //! tagged with the id of the engine that should execute it:
 //!
-//! * every request is validated (engine id, input shape) **before** any
-//!   launch lock or buffer pool is touched, so malformed traffic produces
-//!   [`crate::JitSpmmError`]s, never panics or poisoned engines;
+//! * every request is validated (engine id, lifecycle, input shape)
+//!   **before** any launch state is touched, so malformed traffic produces
+//!   typed [`ServerResponse::Rejected`] / [`ServerResponse::Failed`]
+//!   responses, never panics or poisoned engines;
 //! * each engine's requests flow through its own [`crate::BatchStream`]
 //!   pipeline (per-engine launch slots, payloads and spare kernels), fed by
 //!   value via [`crate::BatchStream::push_owned`], so cross-thread producers
@@ -20,9 +21,8 @@
 //! * the per-engine lane caps from the runtime keep concurrently in-flight
 //!   engines on **disjoint worker subsets** of the shared pool, so a slow
 //!   engine cannot starve the others;
-//! * results come back in per-engine submission order (and the collecting
-//!   entry points return them sorted by global submission order), each
-//!   tagged with its engine id and sequence numbers;
+//! * results come back in per-engine submission order, each tagged with
+//!   its engine id and sequence numbers;
 //! * a [`ServerReport`] aggregates one per-engine [`crate::BatchReport`]
 //!   (kernel/dispatch p50/p99 through the same bounded reservoir the batch
 //!   layer uses) plus whole-server throughput and the control plane's
@@ -52,38 +52,31 @@
 //!   server.
 //! * **Priorities and deadlines** — each [`ServerRequest`] carries a
 //!   `priority` and an optional absolute deadline;
-//!   [`SpmmServer::serve_controlled`] drains arrivals through a
-//!   [`ReorderBuffer`] ordered by priority, then earliest deadline, then
-//!   arrival, and sheds expired requests right before launch
+//!   [`SpmmServer::serve_controlled`] drains arrivals through a reorder
+//!   buffer ordered by priority, then earliest deadline, then arrival, and
+//!   sheds expired requests right before launch
 //!   ([`RejectReason::DeadlinePassed`], counted in
 //!   [`ServerReport::shed_deadline`]).
 //! * **Dynamic topology** — [`SpmmServer::add_engine`] /
-//!   [`SpmmServer::add_sharded`] register engines while sessions are open;
+//!   [`SpmmServer::add_sharded`] register engines while a serve runs;
 //!   [`SpmmServer::retire_engine`] drains an engine out of service without
 //!   disturbing the others; [`ControlHandle::drain`] is a barrier that
 //!   stops admission and waits until every admitted request has been
 //!   answered.
-//! * **Fault containment** — under [`SpmmServer::serve_controlled`], a
-//!   worker panic (a crash in generated code) becomes a typed
-//!   [`ServerResponse::Failed`] for exactly the request that hit it;
-//!   unrelated engines keep serving and the server remains usable. The
-//!   cfg-gated [`fault`] module injects such crashes for chaos tests.
+//! * **Fault containment** — a worker panic (a crash in generated code)
+//!   becomes a typed [`ServerResponse::Failed`] for exactly the request
+//!   that hit it; unrelated engines keep serving and the server remains
+//!   usable. The cfg-gated [`fault`] module injects such crashes for chaos
+//!   tests.
 //!
-//! Entry points, lowest-level first:
+//! One entry point:
 //!
-//! * [`SpmmServer::session`] — open a [`ServerSession`] inside a pool scope
-//!   and drive it by hand ([`ServerSession::submit`] /
-//!   [`ServerSession::finish`]);
-//! * [`SpmmServer::serve_batch`] — serve a pre-collected `Vec` of requests;
-//! * [`SpmmServer::serve_stream`] — spawn a producer thread that feeds a
-//!   bounded [`RequestQueue`] while the calling thread routes, the
-//!   cross-thread configuration a real ingestion path has;
-//! * [`SpmmServer::serve_stream_with`] — the response-streaming form: each
-//!   completed response is handed to a consumer callback the moment it
-//!   exists instead of being collected;
-//! * [`SpmmServer::serve_controlled`] — the control-plane loop: admission
-//!   policies, priority/deadline scheduling, graceful drain and fault
-//!   containment, configured by [`ServeOptions`].
+//! * [`SpmmServer::serve_controlled`] — spawn a producer thread that feeds
+//!   the bounded request queue (through its [`RequestSender`]) while the
+//!   calling thread routes, handing each response to a consumer callback
+//!   the moment it exists. [`ServeOptions`] sets the admission policy and
+//!   the pipeline depth; priority/deadline scheduling, graceful drain and
+//!   fault containment are always on.
 
 mod control;
 mod queue;
@@ -96,9 +89,7 @@ pub mod fault;
 #[cfg(test)]
 mod server_tests;
 
-pub use control::{
-    AdmissionPolicy, ControlHandle, EngineStatus, RejectReason, ReorderBuffer, SendError,
-};
-pub use queue::{RecvTimeout, RequestQueue, RequestSender, ServerRequest};
+pub use control::{AdmissionPolicy, ControlHandle, EngineStatus, RejectReason, SendError};
+pub use queue::{RequestSender, ServerRequest};
 pub use report::ServerReport;
-pub use server::{ServeOptions, ServerResponse, ServerSession, SpmmServer};
+pub use server::{ServeOptions, ServerResponse, SpmmServer};

@@ -93,15 +93,14 @@ struct QueueShared<T: Scalar> {
     /// the queue's.
     closed: AtomicBool,
     policy: AdmissionPolicy,
-    /// The server's control plane, when this queue admits for one
-    /// ([`crate::serve::SpmmServer::serve_controlled`]): consulted for
-    /// engine lifecycle and the in-flight cap, and credited with admissions.
-    control: Option<Arc<ControlShared>>,
+    /// The server's control plane: consulted for engine lifecycle and the
+    /// in-flight cap, and credited with admissions.
+    control: Arc<ControlShared>,
 }
 
 /// The result of a [`RequestQueue::recv_timeout`].
 #[derive(Debug)]
-pub enum RecvTimeout<T: Scalar> {
+pub(crate) enum RecvTimeout<T: Scalar> {
     /// The oldest queued request.
     Request(ServerRequest<T>),
     /// Nothing arrived within the timeout; the queue is still live — the
@@ -113,10 +112,10 @@ pub enum RecvTimeout<T: Scalar> {
     Disconnected,
 }
 
-/// The producer side of a bounded request queue, created by
-/// [`RequestQueue::bounded`] / [`RequestQueue::with_policy`]. Clone it
-/// freely — one per producer thread — and drop every clone to signal the
-/// end of the stream.
+/// The producer side of the bounded request queue
+/// [`crate::serve::SpmmServer::serve_controlled`] creates and hands to its
+/// producer. Clone it freely — one per producer thread — and drop every
+/// clone to signal the end of the stream.
 pub struct RequestSender<T: Scalar> {
     shared: Arc<QueueShared<T>>,
 }
@@ -138,33 +137,25 @@ impl<T: Scalar> RequestSender<T> {
     /// open and later sends may succeed.
     pub fn send_request(&self, request: ServerRequest<T>) -> Result<(), SendError> {
         let shared = &self.shared;
+        let control = &shared.control;
         let mut state = lock(&shared.state);
         loop {
             if shared.closed.load(Ordering::SeqCst) {
                 return Err(SendError::Closed);
             }
-            if let Some(control) = &shared.control {
-                if let Err(reason) = control.admission(request.engine) {
-                    control.note_rejected_send();
-                    return Err(SendError::Rejected(reason));
-                }
+            if let Err(reason) = control.admission(request.engine) {
+                control.note_rejected_send();
+                return Err(SendError::Rejected(reason));
             }
-            let over_in_flight = match (&shared.control, shared.policy.max_in_flight) {
-                (Some(control), Some(cap)) => control.outstanding() >= cap,
-                _ => false,
-            };
-            if !over_in_flight && state.items.len() < shared.policy.queue_depth {
-                if let Some(control) = &shared.control {
-                    control.admitted();
-                }
+            let over_cap = shared.policy.max_in_flight.filter(|&cap| control.outstanding() >= cap);
+            if over_cap.is_none() && state.items.len() < shared.policy.queue_depth {
+                control.admitted();
                 state.items.push_back(request);
                 shared.not_empty.notify_one();
                 return Ok(());
             }
             if shared.policy.shed_on_full {
-                if let Some(control) = &shared.control {
-                    control.note_rejected_send();
-                }
+                control.note_rejected_send();
                 return Err(SendError::Rejected(RejectReason::QueueFull));
             }
             // Blocking admission. Queue-depth room is signalled on
@@ -172,12 +163,8 @@ impl<T: Scalar> RequestSender<T> {
             // condvar, so that case parks there — request completions wake
             // it the moment a slot frees. Both paths loop back to re-check
             // closure and admission from scratch.
-            if over_in_flight {
+            if let Some(cap) = over_cap {
                 drop(state);
-                let (control, cap) = match (&shared.control, shared.policy.max_in_flight) {
-                    (Some(control), Some(cap)) => (control, cap),
-                    _ => unreachable!("over_in_flight implies a control-plane cap"),
-                };
                 control.wait_cap_change(cap, &shared.closed);
                 state = lock(&shared.state);
             } else {
@@ -191,14 +178,6 @@ impl<T: Scalar> RequestSender<T> {
     /// default priority and no deadline.
     pub fn send(&self, engine: usize, input: DenseMatrix<T>) -> Result<(), SendError> {
         self.send_request(ServerRequest::new(engine, input))
-    }
-
-    /// The pre-control-plane convenience: `true` if the request was
-    /// admitted, `false` if it was refused for any reason (closed queue or
-    /// typed rejection). Use [`RequestSender::send`] to distinguish them.
-    #[must_use = "a false return means the request was dropped"]
-    pub fn try_send(&self, engine: usize, input: DenseMatrix<T>) -> bool {
-        self.send(engine, input).is_ok()
     }
 }
 
@@ -235,41 +214,19 @@ impl<T: Scalar> std::fmt::Debug for RequestSender<T> {
 ///
 /// Bounded on purpose — the queue is the server's admission control. Its
 /// [`AdmissionPolicy`] decides what the bound does: block producers
-/// (backpressure) or shed with typed [`RejectReason`]s (load shedding), and
-/// a control-plane queue additionally refuses sends to draining or retired
-/// engines.
-pub struct RequestQueue<T: Scalar> {
+/// (backpressure) or shed with typed [`RejectReason`]s (load shedding);
+/// sends to draining or retired engines are refused outright.
+pub(crate) struct RequestQueue<T: Scalar> {
     shared: Arc<QueueShared<T>>,
 }
 
 impl<T: Scalar> RequestQueue<T> {
-    /// Create a queue holding at most `capacity` requests (clamped to at
-    /// least 1) with the classic blocking policy, returning the first
-    /// sender and the receiver.
-    pub fn bounded(capacity: usize) -> (RequestSender<T>, RequestQueue<T>) {
-        RequestQueue::with_policy(AdmissionPolicy::blocking(capacity))
-    }
-
-    /// Create a queue admitting under `policy`. Without a server's control
-    /// plane attached, only `queue_depth` and `shed_on_full` apply; the
-    /// in-flight cap needs [`crate::serve::SpmmServer::serve_controlled`],
-    /// which creates its queue internally.
-    pub fn with_policy(policy: AdmissionPolicy) -> (RequestSender<T>, RequestQueue<T>) {
-        RequestQueue::build(policy, None)
-    }
-
-    /// A control-plane queue: admission consults (and credits) the server's
-    /// shared control state.
+    /// Create a queue admitting under `policy`; admission consults (and
+    /// credits) the server's shared control state. Returns the first sender
+    /// and the receiver.
     pub(crate) fn controlled(
         policy: AdmissionPolicy,
         control: Arc<ControlShared>,
-    ) -> (RequestSender<T>, RequestQueue<T>) {
-        RequestQueue::build(policy, Some(control))
-    }
-
-    fn build(
-        policy: AdmissionPolicy,
-        control: Option<Arc<ControlShared>>,
     ) -> (RequestSender<T>, RequestQueue<T>) {
         let shared = Arc::new(QueueShared {
             state: Mutex::new(QueueState { items: VecDeque::new(), senders: 1 }),
@@ -282,27 +239,11 @@ impl<T: Scalar> RequestQueue<T> {
         (RequestSender { shared: Arc::clone(&shared) }, RequestQueue { shared })
     }
 
-    /// Dequeue the oldest request, blocking while the queue is empty.
-    /// Returns `None` once every sender is gone and the queue has drained —
-    /// the end of the stream — or immediately after [`RequestQueue::close`].
-    pub fn recv(&self) -> Option<ServerRequest<T>> {
-        let mut state = lock(&self.shared.state);
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.shared.not_full.notify_one();
-                return Some(item);
-            }
-            if self.shared.closed.load(Ordering::SeqCst) || state.senders == 0 {
-                return None;
-            }
-            state =
-                self.shared.not_empty.wait(state).unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
-    /// [`RequestQueue::recv`] with a bounded wait, so a serving loop can
-    /// wake to apply control-plane changes (drain, retire) even while the
-    /// queue is idle.
+    /// Dequeue the oldest request, waiting at most `timeout` while the
+    /// queue is empty, so the serving loop can wake to apply control-plane
+    /// changes (drain, retire) even while the queue is idle.
+    /// [`RecvTimeout::Disconnected`] marks the end of the stream: every
+    /// sender is gone and the queue has drained, or it was closed.
     pub fn recv_timeout(&self, timeout: Duration) -> RecvTimeout<T> {
         let deadline = Instant::now() + timeout;
         let mut state = lock(&self.shared.state);
@@ -343,7 +284,7 @@ impl<T: Scalar> RequestQueue<T> {
     /// discarded (credited back to the control plane, so a drain barrier
     /// cannot wait on requests nobody will answer), blocked and future
     /// [`RequestSender::send`] calls return [`SendError::Closed`]
-    /// immediately, and [`RequestQueue::recv`] returns `None`. The serving
+    /// immediately, and receives report the stream over. The serving
     /// loop calls this before propagating an error so producers blocked on
     /// a full queue can never deadlock against a receiver that has stopped
     /// receiving. Dropping the queue closes it too.
@@ -353,13 +294,10 @@ impl<T: Scalar> RequestQueue<T> {
         let discarded = state.items.len();
         state.items.clear();
         drop(state);
-        if let Some(control) = &self.shared.control {
-            control.completed(discarded);
-            // Senders parked on the in-flight cap wait on the control
-            // plane's condvar, not the queue's — wake them so they observe
-            // the closure.
-            control.wake_waiters();
-        }
+        self.shared.control.completed(discarded);
+        // Senders parked on the in-flight cap wait on the control plane's
+        // condvar, not the queue's — wake them so they observe the closure.
+        self.shared.control.wake_waiters();
         self.shared.not_full.notify_all();
         self.shared.not_empty.notify_all();
     }
@@ -368,18 +306,6 @@ impl<T: Scalar> RequestQueue<T> {
 impl<T: Scalar> Drop for RequestQueue<T> {
     fn drop(&mut self) {
         self.close();
-    }
-}
-
-impl<T: Scalar> std::fmt::Debug for RequestQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = lock(&self.shared.state);
-        f.debug_struct("RequestQueue")
-            .field("queued", &state.items.len())
-            .field("policy", &self.shared.policy)
-            .field("senders", &state.senders)
-            .field("closed", &self.shared.closed.load(Ordering::SeqCst))
-            .finish()
     }
 }
 
@@ -393,9 +319,34 @@ mod tests {
         DenseMatrix::random(4, 2, seed)
     }
 
+    /// A queue admitting under `policy` for a control plane with four
+    /// active engines (ids 0..=3).
+    fn with_policy(policy: AdmissionPolicy) -> (RequestSender<f32>, RequestQueue<f32>) {
+        let control = Arc::new(ControlShared::new());
+        for _ in 0..4 {
+            control.register_engine();
+        }
+        RequestQueue::controlled(policy, control)
+    }
+
+    fn bounded(capacity: usize) -> (RequestSender<f32>, RequestQueue<f32>) {
+        with_policy(AdmissionPolicy::blocking(capacity))
+    }
+
+    /// Block until the next request (`None` at the end of the stream).
+    fn recv(queue: &RequestQueue<f32>) -> Option<ServerRequest<f32>> {
+        loop {
+            match queue.recv_timeout(Duration::from_secs(1)) {
+                RecvTimeout::Request(request) => return Some(request),
+                RecvTimeout::TimedOut => {}
+                RecvTimeout::Disconnected => return None,
+            }
+        }
+    }
+
     #[test]
     fn requests_arrive_in_order_across_producers() {
-        let (sender, queue) = RequestQueue::<f32>::bounded(4);
+        let (sender, queue) = bounded(4);
         let received = std::thread::scope(|scope| {
             let s2 = sender.clone();
             scope.spawn(move || {
@@ -409,7 +360,7 @@ mod tests {
                 }
             });
             let mut per_engine = [0usize; 2];
-            while let Some(req) = queue.recv() {
+            while let Some(req) = recv(&queue) {
                 per_engine[req.engine] += 1;
             }
             per_engine
@@ -419,7 +370,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_applies_backpressure() {
-        let (sender, queue) = RequestQueue::<f32>::bounded(2);
+        let (sender, queue) = bounded(2);
         let enqueued = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|scope| {
             let counter = Arc::clone(&enqueued);
@@ -439,7 +390,7 @@ mod tests {
                 "producer ran past the queue bound before anything was consumed"
             );
             let mut popped = 0;
-            while let Some(_req) = queue.recv() {
+            while let Some(_req) = recv(&queue) {
                 popped += 1;
                 // Deterministic backpressure invariant: completed sends can
                 // never run more than capacity (plus the one send a pop just
@@ -455,7 +406,7 @@ mod tests {
 
     #[test]
     fn close_unblocks_producers_and_refuses_sends() {
-        let (sender, queue) = RequestQueue::<f32>::bounded(1);
+        let (sender, queue) = bounded(1);
         assert!(sender.send(0, request(1)).is_ok());
         std::thread::scope(|scope| {
             let s = sender.clone();
@@ -479,38 +430,37 @@ mod tests {
             Err(SendError::Closed),
             "closed queue must refuse new sends"
         );
-        assert!(!sender.try_send(0, request(4)), "try_send keeps the old bool semantics");
-        assert!(queue.recv().is_none(), "closed queue must not hand out stale items");
+        assert!(recv(&queue).is_none(), "closed queue must not hand out stale items");
     }
 
     #[test]
     fn dropping_all_senders_ends_the_stream() {
-        let (sender, queue) = RequestQueue::<f32>::bounded(4);
+        let (sender, queue) = bounded(4);
         let clone = sender.clone();
         assert!(sender.send(0, request(1)).is_ok());
         drop(sender);
         assert!(clone.send(0, request(2)).is_ok());
         drop(clone);
-        assert!(queue.recv().is_some());
-        assert!(queue.recv().is_some());
-        assert!(queue.recv().is_none(), "drained queue with no senders ends the stream");
+        assert!(recv(&queue).is_some());
+        assert!(recv(&queue).is_some());
+        assert!(recv(&queue).is_none(), "drained queue with no senders ends the stream");
     }
 
     #[test]
     fn shedding_policy_rejects_at_the_bound_without_blocking() {
-        let (sender, queue) = RequestQueue::<f32>::with_policy(AdmissionPolicy::shedding(2));
+        let (sender, queue) = with_policy(AdmissionPolicy::shedding(2));
         assert!(sender.send(0, request(1)).is_ok());
         assert!(sender.send(0, request(2)).is_ok());
         // The bound: a typed rejection, immediately — no parked producer.
         assert_eq!(sender.send(0, request(3)), Err(SendError::Rejected(RejectReason::QueueFull)));
         // Draining one makes room again.
-        assert!(queue.recv().is_some());
+        assert!(recv(&queue).is_some());
         assert!(sender.send(0, request(4)).is_ok());
     }
 
     #[test]
     fn recv_timeout_distinguishes_idle_from_ended() {
-        let (sender, queue) = RequestQueue::<f32>::bounded(4);
+        let (sender, queue) = bounded(4);
         assert!(matches!(queue.recv_timeout(Duration::from_millis(5)), RecvTimeout::TimedOut));
         assert!(sender.send(0, request(1)).is_ok());
         assert!(matches!(queue.recv_timeout(Duration::from_millis(5)), RecvTimeout::Request(_)));
@@ -520,7 +470,7 @@ mod tests {
 
     #[test]
     fn try_recv_never_blocks() {
-        let (sender, queue) = RequestQueue::<f32>::bounded(4);
+        let (sender, queue) = bounded(4);
         assert!(queue.try_recv().is_none());
         assert!(sender.send(3, request(1)).is_ok());
         assert_eq!(queue.try_recv().map(|r| r.engine), Some(3));

@@ -5,8 +5,7 @@ use crate::engine::BatchReport;
 use std::time::Duration;
 
 /// Aggregated timing for one serving run, returned by
-/// [`crate::serve::ServerSession::finish`] (and the collecting entry points
-/// built on it).
+/// [`crate::serve::SpmmServer::serve_controlled`].
 ///
 /// Per-engine statistics reuse the batch layer's [`BatchReport`] — the same
 /// bounded-reservoir kernel/dispatch p50/p99 a single-engine batch reports —

@@ -52,7 +52,7 @@ enum EngineEntry<'a, T: Scalar> {
 /// ([`ControlHandle::drain`]).
 ///
 /// ```
-/// use jitspmm::serve::{ServerRequest, SpmmServer};
+/// use jitspmm::serve::{ServeOptions, ServerRequest, SpmmServer};
 /// use jitspmm::{JitSpmmBuilder, WorkerPool};
 /// use jitspmm_sparse::{generate, DenseMatrix};
 ///
@@ -65,29 +65,28 @@ enum EngineEntry<'a, T: Scalar> {
 ///     JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, 4)?,
 /// ])?;
 /// // A mixed, interleaved request stream: engine ids tag each input.
-/// let requests: Vec<ServerRequest<f32>> = (0..6)
-///     .map(|i| {
-///         let engine = i % 2;
-///         let input = if engine == 0 {
-///             DenseMatrix::random(96, 8, 10 + i as u64)
-///         } else {
-///             DenseMatrix::random(80, 4, 20 + i as u64)
-///         };
-///         ServerRequest::new(engine, input)
-///     })
-///     .collect();
-/// let (responses, report) = server.serve_batch(0, requests)?;
+/// let input = |i: usize| {
+///     if i % 2 == 0 {
+///         DenseMatrix::<f32>::random(96, 8, 10 + i as u64)
+///     } else {
+///         DenseMatrix::<f32>::random(80, 4, 20 + i as u64)
+///     }
+/// };
+/// let mut responses = Vec::new();
+/// let (report, ()) = server.serve_controlled(
+///     ServeOptions::default(),
+///     |sender| {
+///         for i in 0..6 {
+///             sender.send_request(ServerRequest::new(i % 2, input(i))).expect("admitted");
+///         }
+///     },
+///     |response| responses.push(response),
+/// )?;
 /// assert_eq!(responses.len(), 6);
 /// assert_eq!(report.requests, 6);
 /// for r in &responses {
 ///     let reference = if r.engine() == 0 { &a } else { &b };
-///     // (Re-deriving the inputs from the seeds above.)
-///     # let input = if r.engine() == 0 {
-///     #     DenseMatrix::random(96, 8, 10 + r.request() as u64)
-///     # } else {
-///     #     DenseMatrix::random(80, 4, 20 + r.request() as u64)
-///     # };
-///     assert!(r.output().approx_eq(&reference.spmm_reference(&input), 1e-4));
+///     assert!(r.output().approx_eq(&reference.spmm_reference(&input(r.request())), 1e-4));
 /// }
 /// # Ok(())
 /// # }
@@ -146,9 +145,8 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// Build a server with **no** engines yet, over `pool`: register them
     /// afterwards with [`SpmmServer::add_engine`] /
     /// [`SpmmServer::add_sharded`] / [`SpmmServer::add_mutable`] — before or
-    /// after sessions open. Until an engine is registered every request is
-    /// rejected with [`JitSpmmError::UnknownEngine`] (or the typed
-    /// [`RejectReason::UnknownEngine`] on the controlled path).
+    /// while a serve runs. Until an engine is registered every request is
+    /// rejected with the typed [`RejectReason::UnknownEngine`].
     pub fn with_pool(pool: WorkerPool) -> SpmmServer<'a, T> {
         SpmmServer {
             engines: Mutex::new(Vec::new()),
@@ -159,45 +157,16 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
 
     /// Register another single engine while the server (and any session) is
     /// live, returning its new logical id. The engine starts
-    /// [`EngineStatus::Active`]; open sessions pick it up on their next
-    /// control sweep, and [`SpmmServer::serve_controlled`] routes to it as
-    /// soon as a request names the id.
+    /// [`EngineStatus::Active`]; an open [`SpmmServer::serve_controlled`]
+    /// loop picks it up on its next control sweep and routes to it as soon
+    /// as a request names the id.
     ///
     /// # Errors
     ///
     /// [`JitSpmmError::InvalidConfig`] if the engine does not execute on
     /// this server's pool.
     pub fn add_engine(&self, engine: JitSpmm<'a, T>) -> Result<usize, JitSpmmError> {
-        if !engine.pool().same_pool(&self.pool) {
-            return Err(JitSpmmError::InvalidConfig(
-                "the engine executes on a different worker pool; all of a server's engines \
-                 must share one pool"
-                    .to_string(),
-            ));
-        }
-        let mut engines = lock(&self.engines);
-        engines.push(EngineEntry::Single(Arc::new(engine)));
-        let id = engines.len() - 1;
-        let registered = self.control.register_engine();
-        debug_assert_eq!(registered, id, "registry and control plane use one id space");
-        Ok(id)
-    }
-
-    /// [`SpmmServer::add_engine`] with explicit NUMA placement: re-pins the
-    /// engine's soft placement hint ([`JitSpmm::place_on_node`]) to `node`
-    /// before registration, overriding whatever the builder chose. For
-    /// servers that place engines by hand.
-    ///
-    /// # Errors
-    ///
-    /// As [`SpmmServer::add_engine`].
-    pub fn add_engine_on_node(
-        &self,
-        mut engine: JitSpmm<'a, T>,
-        node: Option<usize>,
-    ) -> Result<usize, JitSpmmError> {
-        engine.place_on_node(node);
-        self.add_engine(engine)
+        self.register(engine.pool().clone(), EngineEntry::Single(Arc::new(engine)))
     }
 
     /// Register a sharded engine ([`ShardedSpmm`]) behind **one logical
@@ -206,8 +175,8 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// returned id, responses come back in per-engine submission order with
     /// stitched full-height outputs, and the [`ServerReport`] carries the
     /// sharded engine's merged [`crate::BatchReport`] in its per-engine
-    /// slot. Like [`SpmmServer::add_engine`], this works while sessions are
-    /// open.
+    /// slot. Like [`SpmmServer::add_engine`], this works while a serve is
+    /// running.
     ///
     /// # Errors
     ///
@@ -215,35 +184,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// execute on this server's pool (checked via
     /// [`WorkerPool::same_pool`], like every engine at construction).
     pub fn add_sharded(&self, sharded: ShardedSpmm<'a, T>) -> Result<usize, JitSpmmError> {
-        if !sharded.pool().same_pool(&self.pool) {
-            return Err(JitSpmmError::InvalidConfig(
-                "the sharded engine executes on a different worker pool; all of a server's \
-                 engines must share one pool"
-                    .to_string(),
-            ));
-        }
-        let mut engines = lock(&self.engines);
-        engines.push(EngineEntry::Sharded(Arc::new(sharded)));
-        let id = engines.len() - 1;
-        let registered = self.control.register_engine();
-        debug_assert_eq!(registered, id, "registry and control plane use one id space");
-        Ok(id)
-    }
-
-    /// [`SpmmServer::add_sharded`] with explicit NUMA placement: re-pins
-    /// every shard engine's hint ([`ShardedSpmm::place_on_node`]) to `node`
-    /// before registration, overriding the automatic contiguous spread.
-    ///
-    /// # Errors
-    ///
-    /// As [`SpmmServer::add_sharded`].
-    pub fn add_sharded_on_node(
-        &self,
-        mut sharded: ShardedSpmm<'a, T>,
-        node: Option<usize>,
-    ) -> Result<usize, JitSpmmError> {
-        sharded.place_on_node(node);
-        self.add_sharded(sharded)
+        self.register(sharded.pool().clone(), EngineEntry::Sharded(Arc::new(sharded)))
     }
 
     /// Register an **updatable** engine ([`MutableSpmm`]) behind one
@@ -253,33 +194,39 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// server runs: queue a [`DeltaBatch`] through
     /// [`ControlHandle::apply_update`] and the serving loop swaps the
     /// engine's generation between launches (see [`crate::update`]). Like
-    /// [`SpmmServer::add_engine`], this works while sessions are open.
+    /// [`SpmmServer::add_engine`], this works while a serve is running.
     ///
     /// # Errors
     ///
     /// [`JitSpmmError::InvalidConfig`] if the engine does not execute on
     /// this server's pool.
     pub fn add_mutable(&self, mutable: MutableSpmm<T>) -> Result<usize, JitSpmmError> {
-        if !mutable.pool().same_pool(&self.pool) {
+        self.register(mutable.pool().clone(), EngineEntry::Mutable(Arc::new(mutable)))
+    }
+
+    /// Append `entry` (an engine executing on `pool`) to the registry and
+    /// the control plane, returning its logical id.
+    fn register(&self, pool: WorkerPool, entry: EngineEntry<'a, T>) -> Result<usize, JitSpmmError> {
+        if !pool.same_pool(&self.pool) {
             return Err(JitSpmmError::InvalidConfig(
-                "the mutable engine executes on a different worker pool; all of a server's \
-                 engines must share one pool"
+                "the engine executes on a different worker pool; all of a server's engines \
+                 must share one pool"
                     .to_string(),
             ));
         }
         let mut engines = lock(&self.engines);
-        engines.push(EngineEntry::Mutable(Arc::new(mutable)));
+        engines.push(entry);
         let id = engines.len() - 1;
         let registered = self.control.register_engine();
         debug_assert_eq!(registered, id, "registry and control plane use one id space");
         Ok(id)
     }
 
-    /// Begin retiring engine `id`: it stops admitting ([`RejectReason::Draining`]
-    /// at the queue, [`JitSpmmError::EngineRetired`] on the strict session
-    /// paths), in-flight requests complete, and the next control sweep of an
-    /// open session drains its pipeline and frees its launch-slot payloads.
-    /// With no session open the id goes straight to
+    /// Begin retiring engine `id`: it stops admitting
+    /// ([`RejectReason::Draining`] at the queue), in-flight requests
+    /// complete, and the next control sweep of a running serve drains its
+    /// pipeline and frees its launch-slot payloads. With no serve running
+    /// the id goes straight to
     /// [`EngineStatus::Retired`]. Ids are never reused. Returns `false` for
     /// an unknown id.
     pub fn retire_engine(&self, id: usize) -> bool {
@@ -398,17 +345,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         }
     }
 
-    /// Strict-path validation: engine id, lifecycle, then input shape.
-    fn validate_strict(&self, id: usize, input: &DenseMatrix<T>) -> Result<(), JitSpmmError> {
-        match self.control.status(id) {
-            Some(EngineStatus::Active) => {}
-            Some(_) => return Err(JitSpmmError::EngineRetired { id }),
-            // Unknown id: fall through for the richer UnknownEngine error.
-            None => {}
-        }
-        self.check_request(id, input)
-    }
-
     /// Open a [`ServerSession`] inside `scope`: one pipeline per **active**
     /// engine (each holding its engine's launch lock until the session
     /// ends), ready to route requests. `depth` is the per-engine pipeline
@@ -417,16 +353,12 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// overlap). Engines registered after the session opens get their
     /// pipeline lazily, on first submission to their id.
     ///
-    /// This is the low-level entry point; [`SpmmServer::serve_batch`],
-    /// [`SpmmServer::serve_stream`] and [`SpmmServer::serve_controlled`]
-    /// drive a session for you.
-    ///
     /// # Errors
     ///
     /// [`JitSpmmError::LaunchInProgress`] if the calling thread already
     /// holds a launch of any engine, or a codegen error from compiling spare
     /// slot kernels.
-    pub fn session<'scope, 'env>(
+    fn session<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         depth: usize,
@@ -442,7 +374,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
             next_request: 0,
             started: None,
             epoch_seen: 0,
-            catch_faults: false,
         };
         session.sync_topology();
         for id in 0..session.lanes.len() {
@@ -457,212 +388,20 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         Ok(session)
     }
 
-    /// Serve a pre-collected mixed request batch: validate **every** request
-    /// (engine id, lifecycle, input shape) before any launch lock is taken,
-    /// route them through per-engine pipelines in FIFO order — priorities
-    /// and deadlines are ignored on this strict path; use
-    /// [`SpmmServer::serve_controlled`] for those — and return all responses
-    /// sorted by global submission order, plus the aggregated
-    /// [`ServerReport`].
-    ///
-    /// `depth` is the per-engine pipeline depth (`0` = auto, as
-    /// [`JitSpmm::batch_stream`]).
-    ///
-    /// # Errors
-    ///
-    /// [`JitSpmmError::UnknownEngine`] (carrying the offending engine id),
-    /// [`JitSpmmError::EngineRetired`] for a draining/retired target, or
-    /// [`JitSpmmError::ShapeMismatch`] (naming the offending request index)
-    /// if any request is malformed — nothing is launched in that case — and
-    /// [`JitSpmmError::LaunchInProgress`] if the calling thread already
-    /// holds a launch of one of the engines.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first worker panic of the run after joining the
-    /// launches still in flight; the engines stay usable afterwards.
-    pub fn serve_batch(
-        &self,
-        depth: usize,
-        requests: Vec<ServerRequest<T>>,
-    ) -> Result<(Vec<ServerResponse<T>>, ServerReport), JitSpmmError> {
-        // Hoisted whole-batch validation: a malformed request fails the call
-        // before any engine's launch lock or buffer pool is touched.
-        for (index, request) in requests.iter().enumerate() {
-            self.validate_strict(request.engine, &request.input).map_err(|e| match e {
-                JitSpmmError::ShapeMismatch(msg) => JitSpmmError::ShapeMismatch(format!(
-                    "request {index} (engine {}): {msg}",
-                    request.engine
-                )),
-                other => other,
-            })?;
-        }
-        // The caller receives every response at once: let each engine's
-        // buffer pool retain that many spares, so repeated serving rounds
-        // recycle their output buffers instead of re-allocating. (Only once
-        // the batch is actually going to run — a failed call must not mutate
-        // engine state.)
-        let mut per_engine_count = vec![0usize; self.engine_count()];
-        for request in &requests {
-            per_engine_count[request.engine] += 1;
-        }
-        for (id, &count) in per_engine_count.iter().enumerate() {
-            if count > 0 {
-                self.with_entry(id, |entry| match entry {
-                    EngineEntry::Single(engine) => engine.reserve_outputs(count),
-                    EngineEntry::Sharded(sharded) => sharded.reserve_outputs(count),
-                    EngineEntry::Mutable(mutable) => mutable.reserve_outputs(count),
-                });
-            }
-        }
-        self.pool.scope(|scope| {
-            let mut session = self.session(scope, depth)?;
-            let mut responses = Vec::with_capacity(requests.len());
-            for request in requests {
-                // Validation was hoisted above; don't pay it again per
-                // request on the routing path.
-                if let Some(done) = session.submit_validated(request.engine, request.input) {
-                    responses.push(done);
-                }
-            }
-            let (rest, report) = session.finish();
-            responses.extend(rest);
-            responses.sort_by_key(|r| r.request());
-            Ok((responses, report))
-        })
-    }
-
-    /// Serve a request stream produced on another thread: `producer` runs on
-    /// a fresh thread with the sending side of a bounded [`RequestQueue`]
-    /// (capacity `queue_capacity`; sends block when the serving loop falls
-    /// behind — admission control, not unbounded buffering), while the
-    /// calling thread routes arrivals into the per-engine pipelines as they
-    /// come in. The stream ends when the producer drops its last
-    /// [`RequestSender`] clone; the call returns every response sorted by
-    /// global submission order, the aggregated [`ServerReport`], and the
-    /// producer's return value.
-    ///
-    /// This is the strict FIFO path; [`SpmmServer::serve_controlled`] adds
-    /// shedding policies, priorities, deadlines and graceful degradation.
-    ///
-    /// # Errors
-    ///
-    /// A malformed request ([`JitSpmmError::UnknownEngine`] /
-    /// [`JitSpmmError::EngineRetired`] / [`JitSpmmError::ShapeMismatch`])
-    /// aborts the serve: the queue is closed — unblocking any producer
-    /// mid-`send`, whose subsequent sends return
-    /// [`crate::serve::SendError::Closed`] — in-flight launches are joined,
-    /// and the error is returned after the producer thread has finished.
-    /// [`JitSpmmError::LaunchInProgress`] as for
-    /// [`SpmmServer::serve_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a worker panic (after joining the remaining launches) or a
-    /// producer panic; either way the queue is closed first so no thread is
-    /// left blocked.
-    pub fn serve_stream<P, R>(
-        &self,
-        depth: usize,
-        queue_capacity: usize,
-        producer: P,
-    ) -> Result<(Vec<ServerResponse<T>>, ServerReport, R), JitSpmmError>
-    where
-        P: FnOnce(RequestSender<T>) -> R + Send,
-        R: Send,
-    {
-        let mut responses = Vec::new();
-        let (report, produced) =
-            self.serve_stream_with(depth, queue_capacity, producer, |r| responses.push(r))?;
-        responses.sort_by_key(|r| r.request());
-        Ok((responses, report, produced))
-    }
-
-    /// [`SpmmServer::serve_stream`] in **response-streaming** form: instead
-    /// of collecting every response and returning them at the end, each
-    /// completed [`ServerResponse`] is handed to `consumer` as soon as its
-    /// launch joins — the shape a latency-sensitive ingestion path wants,
-    /// where a response should leave the server the moment it exists (and
-    /// its pooled output buffer recycles as soon as the consumer drops it,
-    /// instead of the whole result set staying resident).
-    ///
-    /// Responses arrive in **per-engine submission order** (each engine's
-    /// pipeline completes oldest-first); across engines the order follows
-    /// completion, not global submission — consult
-    /// [`ServerResponse::request`] to re-sequence globally, or use
-    /// [`SpmmServer::serve_stream`], which does exactly that.
-    ///
-    /// The producer/backpressure plumbing is identical to
-    /// [`SpmmServer::serve_stream`]: `producer` runs on a fresh thread
-    /// feeding a bounded [`RequestQueue`], and the queue is closed on every
-    /// exit from this call — normal return, validation error, or a panic
-    /// (the consumer's included) unwinding through it — so a producer
-    /// blocked in `send` can never deadlock against a serving loop that has
-    /// stopped consuming.
-    ///
-    /// # Errors
-    ///
-    /// As [`SpmmServer::serve_stream`].
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a worker, producer or consumer panic; in every case the
-    /// queue is closed and the in-flight launches joined first, so no
-    /// thread is left blocked.
-    pub fn serve_stream_with<P, R, C>(
-        &self,
-        depth: usize,
-        queue_capacity: usize,
-        producer: P,
-        mut consumer: C,
-    ) -> Result<(ServerReport, R), JitSpmmError>
-    where
-        P: FnOnce(RequestSender<T>) -> R + Send,
-        R: Send,
-        C: FnMut(ServerResponse<T>),
-    {
-        let (sender, queue) = RequestQueue::bounded(queue_capacity);
-        std::thread::scope(|threads| {
-            // Close the queue on *every* exit from this frame — normal
-            // return, validation error, or a panic unwinding through it —
-            // before `thread::scope` joins the producer, which may be
-            // blocked in `send` on a full queue.
-            let _close = CloseOnExit(&queue);
-            let producer_thread = threads.spawn(move || producer(sender));
-            let served = self.pool.scope(|scope| -> Result<_, JitSpmmError> {
-                let mut session = self.session(scope, depth)?;
-                while let Some(request) = queue.recv() {
-                    if let Some(done) = session.submit(request.engine, request.input)? {
-                        consumer(done);
-                    }
-                }
-                let (rest, report) = session.finish();
-                for done in rest {
-                    consumer(done);
-                }
-                Ok(report)
-            });
-            queue.close();
-            let produced = match producer_thread.join() {
-                Ok(value) => value,
-                Err(payload) => resume_unwind(payload),
-            };
-            served.map(|report| (report, produced))
-        })
-    }
-
-    /// The control-plane serving loop: a producer thread feeds a queue
-    /// admitting under `options.admission` (block or shed, with typed
+    /// The serving loop — the one way a request is served: `producer` runs
+    /// on a fresh thread feeding a queue that admits under
+    /// `options.admission` (block or shed, with typed
     /// [`crate::serve::SendError`]s), arrivals are re-ordered by
-    /// **priority, then deadline, then arrival** through a
-    /// [`ReorderBuffer`], deadline-expired requests are shed right before
-    /// launch, and every outcome — completed, rejected, failed — reaches
-    /// `consumer` as a typed [`ServerResponse`]. Worker panics are
-    /// contained to the request that hit them (`options.fault_containment`,
-    /// on by default); unrelated engines keep serving and the server stays
-    /// usable afterwards.
+    /// **priority, then deadline, then arrival**, deadline-expired requests
+    /// are shed right before launch, and every outcome — completed,
+    /// rejected, failed — reaches `consumer` as a typed [`ServerResponse`]
+    /// the moment it exists. Responses of one engine arrive in that
+    /// engine's submission order; across engines the order follows
+    /// completion ([`ServerResponse::request`] re-sequences globally).
+    /// Worker panics are contained to the request that hit them; unrelated
+    /// engines keep serving and the server stays usable afterwards.
     ///
-    /// The loop wakes every `options.tick` even when the queue is idle, to
+    /// The loop wakes every millisecond even when the queue is idle, to
     /// apply control-plane changes (retirement drains, server-wide drain)
     /// and to join in-flight launches so responses keep streaming.
     ///
@@ -712,9 +451,10 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     ///
     /// # Panics
     ///
-    /// Re-raises a producer or consumer panic (queue closed, launches
-    /// joined first). Worker panics only unwind out of here when
-    /// `options.fault_containment` is off.
+    /// Re-raises a producer or consumer panic; the queue is closed on every
+    /// exit from this call, so a producer blocked in `send` can never
+    /// deadlock against a loop that has stopped consuming, and in-flight
+    /// launches are joined first.
     pub fn serve_controlled<P, R, C>(
         &self,
         options: ServeOptions,
@@ -728,13 +468,15 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     {
         let (sender, queue) =
             RequestQueue::controlled(options.admission, Arc::clone(&self.control));
-        let tick = options.tick.max(Duration::from_micros(100));
         std::thread::scope(|threads| {
+            // Close the queue on *every* exit from this frame — normal
+            // return, a session error, or a panic unwinding through it —
+            // before `thread::scope` joins the producer, which may be
+            // blocked in `send` on a full queue.
             let _close = CloseOnExit(&queue);
             let producer_thread = threads.spawn(move || producer(sender));
             let served = self.pool.scope(|scope| -> Result<_, JitSpmmError> {
                 let mut session = self.session(scope, options.depth)?;
-                session.fault_containment(options.fault_containment);
                 let mut buffer = ReorderBuffer::new();
                 let mut disconnected = false;
                 loop {
@@ -751,7 +493,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
                     // the burst that arrived meanwhile so the next pop
                     // compares the whole backlog.
                     if let Some(request) = buffer.pop() {
-                        session.submit_controlled(request);
+                        session.submit(request);
                         while let Some(request) = queue.try_recv() {
                             buffer.push(request);
                         }
@@ -764,7 +506,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
                         session.complete_any();
                         continue;
                     }
-                    match queue.recv_timeout(tick) {
+                    match queue.recv_timeout(IDLE_TICK) {
                         RecvTimeout::Request(request) => {
                             buffer.push(request);
                             while let Some(request) = queue.try_recv() {
@@ -800,6 +542,10 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     }
 }
 
+/// How often the serving loop wakes on an idle queue to apply control
+/// changes and join in-flight launches.
+const IDLE_TICK: Duration = Duration::from_millis(1);
+
 /// Options for [`SpmmServer::serve_controlled`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
@@ -808,25 +554,12 @@ pub struct ServeOptions {
     pub depth: usize,
     /// How the request queue admits (depth, in-flight cap, block vs shed).
     pub admission: AdmissionPolicy,
-    /// How often the serving loop wakes on an idle queue to apply control
-    /// changes and join in-flight launches. Clamped to at least 100µs.
-    pub tick: Duration,
-    /// Convert worker panics into typed [`ServerResponse::Failed`]
-    /// responses (on by default). Off restores the strict re-raise
-    /// behavior of [`SpmmServer::serve_stream_with`].
-    pub fault_containment: bool,
 }
 
 impl ServeOptions {
-    /// Defaults (auto depth, 1ms tick, fault containment on) with the given
-    /// admission policy.
+    /// Auto depth with the given admission policy.
     pub fn new(admission: AdmissionPolicy) -> ServeOptions {
-        ServeOptions {
-            depth: 0,
-            admission,
-            tick: Duration::from_millis(1),
-            fault_containment: true,
-        }
+        ServeOptions { depth: 0, admission }
     }
 
     /// Set the per-engine pipeline depth.
@@ -842,7 +575,7 @@ impl Default for ServeOptions {
     }
 }
 
-/// Closes the borrowed queue when dropped; see [`SpmmServer::serve_stream`].
+/// Closes the borrowed queue when dropped; see [`SpmmServer::serve_controlled`].
 struct CloseOnExit<'q, T: Scalar>(&'q RequestQueue<T>);
 
 impl<T: Scalar> Drop for CloseOnExit<'_, T> {
@@ -1030,18 +763,17 @@ impl<'scope, 'env, T: Scalar> Lane<'scope, 'env, T> {
     }
 }
 
-/// An open serving session, created by [`SpmmServer::session`]: one lane
+/// An open serving session, created by `SpmmServer::session`: one lane
 /// per logical engine — a [`BatchStream`] for single engines, a
 /// [`ShardedStream`] for sharded ones — plus the request bookkeeping that
 /// tags every response with its engine id and sequence numbers, and the
 /// control-plane hooks ([`ServerSession::apply_control`], fault
-/// containment) the controlled serving loop drives.
+/// containment) the serving loop drives.
 ///
 /// The session holds every open lane's launch lock until it is finished or
 /// dropped (dropping joins all in-flight launches and discards their
-/// results). Submit with [`ServerSession::submit`]; drain with
-/// [`ServerSession::finish`].
-pub struct ServerSession<'scope, 'env, 'a, T: Scalar> {
+/// results).
+pub(crate) struct ServerSession<'scope, 'env, 'a, T: Scalar> {
     /// `'a` is the server's own data lifetime (the matrices its engines
     /// borrow), `'env` the session's borrow of it — kept apart because the
     /// registry mutex makes [`SpmmServer`] invariant in `'a`.
@@ -1050,8 +782,8 @@ pub struct ServerSession<'scope, 'env, 'a, T: Scalar> {
     scope: &'scope PoolScope<'scope, 'env>,
     depth: usize,
     lanes: Vec<Lane<'scope, 'env, T>>,
-    /// Responses produced but not yet handed out (the controlled loop
-    /// drains this; the strict paths surface it at finish).
+    /// Responses produced but not yet handed out (the serving loop drains
+    /// this).
     ready: VecDeque<ServerResponse<T>>,
     counters: ServeCounters,
     /// Next global submission sequence number.
@@ -1061,19 +793,6 @@ pub struct ServerSession<'scope, 'env, 'a, T: Scalar> {
     /// Last control-plane epoch applied; skips the per-engine scan when
     /// nothing changed.
     epoch_seen: u64,
-    /// Convert worker panics into [`ServerResponse::Failed`] instead of
-    /// re-raising (the controlled loop turns this on).
-    catch_faults: bool,
-}
-
-impl<T: Scalar> std::fmt::Debug for ServerSession<'_, '_, '_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerSession")
-            .field("engines", &self.lanes.len())
-            .field("submitted", &self.next_request)
-            .field("ready", &self.ready.len())
-            .finish()
-    }
 }
 
 /// Extract a printable message from a caught panic payload.
@@ -1167,24 +886,13 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         Ok(())
     }
 
-    /// Turn worker-panic containment on or off for this session (off by
-    /// default; [`SpmmServer::serve_controlled`] turns it on). Contained
-    /// panics surface as [`ServerResponse::Failed`] for exactly the request
-    /// that hit them; a panic in a **sharded** lane additionally poisons
-    /// that lane — its sibling shard outputs are unrecoverable — failing
-    /// its remaining in-flight requests and closing it, while every other
-    /// lane keeps serving.
-    pub fn fault_containment(&mut self, on: bool) {
-        self.catch_faults = on;
-    }
-
     /// Apply pending control-plane changes: pick up newly registered
     /// engines, and drain + close the lanes of engines marked
     /// [`EngineStatus::Draining`] (their in-flight requests complete and
     /// surface as ready responses; their launch-slot payloads are freed
     /// with the closed stream; the control plane then records them
     /// [`EngineStatus::Retired`]). Cheap when nothing changed.
-    pub fn apply_control(&mut self) {
+    fn apply_control(&mut self) {
         // Queued matrix updates are checked on every sweep, not just on an
         // epoch bump: a deferred update — requeued because some stream
         // still pinned its engine's generation — must be retried even when
@@ -1251,11 +959,13 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         }
     }
 
-    /// Join lane `id`'s oldest in-flight launch, queueing its response (or
-    /// typed failure, under fault containment). Returns whether a launch
-    /// was joined.
+    /// Join lane `id`'s oldest in-flight launch, queueing its response — or
+    /// a typed [`ServerResponse::Failed`] if a worker panicked, for exactly
+    /// the request that hit it. A panic in a **sharded** lane additionally
+    /// poisons that lane — its sibling shard outputs are unrecoverable —
+    /// failing its remaining in-flight requests and closing it, while every
+    /// other lane keeps serving. Returns whether a launch was joined.
     fn complete_one(&mut self, id: usize) -> bool {
-        let catch = self.catch_faults;
         let ServerSession { lanes, ready, counters, server, .. } = &mut *self;
         let lane = &mut lanes[id];
         let Some(stream) = lane.stream.as_mut() else {
@@ -1263,14 +973,6 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         };
         if stream.in_flight() == 0 {
             return false;
-        }
-        if !catch {
-            // Strict semantics: a worker panic re-raises here (the batch
-            // layer restores its bookkeeping first; unwinding drops the
-            // session, joining everything else).
-            let (output, report) = stream.complete_next().expect("in-flight checked above");
-            emit_completed(lane, id, ready, counters, output, report);
-            return true;
         }
         match catch_unwind(AssertUnwindSafe(|| stream.complete_next())) {
             Ok(Some((output, report))) => {
@@ -1304,8 +1006,8 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     }
 
     /// Join the in-flight launch whose response is globally oldest, if any;
-    /// the controlled loop's idle-tick progress step.
-    pub(crate) fn complete_any(&mut self) -> bool {
+    /// the serving loop's idle-tick progress step.
+    fn complete_any(&mut self) -> bool {
         let next = self
             .lanes
             .iter()
@@ -1364,103 +1066,23 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     }
 
     /// Pop the next produced-but-unclaimed response.
-    pub(crate) fn take_ready(&mut self) -> Option<ServerResponse<T>> {
+    fn take_ready(&mut self) -> Option<ServerResponse<T>> {
         self.ready.pop_front()
     }
 
     /// Total launches currently in flight across all lanes.
-    pub fn in_flight(&self) -> usize {
+    fn in_flight(&self) -> usize {
         self.lanes.iter().filter_map(|l| l.stream.as_ref()).map(|s| s.in_flight()).sum()
     }
 
-    /// Route one owned request to engine `engine` — the strict session
-    /// path: FIFO, no deadline/priority handling, errors instead of typed
-    /// rejections. If that engine's pipeline is at depth, the oldest
-    /// in-flight launch **of that engine** is waited for first and its
-    /// response returned; otherwise the call does not block and returns
-    /// `None`. Responses of other engines are never returned here — they
-    /// surface when their own engine is pushed again, or at
-    /// [`ServerSession::finish`].
-    ///
-    /// # Errors
-    ///
-    /// [`JitSpmmError::UnknownEngine`] for an out-of-range engine id,
-    /// [`JitSpmmError::EngineRetired`] for a draining/retired one, and
-    /// [`JitSpmmError::ShapeMismatch`] if the input is not that engine's
-    /// `A.ncols() x d` — all checked before any launch state is touched;
-    /// the rejected input is dropped and the session continues unharmed.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a worker panic from the completed launch (the session is
-    /// then dropped by unwinding, which joins all remaining launches and
-    /// releases every engine), unless [`ServerSession::fault_containment`]
-    /// is on.
-    pub fn submit(
-        &mut self,
-        engine: usize,
-        input: DenseMatrix<T>,
-    ) -> Result<Option<ServerResponse<T>>, JitSpmmError> {
-        self.sync_topology();
-        if engine >= self.lanes.len() {
-            return Err(JitSpmmError::UnknownEngine {
-                requested: engine,
-                engines: self.lanes.len(),
-            });
-        }
-        match self.server.ctrl().status(engine) {
-            Some(EngineStatus::Active) => {}
-            _ => return Err(JitSpmmError::EngineRetired { id: engine }),
-        }
-        self.server.check_request(engine, &input)?;
-        self.open_stream(engine)?;
-        Ok(self.submit_validated(engine, input))
-    }
-
-    /// [`ServerSession::submit`] for pre-validated requests —
-    /// [`SpmmServer::serve_batch`] hoists the whole-batch validation out of
-    /// the routing loop, mirroring the batch layer's
-    /// `push_validated`/`push_owned_validated` split.
-    pub(crate) fn submit_validated(
-        &mut self,
-        engine: usize,
-        input: DenseMatrix<T>,
-    ) -> Option<ServerResponse<T>> {
-        self.started.get_or_insert_with(Instant::now);
-        let seq = self.next_request;
-        self.next_request += 1;
-        if self.lanes[engine].stream.is_none()
-            && (self.lanes[engine].report.is_some() || self.open_stream(engine).is_err())
-        {
-            // The lane closed between validation and routing (a concurrent
-            // retirement): a typed rejection, not a lost request.
-            self.counters.rejected += 1;
-            return Some(ServerResponse::Rejected {
-                engine,
-                request: seq,
-                reason: RejectReason::Draining,
-            });
-        }
-        let ServerSession { lanes, ready, counters, .. } = &mut *self;
-        let lane = &mut lanes[engine];
-        lane.pending.push_back(seq);
-        lane.started.get_or_insert_with(Instant::now);
-        let stream = lane.stream.as_mut().expect("lane opened above");
-        let done = stream.push_owned(input);
-        done.map(|(output, report)| {
-            emit_completed(lane, engine, ready, counters, output, report);
-            ready.pop_back().expect("emitted just above")
-        })
-    }
-
-    /// The controlled routing path: every outcome — launch, typed
-    /// rejection, contained failure — is queued as a ready response; the
-    /// caller drains [`ServerSession::take_ready`]. Checks, in order:
+    /// Route one request: every outcome — launch, typed rejection,
+    /// contained failure — is queued as a ready response; the caller
+    /// drains [`ServerSession::take_ready`]. Checks, in order:
     /// engine id, lifecycle, input shape, deadline on arrival, room in the
     /// pipeline (joining older launches as needed), and the deadline
     /// **again** right before the push, so time burned waiting for room
     /// sheds the request instead of launching it late.
-    pub(crate) fn submit_controlled(&mut self, request: ServerRequest<T>) {
+    fn submit(&mut self, request: ServerRequest<T>) {
         self.started.get_or_insert_with(Instant::now);
         self.sync_topology();
         let engine = request.engine;
@@ -1543,19 +1165,13 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
             });
             return;
         }
-        let catch = self.catch_faults;
         let ServerSession { lanes, ready, counters, server, .. } = &mut *self;
         let lane = &mut lanes[engine];
         lane.pending.push_back(seq);
         lane.started.get_or_insert_with(Instant::now);
         let stream = lane.stream.as_mut().expect("lane checked above");
         let input = request.input;
-        let pushed = if catch {
-            catch_unwind(AssertUnwindSafe(|| stream.push_owned(input)))
-        } else {
-            Ok(stream.push_owned(input))
-        };
-        match pushed {
+        match catch_unwind(AssertUnwindSafe(|| stream.push_owned(input))) {
             Ok(done) => {
                 // The pipeline was pre-drained below depth, so a push can
                 // only hand back a result on the sequential fast path
@@ -1597,22 +1213,11 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         }
     }
 
-    /// Number of requests submitted so far, across all engines.
-    pub fn submitted(&self) -> usize {
-        self.next_request
-    }
-
     /// Drain every lane (in engine-id order, oldest launch first within
     /// each), apply any pending control changes, and aggregate the
     /// [`ServerReport`]. The returned responses are the ones not already
     /// handed out, in the order they became ready.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first worker panic among the remaining launches, after
-    /// all of them have been joined — unless fault containment is on, in
-    /// which case panics surface as [`ServerResponse::Failed`] responses.
-    pub fn finish(mut self) -> (Vec<ServerResponse<T>>, ServerReport) {
+    fn finish(mut self) -> (Vec<ServerResponse<T>>, ServerReport) {
         self.apply_control();
         for id in 0..self.lanes.len() {
             self.close_lane(id);

@@ -7,7 +7,9 @@ use crate::engine::JitSpmmBuilder;
 use crate::error::JitSpmmError;
 use crate::runtime::WorkerPool;
 use crate::schedule::Strategy;
+use crate::serve::control::{AdmissionPolicy, RejectReason, SendError};
 use crate::serve::queue::ServerRequest;
+use crate::serve::report::ServerReport;
 use jitspmm_asm::CpuFeatures;
 use jitspmm_sparse::DenseMatrix;
 use jitspmm_sparse::{generate, CsrMatrix};
@@ -49,6 +51,40 @@ fn build_engines<'m>(pool: &WorkerPool, matrices: &'m [CsrMatrix<f32>]) -> Vec<J
 
 fn input_for(m: &CsrMatrix<f32>, d: usize, seed: u64) -> DenseMatrix<f32> {
     DenseMatrix::random(m.ncols(), d, seed)
+}
+
+/// Serve a pre-collected batch through the one entry point: blocking
+/// admission sized to the batch, every response collected and sorted by
+/// global submission number. A send the queue refuses (unknown or retired
+/// engine) produces no response; it is counted in `report.rejected`.
+fn serve_all(
+    server: &SpmmServer<'_, f32>,
+    requests: Vec<ServerRequest<f32>>,
+) -> (Vec<ServerResponse<f32>>, ServerReport) {
+    let options = ServeOptions::new(AdmissionPolicy::blocking(requests.len().max(1)));
+    serve_all_with(server, options, requests)
+}
+
+/// [`serve_all`] under explicit `options`.
+fn serve_all_with(
+    server: &SpmmServer<'_, f32>,
+    options: ServeOptions,
+    requests: Vec<ServerRequest<f32>>,
+) -> (Vec<ServerResponse<f32>>, ServerReport) {
+    let mut responses = Vec::with_capacity(requests.len());
+    let (report, ()) = server
+        .serve_controlled(
+            options,
+            move |sender| {
+                for request in requests {
+                    let _ = sender.send_request(request);
+                }
+            },
+            |response| responses.push(response),
+        )
+        .unwrap();
+    responses.sort_by_key(|r| r.request());
+    (responses, report)
 }
 
 #[test]
@@ -98,7 +134,7 @@ fn mixed_stream_matches_per_engine_sequential_execution() {
         .map(|r| engines[r.engine].execute(&r.input).unwrap().0.into_dense())
         .collect();
     let server = SpmmServer::new(engines).unwrap();
-    let (responses, report) = server.serve_batch(0, requests).unwrap();
+    let (responses, report) = serve_all(&server, requests);
     assert_eq!(responses.len(), expected.len());
     assert_eq!(report.requests, expected.len());
     assert_eq!(report.per_engine.len(), 3);
@@ -121,7 +157,7 @@ fn mixed_stream_matches_per_engine_sequential_execution() {
 }
 
 #[test]
-fn serve_stream_routes_cross_thread_producers() {
+fn serve_controlled_routes_cross_thread_producers() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -139,18 +175,24 @@ fn serve_stream_routes_cross_thread_producers() {
     let server = SpmmServer::new(engines).unwrap();
     let ms_ref = &ms;
     let dims_ref = &dims;
-    let (responses, report, produced) = server
-        .serve_stream(0, 3, move |sender| {
-            let mut sent = 0usize;
-            for i in 0..10usize {
-                let e = i % dims_ref.len();
-                if sender.send(e, input_for(&ms_ref[e], dims_ref[e], 800 + i as u64)).is_ok() {
-                    sent += 1;
+    let mut responses = Vec::new();
+    let (report, produced) = server
+        .serve_controlled(
+            ServeOptions::new(AdmissionPolicy::blocking(3)),
+            move |sender| {
+                let mut sent = 0usize;
+                for i in 0..10usize {
+                    let e = i % dims_ref.len();
+                    if sender.send(e, input_for(&ms_ref[e], dims_ref[e], 800 + i as u64)).is_ok() {
+                        sent += 1;
+                    }
                 }
-            }
-            sent
-        })
+                sent
+            },
+            |response| responses.push(response),
+        )
         .unwrap();
+    responses.sort_by_key(|r| r.request());
     assert_eq!(produced, 10);
     assert_eq!(report.requests, 10);
     assert_eq!(responses.len(), 10);
@@ -171,99 +213,33 @@ fn session_validates_before_touching_engine_state() {
     let engines = build_engines(&pool, &ms);
     let d0 = engines[0].d();
     let server = SpmmServer::new(engines).unwrap();
-    server.pool().clone().scope(|scope| {
-        let mut session = server.session(scope, 2).unwrap();
-        // Unknown engine id: refused, nothing submitted.
-        assert!(matches!(
-            session.submit(7, input_for(&ms[0], d0, 1)).unwrap_err(),
-            JitSpmmError::UnknownEngine { requested: 7, engines: 3 }
-        ));
-        // Wrong shape for engine 0: refused, session unharmed.
-        assert!(matches!(
-            session.submit(0, DenseMatrix::<f32>::zeros(5, 5)).unwrap_err(),
-            JitSpmmError::ShapeMismatch(_)
-        ));
-        assert_eq!(session.submitted(), 0);
-        // The session still serves fine afterwards.
-        let good = input_for(&ms[0], d0, 2);
-        let expected = server.single(0).unwrap().matrix().spmm_reference(&good);
-        session.submit(0, good).unwrap();
-        let (rest, report) = session.finish();
-        assert_eq!(rest.len(), 1);
-        assert_eq!(report.requests, 1);
-        assert!(rest[0].output().approx_eq(&expected, 1e-4));
-    });
-}
-
-#[test]
-fn serve_batch_rejects_malformed_requests_up_front() {
-    if !host_ok() {
-        eprintln!("skipping: host lacks AVX/FMA");
-        return;
-    }
-    let ms = matrices();
-    let pool = WorkerPool::new(2);
-    let engines = build_engines(&pool, &ms);
-    let d0 = engines[0].d();
-    let server = SpmmServer::new(engines).unwrap();
-    // A wrong-shape request mid-batch fails the whole call, naming the
-    // request, before anything launches.
-    let requests = vec![
-        ServerRequest::new(0, input_for(&ms[0], d0, 1)),
-        ServerRequest::new(0, DenseMatrix::<f32>::zeros(3, 3)),
-    ];
-    match server.serve_batch(0, requests).unwrap_err() {
-        JitSpmmError::ShapeMismatch(msg) => {
-            assert!(msg.contains("request 1"), "should name the request: {msg}")
-        }
-        other => panic!("expected ShapeMismatch, got {other:?}"),
-    }
-    // An unknown engine id likewise.
-    let requests = vec![ServerRequest::new(9, input_for(&ms[0], d0, 1))];
-    assert!(matches!(
-        server.serve_batch(0, requests).unwrap_err(),
-        JitSpmmError::UnknownEngine { requested: 9, engines: 3 }
-    ));
-    // And the server still works.
-    let good = vec![ServerRequest::new(0, input_for(&ms[0], d0, 2))];
-    let (responses, _) = server.serve_batch(0, good).unwrap();
-    assert_eq!(responses.len(), 1);
-}
-
-#[test]
-fn serve_stream_error_unblocks_producers() {
-    if !host_ok() {
-        eprintln!("skipping: host lacks AVX/FMA");
-        return;
-    }
-    let ms = matrices();
-    let pool = WorkerPool::new(2);
-    let engines = build_engines(&pool, &ms);
-    let d0 = engines[0].d();
-    let server = SpmmServer::new(engines).unwrap();
+    let good = input_for(&ms[0], d0, 2);
+    let expected = ms[0].spmm_reference(&good);
     let ms_ref = &ms;
-    // The second request is malformed; the producer keeps trying to send
-    // on a tiny queue and must terminate (sends returning false) instead
-    // of deadlocking against an aborted serving loop.
-    let result = server.serve_stream(0, 1, move |sender| {
-        let mut refused = 0usize;
-        for i in 0..50usize {
-            let input = if i == 1 {
-                DenseMatrix::<f32>::zeros(2, 2)
-            } else {
-                input_for(&ms_ref[0], d0, i as u64)
-            };
-            if sender.send(0, input).is_err() {
-                refused += 1;
-            }
-        }
-        refused
-    });
-    assert!(matches!(result.unwrap_err(), JitSpmmError::ShapeMismatch(_)));
-    // The engines remain usable.
-    let x = input_for(&ms[0], d0, 99);
-    let (y, _) = server.single(0).unwrap().execute(&x).unwrap();
-    assert!(y.approx_eq(&ms[0].spmm_reference(&x), 1e-4));
+    let mut responses = Vec::new();
+    let (report, ()) = server
+        .serve_controlled(
+            ServeOptions::default().with_depth(2),
+            move |sender| {
+                // Unknown engine id: refused at the queue, nothing submitted.
+                assert_eq!(
+                    sender.send(7, input_for(&ms_ref[0], d0, 1)),
+                    Err(SendError::Rejected(RejectReason::UnknownEngine))
+                );
+                // Wrong shape for engine 0: admitted, then failed at routing
+                // time; the session is unharmed and serves the next request.
+                sender.send(0, DenseMatrix::<f32>::zeros(5, 5)).unwrap();
+                sender.send(0, good).unwrap();
+            },
+            |response| responses.push(response),
+        )
+        .unwrap();
+    responses.sort_by_key(|r| r.request());
+    assert_eq!(responses.len(), 2);
+    assert!(responses[0].failure().is_some_and(|m| m.contains("5x5")), "{:?}", responses[0]);
+    assert!(responses[1].output().approx_eq(&expected, 1e-4));
+    assert_eq!(responses[1].index(), 0, "the failed request never reached the engine");
+    assert_eq!((report.requests, report.failed, report.rejected), (1, 1, 1));
 }
 
 #[test]
@@ -282,7 +258,8 @@ fn single_engine_server_is_just_a_batch() {
     let server = SpmmServer::new(vec![engine]).unwrap();
     let requests: Vec<ServerRequest<f32>> =
         inputs.into_iter().map(|input| ServerRequest::new(0, input)).collect();
-    let (responses, report) = server.serve_batch(2, requests).unwrap();
+    let (responses, report) =
+        serve_all_with(&server, ServeOptions::default().with_depth(2), requests);
     assert_eq!(report.requests, 5);
     assert!(report.throughput() >= 0.0);
     for (response, expected) in responses.iter().zip(&expected) {
@@ -336,7 +313,7 @@ fn sharded_engine_serves_behind_one_logical_id() {
             ServerRequest::new(engine, input)
         })
         .collect();
-    let (responses, report) = server.serve_batch(0, requests).unwrap();
+    let (responses, report) = serve_all(&server, requests);
     assert_eq!(responses.len(), 8);
     assert_eq!(report.per_engine.len(), 2);
     assert_eq!(report.per_engine[0].inputs, 4);
@@ -358,16 +335,17 @@ fn sharded_engine_serves_behind_one_logical_id() {
     // Validation covers the sharded id space: bad shapes and unknown ids
     // are refused before any launch.
     let bad = vec![ServerRequest::new(sharded_id, DenseMatrix::zeros(3, 3))];
-    assert!(matches!(server.serve_batch(0, bad).unwrap_err(), JitSpmmError::ShapeMismatch(_)));
+    let (responses, report) = serve_all(&server, bad);
+    assert!(responses[0].failure().is_some_and(|m| m.contains("3x3")), "{:?}", responses[0]);
+    assert_eq!((report.requests, report.failed), (0, 1));
     let unknown = vec![ServerRequest::new(2, input_for(&big, 8, 1))];
-    assert!(matches!(
-        server.serve_batch(0, unknown).unwrap_err(),
-        JitSpmmError::UnknownEngine { requested: 2, engines: 2 }
-    ));
+    let (responses, report) = serve_all(&server, unknown);
+    assert!(responses.is_empty());
+    assert_eq!((report.requests, report.rejected), (0, 1));
 }
 
 #[test]
-fn serve_stream_with_hands_responses_to_the_consumer() {
+fn serve_controlled_hands_responses_to_the_consumer() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -386,9 +364,8 @@ fn serve_stream_with_hands_responses_to_the_consumer() {
     let (ms_ref, dims_ref) = (&ms, &dims);
     let mut streamed = Vec::new();
     let (report, produced) = server
-        .serve_stream_with(
-            0,
-            3,
+        .serve_controlled(
+            ServeOptions::new(AdmissionPolicy::blocking(3)),
             move |sender| {
                 let mut sent = 0usize;
                 for i in 0..9usize {
@@ -405,8 +382,14 @@ fn serve_stream_with_hands_responses_to_the_consumer() {
     assert_eq!(produced, 9);
     assert_eq!(report.requests, 9);
     assert_eq!(streamed.len(), 9);
-    // Responses arrive in per-engine submission order; re-sequence by the
-    // global submission number to compare against the references.
+    // Responses arrive in per-engine submission order, as they complete...
+    for e in 0..dims.len() {
+        let indices: Vec<usize> =
+            streamed.iter().filter(|r| r.engine() == e).map(|r| r.index()).collect();
+        assert_eq!(indices, (0..3).collect::<Vec<_>>(), "engine {e} streamed out of order");
+    }
+    // ...so re-sequence by the global submission number to compare against
+    // the references.
     streamed.sort_by_key(|r| r.request());
     for (i, response) in streamed.iter().enumerate() {
         assert_eq!(response.request(), i);
@@ -437,9 +420,8 @@ fn panicking_consumer_still_closes_the_queue() {
     // blocking forever) and then propagate. The test completing at all is
     // the no-deadlock assertion.
     let result = catch_unwind(AssertUnwindSafe(|| {
-        server.serve_stream_with(
-            0,
-            1,
+        server.serve_controlled(
+            ServeOptions::new(AdmissionPolicy::blocking(1)),
             move |sender| {
                 let mut refused = 0usize;
                 for i in 0..50usize {

@@ -5,7 +5,7 @@
 use crate::engine::{ExecutionHandle, JitSpmm, JitSpmmBuilder};
 use crate::error::JitSpmmError;
 use crate::runtime::dispatch::BufferPool;
-use crate::runtime::{JobSpec, NumaTopology, PoolScope, PooledMatrix, WorkerPool};
+use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
 use crate::schedule::Strategy;
 use crate::shard::plan::ShardPlan;
 use crate::shard::report::{merge_input_reports, single_launch_report, ShardReport};
@@ -85,29 +85,12 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         d: usize,
         pool: WorkerPool,
     ) -> Result<ShardedSpmm<'a, T>, JitSpmmError> {
-        ShardedSpmm::compile_with(plan, d, pool, None)
-    }
-
-    /// [`ShardedSpmm::compile`] with explicit NUMA placement: `Some(node)`
-    /// pins every shard engine's soft NUMA hint to `node`, overriding the
-    /// automatic contiguous spread across detected nodes. For servers that
-    /// place sharded engines by hand.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedSpmm::compile`].
-    pub fn compile_with(
-        plan: &'a ShardPlan<T>,
-        d: usize,
-        pool: WorkerPool,
-        numa_node: Option<usize>,
-    ) -> Result<ShardedSpmm<'a, T>, JitSpmmError> {
         let donors = vec![None; plan.shards().len()];
         let output_pool = Arc::new(BufferPool::new());
-        ShardedSpmm::compile_with_reuse(plan, d, pool, numa_node, &donors, output_pool)
+        ShardedSpmm::compile_with_reuse(plan, d, pool, &donors, output_pool)
     }
 
-    /// [`ShardedSpmm::compile_with`] for the incremental-update path
+    /// [`ShardedSpmm::compile`] for the incremental-update path
     /// ([`crate::update`]): shard `k` with `donors[k] == Some(engine)` is
     /// **adopted** — its compiled core is shared pointer-identically from
     /// the donor ([`JitSpmm::adopt`]) instead of recompiled. Shards with
@@ -123,44 +106,26 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     ///
     /// # Errors
     ///
-    /// As [`ShardedSpmm::compile_with`], for the freshly compiled shards.
+    /// As [`ShardedSpmm::compile`], for the freshly compiled shards.
     pub(crate) fn compile_with_reuse(
         plan: &'a ShardPlan<T>,
         d: usize,
         pool: WorkerPool,
-        numa_node: Option<usize>,
         donors: &[Option<&JitSpmm<'_, T>>],
         output_pool: Arc<BufferPool<T>>,
     ) -> Result<ShardedSpmm<'a, T>, JitSpmmError> {
         debug_assert_eq!(donors.len(), plan.shards().len());
-        // On a multi-node host, spread shards contiguously across NUMA nodes
-        // (shard k of K prefers node k*N/K): shards are row-contiguous, so
-        // contiguous assignment keeps each node's workers walking one
-        // locality-coherent slice of the matrix. A soft hint only — claiming
-        // stays work-conserving — and absent entirely on single-node hosts.
-        // An explicit `numa_node` overrides the spread.
-        let topology = NumaTopology::detect();
-        let nodes = topology.is_multi_node().then(|| topology.num_nodes());
-        let shard_count = plan.shards().len();
         let engines: Vec<JitSpmm<'a, T>> = plan
             .shards()
             .iter()
             .zip(donors)
-            .enumerate()
-            .map(|(k, (spec, donor))| {
-                if let Some(donor) = donor {
-                    return Ok(JitSpmm::adopt(donor, &spec.matrix));
-                }
-                let mut builder = JitSpmmBuilder::new()
+            .map(|(spec, donor)| match donor {
+                Some(donor) => Ok(JitSpmm::adopt(donor, &spec.matrix)),
+                None => JitSpmmBuilder::new()
                     .pool(pool.clone())
                     .threads(plan.lanes())
-                    .strategy(spec.strategy);
-                if let Some(node) = numa_node {
-                    builder = builder.numa_node(node);
-                } else if let Some(n) = nodes {
-                    builder = builder.numa_node(k * n / shard_count.max(1));
-                }
-                builder.build(&spec.matrix, d)
+                    .strategy(spec.strategy)
+                    .build(&spec.matrix, d),
             })
             .collect::<Result<_, _>>()?;
         // The one-pool invariant (the disjoint-lane overlap only holds
@@ -203,15 +168,6 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     /// The worker pool every shard executes on.
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
-    }
-
-    /// Re-pin every shard engine's soft NUMA placement hint to `node` (see
-    /// [`JitSpmm::place_on_node`]); `None` clears the hints and with them
-    /// the first-touch output placement.
-    pub fn place_on_node(&mut self, node: Option<usize>) {
-        for engine in &mut self.engines {
-            engine.place_on_node(node);
-        }
     }
 
     /// Compute `Y = A * X` by launching every shard as an overlapped,
@@ -381,67 +337,12 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     }
 
     /// A full-height (`plan.nrows() x d`) output borrowed from the sharded
-    /// engine's own buffer pool. Freshly allocated buffers get first-touch
-    /// NUMA placement (see [`ShardedSpmm::place_output_rows`]); recycled
-    /// buffers keep the placement their first touch established.
+    /// engine's own buffer pool.
     pub(crate) fn acquire_output(&self) -> PooledMatrix<T> {
-        let (matrix, fresh) = self.output_pool.acquire_tracked(self.plan.nrows(), self.d);
-        let mut y = PooledMatrix::new(matrix, Arc::clone(&self.output_pool));
-        if fresh {
-            self.place_output_rows(&mut y);
-        }
-        y
-    }
-
-    /// First-touch placement of a freshly allocated full-height output: each
-    /// shard's row range is zero-written by a pool job preferring that
-    /// shard's node, so the backing pages fault in on the memory node whose
-    /// workers will write (and whose CSR slice feeds) those rows. Runs only
-    /// when the shard engines carry node hints — i.e. on multi-node hosts —
-    /// and only once per buffer. Best-effort by design: claiming stays
-    /// work-conserving, so under load a range may be touched from another
-    /// node; that costs remote-access latency on those pages, never
-    /// correctness.
-    fn place_output_rows(&self, y: &mut PooledMatrix<T>) {
-        if self.engines.iter().all(|e| e.numa_node().is_none()) {
-            return;
-        }
-        let base = y.as_mut_ptr() as usize;
-        let d = self.d;
-        let handles: Vec<_> = self
-            .plan
-            .shards()
-            .iter()
-            .zip(&self.engines)
-            .map(|(spec, engine)| {
-                let rows = spec.rows;
-                let touch = move |_lane: usize| {
-                    // SAFETY: `base` points at the start of the full
-                    // `nrows x d` output, which the caller holds (mutably
-                    // borrowed) across the joins below; shard row ranges lie
-                    // inside `0..nrows` and are pairwise disjoint, so no two
-                    // touch jobs alias.
-                    let slice = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            (base as *mut T).add(rows.start * d),
-                            rows.len() * d,
-                        )
-                    };
-                    slice.fill(T::ZERO);
-                };
-                self.pool.submit(JobSpec::new(1).prefer_node(engine.numa_node()), touch)
-            })
-            .collect();
-        for handle in handles {
-            handle.wait();
-        }
-    }
-
-    /// Grow the retained full-height output bound, as
-    /// [`JitSpmm`]'s internal reserve does — the serving router calls this
-    /// so repeated serving rounds recycle all their outputs.
-    pub(crate) fn reserve_outputs(&self, outstanding: usize) {
-        self.output_pool.reserve(outstanding);
+        PooledMatrix::new(
+            self.output_pool.acquire(self.plan.nrows(), self.d),
+            Arc::clone(&self.output_pool),
+        )
     }
 
     /// The strategy of the heaviest shard (by non-zeros) — the plan-level

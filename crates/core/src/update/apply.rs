@@ -115,7 +115,6 @@ impl<T: Scalar> MutableSpmm<T> {
                 revision,
                 self.d,
                 self.pool.clone(),
-                self.numa_node,
                 &[],
                 Some(&current.engine),
             )?
@@ -134,7 +133,6 @@ impl<T: Scalar> MutableSpmm<T> {
                 revision,
                 self.d,
                 self.pool.clone(),
-                self.numa_node,
                 &donors,
                 Some(&current.engine),
             )?

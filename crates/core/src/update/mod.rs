@@ -93,7 +93,6 @@ impl<T: Scalar> Generation<T> {
         revision: u64,
         d: usize,
         pool: WorkerPool,
-        numa_node: Option<usize>,
         donors: &[Option<&JitSpmm<'_, T>>],
         output_pool: Option<&ShardedSpmm<'_, T>>,
     ) -> Result<Arc<Generation<T>>, JitSpmmError> {
@@ -106,16 +105,9 @@ impl<T: Scalar> Generation<T> {
             Some(previous) => {
                 let fresh: Vec<Option<&JitSpmm<'_, T>>> =
                     if donors.is_empty() { vec![None; plan.len()] } else { donors.to_vec() };
-                ShardedSpmm::compile_with_reuse(
-                    plan_ref,
-                    d,
-                    pool,
-                    numa_node,
-                    &fresh,
-                    previous.output_pool(),
-                )?
+                ShardedSpmm::compile_with_reuse(plan_ref, d, pool, &fresh, previous.output_pool())?
             }
-            None => ShardedSpmm::compile_with(plan_ref, d, pool, numa_node)?,
+            None => ShardedSpmm::compile(plan_ref, d, pool)?,
         };
         Ok(Arc::new(Generation { engine, plan, revision }))
     }
@@ -158,9 +150,6 @@ pub struct MutableSpmm<T: Scalar> {
     generations: RwLock<Vec<Arc<Generation<T>>>>,
     pool: WorkerPool,
     d: usize,
-    /// Explicit NUMA placement every generation compiles with (see
-    /// [`ShardedSpmm::compile_with`]).
-    numa_node: Option<usize>,
     /// The shard count originally requested — a full re-plan re-cuts to it.
     shard_request: usize,
     nrows: usize,
@@ -195,30 +184,12 @@ impl<T: Scalar> MutableSpmm<T> {
         d: usize,
         pool: WorkerPool,
     ) -> Result<MutableSpmm<T>, JitSpmmError> {
-        MutableSpmm::compile_with(matrix, shards, lanes, d, pool, None)
-    }
-
-    /// [`MutableSpmm::compile`] with explicit NUMA placement, applied to
-    /// every generation (see [`ShardedSpmm::compile_with`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`MutableSpmm::compile`].
-    pub fn compile_with(
-        matrix: &CsrMatrix<T>,
-        shards: usize,
-        lanes: usize,
-        d: usize,
-        pool: WorkerPool,
-        numa_node: Option<usize>,
-    ) -> Result<MutableSpmm<T>, JitSpmmError> {
         let plan = plan_shards(matrix, shards, lanes)?;
-        let generation = Generation::compile(plan, 0, d, pool.clone(), numa_node, &[], None)?;
+        let generation = Generation::compile(plan, 0, d, pool.clone(), &[], None)?;
         Ok(MutableSpmm {
             generations: RwLock::new(vec![generation]),
             pool,
             d,
-            numa_node,
             shard_request: shards,
             nrows: matrix.nrows(),
             ncols: matrix.ncols(),
@@ -440,12 +411,6 @@ impl<T: Scalar> MutableSpmm<T> {
             )));
         }
         Ok(())
-    }
-
-    /// Grow the retained full-height output bound of the current
-    /// generation's pool (shared across generations by the update path).
-    pub(crate) fn reserve_outputs(&self, outstanding: usize) {
-        self.with_current(|g| g.engine.reserve_outputs(outstanding));
     }
 
     /// The heaviest current shard's strategy, for merged serving reports.

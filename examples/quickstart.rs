@@ -129,21 +129,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         JitSpmmBuilder::new().pool(serve_pool.clone()).threads(1).build(&small_b, 8)?,
     ])?;
     let cols = (small_a.ncols(), small_b.ncols());
-    let (responses, report, sent) = server.serve_stream(0, 4, move |sender| {
-        let mut sent = 0usize;
-        for i in 0..10u64 {
-            let engine = (i % 2) as usize;
-            let input = if engine == 0 {
-                DenseMatrix::random(cols.0, 16, 200 + i)
-            } else {
-                DenseMatrix::random(cols.1, 8, 300 + i)
-            };
-            if sender.send(engine, input).is_ok() {
-                sent += 1;
+    let mut responses = Vec::new();
+    let (report, sent) = server.serve_controlled(
+        ServeOptions::new(AdmissionPolicy::blocking(4)),
+        move |sender| {
+            let mut sent = 0usize;
+            for i in 0..10u64 {
+                let engine = (i % 2) as usize;
+                let input = if engine == 0 {
+                    DenseMatrix::random(cols.0, 16, 200 + i)
+                } else {
+                    DenseMatrix::random(cols.1, 8, 300 + i)
+                };
+                if sender.send(engine, input).is_ok() {
+                    sent += 1;
+                }
             }
-        }
-        sent
-    })?;
+            sent
+        },
+        |response| responses.push(response),
+    )?;
     println!(
         "mixed serving: {} of {sent} requests over {} engines in {:?} ({:.0} req/s; \
          kernel p99 per engine: {:?} / {:?})",
@@ -154,11 +159,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.per_engine[0].kernel_p99,
         report.per_engine[1].kernel_p99,
     );
+    let mut next_index = [0usize; 2];
     for r in &responses {
         let m = server.single(r.engine()).expect("both engines are single").matrix();
         assert_eq!(r.output().nrows(), m.nrows());
+        // Each engine's responses stream out in its submission order.
+        assert_eq!(r.index(), next_index[r.engine()]);
+        next_index[r.engine()] += 1;
     }
     println!("all {} routed responses verified for shape and order", responses.len());
+    drop(responses);
 
     // 8. Sharded execution: split a huge matrix into nnz-balanced row
     //    shards, compile one engine per shard — each with a strategy picked
@@ -243,10 +253,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "engine 1 retired ({:?}); server drained and still serving engine 0",
         server.engine_status(1).unwrap()
     );
-    let (responses, _, _) = server.serve_stream(0, 4, move |sender| {
-        sender.send(0, DenseMatrix::random(cols.0, 16, 999)).expect("engine 0 still serves");
-    })?;
-    assert_eq!(responses.len(), 1);
+    let (after, ()) = server.serve_controlled(
+        ServeOptions::new(AdmissionPolicy::blocking(4)),
+        move |sender| {
+            sender.send(0, DenseMatrix::random(cols.0, 16, 999)).expect("engine 0 still serves");
+        },
+        |response| assert!(response.is_completed()),
+    )?;
+    assert_eq!(after.requests, 1);
     println!("post-retirement request on engine 0 verified");
 
     // 11. Mutate a served matrix live: register a *mutable* engine, serve

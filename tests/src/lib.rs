@@ -1,10 +1,14 @@
 //! Shared fixtures for the cross-crate integration tests.
 //!
 //! The actual tests live in `tests/tests/*.rs`; this small library holds the
-//! helpers they share (host capability checks and standard test matrices).
+//! helpers they share (host capability checks, standard test matrices and
+//! the collect-everything serving driver).
 
+use jitspmm::serve::{
+    AdmissionPolicy, ServeOptions, ServerReport, ServerRequest, ServerResponse, SpmmServer,
+};
 use jitspmm::CpuFeatures;
-use jitspmm_sparse::{generate, CsrMatrix};
+use jitspmm_sparse::{generate, CsrMatrix, Scalar};
 
 /// Whether the host can run the JIT kernels (AVX + FMA at minimum).
 pub fn host_supports_jit() -> bool {
@@ -40,6 +44,49 @@ pub fn pathological() -> CsrMatrix<f32> {
     // Last row has exactly one entry in the last column.
     triplets.push((199, 199, 2.0));
     CsrMatrix::from_triplets(200, 200, &triplets).unwrap()
+}
+
+/// Serve a pre-collected request batch through
+/// [`SpmmServer::serve_controlled`] and collect every response: blocking
+/// admission sized to the batch (nothing is shed for lack of room), auto
+/// pipeline depth, responses sorted by [`ServerResponse::request`]. A send
+/// the queue refuses outright (unknown or retired engine) produces no
+/// response and takes no sequence number; it is counted in
+/// [`ServerReport::rejected`].
+///
+/// # Panics
+///
+/// If the serve itself errors (the calling thread already holds a launch of
+/// one of the server's engines).
+pub fn serve_all<T: Scalar>(
+    server: &SpmmServer<'_, T>,
+    requests: Vec<ServerRequest<T>>,
+) -> (Vec<ServerResponse<T>>, ServerReport) {
+    let options = ServeOptions::new(AdmissionPolicy::blocking(requests.len().max(1)));
+    serve_all_with(server, options, requests)
+}
+
+/// [`serve_all`] under explicit `options` (a forced pipeline depth, a
+/// tighter queue bound).
+pub fn serve_all_with<T: Scalar>(
+    server: &SpmmServer<'_, T>,
+    options: ServeOptions,
+    requests: Vec<ServerRequest<T>>,
+) -> (Vec<ServerResponse<T>>, ServerReport) {
+    let mut responses = Vec::with_capacity(requests.len());
+    let (report, ()) = server
+        .serve_controlled(
+            options,
+            move |sender| {
+                for request in requests {
+                    let _ = sender.send_request(request);
+                }
+            },
+            |response| responses.push(response),
+        )
+        .expect("the serving loop opens its session");
+    responses.sort_by_key(|r| r.request());
+    (responses, report)
 }
 
 #[cfg(test)]

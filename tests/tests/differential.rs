@@ -16,10 +16,10 @@
 //! at least the 20 combinations the runtime milestone calls for.
 
 use jitspmm::baseline::{scalar, vectorized};
-use jitspmm::serve::{ServerRequest, SpmmServer};
+use jitspmm::serve::{ServeOptions, ServerRequest, SpmmServer};
 use jitspmm::shard::{plan_shards, ShardedSpmm};
 use jitspmm::{JitSpmmBuilder, JitSpmmError, JobSpec, Strategy, WorkerPool};
-use jitspmm_integration_tests::host_supports_jit;
+use jitspmm_integration_tests::{host_supports_jit, serve_all, serve_all_with};
 use jitspmm_sparse::{generate, CsrMatrix, DenseMatrix};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -526,7 +526,7 @@ fn differential_matrix_mixed_engine_serving() {
             let anchors = scalar::spmm_scalar_serve_mixed(&matrices, &anchor_requests);
 
             let server = SpmmServer::new(engines).unwrap();
-            let (responses, report) = server.serve_batch(0, requests).unwrap();
+            let (responses, report) = serve_all(&server, requests);
             assert_eq!(responses.len(), total);
             assert_eq!(report.requests, total);
             for (g, response) in responses.iter().enumerate() {
@@ -600,10 +600,13 @@ fn mixed_engine_serving_in_single_threaded_mode_is_deterministic() {
             })
             .collect()
     };
-    let server1 = build();
-    let (first, _) = server1.serve_batch(2, requests(&server1)).unwrap();
-    let server2 = build();
-    let (second, _) = server2.serve_batch(2, requests(&server2)).unwrap();
+    // Depth 2 forces the queue pipeline even where auto depth would take
+    // the sequential fast path.
+    let serve = |server: &SpmmServer<'_, f32>| {
+        serve_all_with(server, ServeOptions::default().with_depth(2), requests(server)).0
+    };
+    let first = serve(&build());
+    let second = serve(&build());
     assert_eq!(first.len(), second.len());
     for (r1, r2) in first.iter().zip(&second) {
         assert_eq!(r1.engine(), r2.engine());

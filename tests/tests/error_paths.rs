@@ -2,14 +2,15 @@
 //!
 //! The contract under test: malformed user input — wrong shapes, unknown
 //! engine ids, zero column counts — is answered with a typed
-//! [`JitSpmmError`] *before* the entry point touches the engine's launch
-//! lock or buffer pool. No entry point may panic on user input, and after
-//! any rejected call the engine (or server) must serve a well-formed request
+//! [`JitSpmmError`] (or, behind the server, a typed rejection or failed
+//! response) *before* the entry point touches the engine's launch lock or
+//! buffer pool. No entry point may panic on user input, and after any
+//! rejected call the engine (or server) must serve a well-formed request
 //! exactly as if the bad one had never happened.
 
-use jitspmm::serve::{ServerRequest, SpmmServer};
+use jitspmm::serve::{RejectReason, SendError, ServeOptions, ServerRequest, SpmmServer};
 use jitspmm::{JitSpmm, JitSpmmBuilder, JitSpmmError, SpmmOptions, WorkerPool};
-use jitspmm_integration_tests::host_supports_jit;
+use jitspmm_integration_tests::{host_supports_jit, serve_all};
 use jitspmm_sparse::{generate, CsrMatrix, DenseMatrix};
 
 /// The classes of malformed input every entry point must reject.
@@ -55,13 +56,6 @@ fn entry_points() -> Vec<EntryPoint> {
             },
         },
         EntryPoint {
-            name: "execute_into_spawning",
-            run: |engine, x| {
-                let mut y = DenseMatrix::zeros(engine.matrix().nrows(), engine.d());
-                engine.execute_into_spawning(&x, &mut y).map(drop)
-            },
-        },
-        EntryPoint {
             name: "execute_single_thread",
             run: |engine, x| {
                 let mut y = DenseMatrix::zeros(engine.matrix().nrows(), engine.d());
@@ -97,35 +91,6 @@ fn entry_points() -> Vec<EntryPoint> {
                 })
             },
         },
-        EntryPoint {
-            name: "server submit",
-            run: |engine, x| {
-                // A single-engine server wrapped around a compatible spare
-                // engine: route the bad input through the serving layer.
-                let server_engine = JitSpmmBuilder::new()
-                    .pool(engine.pool().clone())
-                    .threads(1)
-                    .build(engine.matrix(), engine.d())
-                    .expect("compiling the server's engine");
-                let server = SpmmServer::new(vec![server_engine]).expect("building the server");
-                server.pool().clone().scope(|scope| {
-                    let mut session = server.session(scope, 2)?;
-                    session.submit(0, x).map(drop)
-                })
-            },
-        },
-        EntryPoint {
-            name: "server serve_batch",
-            run: |engine, x| {
-                let server_engine = JitSpmmBuilder::new()
-                    .pool(engine.pool().clone())
-                    .threads(1)
-                    .build(engine.matrix(), engine.d())
-                    .expect("compiling the server's engine");
-                let server = SpmmServer::new(vec![server_engine]).expect("building the server");
-                server.serve_batch(0, vec![ServerRequest::new(0, x)]).map(drop)
-            },
-        },
     ]
 }
 
@@ -158,6 +123,21 @@ fn every_entry_point_rejects_malformed_shapes_and_stays_usable() {
                 .unwrap_or_else(|e| panic!("{} left the engine unusable: {e}", entry.name));
             assert!(y.approx_eq(&expected, 1e-4), "{} corrupted the engine's results", entry.name);
         }
+    }
+
+    // Behind the server the same inputs are admitted and then failed at
+    // routing time with the ShapeMismatch text — the serving loop itself
+    // does not error — and the well-formed request queued behind each is
+    // served as if the bad one had never happened.
+    let server = SpmmServer::new(vec![engine]).unwrap();
+    for bad in BadInput::all() {
+        let requests =
+            vec![ServerRequest::new(0, bad.build(&a, d)), ServerRequest::new(0, good.clone())];
+        let (responses, report) = serve_all(&server, requests);
+        assert_eq!((report.requests, report.failed), (1, 1), "{bad:?}");
+        let message = responses[0].failure().expect("the malformed request fails");
+        assert!(message.starts_with("shape mismatch"), "{bad:?}: {message}");
+        assert!(responses[1].output().approx_eq(&expected, 1e-4), "{bad:?} corrupted the server");
     }
 }
 
@@ -193,28 +173,26 @@ fn server_rejects_unknown_engine_ids_everywhere() {
     let engine = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&a, 4).unwrap();
     let server = SpmmServer::new(vec![engine]).unwrap();
     let input = || DenseMatrix::<f32>::random(40, 4, 9);
-    // serve_batch: validated up front.
-    assert!(matches!(
-        server.serve_batch(0, vec![ServerRequest::new(3, input())]).unwrap_err(),
-        JitSpmmError::UnknownEngine { requested: 3, engines: 1 }
-    ));
-    // session submit: validated per request.
-    server.pool().clone().scope(|scope| {
-        let mut session = server.session(scope, 0).unwrap();
-        assert!(matches!(
-            session.submit(1, input()).unwrap_err(),
-            JitSpmmError::UnknownEngine { requested: 1, engines: 1 }
-        ));
-        // A good request still goes through afterwards.
-        assert!(session.submit(0, input()).is_ok());
-        let (rest, report) = session.finish();
-        assert_eq!(rest.len(), 1);
-        assert_eq!(report.requests, 1);
-    });
-    // serve_stream: the error aborts the serve without wedging producers.
-    let result = server.serve_stream(0, 1, |sender| {
-        let _ = sender.send(5, input());
-        let _ = sender.send(5, input());
-    });
-    assert!(matches!(result.unwrap_err(), JitSpmmError::UnknownEngine { .. }));
+    // The queue refuses the send with a typed reason; nothing reaches the
+    // router, the serve does not abort, and a good request sent afterwards
+    // still goes through.
+    let mut responses = Vec::new();
+    let (report, ()) = server
+        .serve_controlled(
+            ServeOptions::default(),
+            |sender| {
+                for id in [3, 1] {
+                    assert_eq!(
+                        sender.send(id, input()),
+                        Err(SendError::Rejected(RejectReason::UnknownEngine))
+                    );
+                }
+                sender.send(0, input()).unwrap();
+            },
+            |response| responses.push(response),
+        )
+        .unwrap();
+    assert_eq!(responses.len(), 1);
+    assert!(responses[0].is_completed());
+    assert_eq!((report.requests, report.rejected), (1, 2));
 }

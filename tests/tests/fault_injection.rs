@@ -18,7 +18,7 @@ use jitspmm::serve::{
     fault, AdmissionPolicy, RejectReason, ServeOptions, ServerRequest, SpmmServer,
 };
 use jitspmm::{JitSpmmBuilder, WorkerPool};
-use jitspmm_integration_tests::{host_supports_jit, small_skewed, small_uniform};
+use jitspmm_integration_tests::{host_supports_jit, serve_all, small_skewed, small_uniform};
 use jitspmm_sparse::DenseMatrix;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -115,7 +115,7 @@ fn a_kernel_panic_fails_only_its_request() {
         ServerRequest::new(0, DenseMatrix::random(UNIFORM_COLS, D, 30)),
         ServerRequest::new(1, DenseMatrix::random(SKEWED_COLS, D, 31)),
     ];
-    let (responses, report) = server.serve_batch(2, reuse).unwrap();
+    let (responses, report) = serve_all(&server, reuse);
     assert_eq!(report.requests, 2);
     assert!(responses.iter().all(|r| r.is_completed()), "both engines serve again after the fault");
 }
@@ -271,7 +271,7 @@ fn a_shard_panic_poisons_only_that_sharded_lane() {
     let x = DenseMatrix::random(UNIFORM_COLS, D, 70);
     let direct = server.sharded(1).unwrap();
     let (y, _) = pool.scope(|scope| direct.execute(scope, &x)).unwrap();
-    let (responses, _) = server.serve_batch(0, vec![ServerRequest::new(1, x)]).unwrap();
+    let (responses, _) = serve_all(&server, vec![ServerRequest::new(1, x)]);
     assert!(responses[0].is_completed(), "the sharded engine serves again in a new session");
     assert_eq!(
         &**responses[0].output(),

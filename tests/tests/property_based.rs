@@ -2,9 +2,9 @@
 //! counts and strategies must always produce output identical to the
 //! reference implementation, and core data-structure invariants must hold.
 
-use jitspmm::serve::{ServerRequest, SpmmServer};
+use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
 use jitspmm::{JitSpmmBuilder, Strategy, WorkerPool};
-use jitspmm_integration_tests::host_supports_jit;
+use jitspmm_integration_tests::{host_supports_jit, serve_all_with};
 use jitspmm_sparse::{CooMatrix, CsrMatrix, DeltaBatch, DenseMatrix};
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
@@ -309,7 +309,9 @@ proptest! {
             .iter()
             .map(|(engine, x)| ServerRequest::new(*engine, x.clone()))
             .collect();
-        let (responses, report) = server.serve_batch(depth, requests).unwrap();
+        let options =
+            ServeOptions::new(AdmissionPolicy::blocking(requests.len().max(1))).with_depth(depth);
+        let (responses, report) = serve_all_with(&server, options, requests);
         prop_assert_eq!(responses.len(), inputs.len());
         prop_assert_eq!(report.requests, inputs.len());
         for (g, response) in responses.iter().enumerate() {

@@ -17,7 +17,7 @@ use jitspmm::serve::{
     AdmissionPolicy, EngineStatus, RejectReason, SendError, ServeOptions, ServerRequest, SpmmServer,
 };
 use jitspmm::{JitSpmmBuilder, WorkerPool};
-use jitspmm_integration_tests::{host_supports_jit, small_skewed, small_uniform};
+use jitspmm_integration_tests::{host_supports_jit, serve_all, small_skewed, small_uniform};
 use jitspmm_sparse::DenseMatrix;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -116,6 +116,73 @@ fn admission_table_accounts_for_every_send_under_overload() {
 }
 
 #[test]
+fn blocking_controlled_serve_is_per_engine_fifo_and_bit_identical() {
+    // With uniform priority, no deadlines and blocking admission, the
+    // serving loop hands each engine's responses to the consumer in that
+    // engine's submission order, every one bit-identical to a blocking
+    // `execute`.
+    if !host_supports_jit() {
+        eprintln!("skipping: host lacks AVX/FMA");
+        return;
+    }
+    let a = small_uniform();
+    let b = small_skewed();
+    let pool = WorkerPool::new(2);
+    let server = SpmmServer::new(vec![
+        JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&a, D).unwrap(),
+        JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, D).unwrap(),
+    ])
+    .unwrap();
+    // An uneven interleaving, so the two lanes are not in lockstep.
+    let pattern = [0usize, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0, 0];
+    let inputs: Vec<(usize, DenseMatrix<f32>)> = pattern
+        .iter()
+        .enumerate()
+        .map(|(i, &engine)| {
+            let cols = if engine == 0 { UNIFORM_COLS } else { SKEWED_COLS };
+            (engine, DenseMatrix::random(cols, D, 6_000 + i as u64))
+        })
+        .collect();
+    let expected: Vec<DenseMatrix<f32>> = inputs
+        .iter()
+        .map(|(engine, x)| server.single(*engine).unwrap().execute(x).unwrap().0.into_dense())
+        .collect();
+
+    // Depth 2 forces real pipelining on any host; the queue bound (4) makes
+    // the producer park, so arrivals interleave with completions.
+    let mut streamed = Vec::new();
+    let (report, ()) = server
+        .serve_controlled(
+            ServeOptions::new(AdmissionPolicy::blocking(4)).with_depth(2),
+            |sender| {
+                for (engine, x) in &inputs {
+                    sender.send(*engine, x.clone()).expect("blocking sends are always admitted");
+                }
+            },
+            |response| streamed.push(response),
+        )
+        .unwrap();
+    assert_eq!(report.requests, pattern.len());
+    assert_eq!(report.offered(), pattern.len());
+    assert_eq!(streamed.len(), pattern.len());
+    for engine in 0..2 {
+        // As the consumer saw them — not re-sorted.
+        let lane: Vec<_> = streamed.iter().filter(|r| r.engine() == engine).collect();
+        let submitted: Vec<usize> = (0..pattern.len()).filter(|&i| pattern[i] == engine).collect();
+        assert_eq!(lane.len(), submitted.len());
+        for (k, (response, &g)) in lane.iter().zip(&submitted).enumerate() {
+            assert_eq!(response.index(), k, "engine {engine}: completion order is not FIFO");
+            assert_eq!(
+                response.request(),
+                g,
+                "engine {engine}: response {k} is not its {k}-th send"
+            );
+            assert_eq!(**response.output(), expected[g], "request {g} diverged from execute");
+        }
+    }
+}
+
+#[test]
 fn priority_scheduling_is_bit_identical_to_fifo_serving() {
     if !host_supports_jit() {
         eprintln!("skipping: host lacks AVX/FMA");
@@ -136,11 +203,17 @@ fn priority_scheduling_is_bit_identical_to_fifo_serving() {
         ServerRequest::new(engine, DenseMatrix::random(cols, D, 2_000 + i as u64))
     };
 
-    // FIFO reference: the exact same requests through serve_batch.
-    let (fifo, fifo_report) =
-        server.serve_batch(0, (0..total).map(make_request).collect()).unwrap();
-    assert_eq!(fifo_report.requests, total);
-    let references: Vec<DenseMatrix<f32>> = fifo.iter().map(|r| (**r.output()).clone()).collect();
+    // FIFO reference: each request's own blocking `execute` output, itself
+    // checked against the scalar anchor.
+    let references: Vec<DenseMatrix<f32>> = (0..total)
+        .map(|i| {
+            let request = make_request(i);
+            let engine = server.single(request.engine).unwrap();
+            let (y, _) = engine.execute(&request.input).unwrap();
+            assert!(y.approx_eq(&engine.matrix().spmm_reference(&request.input), 1e-4));
+            y.into_dense()
+        })
+        .collect();
 
     // Controlled serving with scrambled priorities and generous deadlines:
     // the reorder buffer drains urgent traffic first, but under a blocking
@@ -298,12 +371,9 @@ fn retiring_an_engine_mid_stream_keeps_the_rest_serving() {
     assert_eq!(server.engine_status(0), Some(EngineStatus::Active));
 
     // The server outlives the retirement: engine 0 still serves.
-    let (responses, _, _) = server
-        .serve_stream(0, 2, |sender| {
-            sender.send(0, input(0, 4_800)).expect("engine 0 still serves");
-        })
-        .unwrap();
+    let (responses, _) = serve_all(&server, vec![ServerRequest::new(0, input(0, 4_800))]);
     assert_eq!(responses.len(), 1);
+    assert!(responses[0].is_completed(), "engine 0 still serves");
 }
 
 #[test]
@@ -424,7 +494,7 @@ fn engines_can_be_added_while_a_session_is_open() {
     // single engine over the same matrix — routed through the server.
     let x = DenseMatrix::random(UNIFORM_COLS, D, 4);
     let via_single = server.single(0).unwrap().execute(&x).unwrap().0;
-    let (responses, _) = server.serve_batch(0, vec![ServerRequest::new(2, x)]).unwrap();
+    let (responses, _) = serve_all(&server, vec![ServerRequest::new(2, x)]);
     assert!(
         responses[0].output().approx_eq(&via_single, 1e-5),
         "sharded and single engines disagree on the same matrix"
