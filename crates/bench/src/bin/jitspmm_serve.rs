@@ -38,7 +38,8 @@
 //! the delta is queued through [`jitspmm::serve::ControlHandle::apply_update`]
 //! and the serving loop swaps the merged generation in between launches —
 //! in-flight MULs finish on the old matrix, later MULs see the new one.
-//! INFO reports each engine's live nonzero count and matrix revision, plus
+//! INFO reports each engine's live nonzero count, matrix revision and
+//! compiled generations currently alive (1 unless a swap is midway), plus
 //! the server-wide applied/failed update counters.
 
 use jitspmm::serve::{
@@ -225,6 +226,14 @@ type ReplySlot = mpsc::Sender<ServerResponse<f32>>;
 
 fn run_server(args: &[String]) -> Result<(), String> {
     let config = parse_server_args(args)?;
+    let listener =
+        TcpListener::bind(&config.listen).map_err(|e| format!("bind {}: {e}", config.listen))?;
+    serve_listener(&config, listener)
+}
+
+/// Compile `config`'s engines and serve connections accepted on `listener`
+/// until a SHUTDOWN frame arrives.
+fn serve_listener(config: &ServerConfig, listener: TcpListener) -> Result<(), String> {
     let pool = WorkerPool::new(config.threads.max(1));
     let matrices: Vec<CsrMatrix<f32>> = config.specs.iter().map(MatrixSpec::build).collect();
 
@@ -250,8 +259,6 @@ fn run_server(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let listener =
-        TcpListener::bind(&config.listen).map_err(|e| format!("bind {}: {e}", config.listen))?;
     listener.set_nonblocking(true).map_err(|e| format!("set_nonblocking: {e}"))?;
     println!("jitspmm-serve listening on {}", config.listen);
 
@@ -333,13 +340,15 @@ fn serve_connection(
                 for (id, spec) in specs.iter().enumerate() {
                     let line = if let Some(mutable) = server.mutable(id) {
                         format!(
-                            "engine {id}: {}x{} nnz={} d={} kind=mutable shards={} rev={}\n",
+                            "engine {id}: {}x{} nnz={} d={} kind=mutable shards={} rev={} \
+                             generations={}\n",
                             spec.rows,
                             spec.cols,
                             mutable.nnz(),
                             spec.d,
                             mutable.shards(),
-                            mutable.revision()
+                            mutable.revision(),
+                            mutable.generations_retained()
                         )
                     } else if server.single(id).is_some() {
                         format!(
@@ -407,6 +416,11 @@ fn serve_connection(
     }
 }
 
+/// Serializes UPDATE frames across connections, from reading the revision an
+/// update will produce to composing its ack: only while no other update is
+/// queued do "revision + 1" and "the failed counter moved" mean *this* delta.
+static UPDATE_ORDER: Mutex<()> = Mutex::new(());
+
 /// Decode an UPDATE frame, queue the delta through the control plane, and
 /// wait for the serving loop to swap the new generation in (or report the
 /// failure). Blocking here is fine: each connection has its own thread.
@@ -436,6 +450,13 @@ fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, control: &Control
             other => return error_frame(&format!("unknown delta op kind {other}")),
         }
     }
+    let ack = |revision: u64| format!("\0revision={revision}").into_bytes();
+    if delta.is_empty() {
+        // An empty batch is a no-op that advances no revision (see
+        // `MutableSpmm::apply`): nothing to queue, nothing to wait for.
+        return ack(mutable.revision());
+    }
+    let _order = UPDATE_ORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let target = mutable.revision() + 1;
     let (_, failed_before) = control.update_counts();
     if !control.apply_update(engine, delta) {
@@ -446,9 +467,7 @@ fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, control: &Control
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         if control.wait_revision(engine, target, Duration::from_millis(50)) {
-            let mut frame = vec![0u8];
-            frame.extend_from_slice(format!("revision={}", mutable.revision()).as_bytes());
-            return frame;
+            return ack(mutable.revision());
         }
         let (_, failed) = control.update_counts();
         if failed > failed_before {
@@ -503,6 +522,20 @@ fn request(stream: &mut TcpStream, payload: &[u8]) -> Result<Vec<u8>, String> {
         Ok(None) => Err("server closed the connection".to_string()),
         Err(e) => Err(format!("recv: {e}")),
     }
+}
+
+/// Encode an UPDATE request payload: `(kind, row, col, value)` per op.
+fn update_frame(engine: u32, records: &[(u8, u32, u32, f32)]) -> Vec<u8> {
+    let mut payload = vec![OP_UPDATE];
+    payload.extend_from_slice(&engine.to_le_bytes());
+    payload.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    for (kind, row, col, value) in records {
+        payload.push(*kind);
+        payload.extend_from_slice(&row.to_le_bytes());
+        payload.extend_from_slice(&col.to_le_bytes());
+        payload.extend_from_slice(&value.to_le_bytes());
+    }
+    payload
 }
 
 fn run_client(args: &[String]) -> Result<(), String> {
@@ -593,16 +626,7 @@ fn run_client(args: &[String]) -> Result<(), String> {
                     records.push((0, row, col, value));
                 }
             }
-            let mut payload = vec![OP_UPDATE];
-            payload.extend_from_slice(&engine.to_le_bytes());
-            payload.extend_from_slice(&(records.len() as u32).to_le_bytes());
-            for (kind, row, col, value) in records {
-                payload.push(kind);
-                payload.extend_from_slice(&row.to_le_bytes());
-                payload.extend_from_slice(&col.to_le_bytes());
-                payload.extend_from_slice(&value.to_le_bytes());
-            }
-            let reply = request(&mut stream, &payload)?;
+            let reply = request(&mut stream, &update_frame(engine, &records))?;
             match reply.split_first() {
                 Some((0, text)) => {
                     println!("update engine={engine}: {}", String::from_utf8_lossy(text));
@@ -631,6 +655,67 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Run `body` against a live `--mutable` server on an ephemeral loopback
+    /// port, then shut it down (skipped where the host cannot JIT).
+    fn with_mutable_server(body: impl FnOnce(&str)) {
+        let features = jitspmm::CpuFeatures::detect();
+        if !(features.avx && features.has_fma()) {
+            eprintln!("skipping: host lacks AVX/FMA");
+            return;
+        }
+        let flags = ["--mutable", "--shards", "2", "--matrix", "uniform:256,256,2000,1,4"];
+        let config = parse_server_args(&args(&flags)).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || serve_listener(&config, listener));
+        body(&addr);
+        request(&mut connect(&addr).unwrap(), &[OP_SHUTDOWN]).unwrap();
+        server.join().unwrap().unwrap();
+    }
+
+    /// The text of an ok reply (`0u8` + UTF-8).
+    fn ok_text(reply: &[u8]) -> String {
+        assert_eq!(reply.first(), Some(&0), "{}", String::from_utf8_lossy(&reply[1..]));
+        String::from_utf8(reply[1..].to_vec()).unwrap()
+    }
+
+    #[test]
+    fn a_zero_op_update_is_acked_at_once_with_the_current_revision() {
+        with_mutable_server(|addr| {
+            let mut stream = connect(addr).unwrap();
+            let started = Instant::now();
+            // The raw 9-byte frame: op, engine 0, count 0.
+            let reply = request(&mut stream, &[OP_UPDATE, 0, 0, 0, 0, 0, 0, 0, 0]).unwrap();
+            assert_eq!(ok_text(&reply), "revision=0");
+            assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
+        });
+    }
+
+    #[test]
+    fn concurrent_updates_are_each_acked_with_their_own_revision() {
+        with_mutable_server(|addr| {
+            let client = |client: u32| {
+                let mut stream = connect(addr).unwrap();
+                (0..50u32)
+                    .map(|k| {
+                        let frame = update_frame(0, &[(0, client * 100 + k, k, 1.5)]);
+                        let ack = ok_text(&request(&mut stream, &frame).unwrap());
+                        ack.strip_prefix("revision=").expect("an ack").parse::<u64>().unwrap()
+                    })
+                    .collect::<Vec<u64>>()
+            };
+            let mut acked = std::thread::scope(|clients| {
+                let other = clients.spawn(|| client(1));
+                [client(0), other.join().unwrap()].concat()
+            });
+            acked.sort_unstable();
+            assert_eq!(acked, (1..=100).collect::<Vec<u64>>(), "one revision per update, each");
+            let info = ok_text(&request(&mut connect(addr).unwrap(), &[OP_INFO]).unwrap());
+            assert!(info.contains(" rev=100 generations=1\n"), "{info}");
+            assert!(info.contains("updates: applied=100 failed=0"), "{info}");
+        });
     }
 
     #[test]

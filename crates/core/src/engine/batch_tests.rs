@@ -309,14 +309,10 @@ fn batch_slot_kernels_are_cached_across_batches() {
         .pool(WorkerPool::new(2))
         .build(&a, 8)
         .unwrap();
-    // The compiled core is built once and never swapped: its identity must
-    // survive every launch path below.
-    let core = engine.core_id();
     let inputs: Vec<DenseMatrix<f32>> =
         (0..4).map(|seed| DenseMatrix::random(120, 8, seed)).collect();
     let expected: Vec<DenseMatrix<f32>> =
         inputs.iter().map(|x| engine.execute(x).unwrap().0.into_dense()).collect();
-    assert_eq!(engine.core_id(), core, "execute keeps the core");
     for _ in 0..3 {
         // Explicit depth 2 forces the real pipeline on any host.
         engine.pool().scope(|scope| {
@@ -334,9 +330,9 @@ fn batch_slot_kernels_are_cached_across_batches() {
     }
     // Depth 2 needs exactly one spare dynamic kernel, compiled once.
     assert_eq!(crate::runtime::pool::lock(&engine.core.batch_kernels).len(), 1);
-    assert_eq!(engine.core_id(), core, "pipelined batches keep the core");
 
-    // A full controlled serving session runs on the same core too.
+    // A full controlled serving session runs on the same core too — and
+    // still needs only that one spare.
     let server = SpmmServer::new(vec![engine]).unwrap();
     let mut served = Vec::new();
     let (report, ()) = server
@@ -352,7 +348,8 @@ fn batch_slot_kernels_are_cached_across_batches() {
         .unwrap();
     assert_eq!(report.requests, inputs.len());
     assert_eq!(served, expected);
-    assert_eq!(server.single(0).unwrap().core_id(), core, "serving keeps the core");
+    let engine = server.single(0).unwrap();
+    assert_eq!(crate::runtime::pool::lock(&engine.core.batch_kernels).len(), 1);
 }
 
 #[test]

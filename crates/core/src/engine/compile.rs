@@ -2,9 +2,7 @@
 //! state a [`JitSpmm`] carries between launches.
 //!
 //! The compiled state lives in one immutable [`EngineCore`], built once at
-//! construction and never replaced. It sits behind an `Arc` only so that
-//! [`KernelRef`] guards and engines adopted by the update layer
-//! ([`JitSpmm::adopt`]) can share it without recompiling.
+//! construction, owned by its engine alone and never replaced or shared.
 
 use crate::codegen::{
     generate_dynamic_kernel, generate_static_kernel, KernelOptions, MatrixBinding,
@@ -39,8 +37,8 @@ pub struct JitSpmm<'a, T: Scalar> {
     pub(super) d: usize,
     pub(super) threads: usize,
     /// The compiled state every launch runs against: set once at
-    /// construction, immutable afterwards.
-    pub(super) core: Arc<EngineCore<T>>,
+    /// construction, immutable afterwards, owned by this engine alone.
+    pub(super) core: EngineCore<T>,
     /// Serializes launches of this engine's kernel. The dynamic counter is
     /// shared mutable state embedded in the generated code, so two
     /// concurrent launches of one engine (possible from safe code — the
@@ -125,7 +123,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             matrix,
             d,
             threads,
-            core: Arc::new(core),
+            core,
             launch: Mutex::new(()),
             launch_owner: AtomicU64::new(0),
             pool,
@@ -190,45 +188,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         })
     }
 
-    /// Build an engine for `matrix` that **shares the donor's compiled
-    /// state**: the [`EngineCore`] `Arc` (kernel, partition, claim counter,
-    /// cached slot kernels) is cloned, not recompiled, so the new engine's
-    /// core is pointer-identical to the donor's.
-    ///
-    /// This is the untouched-shard path of the incremental-update subsystem
-    /// ([`crate::update`]): `matrix` must be **content-identical** to the
-    /// donor's matrix (same row pointers, columns and values — e.g. a clone
-    /// sharing the donor's nnz storage), and the donor — or whatever owns
-    /// its matrix — must stay alive as long as the adopted engine may
-    /// execute, because the shared kernel's embedded array base addresses
-    /// point at the *donor's* buffers. The update layer guarantees both by
-    /// retaining every superseded generation for the life of the mutable
-    /// engine, and never launching two generations concurrently.
-    pub(crate) fn adopt(donor: &JitSpmm<'_, T>, matrix: &'a CsrMatrix<T>) -> JitSpmm<'a, T> {
-        debug_assert_eq!(matrix.row_ptr(), donor.matrix.row_ptr());
-        debug_assert_eq!(matrix.nnz(), donor.matrix.nnz());
-        JitSpmm {
-            matrix,
-            d: donor.d,
-            threads: donor.threads,
-            core: Arc::clone(&donor.core),
-            launch: Mutex::new(()),
-            launch_owner: AtomicU64::new(0),
-            pool: donor.pool.clone(),
-            output_pool: Arc::clone(&donor.output_pool),
-        }
-    }
-
-    /// An opaque identity for the compiled core: two engines report the
-    /// same value iff they share the same core (kernel, partition, claim
-    /// counter) in memory, and one engine reports the same value for its
-    /// whole life. Diagnostic only — the incremental-update tests use it to
-    /// assert untouched shards were adopted pointer-identically rather than
-    /// recompiled.
-    pub fn core_id(&self) -> usize {
-        Arc::as_ptr(&self.core) as usize
-    }
-
     /// The sparse matrix this engine was compiled against.
     pub fn matrix(&self) -> &CsrMatrix<T> {
         self.matrix
@@ -260,10 +219,9 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         self.core.meta.clone()
     }
 
-    /// The compiled kernel (code bytes, listing), behind a [`KernelRef`]
-    /// guard that shares ownership of the compiled core.
-    pub fn kernel(&self) -> KernelRef<T> {
-        KernelRef(Arc::clone(&self.core))
+    /// The compiled kernel (code bytes, listing).
+    pub fn kernel(&self) -> &CompiledKernel<T> {
+        &self.core.kernel
     }
 
     /// The static row partition the engine launches with (one range per
@@ -364,27 +322,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         } else {
             cg / total
         }
-    }
-}
-
-/// A borrow-like guard over the engine's [`CompiledKernel`], returned by
-/// [`JitSpmm::kernel`]. Dereferences to the kernel.
-pub struct KernelRef<T: Scalar>(Arc<EngineCore<T>>);
-
-impl<T: Scalar> std::ops::Deref for KernelRef<T> {
-    type Target = CompiledKernel<T>;
-
-    fn deref(&self) -> &CompiledKernel<T> {
-        &self.0.kernel
-    }
-}
-
-impl<T: Scalar> std::fmt::Debug for KernelRef<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KernelRef")
-            .field("kind", &self.0.kernel.kind())
-            .field("code_bytes", &self.0.kernel.code().len())
-            .finish()
     }
 }
 

@@ -27,7 +27,7 @@ mod batch_tests;
 mod launch_tests;
 
 pub use batch::{BatchStream, DEFAULT_BATCH_DEPTH};
-pub use compile::{JitSpmm, KernelRef};
+pub use compile::JitSpmm;
 pub use launch::ExecutionHandle;
 pub use options::{JitSpmmBuilder, SpmmOptions};
 pub use report::{BatchReport, ExecutionReport};

@@ -260,9 +260,10 @@
 //! [`JitSpmmBuilder::build`] generates the kernel for exactly the requested
 //! configuration — a few microseconds of code generation, independent of
 //! the matrix size (the paper's Table IV) — and the resulting compiled core
-//! (kernel, partition, row-claim counter) is fixed for the engine's life:
-//! every launch path runs against the same core, and [`JitSpmm::core_id`]
-//! never changes. A restarted process simply compiles again; a different
+//! (kernel, partition, row-claim counter) is fixed for the engine's life
+//! and owned by that engine alone: every launch path runs against the same
+//! core, and nothing compiled is shared between engines. A restarted
+//! process — or an updated matrix — simply compiles again; a different
 //! configuration is a different engine.
 //!
 //! # The futex wake path
@@ -278,16 +279,17 @@
 //!
 //! Per-matrix compilation assumes one matrix serves many multiplies;
 //! dynamic graphs mutate the matrix between multiplies. The [`update`]
-//! module keeps the premise intact by making the unit of recompilation the
-//! **shard**: a [`MutableSpmm`] owns its shard plan, and
-//! [`MutableSpmm::apply`] merges a [`jitspmm_sparse::DeltaBatch`] of edge
-//! upserts/deletes into **only the shards the delta touches** —
-//! re-materializing and recompiling those while every untouched shard
-//! keeps its compiled core pointer-identically and shares the previous
-//! generation's non-zero storage. The rebuilt engine
-//! becomes a new *generation* that swaps in between launches; when
+//! module keeps the premise intact by making the unit of *merging* the
+//! **shard** and leaning on how cheap compiling is: a [`MutableSpmm`] owns
+//! its shard plan, and [`MutableSpmm::apply`] merges a
+//! [`jitspmm_sparse::DeltaBatch`] of edge upserts/deletes into **only the
+//! shards the delta touches** — every untouched shard keeps sharing its
+//! non-zero storage — then compiles every shard fresh (microseconds each).
+//! The rebuilt engine becomes the new *generation*, swapped in between
+//! launches, and the one it replaces is freed by the swap: memory stays
+//! bounded by one generation however many updates arrive. When
 //! accumulated deltas skew the shard balance past 1.5x the update re-cuts
-//! the whole matrix instead ([`UpdateReport::replanned`]). Because
+//! the whole matrix first ([`UpdateReport::replanned`]). Because
 //! partitioning is row-granular, any generation is **bit-identical** to a
 //! from-scratch engine compiled on the merged matrix.
 //!
@@ -301,9 +303,10 @@
 //! let engine = MutableSpmm::compile(&a, 4, 1, 8, pool.clone())?;
 //! let mut delta = DeltaBatch::new();
 //! delta.upsert(0, 7, 2.5).delete(1, 0);
-//! let report = engine.apply(&delta)?; // one shard recompiles, three adopt
+//! let report = engine.apply(&delta)?; // one shard re-merges, four compile
 //! assert_eq!(report.revision, 1);
-//! assert!(report.rebuilt_shards <= 1);
+//! assert!(report.touched_shards <= 1);
+//! assert_eq!(engine.generations_retained(), 1); // generation 0 is gone
 //! let x = DenseMatrix::random(400, 8, 3);
 //! let merged = a.apply_delta(&delta).unwrap();
 //! let (y, _) = pool.scope(|s| engine.execute(s, &x))?;
@@ -381,7 +384,7 @@ pub mod update;
 
 pub use codegen::KernelOptions;
 pub use engine::{
-    BatchReport, BatchStream, ExecutionHandle, ExecutionReport, JitSpmm, JitSpmmBuilder, KernelRef,
+    BatchReport, BatchStream, ExecutionHandle, ExecutionReport, JitSpmm, JitSpmmBuilder,
     SpmmOptions, DEFAULT_BATCH_DEPTH,
 };
 pub use error::JitSpmmError;

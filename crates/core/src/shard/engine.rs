@@ -85,64 +85,33 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         d: usize,
         pool: WorkerPool,
     ) -> Result<ShardedSpmm<'a, T>, JitSpmmError> {
-        let donors = vec![None; plan.shards().len()];
-        let output_pool = Arc::new(BufferPool::new());
-        ShardedSpmm::compile_with_reuse(plan, d, pool, &donors, output_pool)
-    }
-
-    /// [`ShardedSpmm::compile`] for the incremental-update path
-    /// ([`crate::update`]): shard `k` with `donors[k] == Some(engine)` is
-    /// **adopted** — its compiled core is shared pointer-identically from
-    /// the donor ([`JitSpmm::adopt`]) instead of recompiled. Shards with
-    /// `donors[k] == None` compile fresh.
-    ///
-    /// `output_pool` carries the previous generation's full-height buffer
-    /// pool across the swap, so a live server keeps recycling its outputs
-    /// through an update instead of re-allocating.
-    ///
-    /// The caller owns the adoption contract: each donor's matrix must be
-    /// content-identical to the corresponding spec's, and the donor's data
-    /// must outlive the new engine (see [`JitSpmm::adopt`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedSpmm::compile`], for the freshly compiled shards.
-    pub(crate) fn compile_with_reuse(
-        plan: &'a ShardPlan<T>,
-        d: usize,
-        pool: WorkerPool,
-        donors: &[Option<&JitSpmm<'_, T>>],
-        output_pool: Arc<BufferPool<T>>,
-    ) -> Result<ShardedSpmm<'a, T>, JitSpmmError> {
-        debug_assert_eq!(donors.len(), plan.shards().len());
         let engines: Vec<JitSpmm<'a, T>> = plan
             .shards()
             .iter()
-            .zip(donors)
-            .map(|(spec, donor)| match donor {
-                Some(donor) => Ok(JitSpmm::adopt(donor, &spec.matrix)),
-                None => JitSpmmBuilder::new()
+            .map(|spec| {
+                JitSpmmBuilder::new()
                     .pool(pool.clone())
                     .threads(plan.lanes())
                     .strategy(spec.strategy)
-                    .build(&spec.matrix, d),
+                    .build(&spec.matrix, d)
             })
             .collect::<Result<_, _>>()?;
         // The one-pool invariant (the disjoint-lane overlap only holds
         // within one pool) is true by construction here — every builder was
-        // handed a clone of `pool`, and adopted engines share their donor's —
-        // so it is asserted, not returned as an error. The boundary where
-        // foreign pools can actually arrive is
+        // handed a clone of `pool` — so it is asserted, not returned as an
+        // error. The boundary where foreign pools can actually arrive is
         // [`crate::serve::SpmmServer::add_sharded`], which does the real
         // [`WorkerPool::same_pool`] check.
         debug_assert!(engines.iter().all(|e| e.pool().same_pool(&pool)));
-        Ok(ShardedSpmm { plan, engines, pool, d, output_pool })
+        Ok(ShardedSpmm { plan, engines, pool, d, output_pool: Arc::new(BufferPool::new()) })
     }
 
-    /// Hand the full-height output pool to a successor generation (see
-    /// [`ShardedSpmm::compile_with_reuse`]).
-    pub(crate) fn output_pool(&self) -> Arc<BufferPool<T>> {
-        Arc::clone(&self.output_pool)
+    /// Recycle full-height outputs through `previous`'s buffer pool from now
+    /// on: the update layer ([`crate::update`]) hands the pool from each
+    /// generation to its successor — the only thing that crosses a swap — so
+    /// a live server keeps recycling its outputs through an update.
+    pub(crate) fn inherit_output_pool(&mut self, previous: &ShardedSpmm<'_, T>) {
+        self.output_pool = Arc::clone(&previous.output_pool);
     }
 
     /// The plan this engine was compiled from.

@@ -1,14 +1,13 @@
 //! The update engine: turn a validated [`DeltaBatch`] into the next
-//! generation — shard-local merge + recompile on the incremental path, a
-//! full re-plan when the delta has skewed the shard balance too far.
+//! generation — a shard-local merge, a full re-plan when the delta has
+//! skewed the shard balance too far, and one fresh compile of every shard
+//! either way.
 
 use super::delta::split_by_shard;
 use super::{Generation, MutableSpmm};
-use crate::engine::JitSpmm;
 use crate::error::JitSpmmError;
 use crate::shard::{choose_strategy, nnz_imbalance_of_specs, plan_shards, ShardPlan, ShardSpec};
 use jitspmm_sparse::{CsrMatrix, DeltaBatch, Scalar};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Shard-nnz imbalance (heaviest over average) above which an update stops
@@ -18,9 +17,9 @@ use std::time::{Duration, Instant};
 /// overlapped shard launches can become before a re-plan pays for itself.
 pub(crate) const REPLAN_THRESHOLD: f64 = 1.5;
 
-/// What one [`MutableSpmm::apply`] did: which path it took, how much it
-/// rebuilt, and what it reused. The differential and stability test suites
-/// read these; servers log them.
+/// What one [`MutableSpmm::apply`] did: which path it took and how much of
+/// the matrix it re-merged (every shard recompiles either way). The
+/// differential and stability test suites read these; servers log them.
 #[derive(Debug, Clone, Copy)]
 pub struct UpdateReport {
     /// The revision the engine is at after this apply (unchanged for an
@@ -30,12 +29,6 @@ pub struct UpdateReport {
     pub touched_rows: usize,
     /// Shards the delta landed in (0 for an empty delta).
     pub touched_shards: usize,
-    /// Shards recompiled: the touched count on the incremental path, every
-    /// shard of the new plan after a re-plan.
-    pub rebuilt_shards: usize,
-    /// Shards whose compiled cores were adopted pointer-identically (0
-    /// after a re-plan).
-    pub reused_shards: usize,
     /// Whether drift past the re-plan threshold forced a full re-cut.
     pub replanned: bool,
     /// The new generation's achieved shard-nnz imbalance.
@@ -47,26 +40,25 @@ pub struct UpdateReport {
 
 impl<T: Scalar> MutableSpmm<T> {
     /// The locked core of [`MutableSpmm::apply`]: the caller holds the
-    /// generation write lock, so no launch is in flight and the vector can
-    /// grow. Every fallible step happens before the push — on error the
-    /// previous generation keeps serving untouched.
+    /// generation write lock, so no launch is in flight and `slot` — the
+    /// lock's slot — can be replaced and its old occupant freed. Every
+    /// fallible step happens before the swap — on error the previous
+    /// generation keeps serving untouched.
     pub(super) fn apply_locked(
         &self,
-        generations: &mut Vec<Arc<Generation<T>>>,
+        slot: &mut Generation<T>,
         delta: &DeltaBatch<T>,
     ) -> Result<UpdateReport, JitSpmmError> {
         let started = Instant::now();
         delta
             .validate(self.nrows, self.ncols)
             .map_err(|e| JitSpmmError::InvalidConfig(format!("delta batch: {e}")))?;
-        let current = Arc::clone(generations.last().expect("always one generation"));
+        let current: &Generation<T> = slot;
         if delta.is_empty() {
             return Ok(UpdateReport {
                 revision: current.revision,
                 touched_rows: 0,
                 touched_shards: 0,
-                rebuilt_shards: 0,
-                reused_shards: current.plan.len(),
                 replanned: false,
                 nnz_imbalance: current.plan.nnz_imbalance(),
                 elapsed: started.elapsed(),
@@ -101,55 +93,39 @@ impl<T: Scalar> MutableSpmm<T> {
             specs.push(built);
         }
 
-        let drifted = nnz_imbalance_of_specs(&specs);
-        let generation = if drifted > REPLAN_THRESHOLD {
-            // Drift exceeded the threshold: re-cut the whole merged matrix
-            // at the originally requested shard count and compile fresh
-            // (no donors — the cut points moved, so no shard is guaranteed
-            // content-identical). The merged matrix itself is transient:
-            // the plan's share_rows views keep its storage alive.
-            let merged = concat_specs(&specs, self.ncols);
-            let plan = plan_shards(&merged, self.shard_request, current.plan.lanes())?;
-            Generation::compile(
-                plan,
-                revision,
-                self.d,
-                self.pool.clone(),
-                &[],
-                Some(&current.engine),
-            )?
+        // Past the threshold, re-cut the whole merged matrix at the
+        // originally requested shard count (the merged matrix itself is
+        // transient: the plan's share_rows views keep its storage alive);
+        // otherwise keep the cut points. Either plan then compiles every
+        // shard fresh — nothing compiled crosses a generation — inheriting
+        // only the full-height output pool.
+        let replanned = nnz_imbalance_of_specs(&specs) > REPLAN_THRESHOLD;
+        let lanes = current.plan.lanes();
+        let plan = if replanned {
+            plan_shards(&concat_specs(&specs, self.ncols), self.shard_request, lanes)?
         } else {
-            // Incremental path: keep the cut points, adopt every untouched
-            // shard's compiled core from the current generation, recompile
-            // only the touched shards.
-            let plan = ShardPlan::from_parts(specs, self.ncols, current.plan.lanes());
-            let donors: Vec<Option<&JitSpmm<'_, T>>> = locals
-                .iter()
-                .zip(current.engine.engines())
-                .map(|(local, engine)| local.is_none().then_some(engine))
-                .collect();
-            Generation::compile(
-                plan,
-                revision,
-                self.d,
-                self.pool.clone(),
-                &donors,
-                Some(&current.engine),
-            )?
+            ShardPlan::from_parts(specs, self.ncols, lanes)
         };
-        let replanned = drifted > REPLAN_THRESHOLD;
-        let report = UpdateReport {
+        let next = Generation::compile(
+            plan,
+            revision,
+            self.d,
+            self.pool.clone(),
+            Some(current),
+            &self.live,
+        )?;
+        let nnz_imbalance = next.plan.nnz_imbalance();
+        // The swap: the superseded generation drops here, under the write
+        // lock — nothing else holds it.
+        *slot = next;
+        Ok(UpdateReport {
             revision,
             touched_rows,
             touched_shards,
-            rebuilt_shards: if replanned { generation.plan.len() } else { touched_shards },
-            reused_shards: if replanned { 0 } else { generation.plan.len() - touched_shards },
             replanned,
-            nnz_imbalance: generation.plan.nnz_imbalance(),
-            elapsed: Duration::ZERO, // stamped below, after the push
-        };
-        generations.push(generation);
-        Ok(UpdateReport { elapsed: started.elapsed(), ..report })
+            nnz_imbalance,
+            elapsed: started.elapsed(),
+        })
     }
 }
 

@@ -1,29 +1,30 @@
 //! Live incremental matrix updates: apply a [`DeltaBatch`] of edge
-//! mutations to a compiled sharded engine, rebuilding **only the shards
+//! mutations to a compiled sharded engine, re-merging **only the shards
 //! the delta touches** and hot-swapping the result between launches.
 //!
 //! The paper's whole premise is that compiling SpMM code *per matrix* is
-//! worth it because one matrix serves many multiplies. Dynamic graphs
-//! stress exactly that premise: every edge batch changes the matrix, and a
-//! naive engine would re-plan, re-extract and re-compile all K shards per
-//! batch. [`MutableSpmm`] keeps the premise intact by making the unit of
-//! recompilation the *shard*, not the matrix:
+//! worth it because one matrix serves many multiplies, and its Table IV is
+//! why: generating a kernel costs microseconds. Dynamic graphs change the
+//! matrix with every edge batch, so what an update has to keep cheap is the
+//! *data* work, not the compile. [`MutableSpmm`] makes the unit of merging
+//! the *shard*, and simply compiles again:
 //!
 //! * the delta is routed onto the current [`ShardPlan`]'s row ranges
 //!   (`delta` submodule) — each op lands in exactly one shard;
 //! * touched shards re-materialize via
 //!   [`CsrMatrix::apply_delta`](jitspmm_sparse::CsrMatrix::apply_delta) on
-//!   their own sub-matrix and recompile; **untouched shards keep their
-//!   compiled cores pointer-identically** ([`crate::JitSpmm`]'s adopt
-//!   path) and their spec matrices share the previous generation's
-//!   non-zero storage;
-//! * the rebuilt engine becomes a new *generation* that swaps in between
+//!   their own sub-matrix; untouched shards' spec matrices are clones
+//!   sharing the previous non-zero storage (O(rows) row pointers copied);
+//! * **every** shard then compiles fresh against the new plan — a kernel
+//!   embeds the base addresses of the arrays it reads, so a compiled core
+//!   belongs to exactly one generation;
+//! * the rebuilt engine becomes the new *generation*, swapped in between
 //!   launches — in-flight work finishes on the old cores, everything
-//!   admitted afterwards sees the new matrix;
+//!   admitted afterwards sees the new matrix, and the swap frees the old
+//!   generation;
 //! * when the accumulated deltas skew the shard balance past the re-plan
-//!   threshold (1.5x shard-nnz imbalance), the update degrades gracefully
-//!   to a full re-plan + recompile, reported via
-//!   [`UpdateReport::replanned`].
+//!   threshold (1.5x shard-nnz imbalance), the update re-cuts the whole
+//!   merged matrix first, reported via [`UpdateReport::replanned`].
 //!
 //! Because every partitioning layer in this crate is row-granular, a
 //! merged matrix multiplied through *any* generation — incremental or
@@ -32,22 +33,21 @@
 //!
 //! # The generation protocol
 //!
-//! A [`MutableSpmm`] owns an append-only vector of generations behind an
-//! [`RwLock`]. Every execute path — [`MutableSpmm::execute`],
+//! A [`MutableSpmm`] owns **one** live generation behind an [`RwLock`].
+//! Every execute path — [`MutableSpmm::execute`],
 //! [`MutableSpmm::execute_batch`], and each open [`MutableStream`] —
-//! holds a **read** guard for the full duration of its launches;
-//! [`MutableSpmm::apply`] takes the **write** lock to append the next
-//! generation. Two consequences:
+//! holds a **read** guard until its launches have joined;
+//! [`MutableSpmm::apply`] takes the **write** lock to swap the successor
+//! in and drop the generation it replaces. Two consequences:
 //!
-//! * a generation never launches concurrently with its successor, so an
-//!   adopted kernel's embedded row-claim counter is only ever driven by
-//!   one generation's launch lock at a time;
-//! * old generations are **retained for the engine's lifetime** — adopted
-//!   kernels embed the base addresses of the generation they were
-//!   compiled against, and serving must never unmap them. The retained
-//!   cost per update is the *touched* shards' materialized non-zeros plus
-//!   O(rows) of row pointers per generation; untouched non-zero storage
-//!   is shared, not copied.
+//! * the read guard is what keeps a generation alive: a swap cannot start
+//!   while any launch is in flight, so nothing ever executes a kernel (or
+//!   reads the arrays it embeds) of a generation that has been freed, and
+//!   memory stays bounded by one generation however many updates arrive
+//!   ([`MutableSpmm::generations_retained`] reads 1 between swaps);
+//! * an update costs one shard-local merge per touched shard plus K shard
+//!   compiles (microseconds each, independent of the matrix size), all
+//!   outside the launch path.
 //!
 //! [`crate::serve::SpmmServer`] registers a mutable engine behind one
 //! logical id ([`crate::serve::SpmmServer::add_mutable`]), and
@@ -62,63 +62,71 @@ mod delta;
 
 pub use apply::UpdateReport;
 
-use crate::engine::{ExecutionReport, JitSpmm};
+use crate::engine::ExecutionReport;
 use crate::error::JitSpmmError;
 use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
 use crate::schedule::Strategy;
 use crate::shard::{plan_shards, ShardPlan, ShardReport, ShardedSpmm, ShardedStream};
 use jitspmm_sparse::{CsrMatrix, DeltaBatch, DenseMatrix, Scalar};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, TryLockError};
 
 /// One compiled snapshot of the evolving matrix: the shard plan it was cut
-/// from and the sharded engine compiled (or partially adopted) against it.
+/// from and the sharded engine compiled against it. A generation owns
+/// everything its kernels point at, so dropping it frees all of it.
 ///
 /// `engine` borrows `plan`'s heap allocation through a raw-pointer
 /// promotion to `'static`; it is declared first so it drops before the
-/// plan it references. In practice generations are never dropped while
-/// their [`MutableSpmm`] lives — the generations vector is append-only,
-/// because older generations' kernels embed their plan's array addresses
-/// and may still be referenced by adopted cores.
+/// plan it references.
 struct Generation<T: Scalar> {
     engine: ShardedSpmm<'static, T>,
     plan: Arc<ShardPlan<T>>,
     revision: u64,
+    /// The owning [`MutableSpmm`]'s live-generation gauge: +1 in
+    /// [`Generation::compile`], -1 in `Drop`.
+    live: Arc<AtomicUsize>,
 }
 
 impl<T: Scalar> Generation<T> {
-    /// Compile the engine for `plan`, adopting donor cores where given, and
-    /// seal both into a generation at `revision`.
+    /// Compile every shard of `plan` fresh and seal plan and engine into a
+    /// generation at `revision`, recycling full-height outputs through
+    /// `previous`'s pool and counted by `live` until it drops.
     fn compile(
         plan: ShardPlan<T>,
         revision: u64,
         d: usize,
         pool: WorkerPool,
-        donors: &[Option<&JitSpmm<'_, T>>],
-        output_pool: Option<&ShardedSpmm<'_, T>>,
-    ) -> Result<Arc<Generation<T>>, JitSpmmError> {
+        previous: Option<&Generation<T>>,
+        live: &Arc<AtomicUsize>,
+    ) -> Result<Generation<T>, JitSpmmError> {
         let plan = Arc::new(plan);
         // SAFETY: the promoted reference points into `plan`'s heap
         // allocation, which the returned generation owns; the engine (the
-        // only holder of the promoted lifetime) is dropped before the Arc.
+        // only holder of the promoted lifetime) is dropped before the Arc,
+        // and the generation only by the write-locked swap or with its
+        // `MutableSpmm` — never while a launch holds the read guard.
         let plan_ref: &'static ShardPlan<T> = unsafe { &*Arc::as_ptr(&plan) };
-        let engine = match output_pool {
-            Some(previous) => {
-                let fresh: Vec<Option<&JitSpmm<'_, T>>> =
-                    if donors.is_empty() { vec![None; plan.len()] } else { donors.to_vec() };
-                ShardedSpmm::compile_with_reuse(plan_ref, d, pool, &fresh, previous.output_pool())?
-            }
-            None => ShardedSpmm::compile(plan_ref, d, pool)?,
-        };
-        Ok(Arc::new(Generation { engine, plan, revision }))
+        let mut engine = ShardedSpmm::compile(plan_ref, d, pool)?;
+        if let Some(previous) = previous {
+            engine.inherit_output_pool(&previous.engine);
+        }
+        live.fetch_add(1, Ordering::Relaxed);
+        Ok(Generation { engine, plan, revision, live: Arc::clone(live) })
+    }
+}
+
+impl<T: Scalar> Drop for Generation<T> {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 /// A sharded SpMM engine over an **evolving** sparse matrix: compile once,
 /// execute many, and [`MutableSpmm::apply`] edge-level [`DeltaBatch`]es in
-/// between — rebuilding only the shards each delta touches while untouched
-/// shards keep their compiled kernels pointer-identically. See the
-/// [module docs](crate::update) for the generation protocol and the
-/// bit-identity guarantee.
+/// between — re-merging only the shards each delta touches and compiling
+/// the successor generation fresh, which replaces (and frees) the current
+/// one. See the [module docs](crate::update) for the generation protocol
+/// and the bit-identity guarantee.
 ///
 /// ```
 /// use jitspmm::update::MutableSpmm;
@@ -133,11 +141,12 @@ impl<T: Scalar> Generation<T> {
 /// let (y0, _) = pool.scope(|s| engine.execute(s, &x))?;
 /// assert!(y0.approx_eq(&a.spmm_reference(&x), 1e-4));
 ///
-/// // Mutate a few edges and apply: only the touched shard recompiles.
+/// // Mutate a few edges and apply: only the touched shard re-merges.
 /// let mut delta = DeltaBatch::new();
 /// delta.upsert(0, 7, 2.5).delete(1, 0);
 /// let report = engine.apply(&delta)?;
-/// assert!(report.rebuilt_shards <= 1);
+/// assert!(report.touched_shards <= 1);
+/// assert_eq!(engine.generations_retained(), 1);
 /// let merged = a.apply_delta(&delta).unwrap();
 /// let (y1, _) = pool.scope(|s| engine.execute(s, &x))?;
 /// assert!(y1.approx_eq(&merged.spmm_reference(&x), 1e-4));
@@ -145,9 +154,13 @@ impl<T: Scalar> Generation<T> {
 /// # }
 /// ```
 pub struct MutableSpmm<T: Scalar> {
-    /// Append-only: `generations.last()` is current; older entries are
-    /// retained because adopted kernels embed their array addresses.
-    generations: RwLock<Vec<Arc<Generation<T>>>>,
+    /// The one live generation. Launch paths hold the read guard until
+    /// their launches have joined; `apply` swaps under the write lock,
+    /// dropping the generation it replaces.
+    generation: RwLock<Generation<T>>,
+    /// Counts this engine's [`Generation`] values that exist right now
+    /// (see [`MutableSpmm::generations_retained`]).
+    live: Arc<AtomicUsize>,
     pool: WorkerPool,
     d: usize,
     /// The shard count originally requested — a full re-plan re-cuts to it.
@@ -185,9 +198,11 @@ impl<T: Scalar> MutableSpmm<T> {
         pool: WorkerPool,
     ) -> Result<MutableSpmm<T>, JitSpmmError> {
         let plan = plan_shards(matrix, shards, lanes)?;
-        let generation = Generation::compile(plan, 0, d, pool.clone(), &[], None)?;
+        let live = Arc::new(AtomicUsize::new(0));
+        let generation = Generation::compile(plan, 0, d, pool.clone(), None, &live)?;
         Ok(MutableSpmm {
-            generations: RwLock::new(vec![generation]),
+            generation: RwLock::new(generation),
+            live,
             pool,
             d,
             shard_request: shards,
@@ -196,40 +211,29 @@ impl<T: Scalar> MutableSpmm<T> {
         })
     }
 
-    /// Take the read side of the generation lock, ignoring poison: the
-    /// generations vector is only mutated by [`MutableSpmm::apply`], whose
-    /// push happens after every fallible step, so a poisoned lock still
-    /// guards a consistent (merely possibly stale) vector.
-    fn read(&self) -> RwLockReadGuard<'_, Vec<Arc<Generation<T>>>> {
-        self.generations.read().unwrap_or_else(PoisonError::into_inner)
+    /// Take the read side of the generation lock, ignoring poison: the slot
+    /// is only written by [`MutableSpmm::apply`], whose swap happens after
+    /// every fallible step, so a poisoned lock still guards a consistent
+    /// (merely possibly stale) generation.
+    fn read(&self) -> RwLockReadGuard<'_, Generation<T>> {
+        self.generation.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The current generation, promoted to the caller's `'env` borrow of
-    /// `self`.
-    ///
-    /// SAFETY contract (internal): the returned reference outlives `guard`
-    /// but not `self` — sound because generation Arcs are append-only and
-    /// never dropped while `self` lives, so the pointee is valid for all of
-    /// `'env` even after the guard is released. Callers that *launch*
-    /// through the returned engine must additionally hold `guard` for the
-    /// launch's duration to keep the no-concurrent-generations invariant.
-    fn current<'env>(
-        &'env self,
-        guard: &RwLockReadGuard<'_, Vec<Arc<Generation<T>>>>,
-    ) -> &'env Generation<T> {
-        let generation = guard.last().expect("a MutableSpmm always holds a generation");
-        // SAFETY: see the method docs — append-only Arcs live as long as
-        // `self`, which outlives `'env`.
-        unsafe { &*Arc::as_ptr(generation) }
-    }
-
-    /// Run `f` against the current generation's engine without pinning the
-    /// generation lock for `f`'s duration (an `Arc` clone keeps the
-    /// generation alive instead). For inspection only — **never for
-    /// launches**, which must hold the read guard.
-    fn with_current<R>(&self, f: impl FnOnce(&Generation<T>) -> R) -> R {
-        let generation = Arc::clone(self.read().last().expect("always one generation"));
-        f(&generation)
+    /// Pin the live generation for launching: the read guard plus the
+    /// generation it protects, promoted to the caller's `'env` borrow of
+    /// `self` (the lifetime [`PoolScope`] launches are typed against).
+    fn pin<'env>(&'env self) -> (RwLockReadGuard<'env, Generation<T>>, &'env Generation<T>) {
+        let guard = self.read();
+        // SAFETY: the reference outlives the guard by *type*, never by
+        // *use*. It points at the lock's slot inside `self`, whose value is
+        // replaced (and the old one dropped) only by `apply` under the
+        // write lock — unobtainable while `guard` lives — and every caller
+        // keeps the guard until each launch made through the reference has
+        // joined (a blocking execute returned, or the stream dropped:
+        // [`MutableStream`] declares its stream before its guard). A leaked
+        // guard blocks swaps forever instead of dangling.
+        let generation = unsafe { &*(&*guard as *const Generation<T>) };
+        (guard, generation)
     }
 
     /// Compute `Y = A * X` through the current generation — semantics,
@@ -246,8 +250,7 @@ impl<T: Scalar> MutableSpmm<T> {
         scope: &'scope PoolScope<'scope, 'env>,
         x: &'env DenseMatrix<T>,
     ) -> Result<(PooledMatrix<T>, ShardReport), JitSpmmError> {
-        let guard = self.read();
-        let generation = self.current(&guard);
+        let (_guard, generation) = self.pin();
         generation.engine.execute(scope, x)
     }
 
@@ -265,8 +268,7 @@ impl<T: Scalar> MutableSpmm<T> {
         scope: &'scope PoolScope<'scope, 'env>,
         inputs: &'env [DenseMatrix<T>],
     ) -> Result<(Vec<PooledMatrix<T>>, ShardReport), JitSpmmError> {
-        let guard = self.read();
-        let generation = self.current(&guard);
+        let (_guard, generation) = self.pin();
         generation.engine.execute_batch(scope, inputs)
     }
 
@@ -286,19 +288,17 @@ impl<T: Scalar> MutableSpmm<T> {
         scope: &'scope PoolScope<'scope, 'env>,
         depth: usize,
     ) -> Result<MutableStream<'scope, 'env, T>, JitSpmmError> {
-        let guard = self.read();
-        let generation = self.current(&guard);
+        let (guard, generation) = self.pin();
         let stream = generation.engine.batch_stream(scope, depth)?;
         Ok(MutableStream { stream, _hold: guard })
     }
 
     /// Apply an edge-delta batch, compiling the next generation: touched
-    /// shards re-materialize and recompile, untouched shards carry their
-    /// compiled cores over pointer-identically, and the swap waits for
-    /// in-flight launches (the write lock) so no launch ever spans two
-    /// revisions. When the delta skews the shard balance past the re-plan
-    /// threshold the whole matrix is re-cut and recompiled instead
-    /// ([`UpdateReport::replanned`]).
+    /// shards re-materialize, every shard compiles fresh, and the swap
+    /// waits for in-flight launches (the write lock) so no launch ever
+    /// spans two revisions — then frees the generation it replaced. When
+    /// the delta skews the shard balance past the re-plan threshold the
+    /// whole matrix is re-cut first ([`UpdateReport::replanned`]).
     ///
     /// An empty batch is a no-op: no generation is built and the revision
     /// does not advance.
@@ -310,8 +310,8 @@ impl<T: Scalar> MutableSpmm<T> {
     /// not the vertex set), or a codegen error from rebuilding a shard. On
     /// error the engine keeps serving the previous generation unchanged.
     pub fn apply(&self, delta: &DeltaBatch<T>) -> Result<UpdateReport, JitSpmmError> {
-        let mut generations = self.generations.write().unwrap_or_else(PoisonError::into_inner);
-        self.apply_locked(&mut generations, delta)
+        let mut generation = self.generation.write().unwrap_or_else(PoisonError::into_inner);
+        self.apply_locked(&mut generation, delta)
     }
 
     /// Non-blocking [`MutableSpmm::apply`]: `None` if the generation lock
@@ -322,8 +322,8 @@ impl<T: Scalar> MutableSpmm<T> {
         &self,
         delta: &DeltaBatch<T>,
     ) -> Option<Result<UpdateReport, JitSpmmError>> {
-        match self.generations.try_write() {
-            Ok(mut generations) => Some(self.apply_locked(&mut generations, delta)),
+        match self.generation.try_write() {
+            Ok(mut generation) => Some(self.apply_locked(&mut generation, delta)),
             Err(TryLockError::Poisoned(poisoned)) => {
                 Some(self.apply_locked(&mut poisoned.into_inner(), delta))
             }
@@ -334,30 +334,32 @@ impl<T: Scalar> MutableSpmm<T> {
     /// The current matrix revision: 0 at compile, +1 per non-empty applied
     /// delta (re-planned or not).
     pub fn revision(&self) -> u64 {
-        self.read().last().expect("always one generation").revision
+        self.read().revision
     }
 
-    /// Number of generations retained (initial compile included). Grows by
-    /// one per applied non-empty delta — see the
-    /// [module docs](crate::update) for why old generations are kept.
+    /// Number of this engine's compiled generations that exist right now —
+    /// a live gauge (+1 when a generation is built, -1 when it drops), not a
+    /// count of applied updates. It reads 1 whenever no `apply` is midway;
+    /// more means something keeps a superseded generation (and everything
+    /// its kernels point at) alive.
     pub fn generations_retained(&self) -> usize {
-        self.read().len()
+        self.live.load(Ordering::Relaxed)
     }
 
     /// Number of shards in the current generation's plan.
     pub fn shards(&self) -> usize {
-        self.with_current(|g| g.plan.len())
+        self.read().plan.len()
     }
 
     /// Non-zeros of the current merged matrix.
     pub fn nnz(&self) -> usize {
-        self.with_current(|g| g.plan.nnz())
+        self.read().plan.nnz()
     }
 
     /// The current plan's achieved nnz imbalance (see
     /// [`ShardPlan::nnz_imbalance`]).
     pub fn nnz_imbalance(&self) -> f64 {
-        self.with_current(|g| g.plan.nnz_imbalance())
+        self.read().plan.nnz_imbalance()
     }
 
     /// Rows of the matrix (fixed for the engine's lifetime).
@@ -380,21 +382,13 @@ impl<T: Scalar> MutableSpmm<T> {
         &self.pool
     }
 
-    /// Stable identities of the current generation's compiled cores, one
-    /// per shard in row order ([`JitSpmm::core_id`]). Diagnostic: two
-    /// snapshots straddling an [`MutableSpmm::apply`] agree exactly on the
-    /// shards the delta did not touch — the pointer-identity guarantee the
-    /// update test suite pins.
-    pub fn core_ids(&self) -> Vec<usize> {
-        self.with_current(|g| g.engine.engines().iter().map(JitSpmm::core_id).collect())
-    }
-
     /// Materialize the current logical matrix as one owned [`CsrMatrix`] —
     /// the concatenation of the current generation's shard sub-matrices.
-    /// O(nnz); meant for oracles, checkpoints and tests, not the serving
+    /// O(nnz) under the generation read lock (a concurrent apply waits for
+    /// the copy); meant for oracles, checkpoints and tests, not the serving
     /// path.
     pub fn merged_matrix(&self) -> CsrMatrix<T> {
-        self.with_current(|g| apply::concat_specs(g.plan.shards(), self.ncols))
+        apply::concat_specs(self.read().plan.shards(), self.ncols)
     }
 
     /// Validate a dense input against the fixed `ncols x d` shape — the
@@ -415,7 +409,7 @@ impl<T: Scalar> MutableSpmm<T> {
 
     /// The heaviest current shard's strategy, for merged serving reports.
     pub(crate) fn dominant_strategy(&self) -> Strategy {
-        self.with_current(|g| g.engine.dominant_strategy())
+        self.read().engine.dominant_strategy()
     }
 }
 
@@ -427,9 +421,10 @@ impl<T: Scalar> MutableSpmm<T> {
 /// revision current at open time.
 pub struct MutableStream<'scope, 'env, T: Scalar> {
     // Declared before the guard so in-flight launches join before the
-    // generation read lock is released.
+    // generation read lock is released — the lock is what keeps the
+    // generation the stream launches through from being freed.
     stream: ShardedStream<'scope, 'env, T>,
-    _hold: RwLockReadGuard<'env, Vec<Arc<Generation<T>>>>,
+    _hold: RwLockReadGuard<'env, Generation<T>>,
 }
 
 impl<'scope, 'env, T: Scalar> MutableStream<'scope, 'env, T> {

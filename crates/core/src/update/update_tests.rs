@@ -1,5 +1,6 @@
-//! Unit tests for the incremental-update subsystem: generation protocol,
-//! shard reuse, re-plan drift, and bit-identity of the incremental path
+//! Unit tests for the incremental-update subsystem: generation protocol
+//! (one live generation, freed by the swap), shard-local merging, re-plan
+//! drift, and bit-identity of the incremental path
 //! against from-scratch compilation. The cross-crate differential family
 //! (serving paths included) lives in `tests/tests/update_differential.rs`.
 
@@ -25,7 +26,8 @@ fn incremental_apply_is_bit_identical_to_from_scratch() {
     assert_eq!(report.revision, 1);
     assert_eq!(engine.revision(), 1);
     assert!(!report.replanned);
-    assert_eq!(report.rebuilt_shards + report.reused_shards, engine.shards());
+    assert!(report.touched_shards >= 1 && report.touched_shards <= engine.shards());
+    assert_eq!(engine.generations_retained(), 1, "the swap freed generation 0");
 
     let merged = a.apply_delta(&delta).unwrap();
     assert_eq!(engine.merged_matrix(), merged);
@@ -39,23 +41,38 @@ fn incremental_apply_is_bit_identical_to_from_scratch() {
 }
 
 #[test]
-fn untouched_shards_keep_their_cores_pointer_identically() {
+fn superseded_generations_are_freed() {
     let pool = WorkerPool::new(2);
     let a = square_rmat(9, 10_000, 11);
     let engine = MutableSpmm::compile(&a, 4, 1, 8, pool.clone()).unwrap();
-    let before = engine.core_ids();
-    // Touch only row 0 — the first shard.
-    let mut delta = DeltaBatch::new();
-    delta.upsert(0, 1, 9.0);
-    let report = engine.apply(&delta).unwrap();
-    assert_eq!(report.touched_shards, 1);
-    assert_eq!(report.rebuilt_shards, 1);
-    assert_eq!(report.reused_shards, engine.shards() - 1);
-    let after = engine.core_ids();
-    assert_eq!(before.len(), after.len());
-    assert_ne!(before[0], after[0], "the touched shard recompiles");
-    assert_eq!(&before[1..], &after[1..], "untouched shards adopt pointer-identically");
-    assert_eq!(engine.generations_retained(), 2);
+    assert_eq!(engine.generations_retained(), 1);
+    // 200 single-op deltas, all inside the first shard's rows.
+    let first_shard_rows = engine.read().plan.shards()[0].rows.end;
+    let mut current = a.clone();
+    for k in 0..200usize {
+        let mut delta = DeltaBatch::new();
+        delta.upsert(k % first_shard_rows, (k * 7) % a.ncols(), k as f32 + 0.5);
+        let report = engine.apply(&delta).unwrap();
+        assert_eq!(report.revision, k as u64 + 1);
+        assert_eq!(report.touched_shards, 1, "only the first shard re-merges");
+        assert!(!report.replanned);
+        assert_eq!(engine.generations_retained(), 1, "apply {k} freed its predecessor");
+        current = current.apply_delta(&delta).unwrap();
+    }
+    // No non-zero data was ever copied for the untouched shards: their
+    // spec matrices still alias the original matrix's storage, 200
+    // generations on; the touched shard owns its merged copy.
+    let guard = engine.read();
+    let shards = guard.plan.shards();
+    assert!(!shards[0].matrix.shares_storage_with(&a));
+    for spec in &shards[1..] {
+        assert!(spec.matrix.shares_storage_with(&a), "rows {:?} were re-materialized", spec.rows);
+    }
+    drop(guard);
+    assert_eq!(engine.merged_matrix(), current);
+    let x = DenseMatrix::random(a.ncols(), 8, 3);
+    let (y, _) = pool.scope(|s| engine.execute(s, &x)).unwrap();
+    assert!(y.approx_eq(&current.spmm_reference(&x), 1e-4));
 }
 
 #[test]
@@ -73,8 +90,8 @@ fn heavy_skew_forces_a_replan() {
     }
     let report = engine.apply(&delta).unwrap();
     assert!(report.replanned, "imbalance {} should force a re-plan", report.nnz_imbalance);
-    assert_eq!(report.reused_shards, 0);
     assert!(report.nnz_imbalance <= 1.5, "the re-cut restores balance");
+    assert_eq!(engine.generations_retained(), 1, "a re-plan frees its predecessor too");
     // Still bit-identical to from-scratch on the merged matrix.
     let merged = a.apply_delta(&delta).unwrap();
     let plan = plan_shards(&merged, 4, 1).unwrap();
@@ -92,7 +109,7 @@ fn empty_delta_is_a_no_op() {
     let engine = MutableSpmm::compile(&a, 2, 1, 4, pool).unwrap();
     let report = engine.apply(&DeltaBatch::new()).unwrap();
     assert_eq!(report.revision, 0);
-    assert_eq!(report.rebuilt_shards, 0);
+    assert_eq!(report.touched_shards, 0);
     assert_eq!(engine.revision(), 0);
     assert_eq!(engine.generations_retained(), 1);
 }
@@ -143,6 +160,16 @@ fn open_streams_pin_their_revision_and_defer_applies() {
     let merged = a.apply_delta(&delta).unwrap();
     let (y, _) = pool.scope(|s| engine.execute(s, &inputs[0])).unwrap();
     assert!(y.approx_eq(&merged.spmm_reference(&inputs[0]), 1e-4));
+    // A *forgotten* stream leaks its read guard with it: the scope still
+    // joins the in-flight launch against live memory, and the pin outlives
+    // it — the generation can never be swapped out from under the leak.
+    pool.scope(|scope| {
+        let mut stream = engine.batch_stream(scope, 2).unwrap();
+        assert!(stream.push(&inputs[1]).unwrap().is_none(), "depth 2 keeps it in flight");
+        std::mem::forget(stream);
+    });
+    assert!(engine.try_apply(&delta).is_none());
+    assert_eq!((engine.revision(), engine.generations_retained()), (1, 1));
 }
 
 #[test]

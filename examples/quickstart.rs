@@ -266,11 +266,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 11. Mutate a served matrix live: register a *mutable* engine, serve
     //     requests against it, and apply an edge-delta batch mid-session
     //     through the control handle. The serving loop drains the engine's
-    //     in-flight lane, recompiles only the shards the delta touches
-    //     (untouched shards keep their compiled kernels pointer-identically),
-    //     and swaps generations between launches — requests admitted after
-    //     the revision bump see the new matrix, bit-identical to a
-    //     from-scratch compile.
+    //     in-flight lane, re-merges only the shards the delta touches,
+    //     compiles every shard fresh (microseconds each) and swaps
+    //     generations between launches, freeing the old one — requests
+    //     admitted after the revision bump see the new matrix,
+    //     bit-identical to a from-scratch compile.
     let graph = generate::uniform::<f32>(2_000, 2_000, 30_000, 46);
     let update_pool = WorkerPool::new(2);
     let mutable_server: SpmmServer<'_, f32> = SpmmServer::with_pool(update_pool.clone());

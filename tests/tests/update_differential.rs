@@ -2,15 +2,16 @@
 //! ([`jitspmm::update`]): every scenario × delta-kind combination must
 //! produce outputs **bit-identical** to compiling the merged matrix from
 //! scratch, on all three serving paths — blocking execute, batch execute,
-//! and the live-swap path behind [`SpmmServer::serve_controlled`] — and the
-//! incremental path must recompile only the shards a delta touches (the
-//! rest adopt their compiled cores pointer-identically).
+//! and the live-swap path behind [`SpmmServer::serve_controlled`] — and a
+//! swap racing real sweeps must never let a launch touch the generation it
+//! frees.
 
 use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
 use jitspmm::shard::{plan_shards, ShardedSpmm};
 use jitspmm::{MutableSpmm, WorkerPool};
 use jitspmm_integration_tests::{host_supports_jit, pathological, small_skewed, small_uniform};
 use jitspmm_sparse::{CsrMatrix, DeltaBatch, DenseMatrix};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 const SHARDS: usize = 3;
@@ -168,39 +169,72 @@ fn live_update_behind_serve_controlled_is_bit_identical() {
     }
 }
 
-/// Untouched-shard stability: a single-shard delta recompiles exactly one
-/// shard (exactly one `core_id` changes); every other shard adopts its
-/// compiled core pointer-identically.
+/// Swaps race real sweeps: reader threads loop `execute` while a writer
+/// applies 100 deltas, each of which frees the generation it replaces.
+/// Every output must be bit-identical to the from-scratch result of one
+/// revision between the ones the reader observed around its call — a
+/// launch that ran through a freed generation (unmapped kernel, freed
+/// arrays) would fault or produce anything else.
 #[test]
-fn single_shard_delta_changes_exactly_one_core_id() {
+fn applies_race_executes_without_touching_freed_generations() {
     if !host_supports_jit() {
         return;
     }
+    const UPDATES: usize = 100;
     let pool = WorkerPool::new(2);
     let base = small_uniform();
-    let engine = MutableSpmm::compile(&base, 4, 1, D, pool.clone()).unwrap();
-    let shards = engine.shards();
-    assert!(shards >= 2, "the scenario must actually shard");
-    let before_cores = engine.core_ids();
+    let x = DenseMatrix::random(base.ncols(), D, 17);
+    // One single-op delta per revision, each moving the output, and the
+    // from-scratch output of every revision 0..=UPDATES.
+    let mut deltas = Vec::with_capacity(UPDATES);
+    let mut expected = Vec::with_capacity(UPDATES + 1);
+    let mut current = base.clone();
+    for k in 0..=UPDATES {
+        let plan = plan_shards(&current, SHARDS, 1).unwrap();
+        let fresh = ShardedSpmm::compile(&plan, D, pool.clone()).unwrap();
+        let (y, _) = pool.scope(|s| fresh.execute(s, &x)).unwrap();
+        expected.push(y.into_dense());
+        if k < UPDATES {
+            let mut delta = DeltaBatch::new();
+            delta.upsert((k * 13) % base.nrows(), (k * 29) % base.ncols(), k as f32 + 1.25);
+            current = current.apply_delta(&delta).unwrap();
+            deltas.push(delta);
+        }
+    }
 
-    // Touch only row 0 — the first shard.
-    let mut delta = DeltaBatch::new();
-    delta.upsert(0, 5, 2.5);
-    let report = engine.apply(&delta).unwrap();
-    assert_eq!(report.touched_shards, 1);
-    assert_eq!(report.rebuilt_shards, 1);
-    assert_eq!(report.reused_shards, shards - 1);
-
-    let after_cores = engine.core_ids();
-    assert_ne!(before_cores[0], after_cores[0], "the touched shard recompiles");
-    assert_eq!(&before_cores[1..], &after_cores[1..], "untouched cores adopt pointer-identically");
-
-    // And the updated engine still matches a from-scratch compile.
-    let merged = base.apply_delta(&delta).unwrap();
-    let plan = plan_shards(&merged, 4, 1).unwrap();
-    let fresh = ShardedSpmm::compile(&plan, D, pool.clone()).unwrap();
-    let x = DenseMatrix::random(base.ncols(), D, 3);
-    let (y_inc, _) = pool.scope(|s| engine.execute(s, &x)).unwrap();
-    let (y_ref, _) = pool.scope(|s| fresh.execute(s, &x)).unwrap();
-    assert_eq!(y_inc.max_abs_diff(&y_ref), 0.0);
+    let engine = MutableSpmm::compile(&base, SHARDS, 1, D, pool.clone()).unwrap();
+    let executes = AtomicUsize::new(0);
+    std::thread::scope(|threads| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                threads.spawn(|| loop {
+                    let before = engine.revision() as usize;
+                    let (y, _) = pool.scope(|s| engine.execute(s, &x)).unwrap();
+                    let after = engine.revision() as usize;
+                    let y = y.into_dense();
+                    assert!(
+                        (before..=after).any(|revision| y == expected[revision]),
+                        "an execute between revisions {before} and {after} matched none of them"
+                    );
+                    executes.fetch_add(1, Ordering::Relaxed);
+                    if before == UPDATES {
+                        break;
+                    }
+                })
+            })
+            .collect();
+        for (k, delta) in deltas.iter().enumerate() {
+            // Let the readers in between swaps so the race is real on any
+            // core count (a reader that failed its assert ends the wait;
+            // the scope re-raises its panic).
+            while executes.load(Ordering::Relaxed) < k && !readers.iter().all(|r| r.is_finished()) {
+                std::thread::yield_now();
+            }
+            let report = engine.apply(delta).unwrap();
+            assert_eq!(report.revision, k as u64 + 1);
+        }
+    });
+    assert!(executes.load(Ordering::Relaxed) >= UPDATES);
+    assert_eq!(engine.generations_retained(), 1, "every superseded generation was freed");
+    assert_eq!(engine.merged_matrix(), current);
 }
