@@ -1,6 +1,6 @@
 //! Serving overload benchmark: flood an [`SpmmServer`] with 10x its
-//! admission queue depth under a *shedding* policy and measure what the
-//! control plane is for — admission latency (how fast a producer learns
+//! admission queue depth under a *shedding* policy and measure what
+//! admission control is for — admission latency (how fast a producer learns
 //! accept/reject, p50/p99), shed rate, and goodput of the admitted subset.
 //!
 //! Run with: `cargo bench -p jitspmm-bench --bench serve_overload`
@@ -127,89 +127,9 @@ fn main() {
          completed requests)"
     );
 
-    // Capped blocking backpressure: once the in-flight cap is reached, every
-    // further send parks on the control plane's condvar and is woken by the
-    // completion that frees a slot. (The previous implementation sleep-polled
-    // the cap in 1 ms ticks, so every blocked send paid up to a millisecond
-    // of wake quantization on top of the wait for real work — visible as a
-    // 1 ms floor in the blocked-send tail.) Blocked-send latency here is
-    // wait-for-work plus wake overhead.
-    let control = server.control();
-    let blocking_total = 64usize;
-    let blocking_template: Vec<DenseMatrix<f32>> =
-        (0..blocking_total).map(|i| DenseMatrix::random(1_200, d, 900 + i as u64)).collect();
-    let mut blocked_table = TextTable::new(&[
-        "in-flight cap",
-        "offered",
-        "parked sends(mean)",
-        "send p50",
-        "send p99",
-        "goodput req/s",
-    ]);
-    let mut blocked_rows = Vec::new();
-    for cap in [1usize, 4, 16] {
-        let mut latencies: Vec<Duration> = Vec::with_capacity(blocking_total * reps);
-        let mut parked_sum = 0usize;
-        let mut goodput_sum = 0f64;
-        for _rep in 0..reps {
-            let requests: Vec<ServerRequest<f32>> =
-                blocking_template.iter().map(|x| ServerRequest::new(0, x.clone())).collect();
-            let parked_before = control.cap_blocked();
-            let run_start = Instant::now();
-            let (report, sends) = server
-                .serve_controlled(
-                    ServeOptions::new(
-                        AdmissionPolicy::blocking(blocking_total).with_max_in_flight(cap),
-                    ),
-                    move |sender| {
-                        let mut sends = Vec::with_capacity(requests.len());
-                        for request in requests {
-                            let start = Instant::now();
-                            sender.send_request(request).expect("blocking admission");
-                            sends.push(start.elapsed());
-                        }
-                        sends
-                    },
-                    drop,
-                )
-                .expect("serving failed");
-            let elapsed = run_start.elapsed();
-            assert_eq!(report.requests, blocking_total, "blocking completes everything");
-            parked_sum += control.cap_blocked() - parked_before;
-            goodput_sum += report.requests as f64 / elapsed.as_secs_f64();
-            latencies.extend(sends);
-        }
-        latencies.sort();
-        let p50 = percentile(&latencies, 0.50);
-        let p99 = percentile(&latencies, 0.99);
-        let parked_mean = parked_sum as f64 / reps as f64;
-        let goodput = goodput_sum / reps as f64;
-        blocked_table.row(vec![
-            cap.to_string(),
-            blocking_total.to_string(),
-            format!("{parked_mean:.1}"),
-            format!("{p50:?}"),
-            format!("{p99:?}"),
-            format!("{goodput:.0}"),
-        ]);
-        blocked_rows.push(format!(
-            r#"    {{"in_flight_cap": {cap}, "offered": {blocking_total}, "parked_sends_mean": {parked_mean:.2}, "blocked_send_p50_ns": {}, "blocked_send_p99_ns": {}, "goodput_rps_mean": {goodput:.2}}}"#,
-            p50.as_nanos(),
-            p99.as_nanos(),
-        ));
-    }
-    println!();
-    blocked_table.print();
-    println!(
-        "\n(parked sends counts producer parks on the in-flight cap's condvar; blocked-send \
-         latency is dominated by waiting for a slot — real work — with no 1 ms wake \
-         quantization on top)"
-    );
-
     let json = format!(
-        "{{\n  \"bench\": \"serve_overload\",\n  \"flood_factor\": {FLOOD_FACTOR},\n  \"repetitions\": {reps},\n  \"pool_workers\": {workers},\n  \"host_cores\": {cores},\n  \"results\": [\n{}\n  ],\n  \"blocking_results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"serve_overload\",\n  \"flood_factor\": {FLOOD_FACTOR},\n  \"repetitions\": {reps},\n  \"pool_workers\": {workers},\n  \"host_cores\": {cores},\n  \"results\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n"),
-        blocked_rows.join(",\n"),
     );
     emit_bench_json("BENCH_serve_overload.json", &json);
 }

@@ -191,6 +191,7 @@ fn parse_server_args(args: &[String]) -> Result<ServerConfig, String> {
         mutable: false,
         shards: 2,
     };
+    let mut shards = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value =
@@ -207,11 +208,18 @@ fn parse_server_args(args: &[String]) -> Result<ServerConfig, String> {
             }
             "--mutable" => config.mutable = true,
             "--shards" => {
-                config.shards =
-                    value("--shards")?.parse().map_err(|_| "bad --shards".to_string())?;
+                shards = Some(value("--shards")?.parse().map_err(|_| "bad --shards".to_string())?);
             }
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }
+    }
+    if let Some(shards) = shards {
+        // Only mutable engines are sharded; an ignored flag would hand the
+        // operator an unsharded engine without a word.
+        if !config.mutable {
+            return Err(format!("--shards needs --mutable\n{}", usage()));
+        }
+        config.shards = shards;
     }
     if config.specs.is_empty() {
         config.specs.push(MatrixSpec::parse("uniform:512,512,4000,1,8").expect("default spec"));
@@ -524,6 +532,14 @@ fn request(stream: &mut TcpStream, payload: &[u8]) -> Result<Vec<u8>, String> {
     }
 }
 
+/// Encode a MUL request payload.
+fn mul_frame(engine: u32, seed: u64) -> Vec<u8> {
+    let mut payload = vec![OP_MUL];
+    payload.extend_from_slice(&engine.to_le_bytes());
+    payload.extend_from_slice(&seed.to_le_bytes());
+    payload
+}
+
 /// Encode an UPDATE request payload: `(kind, row, col, value)` per op.
 fn update_frame(engine: u32, records: &[(u8, u32, u32, f32)]) -> Vec<u8> {
     let mut payload = vec![OP_UPDATE];
@@ -572,10 +588,7 @@ fn run_client(args: &[String]) -> Result<(), String> {
                     other => return Err(format!("unknown flag {other:?}")),
                 }
             }
-            let mut payload = vec![OP_MUL];
-            payload.extend_from_slice(&engine.to_le_bytes());
-            payload.extend_from_slice(&seed.to_le_bytes());
-            let reply = request(&mut stream, &payload)?;
+            let reply = request(&mut stream, &mul_frame(engine, seed))?;
             let body = match reply.split_first() {
                 Some((0, body)) if body.len() >= 8 => body,
                 _ => {
@@ -657,16 +670,18 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
-    /// Run `body` against a live `--mutable` server on an ephemeral loopback
-    /// port, then shut it down (skipped where the host cannot JIT).
-    fn with_mutable_server(body: impl FnOnce(&str)) {
+    const MUTABLE: &[&str] =
+        &["--mutable", "--shards", "2", "--matrix", "uniform:256,256,2000,1,4"];
+
+    /// Run `body` against a live server started with `flags` on an ephemeral
+    /// loopback port, then shut it down (skipped where the host cannot JIT).
+    fn with_server(flags: &[&str], body: impl FnOnce(&str)) {
         let features = jitspmm::CpuFeatures::detect();
         if !(features.avx && features.has_fma()) {
             eprintln!("skipping: host lacks AVX/FMA");
             return;
         }
-        let flags = ["--mutable", "--shards", "2", "--matrix", "uniform:256,256,2000,1,4"];
-        let config = parse_server_args(&args(&flags)).unwrap();
+        let config = parse_server_args(&args(flags)).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || serve_listener(&config, listener));
@@ -683,7 +698,7 @@ mod tests {
 
     #[test]
     fn a_zero_op_update_is_acked_at_once_with_the_current_revision() {
-        with_mutable_server(|addr| {
+        with_server(MUTABLE, |addr| {
             let mut stream = connect(addr).unwrap();
             let started = Instant::now();
             // The raw 9-byte frame: op, engine 0, count 0.
@@ -695,7 +710,7 @@ mod tests {
 
     #[test]
     fn concurrent_updates_are_each_acked_with_their_own_revision() {
-        with_mutable_server(|addr| {
+        with_server(MUTABLE, |addr| {
             let client = |client: u32| {
                 let mut stream = connect(addr).unwrap();
                 (0..50u32)
@@ -718,6 +733,38 @@ mod tests {
         });
     }
 
+    /// The serving loop is FIFO per engine and this front end pairs replies
+    /// to connections by that order alone, so concurrent connections to one
+    /// engine must each get the answer to their own request.
+    #[test]
+    fn concurrent_connections_to_one_engine_each_get_their_own_reply() {
+        const SPECS: [&str; 2] = ["uniform:256,256,2000,1,4", "uniform:192,320,3000,2,8"];
+        let flags = ["--queue", "64", "--matrix", SPECS[0], "--matrix", SPECS[1]];
+        with_server(&flags, |addr| {
+            let spec = MatrixSpec::parse(SPECS[1]).unwrap();
+            let matrix = spec.build();
+            let local = JitSpmmBuilder::new().threads(2).build(&matrix, spec.d).unwrap();
+            let client = |conn: u64| {
+                let mut stream = connect(addr).unwrap();
+                for k in 0..50u64 {
+                    let seed = conn * 1_000 + k;
+                    let reply = request(&mut stream, &mul_frame(1, seed)).unwrap();
+                    assert_eq!(reply[0], 0, "{}", String::from_utf8_lossy(&reply[1..]));
+                    let x = DenseMatrix::<f32>::random(spec.cols, spec.d, seed);
+                    let (y, _) = local.execute(&x).unwrap();
+                    let expected: Vec<u8> =
+                        y.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+                    assert!(reply[9..] == expected[..], "conn {conn} seed {seed}: wrong reply");
+                }
+            };
+            std::thread::scope(|conns| {
+                for conn in 0..4 {
+                    conns.spawn(move || client(conn));
+                }
+            });
+        });
+    }
+
     #[test]
     fn removed_cache_and_tiered_flags_are_unknown() {
         for flags in [&["--cache", "x"][..], &["--tiered"][..], &["--numa", "0"][..]] {
@@ -725,9 +772,14 @@ mod tests {
             assert!(message.starts_with(&format!("unknown flag {:?}", flags[0])), "{message}");
             assert!(message.contains("usage:"), "{message}");
         }
-        let config = parse_server_args(&args(&["--mutable", "--shards", "4"])).unwrap();
-        assert!(config.mutable);
-        assert_eq!(config.shards, 4);
+        // `--shards` only means something for mutable engines, in either order.
+        let message = parse_server_args(&args(&["--shards", "4"])).err().expect("needs --mutable");
+        assert!(message.starts_with("--shards needs --mutable\nusage:"), "{message}");
+        for flags in [["--mutable", "--shards", "4"], ["--shards", "4", "--mutable"]] {
+            let config = parse_server_args(&args(&flags)).unwrap();
+            assert!(config.mutable);
+            assert_eq!(config.shards, 4);
+        }
     }
 
     #[test]

@@ -110,9 +110,8 @@
 //! skip): it joins every job submitted through it before returning, the
 //! same discipline as [`std::thread::scope`]. Raw pool jobs get the same
 //! treatment through [`PoolScope::submit`] (borrowed tasks, returning a
-//! [`ScopedJobHandle`]) or [`WorkerPool::submit`] (owned `'static` tasks,
-//! returning a [`JobHandle`]), each with a [`JobSpec`] giving the task
-//! count and lane cap.
+//! [`ScopedJobHandle`]) with a [`JobSpec`] giving the task count and lane
+//! cap.
 //!
 //! # Batched serving
 //!
@@ -176,36 +175,31 @@
 //! bounded request queue through its [`serve::RequestSender`] while the
 //! calling thread routes and hands each response to a consumer callback.
 //!
-//! # The serving control plane
+//! # One FIFO loop, two admission policies, live updates
 //!
 //! Routing is only half of serving — the other half is staying bounded and
 //! alive when the traffic misbehaves. [`serve::SpmmServer::serve_controlled`]
-//! runs the router under a control plane configured by
-//! [`serve::ServeOptions`]: an [`serve::AdmissionPolicy`] bounds the queue
-//! and (optionally) total in-flight work, either blocking the producer
-//! (backpressure) or shedding with a typed [`serve::RejectReason`] — a
-//! producer flooding ten times the queue depth never blocks indefinitely
-//! and learns each verdict in nanoseconds. Requests carry priorities and
-//! deadline budgets ([`serve::ServerRequest::with_priority`] /
-//! [`serve::ServerRequest::with_deadline`]); a reorder buffer
-//! schedules urgent work first and expired requests are shed before launch,
-//! while the admitted subset still produces **bit-identical** outputs to
-//! FIFO serving. A [`serve::ControlHandle`] retires engines mid-stream,
-//! drains to a barrier (every admitted request answered) and resumes, and
-//! engines can be added while a serve is running. A panic in generated code
-//! is contained to a typed [`serve::ServerResponse::Failed`] for exactly
-//! the request that hit it — unrelated engines keep serving and the server
-//! stays usable; the cfg-gated `serve::fault` module injects such crashes
-//! for the chaos suite. Every verdict is accounted in the
-//! [`serve::ServerReport`] counters (`requests`, `rejected`,
-//! `shed_deadline`, `failed` — [`serve::ServerReport::offered`] always adds
-//! up to the load the producers offered).
+//! launches requests in arrival order under the [`serve::AdmissionPolicy`]
+//! in its [`serve::ServeOptions`]: the policy bounds the queue and, at the
+//! bound, either blocks the producer (backpressure — lossless) or sheds
+//! with a typed [`serve::RejectReason`] — a producer flooding ten times the
+//! queue depth never blocks and learns each verdict in nanoseconds, and the
+//! admitted subset still produces outputs **bit-identical** to a blocking
+//! `execute`. Engines can be added while a serve is running, and a
+//! [`serve::ControlHandle`] queues live matrix updates for mutable engines
+//! (see below). A panic in generated code is contained to a typed
+//! [`serve::ServerResponse::Failed`] for exactly the request that hit it —
+//! unrelated engines keep serving and the server stays usable; the
+//! cfg-gated `serve::fault` module injects such crashes for the chaos
+//! suite. Every verdict is accounted in the [`serve::ServerReport`]
+//! counters (`requests`, `rejected`, `failed` —
+//! [`serve::ServerReport::offered`] always adds up to the load the
+//! producers offered).
 //!
 //! ```
 //! use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
 //! use jitspmm::JitSpmmBuilder;
 //! use jitspmm_sparse::{generate, DenseMatrix};
-//! use std::time::Duration;
 //!
 //! # fn main() -> Result<(), jitspmm::JitSpmmError> {
 //! let a = generate::uniform::<f32>(200, 200, 2_000, 1);
@@ -217,8 +211,7 @@
 //!     |sender| {
 //!         let mut sent = 0;
 //!         for x in inputs {
-//!             let request = ServerRequest::new(0, x).with_deadline(Duration::from_secs(5));
-//!             if sender.send_request(request).is_ok() {
+//!             if sender.send_request(ServerRequest::new(0, x)).is_ok() {
 //!                 sent += 1;
 //!             }
 //!         }
@@ -339,10 +332,10 @@
 //! │   ├── delta          delta routing onto shard row ranges
 //! │   ├── apply          shard-local merge + recompile, re-plan on drift
 //! │   └── (mod)          MutableSpmm generations, MutableStream revision pinning
-//! ├── serve/             multi-engine serving router + control plane
+//! ├── serve/             multi-engine serving router: one FIFO loop
 //! │   ├── server         SpmmServer, the serve_controlled loop
-//! │   ├── queue          bounded request queue behind RequestSender, admission gate
-//! │   ├── control        AdmissionPolicy, ControlHandle, priority/deadline reorder buffer
+//! │   ├── queue          bounded FIFO request queue behind RequestSender, admission gate
+//! │   ├── control        AdmissionPolicy (block | shed), ControlHandle (live updates)
 //! │   ├── fault          cfg-gated crash/delay injection for chaos tests
 //! │   └── report         ServerReport (per-engine tails + verdict counters)
 //! ├── shard/             nnz-balanced multi-engine sharding
@@ -390,13 +383,11 @@ pub use engine::{
 pub use error::JitSpmmError;
 pub use kernel::{CompiledKernel, KernelKind, KernelMeta};
 pub use profile::ProfileCounts;
-pub use runtime::{
-    JobHandle, JobSpec, PoolScope, PooledMatrix, ScopedJobHandle, WakeSlot, WorkerPool,
-};
+pub use runtime::{JobSpec, PoolScope, PooledMatrix, ScopedJobHandle, WakeSlot, WorkerPool};
 pub use schedule::{DynamicCounter, Partition, RowRange, Strategy};
 pub use serve::{
-    AdmissionPolicy, ControlHandle, EngineStatus, RejectReason, RequestSender, SendError,
-    ServeOptions, ServerReport, ServerRequest, ServerResponse, SpmmServer,
+    AdmissionPolicy, ControlHandle, RejectReason, RequestSender, SendError, ServeOptions,
+    ServerReport, ServerRequest, ServerResponse, SpmmServer,
 };
 pub use shard::{plan_shards, ShardPlan, ShardReport, ShardSpec, ShardedSpmm, ShardedStream};
 pub use tiling::{CcmPlan, ColumnTile, Segment, SegmentWidth};

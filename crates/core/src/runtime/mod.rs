@@ -15,12 +15,11 @@
 //!   exactly one worker, and workers that claim a lane wake the next — a
 //!   notify-one chain that bounds wake cost by the lanes a job actually
 //!   uses, not the pool size.
-//! * Jobs can be submitted **deferred**: [`WorkerPool::submit`] takes an
-//!   owned (`'static`) task and returns a [`JobHandle`] immediately while
-//!   the job runs in the background; [`JobHandle::wait`] joins it with the
-//!   waiting thread stealing remaining tasks. Borrowed tasks submit through
-//!   [`WorkerPool::scope`] ([`PoolScope::submit`], returning a
-//!   [`ScopedJobHandle`]), which joins every scoped job before returning —
+//! * Jobs can be submitted **deferred** inside [`WorkerPool::scope`]:
+//!   [`PoolScope::submit`] takes a borrowed task and returns a
+//!   [`ScopedJobHandle`] immediately while the job runs in the background;
+//!   [`ScopedJobHandle::wait`] joins it with the waiting thread stealing
+//!   remaining tasks. The scope joins every scoped job before returning —
 //!   so deferred execution never depends on a handle destructor running for
 //!   memory safety (`mem::forget` is safe; a leaked handle leaks
 //!   allocations, never dangles). [`JobSpec::max_lanes`] caps how many
@@ -64,5 +63,5 @@ pub mod wake;
 pub(crate) mod dispatch;
 
 pub use dispatch::PooledMatrix;
-pub use pool::{JobHandle, JobSpec, PoolScope, ScopedJobHandle, WorkerPool};
+pub use pool::{JobSpec, PoolScope, ScopedJobHandle, WorkerPool};
 pub use wake::WakeSlot;

@@ -1,7 +1,7 @@
 //! The persistent worker pool: threads are spawned once, park on a
 //! [`WakeSlot`] (a futex word on Linux, a condvar elsewhere — see
 //! [`super::wake`]), and serve jobs from a FIFO queue with per-job lane
-//! capping, a notify-one wake chain and deferred (asynchronous) submission.
+//! capping, a notify-one wake chain and scoped deferred submission.
 //!
 //! # Why not `std::thread::scope` per call?
 //!
@@ -40,26 +40,21 @@
 //!
 //! [`WorkerPool::run`] (and [`WorkerPool::run_spec`]) submit a job and block
 //! until it completes, participating in the task claim loop alongside the
-//! workers. [`WorkerPool::submit`] instead returns a [`JobHandle`]
-//! immediately; the job runs in the background and [`JobHandle::wait`] joins
-//! it — with the waiting thread stealing that job's remaining tasks, so a
-//! submitter that turns around and waits loses nothing over the blocking
-//! path. Tasks that borrow local state run deferred inside
-//! [`WorkerPool::scope`], which joins every job submitted through it before
-//! returning.
+//! workers. Inside [`WorkerPool::scope`], [`PoolScope::submit`] instead
+//! returns a [`ScopedJobHandle`] immediately; the job runs in the
+//! background and [`ScopedJobHandle::wait`] joins it — with the waiting
+//! thread stealing that job's remaining tasks, so a submitter that turns
+//! around and waits loses nothing over the blocking path. The scope joins
+//! every job submitted through it before returning.
 //!
 //! # Deferred submission never relies on a destructor
 //!
 //! `mem::forget` is safe, so memory safety may not depend on a handle's
-//! `Drop` running (the pre-1.0 `thread::JoinGuard` lesson). Deferred
-//! submission is therefore structured so that leaking a handle leaks
-//! allocations instead of dangling pointers: [`WorkerPool::submit`] *owns*
-//! its task (`'static` bound) — a leaked [`JobHandle`] leaks the closure and
-//! its share of the job descriptor, which workers may then dereference
-//! indefinitely — and [`PoolScope::submit`] accepts borrowed tasks because
-//! the scope holds its own share of every in-flight job's descriptor and
-//! joins all of its jobs inside [`WorkerPool::scope`]'s own stack frame,
-//! which no handle-leaking can skip, before any borrow handed to it can end.
+//! `Drop` running (the pre-1.0 `thread::JoinGuard` lesson).
+//! [`PoolScope::submit`] accepts borrowed tasks because the scope holds its
+//! own share of every in-flight job's descriptor and joins all of its jobs
+//! inside [`WorkerPool::scope`]'s own stack frame, which no handle-leaking
+//! can skip, before any borrow handed to it can end.
 
 use super::wake::WakeSlot;
 use std::cell::Cell;
@@ -112,9 +107,9 @@ pub(crate) type ErasedTask = unsafe fn(*const (), usize);
 
 /// Re-types the erased data pointer back to `&F`. Sound because the pointer
 /// is only dereferenced while the job is live, and submission keeps `F`
-/// alive that long: [`WorkerPool::submit`] owns it (leaked along with a
-/// leaked handle), and [`PoolScope::submit`] borrows it for at least the
-/// scope, which joins every job before returning.
+/// alive that long: the blocking paths borrow it across the call, and
+/// [`PoolScope::submit`] borrows it for at least the scope, which joins
+/// every job before returning.
 unsafe fn trampoline<F: Fn(usize)>(data: *const (), index: usize) {
     (*(data as *const F))(index);
 }
@@ -149,7 +144,7 @@ unsafe fn run_inline(
 /// The task function is invoked exactly once for every index in `0..tasks`,
 /// distributed over at most `max_lanes` pool workers (plus the submitting
 /// thread, which steals tasks whenever it blocks in [`WorkerPool::run`] or
-/// [`JobHandle::wait`]).
+/// [`ScopedJobHandle::wait`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobSpec {
     /// Number of task indices (`0..tasks`) to execute.
@@ -178,12 +173,11 @@ impl JobSpec {
 ///
 /// Lives on the submitter's stack for the blocking [`WorkerPool::run`] path
 /// (zero allocation) and in a reference-counted allocation for deferred
-/// submission (shared by the [`JobHandle`], or by a [`ScopedJobHandle`] and
-/// its [`PoolScope`]). The queue holds raw pointers to it; validity is
-/// guaranteed because a submitter's share is only released after the job is
-/// joined (all participants checked in, descriptor unreachable from the
-/// queue) — leaking a handle leaks its share instead of freeing it, and a
-/// scope keeps one until the job completes.
+/// submission (shared by a [`ScopedJobHandle`] and its [`PoolScope`]). The
+/// queue holds raw pointers to it; validity is guaranteed because the
+/// scope's share is only released after the job is joined (all participants
+/// checked in, descriptor unreachable from the queue) — leaking a handle
+/// leaks its share instead of freeing it.
 ///
 /// `next` and `busy_ns` are genuinely concurrent; the bookkeeping fields
 /// (`lanes_left`, `active`, `queued`, `done`) are only mutated under the
@@ -208,7 +202,8 @@ struct JobCore {
     queued: AtomicBool,
     /// Set once the job is complete: unreachable from the queue and every
     /// participant has checked in. Written under the state mutex with
-    /// `Release`; [`JobHandle::is_done`] reads it lock-free with `Acquire`.
+    /// `Release`; [`ScopedJobHandle::is_done`] reads it lock-free with
+    /// `Acquire`.
     done: AtomicBool,
     /// Maximum per-participant busy time, in nanoseconds.
     busy_ns: AtomicU64,
@@ -219,8 +214,9 @@ struct JobCore {
     /// it ([`JobCore::wake`] maps that sentinel to zero, covering inline
     /// jobs which have no handoff at all).
     wake_ns: AtomicU64,
-    /// Payload of the first task panic, re-raised by [`JobHandle::wait`] (or
-    /// the blocking `run`) once the job has fully completed.
+    /// Payload of the first task panic, re-raised by
+    /// [`ScopedJobHandle::wait`] (or the blocking `run`) once the job has
+    /// fully completed.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
@@ -296,8 +292,8 @@ impl JobCore {
 struct JobPtr(*const JobCore);
 
 // SAFETY: see JobPtr — the pointee is kept alive until the job is done by
-// the submitting stack frame or by a handle's/scope's reference-counted
-// share (leaked, not freed, if the handle is leaked), and `done` is only set
+// the submitting stack frame or by the scope's reference-counted share (a
+// leaked handle leaks its own share, never frees it), and `done` is only set
 // once the pointer is unreachable from both the queue and every worker.
 unsafe impl Send for JobPtr {}
 
@@ -436,8 +432,8 @@ impl Drop for PoolInner {
         {
             let mut state = lock(&self.shared.state);
             state.shutdown = true;
-            // Shutdown is the one event every worker must see; queued jobs
-            // (only possible through leaked handles) are drained first.
+            // Shutdown is the one event every worker must see; workers
+            // drain the queue before they exit.
             self.shared.work.bump();
         }
         self.shared.work.wake_all();
@@ -460,7 +456,6 @@ impl Drop for PoolInner {
 /// ```
 /// use jitspmm::{JobSpec, WorkerPool};
 /// use std::sync::atomic::{AtomicUsize, Ordering};
-/// use std::sync::Arc;
 ///
 /// let pool = WorkerPool::new(2);
 /// let hits = AtomicUsize::new(0);
@@ -469,26 +464,17 @@ impl Drop for PoolInner {
 ///     hits.fetch_add(1, Ordering::Relaxed);
 /// });
 /// assert_eq!(hits.load(Ordering::Relaxed), 16);
-/// // Deferred submission of an owned task: the job runs in the background,
-/// // capped to one worker lane, until the handle joins it.
-/// let shared = Arc::new(AtomicUsize::new(0));
-/// let handle = pool.submit(JobSpec::new(16).max_lanes(1), {
-///     let shared = Arc::clone(&shared);
-///     move |_task| {
-///         shared.fetch_add(1, Ordering::Relaxed);
-///     }
-/// });
-/// handle.wait();
-/// assert_eq!(shared.load(Ordering::Relaxed), 16);
-/// // Deferred submission of *borrowed* tasks goes through a scope, which
-/// // joins every job it submitted before returning.
+/// // Deferred submission goes through a scope: the job runs in the
+/// // background (here capped to one worker lane) until its handle — or the
+/// // scope, which joins every job it submitted before returning — joins it.
 /// let task = |_task| {
 ///     hits.fetch_add(1, Ordering::Relaxed);
 /// };
 /// pool.scope(|scope| {
+///     scope.submit(JobSpec::new(16).max_lanes(1), &task).wait();
 ///     scope.submit(JobSpec::new(16), &task);
 /// });
-/// assert_eq!(hits.load(Ordering::Relaxed), 32);
+/// assert_eq!(hits.load(Ordering::Relaxed), 48);
 /// ```
 #[derive(Clone)]
 pub struct WorkerPool {
@@ -651,71 +637,6 @@ impl WorkerPool {
         (busy, core.wake())
     }
 
-    /// Submit a job for deferred execution and return immediately.
-    ///
-    /// The job starts running on the pool's workers in the background
-    /// (capped to [`JobSpec::max_lanes`] of them); [`JobHandle::wait`] joins
-    /// it, with the waiting thread stealing remaining task indices so that
-    /// submit-then-wait is never slower than the blocking [`WorkerPool::run`].
-    /// Dropping the handle without waiting also joins the job, so the task
-    /// and its captures are normally released promptly — but safety does not
-    /// depend on that: the handle *owns* `task` (hence the `'static` bound),
-    /// so leaking it (e.g. via [`std::mem::forget`]) merely leaks the
-    /// closure and the job descriptor while the job still runs to
-    /// completion. For tasks that borrow local state, see
-    /// [`WorkerPool::scope`].
-    ///
-    /// On a zero-worker pool, or when called from inside a pool task, the
-    /// job runs inline to completion before this returns (there is no one to
-    /// defer to), and any task panic is deferred to [`JobHandle::wait`] just
-    /// like on the threaded path.
-    pub fn submit<F>(&self, spec: JobSpec, task: F) -> JobHandle<'_>
-    where
-        F: Fn(usize) + Send + Sync + 'static,
-    {
-        // The closure is owned through `Box::into_raw`/`from_raw` rather
-        // than held as a `Box` field: workers receive a raw pointer to it,
-        // and moving a `Box` (into the handle, then with every move of the
-        // handle) would invalidate pointers derived from it under the
-        // aliasing rules. A raw pointer moves without retagging; the drop
-        // path reconstructs the box after the join, and a leaked handle
-        // leaks the allocation (still valid) instead of freeing it.
-        let task: *mut F = Box::into_raw(Box::new(task));
-        // SAFETY: `task` is a fresh heap allocation, released only by the
-        // handle's drop after the job is joined.
-        let mut handle = unsafe { self.submit_raw(spec, task as *const (), trampoline::<F>) };
-        handle.payload = Some(task as *mut (dyn std::any::Any + Send + Sync));
-        handle
-    }
-
-    /// Type-erased deferred submission backing [`WorkerPool::submit`].
-    ///
-    /// # Safety
-    ///
-    /// `call(data, index)` must be sound for every `index in 0..spec.tasks`,
-    /// including concurrently from multiple threads with distinct indices,
-    /// and `data` must stay valid until the job completes — even if the
-    /// returned handle is leaked, in which case it is never freed at all.
-    unsafe fn submit_raw(&self, spec: JobSpec, data: *const (), call: ErasedTask) -> JobHandle<'_> {
-        if spec.tasks == 0 {
-            return JobHandle::completed(self, Duration::ZERO, None);
-        }
-        if IN_POOL_TASK.get() || self.inner.handles.is_empty() {
-            // Nothing to defer to: run inline now, deferring any panic to
-            // `wait` for parity with the threaded path.
-            let (busy, panic) = unsafe { run_inline(spec.tasks, data, call) };
-            return JobHandle::completed(self, busy, panic);
-        }
-        let core = Arc::new(JobCore::new(
-            spec.tasks,
-            self.worker_lanes(&spec),
-            data as usize,
-            call as usize,
-        ));
-        self.enqueue(&core);
-        JobHandle { pool: self, join: DeferredJoin::queued(core), payload: None }
-    }
-
     /// Create a scope for deferred submission of *borrowed* tasks.
     ///
     /// Inside `f`, [`PoolScope::submit`] defers jobs whose tasks may borrow
@@ -838,157 +759,6 @@ impl WorkerPool {
     }
 }
 
-/// The join protocol shared by [`JobHandle`] and [`ScopedJobHandle`]: a
-/// share of the job's descriptor (or the recorded result of a job that
-/// completed inline at submission) plus the check/join/panic-collection
-/// logic — kept in one place so the two deferred-join paths cannot diverge.
-///
-/// The descriptor is reference-counted: the queue's and workers' raw
-/// pointers into it stay valid because a submitter's share (this one, or the
-/// owning scope's) is only released after the job is done — and leaking a
-/// handle leaks its share, so the pointee can never be freed early.
-struct DeferredJoin {
-    /// `None` when the job completed inline at submission (zero tasks,
-    /// zero-worker pool, or re-entrant submission).
-    core: Option<Arc<JobCore>>,
-    inline_busy: Duration,
-    inline_panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-impl DeferredJoin {
-    fn completed(busy: Duration, panic: Option<Box<dyn std::any::Any + Send>>) -> DeferredJoin {
-        DeferredJoin { core: None, inline_busy: busy, inline_panic: panic }
-    }
-
-    fn queued(core: Arc<JobCore>) -> DeferredJoin {
-        DeferredJoin { core: Some(core), inline_busy: Duration::ZERO, inline_panic: None }
-    }
-
-    /// Whether the job has completed (lock-free).
-    fn is_done(&self) -> bool {
-        self.core.as_ref().is_none_or(|core| core.done.load(Ordering::Acquire))
-    }
-
-    /// Ensure the job is complete, stealing its remaining tasks on the
-    /// calling thread; idempotent. Returns the critical-path busy time.
-    fn join(&mut self, pool: &WorkerPool) -> Duration {
-        match &self.core {
-            None => self.inline_busy,
-            Some(core) => {
-                if core.done.load(Ordering::Acquire) {
-                    core.busy()
-                } else {
-                    pool.help_and_wait(core)
-                }
-            }
-        }
-    }
-
-    /// The job's enqueue→first-participant wake latency (zero for jobs that
-    /// completed inline; meaningful after `join`).
-    fn wake(&self) -> Duration {
-        self.core.as_ref().map_or(Duration::ZERO, |core| core.wake())
-    }
-
-    /// Take the job's first task panic, if any (meaningful after `join`).
-    fn take_panic(&mut self) -> Option<Box<dyn std::any::Any + Send>> {
-        match &self.core {
-            Some(core) => lock(&core.panic).take(),
-            None => self.inline_panic.take(),
-        }
-    }
-
-    /// Join, then re-raise the job's first task panic, if any: the body of
-    /// both handles' `wait`.
-    fn wait(&mut self, pool: &WorkerPool) -> Duration {
-        let busy = self.join(pool);
-        if let Some(payload) = self.take_panic() {
-            resume_unwind(payload);
-        }
-        busy
-    }
-}
-
-/// A deferred job submitted with [`WorkerPool::submit`].
-///
-/// The job runs in the background on the pool's workers; [`JobHandle::wait`]
-/// joins it (stealing remaining tasks on the calling thread) and re-raises
-/// the first task panic, if any. Dropping the handle without waiting also
-/// joins the job, releasing the owned task closure promptly. Leaking the
-/// handle (e.g. [`std::mem::forget`]) is safe but wasteful: the job still
-/// runs to completion (pool shutdown drains the queue first), while the
-/// closure and the job descriptor — owned by the handle — are leaked rather
-/// than freed, so workers never dereference freed memory.
-pub struct JobHandle<'a> {
-    pool: &'a WorkerPool,
-    /// Join state; `join.core` holds this submission's share of the job
-    /// descriptor, released after the join in drop and leaked with a leaked
-    /// handle — the workers' pointers into it can never dangle.
-    join: DeferredJoin,
-    /// The owned task closure the queued job's `data` pointer targets,
-    /// held through `Box::into_raw` because a `Box` field would be
-    /// invalidated by handle moves while workers dereference the pointer;
-    /// freed in drop after the join, leaked with a leaked handle.
-    payload: Option<*mut (dyn std::any::Any + Send + Sync)>,
-}
-
-// SAFETY: `payload` (the only non-auto-`Send` field) is a uniquely-owned
-// heap allocation that was bounded `Send + Sync + 'static` at submission and
-// is freed at most once (in `Drop`, after the join), so the handle may move
-// to and be shared with any thread just like when it was a `Box` field.
-unsafe impl Send for JobHandle<'_> {}
-// SAFETY: as above; `&self` access (`is_done`) only reads an atomic.
-unsafe impl Sync for JobHandle<'_> {}
-
-impl<'a> JobHandle<'a> {
-    fn completed(
-        pool: &'a WorkerPool,
-        busy: Duration,
-        panic: Option<Box<dyn std::any::Any + Send>>,
-    ) -> JobHandle<'a> {
-        JobHandle { pool, join: DeferredJoin::completed(busy, panic), payload: None }
-    }
-
-    /// Whether the job has completed (lock-free; `true` means [`wait`]
-    /// will not block).
-    ///
-    /// [`wait`]: JobHandle::wait
-    pub fn is_done(&self) -> bool {
-        self.join.is_done()
-    }
-
-    /// Join the job, stealing its remaining tasks on the calling thread, and
-    /// return its critical-path busy time (the maximum over participants).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first task panic after the job has fully completed
-    /// (dropping the handle instead discards the payload).
-    pub fn wait(mut self) -> Duration {
-        self.join.wait(self.pool)
-    }
-}
-
-impl Drop for JobHandle<'_> {
-    fn drop(&mut self) {
-        // An unwaited handle still joins, so the task closure and the job
-        // descriptor are never released while workers can reach them.
-        // Panics are swallowed here; `wait` re-raises them.
-        self.join.join(self.pool);
-        if let Some(payload) = self.payload.take() {
-            // SAFETY: produced by `Box::into_raw` in `submit`; the job is
-            // joined, so no worker can reach the closure.
-            drop(unsafe { Box::from_raw(payload) });
-        }
-    }
-}
-
-impl std::fmt::Debug for JobHandle<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobHandle").field("done", &self.is_done()).finish()
-    }
-}
-
 /// A scope for deferred submission of borrowed tasks, created by
 /// [`WorkerPool::scope`].
 ///
@@ -1030,10 +800,11 @@ impl<'scope, 'env> PoolScope<'scope, 'env> {
         self.pool
     }
 
-    /// Submit a job for deferred execution, as [`WorkerPool::submit`], but
-    /// with a task that may borrow the scope's environment: the scope joins
-    /// the job before any `'env` borrow can end, so no `'static` bound (and
-    /// no ownership transfer) is needed.
+    /// Submit a job for deferred execution and return immediately: it
+    /// starts running on the pool's workers in the background (capped to
+    /// [`JobSpec::max_lanes`] of them). The task may borrow the scope's
+    /// environment — the scope joins the job before any `'env` borrow can
+    /// end, so no `'static` bound (and no ownership transfer) is needed.
     ///
     /// The returned handle need not be waited, or even kept: an unwaited
     /// job is joined by the scope on exit, where its first task panic, if
@@ -1066,14 +837,11 @@ impl<'scope, 'env> PoolScope<'scope, 'env> {
         data: *const (),
         call: ErasedTask,
     ) -> ScopedJobHandle<'scope> {
-        if spec.tasks == 0 {
-            return ScopedJobHandle::completed(self.pool, Duration::ZERO, None);
-        }
-        if IN_POOL_TASK.get() || self.pool.inner.handles.is_empty() {
-            // Nothing to defer to: run inline now (see submit_raw) — but
-            // still register a completed descriptor with the scope, so an
-            // unwaited panic surfaces at scope exit exactly as it would
-            // have on the threaded path.
+        if spec.tasks == 0 || IN_POOL_TASK.get() || self.pool.inner.handles.is_empty() {
+            // Nothing to defer (to): run inline now, deferring any panic to
+            // `wait` for parity with the threaded path — and still register
+            // a completed descriptor with the scope, so an unwaited panic
+            // surfaces at scope exit exactly as it would have there.
             let (busy, panic) = unsafe { run_inline(spec.tasks, data, call) };
             let core = JobCore::completed_inline(spec.tasks, busy, panic);
             return self.adopt(core);
@@ -1084,7 +852,7 @@ impl<'scope, 'env> PoolScope<'scope, 'env> {
         // The scope's share of the descriptor (registered in `adopt` before
         // workers can see the job, so an exiting scope can never miss it)
         // keeps the queue's pointer valid until `join_all` has joined it.
-        self.pool.enqueue(handle.join.core.as_ref().expect("adopt always sets a core"));
+        self.pool.enqueue(&handle.core);
         handle
     }
 
@@ -1113,7 +881,7 @@ impl<'scope, 'env> PoolScope<'scope, 'env> {
         });
         jobs.push(Arc::clone(&core));
         drop(state);
-        ScopedJobHandle { pool: self.pool, join: DeferredJoin::queued(core), _scope: PhantomData }
+        ScopedJobHandle { pool: self.pool, core, _scope: PhantomData }
     }
 
     /// Join every job still registered with this scope and return the first
@@ -1143,34 +911,42 @@ impl std::fmt::Debug for PoolScope<'_, '_> {
 /// A deferred job submitted through a [`PoolScope`].
 ///
 /// [`ScopedJobHandle::wait`] joins the job (stealing remaining tasks on the
-/// calling thread) and re-raises its first task panic. Unlike [`JobHandle`],
-/// dropping this handle does nothing: the job keeps running in the
-/// background and the scope joins it on exit — which is also why leaking the
-/// handle is harmless.
+/// calling thread) and re-raises its first task panic. Dropping this handle
+/// does nothing: the job keeps running in the background and the scope joins
+/// it on exit — which is also why leaking the handle is harmless.
 pub struct ScopedJobHandle<'scope> {
     pool: &'scope WorkerPool,
-    /// Join state; `join.core` is this handle's share of the job descriptor
-    /// (the scope holds its own until the job completes).
-    join: DeferredJoin,
+    /// This handle's share of the job descriptor (the scope holds its own
+    /// until the job completes). A job that ran inline at submission
+    /// (zero-worker pool, re-entrant submission) carries a descriptor that
+    /// was complete from the start.
+    core: Arc<JobCore>,
     /// The handle belongs to the scope it was submitted through.
     _scope: PhantomData<&'scope ()>,
 }
 
-impl<'scope> ScopedJobHandle<'scope> {
-    fn completed(
-        pool: &'scope WorkerPool,
-        busy: Duration,
-        panic: Option<Box<dyn std::any::Any + Send>>,
-    ) -> ScopedJobHandle<'scope> {
-        ScopedJobHandle { pool, join: DeferredJoin::completed(busy, panic), _scope: PhantomData }
-    }
-
+impl ScopedJobHandle<'_> {
     /// Whether the job has completed (lock-free; `true` means [`wait`]
     /// will not block).
     ///
     /// [`wait`]: ScopedJobHandle::wait
     pub fn is_done(&self) -> bool {
-        self.join.is_done()
+        self.core.done.load(Ordering::Acquire)
+    }
+
+    /// Ensure the job is complete, stealing its remaining tasks on the
+    /// calling thread; idempotent. Returns the critical-path busy time.
+    fn join(&self) -> Duration {
+        if self.is_done() {
+            self.core.busy()
+        } else {
+            self.pool.help_and_wait(&self.core)
+        }
+    }
+
+    /// Take the job's first task panic, if any (meaningful after `join`).
+    fn take_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
+        lock(&self.core.panic).take()
     }
 
     /// Join the job, stealing its remaining tasks on the calling thread, and
@@ -1181,15 +957,19 @@ impl<'scope> ScopedJobHandle<'scope> {
     /// Re-raises the first task panic after the job has fully completed. (If
     /// the handle is dropped without waiting instead, the scope re-raises
     /// the panic on exit.)
-    pub fn wait(mut self) -> Duration {
-        self.join.wait(self.pool)
+    pub fn wait(self) -> Duration {
+        let busy = self.join();
+        if let Some(payload) = self.take_panic() {
+            resume_unwind(payload);
+        }
+        busy
     }
 
     /// Join and discard any panic payload: the engine's abandoned-launch
     /// drop path, which must not poison the scope exit.
     pub(crate) fn join_quiet(&mut self) -> Duration {
-        let busy = self.join.join(self.pool);
-        drop(self.join.take_panic());
+        let busy = self.join();
+        drop(self.take_panic());
         busy
     }
 
@@ -1198,8 +978,8 @@ impl<'scope> ScopedJobHandle<'scope> {
     /// pipeline's completion path, which must restore its own bookkeeping
     /// (free the launch slot) before deciding to unwind.
     pub(crate) fn try_wait(&mut self) -> Result<Duration, Box<dyn std::any::Any + Send>> {
-        let busy = self.join.join(self.pool);
-        match self.join.take_panic() {
+        let busy = self.join();
+        match self.take_panic() {
             None => Ok(busy),
             Some(payload) => Err(payload),
         }
@@ -1210,7 +990,7 @@ impl<'scope> ScopedJobHandle<'scope> {
     /// reads it after [`ScopedJobHandle::try_wait`] for
     /// [`crate::ExecutionReport::wake`].
     pub(crate) fn wake(&self) -> Duration {
-        self.join.wake()
+        self.core.wake()
     }
 }
 
@@ -1366,53 +1146,6 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn submit_defers_and_wait_joins() {
-        let pool = WorkerPool::new(2);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let handle = pool.submit(JobSpec::new(64), {
-            let hits = Arc::clone(&hits);
-            move |_i| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        handle.wait();
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn submitted_job_completes_without_wait() {
-        let pool = WorkerPool::new(2);
-        let hits = Arc::new(AtomicUsize::new(0));
-        drop(pool.submit(JobSpec::new(32), {
-            let hits = Arc::clone(&hits);
-            move |_i| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }));
-        // Drop joins: every task ran before the handle was released.
-        assert_eq!(hits.load(Ordering::Relaxed), 32);
-    }
-
-    #[test]
-    fn leaked_handle_still_completes_the_job() {
-        // `mem::forget` on a handle is safe: the job must still run every
-        // task (pool shutdown drains the queue) and nothing may dangle —
-        // the handle-owned closure and descriptor are leaked, not freed.
-        let pool = WorkerPool::new(2);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let handle = pool.submit(JobSpec::new(64), {
-            let hits = Arc::clone(&hits);
-            move |_i| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        std::mem::forget(handle);
-        // Dropping the pool joins the workers, which drain the queue first.
-        drop(pool);
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
     }
 
     #[test]
@@ -1590,56 +1323,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_on_inline_pool_runs_synchronously() {
-        let pool = WorkerPool::inline();
-        let hits = Arc::new(AtomicUsize::new(0));
-        let handle = pool.submit(JobSpec::new(8), {
-            let hits = Arc::clone(&hits);
-            move |_i| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(handle.is_done());
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
-        handle.wait();
-    }
-
-    #[test]
-    fn submitted_panic_is_deferred_to_wait() {
-        let pool = WorkerPool::new(2);
-        let task = |i: usize| {
-            if i == 5 {
-                panic!("deferred boom");
-            }
-        };
-        let handle = pool.submit(JobSpec::new(8), task);
-        let result = catch_unwind(AssertUnwindSafe(|| handle.wait()));
-        let payload = result.unwrap_err();
-        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(message, "deferred boom");
-        // Dropping a panicked handle must stay silent and the pool usable.
-        drop(pool.submit(JobSpec::new(8), task));
-        let ok = AtomicUsize::new(0);
-        pool.run(4, &|_| {
-            ok.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(ok.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn is_done_eventually_true_without_wait() {
-        let pool = WorkerPool::new(1);
-        let handle = pool.submit(JobSpec::new(4), |_i| {});
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !handle.is_done() {
-            assert!(Instant::now() < deadline, "job never completed in the background");
-            std::thread::yield_now();
-        }
-        // wait() on an already-done job must not block (is_done promised so).
-        handle.wait();
-    }
-
-    #[test]
     fn deferred_jobs_record_wake_latency() {
         let pool = WorkerPool::new(2);
         pool.scope(|scope| {
@@ -1647,8 +1330,7 @@ mod tests {
             let _ = handle.join_quiet();
             // A queued job must have its handoff recorded by the first
             // participant — the sentinel never survives a completed job.
-            let core = handle.join.core.as_ref().expect("threaded submission has a core");
-            assert_ne!(core.wake_ns.load(Ordering::Relaxed), u64::MAX);
+            assert_ne!(handle.core.wake_ns.load(Ordering::Relaxed), u64::MAX);
         });
     }
 

@@ -67,7 +67,7 @@ pub fn arm_kernel_panic(nth: u64) {
 }
 
 /// Make the next `count` kernel-job entries sleep `delay` before running —
-/// a slow launch, for deadline and backpressure tests.
+/// a slow launch, for backpressure tests.
 pub fn arm_kernel_delay(delay: Duration, count: u64) {
     DELAY_NANOS.store(u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX), Ordering::SeqCst);
     DELAY_TICKETS.store(count, Ordering::SeqCst);

@@ -1,7 +1,6 @@
-//! Multi-engine serving: route a mixed request stream across several
-//! compiled engines sharing one [`crate::WorkerPool`], under a control
-//! plane that keeps the router bounded when overloaded and alive when a
-//! kernel faults.
+//! Multi-engine serving: route a mixed request stream, FIFO, across several
+//! compiled engines sharing one [`crate::WorkerPool`], bounded under
+//! overload by an admission policy and kept alive when a kernel faults.
 //!
 //! The paper's premise is that JIT compilation is amortized across many
 //! executions of one kernel; a serving system amortizes it one level up,
@@ -10,10 +9,10 @@
 //! and strategies — and accepts a mixed stream of owned requests, each
 //! tagged with the id of the engine that should execute it:
 //!
-//! * every request is validated (engine id, lifecycle, input shape)
-//!   **before** any launch state is touched, so malformed traffic produces
-//!   typed [`ServerResponse::Rejected`] / [`ServerResponse::Failed`]
-//!   responses, never panics or poisoned engines;
+//! * every request is validated (engine id, input shape) **before** any
+//!   launch state is touched, so malformed traffic produces typed
+//!   [`ServerResponse::Rejected`] / [`ServerResponse::Failed`] responses,
+//!   never panics or poisoned engines;
 //! * each engine's requests flow through its own [`crate::BatchStream`]
 //!   pipeline (per-engine launch slots, payloads and spare kernels), fed by
 //!   value via [`crate::BatchStream::push_owned`], so cross-thread producers
@@ -21,12 +20,13 @@
 //! * the per-engine lane caps from the runtime keep concurrently in-flight
 //!   engines on **disjoint worker subsets** of the shared pool, so a slow
 //!   engine cannot starve the others;
-//! * results come back in per-engine submission order, each tagged with
-//!   its engine id and sequence numbers;
+//! * requests launch in arrival order and results come back in per-engine
+//!   submission order, each tagged with its engine id and sequence numbers
+//!   — a front end may pair replies to callers by that order alone;
 //! * a [`ServerReport`] aggregates one per-engine [`crate::BatchReport`]
 //!   (kernel/dispatch p50/p99 through the same bounded reservoir the batch
-//!   layer uses) plus whole-server throughput and the control plane's
-//!   rejected/shed counters.
+//!   layer uses) plus whole-server throughput and the rejected/failed
+//!   counters.
 //!
 //! Sharded engines ([`crate::shard::ShardedSpmm`]) register behind one
 //! logical engine id via [`SpmmServer::add_sharded`]: the router fans each
@@ -36,47 +36,34 @@
 //! submission-order collection and [`ServerReport`] aggregation are
 //! unchanged.
 //!
-//! # The serving control plane
+//! # One FIFO loop, two admission policies, live updates
 //!
-//! Serving differs from batch execution in what it must survive: producers
-//! that offer more load than the engines can absorb, requests whose answers
-//! stop mattering after a deadline, topology that changes while traffic
-//! flows, and generated code that faults. The control plane addresses each:
+//! [`SpmmServer::serve_controlled`] is the one entry point: it spawns a
+//! producer thread that feeds the bounded request queue (through its
+//! [`RequestSender`]) while the calling thread routes, handing each
+//! response to a consumer callback the moment it exists. [`ServeOptions`]
+//! sets the admission policy and the pipeline depth. Around the loop:
 //!
 //! * **Admission control** — the request queue admits under an
-//!   [`AdmissionPolicy`]: a queue-depth bound plus an optional cap on
-//!   requests outstanding in the whole server, with a choice between
-//!   blocking the producer (backpressure) and shedding
+//!   [`AdmissionPolicy`]: a queue-depth bound with a choice between
+//!   blocking the producer (backpressure — lossless, the reference the
+//!   differential suites serve through) and shedding
 //!   ([`crate::serve::SendError::Rejected`] with a typed [`RejectReason`],
-//!   without blocking). Producers never block indefinitely on an overloaded
-//!   server.
-//! * **Priorities and deadlines** — each [`ServerRequest`] carries a
-//!   `priority` and an optional absolute deadline;
-//!   [`SpmmServer::serve_controlled`] drains arrivals through a reorder
-//!   buffer ordered by priority, then earliest deadline, then arrival, and
-//!   sheds expired requests right before launch
-//!   ([`RejectReason::DeadlinePassed`], counted in
-//!   [`ServerReport::shed_deadline`]).
-//! * **Dynamic topology** — [`SpmmServer::add_engine`] /
-//!   [`SpmmServer::add_sharded`] register engines while a serve runs;
-//!   [`SpmmServer::retire_engine`] drains an engine out of service without
-//!   disturbing the others; [`ControlHandle::drain`] is a barrier that
-//!   stops admission and waits until every admitted request has been
-//!   answered.
+//!   without blocking — what the TCP front end uses). Sends naming an
+//!   unknown engine id are refused at the queue.
+//! * **Engines added mid-serve** — [`SpmmServer::add_engine`] /
+//!   [`SpmmServer::add_sharded`] / [`SpmmServer::add_mutable`] register
+//!   engines while a serve runs; the loop opens their pipeline on the first
+//!   request naming the new id.
+//! * **Live updates** — [`ControlHandle::apply_update`] queues an edge
+//!   delta for a mutable engine; the loop applies it between launches and
+//!   [`ControlHandle::wait_revision`] observes the swap.
 //! * **Fault containment** — a worker panic (a crash in generated code)
 //!   becomes a typed [`ServerResponse::Failed`] for exactly the request
-//!   that hit it; unrelated engines keep serving and the server remains
-//!   usable. The cfg-gated [`fault`] module injects such crashes for chaos
-//!   tests.
-//!
-//! One entry point:
-//!
-//! * [`SpmmServer::serve_controlled`] — spawn a producer thread that feeds
-//!   the bounded request queue (through its [`RequestSender`]) while the
-//!   calling thread routes, handing each response to a consumer callback
-//!   the moment it exists. [`ServeOptions`] sets the admission policy and
-//!   the pipeline depth; priority/deadline scheduling, graceful drain and
-//!   fault containment are always on.
+//!   that hit it (a shard-fanned lane is poisoned for the rest of the
+//!   serve, [`RejectReason::LanePoisoned`]); unrelated engines keep serving
+//!   and the server remains usable. The cfg-gated [`fault`] module injects
+//!   such crashes for chaos tests.
 
 mod control;
 mod queue;
@@ -89,7 +76,7 @@ pub mod fault;
 #[cfg(test)]
 mod server_tests;
 
-pub use control::{AdmissionPolicy, ControlHandle, EngineStatus, RejectReason, SendError};
+pub use control::{AdmissionPolicy, ControlHandle, RejectReason, SendError};
 pub use queue::{RequestSender, ServerRequest};
 pub use report::ServerReport;
 pub use server::{ServeOptions, ServerResponse, SpmmServer};

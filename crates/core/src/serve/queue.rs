@@ -1,31 +1,23 @@
-//! The bounded request queue between producer threads and the serving loop,
-//! with control-plane admission (policies, typed rejections) layered on top.
+//! The bounded FIFO request queue between producer threads and the serving
+//! loop, with admission (policies, typed rejections) layered on top.
 
 use crate::runtime::pool::lock;
 use crate::serve::control::{AdmissionPolicy, ControlShared, RejectReason, SendError};
 use jitspmm_sparse::{DenseMatrix, Scalar};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// One serving request: a dense input tagged with the id of the engine that
-/// should execute it, plus the control-plane metadata — priority and
-/// deadline — the router orders and sheds by.
-///
-/// Build with [`ServerRequest::new`] and refine with the builder-style
-/// [`ServerRequest::with_priority`] / [`ServerRequest::with_deadline`]:
+/// should execute it. Requests are served in arrival order.
 ///
 /// ```
 /// use jitspmm::serve::ServerRequest;
 /// use jitspmm_sparse::DenseMatrix;
-/// use std::time::Duration;
 ///
-/// let request = ServerRequest::new(0, DenseMatrix::<f32>::random(64, 8, 7))
-///     .with_priority(3)
-///     .with_deadline(Duration::from_millis(50));
-/// assert_eq!(request.priority, 3);
-/// assert!(request.expires_at().is_some());
+/// let request = ServerRequest::new(0, DenseMatrix::<f32>::random(64, 8, 7));
+/// assert_eq!(request.engine, 0);
+/// assert_eq!(request.input.ncols(), 8);
 /// ```
 #[derive(Debug)]
 pub struct ServerRequest<T: Scalar> {
@@ -34,42 +26,12 @@ pub struct ServerRequest<T: Scalar> {
     /// The dense right-hand side, owned — producers hand inputs over by
     /// value, so no borrow ties them to the serving scope.
     pub input: DenseMatrix<T>,
-    /// Scheduling priority: higher values are drained from the reorder
-    /// buffer first. Defaults to 0.
-    pub priority: u8,
-    /// Absolute expiry, converted from the relative budget at
-    /// [`ServerRequest::with_deadline`] time. `None` = no deadline.
-    pub(crate) deadline: Option<Instant>,
 }
 
 impl<T: Scalar> ServerRequest<T> {
-    /// A request for `engine` with default priority (0) and no deadline.
+    /// A request for `engine`.
     pub fn new(engine: usize, input: DenseMatrix<T>) -> ServerRequest<T> {
-        ServerRequest { engine, input, priority: 0, deadline: None }
-    }
-
-    /// Set the scheduling priority (higher = drained first).
-    pub fn with_priority(mut self, priority: u8) -> ServerRequest<T> {
-        self.priority = priority;
-        self
-    }
-
-    /// Give the request `budget` from **now**: if the router has not
-    /// launched it by then, it is shed with
-    /// [`RejectReason::DeadlinePassed`] instead of executed.
-    pub fn with_deadline(mut self, budget: Duration) -> ServerRequest<T> {
-        self.deadline = Some(Instant::now() + budget);
-        self
-    }
-
-    /// The absolute expiry instant, if a deadline was set.
-    pub fn expires_at(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// Whether the deadline (if any) has passed as of `now`.
-    pub(crate) fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|deadline| now >= deadline)
+        ServerRequest { engine, input }
     }
 }
 
@@ -78,6 +40,9 @@ struct QueueState<T: Scalar> {
     /// Live [`RequestSender`] clones; the queue ends when this reaches zero
     /// and the items drain.
     senders: usize,
+    /// Set by [`RequestQueue::close`] (or the receiver's drop): pending and
+    /// future sends are refused so blocked producers unwedge immediately.
+    closed: bool,
 }
 
 struct QueueShared<T: Scalar> {
@@ -86,15 +51,9 @@ struct QueueShared<T: Scalar> {
     not_full: Condvar,
     /// The receiver parks here while the queue is empty.
     not_empty: Condvar,
-    /// Set by [`RequestQueue::close`] (or the receiver's drop): pending and
-    /// future sends are refused so blocked producers unwedge immediately.
-    /// Atomic (rather than a `QueueState` field) because senders parked on
-    /// the in-flight cap re-check it under the *control plane's* lock, not
-    /// the queue's.
-    closed: AtomicBool,
     policy: AdmissionPolicy,
-    /// The server's control plane: consulted for engine lifecycle and the
-    /// in-flight cap, and credited with admissions.
+    /// The server's control state: consulted for the engine id space and
+    /// credited with refused sends.
     control: Arc<ControlShared>,
 }
 
@@ -104,8 +63,8 @@ pub(crate) enum RecvTimeout<T: Scalar> {
     /// The oldest queued request.
     Request(ServerRequest<T>),
     /// Nothing arrived within the timeout; the queue is still live — the
-    /// serving loop uses the wake-up to apply control-plane changes (drain,
-    /// retire) before waiting again.
+    /// serving loop uses the wake-up to join in-flight launches and apply
+    /// queued matrix updates before waiting again.
     TimedOut,
     /// The stream is over: the queue is closed or every sender is gone and
     /// the items drained.
@@ -121,9 +80,8 @@ pub struct RequestSender<T: Scalar> {
 }
 
 impl<T: Scalar> RequestSender<T> {
-    /// Enqueue a request built with [`ServerRequest::new`] (carrying
-    /// priority/deadline metadata), subject to the queue's
-    /// [`AdmissionPolicy`]: a blocking policy parks the producer while the
+    /// Enqueue a request built with [`ServerRequest::new`], subject to the
+    /// queue's [`AdmissionPolicy`]: a blocking policy parks the producer while the
     /// queue is at capacity (backpressure), a shedding policy refuses with
     /// [`SendError::Rejected`]`(`[`RejectReason::QueueFull`]`)` instead.
     ///
@@ -131,25 +89,22 @@ impl<T: Scalar> RequestSender<T> {
     ///
     /// [`SendError::Closed`] once the receiving side has closed the queue
     /// (the serving loop ended or aborted) — a producer loop can simply
-    /// stop. [`SendError::Rejected`] when the control plane refuses the
-    /// request (queue full under a shedding policy, target engine draining
-    /// or retired, server draining, unknown engine id); the queue remains
-    /// open and later sends may succeed.
+    /// stop. [`SendError::Rejected`] when admission refuses the request
+    /// (queue full under a shedding policy, unknown engine id); the queue
+    /// remains open and later sends may succeed.
     pub fn send_request(&self, request: ServerRequest<T>) -> Result<(), SendError> {
         let shared = &self.shared;
         let control = &shared.control;
         let mut state = lock(&shared.state);
         loop {
-            if shared.closed.load(Ordering::SeqCst) {
+            if state.closed {
                 return Err(SendError::Closed);
             }
             if let Err(reason) = control.admission(request.engine) {
                 control.note_rejected_send();
                 return Err(SendError::Rejected(reason));
             }
-            let over_cap = shared.policy.max_in_flight.filter(|&cap| control.outstanding() >= cap);
-            if over_cap.is_none() && state.items.len() < shared.policy.queue_depth {
-                control.admitted();
+            if state.items.len() < shared.policy.queue_depth {
                 state.items.push_back(request);
                 shared.not_empty.notify_one();
                 return Ok(());
@@ -158,24 +113,14 @@ impl<T: Scalar> RequestSender<T> {
                 control.note_rejected_send();
                 return Err(SendError::Rejected(RejectReason::QueueFull));
             }
-            // Blocking admission. Queue-depth room is signalled on
-            // `not_full`; the in-flight cap releases on the control plane's
-            // condvar, so that case parks there — request completions wake
-            // it the moment a slot frees. Both paths loop back to re-check
-            // closure and admission from scratch.
-            if let Some(cap) = over_cap {
-                drop(state);
-                control.wait_cap_change(cap, &shared.closed);
-                state = lock(&shared.state);
-            } else {
-                state =
-                    shared.not_full.wait(state).unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
+            // Blocking admission: park until the receiver makes room (or
+            // closes), then re-check closure and admission from scratch.
+            state = shared.not_full.wait(state).unwrap_or_else(|poisoned| poisoned.into_inner());
         }
     }
 
-    /// [`RequestSender::send_request`] for the common case: a request with
-    /// default priority and no deadline.
+    /// [`RequestSender::send_request`] without building the
+    /// [`ServerRequest`] first.
     pub fn send(&self, engine: usize, input: DenseMatrix<T>) -> Result<(), SendError> {
         self.send_request(ServerRequest::new(engine, input))
     }
@@ -215,24 +160,23 @@ impl<T: Scalar> std::fmt::Debug for RequestSender<T> {
 /// Bounded on purpose — the queue is the server's admission control. Its
 /// [`AdmissionPolicy`] decides what the bound does: block producers
 /// (backpressure) or shed with typed [`RejectReason`]s (load shedding);
-/// sends to draining or retired engines are refused outright.
+/// sends naming an unknown engine id are refused outright.
 pub(crate) struct RequestQueue<T: Scalar> {
     shared: Arc<QueueShared<T>>,
 }
 
 impl<T: Scalar> RequestQueue<T> {
-    /// Create a queue admitting under `policy`; admission consults (and
-    /// credits) the server's shared control state. Returns the first sender
+    /// Create a queue admitting under `policy`; admission consults the
+    /// server's shared control state. Returns the first sender
     /// and the receiver.
     pub(crate) fn controlled(
         policy: AdmissionPolicy,
         control: Arc<ControlShared>,
     ) -> (RequestSender<T>, RequestQueue<T>) {
         let shared = Arc::new(QueueShared {
-            state: Mutex::new(QueueState { items: VecDeque::new(), senders: 1 }),
+            state: Mutex::new(QueueState { items: VecDeque::new(), senders: 1, closed: false }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
-            closed: AtomicBool::new(false),
             policy,
             control,
         });
@@ -240,8 +184,8 @@ impl<T: Scalar> RequestQueue<T> {
     }
 
     /// Dequeue the oldest request, waiting at most `timeout` while the
-    /// queue is empty, so the serving loop can wake to apply control-plane
-    /// changes (drain, retire) even while the queue is idle.
+    /// queue is empty, so the serving loop can wake to join in-flight
+    /// launches and apply queued updates even while the queue is idle.
     /// [`RecvTimeout::Disconnected`] marks the end of the stream: every
     /// sender is gone and the queue has drained, or it was closed.
     pub fn recv_timeout(&self, timeout: Duration) -> RecvTimeout<T> {
@@ -252,7 +196,7 @@ impl<T: Scalar> RequestQueue<T> {
                 self.shared.not_full.notify_one();
                 return RecvTimeout::Request(item);
             }
-            if self.shared.closed.load(Ordering::SeqCst) || state.senders == 0 {
+            if state.closed || state.senders == 0 {
                 return RecvTimeout::Disconnected;
             }
             let now = Instant::now();
@@ -269,8 +213,8 @@ impl<T: Scalar> RequestQueue<T> {
     }
 
     /// Dequeue the oldest request if one is already queued; never blocks.
-    /// The serving loop uses this to drain a burst of arrivals into the
-    /// reorder buffer in one sweep.
+    /// The serving loop uses this to launch a backlog without touching the
+    /// clock.
     pub fn try_recv(&self) -> Option<ServerRequest<T>> {
         let mut state = lock(&self.shared.state);
         let item = state.items.pop_front();
@@ -281,8 +225,7 @@ impl<T: Scalar> RequestQueue<T> {
     }
 
     /// Close the queue from the receiving side: pending requests are
-    /// discarded (credited back to the control plane, so a drain barrier
-    /// cannot wait on requests nobody will answer), blocked and future
+    /// discarded, blocked and future
     /// [`RequestSender::send`] calls return [`SendError::Closed`]
     /// immediately, and receives report the stream over. The serving
     /// loop calls this before propagating an error so producers blocked on
@@ -290,14 +233,9 @@ impl<T: Scalar> RequestQueue<T> {
     /// receiving. Dropping the queue closes it too.
     pub fn close(&self) {
         let mut state = lock(&self.shared.state);
-        self.shared.closed.store(true, Ordering::SeqCst);
-        let discarded = state.items.len();
+        state.closed = true;
         state.items.clear();
         drop(state);
-        self.shared.control.completed(discarded);
-        // Senders parked on the in-flight cap wait on the control plane's
-        // condvar, not the queue's — wake them so they observe the closure.
-        self.shared.control.wake_waiters();
         self.shared.not_full.notify_all();
         self.shared.not_empty.notify_all();
     }
@@ -312,14 +250,13 @@ impl<T: Scalar> Drop for RequestQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn request(seed: u64) -> DenseMatrix<f32> {
         DenseMatrix::random(4, 2, seed)
     }
 
-    /// A queue admitting under `policy` for a control plane with four
+    /// A queue admitting under `policy` for a control state with four
     /// active engines (ids 0..=3).
     fn with_policy(policy: AdmissionPolicy) -> (RequestSender<f32>, RequestQueue<f32>) {
         let control = Arc::new(ControlShared::new());
@@ -475,15 +412,5 @@ mod tests {
         assert!(sender.send(3, request(1)).is_ok());
         assert_eq!(queue.try_recv().map(|r| r.engine), Some(3));
         assert!(queue.try_recv().is_none());
-    }
-
-    #[test]
-    fn deadline_stamps_an_absolute_expiry() {
-        let req = ServerRequest::new(0, request(1)).with_deadline(Duration::from_millis(10));
-        assert!(!req.expired(Instant::now()));
-        assert!(req.expired(Instant::now() + Duration::from_millis(20)));
-        let no_deadline = ServerRequest::new(0, request(2));
-        assert!(no_deadline.expires_at().is_none());
-        assert!(!no_deadline.expired(Instant::now() + Duration::from_secs(3600)));
     }
 }

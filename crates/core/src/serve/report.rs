@@ -1,5 +1,5 @@
 //! Aggregated serving statistics: one [`BatchReport`] per engine plus
-//! whole-server throughput and the control plane's shed/reject counters.
+//! whole-server throughput and the reject/fail counters.
 
 use crate::engine::BatchReport;
 use std::time::Duration;
@@ -12,8 +12,8 @@ use std::time::Duration;
 /// indexed by engine id, so a serving dashboard can tell *which* engine's
 /// tail is misbehaving. The whole-server numbers (`requests`, `elapsed`,
 /// [`ServerReport::throughput`]) span the mixed stream end to end, and the
-/// control-plane counters (`rejected`, `shed_deadline`, `failed`) separate
-/// goodput from offered load: `requests` counts **completed** work only.
+/// outcome counters (`rejected`, `failed`) separate goodput from offered
+/// load: `requests` counts **completed** work only.
 #[derive(Debug, Clone)]
 pub struct ServerReport {
     /// Total requests completed (a [`crate::serve::ServerResponse`] with an
@@ -22,11 +22,8 @@ pub struct ServerReport {
     /// Wall-clock time from the first submission to the last join.
     pub elapsed: Duration,
     /// Requests refused by admission control or the router — queue-full
-    /// shedding, draining/retired targets, unknown engine ids — excluding
-    /// the deadline sheds counted separately below.
+    /// shedding, unknown engine ids, poisoned lanes.
     pub rejected: usize,
-    /// Requests shed because their deadline passed before launch.
-    pub shed_deadline: usize,
     /// Requests that were launched but failed — a worker panic converted to
     /// a typed [`crate::serve::ServerResponse::Failed`], or a shape
     /// mismatch caught at routing time.
@@ -50,20 +47,20 @@ impl ServerReport {
         }
     }
 
-    /// Everything the producers offered: completed plus rejected, shed and
-    /// failed requests.
+    /// Everything the producers offered: completed plus rejected and failed
+    /// requests.
     pub fn offered(&self) -> usize {
-        self.requests + self.rejected + self.shed_deadline + self.failed
+        self.requests + self.rejected + self.failed
     }
 
-    /// Fraction of offered load that was refused or shed (0.0 for an empty
-    /// run) — the dashboard's shed rate.
+    /// Fraction of offered load that was refused (0.0 for an empty run) —
+    /// the dashboard's shed rate.
     pub fn shed_rate(&self) -> f64 {
         let offered = self.offered();
         if offered == 0 {
             0.0
         } else {
-            (self.rejected + self.shed_deadline) as f64 / offered as f64
+            self.rejected as f64 / offered as f64
         }
     }
 
@@ -82,7 +79,6 @@ mod tests {
             requests: 0,
             elapsed: Duration::ZERO,
             rejected: 0,
-            shed_deadline: 0,
             failed: 0,
             per_engine: Vec::new(),
         }
@@ -106,8 +102,7 @@ mod tests {
     #[test]
     fn shed_rate_separates_goodput_from_offered_load() {
         assert_eq!(empty().shed_rate(), 0.0);
-        let report =
-            ServerReport { requests: 6, rejected: 3, shed_deadline: 1, failed: 2, ..empty() };
+        let report = ServerReport { requests: 6, rejected: 4, failed: 2, ..empty() };
         assert_eq!(report.offered(), 12);
         assert!((report.shed_rate() - 4.0 / 12.0).abs() < 1e-12);
     }

@@ -1,6 +1,6 @@
 //! The [`SpmmServer`]: N compiled engines, one pool, one mixed request
-//! stream, plus the control plane that keeps it bounded under overload and
-//! alive under faults.
+//! stream served FIFO, bounded under overload by its admission policy and
+//! kept alive under faults by containment.
 
 use crate::engine::{BatchReport, BatchStats, BatchStream, ExecutionReport, JitSpmm};
 use crate::error::JitSpmmError;
@@ -8,8 +8,7 @@ use crate::runtime::pool::lock;
 use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
 use crate::schedule::Strategy;
 use crate::serve::control::{
-    AdmissionPolicy, ControlHandle, ControlShared, EngineStatus, PendingUpdate, RejectReason,
-    ReorderBuffer,
+    AdmissionPolicy, ControlHandle, ControlShared, PendingUpdate, RejectReason,
 };
 use crate::serve::queue::{RecvTimeout, RequestQueue, RequestSender, ServerRequest};
 use crate::serve::report::ServerReport;
@@ -44,12 +43,10 @@ enum EngineEntry<'a, T: Scalar> {
 /// requests pipeline through that engine's [`BatchStream`] and come back in
 /// submission order.
 ///
-/// On top of the routing sits a **control plane** (see the
-/// [`crate::serve`] module docs): admission policies with typed rejections,
-/// per-request priorities and deadlines ([`SpmmServer::serve_controlled`]),
-/// live topology changes ([`SpmmServer::add_engine`] /
-/// [`SpmmServer::retire_engine`]) and a drain barrier
-/// ([`ControlHandle::drain`]).
+/// Around the routing (see the [`crate::serve`] module docs): two admission
+/// policies with typed rejections, engines registered while a serve runs
+/// ([`SpmmServer::add_engine`]), live matrix updates
+/// ([`ControlHandle::apply_update`]) and fault containment.
 ///
 /// ```
 /// use jitspmm::serve::{ServeOptions, ServerRequest, SpmmServer};
@@ -93,8 +90,7 @@ enum EngineEntry<'a, T: Scalar> {
 /// ```
 pub struct SpmmServer<'a, T: Scalar> {
     /// Logical-id-indexed engine registry. **Append-only**: entries are
-    /// never removed, replaced or reordered while the server lives —
-    /// retirement is a control-plane state, not a registry mutation — which
+    /// never removed, replaced or reordered while the server lives — which
     /// is what makes the borrow-returning accessors sound.
     engines: Mutex<Vec<EngineEntry<'a, T>>>,
     control: Arc<ControlShared>,
@@ -112,7 +108,7 @@ impl<T: Scalar> std::fmt::Debug for SpmmServer<'_, T> {
 
 impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// Build a server over `engines`. Engine ids are the indices into this
-    /// vector, in order; every engine starts [`EngineStatus::Active`].
+    /// vector, in order.
     ///
     /// # Errors
     ///
@@ -156,10 +152,9 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     }
 
     /// Register another single engine while the server (and any session) is
-    /// live, returning its new logical id. The engine starts
-    /// [`EngineStatus::Active`]; an open [`SpmmServer::serve_controlled`]
-    /// loop picks it up on its next control sweep and routes to it as soon
-    /// as a request names the id.
+    /// live, returning its new logical id. An open
+    /// [`SpmmServer::serve_controlled`] loop routes to it as soon as a
+    /// request names the id.
     ///
     /// # Errors
     ///
@@ -222,32 +217,15 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         Ok(id)
     }
 
-    /// Begin retiring engine `id`: it stops admitting
-    /// ([`RejectReason::Draining`] at the queue), in-flight requests
-    /// complete, and the next control sweep of a running serve drains its
-    /// pipeline and frees its launch-slot payloads. With no serve running
-    /// the id goes straight to
-    /// [`EngineStatus::Retired`]. Ids are never reused. Returns `false` for
-    /// an unknown id.
-    pub fn retire_engine(&self, id: usize) -> bool {
-        self.control.retire(id)
-    }
-
-    /// A cloneable handle onto this server's control plane: retire engines,
-    /// drain to quiescence, observe lifecycle — from any thread, without
+    /// A cloneable handle onto this server's live-update mailbox: queue
+    /// matrix updates and observe revisions — from any thread, without
     /// borrowing the server.
     pub fn control(&self) -> ControlHandle {
         ControlHandle::new(Arc::clone(&self.control))
     }
 
-    /// Lifecycle of engine `id`, or `None` for an unknown id.
-    pub fn engine_status(&self, id: usize) -> Option<EngineStatus> {
-        self.control.status(id)
-    }
-
     /// Borrow the single (unsharded) engine behind logical id `id`; `None`
-    /// if the id is unknown or names a sharded engine. Retired engines are
-    /// still borrowable — retirement stops *serving*, not inspection.
+    /// if the id is unknown or names a sharded engine.
     pub fn single(&self, id: usize) -> Option<&JitSpmm<'a, T>> {
         let engines = lock(&self.engines);
         match engines.get(id)? {
@@ -295,8 +273,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         }
     }
 
-    /// Total number of logical engine ids (single, sharded or mutable,
-    /// whatever their lifecycle state).
+    /// Total number of logical engine ids (single, sharded or mutable).
     pub fn engine_count(&self) -> usize {
         lock(&self.engines).len()
     }
@@ -345,7 +322,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         }
     }
 
-    /// Open a [`ServerSession`] inside `scope`: one pipeline per **active**
+    /// Open a [`ServerSession`] inside `scope`: one pipeline per registered
     /// engine (each holding its engine's launch lock until the session
     /// ends), ready to route requests. `depth` is the per-engine pipeline
     /// depth, with the same auto semantics as [`JitSpmm::batch_stream`]
@@ -363,7 +340,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         scope: &'scope PoolScope<'scope, 'env>,
         depth: usize,
     ) -> Result<ServerSession<'scope, 'env, 'a, T>, JitSpmmError> {
-        self.control.session_opened();
         let mut session = ServerSession {
             server: self,
             scope,
@@ -373,17 +349,13 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
             counters: ServeCounters::default(),
             next_request: 0,
             started: None,
-            epoch_seen: 0,
         };
         session.sync_topology();
         for id in 0..session.lanes.len() {
-            if self.control.status(id) == Some(EngineStatus::Active) {
-                // A failure midway (a held launch lock, codegen) drops the
-                // session — and with it the streams opened so far, releasing
-                // their engines — and the drop rebalances the control
-                // plane's session count.
-                session.open_stream(id)?;
-            }
+            // A failure midway (a held launch lock, codegen) drops the
+            // session — and with it the streams opened so far, releasing
+            // their engines.
+            session.open_stream(id)?;
         }
         Ok(session)
     }
@@ -391,30 +363,27 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// The serving loop — the one way a request is served: `producer` runs
     /// on a fresh thread feeding a queue that admits under
     /// `options.admission` (block or shed, with typed
-    /// [`crate::serve::SendError`]s), arrivals are re-ordered by
-    /// **priority, then deadline, then arrival**, deadline-expired requests
-    /// are shed right before launch, and every outcome — completed,
-    /// rejected, failed — reaches `consumer` as a typed [`ServerResponse`]
-    /// the moment it exists. Responses of one engine arrive in that
-    /// engine's submission order; across engines the order follows
-    /// completion ([`ServerResponse::request`] re-sequences globally).
+    /// [`crate::serve::SendError`]s), requests launch in **arrival order**,
+    /// and every outcome — completed, rejected, failed — reaches `consumer`
+    /// as a typed [`ServerResponse`] the moment it exists. Responses of one
+    /// engine arrive in that engine's submission order; across engines the
+    /// order follows completion ([`ServerResponse::request`] re-sequences
+    /// globally).
     /// Worker panics are contained to the request that hit them; unrelated
     /// engines keep serving and the server stays usable afterwards.
     ///
     /// The loop wakes every millisecond even when the queue is idle, to
-    /// apply control-plane changes (retirement drains, server-wide drain)
-    /// and to join in-flight launches so responses keep streaming.
+    /// join in-flight launches so responses keep streaming and to apply
+    /// queued matrix updates ([`ControlHandle::apply_update`]).
     ///
     /// Returns the aggregated [`ServerReport`] — `requests` counts
-    /// completions only; `rejected` / `shed_deadline` / `failed` account
-    /// for everything else, including sends the queue refused — and the
-    /// producer's return value.
+    /// completions only; `rejected` / `failed` account for everything else,
+    /// including sends the queue refused — and the producer's return value.
     ///
     /// ```
     /// use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
     /// use jitspmm::{JitSpmmBuilder, WorkerPool};
     /// use jitspmm_sparse::{generate, DenseMatrix};
-    /// use std::time::Duration;
     ///
     /// # fn main() -> Result<(), jitspmm::JitSpmmError> {
     /// let pool = WorkerPool::new(2);
@@ -427,9 +396,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     ///     |sender| {
     ///         let mut sent = 0;
     ///         for i in 0..4u64 {
-    ///             let request = ServerRequest::new(0, DenseMatrix::random(64, 4, i))
-    ///                 .with_priority((i % 3) as u8)
-    ///                 .with_deadline(Duration::from_secs(30));
+    ///             let request = ServerRequest::new(0, DenseMatrix::random(64, 4, i));
     ///             if sender.send_request(request).is_ok() {
     ///                 sent += 1;
     ///             }
@@ -477,26 +444,16 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
             let producer_thread = threads.spawn(move || producer(sender));
             let served = self.pool.scope(|scope| -> Result<_, JitSpmmError> {
                 let mut session = self.session(scope, options.depth)?;
-                let mut buffer = ReorderBuffer::new();
                 let mut disconnected = false;
                 loop {
-                    session.apply_control();
-                    // Hand out everything ready; each emission answers one
-                    // admitted request on the control plane (consumer first,
-                    // so a drain barrier returning implies the consumer saw
-                    // every response).
+                    session.apply_updates();
                     while let Some(response) = session.take_ready() {
                         consumer(response);
-                        self.control.completed(1);
                     }
-                    // Launch the most urgent buffered request, then sweep
-                    // the burst that arrived meanwhile so the next pop
-                    // compares the whole backlog.
-                    if let Some(request) = buffer.pop() {
+                    // Launch the backlog in arrival order, one request per
+                    // lap so updates and ready responses interleave with it.
+                    if let Some(request) = queue.try_recv() {
                         session.submit(request);
-                        while let Some(request) = queue.try_recv() {
-                            buffer.push(request);
-                        }
                         continue;
                     }
                     if disconnected {
@@ -507,12 +464,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
                         continue;
                     }
                     match queue.recv_timeout(IDLE_TICK) {
-                        RecvTimeout::Request(request) => {
-                            buffer.push(request);
-                            while let Some(request) = queue.try_recv() {
-                                buffer.push(request);
-                            }
-                        }
+                        RecvTimeout::Request(request) => session.submit(request),
                         // Idle tick: make progress on in-flight launches so
                         // responses stream out even with nothing arriving.
                         RecvTimeout::TimedOut => {
@@ -524,11 +476,10 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
                 let (rest, mut report) = session.finish();
                 for response in rest {
                     consumer(response);
-                    self.control.completed(1);
                 }
-                // Sends the queue refused (shed, draining, unknown id)
-                // never reached the session; fold them into the report so
-                // offered load adds up.
+                // Sends the queue refused (shed, unknown id) never reached
+                // the session; fold them into the report so offered load
+                // adds up.
                 report.rejected += self.control.take_rejected_sends();
                 Ok(report)
             });
@@ -542,8 +493,8 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     }
 }
 
-/// How often the serving loop wakes on an idle queue to apply control
-/// changes and join in-flight launches.
+/// How often the serving loop wakes on an idle queue to join in-flight
+/// launches and apply queued matrix updates.
 const IDLE_TICK: Duration = Duration::from_millis(1);
 
 /// Options for [`SpmmServer::serve_controlled`].
@@ -552,7 +503,7 @@ pub struct ServeOptions {
     /// Per-engine pipeline depth (`0` = auto, as
     /// [`JitSpmm::batch_stream`]).
     pub depth: usize,
-    /// How the request queue admits (depth, in-flight cap, block vs shed).
+    /// How the request queue admits (depth, block vs shed).
     pub admission: AdmissionPolicy,
 }
 
@@ -585,7 +536,7 @@ impl<T: Scalar> Drop for CloseOnExit<'_, T> {
 }
 
 /// The outcome of one serving request: completed with an output, rejected
-/// by the control plane with a typed [`RejectReason`], or failed after
+/// by the router with a typed [`RejectReason`], or failed after
 /// launch (a contained worker panic, or a shape mismatch on the controlled
 /// path). Every request submitted to a controlled serve produces exactly
 /// one of these.
@@ -606,8 +557,8 @@ pub enum ServerResponse<T: Scalar> {
         /// Per-launch timing, as the batch layer reports it.
         report: ExecutionReport,
     },
-    /// The control plane refused the request after admission (deadline
-    /// passed, engine draining/unknown); nothing was launched.
+    /// The router refused the request after admission (engine unknown, lane
+    /// poisoned); nothing was launched.
     Rejected {
         /// The engine the request named.
         engine: usize,
@@ -695,7 +646,7 @@ impl<T: Scalar> ServerResponse<T> {
         }
     }
 
-    /// The rejection reason, if the control plane refused the request.
+    /// The rejection reason, if the router refused the request.
     pub fn rejection(&self) -> Option<RejectReason> {
         match self {
             ServerResponse::Rejected { reason, .. } => Some(*reason),
@@ -717,13 +668,12 @@ impl<T: Scalar> ServerResponse<T> {
 struct ServeCounters {
     completed: usize,
     rejected: usize,
-    shed_deadline: usize,
     failed: usize,
 }
 
 /// One logical engine's lane inside a session: its pipeline (opened lazily
 /// for engines registered after the session started, `None` once the lane
-/// is closed by retirement or poisoning), the sequence numbers of its
+/// is closed by poisoning), the sequence numbers of its
 /// in-flight requests, and its closed-lane report.
 struct Lane<'scope, 'env, T: Scalar> {
     stream: Option<RouteStream<'scope, 'env, T>>,
@@ -743,8 +693,8 @@ struct Lane<'scope, 'env, T: Scalar> {
     depth: usize,
     /// Widest lane count any completed launch of this engine used.
     max_threads: usize,
-    /// Set when the lane closes (drain, retirement, poisoning, finish);
-    /// a lane with a report refuses further submissions.
+    /// Set when the lane closes (poisoning, finish); a lane with a report
+    /// refuses further submissions.
     report: Option<BatchReport>,
 }
 
@@ -767,8 +717,8 @@ impl<'scope, 'env, T: Scalar> Lane<'scope, 'env, T> {
 /// per logical engine — a [`BatchStream`] for single engines, a
 /// [`ShardedStream`] for sharded ones — plus the request bookkeeping that
 /// tags every response with its engine id and sequence numbers, and the
-/// control-plane hooks ([`ServerSession::apply_control`], fault
-/// containment) the serving loop drives.
+/// hooks ([`ServerSession::apply_updates`], fault containment) the serving
+/// loop drives.
 ///
 /// The session holds every open lane's launch lock until it is finished or
 /// dropped (dropping joins all in-flight launches and discards their
@@ -790,9 +740,6 @@ pub(crate) struct ServerSession<'scope, 'env, 'a, T: Scalar> {
     next_request: usize,
     /// First-submission timestamp, for the whole-server wall clock.
     started: Option<Instant>,
-    /// Last control-plane epoch applied; skips the per-engine scan when
-    /// nothing changed.
-    epoch_seen: u64,
 }
 
 /// Extract a printable message from a caught panic payload.
@@ -886,31 +833,12 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         Ok(())
     }
 
-    /// Apply pending control-plane changes: pick up newly registered
-    /// engines, and drain + close the lanes of engines marked
-    /// [`EngineStatus::Draining`] (their in-flight requests complete and
-    /// surface as ready responses; their launch-slot payloads are freed
-    /// with the closed stream; the control plane then records them
-    /// [`EngineStatus::Retired`]). Cheap when nothing changed.
-    fn apply_control(&mut self) {
-        // Queued matrix updates are checked on every sweep, not just on an
-        // epoch bump: a deferred update — requeued because some stream
-        // still pinned its engine's generation — must be retried even when
-        // the topology epoch has not moved.
+    /// Apply queued matrix updates, if any. Checked on every lap of the
+    /// serving loop: a deferred update — requeued because some stream still
+    /// pinned its engine's generation — is retried on the next one.
+    fn apply_updates(&mut self) {
         if self.server.ctrl().has_updates() {
             self.drain_updates();
-        }
-        let epoch = self.server.ctrl().epoch();
-        if epoch == self.epoch_seen {
-            return;
-        }
-        self.epoch_seen = epoch;
-        self.sync_topology();
-        for id in 0..self.lanes.len() {
-            if self.server.ctrl().status(id) == Some(EngineStatus::Draining) {
-                self.close_lane(id);
-                self.server.ctrl().mark_retired(id);
-            }
         }
     }
 
@@ -1078,10 +1006,8 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     /// Route one request: every outcome — launch, typed rejection,
     /// contained failure — is queued as a ready response; the caller
     /// drains [`ServerSession::take_ready`]. Checks, in order:
-    /// engine id, lifecycle, input shape, deadline on arrival, room in the
-    /// pipeline (joining older launches as needed), and the deadline
-    /// **again** right before the push, so time burned waiting for room
-    /// sheds the request instead of launching it late.
+    /// engine id, lane poisoning, input shape, and room in the pipeline
+    /// (joining older launches as needed).
     fn submit(&mut self, request: ServerRequest<T>) {
         self.started.get_or_insert_with(Instant::now);
         self.sync_topology();
@@ -1097,14 +1023,12 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
             });
             return;
         }
-        if self.server.ctrl().status(engine) != Some(EngineStatus::Active)
-            || self.lanes[engine].report.is_some()
-        {
+        if self.lanes[engine].report.is_some() {
             self.counters.rejected += 1;
             self.ready.push_back(ServerResponse::Rejected {
                 engine,
                 request: seq,
-                reason: RejectReason::Draining,
+                reason: RejectReason::LanePoisoned,
             });
             return;
         }
@@ -1114,15 +1038,6 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
                 engine,
                 request: seq,
                 message: error.to_string(),
-            });
-            return;
-        }
-        if request.expired(Instant::now()) {
-            self.counters.shed_deadline += 1;
-            self.ready.push_back(ServerResponse::Rejected {
-                engine,
-                request: seq,
-                reason: RejectReason::DeadlinePassed,
             });
             return;
         }
@@ -1144,7 +1059,7 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
                     self.ready.push_back(ServerResponse::Rejected {
                         engine,
                         request: seq,
-                        reason: RejectReason::Draining,
+                        reason: RejectReason::LanePoisoned,
                     });
                     return;
                 }
@@ -1153,17 +1068,6 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
                 }
                 Some(_) => break,
             }
-        }
-        // The deadline check at push: waiting for room may have burned the
-        // request's budget.
-        if request.expired(Instant::now()) {
-            self.counters.shed_deadline += 1;
-            self.ready.push_back(ServerResponse::Rejected {
-                engine,
-                request: seq,
-                reason: RejectReason::DeadlinePassed,
-            });
-            return;
         }
         let ServerSession { lanes, ready, counters, server, .. } = &mut *self;
         let lane = &mut lanes[engine];
@@ -1214,11 +1118,12 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     }
 
     /// Drain every lane (in engine-id order, oldest launch first within
-    /// each), apply any pending control changes, and aggregate the
+    /// each), apply any pending matrix updates, and aggregate the
     /// [`ServerReport`]. The returned responses are the ones not already
     /// handed out, in the order they became ready.
     fn finish(mut self) -> (Vec<ServerResponse<T>>, ServerReport) {
-        self.apply_control();
+        self.apply_updates();
+        self.sync_topology();
         for id in 0..self.lanes.len() {
             self.close_lane(id);
         }
@@ -1230,19 +1135,10 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
             requests: self.counters.completed,
             elapsed,
             rejected: self.counters.rejected,
-            shed_deadline: self.counters.shed_deadline,
             failed: self.counters.failed,
             per_engine,
         };
         (responses, report)
-    }
-}
-
-impl<T: Scalar> Drop for ServerSession<'_, '_, '_, T> {
-    fn drop(&mut self) {
-        // Lanes (and their streams) drop with the struct, joining in-flight
-        // launches; the control plane just needs its session count back.
-        self.server.ctrl().session_closed();
     }
 }
 

@@ -55,8 +55,8 @@ fn input_for(m: &CsrMatrix<f32>, d: usize, seed: u64) -> DenseMatrix<f32> {
 
 /// Serve a pre-collected batch through the one entry point: blocking
 /// admission sized to the batch, every response collected and sorted by
-/// global submission number. A send the queue refuses (unknown or retired
-/// engine) produces no response; it is counted in `report.rejected`.
+/// global submission number. A send the queue refuses (unknown engine)
+/// produces no response; it is counted in `report.rejected`.
 fn serve_all(
     server: &SpmmServer<'_, f32>,
     requests: Vec<ServerRequest<f32>>,

@@ -144,7 +144,7 @@ impl<'scope, 'env, T: Scalar> ShardedStream<'scope, 'env, T> {
 
     /// Join the oldest in-flight input across the lockstep shard pipelines,
     /// if any, and stitch its full-height result — the one-at-a-time drain
-    /// the serving control plane uses. A panic from one shard's join
+    /// the serving loop uses. A panic from one shard's join
     /// unwinds with every pipeline's bookkeeping already restored, but the
     /// completed sibling pieces of that input are discarded with the
     /// unwind; the serving layer treats a sharded-lane panic as poisoning

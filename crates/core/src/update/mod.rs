@@ -472,7 +472,7 @@ impl<'scope, 'env, T: Scalar> MutableStream<'scope, 'env, T> {
         self.stream.push_shared_validated(x)
     }
 
-    /// See [`ShardedStream::complete_next`] — the serving control plane's
+    /// See [`ShardedStream::complete_next`] — the serving loop's
     /// one-at-a-time drain.
     pub(crate) fn complete_next(&mut self) -> Option<(PooledMatrix<T>, ExecutionReport)> {
         self.stream.complete_next()

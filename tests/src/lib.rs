@@ -50,7 +50,7 @@ pub fn pathological() -> CsrMatrix<f32> {
 /// [`SpmmServer::serve_controlled`] and collect every response: blocking
 /// admission sized to the batch (nothing is shed for lack of room), auto
 /// pipeline depth, responses sorted by [`ServerResponse::request`]. A send
-/// the queue refuses outright (unknown or retired engine) produces no
+/// the queue refuses outright (unknown engine) produces no
 /// response and takes no sequence number; it is counted in
 /// [`ServerReport::rejected`].
 ///

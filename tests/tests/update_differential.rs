@@ -134,6 +134,8 @@ fn live_update_behind_serve_controlled_is_bit_identical() {
         let inputs_ref = &inputs;
         let producer_control = control.clone();
         let producer_delta = delta.clone();
+        let answered = AtomicUsize::new(0);
+        let answered_ref = &answered;
         let (report, ()) = server
             .serve_controlled(
                 ServeOptions::new(AdmissionPolicy::blocking(8)),
@@ -143,14 +145,19 @@ fn live_update_behind_serve_controlled_is_bit_identical() {
                     }
                     // Let the pre-update requests finish on the old matrix
                     // before the swap, so each epoch's expectation is exact.
-                    assert!(producer_control.wait_quiescent_timeout(Duration::from_secs(30)));
+                    while answered_ref.load(Ordering::SeqCst) < 3 {
+                        std::thread::yield_now();
+                    }
                     assert!(producer_control.apply_update(id, producer_delta));
                     assert!(producer_control.wait_revision(id, 1, Duration::from_secs(30)));
                     for x in &inputs_ref[3..] {
                         sender.send_request(ServerRequest::new(id, x.clone())).unwrap();
                     }
                 },
-                |response| responses.push(response),
+                |response| {
+                    responses.push(response);
+                    answered.fetch_add(1, Ordering::SeqCst);
+                },
             )
             .unwrap();
         assert_eq!(report.requests, 6, "{name}: all requests completed");
