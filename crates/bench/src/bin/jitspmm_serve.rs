@@ -63,6 +63,11 @@ const OP_UPDATE: u8 = 4;
 /// Bytes per wire-encoded delta op: kind, row, col, value.
 const UPDATE_OP_BYTES: usize = 13;
 
+/// Largest frame payload either side accepts: a length prefix is bounded
+/// before anything is allocated for it, and a server must not be configured
+/// to send replies its clients would refuse.
+const MAX_FRAME_BYTES: usize = 64 << 20;
+
 /// A synthetic matrix an engine serves: `uniform:rows,cols,nnz,seed,d`.
 /// Deterministic by construction, so every restart rebuilds the same matrix.
 #[derive(Debug, Clone, Copy)]
@@ -102,6 +107,17 @@ impl MatrixSpec {
                 usage()
             ));
         }
+        // A MUL reply is a status byte, two `u32` dimensions and the `f32`
+        // output; every client refuses a frame past the ceiling.
+        let reply_bytes =
+            spec.rows.checked_mul(spec.d).and_then(|n| n.checked_mul(4)?.checked_add(9));
+        if reply_bytes.is_none_or(|bytes| bytes > MAX_FRAME_BYTES) {
+            return Err(format!(
+                "matrix spec {text:?}: a rows x d f32 reply exceeds the {MAX_FRAME_BYTES}-byte \
+                 frame ceiling\n{}",
+                usage()
+            ));
+        }
         Ok(spec)
     }
 
@@ -131,12 +147,18 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
         filled += n;
     }
     let len = u32::from_le_bytes(len) as usize;
-    if len > 64 << 20 {
+    if len > MAX_FRAME_BYTES {
         return Err(std::io::ErrorKind::InvalidData.into());
     }
     let mut payload = vec![0u8; len];
     stream.read_exact(&mut payload)?;
     Ok(Some(payload))
+}
+
+/// The message text of a reply frame that is not an ok reply: everything
+/// past the status byte — nothing, for an empty or status-only frame.
+fn reply_text(reply: &[u8]) -> std::borrow::Cow<'_, str> {
+    String::from_utf8_lossy(reply.get(1..).unwrap_or_default())
 }
 
 fn error_frame(message: &str) -> Vec<u8> {
@@ -566,7 +588,7 @@ fn run_client(args: &[String]) -> Result<(), String> {
                     print!("{}", String::from_utf8_lossy(text));
                     Ok(())
                 }
-                _ => Err(format!("info failed: {}", String::from_utf8_lossy(&reply[1..]))),
+                _ => Err(format!("info failed: {}", reply_text(&reply))),
             }
         }
         "mul" => {
@@ -591,9 +613,7 @@ fn run_client(args: &[String]) -> Result<(), String> {
             let reply = request(&mut stream, &mul_frame(engine, seed))?;
             let body = match reply.split_first() {
                 Some((0, body)) if body.len() >= 8 => body,
-                _ => {
-                    return Err(format!("mul failed: {}", String::from_utf8_lossy(&reply[1..])));
-                }
+                _ => return Err(format!("mul failed: {}", reply_text(&reply))),
             };
             let nrows = u32::from_le_bytes(body[0..4].try_into().unwrap());
             let d = u32::from_le_bytes(body[4..8].try_into().unwrap());
@@ -645,7 +665,7 @@ fn run_client(args: &[String]) -> Result<(), String> {
                     println!("update engine={engine}: {}", String::from_utf8_lossy(text));
                     Ok(())
                 }
-                _ => Err(format!("update failed: {}", String::from_utf8_lossy(&reply[1..]))),
+                _ => Err(format!("update failed: {}", reply_text(&reply))),
             }
         }
         "shutdown" => {
@@ -791,5 +811,26 @@ mod tests {
         }
         let spec = MatrixSpec::parse("uniform:512,256,0,1,8").expect("zero nnz is a valid matrix");
         assert_eq!((spec.rows, spec.cols, spec.nnz, spec.d), (512, 256, 0, 8));
+    }
+
+    #[test]
+    fn matrix_specs_whose_reply_exceeds_the_frame_ceiling_are_usage_errors() {
+        // The most rows whose d = 1 reply still fits, one more (and the
+        // 76.8 MB reply that started cleanly, and a product that overflows).
+        let rows = (MAX_FRAME_BYTES - 9) / 4;
+        assert!(MatrixSpec::parse(&format!("uniform:{rows},8,0,1,1")).is_ok());
+        let over = format!("uniform:{},8,0,1,1", rows + 1);
+        let big = ["uniform:600000,600000,1000,1,32", "uniform:4294967296,8,0,1,4294967296"];
+        for spec in [over.as_str(), big[0], big[1]] {
+            let message = MatrixSpec::parse(spec).expect_err("an unreadable reply is rejected");
+            assert!(message.contains("frame ceiling") && message.contains("usage:"), "{message}");
+        }
+    }
+
+    #[test]
+    fn reply_text_survives_empty_and_status_only_frames() {
+        assert_eq!(reply_text(&[]), "");
+        assert_eq!(reply_text(&[1]), "");
+        assert_eq!(reply_text(b"\x01queue full"), "queue full");
     }
 }

@@ -46,11 +46,9 @@ fn execute_batch_matches_per_input_execute_exactly() {
             assert_eq!(**y, *e, "input {i}, strategy {strategy}");
         }
         assert_eq!(report.inputs, inputs.len());
-        // Auto depth: the default pipeline on multi-core hosts, the
-        // sequential fast path (depth 1, single-lane) on single-core
-        // ones — and the reported lane count must match what ran.
-        assert!(report.depth == DEFAULT_BATCH_DEPTH || report.depth == 1);
-        assert_eq!(report.threads, if report.depth == 1 { 1 } else { 2 });
+        // Depth 0 is the default pipeline on every host, at the engine's
+        // lane count.
+        assert_eq!((report.depth, report.threads), (DEFAULT_BATCH_DEPTH, 2));
         assert!(report.kernel_p50 <= report.kernel_p99);
         assert!(report.kernel_total >= report.kernel_p99);
         assert!(report.throughput() > 0.0);
@@ -161,9 +159,8 @@ fn push_owned_matches_borrowed_push_exactly() {
             (0..6).map(|seed| DenseMatrix::random(a.ncols(), 8, 500 + seed)).collect();
         let expected: Vec<DenseMatrix<f32>> =
             inputs.iter().map(|x| engine.execute(x).unwrap().0.into_dense()).collect();
-        // Owned pushes through an explicit depth-2 pipeline (the real
-        // queue on every host) must be bit-identical to the blocking
-        // path, in submission order.
+        // Owned pushes must be bit-identical to the blocking path, in
+        // submission order.
         engine.pool().scope(|scope| {
             let mut stream = engine.batch_stream(scope, 2).unwrap();
             let mut outputs = Vec::new();
@@ -314,7 +311,6 @@ fn batch_slot_kernels_are_cached_across_batches() {
     let expected: Vec<DenseMatrix<f32>> =
         inputs.iter().map(|x| engine.execute(x).unwrap().0.into_dense()).collect();
     for _ in 0..3 {
-        // Explicit depth 2 forces the real pipeline on any host.
         engine.pool().scope(|scope| {
             let mut stream = engine.batch_stream(scope, 2).unwrap();
             let mut outputs = Vec::new();
@@ -337,7 +333,7 @@ fn batch_slot_kernels_are_cached_across_batches() {
     let mut served = Vec::new();
     let (report, ()) = server
         .serve_controlled(
-            ServeOptions::new(AdmissionPolicy::blocking(4)).with_depth(2),
+            ServeOptions::new(AdmissionPolicy::blocking(4)),
             |sender| {
                 for x in &inputs {
                     sender.send_request(ServerRequest::new(0, x.clone())).unwrap();

@@ -265,14 +265,10 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         Ok(slots.iter().take(extra).cloned().collect())
     }
 
-    /// Grow the engine's retained output-buffer bound to `outstanding`, so a
-    /// serving loop that holds that many of this engine's outputs at once
-    /// recycles all of them instead of re-allocating every round. Same
-    /// semantics as the batch path's internal reserve: the raised bound
-    /// persists (it is a cache sized for the largest load served), bounded
-    /// by the pool's hard count/byte ceilings.
-    pub(crate) fn reserve_outputs(&self, outstanding: usize) {
-        self.output_pool.reserve(outstanding);
+    /// Output buffers this engine's own pool holds spare.
+    #[cfg(test)]
+    pub(crate) fn spare_outputs(&self) -> usize {
+        self.output_pool.spare_buffers()
     }
 
     /// Validate that `x` matches the compiled input shape (`A.ncols() x d`).

@@ -7,7 +7,7 @@
 //! | `options` | configuration: [`SpmmOptions`], [`JitSpmmBuilder`] |
 //! | `compile` | [`JitSpmm`] construction: codegen, partitioning, the immutable compiled core, spare slot kernels |
 //! | `launch` | single launches: `execute*`, `execute_async`, [`ExecutionHandle`], the launch lock |
-//! | `batch` | the pipelined stream: `execute_batch`, [`BatchStream`], owned-input slots |
+//! | `batch` | the pipelined stream: `execute_batch`, [`BatchStream`] over 1..K shard kernels, owned-input slots |
 //! | `report` | timing aggregation: [`ExecutionReport`], [`BatchReport`], reservoir percentiles |
 //!
 //! Everything public is re-exported here, so the paths callers use
@@ -26,6 +26,7 @@ mod batch_tests;
 #[cfg(test)]
 mod launch_tests;
 
+pub(crate) use batch::run_batch;
 pub use batch::{BatchStream, DEFAULT_BATCH_DEPTH};
 pub use compile::JitSpmm;
 pub use launch::ExecutionHandle;

@@ -23,8 +23,8 @@ pub struct ExecutionReport {
     /// enqueue until the first participant claimed a task — the cost of
     /// getting a parked worker onto the job (futex or condvar, see
     /// [`crate::WakeSlot`]). Zero for launches that ran inline on the
-    /// calling thread (single-thread engines, zero-worker pools, sequential
-    /// batch fast path), where no handoff happens at all.
+    /// calling thread (single-thread engines, zero-worker pools), where no
+    /// handoff happens at all.
     pub wake: Duration,
     /// Number of worker lanes used.
     pub threads: usize,
@@ -56,9 +56,8 @@ pub struct BatchReport {
     pub elapsed: Duration,
     /// Pipeline depth used (launches kept in flight at once).
     pub depth: usize,
-    /// Worker lanes per launch: the engine's configured lane count, or 1
-    /// when the stream ran on the sequential fast path (see
-    /// [`crate::JitSpmm::batch_stream`]).
+    /// Worker lanes per input: the engine's configured lane count, summed
+    /// over the shard engines for a sharded stream.
     pub threads: usize,
     /// Strategy of the engine that ran the batch.
     pub strategy: Strategy,

@@ -120,11 +120,11 @@
 //! [`JitSpmm::execute_batch`] pipelines a whole slice of inputs: validation
 //! happens once up front, the engine's launch lock is taken once, and up to
 //! [`DEFAULT_BATCH_DEPTH`] launches stay in flight so workers flow from one
-//! input's job into the next without re-parking (on hosts with a single
-//! hardware thread the pipeline degrades to a direct sequential fast path —
-//! bit-identical results, no queue overhead). The returned [`BatchReport`]
-//! aggregates per-input timing as order statistics — kernel and dispatch
-//! p50/p99, not just means — because a serving system answers for its tail:
+//! input's job into the next without re-parking (a zero-worker pool runs
+//! each launch inline at submission through the same queue path). The
+//! returned [`BatchReport`] aggregates per-input timing as order statistics
+//! — kernel and dispatch p50/p99, not just means — because a serving system
+//! answers for its tail:
 //!
 //! ```
 //! use jitspmm::JitSpmmBuilder;
@@ -240,12 +240,13 @@
 //! kilobytes, not gigabytes. Execution launches every shard as an
 //! overlapped lane-capped job — each kernel writing directly into its row
 //! range of one pooled full-height output — and
-//! [`shard::ShardedSpmm::execute_batch`] pipelines whole batches through
-//! per-shard streams, stitching completed inputs with one contiguous copy
-//! per shard. Results are bit-identical to the unsharded engine's, and a
-//! [`shard::ShardReport`] breaks kernel/dispatch tails down per shard. A
-//! sharded engine registers with the serving router behind one logical id
-//! ([`serve::SpmmServer::add_sharded`]), so mixed streams can target huge
+//! [`shard::ShardedSpmm::execute_batch`] pipelines whole batches the same
+//! way through one [`BatchStream`] over all K shard kernels: no per-shard
+//! buffers, nothing stitched or copied. Results are bit-identical to the
+//! unsharded engine's, and a [`shard::ShardReport`] breaks kernel/dispatch
+//! tails down per shard. Behind the serving router a sharded matrix is a
+//! [`update::MutableSpmm`] under one logical id
+//! ([`serve::SpmmServer::add_mutable`]), so mixed streams can target huge
 //! sharded matrices and small single-engine ones uniformly.
 //!
 //! # One immutable compiled core per engine
@@ -326,12 +327,12 @@
 //! │   ├── options        SpmmOptions, JitSpmmBuilder
 //! │   ├── compile        JitSpmm construction: the immutable compiled core, spare slot kernels
 //! │   ├── launch         execute / execute_async, launch lock, ExecutionHandle
-//! │   ├── batch          execute_batch, BatchStream (borrowed + owned pushes)
+//! │   ├── batch          execute_batch, BatchStream over 1..K shard kernels (borrowed + owned pushes)
 //! │   └── report         ExecutionReport, BatchReport, reservoir percentiles
 //! ├── update/            incremental matrix updates behind live serving
 //! │   ├── delta          delta routing onto shard row ranges
 //! │   ├── apply          shard-local merge + recompile, re-plan on drift
-//! │   └── (mod)          MutableSpmm generations, MutableStream revision pinning
+//! │   └── (mod)          MutableSpmm generations, revision-pinned streams
 //! ├── serve/             multi-engine serving router: one FIFO loop
 //! │   ├── server         SpmmServer, the serve_controlled loop
 //! │   ├── queue          bounded FIFO request queue behind RequestSender, admission gate
@@ -340,8 +341,7 @@
 //! │   └── report         ServerReport (per-engine tails + verdict counters)
 //! ├── shard/             nnz-balanced multi-engine sharding
 //! │   ├── plan           plan_shards: prefix-sum cuts, per-shard strategies
-//! │   ├── engine         ShardedSpmm: K engines, overlapped stitched launches
-//! │   ├── stream         ShardedStream: lockstep pipelined shard batches
+//! │   ├── engine         ShardedSpmm: K engines, overlapped in-place launches
 //! │   └── report         ShardReport (per-shard + merged critical path)
 //! ├── runtime/           persistent execution substrate
 //! │   ├── pool           WorkerPool: FIFO job queue, lane caps, scopes
@@ -389,9 +389,9 @@ pub use serve::{
     AdmissionPolicy, ControlHandle, RejectReason, RequestSender, SendError, ServeOptions,
     ServerReport, ServerRequest, ServerResponse, SpmmServer,
 };
-pub use shard::{plan_shards, ShardPlan, ShardReport, ShardSpec, ShardedSpmm, ShardedStream};
+pub use shard::{plan_shards, ShardPlan, ShardReport, ShardSpec, ShardedSpmm};
 pub use tiling::{CcmPlan, ColumnTile, Segment, SegmentWidth};
-pub use update::{MutableSpmm, MutableStream, UpdateReport};
+pub use update::{MutableSpmm, UpdateReport};
 
 pub use jitspmm_asm::{CpuFeatures, IsaLevel};
 pub use jitspmm_sparse::{CooMatrix, CsrMatrix, DenseMatrix, Scalar, ScalarKind};

@@ -23,10 +23,6 @@ pub enum RejectReason {
     /// The admission policy's queue-depth bound was hit and the policy
     /// sheds instead of blocking.
     QueueFull,
-    /// The target engine's lane was poisoned earlier in this serve: a
-    /// worker panic inside a shard-fanned launch left its sibling shard
-    /// outputs unrecoverable, so the lane stays closed until the serve ends.
-    LanePoisoned,
     /// The request named an engine id the server does not have.
     UnknownEngine,
 }
@@ -35,7 +31,6 @@ impl std::fmt::Display for RejectReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RejectReason::QueueFull => write!(f, "admission queue full"),
-            RejectReason::LanePoisoned => write!(f, "engine lane poisoned by a worker panic"),
             RejectReason::UnknownEngine => write!(f, "unknown engine id"),
         }
     }
@@ -246,13 +241,8 @@ impl ControlShared {
     /// Block until engine `engine`'s recorded revision reaches `at_least`
     /// (or the timeout expires); returns whether it did. Returns `false`
     /// immediately for unknown ids.
-    pub(crate) fn wait_revision(
-        &self,
-        engine: usize,
-        at_least: u64,
-        timeout: Option<Duration>,
-    ) -> bool {
-        let deadline = timeout.map(|t| Instant::now() + t);
+    pub(crate) fn wait_revision(&self, engine: usize, at_least: u64, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
         let mut state = lock(&self.state);
         loop {
             match state.revisions.get(engine) {
@@ -260,19 +250,15 @@ impl ControlShared {
                 Some(&revision) if revision >= at_least => return true,
                 Some(_) => {}
             }
-            state = match deadline {
-                None => self.changed.wait(state).unwrap_or_else(|p| p.into_inner()),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return false;
-                    }
-                    self.changed
-                        .wait_timeout(state, deadline - now)
-                        .unwrap_or_else(|p| p.into_inner())
-                        .0
-                }
-            };
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            state = self
+                .changed
+                .wait_timeout(state, deadline - now)
+                .unwrap_or_else(|p| p.into_inner())
+                .0;
         }
     }
 }
@@ -320,7 +306,7 @@ impl ControlHandle {
     /// [`ControlHandle::apply_update`]'s asynchrony: submit, then wait for
     /// the serving session to report the swap.
     pub fn wait_revision(&self, engine: usize, at_least: u64, timeout: Duration) -> bool {
-        self.shared.wait_revision(engine, at_least, Some(timeout))
+        self.shared.wait_revision(engine, at_least, timeout)
     }
 
     /// Matrix updates applied and failed since the server was built.

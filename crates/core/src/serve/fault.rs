@@ -2,9 +2,9 @@
 //!
 //! Compiled only under `cfg(test)` or the `fault-injection` feature; release
 //! builds of the crate carry none of this. The hooks are global, armed
-//! countdowns consumed by **kernel-job entries** — the point where a worker
-//! (or the sequential fast path) is about to run a compiled kernel — which
-//! is exactly where a real crash in generated code would surface. The
+//! countdowns consumed by **kernel-job entries** — the point where a pool
+//! participant is about to run a compiled kernel — which is exactly where a
+//! real crash in generated code would surface. The
 //! serving layer's contract under these faults is what the chaos tests
 //! assert: a panicked kernel job fails only its own request (a typed
 //! [`crate::serve::ServerResponse::Failed`]), unrelated engines keep
@@ -67,7 +67,7 @@ pub fn arm_kernel_panic(nth: u64) {
 }
 
 /// Make the next `count` kernel-job entries sleep `delay` before running —
-/// a slow launch, for backpressure tests.
+/// a slow launch (or one slow shard of one), for ordering tests.
 pub fn arm_kernel_delay(delay: Duration, count: u64) {
     DELAY_NANOS.store(u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX), Ordering::SeqCst);
     DELAY_TICKETS.store(count, Ordering::SeqCst);
@@ -82,8 +82,7 @@ pub fn disarm() {
     DELAY_NANOS.store(0, Ordering::SeqCst);
 }
 
-/// The hook: called at every kernel-job entry (worker-side
-/// `KernelJob::run` and the batch layer's sequential fast path). No-op
+/// The hook: called at every kernel-job entry (`KernelJob::run`). No-op
 /// unless a fault is armed.
 pub(crate) fn kernel_entry() {
     if !ARMED.load(Ordering::Relaxed) {

@@ -28,13 +28,13 @@
 //!   layer uses) plus whole-server throughput and the rejected/failed
 //!   counters.
 //!
-//! Sharded engines ([`crate::shard::ShardedSpmm`]) register behind one
-//! logical engine id via [`SpmmServer::add_sharded`]: the router fans each
-//! of their requests across the shard pipelines, stitches the shard outputs
-//! into one full-height response, and reports the merged critical-path
-//! timing in that engine's [`crate::BatchReport`] slot — routing,
-//! submission-order collection and [`ServerReport`] aggregation are
-//! unchanged.
+//! A sharded matrix registers behind one logical engine id as a
+//! [`crate::update::MutableSpmm`] via [`SpmmServer::add_mutable`]: its lane
+//! is the same [`crate::BatchStream`], launching all K shard kernels of a
+//! request into one full-height response in place and reporting the merged
+//! critical-path timing in that engine's [`crate::BatchReport`] slot —
+//! routing, submission-order collection and [`ServerReport`] aggregation
+//! are unchanged.
 //!
 //! # One FIFO loop, two admission policies, live updates
 //!
@@ -42,7 +42,7 @@
 //! producer thread that feeds the bounded request queue (through its
 //! [`RequestSender`]) while the calling thread routes, handing each
 //! response to a consumer callback the moment it exists. [`ServeOptions`]
-//! sets the admission policy and the pipeline depth. Around the loop:
+//! sets the admission policy. Around the loop:
 //!
 //! * **Admission control** — the request queue admits under an
 //!   [`AdmissionPolicy`]: a queue-depth bound with a choice between
@@ -52,17 +52,17 @@
 //!   without blocking — what the TCP front end uses). Sends naming an
 //!   unknown engine id are refused at the queue.
 //! * **Engines added mid-serve** — [`SpmmServer::add_engine`] /
-//!   [`SpmmServer::add_sharded`] / [`SpmmServer::add_mutable`] register
-//!   engines while a serve runs; the loop opens their pipeline on the first
-//!   request naming the new id.
+//!   [`SpmmServer::add_mutable`] register engines while a serve runs; the
+//!   loop opens their pipeline on the first request naming the new id.
 //! * **Live updates** — [`ControlHandle::apply_update`] queues an edge
 //!   delta for a mutable engine; the loop applies it between launches and
 //!   [`ControlHandle::wait_revision`] observes the swap.
 //! * **Fault containment** — a worker panic (a crash in generated code)
 //!   becomes a typed [`ServerResponse::Failed`] for exactly the request
-//!   that hit it (a shard-fanned lane is poisoned for the rest of the
-//!   serve, [`RejectReason::LanePoisoned`]); unrelated engines keep serving
-//!   and the server remains usable. The cfg-gated [`fault`] module injects
+//!   that hit it — on a sharded lane too: the pipeline joins every shard
+//!   of a request before it unwinds, so the requests before and after it
+//!   complete normally; unrelated engines keep serving and the server
+//!   remains usable. The cfg-gated [`fault`] module injects
 //!   such crashes for chaos tests.
 
 mod control;

@@ -22,7 +22,7 @@ pub struct ServerReport {
     /// Wall-clock time from the first submission to the last join.
     pub elapsed: Duration,
     /// Requests refused by admission control or the router — queue-full
-    /// shedding, unknown engine ids, poisoned lanes.
+    /// shedding, unknown engine ids.
     pub rejected: usize,
     /// Requests that were launched but failed — a worker panic converted to
     /// a typed [`crate::serve::ServerResponse::Failed`], or a shape

@@ -12,21 +12,19 @@ use crate::serve::control::{
 };
 use crate::serve::queue::{RecvTimeout, RequestQueue, RequestSender, ServerRequest};
 use crate::serve::report::ServerReport;
-use crate::shard::{ShardedSpmm, ShardedStream};
-use crate::update::{MutableSpmm, MutableStream};
+use crate::update::MutableSpmm;
 use jitspmm_sparse::{DeltaBatch, DenseMatrix, Scalar};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// One registered engine: single or sharded, behind one logical id. The
-/// `Arc` pins the engine's address so [`SpmmServer::single`] can hand out
-/// borrows while the registry vector grows behind its mutex.
+/// One registered engine behind one logical id. The `Arc` pins the
+/// engine's address so [`SpmmServer::single`] can hand out borrows while
+/// the registry vector grows behind its mutex.
 enum EngineEntry<'a, T: Scalar> {
     Single(Arc<JitSpmm<'a, T>>),
-    Sharded(Arc<ShardedSpmm<'a, T>>),
-    /// An updatable engine ([`MutableSpmm`]): owns its matrix generations,
+    /// An updatable sharded engine ([`MutableSpmm`]): owns its generations,
     /// so it carries no borrow lifetime; live deltas swap its generation
     /// between launches via [`ControlHandle::apply_update`].
     Mutable(Arc<MutableSpmm<T>>),
@@ -140,9 +138,9 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
 
     /// Build a server with **no** engines yet, over `pool`: register them
     /// afterwards with [`SpmmServer::add_engine`] /
-    /// [`SpmmServer::add_sharded`] / [`SpmmServer::add_mutable`] — before or
-    /// while a serve runs. Until an engine is registered every request is
-    /// rejected with the typed [`RejectReason::UnknownEngine`].
+    /// [`SpmmServer::add_mutable`] — before or while a serve runs. Until an
+    /// engine is registered every request is rejected with the typed
+    /// [`RejectReason::UnknownEngine`].
     pub fn with_pool(pool: WorkerPool) -> SpmmServer<'a, T> {
         SpmmServer {
             engines: Mutex::new(Vec::new()),
@@ -164,29 +162,15 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         self.register(engine.pool().clone(), EngineEntry::Single(Arc::new(engine)))
     }
 
-    /// Register a sharded engine ([`ShardedSpmm`]) behind **one logical
-    /// engine id**, which this returns. To the routing layer a sharded
-    /// engine is indistinguishable from a single one: requests tag the
-    /// returned id, responses come back in per-engine submission order with
-    /// stitched full-height outputs, and the [`ServerReport`] carries the
-    /// sharded engine's merged [`crate::BatchReport`] in its per-engine
-    /// slot. Like [`SpmmServer::add_engine`], this works while a serve is
-    /// running.
-    ///
-    /// # Errors
-    ///
-    /// [`JitSpmmError::InvalidConfig`] if the sharded engine does not
-    /// execute on this server's pool (checked via
-    /// [`WorkerPool::same_pool`], like every engine at construction).
-    pub fn add_sharded(&self, sharded: ShardedSpmm<'a, T>) -> Result<usize, JitSpmmError> {
-        self.register(sharded.pool().clone(), EngineEntry::Sharded(Arc::new(sharded)))
-    }
-
     /// Register an **updatable** engine ([`MutableSpmm`]) behind one
-    /// logical engine id, which this returns. To the routing layer it
-    /// serves exactly like a sharded engine — stitched full-height outputs,
-    /// per-engine submission order — but its matrix can change while the
-    /// server runs: queue a [`DeltaBatch`] through
+    /// logical engine id, which this returns — the one way a sharded engine
+    /// ([`crate::shard::ShardedSpmm`]) gets behind the server. To the
+    /// routing layer it is indistinguishable from a single engine: requests
+    /// tag the returned id, every request launches all shard kernels into
+    /// one full-height output, responses come back in per-engine submission
+    /// order and the [`ServerReport`] carries the merged critical-path
+    /// [`crate::BatchReport`] in its per-engine slot. Its matrix can also
+    /// change while the server runs: queue a [`DeltaBatch`] through
     /// [`ControlHandle::apply_update`] and the serving loop swaps the
     /// engine's generation between launches (see [`crate::update`]). Like
     /// [`SpmmServer::add_engine`], this works while a serve is running.
@@ -225,7 +209,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     }
 
     /// Borrow the single (unsharded) engine behind logical id `id`; `None`
-    /// if the id is unknown or names a sharded engine.
+    /// if the id is unknown or names a mutable engine.
     pub fn single(&self, id: usize) -> Option<&JitSpmm<'a, T>> {
         let engines = lock(&self.engines);
         match engines.get(id)? {
@@ -237,21 +221,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
                 // drops, which the returned borrow (tied to `&self`) cannot
                 // outlive. Vector growth moves only the Arc handle, never
                 // the pointee.
-                Some(unsafe { &*ptr })
-            }
-            _ => None,
-        }
-    }
-
-    /// Borrow the sharded engine behind logical id `id`; `None` if the id
-    /// is unknown or names a single engine.
-    pub fn sharded(&self, id: usize) -> Option<&ShardedSpmm<'a, T>> {
-        let engines = lock(&self.engines);
-        match engines.get(id)? {
-            EngineEntry::Sharded(sharded) => {
-                let ptr = Arc::as_ptr(sharded);
-                // SAFETY: as in [`SpmmServer::single`] — append-only
-                // registry, Arc-pinned pointee, borrow tied to `&self`.
                 Some(unsafe { &*ptr })
             }
             _ => None,
@@ -273,7 +242,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         }
     }
 
-    /// Total number of logical engine ids (single, sharded or mutable).
+    /// Total number of logical engine ids (single or mutable).
     pub fn engine_count(&self) -> usize {
         lock(&self.engines).len()
     }
@@ -299,12 +268,11 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     pub(crate) fn engine_strategy(&self, id: usize) -> Option<Strategy> {
         self.with_entry(id, |entry| match entry {
             EngineEntry::Single(engine) => engine.strategy(),
-            EngineEntry::Sharded(sharded) => sharded.dominant_strategy(),
             EngineEntry::Mutable(mutable) => mutable.dominant_strategy(),
         })
     }
 
-    /// Shape-check `input` against logical engine `id` (single or sharded).
+    /// Shape-check `input` against logical engine `id`.
     pub(crate) fn check_request(
         &self,
         id: usize,
@@ -312,7 +280,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     ) -> Result<(), JitSpmmError> {
         match self.with_entry(id, |entry| match entry {
             EngineEntry::Single(engine) => engine.check_input_shape(input),
-            EngineEntry::Sharded(sharded) => sharded.check_input_shape(input),
             EngineEntry::Mutable(mutable) => mutable.check_input_shape(input),
         }) {
             Some(result) => result,
@@ -324,11 +291,9 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
 
     /// Open a [`ServerSession`] inside `scope`: one pipeline per registered
     /// engine (each holding its engine's launch lock until the session
-    /// ends), ready to route requests. `depth` is the per-engine pipeline
-    /// depth, with the same auto semantics as [`JitSpmm::batch_stream`]
-    /// (`0` = default depth, sequential fast path on hosts with nothing to
-    /// overlap). Engines registered after the session opens get their
-    /// pipeline lazily, on first submission to their id.
+    /// ends, at [`crate::DEFAULT_BATCH_DEPTH`]), ready to route requests.
+    /// Engines registered after the session opens get their pipeline
+    /// lazily, on first submission to their id.
     ///
     /// # Errors
     ///
@@ -338,12 +303,10 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     fn session<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
-        depth: usize,
     ) -> Result<ServerSession<'scope, 'env, 'a, T>, JitSpmmError> {
         let mut session = ServerSession {
             server: self,
             scope,
-            depth,
             lanes: Vec::new(),
             ready: VecDeque::new(),
             counters: ServeCounters::default(),
@@ -443,7 +406,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
             let _close = CloseOnExit(&queue);
             let producer_thread = threads.spawn(move || producer(sender));
             let served = self.pool.scope(|scope| -> Result<_, JitSpmmError> {
-                let mut session = self.session(scope, options.depth)?;
+                let mut session = self.session(scope)?;
                 let mut disconnected = false;
                 loop {
                     session.apply_updates();
@@ -500,23 +463,14 @@ const IDLE_TICK: Duration = Duration::from_millis(1);
 /// Options for [`SpmmServer::serve_controlled`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Per-engine pipeline depth (`0` = auto, as
-    /// [`JitSpmm::batch_stream`]).
-    pub depth: usize,
     /// How the request queue admits (depth, block vs shed).
     pub admission: AdmissionPolicy,
 }
 
 impl ServeOptions {
-    /// Auto depth with the given admission policy.
+    /// Serve under the given admission policy.
     pub fn new(admission: AdmissionPolicy) -> ServeOptions {
-        ServeOptions { depth: 0, admission }
-    }
-
-    /// Set the per-engine pipeline depth.
-    pub fn with_depth(mut self, depth: usize) -> ServeOptions {
-        self.depth = depth;
-        self
+        ServeOptions { admission }
     }
 }
 
@@ -557,8 +511,8 @@ pub enum ServerResponse<T: Scalar> {
         /// Per-launch timing, as the batch layer reports it.
         report: ExecutionReport,
     },
-    /// The router refused the request after admission (engine unknown, lane
-    /// poisoned); nothing was launched.
+    /// The router refused the request after admission (engine unknown);
+    /// nothing was launched.
     Rejected {
         /// The engine the request named.
         engine: usize,
@@ -672,11 +626,11 @@ struct ServeCounters {
 }
 
 /// One logical engine's lane inside a session: its pipeline (opened lazily
-/// for engines registered after the session started, `None` once the lane
-/// is closed by poisoning), the sequence numbers of its
-/// in-flight requests, and its closed-lane report.
+/// for engines registered after the session started, `None` while a live
+/// update recycles it), the sequence numbers of its in-flight requests, and
+/// the statistics its report is built from.
 struct Lane<'scope, 'env, T: Scalar> {
-    stream: Option<RouteStream<'scope, 'env, T>>,
+    stream: Option<BatchStream<'scope, 'env, T>>,
     /// Global sequence numbers of this lane's in-flight requests, oldest
     /// first (per-engine completion is oldest-first, so the front is always
     /// the next to finish).
@@ -693,9 +647,6 @@ struct Lane<'scope, 'env, T: Scalar> {
     depth: usize,
     /// Widest lane count any completed launch of this engine used.
     max_threads: usize,
-    /// Set when the lane closes (poisoning, finish); a lane with a report
-    /// refuses further submissions.
-    report: Option<BatchReport>,
 }
 
 impl<'scope, 'env, T: Scalar> Lane<'scope, 'env, T> {
@@ -708,17 +659,16 @@ impl<'scope, 'env, T: Scalar> Lane<'scope, 'env, T> {
             started: None,
             depth: 0,
             max_threads: 0,
-            report: None,
         }
     }
 }
 
 /// An open serving session, created by `SpmmServer::session`: one lane
-/// per logical engine — a [`BatchStream`] for single engines, a
-/// [`ShardedStream`] for sharded ones — plus the request bookkeeping that
-/// tags every response with its engine id and sequence numbers, and the
-/// hooks ([`ServerSession::apply_updates`], fault containment) the serving
-/// loop drives.
+/// per logical engine — a [`BatchStream`] over the engine's one kernel or
+/// its K shard kernels — plus the request bookkeeping that tags every
+/// response with its engine id and sequence numbers, and the hooks
+/// ([`ServerSession::apply_updates`], fault containment) the serving loop
+/// drives.
 ///
 /// The session holds every open lane's launch lock until it is finished or
 /// dropped (dropping joins all in-flight launches and discards their
@@ -730,7 +680,6 @@ pub(crate) struct ServerSession<'scope, 'env, 'a, T: Scalar> {
     server: &'env SpmmServer<'a, T>,
     /// Kept so lanes can open lazily (engines registered mid-session).
     scope: &'scope PoolScope<'scope, 'env>,
-    depth: usize,
     lanes: Vec<Lane<'scope, 'env, T>>,
     /// Responses produced but not yet handed out (the serving loop drains
     /// this).
@@ -753,19 +702,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Build a lane's per-engine [`BatchReport`] from the statistics it
-/// accumulated (zero-input lanes report zeros). Free function so callers
-/// can hold disjoint field borrows.
-fn lane_report<T: Scalar>(lane: &mut Lane<'_, '_, T>, strategy: Option<Strategy>) -> BatchReport {
-    let elapsed = lane.started.map(|t| t.elapsed()).unwrap_or_default();
-    std::mem::take(&mut lane.stats).report(
-        elapsed,
-        lane.depth.max(1),
-        lane.max_threads.max(1),
-        strategy.expect("lane ids mirror registered engines"),
-    )
-}
-
 /// Pop the lane's oldest pending sequence number and queue a completed
 /// response, recording the launch into the lane's statistics. Free function
 /// so callers can hold disjoint field borrows.
@@ -786,19 +722,6 @@ fn emit_completed<T: Scalar>(
     ready.push_back(ServerResponse::Completed { engine, index, request, output, report });
 }
 
-/// Pop the lane's oldest pending sequence number and queue a typed failure.
-fn emit_failed<T: Scalar>(
-    lane: &mut Lane<'_, '_, T>,
-    engine: usize,
-    ready: &mut VecDeque<ServerResponse<T>>,
-    counters: &mut ServeCounters,
-    message: String,
-) {
-    let request = lane.pending.pop_front().expect("failed launches were submitted");
-    counters.failed += 1;
-    ready.push_back(ServerResponse::Failed { engine, request, message });
-}
-
 impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     /// Grow the lane vector to cover engines registered since the last
     /// look; new lanes open their pipeline lazily, on first submission.
@@ -809,19 +732,17 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         }
     }
 
-    /// Open lane `id`'s pipeline if it has none yet (and was not closed).
+    /// Open lane `id`'s pipeline if it has none right now.
     fn open_stream(&mut self, id: usize) -> Result<(), JitSpmmError> {
-        if self.lanes[id].stream.is_some() || self.lanes[id].report.is_some() {
+        if self.lanes[id].stream.is_some() {
             return Ok(());
         }
         let stream = if let Some(engine) = self.server.single(id) {
-            RouteStream::Single(engine.batch_stream(self.scope, self.depth)?)
-        } else if let Some(sharded) = self.server.sharded(id) {
-            RouteStream::Sharded(sharded.batch_stream(self.scope, self.depth)?)
+            engine.batch_stream(self.scope, 0)?
         } else if let Some(mutable) = self.server.mutable(id) {
             // The stream pins the engine's current generation (a read
             // guard): a queued update waits until this lane recycles.
-            RouteStream::Mutable(mutable.batch_stream(self.scope, self.depth)?)
+            mutable.batch_stream(self.scope, 0)?
         } else {
             return Err(JitSpmmError::UnknownEngine {
                 requested: id,
@@ -887,47 +808,28 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         }
     }
 
-    /// Join lane `id`'s oldest in-flight launch, queueing its response — or
+    /// Join lane `id`'s oldest in-flight request, queueing its response — or
     /// a typed [`ServerResponse::Failed`] if a worker panicked, for exactly
-    /// the request that hit it. A panic in a **sharded** lane additionally
-    /// poisons that lane — its sibling shard outputs are unrecoverable —
-    /// failing its remaining in-flight requests and closing it, while every
-    /// other lane keeps serving. Returns whether a launch was joined.
+    /// the request that hit it: the stream joins every launch of a request
+    /// before it unwinds, so the lane (sharded or not) keeps serving the
+    /// requests pipelined behind the panic. Returns whether a request was
+    /// joined.
     fn complete_one(&mut self, id: usize) -> bool {
-        let ServerSession { lanes, ready, counters, server, .. } = &mut *self;
+        let ServerSession { lanes, ready, counters, .. } = &mut *self;
         let lane = &mut lanes[id];
         let Some(stream) = lane.stream.as_mut() else {
             return false;
         };
-        if stream.in_flight() == 0 {
-            return false;
-        }
         match catch_unwind(AssertUnwindSafe(|| stream.complete_next())) {
             Ok(Some((output, report))) => {
                 emit_completed(lane, id, ready, counters, output, report);
             }
             Ok(None) => return false,
             Err(payload) => {
-                let poisoned = stream.is_sharded();
-                emit_failed(lane, id, ready, counters, panic_message(payload.as_ref()));
-                if poisoned {
-                    // A sharded lane lost lockstep: the panicking input's
-                    // sibling shard outputs were discarded with the unwind.
-                    // Close the lane — dropping the stream joins what's
-                    // left and frees its slot payloads — and fail its
-                    // remaining requests; unrelated lanes are untouched.
-                    drop(lane.stream.take());
-                    while !lane.pending.is_empty() {
-                        emit_failed(
-                            lane,
-                            id,
-                            ready,
-                            counters,
-                            "sharded lane poisoned by a worker panic".to_string(),
-                        );
-                    }
-                    lane.report = Some(lane_report(lane, server.engine_strategy(id)));
-                }
+                let request = lane.pending.pop_front().expect("failed launches were submitted");
+                counters.failed += 1;
+                let message = panic_message(payload.as_ref());
+                ready.push_back(ServerResponse::Failed { engine: id, request, message });
             }
         }
         true
@@ -954,18 +856,14 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     /// **without** closing the lane. The per-engine statistics live in the
     /// lane and span the gap; the next submission lazily reopens a pipeline.
     /// This is what frees a mutable engine's generation lock for a live
-    /// update mid-session. Idempotent.
+    /// update mid-session. Idempotent; an engine registered since the last
+    /// [`ServerSession::sync_topology`] has no lane yet and nothing to join.
     fn recycle_lane(&mut self, id: usize) {
-        loop {
-            let Some(lane) = self.lanes.get(id) else {
-                return;
-            };
-            match lane.stream.as_ref() {
-                Some(stream) if stream.in_flight() > 0 => {
-                    self.complete_one(id);
-                }
-                _ => break,
-            }
+        if id >= self.lanes.len() {
+            return;
+        }
+        while self.lanes[id].stream.as_ref().is_some_and(|s| s.in_flight() > 0) {
+            self.complete_one(id);
         }
         let ServerSession { lanes, ready, counters, .. } = &mut *self;
         let lane = &mut lanes[id];
@@ -973,24 +871,23 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
             // Nothing is in flight (drained above), so finishing cannot
             // re-raise a worker panic. The stream's own interim report is
             // discarded: the lane accumulated the same launches.
-            let (rest, _interim) = stream.finish_report();
+            let (rest, _interim) = stream.finish();
             for (output, exec) in rest {
                 emit_completed(lane, id, ready, counters, output, exec);
             }
         }
     }
 
-    /// Drain lane `id`, close its pipeline and record its report.
-    /// Idempotent.
-    fn close_lane(&mut self, id: usize) {
+    /// Drain lane `id`, close its pipeline and build its per-engine report
+    /// from the statistics the lane accumulated (zero-input lanes report
+    /// zeros).
+    fn close_lane(&mut self, id: usize) -> BatchReport {
         self.recycle_lane(id);
-        let ServerSession { lanes, server, .. } = &mut *self;
-        let Some(lane) = lanes.get_mut(id) else {
-            return;
-        };
-        if lane.report.is_none() {
-            lane.report = Some(lane_report(lane, server.engine_strategy(id)));
-        }
+        let strategy = self.server.engine_strategy(id).expect("lane ids mirror registered engines");
+        let lane = &mut self.lanes[id];
+        let elapsed = lane.started.map(|t| t.elapsed()).unwrap_or_default();
+        let stats = std::mem::take(&mut lane.stats);
+        stats.report(elapsed, lane.depth.max(1), lane.max_threads.max(1), strategy)
     }
 
     /// Pop the next produced-but-unclaimed response.
@@ -1006,8 +903,8 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     /// Route one request: every outcome — launch, typed rejection,
     /// contained failure — is queued as a ready response; the caller
     /// drains [`ServerSession::take_ready`]. Checks, in order:
-    /// engine id, lane poisoning, input shape, and room in the pipeline
-    /// (joining older launches as needed).
+    /// engine id, input shape, and room in the pipeline (joining older
+    /// launches as needed).
     fn submit(&mut self, request: ServerRequest<T>) {
         self.started.get_or_insert_with(Instant::now);
         self.sync_topology();
@@ -1020,15 +917,6 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
                 engine,
                 request: seq,
                 reason: RejectReason::UnknownEngine,
-            });
-            return;
-        }
-        if self.lanes[engine].report.is_some() {
-            self.counters.rejected += 1;
-            self.ready.push_back(ServerResponse::Rejected {
-                engine,
-                request: seq,
-                reason: RejectReason::LanePoisoned,
             });
             return;
         }
@@ -1050,71 +938,19 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
             });
             return;
         }
-        // Make room, joining this lane's oldest launches; a fault while
-        // joining can poison (close) the lane under us.
-        loop {
-            match self.lanes[engine].stream.as_ref() {
-                None => {
-                    self.counters.rejected += 1;
-                    self.ready.push_back(ServerResponse::Rejected {
-                        engine,
-                        request: seq,
-                        reason: RejectReason::LanePoisoned,
-                    });
-                    return;
-                }
-                Some(stream) if stream.is_full() => {
-                    self.complete_one(engine);
-                }
-                Some(_) => break,
-            }
+        // Make room first, one fault-contained join at a time: a panic
+        // belongs to the oldest request, never to the one being pushed.
+        while self.lanes[engine].stream.as_ref().is_some_and(|s| s.in_flight() == s.depth()) {
+            self.complete_one(engine);
         }
-        let ServerSession { lanes, ready, counters, server, .. } = &mut *self;
-        let lane = &mut lanes[engine];
+        let lane = &mut self.lanes[engine];
         lane.pending.push_back(seq);
         lane.started.get_or_insert_with(Instant::now);
-        let stream = lane.stream.as_mut().expect("lane checked above");
-        let input = request.input;
-        match catch_unwind(AssertUnwindSafe(|| stream.push_owned(input))) {
-            Ok(done) => {
-                // The pipeline was pre-drained below depth, so a push can
-                // only hand back a result on the sequential fast path
-                // (where the kernel ran synchronously just now).
-                if let Some((output, report)) = done {
-                    emit_completed(lane, engine, ready, counters, output, report);
-                }
-            }
-            Err(payload) => {
-                // The panic fired during the synchronous (sequential-mode)
-                // kernel run of *this* request, before it entered the
-                // pipeline: un-book it and fail it. A single-engine stream
-                // stays consistent (the batch layer restores its bookkeeping
-                // before unwinding); a sharded stream may have fanned the
-                // input out to some shards but not others, so treat the
-                // lane as poisoned exactly like a pipelined shard panic.
-                let poisoned = lane.stream.as_ref().is_some_and(RouteStream::is_sharded);
-                lane.pending.pop_back();
-                counters.failed += 1;
-                ready.push_back(ServerResponse::Failed {
-                    engine,
-                    request: seq,
-                    message: panic_message(payload.as_ref()),
-                });
-                if poisoned {
-                    drop(lane.stream.take());
-                    while !lane.pending.is_empty() {
-                        emit_failed(
-                            lane,
-                            engine,
-                            ready,
-                            counters,
-                            "sharded lane poisoned by a worker panic".to_string(),
-                        );
-                    }
-                    lane.report = Some(lane_report(lane, server.engine_strategy(engine)));
-                }
-            }
-        }
+        let stream = lane.stream.as_mut().expect("lane opened above");
+        // Below depth, a push only submits: a kernel panic — even one that
+        // ran inline on a zero-worker pool — is deferred to the join.
+        let done = stream.push_owned_validated(request.input);
+        debug_assert!(done.is_none(), "the pipeline was drained below depth");
     }
 
     /// Drain every lane (in engine-id order, oldest launch first within
@@ -1124,11 +960,8 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     fn finish(mut self) -> (Vec<ServerResponse<T>>, ServerReport) {
         self.apply_updates();
         self.sync_topology();
-        for id in 0..self.lanes.len() {
-            self.close_lane(id);
-        }
         let per_engine: Vec<BatchReport> =
-            self.lanes.iter_mut().map(|lane| lane.report.take().expect("lane closed")).collect();
+            (0..self.lanes.len()).map(|id| self.close_lane(id)).collect();
         let elapsed = self.started.map(|t| t.elapsed()).unwrap_or_default();
         let responses: Vec<ServerResponse<T>> = self.ready.drain(..).collect();
         let report = ServerReport {
@@ -1139,88 +972,5 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
             per_engine,
         };
         (responses, report)
-    }
-}
-
-/// One logical engine's pipeline inside a [`ServerSession`]: a plain
-/// [`BatchStream`] for single engines, a [`ShardedStream`] (one pipeline
-/// per shard, stitched outputs) for sharded ones. Both return completed
-/// results as `(output, report)` pairs in submission order, which is all
-/// the session's bookkeeping relies on.
-enum RouteStream<'scope, 'env, T: Scalar> {
-    /// A single compiled engine's pipeline.
-    Single(BatchStream<'scope, 'env, T>),
-    /// A sharded engine's lockstep shard pipelines.
-    Sharded(ShardedStream<'scope, 'env, T>),
-    /// A mutable engine's pipeline, pinned to one matrix generation for the
-    /// stream's lifetime (queued updates apply when the lane recycles).
-    Mutable(MutableStream<'scope, 'env, T>),
-}
-
-impl<T: Scalar> RouteStream<'_, '_, T> {
-    fn in_flight(&self) -> usize {
-        match self {
-            RouteStream::Single(s) => s.in_flight(),
-            RouteStream::Sharded(s) => s.in_flight(),
-            RouteStream::Mutable(s) => s.in_flight(),
-        }
-    }
-
-    /// The resolved pipeline depth.
-    fn depth(&self) -> usize {
-        match self {
-            RouteStream::Single(s) => s.depth(),
-            RouteStream::Sharded(s) => s.depth(),
-            RouteStream::Mutable(s) => s.depth(),
-        }
-    }
-
-    fn is_full(&self) -> bool {
-        self.in_flight() == self.depth()
-    }
-
-    /// Whether a worker panic poisons the whole lane: true for any
-    /// shard-fanned pipeline (sharded or mutable), where the panicking
-    /// input's sibling shard outputs are unrecoverable.
-    fn is_sharded(&self) -> bool {
-        matches!(self, RouteStream::Sharded(_) | RouteStream::Mutable(_))
-    }
-
-    /// Push one owned input (fanned out by shared handle for sharded
-    /// lanes). Pre-validated; may hand back the oldest completed result.
-    fn push_owned(&mut self, input: DenseMatrix<T>) -> Option<(PooledMatrix<T>, ExecutionReport)> {
-        match self {
-            RouteStream::Single(s) => s.push_owned_validated(input),
-            // One owned request, fanned out to every shard pipeline: each
-            // holds an `Arc` clone until its own launch joins.
-            RouteStream::Sharded(s) => s.push_shared_validated(Arc::new(input)),
-            RouteStream::Mutable(s) => s.push_shared_validated(Arc::new(input)),
-        }
-    }
-
-    /// Join the oldest in-flight launch, if any.
-    fn complete_next(&mut self) -> Option<(PooledMatrix<T>, ExecutionReport)> {
-        match self {
-            RouteStream::Single(s) => s.complete_next(),
-            RouteStream::Sharded(s) => s.complete_next(),
-            RouteStream::Mutable(s) => s.complete_next(),
-        }
-    }
-
-    /// Finish the pipeline. A sharded engine contributes its merged
-    /// (critical-path across shards) batch report, so the [`ServerReport`]
-    /// aggregation is uniform across engine kinds.
-    fn finish_report(self) -> (Vec<(PooledMatrix<T>, ExecutionReport)>, BatchReport) {
-        match self {
-            RouteStream::Single(s) => s.finish(),
-            RouteStream::Sharded(s) => {
-                let (rest, shard_report) = s.finish();
-                (rest, shard_report.merged)
-            }
-            RouteStream::Mutable(s) => {
-                let (rest, shard_report) = s.finish();
-                (rest, shard_report.merged)
-            }
-        }
     }
 }

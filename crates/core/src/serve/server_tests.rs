@@ -62,15 +62,6 @@ fn serve_all(
     requests: Vec<ServerRequest<f32>>,
 ) -> (Vec<ServerResponse<f32>>, ServerReport) {
     let options = ServeOptions::new(AdmissionPolicy::blocking(requests.len().max(1)));
-    serve_all_with(server, options, requests)
-}
-
-/// [`serve_all`] under explicit `options`.
-fn serve_all_with(
-    server: &SpmmServer<'_, f32>,
-    options: ServeOptions,
-    requests: Vec<ServerRequest<f32>>,
-) -> (Vec<ServerResponse<f32>>, ServerReport) {
     let mut responses = Vec::with_capacity(requests.len());
     let (report, ()) = server
         .serve_controlled(
@@ -219,7 +210,7 @@ fn session_validates_before_touching_engine_state() {
     let mut responses = Vec::new();
     let (report, ()) = server
         .serve_controlled(
-            ServeOptions::default().with_depth(2),
+            ServeOptions::default(),
             move |sender| {
                 // Unknown engine id: refused at the queue, nothing submitted.
                 assert_eq!(
@@ -258,8 +249,7 @@ fn single_engine_server_is_just_a_batch() {
     let server = SpmmServer::new(vec![engine]).unwrap();
     let requests: Vec<ServerRequest<f32>> =
         inputs.into_iter().map(|input| ServerRequest::new(0, input)).collect();
-    let (responses, report) =
-        serve_all_with(&server, ServeOptions::default().with_depth(2), requests);
+    let (responses, report) = serve_all(&server, requests);
     assert_eq!(report.requests, 5);
     assert!(report.throughput() >= 0.0);
     for (response, expected) in responses.iter().zip(&expected) {
@@ -274,6 +264,7 @@ fn sharded_engine_serves_behind_one_logical_id() {
         return;
     }
     use crate::shard::{plan_shards, ShardedSpmm};
+    use crate::update::MutableSpmm;
     let small = generate::uniform::<f32>(90, 70, 700, 21);
     let big = generate::rmat::<f32>(9, 8_000, generate::RmatConfig::GRAPH500, 22);
     let pool = WorkerPool::new(2);
@@ -293,13 +284,13 @@ fn sharded_engine_serves_behind_one_logical_id() {
         .collect();
 
     let server = SpmmServer::new(vec![single]).unwrap();
-    let sharded_id = server.add_sharded(sharded).unwrap();
+    let registered = MutableSpmm::compile(&big, 3, 1, 8, pool.clone()).unwrap();
+    let sharded_id = server.add_mutable(registered).unwrap();
     assert_eq!(sharded_id, 1);
     assert_eq!(server.engine_count(), 2);
     // A sharded engine on a foreign pool is refused.
-    let foreign_plan = plan_shards(&big, 2, 1).unwrap();
-    let foreign = ShardedSpmm::compile(&foreign_plan, 8, WorkerPool::new(1)).unwrap();
-    assert!(matches!(server.add_sharded(foreign).unwrap_err(), JitSpmmError::InvalidConfig(_)));
+    let foreign = MutableSpmm::compile(&big, 2, 1, 8, WorkerPool::new(1)).unwrap();
+    assert!(matches!(server.add_mutable(foreign).unwrap_err(), JitSpmmError::InvalidConfig(_)));
 
     // An interleaved mixed stream across both ids.
     let requests: Vec<ServerRequest<f32>> = (0..8)

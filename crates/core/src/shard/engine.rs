@@ -1,15 +1,15 @@
 //! The [`ShardedSpmm`] engine: one JIT-compiled [`JitSpmm`] per shard of a
 //! [`ShardPlan`], executing as overlapped lane-capped launches on a shared
-//! [`WorkerPool`], with shard outputs stitched into full-height results.
+//! [`WorkerPool`], every shard kernel writing its row range of one
+//! full-height output in place.
 
-use crate::engine::{ExecutionHandle, JitSpmm, JitSpmmBuilder};
+use crate::engine::{run_batch, BatchStream, ExecutionHandle, JitSpmm, JitSpmmBuilder};
 use crate::error::JitSpmmError;
 use crate::runtime::dispatch::BufferPool;
 use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
 use crate::schedule::Strategy;
 use crate::shard::plan::ShardPlan;
 use crate::shard::report::{merge_input_reports, single_launch_report, ShardReport};
-use crate::shard::stream::ShardedStream;
 use jitspmm_sparse::{DenseMatrix, Scalar};
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,10 +24,10 @@ use std::time::Instant;
 /// **overlapped, lane-capped jobs on disjoint worker subsets**, the same
 /// overlap discipline the serving router uses across heterogeneous engines.
 /// Shard kernels write directly into their row range of one full-height
-/// pooled output ([`ShardedSpmm::execute`]) or produce per-shard pooled
-/// outputs that are stitched by one contiguous copy per shard
-/// ([`ShardedSpmm::execute_batch`]); either way steady-state execution
-/// performs no per-call buffer allocation.
+/// pooled output — one launch at a time ([`ShardedSpmm::execute`]) or
+/// pipelined ([`ShardedSpmm::execute_batch`]) — so nothing is copied or
+/// stitched and steady-state execution performs no per-call buffer
+/// allocation.
 ///
 /// ```
 /// use jitspmm::shard::{plan_shards, ShardedSpmm};
@@ -100,7 +100,7 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         // within one pool) is true by construction here — every builder was
         // handed a clone of `pool` — so it is asserted, not returned as an
         // error. The boundary where foreign pools can actually arrive is
-        // [`crate::serve::SpmmServer::add_sharded`], which does the real
+        // [`crate::serve::SpmmServer::add_mutable`], which does the real
         // [`WorkerPool::same_pool`] check.
         debug_assert!(engines.iter().all(|e| e.pool().same_pool(&pool)));
         Ok(ShardedSpmm { plan, engines, pool, d, output_pool: Arc::new(BufferPool::new()) })
@@ -112,6 +112,12 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     /// a live server keeps recycling its outputs through an update.
     pub(crate) fn inherit_output_pool(&mut self, previous: &ShardedSpmm<'_, T>) {
         self.output_pool = Arc::clone(&previous.output_pool);
+    }
+
+    /// Full-height output buffers the shared pool holds spare.
+    #[cfg(test)]
+    pub(super) fn spare_outputs(&self) -> usize {
+        self.output_pool.spare_buffers()
     }
 
     /// The plan this engine was compiled from.
@@ -206,13 +212,12 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     }
 
     /// Compute `Y = A * X_i` for every input in `inputs`, pipelining the
-    /// batch through all shards at once: each shard runs its own
-    /// [`crate::BatchStream`] (per-slot payloads, spare kernels, pooled
-    /// shard outputs), the streams advance in lockstep, and each completed
-    /// input's shard outputs are stitched — one contiguous row-range copy
-    /// per shard — into a full-height pooled output. Outputs return in
-    /// input order with a [`ShardReport`] aggregating per-shard and merged
-    /// critical-path timing.
+    /// batch through all shards at once: one [`BatchStream`] launches every
+    /// shard kernel of an input straight into its row range of one pooled
+    /// full-height output (as [`ShardedSpmm::execute`] does, with per-slot
+    /// payloads and spare kernels instead of per-call boxing). Outputs
+    /// return in input order with a [`ShardReport`] aggregating per-shard
+    /// and merged critical-path timing.
     ///
     /// # Errors
     ///
@@ -230,38 +235,28 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         scope: &'scope PoolScope<'scope, 'env>,
         inputs: &'env [DenseMatrix<T>],
     ) -> Result<(Vec<PooledMatrix<T>>, ShardReport), JitSpmmError> {
-        for (index, x) in inputs.iter().enumerate() {
-            self.check_input_shape(x).map_err(|e| match e {
-                JitSpmmError::ShapeMismatch(msg) => {
-                    JitSpmmError::ShapeMismatch(format!("batch input {index}: {msg}"))
-                }
-                other => other,
-            })?;
-        }
-        // Auto depth, as `JitSpmm::execute_batch`: pipeline where overlap is
-        // available, degrade to the sequential fast path where it is not.
-        let depth = if inputs.len() <= 1 { 1 } else { 0 };
-        let mut stream = self.batch_stream(scope, depth)?;
-        // The caller holds every full-height output at once; shard-local
-        // outputs recycle within the pipeline and need no reserve.
-        self.output_pool.reserve(inputs.len());
-        let mut outputs = Vec::with_capacity(inputs.len());
-        for x in inputs {
-            if let Some((y, _)) = stream.push_validated(x) {
-                outputs.push(y);
-            }
-        }
-        let (rest, report) = stream.finish();
-        outputs.extend(rest.into_iter().map(|(y, _)| y));
-        Ok((outputs, report))
+        run_batch(
+            inputs,
+            |x| self.check_input_shape(x),
+            |depth| self.batch_stream(scope, depth).map(BatchStream::per_part),
+            |stream| {
+                let (rest, merged, per_shard) = stream.finish_per_part();
+                let report = ShardReport {
+                    shards: per_shard.len(),
+                    nnz_imbalance: self.plan.nnz_imbalance(),
+                    merged,
+                    per_shard,
+                };
+                (rest, report)
+            },
+        )
     }
 
-    /// Open a [`ShardedStream`]: the incremental form of
-    /// [`ShardedSpmm::execute_batch`] for unbounded input streams. `depth`
-    /// is the per-shard pipeline depth with the same auto semantics as
-    /// [`JitSpmm::batch_stream`] (`0` = default depth, sequential fast path
-    /// on hosts with nothing to overlap); every shard stream shares it, so
-    /// the pipelines advance in lockstep. The stream holds every shard
+    /// Open a [`BatchStream`] over all K shard kernels: the incremental
+    /// form of [`ShardedSpmm::execute_batch`] for unbounded input streams,
+    /// with `depth` as in [`JitSpmm::batch_stream`]. Every pushed input
+    /// launches all shards into one pooled full-height output and completes
+    /// when its slowest shard has joined. The stream holds every shard
     /// engine's launch lock until it is finished or dropped.
     ///
     /// # Errors
@@ -273,21 +268,8 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         depth: usize,
-    ) -> Result<ShardedStream<'scope, 'env, T>, JitSpmmError> {
-        let mut streams = Vec::with_capacity(self.engines.len());
-        for engine in &self.engines {
-            // A failure midway drops the streams opened so far, releasing
-            // their shard engines.
-            streams.push(engine.batch_stream(scope, depth)?);
-        }
-        // Every shard keeps up to depth outputs in flight plus one being
-        // stitched; let its pool retain that many so steady-state batches
-        // recycle every shard buffer.
-        let effective = streams.first().map(|s| s.depth()).unwrap_or(1);
-        for engine in &self.engines {
-            engine.reserve_outputs(effective + 1);
-        }
-        Ok(ShardedStream::new(self, streams))
+    ) -> Result<BatchStream<'scope, 'env, T>, JitSpmmError> {
+        BatchStream::open(scope, depth, &self.engines, &self.output_pool)
     }
 
     /// Validate that `x` matches the compiled input shape (`A.ncols() x d`

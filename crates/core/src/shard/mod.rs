@@ -24,25 +24,23 @@
 //!   on a shared pool (validated via [`crate::WorkerPool::same_pool`]).
 //!   [`ShardedSpmm::execute`] launches every shard asynchronously, each
 //!   kernel writing **directly into its row range** of one pooled
-//!   full-height output; [`ShardedSpmm::execute_batch`] pipelines a batch
-//!   through per-shard [`crate::BatchStream`]s and stitches completed
-//!   inputs with one contiguous row-range copy per shard. Neither allocates
-//!   in steady state.
-//! * [`ShardedStream`] (`stream`) is the incremental batch form, also
-//!   driven by the serving router.
+//!   full-height output; [`ShardedSpmm::execute_batch`] and
+//!   [`ShardedSpmm::batch_stream`] pipeline inputs through one
+//!   [`crate::BatchStream`] that launches all K shard kernels per input the
+//!   same way. Neither copies or allocates in steady state.
 //! * [`ShardReport`] (`report`) aggregates per-shard kernel/dispatch
 //!   timing through the batch layer's bounded reservoir, a merged
 //!   critical-path view, and the plan's achieved nnz balance.
 //!
-//! A sharded engine registers with the serving router behind **one logical
-//! engine id** ([`crate::serve::SpmmServer::add_sharded`]), so mixed-stream
+//! The serving router reaches a sharded engine through its updatable form
+//! ([`crate::update::MutableSpmm`], registered behind **one logical engine
+//! id** by [`crate::serve::SpmmServer::add_mutable`]), so mixed-stream
 //! routing, submission-order collection and [`crate::serve::ServerReport`]
 //! aggregation work unchanged.
 
 mod engine;
 mod plan;
 mod report;
-mod stream;
 
 #[cfg(test)]
 mod shard_tests;
@@ -50,5 +48,5 @@ mod shard_tests;
 pub use engine::ShardedSpmm;
 pub(crate) use plan::{choose_strategy, nnz_imbalance_of_specs};
 pub use plan::{plan_shards, ShardPlan, ShardSpec};
+pub(crate) use report::merge_input_reports;
 pub use report::ShardReport;
-pub use stream::ShardedStream;

@@ -6,9 +6,8 @@ use crate::engine::{BatchReport, ExecutionReport};
 use std::time::Duration;
 
 /// Aggregated timing for one sharded run, returned by
-/// [`crate::shard::ShardedSpmm::execute`],
-/// [`crate::shard::ShardedSpmm::execute_batch`] and
-/// [`crate::shard::ShardedStream::finish`].
+/// [`crate::shard::ShardedSpmm::execute`] and
+/// [`crate::shard::ShardedSpmm::execute_batch`].
 ///
 /// Per-shard statistics reuse the batch layer's [`BatchReport`] — the same
 /// bounded-reservoir kernel/dispatch p50/p99 — indexed by shard, so a run

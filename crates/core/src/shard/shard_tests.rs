@@ -2,9 +2,10 @@
 //! files to keep them readable). The cross-crate differential family lives
 //! in `tests/tests/differential.rs`.
 
-use crate::engine::JitSpmmBuilder;
+use crate::engine::{ExecutionReport, JitSpmmBuilder};
 use crate::error::JitSpmmError;
-use crate::runtime::WorkerPool;
+use crate::runtime::{PooledMatrix, WorkerPool};
+use crate::serve::fault;
 use crate::shard::{plan_shards, ShardedSpmm};
 use jitspmm_asm::CpuFeatures;
 use jitspmm_sparse::{generate, CsrMatrix, DenseMatrix};
@@ -60,22 +61,6 @@ fn sharded_batch_matches_per_input_execute() {
         assert_eq!(**y, singles[i], "batched input {i} differs from single execute");
         assert!(y.approx_eq(&a.spmm_reference(&inputs[i]), 1e-4));
     }
-    // An explicit depth-2 stream exercises the real pipeline everywhere.
-    pool.scope(|scope| {
-        let mut stream = sharded.batch_stream(scope, 2).unwrap();
-        let mut streamed = Vec::new();
-        for x in &inputs {
-            if let Some((y, _)) = stream.push(x).unwrap() {
-                streamed.push(y);
-            }
-        }
-        let (rest, report) = stream.finish();
-        streamed.extend(rest.into_iter().map(|(y, _)| y));
-        assert_eq!(report.inputs(), inputs.len());
-        for (i, y) in streamed.iter().enumerate() {
-            assert_eq!(**y, singles[i], "pipelined input {i} differs from single execute");
-        }
-    });
 }
 
 #[test]
@@ -153,4 +138,53 @@ fn sharded_outputs_recycle_in_steady_state() {
     };
     let (y, _) = pool.scope(|scope| sharded.execute(scope, &x)).unwrap();
     assert_eq!(y.as_ptr(), first_ptr, "steady-state execute must recycle the full output");
+}
+
+#[test]
+fn streams_write_every_shard_in_place_and_in_order() {
+    let _guard = fault::exclusive();
+    if !host_ok() {
+        eprintln!("skipping: host lacks AVX/FMA");
+        return;
+    }
+    let a = generate::rmat::<f32>(9, 9_000, generate::RmatConfig::GRAPH500, 13);
+    // Every non-zero in row 0: the trailing shards are all-empty rows.
+    let row0: Vec<(usize, usize, f32)> = (0..30).map(|c| (0usize, c, 1.0 + c as f32)).collect();
+    let lone = CsrMatrix::<f32>::from_triplets(64, 30, &row0).unwrap();
+    for pool in [WorkerPool::new(2), WorkerPool::inline()] {
+        for (matrix, shards) in [(&a, 1usize), (&a, 2), (&a, 4), (&lone, 4)] {
+            let plan = plan_shards(matrix, shards, 1).unwrap();
+            let sharded = ShardedSpmm::compile(&plan, 8, pool.clone()).unwrap();
+            let inputs: Vec<DenseMatrix<f32>> =
+                (0..64).map(|seed| DenseMatrix::random(matrix.ncols(), 8, seed)).collect();
+            let expected: Vec<DenseMatrix<f32>> = inputs
+                .iter()
+                .map(|x| pool.scope(|scope| sharded.execute(scope, x)).unwrap().0.into_dense())
+                .collect();
+            for depth in 1..=3usize {
+                let mut done = 0usize;
+                let mut check = |(y, _): (PooledMatrix<f32>, ExecutionReport)| {
+                    assert_eq!(*y, expected[done], "k {shards} depth {depth} input {done}");
+                    done += 1;
+                };
+                pool.scope(|scope| {
+                    let mut stream = sharded.batch_stream(scope, depth).unwrap();
+                    // One kernel entry — one shard of the first input —
+                    // stalls past its siblings and the inputs queued behind
+                    // it: its rows must be there when its output comes back,
+                    // and no later input may overtake it.
+                    fault::arm_kernel_delay(std::time::Duration::from_millis(5), 1);
+                    for x in &inputs {
+                        stream.push(x).unwrap().into_iter().for_each(&mut check);
+                    }
+                    stream.finish().0.into_iter().for_each(&mut check);
+                });
+                assert_eq!(done, inputs.len());
+                // No shard-local output ever existed, and the shared pool
+                // holds what was in flight plus the one being read.
+                assert!(sharded.engines().iter().all(|e| e.spare_outputs() == 0));
+                assert!(sharded.spare_outputs() <= depth + 1);
+            }
+        }
+    }
 }

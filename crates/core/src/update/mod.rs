@@ -35,8 +35,9 @@
 //!
 //! A [`MutableSpmm`] owns **one** live generation behind an [`RwLock`].
 //! Every execute path — [`MutableSpmm::execute`],
-//! [`MutableSpmm::execute_batch`], and each open [`MutableStream`] —
-//! holds a **read** guard until its launches have joined;
+//! [`MutableSpmm::execute_batch`], and each stream opened by
+//! [`MutableSpmm::batch_stream`] (the guard rides inside the
+//! [`BatchStream`]) — holds a **read** guard until its launches have joined;
 //! [`MutableSpmm::apply`] takes the **write** lock to swap the successor
 //! in and drop the generation it replaces. Two consequences:
 //!
@@ -62,11 +63,11 @@ mod delta;
 
 pub use apply::UpdateReport;
 
-use crate::engine::ExecutionReport;
+use crate::engine::BatchStream;
 use crate::error::JitSpmmError;
 use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
 use crate::schedule::Strategy;
-use crate::shard::{plan_shards, ShardPlan, ShardReport, ShardedSpmm, ShardedStream};
+use crate::shard::{plan_shards, ShardPlan, ShardReport, ShardedSpmm};
 use jitspmm_sparse::{CsrMatrix, DeltaBatch, DenseMatrix, Scalar};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, TryLockError};
@@ -229,9 +230,10 @@ impl<T: Scalar> MutableSpmm<T> {
         // replaced (and the old one dropped) only by `apply` under the
         // write lock — unobtainable while `guard` lives — and every caller
         // keeps the guard until each launch made through the reference has
-        // joined (a blocking execute returned, or the stream dropped:
-        // [`MutableStream`] declares its stream before its guard). A leaked
-        // guard blocks swaps forever instead of dangling.
+        // joined (a blocking execute returned, or the stream dropped: the
+        // guard rides inside the [`BatchStream`], whose `Drop` joins every
+        // launch before any of its fields is released). A leaked guard
+        // blocks swaps forever instead of dangling.
         let generation = unsafe { &*(&*guard as *const Generation<T>) };
         (guard, generation)
     }
@@ -272,13 +274,13 @@ impl<T: Scalar> MutableSpmm<T> {
         generation.engine.execute_batch(scope, inputs)
     }
 
-    /// Open a [`MutableStream`] — the incremental pipelined form of
-    /// [`MutableSpmm::execute_batch`], wrapping a
-    /// [`crate::shard::ShardedStream`] over the current generation. The
-    /// stream holds the generation read guard until finished or dropped,
+    /// Open a [`BatchStream`] over the current generation's shard kernels —
+    /// the incremental pipelined form of [`MutableSpmm::execute_batch`],
+    /// exactly [`ShardedSpmm::batch_stream`] plus the pin: the generation
+    /// read guard rides inside the stream until it is finished or dropped,
     /// so every input pushed through one stream sees **one** matrix
-    /// revision; deltas applied while it is open take effect for streams
-    /// opened afterwards.
+    /// revision; deltas applied while it is open wait (or, in the serving
+    /// loop, requeue) and take effect for streams opened afterwards.
     ///
     /// # Errors
     ///
@@ -287,10 +289,9 @@ impl<T: Scalar> MutableSpmm<T> {
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         depth: usize,
-    ) -> Result<MutableStream<'scope, 'env, T>, JitSpmmError> {
+    ) -> Result<BatchStream<'scope, 'env, T>, JitSpmmError> {
         let (guard, generation) = self.pin();
-        let stream = generation.engine.batch_stream(scope, depth)?;
-        Ok(MutableStream { stream, _hold: guard })
+        Ok(generation.engine.batch_stream(scope, depth)?.holding(guard))
     }
 
     /// Apply an edge-delta batch, compiling the next generation: touched
@@ -410,78 +411,6 @@ impl<T: Scalar> MutableSpmm<T> {
     /// The heaviest current shard's strategy, for merged serving reports.
     pub(crate) fn dominant_strategy(&self) -> Strategy {
         self.read().engine.dominant_strategy()
-    }
-}
-
-/// A pipelined batch stream over a [`MutableSpmm`], created by
-/// [`MutableSpmm::batch_stream`]: a [`ShardedStream`] pinned to one matrix
-/// revision. The stream holds the engine's generation read guard — deltas
-/// applied while it is open wait (or, in the serving loop, requeue) until
-/// it finishes or drops, and every result it produces reflects the
-/// revision current at open time.
-pub struct MutableStream<'scope, 'env, T: Scalar> {
-    // Declared before the guard so in-flight launches join before the
-    // generation read lock is released — the lock is what keeps the
-    // generation the stream launches through from being freed.
-    stream: ShardedStream<'scope, 'env, T>,
-    _hold: RwLockReadGuard<'env, Generation<T>>,
-}
-
-impl<'scope, 'env, T: Scalar> MutableStream<'scope, 'env, T> {
-    /// The per-shard pipeline depth (see [`ShardedStream::depth`]).
-    pub fn depth(&self) -> usize {
-        self.stream.depth()
-    }
-
-    /// Inputs currently in flight (see [`ShardedStream::in_flight`]).
-    pub fn in_flight(&self) -> usize {
-        self.stream.in_flight()
-    }
-
-    /// Fan the next input out to every shard pipeline (see
-    /// [`ShardedStream::push`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedStream::push`].
-    pub fn push(
-        &mut self,
-        x: &'env DenseMatrix<T>,
-    ) -> Result<Option<(PooledMatrix<T>, ExecutionReport)>, JitSpmmError> {
-        self.stream.push(x)
-    }
-
-    /// Drain the pipelines and aggregate the [`ShardReport`] (see
-    /// [`ShardedStream::finish`]); the generation read guard releases once
-    /// the drain completes.
-    ///
-    /// # Panics
-    ///
-    /// As [`ShardedStream::finish`].
-    pub fn finish(self) -> (Vec<(PooledMatrix<T>, ExecutionReport)>, ShardReport) {
-        let MutableStream { stream, _hold } = self;
-        stream.finish()
-    }
-
-    /// See [`ShardedStream::push_shared_validated`] — the serving router's
-    /// by-value push.
-    pub(crate) fn push_shared_validated(
-        &mut self,
-        x: Arc<DenseMatrix<T>>,
-    ) -> Option<(PooledMatrix<T>, ExecutionReport)> {
-        self.stream.push_shared_validated(x)
-    }
-
-    /// See [`ShardedStream::complete_next`] — the serving loop's
-    /// one-at-a-time drain.
-    pub(crate) fn complete_next(&mut self) -> Option<(PooledMatrix<T>, ExecutionReport)> {
-        self.stream.complete_next()
-    }
-}
-
-impl<T: Scalar> std::fmt::Debug for MutableStream<'_, '_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MutableStream").field("stream", &self.stream).finish()
     }
 }
 

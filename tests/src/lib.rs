@@ -48,8 +48,8 @@ pub fn pathological() -> CsrMatrix<f32> {
 
 /// Serve a pre-collected request batch through
 /// [`SpmmServer::serve_controlled`] and collect every response: blocking
-/// admission sized to the batch (nothing is shed for lack of room), auto
-/// pipeline depth, responses sorted by [`ServerResponse::request`]. A send
+/// admission sized to the batch (nothing is shed for lack of room),
+/// responses sorted by [`ServerResponse::request`]. A send
 /// the queue refuses outright (unknown engine) produces no
 /// response and takes no sequence number; it is counted in
 /// [`ServerReport::rejected`].
@@ -63,16 +63,6 @@ pub fn serve_all<T: Scalar>(
     requests: Vec<ServerRequest<T>>,
 ) -> (Vec<ServerResponse<T>>, ServerReport) {
     let options = ServeOptions::new(AdmissionPolicy::blocking(requests.len().max(1)));
-    serve_all_with(server, options, requests)
-}
-
-/// [`serve_all`] under explicit `options` (a forced pipeline depth, a
-/// tighter queue bound).
-pub fn serve_all_with<T: Scalar>(
-    server: &SpmmServer<'_, T>,
-    options: ServeOptions,
-    requests: Vec<ServerRequest<T>>,
-) -> (Vec<ServerResponse<T>>, ServerReport) {
     let mut responses = Vec::with_capacity(requests.len());
     let (report, ()) = server
         .serve_controlled(

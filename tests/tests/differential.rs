@@ -16,10 +16,10 @@
 //! at least the 20 combinations the runtime milestone calls for.
 
 use jitspmm::baseline::{scalar, vectorized};
-use jitspmm::serve::{ServeOptions, ServerRequest, SpmmServer};
+use jitspmm::serve::{ServerRequest, SpmmServer};
 use jitspmm::shard::{plan_shards, ShardedSpmm};
 use jitspmm::{JitSpmmBuilder, JitSpmmError, JobSpec, Strategy, WorkerPool};
-use jitspmm_integration_tests::{host_supports_jit, serve_all, serve_all_with};
+use jitspmm_integration_tests::{host_supports_jit, serve_all};
 use jitspmm_sparse::{generate, CsrMatrix, DenseMatrix};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -281,10 +281,7 @@ fn differential_matrix_batched() {
                 );
             }
             drop(outputs);
-            // Same inputs through an explicit depth-2 stream: `execute_batch`
-            // may pick the sequential fast path on single-core hosts, but an
-            // explicit depth >= 2 always drives the real queue pipeline, so
-            // the pipelined machinery gets differential coverage everywhere.
+            // Same inputs through the incremental stream, driven by hand.
             pool.scope(|scope| {
                 let mut stream = engine.batch_stream(scope, 2).unwrap();
                 let mut streamed = Vec::new();
@@ -600,11 +597,7 @@ fn mixed_engine_serving_in_single_threaded_mode_is_deterministic() {
             })
             .collect()
     };
-    // Depth 2 forces the queue pipeline even where auto depth would take
-    // the sequential fast path.
-    let serve = |server: &SpmmServer<'_, f32>| {
-        serve_all_with(server, ServeOptions::default().with_depth(2), requests(server)).0
-    };
+    let serve = |server: &SpmmServer<'_, f32>| serve_all(server, requests(server)).0;
     let first = serve(&build());
     let second = serve(&build());
     assert_eq!(first.len(), second.len());

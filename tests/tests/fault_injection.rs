@@ -4,9 +4,9 @@
 //! The containment contract under test: a panicked kernel job fails only its
 //! own request — a typed [`ServerResponse::Failed`] carrying the panic
 //! message — while unrelated engines keep serving and the server stays
-//! usable afterwards. A sharded engine is the one exception: its shards run
-//! in lockstep, so a shard panic poisons that engine's lane (every pending
-//! request on it fails, typed) but still touches nothing else.
+//! usable afterwards. A sharded engine is no exception: its pipeline joins
+//! every shard of a request before it unwinds, so a shard panic fails that
+//! one request and the lane keeps serving.
 //!
 //! The fault hooks are process-global, so every test here holds
 //! [`fault::exclusive`] for its whole body — the tests serialize against
@@ -14,13 +14,10 @@
 //! results *before* arming, because plain `execute` calls consume fault
 //! tickets too.
 
-use jitspmm::serve::{
-    fault, AdmissionPolicy, RejectReason, ServeOptions, ServerRequest, SpmmServer,
-};
+use jitspmm::serve::{fault, AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
 use jitspmm::{JitSpmmBuilder, WorkerPool};
 use jitspmm_integration_tests::{host_supports_jit, serve_all, small_skewed, small_uniform};
 use jitspmm_sparse::DenseMatrix;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SKEWED_COLS: usize = 512;
 const UNIFORM_COLS: usize = 350;
@@ -66,10 +63,7 @@ fn a_kernel_panic_fails_only_its_request() {
     let mut completed: Vec<DenseMatrix<f32>> = Vec::new();
     let (report, ()) = server
         .serve_controlled(
-            // Explicit depth 2 forces real pipelining even on a single-core
-            // host, so the panic surfaces on the complete side of the
-            // stream, not inside the synchronous push.
-            ServeOptions::new(AdmissionPolicy::blocking(8)).with_depth(2),
+            ServeOptions::new(AdmissionPolicy::blocking(8)),
             |sender| {
                 for (engine, x) in requests.iter() {
                     sender.send_request(ServerRequest::new(*engine, x.clone())).unwrap();
@@ -143,7 +137,7 @@ fn a_mid_stream_panic_spares_later_requests_on_the_same_engine() {
     let mut completed: Vec<DenseMatrix<f32>> = Vec::new();
     let (report, ()) = server
         .serve_controlled(
-            ServeOptions::new(AdmissionPolicy::blocking(8)).with_depth(2),
+            ServeOptions::new(AdmissionPolicy::blocking(8)),
             |sender| {
                 for x in inputs.iter().cloned() {
                     sender.send_request(ServerRequest::new(0, x)).unwrap();
@@ -183,98 +177,65 @@ fn a_mid_stream_panic_spares_later_requests_on_the_same_engine() {
 }
 
 #[test]
-fn a_shard_panic_poisons_only_that_sharded_lane() {
+fn a_shard_panic_fails_only_its_request() {
     let _guard = fault::exclusive();
     if !host_supports_jit() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
     }
     let a = small_uniform();
-    let b = small_skewed();
     let pool = WorkerPool::new(1);
-    let plan = jitspmm::shard::plan_shards(&a, 2, 1).unwrap();
-    let sharded = jitspmm::shard::ShardedSpmm::compile(&plan, D, pool.clone()).unwrap();
-    let single = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, D).unwrap();
-    let server = SpmmServer::new(vec![single]).unwrap();
-    assert_eq!(server.add_sharded(sharded).unwrap(), 1);
-    let healthy: Vec<DenseMatrix<f32>> =
-        (0..2).map(|i| DenseMatrix::random(SKEWED_COLS, D, 50 + i as u64)).collect();
-    let expected: Vec<DenseMatrix<f32>> = healthy
+    let server = SpmmServer::with_pool(pool.clone());
+    let mutable = jitspmm::update::MutableSpmm::compile(&a, 4, 1, D, pool.clone()).unwrap();
+    assert_eq!((mutable.shards(), server.add_mutable(mutable).unwrap()), (4, 0));
+    // The reference: the same four shards through the one-shot sharded path,
+    // computed before arming.
+    let plan = jitspmm::shard::plan_shards(&a, 4, 1).unwrap();
+    let direct = jitspmm::shard::ShardedSpmm::compile(&plan, D, pool.clone()).unwrap();
+    let total = 6usize;
+    let inputs: Vec<DenseMatrix<f32>> =
+        (0..total).map(|i| DenseMatrix::random(UNIFORM_COLS, D, 60 + i as u64)).collect();
+    let expected: Vec<DenseMatrix<f32>> = inputs
         .iter()
-        .map(|x| (*server.single(0).unwrap().execute(x).unwrap().0).clone())
+        .map(|x| pool.scope(|scope| direct.execute(scope, x)).unwrap().0.into_dense())
         .collect();
 
-    // Phase the traffic so the armed ticket can only land on the sharded
-    // engine: its three requests go first, and the single engine's only
-    // after all three are answered — by then the first sharded request has
-    // tripped the fault and poisoned the lane.
-    fault::arm_kernel_panic(1);
-    let answered_sharded = AtomicUsize::new(0);
-    let answered_ref = &answered_sharded;
-    let mut sharded_failures = 0usize;
-    let mut sharded_rejections = 0usize;
-    let mut completed: Vec<(usize, DenseMatrix<f32>)> = Vec::new();
+    // Every request enters one single-lane kernel job per shard, claimed in
+    // submission order: the tenth entry is a shard of the third request,
+    // mid-session, with requests pipelined on both sides of it.
+    fault::arm_kernel_panic(10);
+    let mut failed: Vec<(usize, String)> = Vec::new();
+    let mut completed: Vec<usize> = Vec::new();
     let (report, ()) = server
         .serve_controlled(
             ServeOptions::new(AdmissionPolicy::blocking(8)),
-            move |sender| {
-                // Three requests to the sharded engine: one trips the fault,
-                // the rest land on a poisoned lane.
-                for i in 0..3u64 {
-                    sender
-                        .send_request(ServerRequest::new(
-                            1,
-                            DenseMatrix::random(UNIFORM_COLS, D, 60 + i),
-                        ))
-                        .unwrap();
-                }
-                while answered_ref.load(Ordering::SeqCst) < 3 {
-                    std::thread::yield_now();
-                }
-                for x in healthy.iter().cloned() {
+            |sender| {
+                for x in inputs.iter().cloned() {
                     sender.send_request(ServerRequest::new(0, x)).unwrap();
                 }
             },
-            |response| match (response.engine(), response.failure(), response.rejection()) {
-                (1, Some(_), _) => {
-                    sharded_failures += 1;
-                    answered_sharded.fetch_add(1, Ordering::SeqCst);
+            |response| match response.failure() {
+                Some(message) => failed.push((response.request(), message.to_string())),
+                None => {
+                    let request = response.request();
+                    assert_eq!(**response.output(), expected[request], "request {request}");
+                    completed.push(request);
                 }
-                (1, _, Some(reason)) => {
-                    assert_eq!(reason, RejectReason::LanePoisoned);
-                    sharded_rejections += 1;
-                    answered_sharded.fetch_add(1, Ordering::SeqCst);
-                }
-                (engine, None, None) => {
-                    assert_eq!(engine, 0, "only the single engine may complete requests");
-                    completed.push((response.index(), (**response.output()).clone()));
-                }
-                other => panic!("unexpected response shape: {other:?}"),
             },
         )
         .unwrap();
 
-    // Every sharded request is answered — failed or typed-rejected, never
-    // silently dropped or completed — and nothing else is touched.
-    assert!(sharded_failures >= 1, "the tripping request fails with the panic");
-    assert_eq!(sharded_failures + sharded_rejections, 3, "all sharded requests answered");
-    assert_eq!(report.requests, 2);
-    assert_eq!(report.failed + report.rejected, 3);
-    assert_eq!(completed.len(), 2);
-    for (index, output) in &completed {
-        assert_eq!(output, &expected[*index], "the single engine's results are untouched");
-    }
-
-    // A fresh session reopens the sharded engine's pipeline: the poisoning
-    // was per-session, the compiled engine itself is intact.
-    let x = DenseMatrix::random(UNIFORM_COLS, D, 70);
-    let direct = server.sharded(1).unwrap();
-    let (y, _) = pool.scope(|scope| direct.execute(scope, &x)).unwrap();
-    let (responses, _) = serve_all(&server, vec![ServerRequest::new(1, x)]);
-    assert!(responses[0].is_completed(), "the sharded engine serves again in a new session");
-    assert_eq!(
-        &**responses[0].output(),
-        &*y,
-        "post-fault sharded results are bit-identical to direct execution"
-    );
+    assert_eq!(failed.len(), 1, "exactly one request fails: {failed:?}");
+    let (victim, message) = &failed[0];
+    assert!(message.contains(fault::INJECTED_PANIC), "typed failure, got: {message}");
+    assert!(0 < *victim && *victim < total - 1, "the panic lands mid-session, at {victim}");
+    // Everything before *and after* the victim completed, in order, on the
+    // same lane: nothing was poisoned, rejected or dropped.
+    let survivors: Vec<usize> = (0..total).filter(|r| r != victim).collect();
+    assert_eq!(completed, survivors);
+    assert_eq!((report.requests, report.failed, report.rejected), (total - 1, 1, 0));
+    // A fresh session reopens the lane: the contained panic released the
+    // generation pin and every shard's launch lock.
+    let (responses, _) = serve_all(&server, vec![ServerRequest::new(0, inputs[0].clone())]);
+    assert_eq!(**responses[0].output(), expected[0], "the lane serves again after the fault");
 }

@@ -2,9 +2,9 @@
 //! counts and strategies must always produce output identical to the
 //! reference implementation, and core data-structure invariants must hold.
 
-use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
+use jitspmm::serve::{ServerRequest, SpmmServer};
 use jitspmm::{JitSpmmBuilder, Strategy, WorkerPool};
-use jitspmm_integration_tests::{host_supports_jit, serve_all_with};
+use jitspmm_integration_tests::{host_supports_jit, serve_all};
 use jitspmm_sparse::{CooMatrix, CsrMatrix, DeltaBatch, DenseMatrix};
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
@@ -266,7 +266,6 @@ proptest! {
         d1 in 1usize..16,
         d2 in 1usize..16,
         pattern in proptest::collection::vec(0usize..2, 0..24),
-        depth in 0usize..4,
     ) {
         if !host_supports_jit() {
             return Ok(());
@@ -309,9 +308,7 @@ proptest! {
             .iter()
             .map(|(engine, x)| ServerRequest::new(*engine, x.clone()))
             .collect();
-        let options =
-            ServeOptions::new(AdmissionPolicy::blocking(requests.len().max(1))).with_depth(depth);
-        let (responses, report) = serve_all_with(&server, options, requests);
+        let (responses, report) = serve_all(&server, requests);
         prop_assert_eq!(responses.len(), inputs.len());
         prop_assert_eq!(report.requests, inputs.len());
         for (g, response) in responses.iter().enumerate() {

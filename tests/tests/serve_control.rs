@@ -15,10 +15,12 @@
 use jitspmm::serve::{
     AdmissionPolicy, RejectReason, SendError, ServeOptions, ServerRequest, SpmmServer,
 };
+use jitspmm::update::MutableSpmm;
 use jitspmm::{JitSpmmBuilder, WorkerPool};
 use jitspmm_integration_tests::{host_supports_jit, serve_all, small_skewed, small_uniform};
-use jitspmm_sparse::DenseMatrix;
+use jitspmm_sparse::{DeltaBatch, DenseMatrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// The column count of `small_skewed()` (an RMAT scale-9 matrix is 512²).
 const SKEWED_COLS: usize = 512;
@@ -143,12 +145,12 @@ fn blocking_controlled_serve_is_per_engine_fifo_and_bit_identical() {
         .map(|(engine, x)| server.single(*engine).unwrap().execute(x).unwrap().0.into_dense())
         .collect();
 
-    // Depth 2 forces real pipelining on any host; the queue bound (4) makes
-    // the producer park, so arrivals interleave with completions.
+    // The queue bound (4) makes the producer park, so arrivals interleave
+    // with completions.
     let mut streamed = Vec::new();
     let (report, ()) = server
         .serve_controlled(
-            ServeOptions::new(AdmissionPolicy::blocking(4)).with_depth(2),
+            ServeOptions::new(AdmissionPolicy::blocking(4)),
             |sender| {
                 for (engine, x) in &inputs {
                     sender.send(*engine, x.clone()).expect("blocking sends are always admitted");
@@ -190,10 +192,13 @@ fn engines_can_be_added_while_a_session_is_open() {
     // Built up front, registered mid-stream: a single engine and a sharded
     // one, both sharing the server's pool.
     let late_single = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, D).unwrap();
-    let plan = jitspmm::shard::plan_shards(&a, 2, 1).unwrap();
-    let late_sharded = jitspmm::shard::ShardedSpmm::compile(&plan, D, pool.clone()).unwrap();
+    let late_sharded = MutableSpmm::compile(&a, 2, 1, D, pool.clone()).unwrap();
+    let mut delta = DeltaBatch::new();
+    delta.upsert(3, 5, 2.5f32);
+    let merged = a.apply_delta(&delta).unwrap();
     let server = SpmmServer::new(vec![first]).unwrap();
     let server_ref = &server;
+    let control = server.control();
     let answered = AtomicUsize::new(0);
     let answered_ref = &answered;
     let per_engine = [AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0)];
@@ -212,8 +217,12 @@ fn engines_can_be_added_while_a_session_is_open() {
                 // the very next requests.
                 let id = server_ref.add_engine(late_single).unwrap();
                 assert_eq!(id, 1);
-                let id = server_ref.add_sharded(late_sharded).unwrap();
+                let id = server_ref.add_mutable(late_sharded).unwrap();
                 assert_eq!(id, 2);
+                // A live update to an engine no request has reached yet (it
+                // has no lane) applies instead of taking the serve down.
+                assert!(control.apply_update(2, delta));
+                assert!(control.wait_revision(2, 1, Duration::from_secs(30)));
                 sender
                     .send_request(ServerRequest::new(1, DenseMatrix::random(SKEWED_COLS, D, 2)))
                     .unwrap();
@@ -234,10 +243,11 @@ fn engines_can_be_added_while_a_session_is_open() {
     for (id, count) in per_engine.iter().enumerate() {
         assert_eq!(count.load(Ordering::SeqCst), 1, "engine {id} answered its request");
     }
-    // The late sharded engine computes the same answer as the original
-    // single engine over the same matrix — routed through the server.
+    // The late sharded engine computes the same answer as a single engine
+    // over the same (updated) matrix — routed through the server.
     let x = DenseMatrix::random(UNIFORM_COLS, D, 4);
-    let via_single = server.single(0).unwrap().execute(&x).unwrap().0;
+    let single = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&merged, D).unwrap();
+    let via_single = single.execute(&x).unwrap().0;
     let (responses, _) = serve_all(&server, vec![ServerRequest::new(2, x)]);
     assert!(
         responses[0].output().approx_eq(&via_single, 1e-5),
