@@ -31,7 +31,11 @@
 //! admitted under a shedding policy and routed through
 //! [`SpmmServer::serve_controlled`]; each connection thread parks on a
 //! per-engine FIFO of reply channels, pushed under the same lock as the
-//! queue send so responses (per-engine submission order) match up.
+//! queue send so responses (per-engine submission order) match up. Nothing
+//! on the way polls: the accept loop blocks in `accept()` (SHUTDOWN
+//! unblocks it with a loopback connection to itself), the serving loop
+//! parks until a request, a finished launch or an update wakes it, and
+//! every frame — length prefix included — leaves in one write.
 //!
 //! With `--mutable` every engine is registered as a [`MutableSpmm`]
 //! (sharded across `--shards`), and UPDATE frames mutate its matrix live:
@@ -49,7 +53,7 @@ use jitspmm::{JitSpmmBuilder, MutableSpmm, WorkerPool};
 use jitspmm_sparse::{generate, CsrMatrix, DeltaBatch, DenseMatrix};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -126,10 +130,13 @@ impl MatrixSpec {
     }
 }
 
+/// Send one frame as **one** write: with `TCP_NODELAY` on, a prefix written
+/// by itself would leave as its own segment ahead of the payload.
 fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame)
 }
 
 /// Read one frame; `Ok(None)` on a clean EOF before the length prefix.
@@ -289,10 +296,9 @@ fn serve_listener(config: &ServerConfig, listener: TcpListener) -> Result<(), St
         }
     }
 
-    listener.set_nonblocking(true).map_err(|e| format!("set_nonblocking: {e}"))?;
+    let shutdown = Shutdown::new(&listener).map_err(|e| format!("local_addr: {e}"))?;
     println!("jitspmm-serve listening on {}", config.listen);
 
-    let shutdown = AtomicBool::new(false);
     let routes: Vec<Mutex<VecDeque<ReplySlot>>> =
         config.specs.iter().map(|_| Mutex::new(VecDeque::new())).collect();
     let specs = &config.specs;
@@ -306,24 +312,22 @@ fn serve_listener(config: &ServerConfig, listener: TcpListener) -> Result<(), St
         .serve_controlled(
             options,
             move |sender| {
-                std::thread::scope(|conns| loop {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            let sender = sender.clone();
-                            let control = control.clone();
-                            conns.spawn(move || {
-                                serve_connection(
-                                    stream, &sender, server_ref, &control, specs, routes, shutdown,
-                                );
-                            });
+                std::thread::scope(|conns| {
+                    // Blocks in `accept()`; `Shutdown::request` connects
+                    // after raising the flag, so the connection that ends
+                    // this loop is its own (dropped unread).
+                    for stream in listener.incoming() {
+                        let Ok(stream) = stream else { break };
+                        if shutdown.requested.load(Ordering::SeqCst) {
+                            break;
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
+                        let sender = sender.clone();
+                        let control = control.clone();
+                        conns.spawn(move || {
+                            serve_connection(
+                                stream, &sender, server_ref, &control, specs, routes, shutdown,
+                            );
+                        });
                     }
                 });
                 // Conn threads have joined; dropping the last sender clone
@@ -350,6 +354,34 @@ fn serve_listener(config: &ServerConfig, listener: TcpListener) -> Result<(), St
     Ok(())
 }
 
+/// What a SHUTDOWN frame sets off: a flag the accept loop looks at after
+/// every accept, and a connection to the listener itself so that a loop
+/// blocked in `accept()` gets to look.
+struct Shutdown {
+    requested: AtomicBool,
+    /// Where this process reaches its own listener: the bound address, with
+    /// loopback standing in for a wildcard bind.
+    wake: SocketAddr,
+}
+
+impl Shutdown {
+    fn new(listener: &TcpListener) -> std::io::Result<Shutdown> {
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Ok(Shutdown { requested: AtomicBool::new(false), wake })
+    }
+
+    fn request(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.wake);
+    }
+}
+
 /// Handle one client connection: a sequence of request frames until EOF.
 fn serve_connection(
     mut stream: TcpStream,
@@ -358,9 +390,12 @@ fn serve_connection(
     control: &ControlHandle,
     specs: &[MatrixSpec],
     routes: &[Mutex<VecDeque<ReplySlot>>],
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
 ) {
     let _ = stream.set_nodelay(true);
+    // Reused for every MUL reply of this connection: after the first one a
+    // reply allocates nothing.
+    let mut mul_frame = Vec::new();
     while let Ok(Some(payload)) = read_frame(&mut stream) {
         let reply = match payload.first() {
             Some(&OP_INFO) => {
@@ -427,14 +462,26 @@ fn serve_connection(
                             continue;
                         }
                         match waiter.recv() {
-                            Ok(response) => mul_reply(response, spec),
+                            Ok(ServerResponse::Completed { output, .. }) => {
+                                encode_mul_reply(&mut mul_frame, output.as_slice(), spec);
+                                if stream.write_all(&mul_frame).is_err() {
+                                    break;
+                                }
+                                continue;
+                            }
+                            Ok(ServerResponse::Rejected { reason, .. }) => {
+                                error_frame(&format!("rejected: {reason}"))
+                            }
+                            Ok(ServerResponse::Failed { message, .. }) => {
+                                error_frame(&format!("failed: {message}"))
+                            }
                             Err(_) => error_frame("serving loop ended before the response"),
                         }
                     }
                 }
             }
             Some(&OP_SHUTDOWN) => {
-                shutdown.store(true, Ordering::SeqCst);
+                shutdown.request();
                 let _ = write_frame(&mut stream, &[0u8]);
                 break;
             }
@@ -492,16 +539,18 @@ fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, control: &Control
     if !control.apply_update(engine, delta) {
         return error_frame(&format!("unknown engine {engine}"));
     }
-    // The serving loop applies the delta on its next control sweep; poll in
-    // short waits so a rejected delta (bad indices) surfaces promptly.
+    // Queuing the delta woke the serving loop. `wait_revision` comes back
+    // early when an update fails, so a rejected delta (bad indices) is
+    // reported at once — checked first, in case it failed before the wait
+    // began; the short slices only bound how late the timeout is noticed.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        if control.wait_revision(engine, target, Duration::from_millis(50)) {
-            return ack(mutable.revision());
-        }
         let (_, failed) = control.update_counts();
         if failed > failed_before {
             return error_frame("update rejected by the engine (out-of-range indices?)");
+        }
+        if control.wait_revision(engine, target, Duration::from_millis(50)) {
+            return ack(mutable.revision());
         }
         if Instant::now() > deadline {
             return error_frame("update not applied before the timeout");
@@ -509,20 +558,20 @@ fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, control: &Control
     }
 }
 
-fn mul_reply(response: ServerResponse<f32>, spec: &MatrixSpec) -> Vec<u8> {
-    match response {
-        ServerResponse::Completed { output, .. } => {
-            let mut frame = Vec::with_capacity(9 + output.as_slice().len() * 4);
-            frame.push(0u8);
-            frame.extend_from_slice(&(spec.rows as u32).to_le_bytes());
-            frame.extend_from_slice(&(spec.d as u32).to_le_bytes());
-            for value in output.as_slice() {
-                frame.extend_from_slice(&value.to_le_bytes());
-            }
-            frame
-        }
-        ServerResponse::Rejected { reason, .. } => error_frame(&format!("rejected: {reason}")),
-        ServerResponse::Failed { message, .. } => error_frame(&format!("failed: {message}")),
+/// Lay a completed MUL out in `frame` as it crosses the wire — length
+/// prefix, status byte, both dimensions, little-endian values — so the reply
+/// is one write of one buffer. `frame` is the connection's own: it is resized
+/// in place, never cleared, so nothing is zeroed twice, and the values are
+/// copied in one pass over fixed-size chunks (no per-value growth check).
+fn encode_mul_reply(frame: &mut Vec<u8>, output: &[f32], spec: &MatrixSpec) {
+    let payload = 9 + output.len() * 4;
+    frame.resize(4 + payload, 0);
+    frame[..4].copy_from_slice(&(payload as u32).to_le_bytes());
+    frame[4] = 0;
+    frame[5..9].copy_from_slice(&(spec.rows as u32).to_le_bytes());
+    frame[9..13].copy_from_slice(&(spec.d as u32).to_le_bytes());
+    for (bytes, value) in frame[13..].chunks_exact_mut(4).zip(output) {
+        bytes.copy_from_slice(&value.to_le_bytes());
     }
 }
 
@@ -729,6 +778,26 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_update_is_an_error_frame_and_the_next_one_still_lands() {
+        with_server(MUTABLE, |addr| {
+            let mut stream = connect(addr).unwrap();
+            // Row 9999 of a 256-row matrix: the engine refuses the delta.
+            let reply = request(&mut stream, &update_frame(0, &[(0, 9_999, 0, 1.0)])).unwrap();
+            assert_eq!(reply.first(), Some(&1), "an out-of-range update must not be acked");
+            assert!(
+                reply_text(&reply).contains("rejected by the engine"),
+                "{}",
+                reply_text(&reply)
+            );
+            // The failure consumed no revision and wedged nothing.
+            let reply = request(&mut stream, &update_frame(0, &[(0, 3, 5, 1.5)])).unwrap();
+            assert_eq!(ok_text(&reply), "revision=1");
+            let info = ok_text(&request(&mut stream, &[OP_INFO]).unwrap());
+            assert!(info.contains("updates: applied=1 failed=1"), "{info}");
+        });
+    }
+
+    #[test]
     fn concurrent_updates_are_each_acked_with_their_own_revision() {
         with_server(MUTABLE, |addr| {
             let client = |client: u32| {
@@ -824,6 +893,24 @@ mod tests {
         for spec in [over.as_str(), big[0], big[1]] {
             let message = MatrixSpec::parse(spec).expect_err("an unreadable reply is rejected");
             assert!(message.contains("frame ceiling") && message.contains("usage:"), "{message}");
+        }
+    }
+
+    #[test]
+    fn a_reused_reply_buffer_holds_exactly_the_current_frame() {
+        let spec = |rows, d| MatrixSpec { rows, cols: 1, nnz: 0, seed: 0, d };
+        let by_hand = |rows: u32, d: u32, values: &[f32]| {
+            let mut payload = vec![0u8];
+            payload.extend_from_slice(&rows.to_le_bytes());
+            payload.extend_from_slice(&d.to_le_bytes());
+            payload.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+            [&(payload.len() as u32).to_le_bytes()[..], &payload].concat()
+        };
+        let mut frame = Vec::new();
+        // A long reply, then a short one, then a long one again.
+        for values in [&[1.5f32, -2.0, 3.25, 0.0][..], &[7.0][..], &[4.0, 5.0][..]] {
+            encode_mul_reply(&mut frame, values, &spec(values.len(), 1));
+            assert_eq!(frame, by_hand(values.len() as u32, 1, values));
         }
     }
 

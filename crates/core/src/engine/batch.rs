@@ -480,6 +480,15 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         }
     }
 
+    /// Whether every launch of the oldest in-flight input has finished, so
+    /// [`BatchStream::complete_next`] would return without waiting. Never
+    /// blocks; `false` with nothing in flight.
+    pub(crate) fn oldest_done(&self) -> bool {
+        self.in_flight
+            .front()
+            .is_some_and(|oldest| self.slots[oldest.slot].handles.iter().all(|job| job.is_done()))
+    }
+
     /// Join the oldest in-flight input, if any — the serving loop's building
     /// block: it drains pipelines one completion at a time and wraps each
     /// call in `catch_unwind` to convert a worker panic into a typed

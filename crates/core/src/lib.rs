@@ -174,6 +174,10 @@
 //! [`serve::SpmmServer::serve_controlled`]: a producer thread feeds the
 //! bounded request queue through its [`serve::RequestSender`] while the
 //! calling thread routes and hands each response to a consumer callback.
+//! That loop is completion-driven: it parks on the pool's completion bell
+//! (a [`runtime::WakeSlot`]) and runs when a request arrives, a launch
+//! finishes or an update is queued — no timer anywhere, so a microsecond
+//! kernel is answered in microseconds, not at the next tick.
 //!
 //! # One FIFO loop, two admission policies, live updates
 //!
@@ -312,9 +316,10 @@
 //! Behind the server, [`serve::SpmmServer::add_mutable`] registers a
 //! mutable engine under one logical id and
 //! [`serve::ControlHandle::apply_update`] applies a delta to a **live**
-//! [`serve::SpmmServer::serve_controlled`] session: the serving loop drains
-//! the engine's in-flight lane, swaps generations, and admits subsequent
-//! requests against the new matrix — observable via
+//! [`serve::SpmmServer::serve_controlled`] session: queuing the delta wakes
+//! the serving loop, which drains the engine's in-flight lane, swaps
+//! generations, and admits subsequent requests against the new matrix —
+//! observable via
 //! [`serve::ControlHandle::engine_revision`] /
 //! [`serve::ControlHandle::wait_revision`]. The `jitspmm-serve` binary
 //! exposes the same path over TCP (`--mutable`, the `UPDATE` frame).

@@ -314,6 +314,8 @@ struct Shared {
     /// Waiters park here until their job's `done` flag is set; bumped (under
     /// the state mutex) whenever any job completes. The done-wait itself is
     /// lock-free: `done` is an atomic and [`WakeSlot::wait`] needs no mutex.
+    /// Doubles as the serving loop's doorbell
+    /// ([`WorkerPool::completion_bell`]).
     done: WakeSlot,
 }
 
@@ -541,6 +543,15 @@ impl WorkerPool {
     /// not).
     pub fn same_pool(&self, other: &WorkerPool) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
+    /// The slot bumped and woken whenever **any** job of this pool
+    /// completes — the serving loop's doorbell: it parks here, and whoever
+    /// hands it other work (a request, an update) rings the same slot, so
+    /// one wait covers every reason to run. Waiters see wake-ups meant for
+    /// others and re-check their predicate, as [`super::wake`] asks anyway.
+    pub(crate) fn completion_bell(&self) -> &WakeSlot {
+        &self.inner.shared.done
     }
 
     /// Resolve a requested lane count against this pool: `0` means one lane

@@ -1,5 +1,7 @@
-//! [`WakeSlot`]: the pool's park/wake primitive — a futex word on Linux,
-//! a mutex + condvar everywhere else.
+//! [`WakeSlot`]: the one park/wake primitive — the pool's workers and
+//! waiters park on it, and so does the serving loop (on the pool's
+//! completion slot) — a futex word on Linux, a mutex + condvar everywhere
+//! else.
 //!
 //! # Why not just the condvar
 //!

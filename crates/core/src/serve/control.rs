@@ -9,6 +9,7 @@
 //! cloneable [`ControlHandle`].
 
 use crate::runtime::pool::lock;
+use crate::runtime::{WakeSlot, WorkerPool};
 use jitspmm_sparse::{DeltaBatch, Scalar};
 use std::any::Any;
 use std::sync::{Condvar, Mutex};
@@ -121,6 +122,8 @@ pub(crate) struct PendingUpdate {
 /// is applied or fails, which is what [`ControlHandle::wait_revision`]
 /// waits on.
 pub(crate) struct ControlShared {
+    /// The server's pool, kept for the completion bell its loop parks on.
+    pool: WorkerPool,
     state: Mutex<ControlCore>,
     changed: Condvar,
     /// Matrix updates awaiting a serving session, in submission order. A
@@ -130,8 +133,9 @@ pub(crate) struct ControlShared {
 }
 
 impl ControlShared {
-    pub(crate) fn new() -> ControlShared {
+    pub(crate) fn new(pool: WorkerPool) -> ControlShared {
         ControlShared {
+            pool,
             state: Mutex::new(ControlCore {
                 revisions: Vec::new(),
                 rejected_sends: 0,
@@ -141,6 +145,22 @@ impl ControlShared {
             changed: Condvar::new(),
             updates: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The slot the serving loop parks on: the pool's completion bell, so a
+    /// finished launch wakes the loop with no help from here.
+    pub(crate) fn bell(&self) -> &WakeSlot {
+        self.pool.completion_bell()
+    }
+
+    /// Wake the serving loop for anything else: a queued request or update,
+    /// the end of the request stream. Call **after** making that visible —
+    /// the loop reads the epoch first and its predicates second, so a bump
+    /// that follows the change cannot be slept through.
+    pub(crate) fn ring(&self) {
+        let bell = self.bell();
+        bell.bump();
+        bell.wake_all();
     }
 
     /// Register the next engine id at revision 0; returns the id, which
@@ -184,28 +204,23 @@ impl ControlShared {
         if engine >= self.engine_count() {
             return false;
         }
-        // No wake-up needed: the session checks for pending updates at the
-        // top of every loop iteration, and its receive tick bounds the wait.
         lock(&self.updates).push(PendingUpdate { engine, delta });
+        // An idle loop is parked on the bell, not polling: wake it.
+        self.ring();
         true
     }
 
-    /// Whether any update awaits a session — the cheap pre-check sessions
-    /// run every loop iteration.
-    pub(crate) fn has_updates(&self) -> bool {
-        !lock(&self.updates).is_empty()
-    }
-
-    /// Take every queued update, in submission order.
+    /// Take every queued update, in submission order (none, almost always:
+    /// sessions ask every loop lap).
     pub(crate) fn take_updates(&self) -> Vec<PendingUpdate> {
         std::mem::take(&mut lock(&self.updates))
     }
 
-    /// Put an update back at the front of the queue (the target engine's
-    /// generation lock was contended; retry next pass without reordering
+    /// Put updates back at the front of the queue, in order (their engine's
+    /// generation lock was contended; retry next lap without reordering
     /// against later updates to the same engine).
-    pub(crate) fn requeue_update(&self, update: PendingUpdate) {
-        lock(&self.updates).insert(0, update);
+    pub(crate) fn requeue_updates(&self, deferred: Vec<PendingUpdate>) {
+        lock(&self.updates).splice(0..0, deferred);
     }
 
     /// A session applied an update: record the engine's new revision and
@@ -240,14 +255,17 @@ impl ControlShared {
 
     /// Block until engine `engine`'s recorded revision reaches `at_least`
     /// (or the timeout expires); returns whether it did. Returns `false`
-    /// immediately for unknown ids.
+    /// immediately for unknown ids, and as soon as any update fails while
+    /// waiting: the awaited revision may never come.
     pub(crate) fn wait_revision(&self, engine: usize, at_least: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut state = lock(&self.state);
+        let failed_at_entry = state.updates_failed;
         loop {
             match state.revisions.get(engine) {
                 None => return false,
                 Some(&revision) if revision >= at_least => return true,
+                Some(_) if state.updates_failed != failed_at_entry => return false,
                 Some(_) => {}
             }
             let now = Instant::now();
@@ -304,7 +322,10 @@ impl ControlHandle {
     /// Block until engine `engine`'s revision reaches `at_least` or the
     /// timeout expires; returns whether it did. The counterpart to
     /// [`ControlHandle::apply_update`]'s asynchrony: submit, then wait for
-    /// the serving session to report the swap.
+    /// the serving session to report the swap. Also returns `false` —
+    /// early — when any update fails during the wait (see
+    /// [`ControlHandle::update_counts`]): a rejected delta never advances
+    /// the revision.
     pub fn wait_revision(&self, engine: usize, at_least: u64, timeout: Duration) -> bool {
         self.shared.wait_revision(engine, at_least, timeout)
     }
@@ -330,5 +351,28 @@ mod tests {
         assert_eq!(AdmissionPolicy::blocking(0).queue_depth, 1);
         assert!(AdmissionPolicy::shedding(4).shed_on_full);
         assert!(!AdmissionPolicy::blocking(4).shed_on_full);
+    }
+
+    #[test]
+    fn wait_revision_returns_early_when_an_update_fails() {
+        let control = std::sync::Arc::new(ControlShared::new(WorkerPool::inline()));
+        control.register_engine();
+        let waiter = {
+            let control = std::sync::Arc::clone(&control);
+            std::thread::spawn(move || control.wait_revision(0, 1, Duration::from_secs(3600)))
+        };
+        // Fail updates until the waiter is back: whenever it sampled the
+        // counter, a later failure moves it. A waiter that re-checks only
+        // the revision sleeps out its hour and trips the watchdog instead.
+        let watchdog = Instant::now() + Duration::from_secs(60);
+        while !waiter.is_finished() {
+            control.note_update_failed();
+            assert!(Instant::now() < watchdog, "a failed update never woke the waiter");
+            std::thread::yield_now();
+        }
+        assert!(!waiter.join().unwrap(), "no update was applied");
+        // An applied update still reports success, failures or not.
+        control.note_update_applied(0, 1);
+        assert!(control.wait_revision(0, 1, Duration::ZERO));
     }
 }

@@ -42,7 +42,16 @@
 //! producer thread that feeds the bounded request queue (through its
 //! [`RequestSender`]) while the calling thread routes, handing each
 //! response to a consumer callback the moment it exists. [`ServeOptions`]
-//! sets the admission policy. Around the loop:
+//! sets the admission policy.
+//!
+//! The loop runs on **events**, never on a timer: it parks on one
+//! [`crate::runtime::WakeSlot`] — the pool's completion bell, which every
+//! finishing launch bumps — and a queued request, the end of the stream
+//! and a queued update ring the same slot. Each lap applies queued
+//! updates, joins every lane whose oldest launch has finished (so one
+//! engine never holds back another's response), hands the responses out
+//! and launches the next queued request, none of it blocking.
+//! Around the loop:
 //!
 //! * **Admission control** — the request queue admits under an
 //!   [`AdmissionPolicy`]: a queue-depth bound with a choice between
@@ -55,8 +64,10 @@
 //!   [`SpmmServer::add_mutable`] register engines while a serve runs; the
 //!   loop opens their pipeline on the first request naming the new id.
 //! * **Live updates** — [`ControlHandle::apply_update`] queues an edge
-//!   delta for a mutable engine; the loop applies it between launches and
-//!   [`ControlHandle::wait_revision`] observes the swap.
+//!   delta for a mutable engine and wakes the loop, which applies it
+//!   between launches; [`ControlHandle::wait_revision`] observes the swap
+//!   (or, early, that an update failed). Only an update whose engine is
+//!   pinned from outside the session keeps the loop lapping (yielding).
 //! * **Fault containment** — a worker panic (a crash in generated code)
 //!   becomes a typed [`ServerResponse::Failed`] for exactly the request
 //!   that hit it — on a sharded lane too: the pipeline joins every shard

@@ -6,7 +6,6 @@ use crate::serve::control::{AdmissionPolicy, ControlShared, RejectReason, SendEr
 use jitspmm_sparse::{DenseMatrix, Scalar};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// One serving request: a dense input tagged with the id of the engine that
 /// should execute it. Requests are served in arrival order.
@@ -49,24 +48,20 @@ struct QueueShared<T: Scalar> {
     state: Mutex<QueueState<T>>,
     /// Producers park here while the queue is at capacity.
     not_full: Condvar,
-    /// The receiver parks here while the queue is empty.
-    not_empty: Condvar,
     policy: AdmissionPolicy,
-    /// The server's control state: consulted for the engine id space and
-    /// credited with refused sends.
+    /// The server's control state: consulted for the engine id space,
+    /// credited with refused sends, and rung ([`ControlShared::ring`])
+    /// whenever the receiver has something new to see — the receiver never
+    /// waits on the queue itself.
     control: Arc<ControlShared>,
 }
 
-/// The result of a [`RequestQueue::recv_timeout`].
-#[derive(Debug)]
-pub(crate) enum RecvTimeout<T: Scalar> {
-    /// The oldest queued request.
-    Request(ServerRequest<T>),
-    /// Nothing arrived within the timeout; the queue is still live — the
-    /// serving loop uses the wake-up to join in-flight launches and apply
-    /// queued matrix updates before waiting again.
-    TimedOut,
-    /// The stream is over: the queue is closed or every sender is gone and
+/// Why [`RequestQueue::try_recv`] handed out no request.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum TryRecvError {
+    /// Nothing is queued right now; the stream is still live.
+    Empty,
+    /// The stream is over: the queue is closed, or every sender is gone and
     /// the items drained.
     Disconnected,
 }
@@ -106,7 +101,8 @@ impl<T: Scalar> RequestSender<T> {
             }
             if state.items.len() < shared.policy.queue_depth {
                 state.items.push_back(request);
-                shared.not_empty.notify_one();
+                drop(state);
+                control.ring();
                 return Ok(());
             }
             if shared.policy.shed_on_full {
@@ -138,11 +134,9 @@ impl<T: Scalar> Drop for RequestSender<T> {
         let mut state = lock(&self.shared.state);
         state.senders -= 1;
         if state.senders == 0 {
-            // Stream over: wake the receiver so it can observe the end, and
-            // any sibling senders mid-wait (there are none, but a spurious
-            // wake is harmless).
+            // Stream over: wake the receiver so it can observe the end.
             drop(state);
-            self.shared.not_empty.notify_all();
+            self.shared.control.ring();
         }
     }
 }
@@ -176,52 +170,26 @@ impl<T: Scalar> RequestQueue<T> {
         let shared = Arc::new(QueueShared {
             state: Mutex::new(QueueState { items: VecDeque::new(), senders: 1, closed: false }),
             not_full: Condvar::new(),
-            not_empty: Condvar::new(),
             policy,
             control,
         });
         (RequestSender { shared: Arc::clone(&shared) }, RequestQueue { shared })
     }
 
-    /// Dequeue the oldest request, waiting at most `timeout` while the
-    /// queue is empty, so the serving loop can wake to join in-flight
-    /// launches and apply queued updates even while the queue is idle.
-    /// [`RecvTimeout::Disconnected`] marks the end of the stream: every
-    /// sender is gone and the queue has drained, or it was closed.
-    pub fn recv_timeout(&self, timeout: Duration) -> RecvTimeout<T> {
-        let deadline = Instant::now() + timeout;
-        let mut state = lock(&self.shared.state);
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.shared.not_full.notify_one();
-                return RecvTimeout::Request(item);
-            }
-            if state.closed || state.senders == 0 {
-                return RecvTimeout::Disconnected;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return RecvTimeout::TimedOut;
-            }
-            state = self
-                .shared
-                .not_empty
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .0;
-        }
-    }
-
     /// Dequeue the oldest request if one is already queued; never blocks.
-    /// The serving loop uses this to launch a backlog without touching the
-    /// clock.
-    pub fn try_recv(&self) -> Option<ServerRequest<T>> {
+    /// The serving loop's only receive: it parks on the control state's
+    /// bell, which every send, the last sender's drop and
+    /// [`RequestQueue::close`] ring.
+    pub fn try_recv(&self) -> Result<ServerRequest<T>, TryRecvError> {
         let mut state = lock(&self.shared.state);
-        let item = state.items.pop_front();
-        if item.is_some() {
-            self.shared.not_full.notify_one();
+        match state.items.pop_front() {
+            Some(item) => {
+                self.shared.not_full.notify_one();
+                Ok(item)
+            }
+            None if state.closed || state.senders == 0 => Err(TryRecvError::Disconnected),
+            None => Err(TryRecvError::Empty),
         }
-        item
     }
 
     /// Close the queue from the receiving side: pending requests are
@@ -237,7 +205,7 @@ impl<T: Scalar> RequestQueue<T> {
         state.items.clear();
         drop(state);
         self.shared.not_full.notify_all();
-        self.shared.not_empty.notify_all();
+        self.shared.control.ring();
     }
 }
 
@@ -259,7 +227,7 @@ mod tests {
     /// A queue admitting under `policy` for a control state with four
     /// active engines (ids 0..=3).
     fn with_policy(policy: AdmissionPolicy) -> (RequestSender<f32>, RequestQueue<f32>) {
-        let control = Arc::new(ControlShared::new());
+        let control = Arc::new(ControlShared::new(crate::runtime::WorkerPool::inline()));
         for _ in 0..4 {
             control.register_engine();
         }
@@ -270,13 +238,17 @@ mod tests {
         with_policy(AdmissionPolicy::blocking(capacity))
     }
 
-    /// Block until the next request (`None` at the end of the stream).
+    /// Block until the next request (`None` at the end of the stream), the
+    /// way the serving loop does: epoch first, then the queue, then park on
+    /// the bell — a send or a last drop that failed to ring it hangs here.
     fn recv(queue: &RequestQueue<f32>) -> Option<ServerRequest<f32>> {
+        let bell = queue.shared.control.bell();
         loop {
-            match queue.recv_timeout(Duration::from_secs(1)) {
-                RecvTimeout::Request(request) => return Some(request),
-                RecvTimeout::TimedOut => {}
-                RecvTimeout::Disconnected => return None,
+            let epoch = bell.epoch();
+            match queue.try_recv() {
+                Ok(request) => return Some(request),
+                Err(TryRecvError::Disconnected) => return None,
+                Err(TryRecvError::Empty) => bell.wait(epoch),
             }
         }
     }
@@ -396,21 +368,17 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_distinguishes_idle_from_ended() {
-        let (sender, queue) = bounded(4);
-        assert!(matches!(queue.recv_timeout(Duration::from_millis(5)), RecvTimeout::TimedOut));
-        assert!(sender.send(0, request(1)).is_ok());
-        assert!(matches!(queue.recv_timeout(Duration::from_millis(5)), RecvTimeout::Request(_)));
-        drop(sender);
-        assert!(matches!(queue.recv_timeout(Duration::from_millis(5)), RecvTimeout::Disconnected));
-    }
-
-    #[test]
     fn try_recv_never_blocks() {
         let (sender, queue) = bounded(4);
-        assert!(queue.try_recv().is_none());
+        assert_eq!(queue.try_recv().err(), Some(TryRecvError::Empty));
         assert!(sender.send(3, request(1)).is_ok());
-        assert_eq!(queue.try_recv().map(|r| r.engine), Some(3));
-        assert!(queue.try_recv().is_none());
+        assert_eq!(queue.try_recv().map(|r| r.engine), Ok(3));
+        assert_eq!(queue.try_recv().err(), Some(TryRecvError::Empty));
+        // Idle and ended are different answers: what was queued before the
+        // last sender went still comes out, then the stream is over.
+        assert!(sender.send(2, request(2)).is_ok());
+        drop(sender);
+        assert_eq!(queue.try_recv().map(|r| r.engine), Ok(2));
+        assert_eq!(queue.try_recv().err(), Some(TryRecvError::Disconnected));
     }
 }

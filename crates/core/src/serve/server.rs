@@ -10,14 +10,14 @@ use crate::schedule::Strategy;
 use crate::serve::control::{
     AdmissionPolicy, ControlHandle, ControlShared, PendingUpdate, RejectReason,
 };
-use crate::serve::queue::{RecvTimeout, RequestQueue, RequestSender, ServerRequest};
+use crate::serve::queue::{RequestQueue, RequestSender, ServerRequest, TryRecvError};
 use crate::serve::report::ServerReport;
 use crate::update::MutableSpmm;
 use jitspmm_sparse::{DeltaBatch, DenseMatrix, Scalar};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One registered engine behind one logical id. The `Arc` pins the
 /// engine's address so [`SpmmServer::single`] can hand out borrows while
@@ -128,7 +128,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
                  engines must share one pool"
             )));
         }
-        let control = Arc::new(ControlShared::new());
+        let control = Arc::new(ControlShared::new(pool.clone()));
         for _ in &engines {
             control.register_engine();
         }
@@ -144,7 +144,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     pub fn with_pool(pool: WorkerPool) -> SpmmServer<'a, T> {
         SpmmServer {
             engines: Mutex::new(Vec::new()),
-            control: Arc::new(ControlShared::new()),
+            control: Arc::new(ControlShared::new(pool.clone())),
             pool,
         }
     }
@@ -335,9 +335,13 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// Worker panics are contained to the request that hit them; unrelated
     /// engines keep serving and the server stays usable afterwards.
     ///
-    /// The loop wakes every millisecond even when the queue is idle, to
-    /// join in-flight launches so responses keep streaming and to apply
-    /// queued matrix updates ([`ControlHandle::apply_update`]).
+    /// The loop is driven by events, not by a clock: it parks on the pool's
+    /// completion bell and runs when a request arrives, a launch finishes or
+    /// a matrix update is queued ([`ControlHandle::apply_update`]) — each of
+    /// which rings that bell. Every lap joins whichever lanes' oldest
+    /// launches have finished, so one engine's slow request never holds
+    /// back another engine's response. Only while an update is deferred by
+    /// a pin held outside the session does it lap (yielding) without parking.
     ///
     /// Returns the aggregated [`ServerReport`] — `requests` counts
     /// completions only; `rejected` / `failed` account for everything else,
@@ -396,44 +400,43 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         R: Send,
         C: FnMut(ServerResponse<T>),
     {
-        let (sender, queue) =
-            RequestQueue::controlled(options.admission, Arc::clone(&self.control));
         std::thread::scope(|threads| {
-            // Close the queue on *every* exit from this frame — normal
+            // The queue lives in this frame, so *every* exit from it — normal
             // return, a session error, or a panic unwinding through it —
-            // before `thread::scope` joins the producer, which may be
-            // blocked in `send` on a full queue.
-            let _close = CloseOnExit(&queue);
+            // drops (closes) the queue before `thread::scope` joins the
+            // producer, which may be blocked in `send` on a full queue.
+            let (sender, queue) =
+                RequestQueue::controlled(options.admission, Arc::clone(&self.control));
             let producer_thread = threads.spawn(move || producer(sender));
             let served = self.pool.scope(|scope| -> Result<_, JitSpmmError> {
                 let mut session = self.session(scope)?;
-                let mut disconnected = false;
+                let bell = self.control.bell();
                 loop {
-                    session.apply_updates();
-                    while let Some(response) = session.take_ready() {
+                    // Epoch first, predicates second: whatever changes after
+                    // this read also moves the epoch, and the wait below
+                    // returns at once.
+                    let epoch = bell.epoch();
+                    let deferred = session.apply_updates();
+                    session.complete_finished();
+                    while let Some(response) = session.ready.pop_front() {
                         consumer(response);
                     }
-                    // Launch the backlog in arrival order, one request per
-                    // lap so updates and ready responses interleave with it.
-                    if let Some(request) = queue.try_recv() {
-                        session.submit(request);
-                        continue;
-                    }
-                    if disconnected {
-                        if session.in_flight() == 0 {
-                            break;
+                    match queue.try_recv() {
+                        // Launch the backlog in arrival order, one request
+                        // per lap so updates and finished launches
+                        // interleave with it (and a launch that ran inline,
+                        // ringing nothing, is joined on the next lap).
+                        Ok(request) => {
+                            session.submit(request);
+                            continue;
                         }
-                        session.complete_any();
-                        continue;
+                        Err(TryRecvError::Disconnected) if session.in_flight() == 0 => break,
+                        Err(_) => {}
                     }
-                    match queue.recv_timeout(IDLE_TICK) {
-                        RecvTimeout::Request(request) => session.submit(request),
-                        // Idle tick: make progress on in-flight launches so
-                        // responses stream out even with nothing arriving.
-                        RecvTimeout::TimedOut => {
-                            session.complete_any();
-                        }
-                        RecvTimeout::Disconnected => disconnected = true,
+                    if deferred {
+                        std::thread::yield_now();
+                    } else {
+                        bell.wait(epoch);
                     }
                 }
                 let (rest, mut report) = session.finish();
@@ -456,10 +459,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     }
 }
 
-/// How often the serving loop wakes on an idle queue to join in-flight
-/// launches and apply queued matrix updates.
-const IDLE_TICK: Duration = Duration::from_millis(1);
-
 /// Options for [`SpmmServer::serve_controlled`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
@@ -477,15 +476,6 @@ impl ServeOptions {
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions::new(AdmissionPolicy::blocking(16))
-    }
-}
-
-/// Closes the borrowed queue when dropped; see [`SpmmServer::serve_controlled`].
-struct CloseOnExit<'q, T: Scalar>(&'q RequestQueue<T>);
-
-impl<T: Scalar> Drop for CloseOnExit<'_, T> {
-    fn drop(&mut self) {
-        self.0.close();
     }
 }
 
@@ -754,26 +744,19 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         Ok(())
     }
 
-    /// Apply queued matrix updates, if any. Checked on every lap of the
-    /// serving loop: a deferred update — requeued because some stream still
-    /// pinned its engine's generation — is retried on the next one.
-    fn apply_updates(&mut self) {
-        if self.server.ctrl().has_updates() {
-            self.drain_updates();
-        }
-    }
-
-    /// Apply every queued matrix update ([`ControlHandle::apply_update`]):
-    /// recycle the target lane's pipeline — which joins its in-flight
-    /// launches on the **old** generation and releases this session's pin
-    /// on it — then swap the merged generation in; the lane reopens on its
-    /// next submission against the new matrix. An update whose engine is
-    /// still pinned elsewhere (a stream the caller holds outside this
-    /// session) is deferred to the next sweep together with the rest of
-    /// that engine's queue, so per-engine update order holds; an update
-    /// naming a non-updatable engine, or carrying a delta of the wrong
-    /// scalar type, counts as failed.
-    fn drain_updates(&mut self) {
+    /// Apply every queued matrix update ([`ControlHandle::apply_update`]);
+    /// called on every lap of the serving loop. For each: recycle the target
+    /// lane's pipeline — which joins its in-flight launches on the **old**
+    /// generation and releases this session's pin on it — then swap the
+    /// merged generation in; the lane reopens on its next submission
+    /// against the new matrix. An update naming a non-updatable engine, or
+    /// carrying a delta of the wrong scalar type, counts as failed. One whose
+    /// engine is still pinned from **outside** this session (a stream the
+    /// caller holds, an accessor mid-read) is deferred — requeued with the
+    /// rest of that engine's queue, so per-engine update order holds — and
+    /// the function returns `true`: nothing rings the bell when that pin
+    /// goes, so the loop must come back by itself instead of parking.
+    fn apply_updates(&mut self) -> bool {
         let server = self.server;
         let mut blocked: Vec<usize> = Vec::new();
         let mut deferred: Vec<PendingUpdate> = Vec::new();
@@ -801,30 +784,28 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
                 }
             }
         }
-        // Reinsert deferred updates at the queue's front in their original
-        // order (each insert prepends, so walk them back to front).
-        for update in deferred.into_iter().rev() {
-            server.ctrl().requeue_update(update);
-        }
+        let any_deferred = !deferred.is_empty();
+        server.ctrl().requeue_updates(deferred);
+        any_deferred
     }
 
     /// Join lane `id`'s oldest in-flight request, queueing its response — or
     /// a typed [`ServerResponse::Failed`] if a worker panicked, for exactly
     /// the request that hit it: the stream joins every launch of a request
     /// before it unwinds, so the lane (sharded or not) keeps serving the
-    /// requests pipelined behind the panic. Returns whether a request was
-    /// joined.
-    fn complete_one(&mut self, id: usize) -> bool {
+    /// requests pipelined behind the panic. Blocks until that request has
+    /// finished; a no-op on a lane with nothing in flight.
+    fn complete_one(&mut self, id: usize) {
         let ServerSession { lanes, ready, counters, .. } = &mut *self;
         let lane = &mut lanes[id];
         let Some(stream) = lane.stream.as_mut() else {
-            return false;
+            return;
         };
         match catch_unwind(AssertUnwindSafe(|| stream.complete_next())) {
             Ok(Some((output, report))) => {
                 emit_completed(lane, id, ready, counters, output, report);
             }
-            Ok(None) => return false,
+            Ok(None) => {}
             Err(payload) => {
                 let request = lane.pending.pop_front().expect("failed launches were submitted");
                 counters.failed += 1;
@@ -832,22 +813,17 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
                 ready.push_back(ServerResponse::Failed { engine: id, request, message });
             }
         }
-        true
     }
 
-    /// Join the in-flight launch whose response is globally oldest, if any;
-    /// the serving loop's idle-tick progress step.
-    fn complete_any(&mut self) -> bool {
-        let next = self
-            .lanes
-            .iter()
-            .enumerate()
-            .filter(|(_, lane)| lane.stream.as_ref().is_some_and(|s| s.in_flight() > 0))
-            .min_by_key(|(_, lane)| lane.pending.front().copied().unwrap_or(usize::MAX))
-            .map(|(id, _)| id);
-        match next {
-            Some(id) => self.complete_one(id),
-            None => false,
+    /// Join, without blocking, every launch that has already finished: each
+    /// lane's oldest in-flight request while it is done (per-engine order is
+    /// oldest-first, so a finished launch behind an unfinished one waits
+    /// for it — on its own lane only).
+    fn complete_finished(&mut self) {
+        for id in 0..self.lanes.len() {
+            while self.lanes[id].stream.as_ref().is_some_and(|s| s.oldest_done()) {
+                self.complete_one(id);
+            }
         }
     }
 
@@ -890,11 +866,6 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         stats.report(elapsed, lane.depth.max(1), lane.max_threads.max(1), strategy)
     }
 
-    /// Pop the next produced-but-unclaimed response.
-    fn take_ready(&mut self) -> Option<ServerResponse<T>> {
-        self.ready.pop_front()
-    }
-
     /// Total launches currently in flight across all lanes.
     fn in_flight(&self) -> usize {
         self.lanes.iter().filter_map(|l| l.stream.as_ref()).map(|s| s.in_flight()).sum()
@@ -902,7 +873,7 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
 
     /// Route one request: every outcome — launch, typed rejection,
     /// contained failure — is queued as a ready response; the caller
-    /// drains [`ServerSession::take_ready`]. Checks, in order:
+    /// drains them. Checks, in order:
     /// engine id, input shape, and room in the pipeline (joining older
     /// launches as needed).
     fn submit(&mut self, request: ServerRequest<T>) {

@@ -433,3 +433,233 @@ fn panicking_consumer_still_closes_the_queue() {
     let (y, _) = server.single(0).unwrap().execute(&x).unwrap();
     assert!(y.approx_eq(&ms[0].spmm_reference(&x), 1e-4));
 }
+
+/// Run `body` under a watchdog: the tests below check that a wake-up is
+/// never lost, and a lost wake-up hangs instead of failing — so a minute
+/// without `body` returning (or unwinding) aborts the test binary with a
+/// message, rather than asserting on a latency.
+fn with_watchdog<R>(body: impl FnOnce() -> R) -> R {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+    /// Calls the dog off when `body` is over, however it ends.
+    struct Leash(Arc<AtomicBool>, std::thread::Thread);
+    impl Drop for Leash {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+            self.1.unpark();
+        }
+    }
+    // libtest names each test's thread after the test (not when serialized).
+    let name = std::thread::current().name().unwrap_or("a serving test").to_string();
+    let over = Arc::new(AtomicBool::new(false));
+    let dog = {
+        let over = Arc::clone(&over);
+        std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while !over.load(Ordering::SeqCst) {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    eprintln!(
+                        "watchdog: {name} hung for a minute — a serving-loop wake-up was lost"
+                    );
+                    std::process::abort();
+                }
+                std::thread::park_timeout(left);
+            }
+        })
+    };
+    let _leash = Leash(over, dog.thread().clone());
+    body()
+}
+
+#[test]
+fn a_finished_launch_wakes_the_idle_loop() {
+    if !host_ok() {
+        eprintln!("skipping: host lacks AVX/FMA");
+        return;
+    }
+    let ms = matrices();
+    let pool = WorkerPool::new(2);
+    let engines = build_engines(&pool, &ms);
+    let d0 = engines[0].d();
+    let server = SpmmServer::new(engines).unwrap();
+    let x = input_for(&ms[0], d0, 5);
+    let expected = ms[0].spmm_reference(&x);
+    let (seen, saw) = std::sync::mpsc::channel();
+    with_watchdog(|| {
+        server
+            .serve_controlled(
+                ServeOptions::default(),
+                move |sender| {
+                    sender.send(0, x).unwrap();
+                    // The sender stays alive and silent: nothing but the
+                    // launch finishing can bring the loop back to answer.
+                    saw.recv().expect("the consumer saw the response");
+                    drop(sender);
+                },
+                |response| {
+                    assert!(response.output().approx_eq(&expected, 1e-4));
+                    seen.send(()).unwrap();
+                },
+            )
+            .unwrap();
+    });
+}
+
+#[test]
+fn a_queued_update_wakes_the_idle_loop() {
+    if !host_ok() {
+        eprintln!("skipping: host lacks AVX/FMA");
+        return;
+    }
+    use crate::update::MutableSpmm;
+    use jitspmm_sparse::DeltaBatch;
+    let a = generate::uniform::<f32>(90, 70, 700, 21);
+    let pool = WorkerPool::new(2);
+    let server = SpmmServer::with_pool(pool.clone());
+    server.add_mutable(MutableSpmm::compile(&a, 2, 1, 4, pool.clone()).unwrap()).unwrap();
+    let control = server.control();
+    let mut delta = DeltaBatch::new();
+    delta.upsert(3, 5, 2.5f32);
+    let (report, landed) = with_watchdog(|| {
+        server
+            .serve_controlled(
+                ServeOptions::default(),
+                move |_sender| {
+                    // No request, ever: the update alone must wake the loop.
+                    assert!(control.apply_update(0, delta));
+                    control.wait_revision(0, 1, std::time::Duration::from_secs(3_600))
+                },
+                |_response| unreachable!("no request was sent"),
+            )
+            .unwrap()
+    });
+    assert!(landed);
+    assert_eq!(report.offered(), 0);
+    assert_eq!(server.mutable(0).unwrap().revision(), 1);
+}
+
+#[test]
+fn many_producers_under_a_tight_bound_are_all_answered_in_order() {
+    if !host_ok() {
+        eprintln!("skipping: host lacks AVX/FMA");
+        return;
+    }
+    const PRODUCERS: usize = 8;
+    const PER_PRODUCER: usize = 2_000;
+    const D: usize = 4;
+    // Row 0 of both matrices is the unit vector e0, so row 0 of every
+    // output is row 0 of its input — which carries (producer, k).
+    let ms: Vec<CsrMatrix<f32>> = (0..2)
+        .map(|e| {
+            let mut triplets = vec![(0usize, 0usize, 1.0f32)];
+            triplets.extend((1..48).map(|r| (r, (r * 7 + e) % 40, 0.5 + r as f32)));
+            CsrMatrix::from_triplets(48, 40, &triplets).unwrap()
+        })
+        .collect();
+    let pool = WorkerPool::new(2);
+    let engines: Vec<JitSpmm<'_, f32>> = ms
+        .iter()
+        .map(|m| JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(m, D).unwrap())
+        .collect();
+    let server = SpmmServer::new(engines).unwrap();
+    // Producer `p` only talks to engine `p % 2`, so its requests must come
+    // back in the order it sent them.
+    let mut next = [0usize; PRODUCERS];
+    let mut per_engine = [0usize; 2];
+    let (report, ()) = with_watchdog(|| {
+        server
+            .serve_controlled(
+                ServeOptions::new(AdmissionPolicy::blocking(4)),
+                |sender| {
+                    std::thread::scope(|producers| {
+                        for p in 0..PRODUCERS {
+                            let sender = sender.clone();
+                            producers.spawn(move || {
+                                for k in 0..PER_PRODUCER {
+                                    let mut x = DenseMatrix::<f32>::zeros(40, D);
+                                    x.set(0, 0, p as f32);
+                                    x.set(0, 1, k as f32);
+                                    sender.send(p % 2, x).expect("blocking sends are admitted");
+                                }
+                            });
+                        }
+                    });
+                },
+                |response| {
+                    let engine = response.engine();
+                    let tag = response.output().row(0);
+                    let (p, k) = (tag[0] as usize, tag[1] as usize);
+                    assert_eq!(p % 2, engine, "a response crossed engines");
+                    assert_eq!(k, next[p], "producer {p}: responses out of order");
+                    next[p] += 1;
+                    assert_eq!(response.index(), per_engine[engine], "engine {engine}: not FIFO");
+                    per_engine[engine] += 1;
+                },
+            )
+            .unwrap()
+    });
+    assert_eq!(next, [PER_PRODUCER; PRODUCERS], "every request of every producer was answered");
+    assert_eq!(report.requests, PRODUCERS * PER_PRODUCER);
+    assert_eq!((report.rejected, report.failed), (0, 0));
+}
+
+#[test]
+fn an_update_deferred_by_an_outside_stream_lands_once_it_drops() {
+    if !host_ok() {
+        eprintln!("skipping: host lacks AVX/FMA");
+        return;
+    }
+    use crate::update::MutableSpmm;
+    use jitspmm_sparse::DeltaBatch;
+    let ms = matrices();
+    let pool = WorkerPool::new(2);
+    let engines = build_engines(&pool, &ms);
+    let d0 = engines[0].d();
+    let server = SpmmServer::new(engines).unwrap();
+    let late = MutableSpmm::compile(&ms[2], 2, 1, 4, pool.clone()).unwrap();
+    let control = server.control();
+    let mut delta = DeltaBatch::new();
+    delta.upsert(3, 5, 2.5f32);
+    let (answered, answers) = std::sync::mpsc::channel();
+    let (server_ref, ms_ref, pool_ref) = (&server, &ms, &pool);
+    let (report, ()) = with_watchdog(|| {
+        server
+            .serve_controlled(
+                ServeOptions::default(),
+                move |sender| {
+                    // Registered mid-session and never sent a request:
+                    // the session opens no lane on it, so the only pin
+                    // on its generation is the stream opened here.
+                    let held = server_ref.add_mutable(late).unwrap();
+                    let mutable = server_ref.mutable(held).unwrap();
+                    pool_ref.scope(|scope| {
+                        let stream = mutable.batch_stream(scope, 1).unwrap();
+                        assert!(control.apply_update(held, delta));
+                        // The loop cannot apply it — and must neither
+                        // stall the other engines nor go to sleep on it.
+                        for i in 0..64u64 {
+                            sender.send(0, input_for(&ms_ref[0], d0, i)).unwrap();
+                        }
+                        for _ in 0..64 {
+                            answers.recv().expect("requests complete beside a deferred update");
+                        }
+                        assert_eq!(control.engine_revision(held), Some(0));
+                        assert_eq!(control.update_counts(), (0, 0));
+                        drop(stream);
+                    });
+                    // Nothing rings when the pin goes: the loop finds out
+                    // by itself.
+                    assert!(control.wait_revision(held, 1, std::time::Duration::from_secs(3_600)));
+                },
+                |response| {
+                    assert!(response.is_completed());
+                    answered.send(()).unwrap();
+                },
+            )
+            .unwrap()
+    });
+    assert_eq!(report.requests, 64);
+    assert_eq!(server.mutable(3).unwrap().revision(), 1);
+}

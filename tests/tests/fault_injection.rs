@@ -18,6 +18,7 @@ use jitspmm::serve::{fault, AdmissionPolicy, ServeOptions, ServerRequest, SpmmSe
 use jitspmm::{JitSpmmBuilder, WorkerPool};
 use jitspmm_integration_tests::{host_supports_jit, serve_all, small_skewed, small_uniform};
 use jitspmm_sparse::DenseMatrix;
+use std::time::Duration;
 
 const SKEWED_COLS: usize = 512;
 const UNIFORM_COLS: usize = 350;
@@ -238,4 +239,52 @@ fn a_shard_panic_fails_only_its_request() {
     // generation pin and every shard's launch lock.
     let (responses, _) = serve_all(&server, vec![ServerRequest::new(0, inputs[0].clone())]);
     assert_eq!(**responses[0].output(), expected[0], "the lane serves again after the fault");
+}
+
+#[test]
+fn a_slow_engine_does_not_hold_back_another_engines_response() {
+    let _guard = fault::exclusive();
+    if !host_supports_jit() {
+        eprintln!("skipping: host lacks AVX/FMA");
+        return;
+    }
+    let a = small_uniform();
+    let b = small_skewed();
+    // Two workers, and engine 0 launches two tasks: both workers pass
+    // through engine 0's job before either can reach engine 1's, so the
+    // first kernel entry after arming — the one that stalls — is engine 0's
+    // whichever worker gets there first, and the other worker goes on to
+    // run engine 1.
+    let pool = WorkerPool::new(2);
+    let server = SpmmServer::new(vec![
+        JitSpmmBuilder::new().pool(pool.clone()).threads(2).build(&a, D).unwrap(),
+        JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, D).unwrap(),
+    ])
+    .unwrap();
+    let slow = DenseMatrix::random(UNIFORM_COLS, D, 40);
+    let fast = DenseMatrix::random(SKEWED_COLS, D, 41);
+    let expected = [
+        (*server.single(0).unwrap().execute(&slow).unwrap().0).clone(),
+        (*server.single(1).unwrap().execute(&fast).unwrap().0).clone(),
+    ];
+
+    fault::arm_kernel_delay(Duration::from_millis(500), 1);
+    let mut order = Vec::new();
+    let (report, ()) = server
+        .serve_controlled(
+            ServeOptions::new(AdmissionPolicy::blocking(8)),
+            |sender| {
+                sender.send(0, slow).unwrap();
+                sender.send(1, fast).unwrap();
+            },
+            |response| {
+                assert_eq!(**response.output(), expected[response.engine()]);
+                order.push(response.engine());
+            },
+        )
+        .unwrap();
+    // Engine 1's launch finished while engine 0's was still stalled, and
+    // its response left then — not after a join of the older launch.
+    assert_eq!(order, [1, 0], "engine 0's stall held engine 1's response back");
+    assert_eq!(report.requests, 2);
 }
