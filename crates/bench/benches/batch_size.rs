@@ -11,12 +11,13 @@
 //! including the host core count, so the perf trajectory stays interpretable
 //! across hardware changes.
 
-use jitspmm::{CpuFeatures, JitSpmmBuilder, Strategy};
+use jitspmm::{CpuFeatures, ExecutionReport, JitSpmmBuilder, Strategy, DEFAULT_BATCH_DEPTH};
 use jitspmm_bench::{
     emit_bench_json, geometric_mean, host_cores, json_stats, measure, measure_interleaved,
     TextTable,
 };
 use jitspmm_sparse::{generate, CsrMatrix, DenseMatrix};
+use std::time::Duration;
 
 const D: usize = 16;
 const BATCH_SIZES: [usize; 3] = [1, 4, 32];
@@ -25,6 +26,17 @@ struct Workload {
     name: &'static str,
     matrix: CsrMatrix<f32>,
     reps: usize,
+}
+
+/// Nearest-rank p50 and p99, in nanoseconds, of one timing field over a
+/// batch's per-input reports (1 to 32 samples here, so no reservoir).
+fn p50_p99(reports: &[ExecutionReport], field: fn(&ExecutionReport) -> Duration) -> [u128; 2] {
+    let mut samples: Vec<Duration> = reports.iter().map(field).collect();
+    samples.sort_unstable();
+    [50.0, 99.0].map(|pct| {
+        let rank = ((pct / 100.0) * samples.len() as f64).ceil() as usize;
+        samples[rank.clamp(1, samples.len()) - 1].as_nanos()
+    })
 }
 
 fn main() {
@@ -83,11 +95,11 @@ fn main() {
 
             // Correctness first: the batched outputs must agree with the
             // reference on every input.
-            let (outputs, _) = engine
+            let outputs = engine
                 .pool()
                 .scope(|scope| engine.execute_batch(scope, &inputs))
                 .expect("batched launch failed");
-            for (x, y) in inputs.iter().zip(&outputs) {
+            for (x, (y, _)) in inputs.iter().zip(&outputs) {
                 assert!(
                     y.approx_eq(&w.matrix.spmm_reference(x), 1e-3),
                     "{}: batched result mismatch",
@@ -96,7 +108,7 @@ fn main() {
             }
             drop(outputs);
 
-            let mut last_report = None;
+            let mut last_reports = Vec::new();
             let (serial, batched) = measure_interleaved(
                 w.reps,
                 || {
@@ -105,13 +117,16 @@ fn main() {
                     }
                 },
                 || {
-                    let (outputs, report) =
+                    let outputs =
                         engine.pool().scope(|scope| engine.execute_batch(scope, &inputs)).unwrap();
-                    drop(outputs);
-                    last_report = Some(report);
+                    last_reports = outputs.into_iter().map(|(_, report)| report).collect();
                 },
             );
-            let report = last_report.expect("at least one measured batch ran");
+            assert_eq!(last_reports.len(), batch, "at least one measured batch ran");
+            let [kernel_p50, kernel_p99] = p50_p99(&last_reports, |r| r.kernel);
+            let [dispatch_p50, dispatch_p99] = p50_p99(&last_reports, |r| r.dispatch);
+            // A single-input batch runs through a depth-1 stream.
+            let depth = if batch > 1 { DEFAULT_BATCH_DEPTH } else { 1 };
 
             let speedup_mean = serial.mean.as_secs_f64() / batched.mean.as_secs_f64();
             speedups.push(speedup_mean);
@@ -125,24 +140,24 @@ fn main() {
                 format!("{:?}", batched.mean),
                 format!("{speedup_mean:.2}x"),
                 format!("{throughput_batched:.0}"),
-                format!("{:?}", report.kernel_p50),
-                format!("{:?}", report.kernel_p99),
+                format!("{:?}", Duration::from_nanos(kernel_p50 as u64)),
+                format!("{:?}", Duration::from_nanos(kernel_p99 as u64)),
             ]);
             json_rows.push(format!(
                 r#"    {{"matrix": "{}", "nnz": {}, "batch": {}, "depth": {}, "serial": {}, "batched": {}, "speedup_mean": {:.4}, "throughput_serial_mean": {:.2}, "throughput_batched_mean": {:.2}, "kernel_p50_ns": {}, "kernel_p99_ns": {}, "dispatch_p50_ns": {}, "dispatch_p99_ns": {}}}"#,
                 w.name,
                 w.matrix.nnz(),
                 batch,
-                report.depth,
+                depth,
                 json_stats(&serial),
                 json_stats(&batched),
                 speedup_mean,
                 throughput_serial,
                 throughput_batched,
-                report.kernel_p50.as_nanos(),
-                report.kernel_p99.as_nanos(),
-                report.dispatch_p50.as_nanos(),
-                report.dispatch_p99.as_nanos(),
+                kernel_p50,
+                kernel_p99,
+                dispatch_p50,
+                dispatch_p99,
             ));
         }
     }

@@ -3,17 +3,19 @@
 //! both borrowed ([`BatchStream::push`]) and owned
 //! ([`BatchStream::push_owned`]) inputs. One stream type serves every
 //! engine shape: a single engine is the one-part case, a sharded engine's
-//! K row-shard kernels write one shared full-height output in place.
+//! K row-shard kernels write one shared full-height output in place. It is
+//! the only deferred launch path: a one-shot sharded or mutable `execute`
+//! is a depth-1 stream, and every input comes back as
+//! `(output, ExecutionReport)`.
 
-use crate::engine::compile::{JitSpmm, SlotKernel};
+use crate::engine::compile::{check_input_shape, JitSpmm, SlotKernel};
 use crate::engine::launch::LaunchGuard;
-use crate::engine::report::{BatchReport, BatchStats, ExecutionReport};
+use crate::engine::report::ExecutionReport;
 use crate::error::JitSpmmError;
 use crate::kernel::CompiledKernel;
 use crate::runtime::dispatch::{BufferPool, KernelJob, LaunchPayload};
 use crate::runtime::{PoolScope, PooledMatrix, ScopedJobHandle};
 use crate::schedule::DynamicCounter;
-use crate::shard::merge_input_reports;
 use jitspmm_sparse::{DenseMatrix, Scalar};
 use std::collections::VecDeque;
 use std::panic::resume_unwind;
@@ -33,8 +35,8 @@ const MAX_BATCH_DEPTH: usize = 16;
 impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// Compute `Y = A * X_i` for every input in `inputs`, pipelining up to
     /// [`DEFAULT_BATCH_DEPTH`] launches through the scope's worker pool at
-    /// once, and return the outputs (in input order) together with a
-    /// [`BatchReport`] aggregating per-input timing.
+    /// once, and return each output with its per-input [`ExecutionReport`],
+    /// in input order.
     ///
     /// This is the steady-state serving shape: one compiled kernel, a stream
     /// of dense right-hand sides. Relative to a loop of
@@ -73,13 +75,11 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// let engine = JitSpmmBuilder::new().threads(2).build(&a, 8)?;
     /// let inputs: Vec<DenseMatrix<f32>> =
     ///     (0..6).map(|seed| DenseMatrix::random(128, 8, seed)).collect();
-    /// let (outputs, report) = engine
-    ///     .pool()
-    ///     .scope(|scope| engine.execute_batch(scope, &inputs))?;
+    /// let outputs = engine.pool().scope(|scope| engine.execute_batch(scope, &inputs))?;
     /// assert_eq!(outputs.len(), 6);
-    /// assert_eq!(report.inputs, 6);
-    /// for (x, y) in inputs.iter().zip(&outputs) {
+    /// for (x, (y, report)) in inputs.iter().zip(&outputs) {
     ///     assert!(y.approx_eq(&a.spmm_reference(x), 1e-4));
+    ///     assert!(report.kernel <= report.elapsed);
     /// }
     /// # Ok(())
     /// # }
@@ -88,7 +88,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// # Errors
     ///
     /// Returns [`JitSpmmError::ShapeMismatch`] (naming the offending input
-    /// index) if any input is not `A.ncols() x d`, and
+    /// index in a batch of several) if any input is not `A.ncols() x d`, and
     /// [`JitSpmmError::LaunchInProgress`] if the calling thread already
     /// holds a launch of this engine.
     ///
@@ -100,13 +100,8 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         inputs: &'env [DenseMatrix<T>],
-    ) -> Result<(Vec<PooledMatrix<T>>, BatchReport), JitSpmmError> {
-        run_batch(
-            inputs,
-            |x| self.check_input_shape(x),
-            |depth| self.batch_stream(scope, depth),
-            BatchStream::finish,
-        )
+    ) -> Result<Vec<(PooledMatrix<T>, ExecutionReport)>, JitSpmmError> {
+        run_batch(inputs, (self.matrix.ncols(), self.d), |depth| self.batch_stream(scope, depth))
     }
 
     /// Open a [`BatchStream`]: the incremental form of
@@ -140,10 +135,8 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     ///             drop(y); // recycled into the engine's buffer pool
     ///         }
     ///     }
-    ///     let (rest, report) = stream.finish();
-    ///     done += rest.len();
+    ///     done += stream.finish().len();
     ///     assert_eq!(done, inputs.len());
-    ///     assert_eq!(report.inputs, inputs.len());
     ///     Ok(())
     /// })?;
     /// # Ok(())
@@ -164,19 +157,20 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     }
 }
 
-/// The one batch driver behind every `execute_batch`: validate all inputs
-/// up front with `check`, `open` a stream (depth 1 for a batch with nothing
-/// to pipeline, the default otherwise), push the slice through it and
-/// `finish` it into the caller's report type.
-pub(crate) fn run_batch<'scope, 'env: 'scope, T: Scalar, R>(
+/// The one batch driver behind every `execute_batch` and the one-shot
+/// sharded and mutable `execute`: validate all inputs against the
+/// `(ncols, d)` input shape up front — before `open` takes any lock — then
+/// `open` a stream (depth 1 for a single input, so no spare kernel is
+/// compiled; the default otherwise), push the slice through it and drain
+/// it. Outputs come back in input order, each with its report.
+pub(crate) fn run_batch<'scope, 'env: 'scope, T: Scalar>(
     inputs: &'env [DenseMatrix<T>],
-    check: impl Fn(&DenseMatrix<T>) -> Result<(), JitSpmmError>,
+    (ncols, d): (usize, usize),
     open: impl FnOnce(usize) -> Result<BatchStream<'scope, 'env, T>, JitSpmmError>,
-    finish: impl FnOnce(BatchStream<'scope, 'env, T>) -> (Vec<Completed<T>>, R),
-) -> Result<(Vec<PooledMatrix<T>>, R), JitSpmmError> {
+) -> Result<Vec<Completed<T>>, JitSpmmError> {
     for (index, x) in inputs.iter().enumerate() {
-        check(x).map_err(|e| match e {
-            JitSpmmError::ShapeMismatch(msg) => {
+        check_input_shape(x, ncols, d).map_err(|e| match e {
+            JitSpmmError::ShapeMismatch(msg) if inputs.len() > 1 => {
                 JitSpmmError::ShapeMismatch(format!("batch input {index}: {msg}"))
             }
             other => other,
@@ -190,13 +184,10 @@ pub(crate) fn run_batch<'scope, 'env: 'scope, T: Scalar, R>(
     stream.output_pool.reserve(inputs.len());
     let mut outputs = Vec::with_capacity(inputs.len());
     for x in inputs {
-        if let Some((y, _)) = stream.push_validated(x) {
-            outputs.push(y);
-        }
+        outputs.extend(stream.push_validated(x));
     }
-    let (rest, report) = finish(stream);
-    outputs.extend(rest.into_iter().map(|(y, _)| y));
-    Ok((outputs, report))
+    outputs.extend(stream.finish());
+    Ok(outputs)
 }
 
 /// One kernel of a stream — a whole engine, or one row shard of a sharded
@@ -261,7 +252,8 @@ impl<G> Held for G {}
 /// `'env` borrows hand inputs over by value with
 /// [`BatchStream::push_owned`]; the stream keeps each owned input alive
 /// until its launch has been joined. [`BatchStream::finish`] drains the
-/// pipeline and aggregates the per-input timing into a [`BatchReport`].
+/// pipeline. Every input comes back with its own [`ExecutionReport`];
+/// aggregating them is the caller's business.
 ///
 /// Over a sharded engine every input launches **all** K shard kernels, each
 /// writing its own row range of one pooled full-height output in place (row
@@ -275,8 +267,10 @@ impl<G> Held for G {}
 /// stream mid-batch joins the launches still in flight and discards their
 /// results; leaking it (`std::mem::forget`) is safe — the owning
 /// [`PoolScope`] still joins every launch — but leaks the in-flight output
-/// buffers (and any owned inputs) and leaves the launch locks held forever,
-/// exactly like a leaked [`crate::ExecutionHandle`].
+/// buffers (and any owned inputs) and leaves the launch locks held forever:
+/// the engines then refuse same-thread launches with
+/// [`JitSpmmError::LaunchInProgress`], while launches from other threads
+/// wait for a stream that never ends.
 pub struct BatchStream<'scope, 'env, T: Scalar> {
     /// The kernels every input fans out to, in row order; one for a single
     /// engine.
@@ -290,15 +284,9 @@ pub struct BatchStream<'scope, 'env, T: Scalar> {
     slots: Vec<BatchSlot<'scope, T>>,
     /// Inputs in flight, oldest first.
     in_flight: VecDeque<InFlight<T>>,
-    stats: BatchStats,
-    /// Per-part statistics, in part order, once [`BatchStream::per_part`]
-    /// asked for them; always empty for a one-part stream, whose only part
-    /// *is* `stats`.
-    part_stats: Vec<BatchStats>,
     /// Scratch for one completing input's per-part reports (room for every
     /// part allocated at open).
     reports: Vec<ExecutionReport>,
-    first_submit: Option<Instant>,
     /// Whatever must outlive every launch of this stream besides the `'env`
     /// borrows — a mutable engine's generation read guard. Only released
     /// with the stream, after its `Drop` has joined everything in flight;
@@ -333,7 +321,7 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         let mut nrows = 0;
         for engine in engines {
             // A failure midway drops the guards taken so far.
-            parts.push(Part { engine, row_offset: nrows, _launch: engine.begin_launch(true)? });
+            parts.push(Part { engine, row_offset: nrows, _launch: engine.begin_launch()? });
             nrows += engine.matrix.nrows();
         }
         // Each concurrently in-flight dynamic launch needs its own claim
@@ -364,10 +352,7 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
             d,
             slots,
             in_flight: VecDeque::with_capacity(depth),
-            stats: BatchStats::default(),
-            part_stats: Vec::new(),
             reports: Vec::with_capacity(engines.len()),
-            first_submit: None,
             _hold: None,
         })
     }
@@ -377,16 +362,6 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
     /// leaked).
     pub(crate) fn holding(mut self, guard: impl Sized + 'env) -> BatchStream<'scope, 'env, T> {
         self._hold = Some(Box::new(guard));
-        self
-    }
-
-    /// Also keep statistics per part, for [`BatchStream::finish_per_part`];
-    /// a stream nobody asks — every serving lane — skips the K extra
-    /// records per completed input.
-    pub(crate) fn per_part(mut self) -> BatchStream<'scope, 'env, T> {
-        if self.parts.len() > 1 {
-            self.part_stats.resize_with(self.parts.len(), BatchStats::default);
-        }
         self
     }
 
@@ -420,7 +395,7 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         &mut self,
         x: &'env DenseMatrix<T>,
     ) -> Result<Option<(PooledMatrix<T>, ExecutionReport)>, JitSpmmError> {
-        self.parts[0].engine.check_input_shape(x)?;
+        self.check(x)?;
         Ok(self.push_validated(x))
     }
 
@@ -445,8 +420,14 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         &mut self,
         x: DenseMatrix<T>,
     ) -> Result<Option<(PooledMatrix<T>, ExecutionReport)>, JitSpmmError> {
-        self.parts[0].engine.check_input_shape(&x)?;
+        self.check(&x)?;
         Ok(self.push_owned_validated(x))
+    }
+
+    /// The input-shape check every part shares: the first part's matrix
+    /// columns by the stream's `d`.
+    fn check(&self, x: &DenseMatrix<T>) -> Result<(), JitSpmmError> {
+        check_input_shape(x, self.parts[0].engine.matrix.ncols(), self.d)
     }
 
     /// [`BatchStream::push`] for pre-validated inputs (`execute_batch`
@@ -503,64 +484,19 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         }
     }
 
-    /// Drain the pipeline: wait for every in-flight input (oldest first),
-    /// returning their outputs plus the aggregated [`BatchReport`].
+    /// Drain the pipeline: wait for every in-flight input (oldest first)
+    /// and return each output with its [`ExecutionReport`].
     ///
     /// # Panics
     ///
     /// Re-raises the first worker panic among the remaining launches, after
     /// all of them have been joined.
-    pub fn finish(mut self) -> (Vec<(PooledMatrix<T>, ExecutionReport)>, BatchReport) {
-        let rest = self.drain();
-        let report = self.report();
-        (rest, report)
-    }
-
-    /// [`BatchStream::finish`], plus one [`BatchReport`] per part in part
-    /// order — what a [`crate::shard::ShardReport`] is assembled from. The
-    /// stream must have been opened [`BatchStream::per_part`].
-    pub(crate) fn finish_per_part(mut self) -> (Vec<Completed<T>>, BatchReport, Vec<BatchReport>) {
-        let rest = self.drain();
-        let merged = self.report();
-        let per_part = if self.part_stats.is_empty() {
-            vec![merged]
-        } else {
-            let stats = std::mem::take(&mut self.part_stats);
-            let parts = self.parts.iter().zip(stats);
-            parts
-                .map(|(part, stats)| {
-                    let engine = part.engine;
-                    stats.report(merged.elapsed, merged.depth, engine.threads, engine.core.strategy)
-                })
-                .collect()
-        };
-        (rest, merged, per_part)
-    }
-
-    /// Join every in-flight input, oldest first.
-    fn drain(&mut self) -> Vec<Completed<T>> {
+    pub fn finish(mut self) -> Vec<(PooledMatrix<T>, ExecutionReport)> {
         let mut rest = Vec::with_capacity(self.in_flight.len());
         while !self.in_flight.is_empty() {
             rest.push(self.complete_oldest());
         }
         rest
-    }
-
-    /// The stream-wide report: every part's lanes, and the strategy of the
-    /// heaviest part (by non-zeros) — a single strategy cannot describe K
-    /// heterogeneous shards.
-    fn report(&mut self) -> BatchReport {
-        let elapsed = self.first_submit.map(|t| t.elapsed()).unwrap_or_default();
-        let threads = self.parts.iter().map(|p| p.engine.threads).sum();
-        let strategy = self
-            .parts
-            .iter()
-            .max_by_key(|p| p.engine.matrix.nnz())
-            .expect("a stream runs at least one kernel")
-            .engine
-            .core
-            .strategy;
-        std::mem::take(&mut self.stats).report(elapsed, self.slots.len(), threads, strategy)
     }
 
     /// Launch the input behind `x_ptr` from a free slot: one pooled output,
@@ -581,7 +517,6 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         );
         let y_ptr = y.as_mut_ptr();
         let submitted = Instant::now();
-        self.first_submit.get_or_insert(submitted);
         // Stowed *before* the first launch, so even an unwind out of the
         // loop below reaches the stream's drop — which joins the slot's
         // handles — with the output and the owned input still alive.
@@ -630,7 +565,7 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
     }
 
     /// Join **every** part of the oldest in-flight input, free its slot and
-    /// record its timing: the per-part reports fold into the input's
+    /// report its timing: the per-part reports fold into the input's
     /// critical path ([`merge_input_reports`]; a one-part stream has nothing
     /// to fold). Re-raises the first worker panic only after all parts have
     /// joined and the bookkeeping is restored (the slot is free and the
@@ -670,11 +605,31 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
             [only] => only,
             _ => merge_input_reports(&self.reports),
         };
-        self.stats.record(&report);
-        for (stats, part_report) in self.part_stats.iter_mut().zip(&self.reports) {
-            stats.record(part_report);
-        }
         (launch.y, report)
+    }
+}
+
+/// Merge per-part launch reports for **one input** into its critical-path
+/// view: the input is complete when its slowest shard is, so `elapsed` and
+/// `kernel` take the maxima, `threads` sums the lanes the shards occupied,
+/// and `strategy` is the slowest (critical) shard's — the one that governs
+/// the input's latency. `reports` must be non-empty.
+pub(super) fn merge_input_reports(reports: &[ExecutionReport]) -> ExecutionReport {
+    let critical = reports
+        .iter()
+        .max_by_key(|r| r.kernel)
+        .expect("a sharded launch involves at least one shard");
+    let elapsed = reports.iter().map(|r| r.elapsed).max().unwrap_or_default();
+    let kernel = critical.kernel;
+    ExecutionReport {
+        elapsed,
+        kernel,
+        dispatch: elapsed.saturating_sub(kernel),
+        // The input's handoff is not over until the slowest shard's worker
+        // has picked its job up.
+        wake: reports.iter().map(|r| r.wake).max().unwrap_or_default(),
+        threads: reports.iter().map(|r| r.threads).sum(),
+        strategy: critical.strategy,
     }
 }
 
@@ -684,8 +639,8 @@ impl<T: Scalar> Drop for BatchStream<'_, '_, T> {
         // released: the payload slots, the in-flight outputs and owned
         // inputs, the launch guards and whatever `_hold` keeps alive all
         // drop with the fields, right after this body. Panics are discarded
-        // here, as in `ExecutionHandle`'s drop — `push`/`finish` re-raise
-        // them.
+        // here — `push`/`finish` re-raise them — so an abandoned stream
+        // cannot poison the scope exit.
         for job in self.slots.iter_mut().flat_map(|slot| &mut slot.handles) {
             job.join_quiet();
         }
@@ -698,7 +653,6 @@ impl<T: Scalar> std::fmt::Debug for BatchStream<'_, '_, T> {
             .field("parts", &self.parts.len())
             .field("depth", &self.slots.len())
             .field("in_flight", &self.in_flight.len())
-            .field("completed", &self.stats.count)
             .finish()
     }
 }

@@ -4,7 +4,7 @@
 #![allow(clippy::module_name_repetitions)]
 
 use super::batch::*;
-use crate::engine::JitSpmmBuilder;
+use crate::engine::{ExecutionReport, JitSpmmBuilder};
 use crate::error::JitSpmmError;
 use crate::runtime::WorkerPool;
 use crate::schedule::Strategy;
@@ -39,19 +39,17 @@ fn execute_batch_matches_per_input_execute_exactly() {
         // batched pipeline must be bit-identical to the blocking path.
         let expected: Vec<DenseMatrix<f32>> =
             inputs.iter().map(|x| engine.execute(x).unwrap().0.into_dense()).collect();
-        let (outputs, report) =
-            engine.pool().scope(|scope| engine.execute_batch(scope, &inputs)).unwrap();
+        let outputs = engine.pool().scope(|scope| engine.execute_batch(scope, &inputs)).unwrap();
         assert_eq!(outputs.len(), inputs.len());
-        for (i, (y, e)) in outputs.iter().zip(&expected).enumerate() {
+        for (i, ((y, report), e)) in outputs.iter().zip(&expected).enumerate() {
             assert_eq!(**y, *e, "input {i}, strategy {strategy}");
+            // Each input reports its own launch, at the engine's lanes.
+            assert_eq!(report.threads, 2);
+            assert_eq!(report.elapsed, report.kernel + report.dispatch);
         }
-        assert_eq!(report.inputs, inputs.len());
-        // Depth 0 is the default pipeline on every host, at the engine's
-        // lane count.
-        assert_eq!((report.depth, report.threads), (DEFAULT_BATCH_DEPTH, 2));
-        assert!(report.kernel_p50 <= report.kernel_p99);
-        assert!(report.kernel_total >= report.kernel_p99);
-        assert!(report.throughput() > 0.0);
+        // Depth 0 is the default pipeline on every host.
+        let depth = engine.pool().scope(|scope| engine.batch_stream(scope, 0).unwrap().depth());
+        assert_eq!(depth, DEFAULT_BATCH_DEPTH);
     }
 }
 
@@ -62,19 +60,20 @@ fn execute_batch_handles_empty_and_single_input_batches() {
         return;
     }
     let a = generate::uniform::<f32>(90, 90, 700, 4);
-    let engine = JitSpmmBuilder::new().threads(2).build(&a, 4).unwrap();
-    let (outputs, report) = engine.pool().scope(|scope| engine.execute_batch(scope, &[])).unwrap();
+    let engine = JitSpmmBuilder::new()
+        .strategy(Strategy::RowSplitDynamic { batch: 16 })
+        .threads(2)
+        .build(&a, 4)
+        .unwrap();
+    let outputs = engine.pool().scope(|scope| engine.execute_batch(scope, &[])).unwrap();
     assert!(outputs.is_empty());
-    assert_eq!(report.inputs, 0);
-    assert_eq!(report.elapsed, Duration::ZERO);
-    assert_eq!(report.throughput(), 0.0);
 
     let one = [DenseMatrix::random(90, 4, 9)];
-    let (outputs, report) = engine.pool().scope(|scope| engine.execute_batch(scope, &one)).unwrap();
+    let outputs = engine.pool().scope(|scope| engine.execute_batch(scope, &one)).unwrap();
     assert_eq!(outputs.len(), 1);
-    assert_eq!(report.inputs, 1);
-    assert_eq!(report.depth, 1, "a single-input batch needs no extra slots");
-    assert!(outputs[0].approx_eq(&a.spmm_reference(&one[0]), 1e-4));
+    assert!(outputs[0].0.approx_eq(&a.spmm_reference(&one[0]), 1e-4));
+    // A single input runs through a depth-1 stream: no spare slot kernel.
+    assert_eq!(engine.spare_kernels(), 0, "a single-input batch needs no spares");
 }
 
 #[test]
@@ -132,9 +131,8 @@ fn batch_stream_survives_a_mismatched_push() {
                 completed.push(done);
             }
         }
-        let (rest, report) = stream.finish();
-        completed.extend(rest);
-        assert_eq!(report.inputs, good.len());
+        completed.extend(stream.finish());
+        assert_eq!(completed.len(), good.len());
         for ((y, _), x) in completed.iter().zip(&good) {
             assert!(y.approx_eq(&a.spmm_reference(x), 1e-4));
         }
@@ -169,10 +167,8 @@ fn push_owned_matches_borrowed_push_exactly() {
                     outputs.push(y.into_dense());
                 }
             }
-            let (rest, report) = stream.finish();
-            outputs.extend(rest.into_iter().map(|(y, _)| y.into_dense()));
+            outputs.extend(stream.finish().into_iter().map(|(y, _)| y.into_dense()));
             assert_eq!(outputs, expected, "strategy {strategy}");
-            assert_eq!(report.inputs, inputs.len());
         });
     }
 }
@@ -209,8 +205,7 @@ fn push_owned_from_a_producer_thread() {
                     outputs.push(y.into_dense());
                 }
             }
-            let (rest, _) = stream.finish();
-            outputs.extend(rest.into_iter().map(|(y, _)| y.into_dense()));
+            outputs.extend(stream.finish().into_iter().map(|(y, _)| y.into_dense()));
             assert_eq!(outputs, expected);
         });
     });
@@ -239,10 +234,8 @@ fn push_owned_rejects_bad_shapes_without_disturbing_the_pipeline() {
                 done += 1;
             }
         }
-        let (rest, report) = stream.finish();
-        done += rest.len();
+        done += stream.finish().len();
         assert_eq!(done, good.len());
-        assert_eq!(report.inputs, good.len());
     });
 }
 
@@ -261,8 +254,7 @@ fn open_batch_stream_blocks_other_launches_and_releases_them() {
         // fail fast instead of self-deadlocking.
         assert!(matches!(engine.execute(&x).unwrap_err(), JitSpmmError::LaunchInProgress));
         assert!(stream.push(&x).unwrap().is_none());
-        let (rest, _) = stream.finish();
-        assert_eq!(rest.len(), 1);
+        assert_eq!(stream.finish().len(), 1);
     });
     // Stream gone: the engine accepts launches again.
     let (y, _) = engine.execute(&x).unwrap();
@@ -288,9 +280,43 @@ fn dropped_batch_stream_joins_in_flight_launches() {
         // Dropped mid-batch: the launches join, buffers recycle.
         drop(stream);
     });
+    // Every output — the one handed back and the two still in flight at
+    // the drop — went back to the engine's pool, and the next execute
+    // reuses one of them instead of allocating.
+    assert_eq!(engine.spare_outputs(), inputs.len());
     let x = DenseMatrix::random(150, 8, 99);
     let (y, _) = engine.execute(&x).unwrap();
+    assert_eq!(engine.spare_outputs(), inputs.len() - 1);
     assert!(y.approx_eq(&a.spmm_reference(&x), 1e-4));
+}
+
+#[test]
+fn a_leaked_batch_stream_is_joined_by_the_scope() {
+    if !host_ok() {
+        eprintln!("skipping: host lacks AVX/FMA");
+        return;
+    }
+    let a = generate::uniform::<f32>(128, 128, 1_200, 6);
+    let x = DenseMatrix::random(128, 8, 7);
+    let engine = JitSpmmBuilder::new().threads(2).pool(WorkerPool::new(2)).build(&a, 8).unwrap();
+    engine.pool().scope(|scope| {
+        let mut stream = engine.batch_stream(scope, 2).unwrap();
+        assert!(stream.push_owned(x.clone()).unwrap().is_none());
+        assert_eq!(stream.in_flight(), 1);
+        // `mem::forget` is safe: the scope must join the in-flight launch
+        // before the engine, the matrix or anything the stream owns could
+        // be freed — the forgotten stream leaks them instead.
+        std::mem::forget(stream);
+    });
+    // The leaked stream kept the launch lock (and leaked its output and the
+    // owned input), so the engine refuses same-thread launches — safely.
+    assert!(matches!(engine.execute(&x).unwrap_err(), JitSpmmError::LaunchInProgress));
+    let mut y = DenseMatrix::zeros(128, 8);
+    assert!(matches!(engine.execute_into(&x, &mut y).unwrap_err(), JitSpmmError::LaunchInProgress));
+    assert!(matches!(
+        engine.execute_single_thread(&x, &mut y).unwrap_err(),
+        JitSpmmError::LaunchInProgress
+    ));
 }
 
 #[test]
@@ -319,13 +345,12 @@ fn batch_slot_kernels_are_cached_across_batches() {
                     outputs.push(y.into_dense());
                 }
             }
-            let (rest, _) = stream.finish();
-            outputs.extend(rest.into_iter().map(|(y, _)| y.into_dense()));
+            outputs.extend(stream.finish().into_iter().map(|(y, _)| y.into_dense()));
             assert_eq!(outputs, expected);
         });
     }
     // Depth 2 needs exactly one spare dynamic kernel, compiled once.
-    assert_eq!(crate::runtime::pool::lock(&engine.core.batch_kernels).len(), 1);
+    assert_eq!(engine.spare_kernels(), 1);
 
     // A full controlled serving session runs on the same core too — and
     // still needs only that one spare.
@@ -345,7 +370,7 @@ fn batch_slot_kernels_are_cached_across_batches() {
     assert_eq!(report.requests, inputs.len());
     assert_eq!(served, expected);
     let engine = server.single(0).unwrap();
-    assert_eq!(crate::runtime::pool::lock(&engine.core.batch_kernels).len(), 1);
+    assert_eq!(engine.spare_kernels(), 1);
 }
 
 #[test]
@@ -358,11 +383,39 @@ fn execute_batch_on_inline_pool_runs_eagerly() {
     let engine = JitSpmmBuilder::new().threads(2).pool(WorkerPool::inline()).build(&a, 4).unwrap();
     let inputs: Vec<DenseMatrix<f32>> =
         (0..5).map(|seed| DenseMatrix::random(60, 4, seed)).collect();
-    let (outputs, report) =
-        engine.pool().scope(|scope| engine.execute_batch(scope, &inputs)).unwrap();
+    let outputs = engine.pool().scope(|scope| engine.execute_batch(scope, &inputs)).unwrap();
     assert_eq!(outputs.len(), 5);
-    assert_eq!(report.inputs, 5);
-    for (x, y) in inputs.iter().zip(&outputs) {
+    for (x, (y, report)) in inputs.iter().zip(&outputs) {
         assert!(y.approx_eq(&a.spmm_reference(x), 1e-4));
+        assert_eq!(report.wake, Duration::ZERO, "an inline launch has no handoff");
     }
+}
+
+fn exec(kernel_ms: u64, elapsed_ms: u64, threads: usize, strategy: Strategy) -> ExecutionReport {
+    let kernel = Duration::from_millis(kernel_ms);
+    let elapsed = Duration::from_millis(elapsed_ms);
+    ExecutionReport {
+        elapsed,
+        kernel,
+        dispatch: elapsed.saturating_sub(kernel),
+        wake: Duration::from_millis(kernel_ms.min(1)),
+        threads,
+        strategy,
+    }
+}
+
+#[test]
+fn merged_report_takes_the_critical_path() {
+    let merged = merge_input_reports(&[
+        exec(3, 5, 1, Strategy::RowSplitStatic),
+        exec(9, 10, 2, Strategy::row_split_dynamic_default()),
+        exec(1, 12, 1, Strategy::RowSplitStatic),
+    ]);
+    assert_eq!(merged.kernel, Duration::from_millis(9));
+    assert_eq!(merged.elapsed, Duration::from_millis(12));
+    assert_eq!(merged.dispatch, Duration::from_millis(3));
+    assert_eq!(merged.threads, 4);
+    // The slowest *kernel* names the critical shard, whatever finished
+    // last overall.
+    assert!(merged.strategy.is_dynamic());
 }

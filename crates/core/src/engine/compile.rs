@@ -208,12 +208,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         &self.pool
     }
 
-    /// The scheduling strategy of the compiled kernel; the serving layer
-    /// stamps it into synthesized (zero-input) per-engine reports.
-    pub(crate) fn strategy(&self) -> Strategy {
-        self.core.strategy
-    }
-
     /// Kernel metadata: code size, register plan, code-generation time.
     pub fn meta(&self) -> KernelMeta {
         self.core.meta.clone()
@@ -271,23 +265,10 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         self.output_pool.spare_buffers()
     }
 
-    /// Validate that `x` matches the compiled input shape (`A.ncols() x d`).
-    ///
-    /// Every launch path — blocking, asynchronous, batched and the serving
-    /// router — calls this **before** taking the launch lock or touching the
-    /// buffer pool, so user input can only ever produce a
-    /// [`JitSpmmError::ShapeMismatch`], never a panic or a poisoned engine.
-    pub(crate) fn check_input_shape(&self, x: &DenseMatrix<T>) -> Result<(), JitSpmmError> {
-        if x.nrows() != self.matrix.ncols() || x.ncols() != self.d {
-            return Err(JitSpmmError::ShapeMismatch(format!(
-                "dense input is {}x{} but the kernel expects {}x{}",
-                x.nrows(),
-                x.ncols(),
-                self.matrix.ncols(),
-                self.d
-            )));
-        }
-        Ok(())
+    /// Spare slot kernels this engine has compiled for batch pipelines.
+    #[cfg(test)]
+    pub(crate) fn spare_kernels(&self) -> usize {
+        crate::runtime::pool::lock(&self.core.batch_kernels).len()
     }
 
     pub(super) fn check_shapes(
@@ -295,7 +276,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         x: &DenseMatrix<T>,
         y: &DenseMatrix<T>,
     ) -> Result<(), JitSpmmError> {
-        self.check_input_shape(x)?;
+        check_input_shape(x, self.matrix.ncols(), self.d)?;
         if y.nrows() != self.matrix.nrows() || y.ncols() != self.d {
             return Err(JitSpmmError::ShapeMismatch(format!(
                 "dense output is {}x{} but the kernel produces {}x{}",
@@ -319,6 +300,28 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             cg / total
         }
     }
+}
+
+/// Validate that `x` is the `ncols x d` input a kernel compiled for a matrix
+/// with `ncols` columns expects — the one shape check behind every engine
+/// shape (single, sharded, mutable) and the serving router.
+///
+/// Every launch path calls it **before** taking a launch lock, pinning a
+/// generation or touching a buffer pool, so user input can only ever produce
+/// a [`JitSpmmError::ShapeMismatch`], never a panic or a poisoned engine.
+pub(crate) fn check_input_shape<T: Scalar>(
+    x: &DenseMatrix<T>,
+    ncols: usize,
+    d: usize,
+) -> Result<(), JitSpmmError> {
+    if x.nrows() != ncols || x.ncols() != d {
+        return Err(JitSpmmError::ShapeMismatch(format!(
+            "dense input is {}x{} but the kernel expects {ncols}x{d}",
+            x.nrows(),
+            x.ncols(),
+        )));
+    }
+    Ok(())
 }
 
 /// A spare kernel instance backing one batch pipeline slot of a

@@ -89,7 +89,7 @@ fn reports_split_dispatch_from_kernel_time() {
 }
 
 #[test]
-fn execute_async_matches_blocking_execute() {
+fn one_stream_push_matches_blocking_execute() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -106,9 +106,10 @@ fn execute_async_matches_blocking_execute() {
         let (y_blocking, _) = engine.execute(&x).unwrap();
         let y_blocking = y_blocking.into_dense();
         engine.pool().scope(|scope| {
-            let handle = engine.execute_async(scope, &x).unwrap();
-            let (y_async, report) = handle.wait();
-            assert_eq!(y_async, y_blocking, "strategy {strategy}");
+            let mut stream = engine.batch_stream(scope, 1).unwrap();
+            assert!(stream.push(&x).unwrap().is_none());
+            let (y_stream, report) = stream.finish().pop().unwrap();
+            assert_eq!(*y_stream, y_blocking, "strategy {strategy}");
             assert_eq!(report.threads, 2);
             assert_eq!(report.elapsed, report.kernel + report.dispatch);
         });
@@ -125,17 +126,20 @@ fn concurrent_async_launches_of_one_engine_are_rejected() {
     let x = DenseMatrix::random(300, 8, 5);
     let engine = JitSpmmBuilder::new().threads(2).pool(WorkerPool::new(2)).build(&a, 8).unwrap();
     engine.pool().scope(|scope| {
-        let handle = engine.execute_async(scope, &x).unwrap();
-        // The dynamic counter is engine-owned; a second launch must be
-        // refused (not deadlock) while the first handle is outstanding.
+        let mut stream = engine.batch_stream(scope, 1).unwrap();
+        assert!(stream.push(&x).unwrap().is_none());
+        // The dynamic counter is engine-owned; a second stream from this
+        // thread must be refused (not deadlock) while the first is open.
         assert!(matches!(
-            engine.execute_async(scope, &x).unwrap_err(),
+            engine.batch_stream(scope, 1).unwrap_err(),
             JitSpmmError::LaunchInProgress
         ));
-        let (y, _) = handle.wait();
+        let (y, _) = stream.finish().pop().unwrap();
         assert!(y.approx_eq(&a.spmm_reference(&x), 1e-4));
-        // With the handle gone the engine accepts launches again.
-        let (y2, _) = engine.execute_async(scope, &x).unwrap().wait();
+        // With the stream gone the engine accepts launches again.
+        let mut again = engine.batch_stream(scope, 1).unwrap();
+        assert!(again.push(&x).unwrap().is_none());
+        let (y2, _) = again.finish().pop().unwrap();
         assert!(y2.approx_eq(&a.spmm_reference(&x), 1e-4));
     });
 }
@@ -150,9 +154,11 @@ fn blocking_execute_with_outstanding_handle_errors_instead_of_deadlocking() {
     let x = DenseMatrix::random(200, 8, 10);
     let engine = JitSpmmBuilder::new().threads(2).pool(WorkerPool::new(2)).build(&a, 8).unwrap();
     engine.pool().scope(|scope| {
-        let handle = engine.execute_async(scope, &x).unwrap();
-        // Same thread, launch lock held by `handle`: a blocking execute
-        // must fail fast, not self-deadlock on the launch mutex.
+        let mut stream = engine.batch_stream(scope, 1).unwrap();
+        assert!(stream.push(&x).unwrap().is_none());
+        // Same thread, launch lock held by the open stream with a launch in
+        // flight: a blocking execute must fail fast, not self-deadlock on
+        // the launch mutex.
         assert!(matches!(engine.execute(&x).unwrap_err(), JitSpmmError::LaunchInProgress));
         let mut y = DenseMatrix::zeros(200, 8);
         assert!(matches!(
@@ -163,7 +169,7 @@ fn blocking_execute_with_outstanding_handle_errors_instead_of_deadlocking() {
             engine.execute_single_thread(&x, &mut y).unwrap_err(),
             JitSpmmError::LaunchInProgress
         ));
-        let (ya, _) = handle.wait();
+        let (ya, _) = stream.finish().pop().unwrap();
         assert!(ya.approx_eq(&a.spmm_reference(&x), 1e-4));
     });
     // Lock released: blocking execution works again.
@@ -185,19 +191,26 @@ fn two_engines_overlap_on_disjoint_lanes() {
     let xa = DenseMatrix::random(a.ncols(), 8, 1);
     let xb = DenseMatrix::random(b.ncols(), 8, 2);
     pool.scope(|scope| {
+        // Both streams open at once, one worker lane each; every round has
+        // a launch of each engine in flight together.
+        let mut sa = ea.batch_stream(scope, 1).unwrap();
+        let mut sb = eb.batch_stream(scope, 1).unwrap();
         for _ in 0..20 {
-            let ha = ea.execute_async(scope, &xa).unwrap();
-            let hb = eb.execute_async(scope, &xb).unwrap();
-            let (ya, _) = ha.wait();
-            let (yb, _) = hb.wait();
-            assert!(ya.approx_eq(&a.spmm_reference(&xa), 1e-4));
-            assert!(yb.approx_eq(&b.spmm_reference(&xb), 1e-4));
+            let done_a = sa.push(&xa).unwrap();
+            let done_b = sb.push(&xb).unwrap();
+            if let Some((y, _)) = done_a {
+                assert!(y.approx_eq(&a.spmm_reference(&xa), 1e-4));
+            }
+            if let Some((y, _)) = done_b {
+                assert!(y.approx_eq(&b.spmm_reference(&xb), 1e-4));
+            }
         }
+        assert_eq!(sa.finish().len() + sb.finish().len(), 2);
     });
 }
 
 #[test]
-fn dropped_handle_joins_and_recycles_the_buffer() {
+fn dropped_stream_joins_and_recycles_the_buffer() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -205,10 +218,13 @@ fn dropped_handle_joins_and_recycles_the_buffer() {
     let a = generate::uniform::<f32>(256, 256, 3_000, 8);
     let x = DenseMatrix::random(256, 8, 3);
     let engine = JitSpmmBuilder::new().threads(2).pool(WorkerPool::new(2)).build(&a, 8).unwrap();
-    let first_ptr = engine.pool().scope(|scope| {
-        let handle = engine.execute_async(scope, &x).unwrap();
-        handle.y.as_ref().unwrap().as_ptr()
-        // Dropped without wait: must join and return the buffer.
+    // One execute leaves exactly one recycled buffer, which the stream's
+    // launch then takes.
+    let first_ptr = engine.execute(&x).unwrap().0.as_ptr();
+    engine.pool().scope(|scope| {
+        let mut stream = engine.batch_stream(scope, 1).unwrap();
+        assert!(stream.push(&x).unwrap().is_none());
+        // Dropped without finish: must join and return the buffer.
     });
     let (y, _) = engine.execute(&x).unwrap();
     assert_eq!(y.as_ptr(), first_ptr, "abandoned launch must recycle its output buffer");
@@ -216,26 +232,7 @@ fn dropped_handle_joins_and_recycles_the_buffer() {
 }
 
 #[test]
-fn leaked_execution_handle_is_joined_by_the_scope() {
-    if !host_ok() {
-        eprintln!("skipping: host lacks AVX/FMA");
-        return;
-    }
-    let a = generate::uniform::<f32>(128, 128, 1_200, 6);
-    let x = DenseMatrix::random(128, 8, 7);
-    let engine = JitSpmmBuilder::new().threads(2).pool(WorkerPool::new(2)).build(&a, 8).unwrap();
-    engine.pool().scope(|scope| {
-        // `mem::forget` is safe: the scope must join the kernel job
-        // before `x`, the engine or the matrix can be freed.
-        std::mem::forget(engine.execute_async(scope, &x).unwrap());
-    });
-    // The leaked handle kept the launch lock (and leaked the output
-    // buffer), so the engine refuses further launches — safely.
-    assert!(matches!(engine.execute(&x).unwrap_err(), JitSpmmError::LaunchInProgress));
-}
-
-#[test]
-fn execute_async_on_inline_pool_completes_eagerly() {
+fn stream_push_on_inline_pool_completes_eagerly() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -244,15 +241,17 @@ fn execute_async_on_inline_pool_completes_eagerly() {
     let x = DenseMatrix::random(100, 4, 4);
     let engine = JitSpmmBuilder::new().threads(2).pool(WorkerPool::inline()).build(&a, 4).unwrap();
     engine.pool().scope(|scope| {
-        let handle = engine.execute_async(scope, &x).unwrap();
-        assert!(handle.is_done());
-        let (y, _) = handle.wait();
+        let mut stream = engine.batch_stream(scope, 1).unwrap();
+        assert!(stream.push(&x).unwrap().is_none());
+        // A push on a zero-worker pool has already run when it returns.
+        assert!(stream.oldest_done());
+        let (y, _) = stream.finish().pop().unwrap();
         assert!(y.approx_eq(&a.spmm_reference(&x), 1e-4));
     });
 }
 
 #[test]
-fn execute_async_rejects_bad_shapes() {
+fn stream_push_rejects_bad_shapes() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -261,10 +260,15 @@ fn execute_async_rejects_bad_shapes() {
     let engine = JitSpmmBuilder::new().threads(1).build(&a, 8).unwrap();
     let wrong = DenseMatrix::<f32>::zeros(10, 8);
     engine.pool().scope(|scope| {
+        let mut stream = engine.batch_stream(scope, 1).unwrap();
+        assert!(matches!(stream.push(&wrong).unwrap_err(), JitSpmmError::ShapeMismatch(_)));
         assert!(matches!(
-            engine.execute_async(scope, &wrong).unwrap_err(),
+            stream.push_owned(wrong.clone()).unwrap_err(),
             JitSpmmError::ShapeMismatch(_)
         ));
+        // Nothing was submitted.
+        assert_eq!(stream.in_flight(), 0);
+        assert!(stream.finish().is_empty());
     });
 }
 

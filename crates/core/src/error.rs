@@ -21,10 +21,11 @@ pub enum JitSpmmError {
     /// A shard plan was requested for a sparse matrix with no rows — there
     /// is nothing to split (see [`crate::shard::plan_shards`]).
     EmptySparseMatrix,
-    /// An asynchronous launch of this engine is still in flight; one engine
-    /// runs one launch at a time (its dynamic row-claim counter is shared
-    /// state embedded in the generated code). Wait on — or drop — the
-    /// outstanding [`crate::engine::ExecutionHandle`] first.
+    /// The calling thread already holds this engine's launch lock — it has
+    /// a [`crate::BatchStream`] over the engine open — so blocking for the
+    /// lock would self-deadlock; one engine runs one launch at a time (its
+    /// dynamic row-claim counter is shared state embedded in the generated
+    /// code). Finish or drop the open stream first.
     LaunchInProgress,
     /// A serving request was tagged with an engine id the server does not
     /// have (valid ids are `0..engines`).

@@ -70,16 +70,17 @@
 //! # }
 //! ```
 //!
-//! # Overlapping engines: asynchronous execution
+//! # Overlapping engines: two open streams
 //!
-//! Inside a [`WorkerPool::scope`], [`JitSpmm::execute_async`] submits a
-//! launch and returns an [`ExecutionHandle`] immediately;
-//! [`ExecutionHandle::wait`] joins it, with the waiting thread stealing
-//! remaining kernel tasks. Each launch is lane-capped to its engine's
-//! [`JitSpmmBuilder::threads`] count, so several engines submitted
-//! back-to-back run **concurrently on disjoint subsets of one pool's
-//! workers** instead of serializing — the configuration a server handling
-//! many models (or many clients) wants:
+//! Every deferred launch is a [`BatchStream`] push. Inside a
+//! [`WorkerPool::scope`], [`JitSpmm::batch_stream`] opens a pipeline and
+//! [`BatchStream::push`] submits an input without waiting for it;
+//! [`BatchStream::finish`] joins what is in flight, the joining thread
+//! stealing remaining kernel tasks. Each launch is lane-capped to its
+//! engine's [`JitSpmmBuilder::threads`] count, so streams of several
+//! engines open at once run **concurrently on disjoint subsets of one
+//! pool's workers** instead of serializing — the configuration a server
+//! handling many models (or many clients) wants:
 //!
 //! ```
 //! use jitspmm::{JitSpmmBuilder, WorkerPool};
@@ -93,10 +94,12 @@
 //! let eng_b = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, 8)?;
 //! let x = DenseMatrix::random(200, 8, 3);
 //! pool.scope(|scope| -> Result<(), jitspmm::JitSpmmError> {
-//!     let ha = eng_a.execute_async(scope, &x)?; // in flight on worker lane 1
-//!     let hb = eng_b.execute_async(scope, &x)?; // in flight on worker lane 2
-//!     let (ya, _) = ha.wait();
-//!     let (yb, _) = hb.wait();
+//!     let mut sa = eng_a.batch_stream(scope, 1)?;
+//!     let mut sb = eng_b.batch_stream(scope, 1)?;
+//!     sa.push(&x)?; // in flight on worker lane 1
+//!     sb.push(&x)?; // in flight on worker lane 2
+//!     let (ya, _) = sa.finish().pop().expect("one input pushed");
+//!     let (yb, _) = sb.finish().pop().expect("one input pushed");
 //!     assert!(ya.approx_eq(&a.spmm_reference(&x), 1e-4));
 //!     assert!(yb.approx_eq(&b.spmm_reference(&x), 1e-4));
 //!     Ok(())
@@ -105,10 +108,10 @@
 //! # }
 //! ```
 //!
-//! The scope is what makes asynchronous launches over *borrowed* data sound
-//! without relying on handle destructors (which [`std::mem::forget`] can
-//! skip): it joins every job submitted through it before returning, the
-//! same discipline as [`std::thread::scope`]. Raw pool jobs get the same
+//! The scope is what makes deferred launches over *borrowed* data sound
+//! without relying on destructors (which [`std::mem::forget`] can skip): it
+//! joins every job submitted through it before returning, the same
+//! discipline as [`std::thread::scope`]. Raw pool jobs get the same
 //! treatment through [`PoolScope::submit`] (borrowed tasks, returning a
 //! [`ScopedJobHandle`]) with a [`JobSpec`] giving the task count and lane
 //! cap.
@@ -121,10 +124,10 @@
 //! happens once up front, the engine's launch lock is taken once, and up to
 //! [`DEFAULT_BATCH_DEPTH`] launches stay in flight so workers flow from one
 //! input's job into the next without re-parking (a zero-worker pool runs
-//! each launch inline at submission through the same queue path). The
-//! returned [`BatchReport`] aggregates per-input timing as order statistics
-//! — kernel and dispatch p50/p99, not just means — because a serving system
-//! answers for its tail:
+//! each launch inline at submission through the same queue path). Every
+//! output comes back with its own [`ExecutionReport`], so tail statistics
+//! — kernel p50/p99, not just means, because a serving system answers for
+//! its tail — are computed from the per-input reports:
 //!
 //! ```
 //! use jitspmm::JitSpmmBuilder;
@@ -135,14 +138,12 @@
 //! let engine = JitSpmmBuilder::new().build(&a, 16)?;
 //! let inputs: Vec<DenseMatrix<f32>> =
 //!     (0..8).map(|seed| DenseMatrix::random(256, 16, seed)).collect();
-//! let (outputs, report) =
-//!     engine.pool().scope(|scope| engine.execute_batch(scope, &inputs))?;
+//! let outputs = engine.pool().scope(|scope| engine.execute_batch(scope, &inputs))?;
 //! assert_eq!(outputs.len(), 8);
-//! println!(
-//!     "{} inputs at {:.0}/s, kernel p50 {:?} p99 {:?}",
-//!     report.inputs, report.throughput(), report.kernel_p50, report.kernel_p99
-//! );
-//! # for (x, y) in inputs.iter().zip(&outputs) {
+//! let mut kernel: Vec<_> = outputs.iter().map(|(_, report)| report.kernel).collect();
+//! kernel.sort();
+//! println!("{} inputs, kernel p50 {:?} max {:?}", outputs.len(), kernel[3], kernel[7]);
+//! # for (x, (y, _)) in inputs.iter().zip(&outputs) {
 //! #     assert!(y.approx_eq(&a.spmm_reference(x), 1e-4));
 //! # }
 //! # Ok(())
@@ -169,8 +170,9 @@
 //! `d`, strategies), validates every engine-tagged request before touching
 //! any launch state, feeds each engine's requests through its own batch
 //! pipeline by value, keeps concurrent engines on disjoint lane-capped
-//! worker subsets, and reports per-engine tail latency plus whole-server
-//! throughput in a [`serve::ServerReport`]. There is one entry point,
+//! worker subsets, hands every completed response out with its own
+//! [`ExecutionReport`], and totals goodput and verdicts in a
+//! [`serve::ServerReport`]. There is one entry point,
 //! [`serve::SpmmServer::serve_controlled`]: a producer thread feeds the
 //! bounded request queue through its [`serve::RequestSender`] while the
 //! calling thread routes and hands each response to a consumer callback.
@@ -241,14 +243,14 @@
 //! is a [`CsrMatrix::share_rows`] view aliasing the parent's
 //! `col_indices`/`values` buffers, materializing only a rebased `row_ptr`
 //! (O(rows) per shard) — a plan over a billion-nonzero matrix weighs
-//! kilobytes, not gigabytes. Execution launches every shard as an
-//! overlapped lane-capped job — each kernel writing directly into its row
-//! range of one pooled full-height output — and
-//! [`shard::ShardedSpmm::execute_batch`] pipelines whole batches the same
-//! way through one [`BatchStream`] over all K shard kernels: no per-shard
-//! buffers, nothing stitched or copied. Results are bit-identical to the
-//! unsharded engine's, and a [`shard::ShardReport`] breaks kernel/dispatch
-//! tails down per shard. Behind the serving router a sharded matrix is a
+//! kilobytes, not gigabytes. Every sharded launch is one [`BatchStream`]
+//! over all K shard kernels — [`shard::ShardedSpmm::execute`] a depth-1
+//! one, [`shard::ShardedSpmm::execute_batch`] a pipelined one — launching
+//! every shard as an overlapped lane-capped job that writes directly into
+//! its row range of one pooled full-height output: no per-shard buffers,
+//! nothing stitched or copied. Results are bit-identical to the unsharded
+//! engine's, and each input's [`ExecutionReport`] is its critical path
+//! across the shards. Behind the serving router a sharded matrix is a
 //! [`update::MutableSpmm`] under one logical id
 //! ([`serve::SpmmServer::add_mutable`]), so mixed streams can target huge
 //! sharded matrices and small single-engine ones uniformly.
@@ -269,9 +271,8 @@
 //! The park/wake handoff between submitters and workers runs on raw futex
 //! words on Linux ([`WakeSlot`], a condvar fallback elsewhere via
 //! `--no-default-features`), and every [`ExecutionReport`] exposes the
-//! measured handoff as [`ExecutionReport::wake`] (p50/p99 in
-//! [`BatchReport`]) so the dispatch tail is attributable per launch, not
-//! just in benchmarks.
+//! measured handoff as [`ExecutionReport::wake`], so the dispatch tail is
+//! attributable per launch, not just in benchmarks.
 //!
 //! # Dynamic graphs: incremental matrix updates
 //!
@@ -331,9 +332,9 @@
 //! ├── engine/            compile once, execute many
 //! │   ├── options        SpmmOptions, JitSpmmBuilder
 //! │   ├── compile        JitSpmm construction: the immutable compiled core, spare slot kernels
-//! │   ├── launch         execute / execute_async, launch lock, ExecutionHandle
-//! │   ├── batch          execute_batch, BatchStream over 1..K shard kernels (borrowed + owned pushes)
-//! │   └── report         ExecutionReport, BatchReport, reservoir percentiles
+//! │   ├── launch         blocking execute / execute_into / execute_single_thread, launch lock
+//! │   ├── batch          every deferred launch: execute_batch, BatchStream over 1..K shard kernels
+//! │   └── report         ExecutionReport, the one per-launch report
 //! ├── update/            incremental matrix updates behind live serving
 //! │   ├── delta          delta routing onto shard row ranges
 //! │   ├── apply          shard-local merge + recompile, re-plan on drift
@@ -343,11 +344,10 @@
 //! │   ├── queue          bounded FIFO request queue behind RequestSender, admission gate
 //! │   ├── control        AdmissionPolicy (block | shed), ControlHandle (live updates)
 //! │   ├── fault          cfg-gated crash/delay injection for chaos tests
-//! │   └── report         ServerReport (per-engine tails + verdict counters)
+//! │   └── report         ServerReport (verdict counters + wall clock)
 //! ├── shard/             nnz-balanced multi-engine sharding
 //! │   ├── plan           plan_shards: prefix-sum cuts, per-shard strategies
-//! │   ├── engine         ShardedSpmm: K engines, overlapped in-place launches
-//! │   └── report         ShardReport (per-shard + merged critical path)
+//! │   └── engine         ShardedSpmm: K engines behind one BatchStream, in-place launches
 //! ├── runtime/           persistent execution substrate
 //! │   ├── pool           WorkerPool: FIFO job queue, lane caps, scopes
 //! │   ├── wake           WakeSlot: futex wake path (condvar fallback)
@@ -382,8 +382,7 @@ pub mod update;
 
 pub use codegen::KernelOptions;
 pub use engine::{
-    BatchReport, BatchStream, ExecutionHandle, ExecutionReport, JitSpmm, JitSpmmBuilder,
-    SpmmOptions, DEFAULT_BATCH_DEPTH,
+    BatchStream, ExecutionReport, JitSpmm, JitSpmmBuilder, SpmmOptions, DEFAULT_BATCH_DEPTH,
 };
 pub use error::JitSpmmError;
 pub use kernel::{CompiledKernel, KernelKind, KernelMeta};
@@ -394,7 +393,7 @@ pub use serve::{
     AdmissionPolicy, ControlHandle, RejectReason, RequestSender, SendError, ServeOptions,
     ServerReport, ServerRequest, ServerResponse, SpmmServer,
 };
-pub use shard::{plan_shards, ShardPlan, ShardReport, ShardSpec, ShardedSpmm};
+pub use shard::{plan_shards, ShardPlan, ShardSpec, ShardedSpmm};
 pub use tiling::{CcmPlan, ColumnTile, Segment, SegmentWidth};
 pub use update::{MutableSpmm, UpdateReport};
 

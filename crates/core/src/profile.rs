@@ -207,7 +207,7 @@ pub fn measure_jit_emulated<T: Scalar>(
     // counter; reset it exactly as a native launch would, so emulation after
     // a previous execution does not observe an exhausted counter (and
     // silently compute nothing).
-    let _launch = engine.begin_launch(true)?;
+    let _launch = engine.begin_launch()?;
     let mut emulator = Emulator::new();
     let args: Vec<u64> = match engine.kernel().kind() {
         crate::kernel::KernelKind::StaticRange => {

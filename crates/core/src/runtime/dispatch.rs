@@ -15,15 +15,20 @@ use std::time::Duration;
 /// The erased payload of a kernel launch: everything one pool task needs to
 /// invoke the compiled code, as raw pointers.
 ///
-/// The blocking paths capture the same state in a closure on the stack; the
-/// asynchronous path ([`crate::JitSpmm::execute_async`]) cannot, because the
-/// submitting call returns while workers are still executing. Instead the
-/// engine boxes a `KernelJob` inside the returned execution handle — a
-/// concrete type, so the handle is not generic over a closure. The box is
-/// released only after the handle's drop has joined the job (leaked, never
-/// freed, if the handle is leaked), and the borrows behind the pointers —
-/// kernel, partition, input and output buffers — live for the
-/// [`crate::PoolScope`] the launch is anchored to, which joins the job
+/// A `KernelJob` has exactly two kinds of owner, and each outlives every
+/// dereference of the pointers inside:
+///
+/// * the blocking paths ([`run_static`] / [`run_dynamic`]) keep it on the
+///   stack, borrowed by the task closure, and do not return before the pool
+///   has joined the job;
+/// * a [`crate::BatchStream`] stores it in a [`LaunchPayload`] slot, which
+///   is rewritten only after the stream has joined the launch submitted
+///   from it and freed only after the stream's drop has joined every launch
+///   (leaked, never freed, with a leaked stream).
+///
+/// The pointees — kernel, partition, input and output buffers — are
+/// borrowed for at least as long as that owner holds the job, or for the
+/// [`crate::PoolScope`] a stream is anchored to, which joins every launch
 /// before returning; so nothing the workers dereference can be freed early.
 pub(crate) struct KernelJob<T: Scalar> {
     kernel: *const CompiledKernel<T>,
@@ -46,7 +51,7 @@ impl<T: Scalar> KernelJob<T> {
     /// Capture a launch of `kernel` over `ranges` (static) or the embedded
     /// claim loop (dynamic; `ranges` empty). Pointers, not borrows: the
     /// caller is responsible for keeping the pointees alive until the job
-    /// completes (see [`crate::engine::ExecutionHandle`]).
+    /// completes (see the type-level docs for the two owners that do).
     pub(crate) fn new(
         kernel: &CompiledKernel<T>,
         ranges: &[RowRange],
@@ -80,9 +85,14 @@ impl<T: Scalar> KernelJob<T> {
         // point where a crash in generated code would surface.
         #[cfg(any(test, feature = "fault-injection"))]
         crate::serve::fault::kernel_entry();
+        // SAFETY: the caller's contract keeps the kernel alive for the
+        // job's lifetime; `new` took the pointer from a live reference.
         let kernel = unsafe { &*self.kernel };
         match kernel.kind() {
             KernelKind::StaticRange => {
+                // SAFETY: a static job's spec has one task per range
+                // (`spec`), so `index < nranges`, and the partition the
+                // ranges point into outlives the job like the kernel does.
                 let range = unsafe { *self.ranges.add(index) };
                 if range.is_empty() {
                     return;
@@ -100,7 +110,14 @@ impl<T: Scalar> KernelJob<T> {
     }
 
     /// The [`ErasedTask`] trampoline for scoped erased submission.
+    ///
+    /// # Safety
+    ///
+    /// `data` must point to a live `KernelJob<T>` (a [`LaunchPayload`]
+    /// slot's), and [`KernelJob::run`]'s contract must hold for `index`.
     pub(crate) unsafe fn call(data: *const (), index: usize) {
+        // SAFETY: forwarded from this function's contract; the stream
+        // submits `data` from `LaunchPayload::store` for a `KernelJob<T>`.
         unsafe { (*(data as *const KernelJob<T>)).run(index) };
     }
 
@@ -124,10 +141,9 @@ impl<T: Scalar> KernelJob<T> {
 
 /// A reusable heap slot for one batch-pipeline lane's [`KernelJob`] payload.
 ///
-/// [`crate::JitSpmm::execute_async`] boxes a fresh payload per launch; a
-/// batch pipeline pushes an unbounded stream of launches through a handful
-/// of slots, so each slot allocates its payload once and rewrites it in
-/// place between launches — steady-state batch submission performs no
+/// A batch pipeline pushes an unbounded stream of launches through a
+/// handful of slots, so each slot allocates its payload once and rewrites
+/// it in place between launches — steady-state submission performs no
 /// per-launch boxing. Slots are owned by the stream that created them, so
 /// payload reuse is **per engine, per slot**: a multi-engine server (one
 /// [`crate::BatchStream`] per engine, see [`crate::serve`]) never rewrites

@@ -23,10 +23,10 @@
 //!   so deferred execution never depends on a handle destructor running for
 //!   memory safety (`mem::forget` is safe; a leaked handle leaks
 //!   allocations, never dangles). [`JobSpec::max_lanes`] caps how many
-//!   workers one job occupies, so concurrent jobs — e.g. two engines
-//!   executing at once through [`crate::JitSpmm::execute_async`] inside a
-//!   scope — run on disjoint worker subsets and genuinely overlap instead
-//!   of thrashing the whole pool.
+//!   workers one job occupies, so concurrent jobs — e.g. two engines'
+//!   [`crate::BatchStream`]s open at once inside a scope — run on disjoint
+//!   worker subsets and genuinely overlap instead of thrashing the whole
+//!   pool.
 //! * `dispatch` converts a compiled kernel plus its schedule (static
 //!   [`crate::RowRange`]s or the dynamic counter loop) into pool jobs and
 //!   measures the kernel's critical-path time separately from dispatch
@@ -46,12 +46,10 @@
 //! one input's job straight into the next without re-parking — the queue, not
 //! the submitting thread, keeps them fed. Dynamic-dispatch engines give each
 //! in-flight slot its own claim counter (a spare compiled kernel, cached on
-//! the engine); static-range kernels are stateless and shared. On hosts
-//! where nothing can run concurrently with the submitter (one hardware
-//! thread, or a zero-worker pool), the stream executes inputs directly on
-//! the calling thread instead — bit-identical results without queue
-//! round trips. Per-input timing is aggregated into a
-//! [`crate::BatchReport`] with p50/p99 kernel and dispatch times.
+//! the engine); static-range kernels are stateless and shared. On a
+//! zero-worker pool every launch runs inline at submission through the same
+//! queue path. Every input comes back with its own
+//! [`crate::ExecutionReport`].
 //!
 //! The AOT baselines ([`crate::baseline`]) run on the same pool, keeping the
 //! paper's JIT-vs-AOT comparisons apples-to-apples: both sides pay the same

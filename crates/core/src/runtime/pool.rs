@@ -382,6 +382,9 @@ impl Shared {
     /// this call; the pointee must stay alive until the check-in below
     /// (guaranteed by the active-participant accounting itself).
     unsafe fn participate(&self, job: *const JobCore) {
+        // SAFETY: the caller's contract — `job` is live and this
+        // participant is registered in `active`, so the job cannot be
+        // marked done (and its storage released) before the check-in below.
         let core = unsafe { &*job };
         // First participant records the enqueue→claim handoff latency (for a
         // blocking `run_spec` the submitter itself often wins this race, so
@@ -652,8 +655,8 @@ impl WorkerPool {
     ///
     /// Inside `f`, [`PoolScope::submit`] defers jobs whose tasks may borrow
     /// anything that outlives the `scope` call (the `'env` data), and
-    /// engines launch overlapping kernels with
-    /// [`crate::JitSpmm::execute_async`]. When `f` returns, `scope` joins
+    /// engines launch overlapping kernels through
+    /// [`crate::BatchStream`]s. When `f` returns, `scope` joins
     /// every job submitted through it — including jobs whose handles were
     /// dropped or leaked — before returning, inside its own stack frame.
     /// That join is what makes borrowed tasks sound: no `'env` borrow can
@@ -853,6 +856,9 @@ impl<'scope, 'env> PoolScope<'scope, 'env> {
             // `wait` for parity with the threaded path — and still register
             // a completed descriptor with the scope, so an unwaited panic
             // surfaces at scope exit exactly as it would have there.
+            // SAFETY: forwarded from this function's contract — `call` is
+            // sound for every index and `data` is valid until the job
+            // completes, which an inline run does before returning.
             let (busy, panic) = unsafe { run_inline(spec.tasks, data, call) };
             let core = JobCore::completed_inline(spec.tasks, busy, panic);
             return self.adopt(core);

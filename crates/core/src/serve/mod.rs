@@ -23,18 +23,17 @@
 //! * requests launch in arrival order and results come back in per-engine
 //!   submission order, each tagged with its engine id and sequence numbers
 //!   — a front end may pair replies to callers by that order alone;
-//! * a [`ServerReport`] aggregates one per-engine [`crate::BatchReport`]
-//!   (kernel/dispatch p50/p99 through the same bounded reservoir the batch
-//!   layer uses) plus whole-server throughput and the rejected/failed
-//!   counters.
+//! * every completed response carries its own [`crate::ExecutionReport`]
+//!   (the stream's per-input report, the one a tail latency is computed
+//!   from), and a [`ServerReport`] totals the verdicts: completed,
+//!   rejected, failed, and the wall clock they span.
 //!
 //! A sharded matrix registers behind one logical engine id as a
 //! [`crate::update::MutableSpmm`] via [`SpmmServer::add_mutable`]: its lane
 //! is the same [`crate::BatchStream`], launching all K shard kernels of a
-//! request into one full-height response in place and reporting the merged
-//! critical-path timing in that engine's [`crate::BatchReport`] slot —
-//! routing, submission-order collection and [`ServerReport`] aggregation
-//! are unchanged.
+//! request into one full-height response in place and reporting the
+//! request's critical path across the shards — routing and
+//! submission-order collection are unchanged.
 //!
 //! # One FIFO loop, two admission policies, live updates
 //!

@@ -268,11 +268,11 @@ mod tests {
                     assert!(sender.send(1, request(100 + i)).is_ok());
                 }
             });
-            let mut per_engine = [0usize; 2];
+            let mut per_id = [0usize; 2];
             while let Some(req) = recv(&queue) {
-                per_engine[req.engine] += 1;
+                per_id[req.engine] += 1;
             }
-            per_engine
+            per_id
         });
         assert_eq!(received, [20, 20]);
     }

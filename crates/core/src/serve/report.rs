@@ -1,17 +1,15 @@
-//! Aggregated serving statistics: one [`BatchReport`] per engine plus
-//! whole-server throughput and the reject/fail counters.
+//! Whole-server serving counters: goodput, rejections, failures and the
+//! wall clock they span.
 
-use crate::engine::BatchReport;
 use std::time::Duration;
 
-/// Aggregated timing for one serving run, returned by
+/// The verdict counters of one serving run, returned by
 /// [`crate::serve::SpmmServer::serve_controlled`].
 ///
-/// Per-engine statistics reuse the batch layer's [`BatchReport`] — the same
-/// bounded-reservoir kernel/dispatch p50/p99 a single-engine batch reports —
-/// indexed by engine id, so a serving dashboard can tell *which* engine's
-/// tail is misbehaving. The whole-server numbers (`requests`, `elapsed`,
-/// [`ServerReport::throughput`]) span the mixed stream end to end, and the
+/// Timing lives per request: every [`crate::serve::ServerResponse::Completed`]
+/// carries its own [`crate::ExecutionReport`], which is what tail latencies
+/// are computed from. This report only counts: `requests`, `elapsed` and
+/// [`ServerReport::throughput`] span the mixed stream end to end, and the
 /// outcome counters (`rejected`, `failed`) separate goodput from offered
 /// load: `requests` counts **completed** work only.
 #[derive(Debug, Clone)]
@@ -28,16 +26,13 @@ pub struct ServerReport {
     /// a typed [`crate::serve::ServerResponse::Failed`], or a shape
     /// mismatch caught at routing time.
     pub failed: usize,
-    /// Per-engine batch statistics, indexed by engine id. An engine that
-    /// received no requests reports `inputs == 0`.
-    pub per_engine: Vec<BatchReport>,
 }
 
 impl ServerReport {
     /// Requests completed per second of serving wall-clock time, across all
-    /// engines. Guarded exactly like [`BatchReport::throughput`]: an empty
-    /// run and a run whose wall clock rounds to zero both report `0.0`
-    /// rather than dividing by zero.
+    /// engines. An empty run and a run whose wall clock rounds to zero both
+    /// report `0.0` rather than dividing by zero (which for floats would
+    /// yield `NaN` or `inf` and poison any aggregate built on top).
     pub fn throughput(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs == 0.0 || self.requests == 0 {
@@ -63,11 +58,6 @@ impl ServerReport {
             self.rejected as f64 / offered as f64
         }
     }
-
-    /// The batch statistics of one engine, if the id is valid.
-    pub fn engine(&self, id: usize) -> Option<&BatchReport> {
-        self.per_engine.get(id)
-    }
 }
 
 #[cfg(test)]
@@ -75,13 +65,7 @@ mod tests {
     use super::*;
 
     fn empty() -> ServerReport {
-        ServerReport {
-            requests: 0,
-            elapsed: Duration::ZERO,
-            rejected: 0,
-            failed: 0,
-            per_engine: Vec::new(),
-        }
+        ServerReport { requests: 0, elapsed: Duration::ZERO, rejected: 0, failed: 0 }
     }
 
     #[test]
@@ -105,10 +89,5 @@ mod tests {
         let report = ServerReport { requests: 6, rejected: 4, failed: 2, ..empty() };
         assert_eq!(report.offered(), 12);
         assert!((report.shed_rate() - 4.0 / 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn engine_lookup_is_bounds_checked() {
-        assert!(empty().engine(0).is_none());
     }
 }

@@ -2,11 +2,10 @@
 //! stream served FIFO, bounded under overload by its admission policy and
 //! kept alive under faults by containment.
 
-use crate::engine::{BatchReport, BatchStats, BatchStream, ExecutionReport, JitSpmm};
+use crate::engine::{check_input_shape, BatchStream, ExecutionReport, JitSpmm};
 use crate::error::JitSpmmError;
 use crate::runtime::pool::lock;
 use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
-use crate::schedule::Strategy;
 use crate::serve::control::{
     AdmissionPolicy, ControlHandle, ControlShared, PendingUpdate, RejectReason,
 };
@@ -167,9 +166,9 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// ([`crate::shard::ShardedSpmm`]) gets behind the server. To the
     /// routing layer it is indistinguishable from a single engine: requests
     /// tag the returned id, every request launches all shard kernels into
-    /// one full-height output, responses come back in per-engine submission
-    /// order and the [`ServerReport`] carries the merged critical-path
-    /// [`crate::BatchReport`] in its per-engine slot. Its matrix can also
+    /// one full-height output and responses come back in per-engine
+    /// submission order, each reporting its critical path across the shards
+    /// as its [`ExecutionReport`]. Its matrix can also
     /// change while the server runs: queue a [`DeltaBatch`] through
     /// [`ControlHandle::apply_update`] and the serving loop swaps the
     /// engine's generation between launches (see [`crate::update`]). Like
@@ -263,15 +262,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         &self.control
     }
 
-    /// The strategy stamped into synthesized (zero-input) per-engine
-    /// reports for lanes that never opened.
-    pub(crate) fn engine_strategy(&self, id: usize) -> Option<Strategy> {
-        self.with_entry(id, |entry| match entry {
-            EngineEntry::Single(engine) => engine.strategy(),
-            EngineEntry::Mutable(mutable) => mutable.dominant_strategy(),
-        })
-    }
-
     /// Shape-check `input` against logical engine `id`.
     pub(crate) fn check_request(
         &self,
@@ -279,8 +269,10 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         input: &DenseMatrix<T>,
     ) -> Result<(), JitSpmmError> {
         match self.with_entry(id, |entry| match entry {
-            EngineEntry::Single(engine) => engine.check_input_shape(input),
-            EngineEntry::Mutable(mutable) => mutable.check_input_shape(input),
+            EngineEntry::Single(engine) => {
+                check_input_shape(input, engine.matrix().ncols(), engine.d())
+            }
+            EngineEntry::Mutable(mutable) => check_input_shape(input, mutable.ncols(), mutable.d()),
         }) {
             Some(result) => result,
             None => {
@@ -617,8 +609,9 @@ struct ServeCounters {
 
 /// One logical engine's lane inside a session: its pipeline (opened lazily
 /// for engines registered after the session started, `None` while a live
-/// update recycles it), the sequence numbers of its in-flight requests, and
-/// the statistics its report is built from.
+/// update recycles it) and the sequence numbers of its in-flight requests.
+/// Every completion leaves with its own [`ExecutionReport`]; the lane keeps
+/// no statistics.
 struct Lane<'scope, 'env, T: Scalar> {
     stream: Option<BatchStream<'scope, 'env, T>>,
     /// Global sequence numbers of this lane's in-flight requests, oldest
@@ -627,29 +620,11 @@ struct Lane<'scope, 'env, T: Scalar> {
     pending: VecDeque<usize>,
     /// Completed responses handed out so far (the per-engine index).
     completed: usize,
-    /// Per-launch statistics accumulated across **every** pipeline this
-    /// lane opened: a live matrix update recycles the pipeline mid-session,
-    /// so the lane — not the stream — owns the session-spanning view.
-    stats: BatchStats,
-    /// First-submission timestamp, for the lane's wall clock.
-    started: Option<Instant>,
-    /// Resolved pipeline depth, captured when the first pipeline opens.
-    depth: usize,
-    /// Widest lane count any completed launch of this engine used.
-    max_threads: usize,
 }
 
 impl<'scope, 'env, T: Scalar> Lane<'scope, 'env, T> {
     fn new() -> Lane<'scope, 'env, T> {
-        Lane {
-            stream: None,
-            pending: VecDeque::new(),
-            completed: 0,
-            stats: BatchStats::default(),
-            started: None,
-            depth: 0,
-            max_threads: 0,
-        }
+        Lane { stream: None, pending: VecDeque::new(), completed: 0 }
     }
 }
 
@@ -693,8 +668,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Pop the lane's oldest pending sequence number and queue a completed
-/// response, recording the launch into the lane's statistics. Free function
-/// so callers can hold disjoint field borrows.
+/// response. Free function so callers can hold disjoint field borrows.
 fn emit_completed<T: Scalar>(
     lane: &mut Lane<'_, '_, T>,
     engine: usize,
@@ -707,8 +681,6 @@ fn emit_completed<T: Scalar>(
     let index = lane.completed;
     lane.completed += 1;
     counters.completed += 1;
-    lane.stats.record(&report);
-    lane.max_threads = lane.max_threads.max(report.threads);
     ready.push_back(ServerResponse::Completed { engine, index, request, output, report });
 }
 
@@ -739,7 +711,6 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
                 engines: self.server.engine_count(),
             });
         };
-        self.lanes[id].depth = stream.depth();
         self.lanes[id].stream = Some(stream);
         Ok(())
     }
@@ -829,8 +800,8 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
 
     /// Release lane `id`'s pipeline — joining its in-flight launches
     /// (fault-aware, one at a time) and queueing the remaining responses —
-    /// **without** closing the lane. The per-engine statistics live in the
-    /// lane and span the gap; the next submission lazily reopens a pipeline.
+    /// **without** closing the lane: its per-engine response index spans the
+    /// gap, and the next submission lazily reopens a pipeline.
     /// This is what frees a mutable engine's generation lock for a live
     /// update mid-session. Idempotent; an engine registered since the last
     /// [`ServerSession::sync_topology`] has no lane yet and nothing to join.
@@ -845,25 +816,11 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         let lane = &mut lanes[id];
         if let Some(stream) = lane.stream.take() {
             // Nothing is in flight (drained above), so finishing cannot
-            // re-raise a worker panic. The stream's own interim report is
-            // discarded: the lane accumulated the same launches.
-            let (rest, _interim) = stream.finish();
-            for (output, exec) in rest {
+            // re-raise a worker panic.
+            for (output, exec) in stream.finish() {
                 emit_completed(lane, id, ready, counters, output, exec);
             }
         }
-    }
-
-    /// Drain lane `id`, close its pipeline and build its per-engine report
-    /// from the statistics the lane accumulated (zero-input lanes report
-    /// zeros).
-    fn close_lane(&mut self, id: usize) -> BatchReport {
-        self.recycle_lane(id);
-        let strategy = self.server.engine_strategy(id).expect("lane ids mirror registered engines");
-        let lane = &mut self.lanes[id];
-        let elapsed = lane.started.map(|t| t.elapsed()).unwrap_or_default();
-        let stats = std::mem::take(&mut lane.stats);
-        stats.report(elapsed, lane.depth.max(1), lane.max_threads.max(1), strategy)
     }
 
     /// Total launches currently in flight across all lanes.
@@ -916,7 +873,6 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         }
         let lane = &mut self.lanes[engine];
         lane.pending.push_back(seq);
-        lane.started.get_or_insert_with(Instant::now);
         let stream = lane.stream.as_mut().expect("lane opened above");
         // Below depth, a push only submits: a kernel panic — even one that
         // ran inline on a zero-worker pool — is deferred to the join.
@@ -925,14 +881,15 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     }
 
     /// Drain every lane (in engine-id order, oldest launch first within
-    /// each), apply any pending matrix updates, and aggregate the
-    /// [`ServerReport`]. The returned responses are the ones not already
-    /// handed out, in the order they became ready.
+    /// each), apply any pending matrix updates, and total the
+    /// [`ServerReport`] counters. The returned responses are the ones not
+    /// already handed out, in the order they became ready.
     fn finish(mut self) -> (Vec<ServerResponse<T>>, ServerReport) {
         self.apply_updates();
         self.sync_topology();
-        let per_engine: Vec<BatchReport> =
-            (0..self.lanes.len()).map(|id| self.close_lane(id)).collect();
+        for id in 0..self.lanes.len() {
+            self.recycle_lane(id);
+        }
         let elapsed = self.started.map(|t| t.elapsed()).unwrap_or_default();
         let responses: Vec<ServerResponse<T>> = self.ready.drain(..).collect();
         let report = ServerReport {
@@ -940,7 +897,6 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
             elapsed,
             rejected: self.counters.rejected,
             failed: self.counters.failed,
-            per_engine,
         };
         (responses, report)
     }

@@ -105,7 +105,7 @@ fn server_requires_a_shared_pool() {
 }
 
 #[test]
-fn mixed_stream_matches_per_engine_sequential_execution() {
+fn mixed_stream_matches_each_engines_sequential_execution() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -128,7 +128,6 @@ fn mixed_stream_matches_per_engine_sequential_execution() {
     let (responses, report) = serve_all(&server, requests);
     assert_eq!(responses.len(), expected.len());
     assert_eq!(report.requests, expected.len());
-    assert_eq!(report.per_engine.len(), 3);
     for (i, response) in responses.iter().enumerate() {
         assert_eq!(response.request(), i, "responses are sorted by global order");
         assert_eq!(response.engine(), i % 3);
@@ -142,8 +141,7 @@ fn mixed_stream_matches_per_engine_sequential_execution() {
     for e in 0..3 {
         let indices: Vec<usize> =
             responses.iter().filter(|r| r.engine() == e).map(|r| r.index()).collect();
-        assert_eq!(indices, (0..indices.len()).collect::<Vec<_>>());
-        assert_eq!(report.per_engine[e].inputs, indices.len());
+        assert_eq!(indices, (0..4).collect::<Vec<_>>());
     }
 }
 
@@ -190,7 +188,9 @@ fn serve_controlled_routes_cross_thread_producers() {
     for (i, response) in responses.iter().enumerate() {
         assert_eq!(**response.output(), expected[i], "streamed request {i} diverged");
     }
-    assert!(report.elapsed >= report.per_engine.iter().map(|r| r.elapsed).max().unwrap());
+    // Every request's own launch report lies inside the session's clock.
+    let slowest = responses.iter().map(|r| r.report().expect("completed").elapsed).max();
+    assert!(report.elapsed >= slowest.unwrap());
 }
 
 #[test]
@@ -306,9 +306,10 @@ fn sharded_engine_serves_behind_one_logical_id() {
         .collect();
     let (responses, report) = serve_all(&server, requests);
     assert_eq!(responses.len(), 8);
-    assert_eq!(report.per_engine.len(), 2);
-    assert_eq!(report.per_engine[0].inputs, 4);
-    assert_eq!(report.per_engine[1].inputs, 4);
+    assert_eq!(report.requests, 8);
+    for engine in 0..2 {
+        assert_eq!(responses.iter().filter(|r| r.engine() == engine).count(), 4);
+    }
     for response in &responses {
         let expected = if response.engine() == 0 {
             &expected_single[response.index()]
@@ -567,7 +568,7 @@ fn many_producers_under_a_tight_bound_are_all_answered_in_order() {
     // Producer `p` only talks to engine `p % 2`, so its requests must come
     // back in the order it sent them.
     let mut next = [0usize; PRODUCERS];
-    let mut per_engine = [0usize; 2];
+    let mut fifo_index = [0usize; 2];
     let (report, ()) = with_watchdog(|| {
         server
             .serve_controlled(
@@ -594,8 +595,8 @@ fn many_producers_under_a_tight_bound_are_all_answered_in_order() {
                     assert_eq!(p % 2, engine, "a response crossed engines");
                     assert_eq!(k, next[p], "producer {p}: responses out of order");
                     next[p] += 1;
-                    assert_eq!(response.index(), per_engine[engine], "engine {engine}: not FIFO");
-                    per_engine[engine] += 1;
+                    assert_eq!(response.index(), fifo_index[engine], "engine {engine}: not FIFO");
+                    fifo_index[engine] += 1;
                 },
             )
             .unwrap()

@@ -3,16 +3,13 @@
 //! [`WorkerPool`], every shard kernel writing its row range of one
 //! full-height output in place.
 
-use crate::engine::{run_batch, BatchStream, ExecutionHandle, JitSpmm, JitSpmmBuilder};
+use crate::engine::{run_batch, BatchStream, ExecutionReport, JitSpmm, JitSpmmBuilder};
 use crate::error::JitSpmmError;
 use crate::runtime::dispatch::BufferPool;
 use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
-use crate::schedule::Strategy;
 use crate::shard::plan::ShardPlan;
-use crate::shard::report::{merge_input_reports, single_launch_report, ShardReport};
 use jitspmm_sparse::{DenseMatrix, Scalar};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A sharded SpMM engine: K independently compiled [`JitSpmm`] engines —
 /// one per row shard of a [`ShardPlan`] — sharing one [`WorkerPool`].
@@ -24,10 +21,10 @@ use std::time::Instant;
 /// **overlapped, lane-capped jobs on disjoint worker subsets**, the same
 /// overlap discipline the serving router uses across heterogeneous engines.
 /// Shard kernels write directly into their row range of one full-height
-/// pooled output — one launch at a time ([`ShardedSpmm::execute`]) or
-/// pipelined ([`ShardedSpmm::execute_batch`]) — so nothing is copied or
-/// stitched and steady-state execution performs no per-call buffer
-/// allocation.
+/// pooled output through one [`BatchStream`] over all K kernels — one input
+/// at a time ([`ShardedSpmm::execute`], a depth-1 stream) or pipelined
+/// ([`ShardedSpmm::execute_batch`]) — so nothing is copied or stitched and
+/// steady-state execution performs no per-call buffer allocation.
 ///
 /// ```
 /// use jitspmm::shard::{plan_shards, ShardedSpmm};
@@ -43,8 +40,9 @@ use std::time::Instant;
 /// let x = DenseMatrix::random(a.ncols(), 8, 3);
 /// let (y, report) = pool.scope(|scope| sharded.execute(scope, &x))?;
 /// assert!(y.approx_eq(&a.spmm_reference(&x), 1e-4));
-/// assert_eq!(report.shards, 2);
-/// assert!(report.nnz_imbalance >= 1.0);
+/// // The report is the input's critical path: both shards' lanes.
+/// assert_eq!(report.threads, 2);
+/// assert!(plan.nnz_imbalance() >= 1.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -145,18 +143,19 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         &self.pool
     }
 
-    /// Compute `Y = A * X` by launching every shard as an overlapped,
-    /// lane-capped asynchronous job: shard `k`'s kernel writes rows
-    /// `rows_k` of the full matrix **directly into its row range** of one
-    /// pooled full-height output (the stitch is free — a shard's rows are
-    /// contiguous in the output), and the call returns once the slowest
-    /// shard has joined. Steady-state repeated execution recycles the
-    /// output buffer, allocating nothing.
+    /// Compute `Y = A * X` through a depth-1 [`BatchStream`] over every
+    /// shard kernel: shard `k`'s kernel writes rows `rows_k` of the full
+    /// matrix **directly into its row range** of one pooled full-height
+    /// output (the stitch is free — a shard's rows are contiguous in the
+    /// output), the K launches overlap on disjoint lane-capped worker
+    /// subsets, and the call returns once the slowest shard has joined, with
+    /// that critical path as its [`ExecutionReport`]. Steady-state repeated
+    /// execution recycles the output buffer and compiles no spare kernels.
     ///
-    /// The launches are anchored to `scope` exactly like
-    /// [`JitSpmm::execute_async`]; concurrent sharded executes from other
-    /// threads serialize per shard by acquiring the shard launch locks in
-    /// row order (ordered acquisition, so blocking cannot deadlock).
+    /// The input is validated before any shard launch lock is taken;
+    /// concurrent sharded executes from other threads serialize per shard
+    /// by acquiring the shard launch locks in row order (ordered
+    /// acquisition, so blocking cannot deadlock).
     ///
     /// # Errors
     ///
@@ -172,59 +171,25 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         x: &'env DenseMatrix<T>,
-    ) -> Result<(PooledMatrix<T>, ShardReport), JitSpmmError> {
-        self.check_input_shape(x)?;
-        let started = Instant::now();
-        let mut y = self.acquire_output();
-        let y_ptr = y.as_mut_ptr();
-        let mut handles: Vec<ExecutionHandle<'scope, T>> = Vec::with_capacity(self.engines.len());
-        for (spec, engine) in self.plan.shards().iter().zip(&self.engines) {
-            // SAFETY (pointer arithmetic): the full output is
-            // `plan.nrows() x d` and every shard's `rows` range lies inside
-            // `0..plan.nrows()`, so `start * d` is in bounds.
-            let shard_y = unsafe { y_ptr.add(spec.rows.start * self.d) };
-            // SAFETY (launch contract): `x` is borrowed for 'env and `y` is
-            // held across the joins below — every handle is waited (or
-            // dropped, which joins) before this frame returns, so both
-            // pointees outlive every launch; shards write pairwise disjoint
-            // row ranges, so no two launches alias; shapes were validated
-            // above against the full matrix, which every shard inherits its
-            // column count and `d` from.
-            let handle = unsafe { engine.execute_async_raw(scope, x.as_ptr(), shard_y) };
-            match handle {
-                Ok(handle) => handles.push(handle),
-                // Dropping the handles joins the shards already in flight
-                // before the error surfaces; the pooled output recycles.
-                Err(e) => return Err(e),
-            }
-        }
-        let reports: Vec<_> = handles.into_iter().map(ExecutionHandle::wait_report).collect();
-        let elapsed = started.elapsed();
-        let mut merged = single_launch_report(&merge_input_reports(&reports), 1);
-        merged.elapsed = elapsed;
-        let report = ShardReport {
-            shards: self.engines.len(),
-            nnz_imbalance: self.plan.nnz_imbalance(),
-            merged,
-            per_shard: reports.iter().map(|r| single_launch_report(r, 1)).collect(),
-        };
-        Ok((y, report))
+    ) -> Result<(PooledMatrix<T>, ExecutionReport), JitSpmmError> {
+        let mut done = self.execute_batch(scope, std::slice::from_ref(x))?;
+        Ok(done.pop().expect("one input, one output"))
     }
 
     /// Compute `Y = A * X_i` for every input in `inputs`, pipelining the
     /// batch through all shards at once: one [`BatchStream`] launches every
     /// shard kernel of an input straight into its row range of one pooled
-    /// full-height output (as [`ShardedSpmm::execute`] does, with per-slot
-    /// payloads and spare kernels instead of per-call boxing). Outputs
-    /// return in input order with a [`ShardReport`] aggregating per-shard
-    /// and merged critical-path timing.
+    /// full-height output, with per-slot payloads and spare kernels. Each
+    /// output returns, in input order, with its per-input critical-path
+    /// [`ExecutionReport`].
     ///
     /// # Errors
     ///
-    /// [`JitSpmmError::ShapeMismatch`] (naming the offending input index)
-    /// if any input is not `A.ncols() x d` — nothing is launched in that
-    /// case — and [`JitSpmmError::LaunchInProgress`] if the calling thread
-    /// already holds a launch of one of the shard engines.
+    /// [`JitSpmmError::ShapeMismatch`] (naming the offending input index in
+    /// a batch of several) if any input is not `A.ncols() x d` — nothing is
+    /// launched in that case — and [`JitSpmmError::LaunchInProgress`] if
+    /// the calling thread already holds a launch of one of the shard
+    /// engines.
     ///
     /// # Panics
     ///
@@ -234,22 +199,8 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         inputs: &'env [DenseMatrix<T>],
-    ) -> Result<(Vec<PooledMatrix<T>>, ShardReport), JitSpmmError> {
-        run_batch(
-            inputs,
-            |x| self.check_input_shape(x),
-            |depth| self.batch_stream(scope, depth).map(BatchStream::per_part),
-            |stream| {
-                let (rest, merged, per_shard) = stream.finish_per_part();
-                let report = ShardReport {
-                    shards: per_shard.len(),
-                    nnz_imbalance: self.plan.nnz_imbalance(),
-                    merged,
-                    per_shard,
-                };
-                (rest, report)
-            },
-        )
+    ) -> Result<Vec<(PooledMatrix<T>, ExecutionReport)>, JitSpmmError> {
+        run_batch(inputs, (self.plan.ncols(), self.d), |depth| self.batch_stream(scope, depth))
     }
 
     /// Open a [`BatchStream`] over all K shard kernels: the incremental
@@ -270,41 +221,5 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         depth: usize,
     ) -> Result<BatchStream<'scope, 'env, T>, JitSpmmError> {
         BatchStream::open(scope, depth, &self.engines, &self.output_pool)
-    }
-
-    /// Validate that `x` matches the compiled input shape (`A.ncols() x d`
-    /// of the **full** matrix; every shard shares both).
-    pub(crate) fn check_input_shape(&self, x: &DenseMatrix<T>) -> Result<(), JitSpmmError> {
-        if x.nrows() != self.plan.ncols() || x.ncols() != self.d {
-            return Err(JitSpmmError::ShapeMismatch(format!(
-                "dense input is {}x{} but the sharded kernel expects {}x{}",
-                x.nrows(),
-                x.ncols(),
-                self.plan.ncols(),
-                self.d
-            )));
-        }
-        Ok(())
-    }
-
-    /// A full-height (`plan.nrows() x d`) output borrowed from the sharded
-    /// engine's own buffer pool.
-    pub(crate) fn acquire_output(&self) -> PooledMatrix<T> {
-        PooledMatrix::new(
-            self.output_pool.acquire(self.plan.nrows(), self.d),
-            Arc::clone(&self.output_pool),
-        )
-    }
-
-    /// The strategy of the heaviest shard (by non-zeros) — the plan-level
-    /// stand-in recorded in merged batch reports, where a single strategy
-    /// cannot describe K heterogeneous shards.
-    pub(crate) fn dominant_strategy(&self) -> Strategy {
-        self.plan
-            .shards()
-            .iter()
-            .max_by_key(|s| s.nnz())
-            .map(|s| s.strategy)
-            .unwrap_or(Strategy::RowSplitStatic)
     }
 }

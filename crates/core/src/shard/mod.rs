@@ -22,25 +22,22 @@
 //!   resulting [`ShardPlan`] owns the extracted sub-matrices.
 //! * [`ShardedSpmm`] (`engine`) compiles one [`crate::JitSpmm`] per shard
 //!   on a shared pool (validated via [`crate::WorkerPool::same_pool`]).
-//!   [`ShardedSpmm::execute`] launches every shard asynchronously, each
-//!   kernel writing **directly into its row range** of one pooled
-//!   full-height output; [`ShardedSpmm::execute_batch`] and
-//!   [`ShardedSpmm::batch_stream`] pipeline inputs through one
-//!   [`crate::BatchStream`] that launches all K shard kernels per input the
-//!   same way. Neither copies or allocates in steady state.
-//! * [`ShardReport`] (`report`) aggregates per-shard kernel/dispatch
-//!   timing through the batch layer's bounded reservoir, a merged
-//!   critical-path view, and the plan's achieved nnz balance.
+//!   Every launch — [`ShardedSpmm::execute`] (a depth-1 stream),
+//!   [`ShardedSpmm::execute_batch`] and [`ShardedSpmm::batch_stream`] — is
+//!   one [`crate::BatchStream`] that launches all K shard kernels per
+//!   input, each writing **directly into its row range** of one pooled
+//!   full-height output; nothing is copied or allocated in steady state.
+//!   Each input reports one [`crate::ExecutionReport`]: its critical path
+//!   across the shards (the slowest shard's kernel, every shard's lanes).
+//!   The plan's achieved balance is [`ShardPlan::nnz_imbalance`].
 //!
 //! The serving router reaches a sharded engine through its updatable form
 //! ([`crate::update::MutableSpmm`], registered behind **one logical engine
 //! id** by [`crate::serve::SpmmServer::add_mutable`]), so mixed-stream
-//! routing, submission-order collection and [`crate::serve::ServerReport`]
-//! aggregation work unchanged.
+//! routing and submission-order collection work unchanged.
 
 mod engine;
 mod plan;
-mod report;
 
 #[cfg(test)]
 mod shard_tests;
@@ -48,5 +45,3 @@ mod shard_tests;
 pub use engine::ShardedSpmm;
 pub(crate) use plan::{choose_strategy, nnz_imbalance_of_specs};
 pub use plan::{plan_shards, ShardPlan, ShardSpec};
-pub(crate) use report::merge_input_reports;
-pub use report::ShardReport;

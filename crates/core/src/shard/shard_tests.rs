@@ -31,10 +31,11 @@ fn sharded_execute_is_bit_identical_to_unsharded() {
         let sharded = ShardedSpmm::compile(&plan, 8, pool.clone()).unwrap();
         let (y, report) = pool.scope(|scope| sharded.execute(scope, &x)).unwrap();
         assert_eq!(*y, *expected, "k = {k}: sharded execute must be bit-identical to unsharded");
-        assert_eq!(report.shards, plan.len());
-        assert_eq!(report.per_shard.len(), plan.len());
-        assert_eq!(report.inputs(), 1);
-        assert!(report.nnz_imbalance >= 1.0);
+        // The critical path spans every shard's lanes (one each here).
+        assert_eq!(report.threads, plan.len());
+        assert!(report.kernel <= report.elapsed);
+        // A one-shot execute is a depth-1 stream: no shard compiled a spare.
+        assert!(sharded.engines().iter().all(|e| e.spare_kernels() == 0));
     }
 }
 
@@ -54,10 +55,9 @@ fn sharded_batch_matches_per_input_execute() {
         .iter()
         .map(|x| pool.scope(|scope| sharded.execute(scope, x)).unwrap().0.into_dense())
         .collect();
-    let (outputs, report) = pool.scope(|scope| sharded.execute_batch(scope, &inputs)).unwrap();
+    let outputs = pool.scope(|scope| sharded.execute_batch(scope, &inputs)).unwrap();
     assert_eq!(outputs.len(), inputs.len());
-    assert_eq!(report.inputs(), inputs.len());
-    for (i, y) in outputs.iter().enumerate() {
+    for (i, (y, _)) in outputs.iter().enumerate() {
         assert_eq!(**y, singles[i], "batched input {i} differs from single execute");
         assert!(y.approx_eq(&a.spmm_reference(&inputs[i]), 1e-4));
     }
@@ -177,7 +177,7 @@ fn streams_write_every_shard_in_place_and_in_order() {
                     for x in &inputs {
                         stream.push(x).unwrap().into_iter().for_each(&mut check);
                     }
-                    stream.finish().0.into_iter().for_each(&mut check);
+                    stream.finish().into_iter().for_each(&mut check);
                 });
                 assert_eq!(done, inputs.len());
                 // No shard-local output ever existed, and the shared pool

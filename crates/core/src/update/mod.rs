@@ -34,10 +34,10 @@
 //! # The generation protocol
 //!
 //! A [`MutableSpmm`] owns **one** live generation behind an [`RwLock`].
-//! Every execute path — [`MutableSpmm::execute`],
-//! [`MutableSpmm::execute_batch`], and each stream opened by
-//! [`MutableSpmm::batch_stream`] (the guard rides inside the
-//! [`BatchStream`]) — holds a **read** guard until its launches have joined;
+//! Every execute path is a stream opened by [`MutableSpmm::batch_stream`] —
+//! [`MutableSpmm::execute`] a depth-1 one, [`MutableSpmm::execute_batch`]
+//! one over the slice — and holds a **read** guard (riding inside the
+//! [`BatchStream`]) until its launches have joined;
 //! [`MutableSpmm::apply`] takes the **write** lock to swap the successor
 //! in and drop the generation it replaces. Two consequences:
 //!
@@ -63,11 +63,10 @@ mod delta;
 
 pub use apply::UpdateReport;
 
-use crate::engine::BatchStream;
+use crate::engine::{run_batch, BatchStream, ExecutionReport};
 use crate::error::JitSpmmError;
 use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
-use crate::schedule::Strategy;
-use crate::shard::{plan_shards, ShardPlan, ShardReport, ShardedSpmm};
+use crate::shard::{plan_shards, ShardPlan, ShardedSpmm};
 use jitspmm_sparse::{CsrMatrix, DeltaBatch, DenseMatrix, Scalar};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, TryLockError};
@@ -230,19 +229,21 @@ impl<T: Scalar> MutableSpmm<T> {
         // replaced (and the old one dropped) only by `apply` under the
         // write lock — unobtainable while `guard` lives — and every caller
         // keeps the guard until each launch made through the reference has
-        // joined (a blocking execute returned, or the stream dropped: the
-        // guard rides inside the [`BatchStream`], whose `Drop` joins every
-        // launch before any of its fields is released). A leaked guard
-        // blocks swaps forever instead of dangling.
+        // joined: the guard rides inside the [`BatchStream`] every launch
+        // goes through, whose `Drop` joins every launch before any of its
+        // fields is released. A leaked guard blocks swaps forever instead
+        // of dangling.
         let generation = unsafe { &*(&*guard as *const Generation<T>) };
         (guard, generation)
     }
 
-    /// Compute `Y = A * X` through the current generation — semantics,
-    /// errors and report exactly as [`ShardedSpmm::execute`]. The
-    /// generation read guard is held for the call's duration, so a
-    /// concurrent [`MutableSpmm::apply`] waits for the launch (and vice
-    /// versa: this call briefly waits out an in-progress swap).
+    /// Compute `Y = A * X` through the current generation — a depth-1
+    /// [`MutableSpmm::batch_stream`], with semantics, errors and report
+    /// exactly as [`ShardedSpmm::execute`]. The input is validated before
+    /// the generation is pinned; the read guard is then held until the
+    /// launch has joined, so a concurrent [`MutableSpmm::apply`] waits for
+    /// the launch (and vice versa: this call briefly waits out an
+    /// in-progress swap).
     ///
     /// # Errors
     ///
@@ -251,13 +252,13 @@ impl<T: Scalar> MutableSpmm<T> {
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         x: &'env DenseMatrix<T>,
-    ) -> Result<(PooledMatrix<T>, ShardReport), JitSpmmError> {
-        let (_guard, generation) = self.pin();
-        generation.engine.execute(scope, x)
+    ) -> Result<(PooledMatrix<T>, ExecutionReport), JitSpmmError> {
+        let mut done = self.execute_batch(scope, std::slice::from_ref(x))?;
+        Ok(done.pop().expect("one input, one output"))
     }
 
     /// Compute `Y = A * X_i` for a whole batch through the current
-    /// generation — semantics, errors and report exactly as
+    /// generation — semantics, errors and reports exactly as
     /// [`ShardedSpmm::execute_batch`]. The generation read guard is held
     /// for the batch's duration: a delta applied concurrently lands after
     /// the batch, never inside it.
@@ -269,9 +270,8 @@ impl<T: Scalar> MutableSpmm<T> {
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         inputs: &'env [DenseMatrix<T>],
-    ) -> Result<(Vec<PooledMatrix<T>>, ShardReport), JitSpmmError> {
-        let (_guard, generation) = self.pin();
-        generation.engine.execute_batch(scope, inputs)
+    ) -> Result<Vec<(PooledMatrix<T>, ExecutionReport)>, JitSpmmError> {
+        run_batch(inputs, (self.ncols, self.d), |depth| self.batch_stream(scope, depth))
     }
 
     /// Open a [`BatchStream`] over the current generation's shard kernels —
@@ -390,27 +390,6 @@ impl<T: Scalar> MutableSpmm<T> {
     /// path.
     pub fn merged_matrix(&self) -> CsrMatrix<T> {
         apply::concat_specs(self.read().plan.shards(), self.ncols)
-    }
-
-    /// Validate a dense input against the fixed `ncols x d` shape — the
-    /// serving router's pre-admission check, answerable without touching
-    /// the generation lock.
-    pub(crate) fn check_input_shape(&self, x: &DenseMatrix<T>) -> Result<(), JitSpmmError> {
-        if x.nrows() != self.ncols || x.ncols() != self.d {
-            return Err(JitSpmmError::ShapeMismatch(format!(
-                "dense input is {}x{} but the mutable sharded kernel expects {}x{}",
-                x.nrows(),
-                x.ncols(),
-                self.ncols,
-                self.d
-            )));
-        }
-        Ok(())
-    }
-
-    /// The heaviest current shard's strategy, for merged serving reports.
-    pub(crate) fn dominant_strategy(&self) -> Strategy {
-        self.read().engine.dominant_strategy()
     }
 }
 

@@ -148,8 +148,7 @@ fn open_streams_pin_their_revision_and_defer_applies() {
                 outputs.push(y);
             }
         }
-        let (rest, _) = stream.finish();
-        outputs.extend(rest.into_iter().map(|(y, _)| y));
+        outputs.extend(stream.finish().into_iter().map(|(y, _)| y));
         for (x, y) in inputs.iter().zip(&outputs) {
             assert!(y.approx_eq(&a.spmm_reference(x), 1e-4), "pre-update matrix served");
         }
@@ -198,9 +197,9 @@ fn repeated_updates_compose_and_execute_batch_matches() {
         (0..4).map(|seed| DenseMatrix::random(current.ncols(), 8, seed)).collect();
     let plan = plan_shards(&current, 3, 1).unwrap();
     let fresh = ShardedSpmm::compile(&plan, 8, pool.clone()).unwrap();
-    let (ys_inc, _) = pool.scope(|s| engine.execute_batch(s, &inputs)).unwrap();
-    let (ys_ref, _) = pool.scope(|s| fresh.execute_batch(s, &inputs)).unwrap();
-    for (yi, yr) in ys_inc.iter().zip(&ys_ref) {
+    let ys_inc = pool.scope(|s| engine.execute_batch(s, &inputs)).unwrap();
+    let ys_ref = pool.scope(|s| fresh.execute_batch(s, &inputs)).unwrap();
+    for ((yi, _), (yr, _)) in ys_inc.iter().zip(&ys_ref) {
         assert_eq!(yi.max_abs_diff(yr), 0.0);
     }
 }

@@ -62,6 +62,9 @@ impl<T: Scalar> CooMatrix<T> {
 
     /// Append an entry.
     ///
+    /// Coordinates are stored as `u32`, so a `row` or `col` above
+    /// `u32::MAX` is out of bounds even where the declared shape is larger.
+    ///
     /// # Panics
     ///
     /// Panics if the coordinate is out of bounds; use [`CooMatrix::try_push`]
@@ -72,21 +75,26 @@ impl<T: Scalar> CooMatrix<T> {
 
     /// Append an entry, returning an error for out-of-bounds coordinates.
     ///
+    /// Coordinates are stored as `u32`: a `row` or `col` above `u32::MAX`
+    /// is rejected even where the declared shape is larger, never truncated.
+    ///
     /// # Errors
     ///
     /// [`SparseError::IndexOutOfBounds`] if `row`/`col` exceed the declared
-    /// shape.
+    /// shape or `u32::MAX`; nothing is stored.
     pub fn try_push(&mut self, row: usize, col: usize, value: T) -> Result<(), SparseError> {
-        if row >= self.nrows || col >= self.ncols {
-            return Err(SparseError::IndexOutOfBounds {
+        match (u32::try_from(row), u32::try_from(col)) {
+            (Ok(r), Ok(c)) if row < self.nrows && col < self.ncols => {
+                self.entries.push((r, c, value));
+                Ok(())
+            }
+            _ => Err(SparseError::IndexOutOfBounds {
                 row,
                 col,
                 nrows: self.nrows,
                 ncols: self.ncols,
-            });
+            }),
         }
-        self.entries.push((row as u32, col as u32, value));
-        Ok(())
     }
 
     /// Iterate over the stored triplets in insertion order.
@@ -163,6 +171,20 @@ mod tests {
         assert!(m.try_push(2, 0, 1.0).is_err());
         assert!(m.try_push(0, 2, 1.0).is_err());
         assert!(m.try_push(1, 1, 1.0).is_ok());
+    }
+
+    #[test]
+    fn coordinates_past_u32_are_rejected_not_truncated() {
+        // The declared shape admits row 2^32, but the stored index is u32:
+        // it must be refused, not stored as row 0. Declaring the shape
+        // allocates nothing.
+        let mut m = CooMatrix::<f32>::new(1 << 33, 4);
+        assert!(m.try_push(1 << 32, 0, 1.0).is_err());
+        assert_eq!(m.len(), 0);
+        let mut wide = CooMatrix::<f32>::new(4, 1 << 33);
+        assert!(wide.try_push(0, (1 << 32) + 3, 1.0).is_err());
+        assert!(wide.try_push(0, u32::MAX as usize, 1.0).is_ok());
+        assert_eq!(wide.len(), 1);
     }
 
     #[test]

@@ -6,10 +6,26 @@
 
 use jitspmm::baseline::vectorized::spmm_vectorized;
 use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
-use jitspmm::{JitSpmmBuilder, MutableSpmm, Strategy, WorkerPool};
+use jitspmm::{ExecutionReport, JitSpmmBuilder, MutableSpmm, Strategy, WorkerPool};
 use jitspmm_examples::require_jit_host;
 use jitspmm_sparse::{generate, DeltaBatch, DenseMatrix};
 use std::time::{Duration, Instant};
+
+/// Nearest-rank percentile (`pct` in 0..=100) of the kernel times in
+/// `reports`; zero for none. Every launch returns its own report, so tail
+/// statistics are computed from those.
+fn kernel_percentile<'r>(
+    reports: impl IntoIterator<Item = &'r ExecutionReport>,
+    pct: f64,
+) -> Duration {
+    let mut kernel: Vec<Duration> = reports.into_iter().map(|r| r.kernel).collect();
+    if kernel.is_empty() {
+        return Duration::ZERO;
+    }
+    kernel.sort_unstable();
+    let rank = ((pct / 100.0) * kernel.len() as f64).ceil() as usize;
+    kernel[rank.clamp(1, kernel.len()) - 1]
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     require_jit_host();
@@ -60,12 +76,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         aot_time.as_secs_f64() / steady.elapsed.as_secs_f64()
     );
 
-    // 5. Overlap two engines with asynchronous execution: inside a pool
-    //    scope (which joins every launch before it returns, so the borrowed
-    //    inputs stay safe), each launch is lane-capped to its engine's
-    //    thread count and both kernels run concurrently on disjoint subsets
-    //    of one shared pool instead of serializing — the shape of a server
-    //    juggling several compiled models at once.
+    // 5. Overlap two engines with two open streams: inside a pool scope
+    //    (which joins every launch before it returns, so the borrowed inputs
+    //    stay safe), each engine's stream pushes its input without waiting;
+    //    each launch is lane-capped to its engine's thread count, so both
+    //    kernels run concurrently on disjoint subsets of one shared pool
+    //    instead of serializing — the shape of a server juggling several
+    //    compiled models at once.
     let pool = WorkerPool::new(2);
     let b = generate::rmat::<f32>(13, 250_000, generate::RmatConfig::WEB, 43);
     let xb = DenseMatrix::random(b.ncols(), d, 8);
@@ -73,10 +90,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let eng_b = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, d)?;
     let start = Instant::now();
     let (ya, report_a, yb, report_b) = pool.scope(|scope| -> Result<_, jitspmm::JitSpmmError> {
-        let ha = eng_a.execute_async(scope, &x)?; // returns immediately; job in flight
-        let hb = eng_b.execute_async(scope, &xb)?; // second job overlaps the first
-        let (ya, report_a) = ha.wait();
-        let (yb, report_b) = hb.wait();
+        let mut stream_a = eng_a.batch_stream(scope, 1)?;
+        let mut stream_b = eng_b.batch_stream(scope, 1)?;
+        stream_a.push(&x)?; // returns immediately; job in flight
+        stream_b.push(&xb)?; // second job overlaps the first
+        let (ya, report_a) = stream_a.finish().pop().expect("one input pushed");
+        let (yb, report_b) = stream_b.finish().pop().expect("one input pushed");
         Ok((ya, report_a, yb, report_b))
     })?;
     println!(
@@ -92,24 +111,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 6. Batched serving: stream many dense inputs through one compiled
     //    kernel with `execute_batch`. The pipeline validates once up front,
     //    keeps the next launch queued while the current one runs (on hosts
-    //    with real parallelism), and reports tail latency (p50/p99), the
-    //    numbers a serving system actually answers for.
+    //    with real parallelism), and hands every output back with its own
+    //    report — the tail latency (p50/p99) a serving system actually
+    //    answers for is computed from those.
     let inputs: Vec<DenseMatrix<f32>> =
         (0..8).map(|seed| DenseMatrix::random(b.ncols(), d, 100 + seed)).collect();
     let batch_engine = JitSpmmBuilder::new().build(&b, d)?;
-    let (outputs, batch) =
-        batch_engine.pool().scope(|scope| batch_engine.execute_batch(scope, &inputs))?;
+    let start = Instant::now();
+    let outputs = batch_engine.pool().scope(|scope| batch_engine.execute_batch(scope, &inputs))?;
+    let elapsed = start.elapsed();
+    let reports = || outputs.iter().map(|(_, report)| report);
     println!(
         "batched serving: {} inputs in {:?} ({:.0} inputs/s, kernel p50 {:?} / p99 {:?}, \
          pipeline depth {})",
-        batch.inputs,
-        batch.elapsed,
-        batch.throughput(),
-        batch.kernel_p50,
-        batch.kernel_p99,
-        batch.depth
+        outputs.len(),
+        elapsed,
+        outputs.len() as f64 / elapsed.as_secs_f64(),
+        kernel_percentile(reports(), 50.0),
+        kernel_percentile(reports(), 99.0),
+        jitspmm::DEFAULT_BATCH_DEPTH
     );
-    for (x, y) in inputs.iter().zip(&outputs) {
+    for (x, (y, _)) in inputs.iter().zip(&outputs) {
         assert!(y.approx_eq(&b.spmm_reference(x), 1e-4));
     }
     println!("all {} batched results verified", outputs.len());
@@ -120,7 +142,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    feeds a bounded queue (backpressure, owned inputs — no borrows tie
     //    it to the serving scope); the server validates each request, routes
     //    it to its engine's pipeline on disjoint lane-capped workers, and
-    //    reports per-engine tail latency plus whole-server throughput.
+    //    hands every response out with its own launch report; per-engine
+    //    tails are computed from those, beside whole-server throughput.
     let serve_pool = WorkerPool::new(2);
     let small_a = generate::rmat::<f32>(11, 40_000, generate::RmatConfig::GRAPH500, 44);
     let small_b = generate::uniform::<f32>(1_500, 1_200, 25_000, 45);
@@ -149,15 +172,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         |response| responses.push(response),
     )?;
+    let engine_reports = |engine: usize| {
+        responses.iter().filter(move |r| r.engine() == engine).filter_map(|r| r.report())
+    };
     println!(
         "mixed serving: {} of {sent} requests over {} engines in {:?} ({:.0} req/s; \
          kernel p99 per engine: {:?} / {:?})",
         report.requests,
-        report.per_engine.len(),
+        server.engine_count(),
         report.elapsed,
         report.throughput(),
-        report.per_engine[0].kernel_p99,
-        report.per_engine[1].kernel_p99,
+        kernel_percentile(engine_reports(0), 99.0),
+        kernel_percentile(engine_reports(1), 99.0),
     );
     let mut next_index = [0usize; 2];
     for r in &responses {
@@ -175,8 +201,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    for its *local* sparsity — and execute them as overlapped
     //    lane-capped launches, every shard kernel writing directly into its
     //    row range of one pooled output. Results are bit-identical to the
-    //    single-engine path; the report shows the achieved balance and the
-    //    per-shard tails.
+    //    single-engine path; the plan shows the achieved balance, and the
+    //    report is the input's critical path across the shards.
     let shard_pool = WorkerPool::new(2);
     let plan = jitspmm::shard::plan_shards(&a, 2, 1)?;
     println!(
@@ -188,11 +214,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sharded = jitspmm::shard::ShardedSpmm::compile(&plan, d, shard_pool.clone())?;
     let (y_sharded, shard_report) = shard_pool.scope(|scope| sharded.execute(scope, &x))?;
     println!(
-        "sharded SpMM: {:?} across {} shards (merged kernel {:?}; slowest shard p99 {:?})",
-        shard_report.elapsed(),
-        shard_report.shards,
-        shard_report.merged.kernel_total,
-        shard_report.per_shard.iter().map(|r| r.kernel_p99).max().unwrap_or_default()
+        "sharded SpMM: {:?} across {} shards on {} lanes (critical-path kernel {:?}, {})",
+        shard_report.elapsed,
+        sharded.shards(),
+        shard_report.threads,
+        shard_report.kernel,
+        shard_report.strategy
     );
     assert!(y_sharded.approx_eq(&reference, 1e-4), "sharded result disagrees with the reference");
     println!("sharded result verified against the reference implementation");

@@ -169,9 +169,11 @@ fn differential_matrix_jit_vs_baselines() {
 #[test]
 fn differential_matrix_async_overlap() {
     // The same scenario matrix, but every consecutive pair of scenarios is
-    // executed as two *overlapping* lane-capped async launches on one shared
-    // pool — the exact configuration the deferred-submission runtime exists
-    // for — and each result must still match the scalar trust anchor.
+    // executed as two *overlapping* lane-capped launches — two engines'
+    // streams open at once on one shared pool, the exact configuration the
+    // deferred-submission runtime exists for — and each result must still be
+    // bit-identical to its engine's blocking execute and match the scalar
+    // trust anchor.
     if !host_supports_jit() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -199,14 +201,20 @@ fn differential_matrix_async_overlap() {
             .pool(pool.clone())
             .build(&s2.matrix, s2.d)
             .unwrap();
+        let blocking1 = e1.execute(&x1).unwrap().0.into_dense();
+        let blocking2 = e2.execute(&x2).unwrap().0.into_dense();
         pool.scope(|scope| {
             for round in 0..5 {
-                let h1 = e1.execute_async(scope, &x1).unwrap();
-                let h2 = e2.execute_async(scope, &x2).unwrap();
-                // Join in reverse submission order to exercise out-of-order
-                // completion.
-                let (y2, _) = h2.wait();
-                let (y1, _) = h1.wait();
+                let mut stream1 = e1.batch_stream(scope, 1).unwrap();
+                let mut stream2 = e2.batch_stream(scope, 1).unwrap();
+                assert!(stream1.push(&x1).unwrap().is_none());
+                assert!(stream2.push(&x2).unwrap().is_none());
+                // Finish in reverse submission order to exercise
+                // out-of-order completion.
+                let (y2, _) = stream2.finish().pop().unwrap();
+                let (y1, _) = stream1.finish().pop().unwrap();
+                assert_eq!(*y1, blocking1, "{} (round {round}): overlap changed bits", s1.name);
+                assert_eq!(*y2, blocking2, "{} (round {round}): overlap changed bits", s2.name);
                 assert!(
                     y1.approx_eq(&expected1, 1e-4),
                     "{} overlapped with {} (round {round})",
@@ -261,11 +269,9 @@ fn differential_matrix_batched() {
             let anchors = scalar::spmm_scalar_batch(&s.matrix, &inputs);
             let blocking: Vec<DenseMatrix<f32>> =
                 inputs.iter().map(|x| engine.execute(x).unwrap().0.into_dense()).collect();
-            let (outputs, report) =
-                pool.scope(|scope| engine.execute_batch(scope, &inputs)).unwrap();
+            let outputs = pool.scope(|scope| engine.execute_batch(scope, &inputs)).unwrap();
             assert_eq!(outputs.len(), batch_size, "{} (batch {batch_size})", s.name);
-            assert_eq!(report.inputs, batch_size);
-            for (i, y) in outputs.iter().enumerate() {
+            for (i, (y, _)) in outputs.iter().enumerate() {
                 assert_eq!(
                     **y, blocking[i],
                     "{} (batch {batch_size}, input {i}, {strategy}): batched result must be \
@@ -290,8 +296,7 @@ fn differential_matrix_batched() {
                         streamed.push(y);
                     }
                 }
-                let (rest, _) = stream.finish();
-                streamed.extend(rest.into_iter().map(|(y, _)| y));
+                streamed.extend(stream.finish().into_iter().map(|(y, _)| y));
                 for (i, y) in streamed.iter().enumerate() {
                     assert_eq!(
                         **y, blocking[i],
@@ -318,18 +323,16 @@ fn batched_edge_case_empty_and_single_input() {
     }
     let m = wide_base();
     let engine = JitSpmmBuilder::new().threads(2).build(&m, 8).unwrap();
-    // Batch of size 0: no launches, an empty report, engine untouched.
-    let (outputs, report) = engine.pool().scope(|scope| engine.execute_batch(scope, &[])).unwrap();
+    // Batch of size 0: no launches, no results, engine untouched.
+    let outputs = engine.pool().scope(|scope| engine.execute_batch(scope, &[])).unwrap();
     assert!(outputs.is_empty());
-    assert_eq!(report.inputs, 0);
     // Batch of size 1 equals a single blocking execute, bit for bit.
     let one = [DenseMatrix::random(m.ncols(), 8, 7)];
     let (y_blocking, _) = engine.execute(&one[0]).unwrap();
     let y_blocking = y_blocking.into_dense();
-    let (outputs, report) = engine.pool().scope(|scope| engine.execute_batch(scope, &one)).unwrap();
+    let outputs = engine.pool().scope(|scope| engine.execute_batch(scope, &one)).unwrap();
     assert_eq!(outputs.len(), 1);
-    assert_eq!(*outputs[0], y_blocking);
-    assert_eq!(report.inputs, 1);
+    assert_eq!(*outputs[0].0, y_blocking);
 }
 
 #[test]
@@ -363,9 +366,8 @@ fn batched_edge_case_mismatched_d_errors_without_corrupting_the_pipeline() {
                 completed.push(done);
             }
         }
-        let (rest, report) = stream.finish();
-        completed.extend(rest);
-        assert_eq!(report.inputs, good.len());
+        completed.extend(stream.finish());
+        assert_eq!(completed.len(), good.len());
         let anchors = scalar::spmm_scalar_batch(&m, &good);
         for ((y, _), anchor) in completed.iter().zip(&anchors) {
             assert!(y.approx_eq(anchor, 1e-4));
@@ -415,9 +417,8 @@ fn batched_edge_case_worker_panic_leaves_engine_reusable() {
                     completed.push(done);
                 }
             }
-            let (rest, report) = stream.finish();
-            completed.extend(rest);
-            assert_eq!(report.inputs, inputs.len());
+            completed.extend(stream.finish());
+            assert_eq!(completed.len(), inputs.len());
             for ((y, _), anchor) in completed.iter().zip(&anchors) {
                 assert!(y.approx_eq(anchor, 1e-4), "batch corrupted by a foreign panic");
             }
@@ -427,9 +428,9 @@ fn batched_edge_case_worker_panic_leaves_engine_reusable() {
     let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
     assert_eq!(message, "mid-batch worker panic");
     // Engine and pool both survive: a fresh batch and a plain execute work.
-    let (outputs, _) = pool.scope(|scope| engine.execute_batch(scope, &inputs[..2])).unwrap();
-    assert!(outputs[0].approx_eq(&anchors[0], 1e-4));
-    assert!(outputs[1].approx_eq(&anchors[1], 1e-4));
+    let outputs = pool.scope(|scope| engine.execute_batch(scope, &inputs[..2])).unwrap();
+    assert!(outputs[0].0.approx_eq(&anchors[0], 1e-4));
+    assert!(outputs[1].0.approx_eq(&anchors[1], 1e-4));
     let (y, _) = engine.execute(&inputs[0]).unwrap();
     assert!(y.approx_eq(&anchors[0], 1e-4));
 }
@@ -460,7 +461,7 @@ fn differential_matrix_mixed_engine_serving() {
             // with a fixed non-round-robin pattern: drain per-engine queues
             // in an order driven by a small LCG so bursts and alternations
             // both occur.
-            let mut per_engine_inputs: Vec<Vec<DenseMatrix<f32>>> = picked
+            let mut inputs_by_engine: Vec<Vec<DenseMatrix<f32>>> = picked
                 .iter()
                 .enumerate()
                 .map(|(e, s)| {
@@ -491,7 +492,7 @@ fn differential_matrix_mixed_engine_serving() {
             // Reference 1: per-engine sequential blocking execution.
             let expected: Vec<Vec<DenseMatrix<f32>>> = engines
                 .iter()
-                .zip(&per_engine_inputs)
+                .zip(&inputs_by_engine)
                 .map(|(engine, inputs)| {
                     inputs.iter().map(|x| engine.execute(x).unwrap().0.into_dense()).collect()
                 })
@@ -513,7 +514,7 @@ fn differential_matrix_mixed_engine_serving() {
                     engine = (engine + 1) % engine_count;
                 }
                 let input = std::mem::replace(
-                    &mut per_engine_inputs[engine][cursors[engine]],
+                    &mut inputs_by_engine[engine][cursors[engine]],
                     DenseMatrix::zeros(1, 1),
                 );
                 cursors[engine] += 1;
@@ -545,8 +546,9 @@ fn differential_matrix_mixed_engine_serving() {
                     response.output().max_abs_diff(&anchors[g])
                 );
             }
-            for (e, engine_report) in report.per_engine.iter().enumerate() {
-                assert_eq!(engine_report.inputs, batch_size, "engine {e} request count");
+            for e in 0..engine_count {
+                let served = responses.iter().filter(|r| r.engine() == e).count();
+                assert_eq!(served, batch_size, "engine {e} request count");
             }
             combinations += 1;
         }
@@ -637,24 +639,23 @@ fn differential_matrix_sharded() {
             assert!(plan.len() <= k && !plan.is_empty());
             assert!(plan.nnz_imbalance() >= 1.0);
             let sharded = ShardedSpmm::compile(&plan, s.d, pool.clone()).unwrap();
-            // The single-launch path: every shard as one overlapped raw
-            // launch writing straight into the full output.
+            // The single-launch path: a depth-1 stream, every shard kernel
+            // writing straight into the full output.
             let (y, report) = pool.scope(|scope| sharded.execute(scope, &inputs[0])).unwrap();
             assert_eq!(
                 *y, blocking[0],
                 "{} (k = {k}): sharded execute must be bit-identical to unsharded",
                 s.name
             );
-            assert_eq!(report.shards, plan.len());
+            // The critical path covers every shard's lane.
+            assert_eq!(report.threads, plan.len());
             drop(y);
             for batch_size in [1usize, 4, 32] {
                 let slice = &inputs[..batch_size];
-                let (outputs, report) =
-                    pool.scope(|scope| sharded.execute_batch(scope, slice)).unwrap();
+                let outputs = pool.scope(|scope| sharded.execute_batch(scope, slice)).unwrap();
                 assert_eq!(outputs.len(), batch_size);
-                assert_eq!(report.inputs(), batch_size);
-                assert_eq!(report.per_shard.len(), plan.len());
-                for (i, y) in outputs.iter().enumerate() {
+                for (i, (y, report)) in outputs.iter().enumerate() {
+                    assert_eq!(report.threads, plan.len());
                     assert_eq!(
                         **y, blocking[i],
                         "{} (k = {k}, batch {batch_size}, input {i}): sharded batch must be \
@@ -741,11 +742,10 @@ fn differential_matrix_borrowed_vs_owned_shards() {
                     );
                 }
                 // The pipelined batch path, whole batch at once.
-                let (ys_view, _) =
-                    pool.scope(|scope| from_view.execute_batch(scope, &inputs)).unwrap();
-                let (ys_owned, _) =
+                let ys_view = pool.scope(|scope| from_view.execute_batch(scope, &inputs)).unwrap();
+                let ys_owned =
                     pool.scope(|scope| from_owned.execute_batch(scope, &inputs)).unwrap();
-                for (i, (yv, yo)) in ys_view.iter().zip(&ys_owned).enumerate() {
+                for (i, ((yv, _), (yo, _))) in ys_view.iter().zip(&ys_owned).enumerate() {
                     assert_eq!(
                         **yv, **yo,
                         "{} (k = {k}, shard {:?}, batch input {i}): view-compiled batch \

@@ -9,7 +9,8 @@
 //! exactly as if the bad one had never happened.
 
 use jitspmm::serve::{RejectReason, SendError, ServeOptions, ServerRequest, SpmmServer};
-use jitspmm::{JitSpmm, JitSpmmBuilder, JitSpmmError, SpmmOptions, WorkerPool};
+use jitspmm::shard::{plan_shards, ShardedSpmm};
+use jitspmm::{JitSpmm, JitSpmmBuilder, JitSpmmError, MutableSpmm, SpmmOptions, WorkerPool};
 use jitspmm_integration_tests::{host_supports_jit, serve_all};
 use jitspmm_sparse::{generate, CsrMatrix, DenseMatrix};
 
@@ -38,57 +39,107 @@ impl BadInput {
     }
 }
 
+/// The three engine shapes over one matrix: every entry point of each must
+/// reject the same malformed inputs.
+struct Engines<'a> {
+    single: JitSpmm<'a, f32>,
+    sharded: ShardedSpmm<'a, f32>,
+    mutable: MutableSpmm<f32>,
+}
+
 /// One row of the entry-point table: a name and a closure that drives the
 /// entry point with the given (malformed) input and hands back its error.
 struct EntryPoint {
     name: &'static str,
-    run: fn(&JitSpmm<'_, f32>, DenseMatrix<f32>) -> Result<(), JitSpmmError>,
+    run: fn(&Engines<'_>, DenseMatrix<f32>) -> Result<(), JitSpmmError>,
 }
 
 fn entry_points() -> Vec<EntryPoint> {
     vec![
-        EntryPoint { name: "execute", run: |engine, x| engine.execute(&x).map(drop) },
+        EntryPoint { name: "execute", run: |e, x| e.single.execute(&x).map(drop) },
         EntryPoint {
             name: "execute_into",
-            run: |engine, x| {
-                let mut y = DenseMatrix::zeros(engine.matrix().nrows(), engine.d());
-                engine.execute_into(&x, &mut y).map(drop)
+            run: |e, x| {
+                let mut y = DenseMatrix::zeros(e.single.matrix().nrows(), e.single.d());
+                e.single.execute_into(&x, &mut y).map(drop)
             },
         },
         EntryPoint {
             name: "execute_single_thread",
-            run: |engine, x| {
-                let mut y = DenseMatrix::zeros(engine.matrix().nrows(), engine.d());
-                engine.execute_single_thread(&x, &mut y).map(drop)
+            run: |e, x| {
+                let mut y = DenseMatrix::zeros(e.single.matrix().nrows(), e.single.d());
+                e.single.execute_single_thread(&x, &mut y).map(drop)
             },
         },
         EntryPoint {
-            name: "execute_async",
-            run: |engine, x| engine.pool().scope(|scope| engine.execute_async(scope, &x).map(drop)),
-        },
-        EntryPoint {
             name: "execute_batch",
-            run: |engine, x| {
+            run: |e, x| {
                 let inputs = vec![x];
-                engine.pool().scope(|scope| engine.execute_batch(scope, &inputs)).map(drop)
+                e.single.pool().scope(|scope| e.single.execute_batch(scope, &inputs)).map(drop)
             },
         },
         EntryPoint {
             name: "batch_stream push",
-            run: |engine, x| {
-                engine.pool().scope(|scope| {
-                    let mut stream = engine.batch_stream(scope, 2)?;
-                    stream.push(&x).map(drop)
-                })
+            run: |e, x| {
+                e.single.pool().scope(|scope| e.single.batch_stream(scope, 2)?.push(&x).map(drop))
             },
         },
         EntryPoint {
             name: "batch_stream push_owned",
-            run: |engine, x| {
-                engine.pool().scope(|scope| {
-                    let mut stream = engine.batch_stream(scope, 2)?;
-                    stream.push_owned(x).map(drop)
-                })
+            run: |e, x| {
+                e.single
+                    .pool()
+                    .scope(|scope| e.single.batch_stream(scope, 2)?.push_owned(x).map(drop))
+            },
+        },
+        EntryPoint {
+            name: "ShardedSpmm::execute",
+            run: |e, x| e.sharded.pool().scope(|scope| e.sharded.execute(scope, &x).map(drop)),
+        },
+        EntryPoint {
+            name: "ShardedSpmm::execute_batch",
+            run: |e, x| {
+                let inputs = vec![x];
+                e.sharded.pool().scope(|scope| e.sharded.execute_batch(scope, &inputs)).map(drop)
+            },
+        },
+        EntryPoint {
+            name: "ShardedSpmm batch_stream push",
+            run: |e, x| {
+                e.sharded.pool().scope(|scope| e.sharded.batch_stream(scope, 2)?.push(&x).map(drop))
+            },
+        },
+        EntryPoint {
+            name: "ShardedSpmm batch_stream push_owned",
+            run: |e, x| {
+                e.sharded
+                    .pool()
+                    .scope(|scope| e.sharded.batch_stream(scope, 2)?.push_owned(x).map(drop))
+            },
+        },
+        EntryPoint {
+            name: "MutableSpmm::execute",
+            run: |e, x| e.mutable.pool().scope(|scope| e.mutable.execute(scope, &x).map(drop)),
+        },
+        EntryPoint {
+            name: "MutableSpmm::execute_batch",
+            run: |e, x| {
+                let inputs = vec![x];
+                e.mutable.pool().scope(|scope| e.mutable.execute_batch(scope, &inputs)).map(drop)
+            },
+        },
+        EntryPoint {
+            name: "MutableSpmm batch_stream push",
+            run: |e, x| {
+                e.mutable.pool().scope(|scope| e.mutable.batch_stream(scope, 2)?.push(&x).map(drop))
+            },
+        },
+        EntryPoint {
+            name: "MutableSpmm batch_stream push_owned",
+            run: |e, x| {
+                e.mutable
+                    .pool()
+                    .scope(|scope| e.mutable.batch_stream(scope, 2)?.push_owned(x).map(drop))
             },
         },
     ]
@@ -103,13 +154,18 @@ fn every_entry_point_rejects_malformed_shapes_and_stays_usable() {
     let a = generate::uniform::<f32>(60, 50, 400, 21);
     let d = 8usize;
     let pool = WorkerPool::new(2);
-    let engine = JitSpmmBuilder::new().pool(pool.clone()).threads(2).build(&a, d).unwrap();
+    let plan = plan_shards(&a, 2, 1).unwrap();
+    let engines = Engines {
+        single: JitSpmmBuilder::new().pool(pool.clone()).threads(2).build(&a, d).unwrap(),
+        sharded: ShardedSpmm::compile(&plan, d, pool.clone()).unwrap(),
+        mutable: MutableSpmm::compile(&a, 2, 1, d, pool.clone()).unwrap(),
+    };
     let good = DenseMatrix::random(a.ncols(), d, 7);
     let expected = a.spmm_reference(&good);
 
     for entry in entry_points() {
         for bad in BadInput::all() {
-            let err = (entry.run)(&engine, bad.build(&a, d))
+            let err = (entry.run)(&engines, bad.build(&a, d))
                 .expect_err(&format!("{} must reject {bad:?} input", entry.name));
             assert!(
                 matches!(err, JitSpmmError::ShapeMismatch(_)),
@@ -117,11 +173,14 @@ fn every_entry_point_rejects_malformed_shapes_and_stays_usable() {
                 entry.name
             );
             // The rejection must leave no state behind: a well-formed
-            // execute right after works and is correct.
-            let (y, _) = engine
-                .execute(&good)
-                .unwrap_or_else(|e| panic!("{} left the engine unusable: {e}", entry.name));
+            // execute right after works and is correct, on every shape.
+            let unusable = |e: JitSpmmError| panic!("{} left an engine unusable: {e}", entry.name);
+            let (y, _) = engines.single.execute(&good).unwrap_or_else(unusable);
             assert!(y.approx_eq(&expected, 1e-4), "{} corrupted the engine's results", entry.name);
+            let (y, _) = pool.scope(|s| engines.sharded.execute(s, &good)).unwrap_or_else(unusable);
+            assert!(y.approx_eq(&expected, 1e-4), "{} corrupted the sharded results", entry.name);
+            let (y, _) = pool.scope(|s| engines.mutable.execute(s, &good)).unwrap_or_else(unusable);
+            assert!(y.approx_eq(&expected, 1e-4), "{} corrupted the mutable results", entry.name);
         }
     }
 
@@ -129,7 +188,7 @@ fn every_entry_point_rejects_malformed_shapes_and_stays_usable() {
     // routing time with the ShapeMismatch text — the serving loop itself
     // does not error — and the well-formed request queued behind each is
     // served as if the bad one had never happened.
-    let server = SpmmServer::new(vec![engine]).unwrap();
+    let server = SpmmServer::new(vec![engines.single]).unwrap();
     for bad in BadInput::all() {
         let requests =
             vec![ServerRequest::new(0, bad.build(&a, d)), ServerRequest::new(0, good.clone())];

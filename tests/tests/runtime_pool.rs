@@ -296,11 +296,11 @@ fn job_handle_drop_without_wait_completes_and_pool_shuts_down() {
     drop(pool);
 }
 
-/// Dropping an `ExecutionHandle` without waiting must hand the pooled output
-/// buffer back to the engine (no leak — the very next execute reuses it) and
-/// must not wedge pool shutdown.
+/// Dropping a `BatchStream` with a launch in flight, without finishing it,
+/// must hand the pooled output buffer back to the engine (no leak — the very
+/// next execute reuses it) and must not wedge pool shutdown.
 #[test]
-fn execution_handle_drop_without_wait_recycles_buffer_and_shutdown() {
+fn batch_stream_drop_without_finish_recycles_buffer_and_shutdown() {
     if !host_supports_jit() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -315,9 +315,13 @@ fn execution_handle_drop_without_wait_recycles_buffer_and_shutdown() {
             let (y, _) = engine.execute(&x).unwrap();
             y.as_ptr()
         };
-        // The async launch acquires that same buffer; dropping the handle
-        // without wait must hand it back...
-        pool.scope(|scope| drop(engine.execute_async(scope, &x).unwrap()));
+        // The streamed launch acquires that same buffer; dropping the stream
+        // without finishing must hand it back...
+        pool.scope(|scope| {
+            let mut stream = engine.batch_stream(scope, 1).unwrap();
+            assert!(stream.push(&x).unwrap().is_none());
+            drop(stream);
+        });
         // ...so the next execute reuses it instead of allocating afresh.
         let (y, _) = engine.execute(&x).unwrap();
         assert_eq!(y.as_ptr(), recycled_ptr, "abandoned launch leaked its output buffer");
@@ -332,8 +336,8 @@ fn execution_handle_drop_without_wait_recycles_buffer_and_shutdown() {
     drop(pool);
 }
 
-/// An abandoned (dropped-without-wait) launch must leave the engine ready
-/// for the next launch immediately — the launch lock is released on drop.
+/// An abandoned (dropped-unfinished) stream must leave the engine ready for
+/// the next launch immediately — the launch lock is released on drop.
 #[test]
 fn abandoned_launch_releases_the_engine() {
     if !host_supports_jit() {
@@ -345,9 +349,13 @@ fn abandoned_launch_releases_the_engine() {
     let engine = JitSpmmBuilder::new().pool(WorkerPool::new(2)).threads(2).build(&a, 8).unwrap();
     engine.pool().scope(|scope| {
         for _ in 0..10 {
-            drop(engine.execute_async(scope, &x).unwrap());
+            let mut stream = engine.batch_stream(scope, 1).unwrap();
+            assert!(stream.push(&x).unwrap().is_none());
+            drop(stream);
         }
-        let (y, _) = engine.execute_async(scope, &x).unwrap().wait();
+        let mut stream = engine.batch_stream(scope, 1).unwrap();
+        assert!(stream.push(&x).unwrap().is_none());
+        let (y, _) = stream.finish().pop().unwrap();
         assert!(y.approx_eq(&a.spmm_reference(&x), 1e-4));
     });
 }

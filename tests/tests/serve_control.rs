@@ -114,7 +114,7 @@ fn admission_table_accounts_for_every_send_under_overload() {
 }
 
 #[test]
-fn blocking_controlled_serve_is_per_engine_fifo_and_bit_identical() {
+fn blocking_controlled_serve_keeps_each_engine_fifo_and_bit_identical() {
     // Under blocking admission the serving loop hands each engine's
     // responses to the consumer in that engine's submission order, every
     // one bit-identical to a blocking `execute`.
@@ -201,7 +201,7 @@ fn engines_can_be_added_while_a_session_is_open() {
     let control = server.control();
     let answered = AtomicUsize::new(0);
     let answered_ref = &answered;
-    let per_engine = [AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0)];
+    let answered_by = [AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0)];
 
     let (report, ()) = server
         .serve_controlled(
@@ -232,15 +232,14 @@ fn engines_can_be_added_while_a_session_is_open() {
             },
             |response| {
                 assert!(response.is_completed(), "requests to added engines must complete");
-                per_engine[response.engine()].fetch_add(1, Ordering::SeqCst);
+                answered_by[response.engine()].fetch_add(1, Ordering::SeqCst);
                 answered.fetch_add(1, Ordering::SeqCst);
             },
         )
         .unwrap();
 
-    assert_eq!(report.requests, 3);
-    assert_eq!(report.per_engine.len(), 3, "the report covers engines added mid-session");
-    for (id, count) in per_engine.iter().enumerate() {
+    assert_eq!(report.requests, 3, "the report counts engines added mid-session");
+    for (id, count) in answered_by.iter().enumerate() {
         assert_eq!(count.load(Ordering::SeqCst), 1, "engine {id} answered its request");
     }
     // The late sharded engine computes the same answer as a single engine

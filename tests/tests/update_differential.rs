@@ -89,9 +89,9 @@ fn incremental_update_matches_from_scratch_blocking_and_batch() {
 
             let xs: Vec<DenseMatrix<f32>> =
                 (0..3).map(|seed| DenseMatrix::random(base.ncols(), D, seed)).collect();
-            let (ys_inc, _) = pool.scope(|s| engine.execute_batch(s, &xs)).unwrap();
-            let (ys_ref, _) = pool.scope(|s| fresh.execute_batch(s, &xs)).unwrap();
-            for (i, (yi, yr)) in ys_inc.iter().zip(&ys_ref).enumerate() {
+            let ys_inc = pool.scope(|s| engine.execute_batch(s, &xs)).unwrap();
+            let ys_ref = pool.scope(|s| fresh.execute_batch(s, &xs)).unwrap();
+            for (i, ((yi, _), (yr, _))) in ys_inc.iter().zip(&ys_ref).enumerate() {
                 assert_eq!(yi.max_abs_diff(yr), 0.0, "{name}/{kind}: batch input {i}");
             }
         }
