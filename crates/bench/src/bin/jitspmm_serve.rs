@@ -122,6 +122,17 @@ impl MatrixSpec {
                 usage()
             ));
         }
+        // The MUL input X is cols x d f32, and a frame will carry it. The
+        // same ceiling keeps every column index far below `u32::MAX`, past
+        // which the generator's coordinates do not fit.
+        let input_bytes = spec.cols.checked_mul(spec.d).and_then(|n| n.checked_mul(4));
+        if input_bytes.is_none_or(|bytes| bytes > MAX_FRAME_BYTES) {
+            return Err(format!(
+                "matrix spec {text:?}: a cols x d f32 input exceeds the {MAX_FRAME_BYTES}-byte \
+                 frame ceiling\n{}",
+                usage()
+            ));
+        }
         Ok(spec)
     }
 
@@ -893,6 +904,25 @@ mod tests {
         for spec in [over.as_str(), big[0], big[1]] {
             let message = MatrixSpec::parse(spec).expect_err("an unreadable reply is rejected");
             assert!(message.contains("frame ceiling") && message.contains("usage:"), "{message}");
+        }
+    }
+
+    #[test]
+    fn matrix_specs_whose_input_exceeds_the_frame_ceiling_are_usage_errors() {
+        // The most columns whose d = 1 input fits, one more, a 102 GB input
+        // that started cleanly and aborted the server on its first MUL, and
+        // column indices past `u32::MAX` that panicked at start-up.
+        let cols = MAX_FRAME_BYTES / 4;
+        assert!(MatrixSpec::parse(&format!("uniform:4,{cols},4,1,1")).is_ok());
+        let over = format!("uniform:4,{},4,1,1", cols + 1);
+        let big = ["uniform:4,400000000,4,1,64", "uniform:4,5000000000,4,1,1"];
+        for spec in [over.as_str(), big[0], big[1]] {
+            let message = MatrixSpec::parse(spec).expect_err("an unsendable input is rejected");
+            assert!(
+                message.contains("input exceeds") && message.contains("frame ceiling"),
+                "{message}"
+            );
+            assert!(message.contains("usage:"), "{message}");
         }
     }
 

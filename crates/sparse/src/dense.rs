@@ -1,9 +1,8 @@
 //! Row-major dense matrices (the `X` and `Y` operands of SpMM).
 
 use crate::scalar::Scalar;
-use rand::distr::{Distribution, Uniform};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+
+mod random;
 
 /// A dense matrix stored in row-major order.
 ///
@@ -76,10 +75,16 @@ impl<T: Scalar> DenseMatrix<T> {
     /// A matrix of uniformly distributed random values in `[0, 1)`,
     /// reproducible from `seed`. This mirrors the paper's random dense input
     /// matrices (§V.A).
+    ///
+    /// The values, in row-major order, are one xoshiro256++ stream whose
+    /// state is seeded by four SplitMix64 outputs of `seed`; each 64-bit
+    /// output `u` becomes `T::from_f64((u >> 11) as f64 * 2^-53)`. The
+    /// result depends only on the shape and `seed`, never on the host:
+    /// where the CPU has AVX-512 a large matrix is filled by eight
+    /// jump-ahead lanes of the same stream, which write the same bits.
     pub fn random(nrows: usize, ncols: usize, seed: u64) -> DenseMatrix<T> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let dist = Uniform::new(0.0f64, 1.0).expect("valid uniform range");
-        let data = (0..nrows * ncols).map(|_| T::from_f64(dist.sample(&mut rng))).collect();
+        let mut data = vec![T::ZERO; nrows * ncols];
+        random::fill(&mut data, seed);
         DenseMatrix { nrows, ncols, data }
     }
 
@@ -244,6 +249,44 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert!(a.as_slice().iter().all(|&v| (0.0..1.0).contains(&v)));
+    }
+
+    /// FNV-1a over the little-endian bytes of every element.
+    fn digest<const N: usize, T: Scalar>(m: &DenseMatrix<T>, bytes: impl Fn(T) -> [u8; N]) -> u64 {
+        m.as_slice().iter().flat_map(|&v| bytes(v)).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn random_reproduces_the_pinned_stream() {
+        // Bit patterns recorded from the stream before it had a lane path:
+        // a change of any value on any host fails here.
+        let first_four = [
+            (0, [0x3ea6_2ebb, 0x3ec3_b4de, 0x3eb8_1fbf, 0x3c3b_afe3]),
+            (42, [0x3f50_764d, 0x3ea3_3c83, 0x3f7b_e07d, 0x3f33_7d9f]),
+            (u64::MAX, [0x3ead_99f2, 0x3f66_8588, 0x3f63_e9b6, 0x3e8c_1e33]),
+        ];
+        for (seed, bits) in first_four {
+            let m = DenseMatrix::<f32>::random(2, 2, seed);
+            assert_eq!(
+                m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                bits,
+                "seed {seed}"
+            );
+        }
+        let m = DenseMatrix::<f64>::random(1, 2, 0);
+        let bits: Vec<u64> = m.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, [0x3fd4_c5d7_5852_42c8, 0x3fd8_769b_cf70_e034]);
+        // Whole matrices large enough for the lane path: a served MUL's
+        // input, and an f64 shape whose last lane is partial.
+        let x = DenseMatrix::<f32>::random(8192, 16, 1);
+        assert_eq!(digest(&x, f32::to_le_bytes), 0x2186_ab1f_7d8e_2bb6);
+        let x = DenseMatrix::<f64>::random(3001, 7, 42);
+        assert_eq!(digest(&x, f64::to_le_bytes), 0x6bc6_6b54_413e_8535);
+        for (rows, cols) in [(0, 16), (16, 0)] {
+            assert!(DenseMatrix::<f32>::random(rows, cols, 1).as_slice().is_empty());
+        }
     }
 
     #[test]
