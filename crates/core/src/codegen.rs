@@ -1,14 +1,19 @@
 //! JIT code generation for SpMM kernels (§IV of the paper).
 //!
-//! The generator emits one of two function shapes:
+//! Every kernel has one call shape,
+//! `extern "C" fn(args: *const LaunchArgs, row_start: u64, row_end: u64)`,
+//! and depends only on the problem's *shape* — `d`, the element type, the
+//! ISA tier and the workload-division strategy. The operands arrive in the
+//! `LaunchArgs` block, so one compiled kernel serves any number of
+//! concurrent launches, each with its own block. Two kinds exist:
 //!
-//! * a **static-range kernel** `fn(row_start, row_end, x, y)` used by the
-//!   static row-split, nnz-split and merge-split strategies (the host
-//!   computes each thread's row range and every thread calls the same
-//!   function), and
-//! * a **dynamic-dispatch kernel** `fn(x, y)` which embeds the address of a
-//!   shared `NEXT` counter and claims batches of rows with `lock xadd`
-//!   exactly as in Listing 1 of the paper.
+//! * a **static-range kernel**, used by the static row-split, nnz-split and
+//!   merge-split strategies, computes rows `[row_start, row_end)` (the host
+//!   computes each thread's range and every thread calls the same code);
+//! * a **dynamic-dispatch kernel** ignores the range and claims batches of
+//!   rows with `lock xadd` on the block's claim counter, exactly as in
+//!   Listing 1 of the paper (the counter sits at offset 0, so the claim
+//!   targets `[args]`).
 //!
 //! Both wrap the same per-row body: with coarse-grain column merging (CCM)
 //! enabled the body keeps the whole output row in SIMD registers according
@@ -18,20 +23,25 @@
 //!
 //! ## Register assignment
 //!
+//! The prologue loads every operand from the block once, with one 4-byte
+//! `mov r64, [r14 + disp8]` each; the row and non-zero loops then run on
+//! registers only.
+//!
 //! | register | role |
 //! |---|---|
 //! | `rdi` | current row |
 //! | `rsi` | row range end |
-//! | `rbx` | `row_ptr` base (embedded immediate) |
-//! | `rcx` | `col_indices` base (embedded immediate) |
-//! | `rdx` | `values` base (embedded immediate) |
-//! | `r8`  | dense input `X` base (argument) |
-//! | `r9`  | dense output `Y` base (argument) |
+//! | `rbx` | `row_ptr` base (from `args`) |
+//! | `rcx` | `col_indices` base (from `args`) |
+//! | `rdx` | `values` base (from `args`) |
+//! | `r8`  | dense input `X` base (from `args`) |
+//! | `r9`  | dense output `Y` base (from `args`) |
 //! | `r10` | current position in the non-zero arrays |
 //! | `r11` | end position of the current row |
 //! | `r12` | byte offset of the dense row selected by the current non-zero |
 //! | `r13` | byte offset of the output row |
-//! | `r14`, `r15` | dynamic dispatch: `NEXT` address and row count |
+//! | `r14` | the `args` block; for dynamic dispatch also the claim counter |
+//! | `r15` | dynamic dispatch: row count (from `args`) |
 //! | `rax`, `rbp` | scratch for the non-CCM column loop |
 //!
 //! `zmm31` (AVX-512) or `ymm15`/`xmm15` (narrower tiers) holds the broadcast
@@ -41,6 +51,7 @@ use crate::error::JitSpmmError;
 use crate::tiling::{CcmPlan, Segment, SegmentWidth};
 use jitspmm_asm::{Assembler, Cond, CpuFeatures, Gpr, IsaLevel, Mem, Scale, VecReg, VecWidth, Xmm};
 use jitspmm_sparse::{CsrMatrix, Scalar, ScalarKind};
+use std::sync::atomic::AtomicU64;
 
 /// Options controlling kernel generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,25 +82,47 @@ impl KernelOptions {
     }
 }
 
-/// Everything the generator needs to know about the sparse matrix, with the
-/// array base addresses that get embedded into the instruction stream.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MatrixBinding {
-    pub row_ptr: *const u64,
-    pub col_indices: *const u32,
-    pub values: *const u8,
-    pub nrows: usize,
+/// The argument block of one kernel launch: the operands and, for a
+/// dynamic-dispatch kernel, the claim counter its lanes share. The layout is
+/// the ABI the generated prologue reads (see the module docs), hence
+/// `#[repr(C)]`. A launch owns its block, so launches of one kernel never
+/// share state.
+#[repr(C)]
+pub(crate) struct LaunchArgs<T> {
+    /// Next unclaimed row of a dynamic launch, starting at zero. At offset
+    /// 0, so the claim loop's `lock xadd` targets the block's own address.
+    counter: AtomicU64,
+    row_ptr: *const u64,
+    col_indices: *const u32,
+    values: *const T,
+    nrows: u64,
+    x: *const T,
+    y: *mut T,
 }
 
-impl MatrixBinding {
-    pub(crate) fn of<T: Scalar>(matrix: &CsrMatrix<T>) -> MatrixBinding {
-        MatrixBinding {
+impl<T: Scalar> LaunchArgs<T> {
+    /// The block for computing `y = matrix * x`, with the claim counter at
+    /// row zero. Only addresses are taken: the caller keeps `matrix`, `x`
+    /// and `y` alive, at the shapes the kernel was compiled for, for as long
+    /// as any kernel runs on the block.
+    pub(crate) fn new(matrix: &CsrMatrix<T>, x: *const T, y: *mut T) -> LaunchArgs<T> {
+        LaunchArgs {
+            counter: AtomicU64::new(0),
             row_ptr: matrix.row_ptr().as_ptr(),
             col_indices: matrix.col_indices().as_ptr(),
-            values: matrix.values().as_ptr() as *const u8,
-            nrows: matrix.nrows(),
+            values: matrix.values().as_ptr(),
+            nrows: matrix.nrows() as u64,
+            x,
+            y,
         }
     }
+}
+
+/// `[ARGS + offset of field]`: where the prologue loads one operand from.
+macro_rules! arg {
+    ($field:ident) => {
+        Mem::base(ARGS).disp(std::mem::offset_of!(LaunchArgs<f32>, $field) as i32)
+    };
 }
 
 /// The generated machine code plus the information the engine needs to wrap
@@ -117,7 +150,7 @@ const IDX: Gpr = Gpr::R10;
 const IDX_END: Gpr = Gpr::R11;
 const XOFF: Gpr = Gpr::R12;
 const YOFF: Gpr = Gpr::R13;
-const NEXT_ADDR: Gpr = Gpr::R14;
+const ARGS: Gpr = Gpr::R14;
 const NROWS: Gpr = Gpr::R15;
 const COL_CURSOR: Gpr = Gpr::Rbp;
 const SCRATCH: Gpr = Gpr::Rax;
@@ -151,9 +184,8 @@ pub(crate) fn validate_options(options: &KernelOptions) -> Result<(), JitSpmmErr
     Ok(())
 }
 
-/// Generate a static-range kernel `fn(row_start, row_end, x, y)`.
+/// Generate a static-range kernel computing rows `[row_start, row_end)`.
 pub(crate) fn generate_static_kernel(
-    binding: MatrixBinding,
     d: usize,
     kind: ScalarKind,
     options: &KernelOptions,
@@ -162,23 +194,23 @@ pub(crate) fn generate_static_kernel(
     let plan = CcmPlan::new(d, options.isa, kind);
     let mut asm = new_assembler(options);
     emit_prologue(&mut asm);
-    // System V argument order: rdi = row_start, rsi = row_end, rdx = x, rcx = y.
-    asm.mov_rr64(XBASE, Gpr::Rdx);
-    asm.mov_rr64(YBASE, Gpr::Rcx);
-    emit_matrix_bases(&mut asm, &binding);
+    // System V argument order: rdi = args, rsi = row_start, rdx = row_end;
+    // `rdx` is read before `emit_load_operands` reuses it for `values`.
+    asm.mov_rr64(ARGS, Gpr::Rdi);
+    asm.mov_rr64(CUR, Gpr::Rsi);
+    asm.mov_rr64(END, Gpr::Rdx);
+    emit_load_operands(&mut asm);
     emit_row_range_loop(&mut asm, &plan, d, kind, options)?;
     emit_epilogue(&mut asm);
     finish(asm, plan)
 }
 
-/// Generate a dynamic-dispatch kernel `fn(x, y)` claiming `batch` rows at a
-/// time from the counter at `next_addr` (Listing 1).
+/// Generate a dynamic-dispatch kernel claiming `batch` rows at a time from
+/// the `args` block's counter (Listing 1); it ignores the row range.
 pub(crate) fn generate_dynamic_kernel(
-    binding: MatrixBinding,
     d: usize,
     kind: ScalarKind,
     batch: usize,
-    next_addr: *const u8,
     options: &KernelOptions,
 ) -> Result<GeneratedCode, JitSpmmError> {
     validate_options(options)?;
@@ -188,19 +220,16 @@ pub(crate) fn generate_dynamic_kernel(
     let plan = CcmPlan::new(d, options.isa, kind);
     let mut asm = new_assembler(options);
     emit_prologue(&mut asm);
-    // Arguments: rdi = x, rsi = y.
-    asm.mov_rr64(XBASE, Gpr::Rdi);
-    asm.mov_rr64(YBASE, Gpr::Rsi);
-    emit_matrix_bases(&mut asm, &binding);
-    asm.mov_ri64(NEXT_ADDR, next_addr as i64);
-    asm.mov_ri64(NROWS, binding.nrows as i64);
+    asm.mov_rr64(ARGS, Gpr::Rdi);
+    emit_load_operands(&mut asm);
+    asm.mov_rm64(NROWS, arg!(nrows));
 
     let claim = asm.new_label();
     let done = asm.new_label();
     asm.bind(claim)?;
-    // rsi <- batch; lock xadd [NEXT], rsi  => rsi = previously next row.
+    // rsi <- batch; lock xadd [args.counter], rsi  => rsi = previously next row.
     asm.mov_ri64(END, batch as i64);
-    asm.lock_xadd_mr64(Mem::base(NEXT_ADDR), END);
+    asm.lock_xadd_mr64(Mem::base(ARGS), END);
     asm.cmp_rr64(END, NROWS);
     asm.jcc(Cond::Ge, done);
     asm.mov_rr64(CUR, END);
@@ -245,10 +274,13 @@ fn emit_epilogue(asm: &mut Assembler) {
     asm.ret();
 }
 
-fn emit_matrix_bases(asm: &mut Assembler, binding: &MatrixBinding) {
-    asm.mov_ri64(ROWPTR, binding.row_ptr as i64);
-    asm.mov_ri64(COLIDX, binding.col_indices as i64);
-    asm.mov_ri64(VALS, binding.values as i64);
+/// Load the matrix and dense operand bases from the block at `ARGS`.
+fn emit_load_operands(asm: &mut Assembler) {
+    asm.mov_rm64(ROWPTR, arg!(row_ptr));
+    asm.mov_rm64(COLIDX, arg!(col_indices));
+    asm.mov_rm64(VALS, arg!(values));
+    asm.mov_rm64(XBASE, arg!(x));
+    asm.mov_rm64(YBASE, arg!(y));
 }
 
 /// Emit the loop over rows `[CUR, END)`, leaving `CUR == END` afterwards.
@@ -515,17 +547,6 @@ fn emit_store(asm: &mut Assembler, seg: &Segment, dst: Mem, kind: ScalarKind) {
 mod tests {
     use super::*;
 
-    fn f32_binding() -> (CsrMatrix<f32>, MatrixBinding) {
-        let m = CsrMatrix::<f32>::from_triplets(
-            4,
-            4,
-            &[(0, 0, 1.0), (0, 2, 2.0), (2, 1, 3.0), (3, 3, 4.0)],
-        )
-        .unwrap();
-        let b = MatrixBinding::of(&m);
-        (m, b)
-    }
-
     fn native_or_skip() -> Option<KernelOptions> {
         let opts = KernelOptions::native();
         if validate_options(&opts).is_err() {
@@ -549,8 +570,7 @@ mod tests {
     #[test]
     fn static_kernel_emits_code() {
         let Some(opts) = native_or_skip() else { return };
-        let (_m, binding) = f32_binding();
-        let gen = generate_static_kernel(binding, 16, ScalarKind::F32, &opts).unwrap();
+        let gen = generate_static_kernel(16, ScalarKind::F32, &opts).unwrap();
         assert!(!gen.code.is_empty());
         assert_eq!(gen.plan.d, 16);
     }
@@ -559,8 +579,7 @@ mod tests {
     fn listing_mentions_key_instructions() {
         let Some(mut opts) = native_or_skip() else { return };
         opts.listing = true;
-        let (_m, binding) = f32_binding();
-        let gen = generate_static_kernel(binding, 45, ScalarKind::F32, &opts).unwrap();
+        let gen = generate_static_kernel(45, ScalarKind::F32, &opts).unwrap();
         let listing = gen.listing.expect("listing requested");
         let text: String = listing.iter().map(|(_, s)| s.as_str()).collect::<Vec<_>>().join("\n");
         // The structure of Listing 2 must be visible in the emitted stream.
@@ -577,17 +596,7 @@ mod tests {
     fn dynamic_kernel_embeds_claim_loop() {
         let Some(mut opts) = native_or_skip() else { return };
         opts.listing = true;
-        let (_m, binding) = f32_binding();
-        let counter = 0u64;
-        let gen = generate_dynamic_kernel(
-            binding,
-            16,
-            ScalarKind::F32,
-            128,
-            &counter as *const u64 as *const u8,
-            &opts,
-        )
-        .unwrap();
+        let gen = generate_dynamic_kernel(16, ScalarKind::F32, 128, &opts).unwrap();
         let text: String =
             gen.listing.unwrap().iter().map(|(_, s)| s.as_str()).collect::<Vec<_>>().join("\n");
         assert!(text.contains("lock xadd"), "Listing 1 requires lock xadd:\n{text}");
@@ -596,17 +605,7 @@ mod tests {
     #[test]
     fn dynamic_kernel_rejects_zero_batch() {
         let Some(opts) = native_or_skip() else { return };
-        let (_m, binding) = f32_binding();
-        let counter = 0u64;
-        let err = generate_dynamic_kernel(
-            binding,
-            16,
-            ScalarKind::F32,
-            0,
-            &counter as *const u64 as *const u8,
-            &opts,
-        )
-        .unwrap_err();
+        let err = generate_dynamic_kernel(16, ScalarKind::F32, 0, &opts).unwrap_err();
         assert!(matches!(err, JitSpmmError::InvalidConfig(_)));
     }
 
@@ -614,9 +613,8 @@ mod tests {
     fn non_ccm_kernel_emits_code_for_ragged_d() {
         let Some(mut opts) = native_or_skip() else { return };
         opts.ccm = false;
-        let (_m, binding) = f32_binding();
         for d in [1usize, 7, 16, 45] {
-            let gen = generate_static_kernel(binding, d, ScalarKind::F32, &opts).unwrap();
+            let gen = generate_static_kernel(d, ScalarKind::F32, &opts).unwrap();
             assert!(!gen.code.is_empty(), "d = {d}");
         }
     }
@@ -624,9 +622,8 @@ mod tests {
     #[test]
     fn ccm_kernel_is_larger_for_wider_d() {
         let Some(opts) = native_or_skip() else { return };
-        let (_m, binding) = f32_binding();
-        let small = generate_static_kernel(binding, 8, ScalarKind::F32, &opts).unwrap();
-        let large = generate_static_kernel(binding, 256, ScalarKind::F32, &opts).unwrap();
+        let small = generate_static_kernel(8, ScalarKind::F32, &opts).unwrap();
+        let large = generate_static_kernel(256, ScalarKind::F32, &opts).unwrap();
         assert!(large.code.len() > small.code.len());
     }
 }

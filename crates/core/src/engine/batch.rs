@@ -8,14 +8,11 @@
 //! is a depth-1 stream, and every input comes back as
 //! `(output, ExecutionReport)`.
 
-use crate::engine::compile::{check_input_shape, JitSpmm, SlotKernel};
-use crate::engine::launch::LaunchGuard;
+use crate::engine::compile::{check_input_shape, JitSpmm};
 use crate::engine::report::ExecutionReport;
 use crate::error::JitSpmmError;
-use crate::kernel::CompiledKernel;
 use crate::runtime::dispatch::{BufferPool, KernelJob, LaunchPayload};
 use crate::runtime::{PoolScope, PooledMatrix, ScopedJobHandle};
-use crate::schedule::DynamicCounter;
 use jitspmm_sparse::{DenseMatrix, Scalar};
 use std::collections::VecDeque;
 use std::panic::resume_unwind;
@@ -28,8 +25,8 @@ use std::time::Instant;
 pub const DEFAULT_BATCH_DEPTH: usize = 2;
 
 /// Upper bound on the batch pipeline depth. Each slot holds one output
-/// buffer (and, for dynamic engines, one spare kernel copy), and depths past
-/// the pool's worker count buy no additional overlap.
+/// buffer, and depths past the pool's worker count buy no additional
+/// overlap.
 const MAX_BATCH_DEPTH: usize = 16;
 
 impl<'a, T: Scalar> JitSpmm<'a, T> {
@@ -44,8 +41,6 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     ///
     /// * validates every input **once, up front** — a shape mismatch fails
     ///   the whole batch before any launch, never mid-stream,
-    /// * takes the engine's launch lock once for the whole batch instead of
-    ///   once per input,
     /// * keeps the next launch queued while the current one runs
     ///   (double-buffered outputs), so workers flow from one input's job
     ///   straight into the next without re-parking (on a zero-worker pool
@@ -53,12 +48,8 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// * reuses per-slot job payloads, so steady-state submission performs
     ///   no per-launch boxing.
     ///
-    /// Dynamic-dispatch engines compile one spare kernel per extra pipeline
-    /// slot on first use (the row-claim counter's address is embedded in the
-    /// generated code, so concurrently in-flight launches need their own
-    /// copies); the spares are cached on the engine, so only the first batch
-    /// pays that codegen. Static-range kernels have no embedded mutable
-    /// state and share the engine's kernel across all slots.
+    /// Every slot launches the engine's one kernel; each launch carries its
+    /// own row-claim counter in its slot's payload.
     ///
     /// For unbounded streams — where inputs arrive one at a time and
     /// outputs should be consumed as they complete — drive a
@@ -88,9 +79,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// # Errors
     ///
     /// Returns [`JitSpmmError::ShapeMismatch`] (naming the offending input
-    /// index in a batch of several) if any input is not `A.ncols() x d`, and
-    /// [`JitSpmmError::LaunchInProgress`] if the calling thread already
-    /// holds a launch of this engine.
+    /// index in a batch of several) if any input is not `A.ncols() x d`.
     ///
     /// # Panics
     ///
@@ -109,9 +98,8 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     ///
     /// `depth` is the number of launches kept in flight at once (`0` selects
     /// [`DEFAULT_BATCH_DEPTH`]; values are capped at an internal maximum of
-    /// 16). The stream holds the engine's launch lock until it is finished
-    /// or dropped — other launches of this engine block (or fail with
-    /// [`JitSpmmError::LaunchInProgress`] from the owning thread) meanwhile.
+    /// 16). Other launches of this engine — blocking ones, or other streams,
+    /// from any thread — run beside the stream's.
     ///
     /// Feed it from any iterator:
     ///
@@ -125,7 +113,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// let inputs: Vec<DenseMatrix<f32>> =
     ///     (0..5).map(|seed| DenseMatrix::random(64, 4, seed)).collect();
     /// engine.pool().scope(|scope| -> Result<(), jitspmm::JitSpmmError> {
-    ///     let mut stream = engine.batch_stream(scope, 2)?;
+    ///     let mut stream = engine.batch_stream(scope, 2);
     ///     let mut done = 0usize;
     ///     for x in &inputs {
     ///         // `push` hands back the oldest completed output once the
@@ -142,31 +130,25 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// # Ok(())
     /// # }
     /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`JitSpmmError::LaunchInProgress`] if the calling thread already
-    /// holds a launch of this engine, or a codegen error if compiling a
-    /// spare slot kernel fails.
     pub fn batch_stream<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         depth: usize,
-    ) -> Result<BatchStream<'scope, 'env, T>, JitSpmmError> {
+    ) -> BatchStream<'scope, 'env, T> {
         BatchStream::open(scope, depth, std::slice::from_ref(self), &self.output_pool)
     }
 }
 
 /// The one batch driver behind every `execute_batch` and the one-shot
 /// sharded and mutable `execute`: validate all inputs against the
-/// `(ncols, d)` input shape up front — before `open` takes any lock — then
-/// `open` a stream (depth 1 for a single input, so no spare kernel is
-/// compiled; the default otherwise), push the slice through it and drain
-/// it. Outputs come back in input order, each with its report.
+/// `(ncols, d)` input shape up front — before `open` pins anything — then
+/// `open` a stream (depth 1 for a single input, the default otherwise),
+/// push the slice through it and drain it. Outputs come back in input
+/// order, each with its report.
 pub(crate) fn run_batch<'scope, 'env: 'scope, T: Scalar>(
     inputs: &'env [DenseMatrix<T>],
     (ncols, d): (usize, usize),
-    open: impl FnOnce(usize) -> Result<BatchStream<'scope, 'env, T>, JitSpmmError>,
+    open: impl FnOnce(usize) -> BatchStream<'scope, 'env, T>,
 ) -> Result<Vec<Completed<T>>, JitSpmmError> {
     for (index, x) in inputs.iter().enumerate() {
         check_input_shape(x, ncols, d).map_err(|e| match e {
@@ -176,7 +158,7 @@ pub(crate) fn run_batch<'scope, 'env: 'scope, T: Scalar>(
             other => other,
         })?;
     }
-    let mut stream = open(if inputs.len() <= 1 { 1 } else { 0 })?;
+    let mut stream = open(if inputs.len() <= 1 { 1 } else { 0 });
     // The caller holds all the batch's outputs at once; let the buffer pool
     // retain that many spares so repeated batches recycle them all. (Only
     // once the batch is actually going to run — a failed call must not
@@ -196,23 +178,12 @@ struct Part<'env, T: Scalar> {
     engine: &'env JitSpmm<'env, T>,
     /// First output row this part's kernel writes.
     row_offset: usize,
-    /// The engine's launch lock, held once for the whole stream.
-    _launch: LaunchGuard<'env>,
 }
 
-/// One part's share of a pipeline slot: a (possibly spare) kernel to launch
-/// and a reusable heap slot for the launch payload.
-struct SlotPart<T: Scalar> {
-    /// `None` — launch the part engine's own kernel (and reset its
-    /// counter); `Some` — a spare dynamic-dispatch copy with its own counter.
-    kernel: Option<Arc<SlotKernel<T>>>,
-    payload: LaunchPayload<T>,
-}
-
-/// One lane of the batch pipeline: per-part kernels and payloads, plus the
-/// handles of the launch currently in flight from it.
+/// One lane of the batch pipeline: one reusable launch payload per part,
+/// plus the handles of the launch currently in flight from it.
 struct BatchSlot<'scope, T: Scalar> {
-    parts: Vec<SlotPart<T>>,
+    payloads: Vec<LaunchPayload<T>>,
     /// One job handle per part while a launch submitted from this slot is
     /// in flight; empty when the slot is free. Room for every part is
     /// allocated once, at open.
@@ -261,16 +232,13 @@ impl<G> Held for G {}
 /// input completes when its slowest shard has joined; its
 /// [`ExecutionReport`] is the critical path across the shards.
 ///
-/// The stream holds every part engine's launch lock for its whole lifetime
-/// (batch members do not re-take it per input), so those engines accept no
-/// other launches until the stream is finished or dropped. Dropping the
-/// stream mid-batch joins the launches still in flight and discards their
-/// results; leaking it (`std::mem::forget`) is safe — the owning
-/// [`PoolScope`] still joins every launch — but leaks the in-flight output
-/// buffers (and any owned inputs) and leaves the launch locks held forever:
-/// the engines then refuse same-thread launches with
-/// [`JitSpmmError::LaunchInProgress`], while launches from other threads
-/// wait for a stream that never ends.
+/// Every launch carries its own row-claim counter in its slot's payload, so
+/// the part engines keep accepting other launches — blocking ones, or other
+/// streams — while the stream is open. Dropping the stream mid-batch joins
+/// the launches still in flight and discards their results; leaking it
+/// (`std::mem::forget`) is safe — the owning [`PoolScope`] still joins
+/// every launch — but leaks the in-flight output buffers (and any owned
+/// inputs); the engines keep working.
 pub struct BatchStream<'scope, 'env, T: Scalar> {
     /// The kernels every input fans out to, in row order; one for a single
     /// engine.
@@ -289,9 +257,7 @@ pub struct BatchStream<'scope, 'env, T: Scalar> {
     reports: Vec<ExecutionReport>,
     /// Whatever must outlive every launch of this stream besides the `'env`
     /// borrows — a mutable engine's generation read guard. Only released
-    /// with the stream, after its `Drop` has joined everything in flight;
-    /// declared last so the launch guards in `parts`, which point into what
-    /// it keeps alive, are released first.
+    /// with the stream, after its `Drop` has joined everything in flight.
     _hold: Option<Box<dyn Held + 'env>>,
 }
 
@@ -299,15 +265,13 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
     /// Open a stream over `engines` — one engine, or the row shards of one
     /// matrix in row order — whose kernels all write one `output_pool`
     /// buffer: part `k` owns the rows right after parts `0..k`, so the
-    /// parts' writes are pairwise disjoint by construction. Takes every
-    /// engine's launch lock, in order (ordered acquisition, so concurrent
-    /// opens cannot deadlock).
+    /// parts' writes are pairwise disjoint by construction.
     pub(crate) fn open(
         scope: &'scope PoolScope<'scope, 'env>,
         depth: usize,
         engines: &'env [JitSpmm<'env, T>],
         output_pool: &'env Arc<BufferPool<T>>,
-    ) -> Result<BatchStream<'scope, 'env, T>, JitSpmmError> {
+    ) -> BatchStream<'scope, 'env, T> {
         let depth = match depth {
             0 => DEFAULT_BATCH_DEPTH,
             n => n.min(MAX_BATCH_DEPTH),
@@ -320,31 +284,16 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         let mut parts = Vec::with_capacity(engines.len());
         let mut nrows = 0;
         for engine in engines {
-            // A failure midway drops the guards taken so far.
-            parts.push(Part { engine, row_offset: nrows, _launch: engine.begin_launch()? });
+            parts.push(Part { engine, row_offset: nrows });
             nrows += engine.matrix.nrows();
         }
-        // Each concurrently in-flight dynamic launch needs its own claim
-        // counter, hence its own compiled kernel copy, in every slot past
-        // the first; static-range kernels carry no mutable state and get an
-        // empty list — every slot launches the engine's own kernel.
-        let spares: Vec<Vec<Arc<SlotKernel<T>>>> = engines
-            .iter()
-            .map(|engine| engine.spare_slot_kernels(depth - 1))
-            .collect::<Result<_, _>>()?;
         let slots = (0..depth)
-            .map(|slot| BatchSlot {
-                parts: spares
-                    .iter()
-                    .map(|spare| SlotPart {
-                        kernel: slot.checked_sub(1).and_then(|i| spare.get(i).cloned()),
-                        payload: LaunchPayload::new(),
-                    })
-                    .collect(),
+            .map(|_| BatchSlot {
+                payloads: engines.iter().map(|_| LaunchPayload::new()).collect(),
                 handles: Vec::with_capacity(engines.len()),
             })
             .collect();
-        Ok(BatchStream {
+        BatchStream {
             parts,
             scope,
             output_pool,
@@ -354,7 +303,7 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
             in_flight: VecDeque::with_capacity(depth),
             reports: Vec::with_capacity(engines.len()),
             _hold: None,
-        })
+        }
     }
 
     /// Keep `guard` alive until the stream is gone: released only after the
@@ -390,7 +339,7 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
     ///
     /// Re-raises a worker panic from the completed input, after all of its
     /// launches have joined (the stream is then dropped by unwinding, which
-    /// joins the remaining launches and releases the engines).
+    /// joins the remaining launches).
     pub fn push(
         &mut self,
         x: &'env DenseMatrix<T>,
@@ -522,26 +471,19 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         // handles — with the output and the owned input still alive.
         self.in_flight.push_back(InFlight { slot: index, y, submitted, _input: owned });
         let slot = &mut self.slots[index];
-        for (part, slot_part) in self.parts.iter().zip(&mut slot.parts) {
+        for (part, payload) in self.parts.iter().zip(&mut slot.payloads) {
             let engine = part.engine;
-            let (kernel, counter): (&CompiledKernel<T>, &DynamicCounter) = match &slot_part.kernel {
-                Some(spare) => (&spare.kernel, &spare.counter),
-                None => (&engine.core.kernel, &engine.core.counter),
-            };
-            // The slot is free — its previous launches were joined — so
-            // nothing is mid-claim on this counter: the per-launch reset
-            // that `begin_launch` performs for a standalone execute happens
-            // here, per slot and part. (Harmless for static kernels.)
-            counter.reset();
+            let kernel = &engine.core.kernel;
             // SAFETY: the output is `nrows x d` and `open` laid the parts
             // out as consecutive row ranges summing to `nrows`, so this
             // part's `row_offset * d` is in bounds.
             let part_y = unsafe { y_ptr.add(part.row_offset * self.d) };
-            let job = KernelJob::new(kernel, &engine.core.partition.ranges, x_ptr, part_y);
+            let job =
+                KernelJob::new(kernel, engine.matrix, &engine.core.partition.ranges, x_ptr, part_y);
             let spec = job.spec(kernel.kind(), engine.threads);
             // SAFETY: the slot is free, so no in-flight job references its
             // payloads.
-            let data = unsafe { slot_part.payload.store(job) };
+            let data = unsafe { payload.store(job) };
             // SAFETY: join before free — everything this job dereferences
             // outlives its join. The payload is owned by `self.slots` and
             // only rewritten by a later `submit` from this slot, which
@@ -550,15 +492,13 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
             // The output and any owned input sit in the in-flight entry
             // pushed above, which `complete_oldest` releases only after
             // joining every part and the stream's drop only after joining
-            // every slot. The kernel (the engine's, or a spare kept alive
-            // by the slot's `Arc`), the partition, the engine-borrowed CSR
+            // every slot. The kernel, the partition, the engine-borrowed CSR
             // arrays and a borrowed input live for at least 'env, which
             // cannot end before the scope has joined the job; a leaked
             // stream leaks all of the above, never frees it. Parts write
             // pairwise disjoint row ranges of the output, shapes were
             // validated before this call (`open` checked the parts agree),
-            // the counter was reset above, and the launch locks held in
-            // `parts` keep non-batch launches of every part engine out.
+            // and the job's claim counter is its own, fresh at zero.
             let handle = unsafe { self.scope.submit_erased(spec, data, KernelJob::<T>::erased()) };
             slot.handles.push(handle);
         }
@@ -587,7 +527,7 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
                         dispatch: elapsed.saturating_sub(kernel),
                         wake: job.wake(),
                         threads: part.engine.threads,
-                        strategy: part.engine.core.strategy,
+                        strategy: part.engine.core.meta.strategy,
                     });
                 }
                 Err(payload) => {
@@ -637,8 +577,8 @@ impl<T: Scalar> Drop for BatchStream<'_, '_, T> {
     fn drop(&mut self) {
         // Join every launch still in flight before anything it points at is
         // released: the payload slots, the in-flight outputs and owned
-        // inputs, the launch guards and whatever `_hold` keeps alive all
-        // drop with the fields, right after this body. Panics are discarded
+        // inputs and whatever `_hold` keeps alive all drop with the fields,
+        // right after this body. Panics are discarded
         // here — `push`/`finish` re-raise them — so an abandoned stream
         // cannot poison the scope exit.
         for job in self.slots.iter_mut().flat_map(|slot| &mut slot.handles) {

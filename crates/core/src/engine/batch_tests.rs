@@ -9,6 +9,7 @@ use crate::error::JitSpmmError;
 use crate::runtime::WorkerPool;
 use crate::schedule::Strategy;
 use crate::serve::{AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
+use crate::test_support::{integer_input, integer_valued, scalar_anchor};
 use jitspmm_asm::CpuFeatures;
 use jitspmm_sparse::generate;
 use jitspmm_sparse::DenseMatrix;
@@ -48,7 +49,7 @@ fn execute_batch_matches_per_input_execute_exactly() {
             assert_eq!(report.elapsed, report.kernel + report.dispatch);
         }
         // Depth 0 is the default pipeline on every host.
-        let depth = engine.pool().scope(|scope| engine.batch_stream(scope, 0).unwrap().depth());
+        let depth = engine.pool().scope(|scope| engine.batch_stream(scope, 0).depth());
         assert_eq!(depth, DEFAULT_BATCH_DEPTH);
     }
 }
@@ -72,8 +73,6 @@ fn execute_batch_handles_empty_and_single_input_batches() {
     let outputs = engine.pool().scope(|scope| engine.execute_batch(scope, &one)).unwrap();
     assert_eq!(outputs.len(), 1);
     assert!(outputs[0].0.approx_eq(&a.spmm_reference(&one[0]), 1e-4));
-    // A single input runs through a depth-1 stream: no spare slot kernel.
-    assert_eq!(engine.spare_kernels(), 0, "a single-input batch needs no spares");
 }
 
 #[test]
@@ -119,7 +118,7 @@ fn batch_stream_survives_a_mismatched_push() {
         (0..5).map(|seed| DenseMatrix::random(100, 8, 40 + seed)).collect();
     let bad = DenseMatrix::<f32>::zeros(100, 3);
     engine.pool().scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 2).unwrap();
+        let mut stream = engine.batch_stream(scope, 2);
         let mut completed = Vec::new();
         for (i, x) in good.iter().enumerate() {
             if i == 2 {
@@ -160,7 +159,7 @@ fn push_owned_matches_borrowed_push_exactly() {
         // Owned pushes must be bit-identical to the blocking path, in
         // submission order.
         engine.pool().scope(|scope| {
-            let mut stream = engine.batch_stream(scope, 2).unwrap();
+            let mut stream = engine.batch_stream(scope, 2);
             let mut outputs = Vec::new();
             for x in &inputs {
                 if let Some((y, _)) = stream.push_owned(x.clone()).unwrap() {
@@ -198,7 +197,7 @@ fn push_owned_from_a_producer_thread() {
             }
         });
         engine.pool().scope(|scope| {
-            let mut stream = engine.batch_stream(scope, 2).unwrap();
+            let mut stream = engine.batch_stream(scope, 2);
             let mut outputs = Vec::new();
             for x in rx {
                 if let Some((y, _)) = stream.push_owned(x).unwrap() {
@@ -221,7 +220,7 @@ fn push_owned_rejects_bad_shapes_without_disturbing_the_pipeline() {
     let engine = JitSpmmBuilder::new().threads(1).build(&a, 4).unwrap();
     let good: Vec<DenseMatrix<f32>> = (0..3).map(|seed| DenseMatrix::random(70, 4, seed)).collect();
     engine.pool().scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 2).unwrap();
+        let mut stream = engine.batch_stream(scope, 2);
         let mut done = 0usize;
         for (i, x) in good.iter().enumerate() {
             if i == 1 {
@@ -240,25 +239,26 @@ fn push_owned_rejects_bad_shapes_without_disturbing_the_pipeline() {
 }
 
 #[test]
-fn open_batch_stream_blocks_other_launches_and_releases_them() {
+fn execute_runs_while_a_batch_stream_is_open() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
     }
-    let a = generate::uniform::<f32>(70, 70, 500, 8);
+    let a = integer_valued(&generate::uniform::<f32>(70, 70, 500, 8));
     let engine = JitSpmmBuilder::new().threads(1).build(&a, 4).unwrap();
-    let x = DenseMatrix::random(70, 4, 3);
+    let x = integer_input(70, 4, 3);
+    let expected = scalar_anchor(&a, &x);
     engine.pool().scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 2).unwrap();
-        // The stream holds the launch lock: a same-thread execute must
-        // fail fast instead of self-deadlocking.
-        assert!(matches!(engine.execute(&x).unwrap_err(), JitSpmmError::LaunchInProgress));
+        let mut stream = engine.batch_stream(scope, 2);
+        // An open stream holds nothing of the engine's: a same-thread
+        // execute runs.
+        assert_eq!(*engine.execute(&x).unwrap().0, expected);
         assert!(stream.push(&x).unwrap().is_none());
-        assert_eq!(stream.finish().len(), 1);
+        assert_eq!(*engine.execute(&x).unwrap().0, expected);
+        let done = stream.finish();
+        assert_eq!(done.len(), 1);
+        assert_eq!(*done[0].0, expected);
     });
-    // Stream gone: the engine accepts launches again.
-    let (y, _) = engine.execute(&x).unwrap();
-    assert!(y.approx_eq(&a.spmm_reference(&x), 1e-4));
 }
 
 #[test]
@@ -272,7 +272,7 @@ fn dropped_batch_stream_joins_in_flight_launches() {
     let inputs: Vec<DenseMatrix<f32>> =
         (0..3).map(|seed| DenseMatrix::random(150, 8, 60 + seed)).collect();
     engine.pool().scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 2).unwrap();
+        let mut stream = engine.batch_stream(scope, 2);
         for x in &inputs {
             let _ = stream.push(x).unwrap();
         }
@@ -296,11 +296,12 @@ fn a_leaked_batch_stream_is_joined_by_the_scope() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
     }
-    let a = generate::uniform::<f32>(128, 128, 1_200, 6);
-    let x = DenseMatrix::random(128, 8, 7);
+    let a = integer_valued(&generate::uniform::<f32>(128, 128, 1_200, 6));
+    let x = integer_input(128, 8, 7);
+    let expected = scalar_anchor(&a, &x);
     let engine = JitSpmmBuilder::new().threads(2).pool(WorkerPool::new(2)).build(&a, 8).unwrap();
     engine.pool().scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 2).unwrap();
+        let mut stream = engine.batch_stream(scope, 2);
         assert!(stream.push_owned(x.clone()).unwrap().is_none());
         assert_eq!(stream.in_flight(), 1);
         // `mem::forget` is safe: the scope must join the in-flight launch
@@ -308,19 +309,22 @@ fn a_leaked_batch_stream_is_joined_by_the_scope() {
         // be freed — the forgotten stream leaks them instead.
         std::mem::forget(stream);
     });
-    // The leaked stream kept the launch lock (and leaked its output and the
-    // owned input), so the engine refuses same-thread launches — safely.
-    assert!(matches!(engine.execute(&x).unwrap_err(), JitSpmmError::LaunchInProgress));
+    // The leaked stream leaked its output and the owned input, and nothing
+    // else: the engine keeps working, on every launch path.
+    assert_eq!(*engine.execute(&x).unwrap().0, expected);
     let mut y = DenseMatrix::zeros(128, 8);
-    assert!(matches!(engine.execute_into(&x, &mut y).unwrap_err(), JitSpmmError::LaunchInProgress));
-    assert!(matches!(
-        engine.execute_single_thread(&x, &mut y).unwrap_err(),
-        JitSpmmError::LaunchInProgress
-    ));
+    engine.execute_into(&x, &mut y).unwrap();
+    assert_eq!(y, expected);
+    let mut y = DenseMatrix::zeros(128, 8);
+    engine.execute_single_thread(&x, &mut y).unwrap();
+    assert_eq!(y, expected);
+    let inputs = [x];
+    let outputs = engine.pool().scope(|scope| engine.execute_batch(scope, &inputs)).unwrap();
+    assert_eq!(*outputs[0].0, expected);
 }
 
 #[test]
-fn batch_slot_kernels_are_cached_across_batches() {
+fn repeated_streams_and_a_serving_session_match_execute() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -338,7 +342,7 @@ fn batch_slot_kernels_are_cached_across_batches() {
         inputs.iter().map(|x| engine.execute(x).unwrap().0.into_dense()).collect();
     for _ in 0..3 {
         engine.pool().scope(|scope| {
-            let mut stream = engine.batch_stream(scope, 2).unwrap();
+            let mut stream = engine.batch_stream(scope, 2);
             let mut outputs = Vec::new();
             for x in &inputs {
                 if let Some((y, _)) = stream.push(x).unwrap() {
@@ -349,11 +353,7 @@ fn batch_slot_kernels_are_cached_across_batches() {
             assert_eq!(outputs, expected);
         });
     }
-    // Depth 2 needs exactly one spare dynamic kernel, compiled once.
-    assert_eq!(engine.spare_kernels(), 1);
-
-    // A full controlled serving session runs on the same core too — and
-    // still needs only that one spare.
+    // A full controlled serving session runs on the same core too.
     let server = SpmmServer::new(vec![engine]).unwrap();
     let mut served = Vec::new();
     let (report, ()) = server
@@ -369,8 +369,6 @@ fn batch_slot_kernels_are_cached_across_batches() {
         .unwrap();
     assert_eq!(report.requests, inputs.len());
     assert_eq!(served, expected);
-    let engine = server.single(0).unwrap();
-    assert_eq!(engine.spare_kernels(), 1);
 }
 
 #[test]

@@ -4,29 +4,28 @@
 //! The compiled state lives in one immutable [`EngineCore`], built once at
 //! construction, owned by its engine alone and never replaced or shared.
 
-use crate::codegen::{
-    generate_dynamic_kernel, generate_static_kernel, KernelOptions, MatrixBinding,
-};
+use crate::codegen::{generate_dynamic_kernel, generate_static_kernel, KernelOptions};
 use crate::engine::options::SpmmOptions;
 use crate::error::JitSpmmError;
 use crate::kernel::{CompiledKernel, KernelKind, KernelMeta};
 use crate::runtime::dispatch::BufferPool;
 use crate::runtime::WorkerPool;
-use crate::schedule::{partition, DynamicCounter, Partition, Strategy};
+use crate::schedule::{partition, Partition, Strategy};
 use jitspmm_asm::CpuFeatures;
 use jitspmm_sparse::{CsrMatrix, DenseMatrix, Scalar};
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A JIT-compiled SpMM engine bound to one sparse matrix and one column
 /// count.
 ///
-/// Construction generates machine code specialized to the matrix (its array
-/// base addresses are embedded in the instruction stream), the number of
-/// dense columns `d`, the element type, the ISA tier and the workload
-/// division strategy. The engine can then be executed repeatedly against
-/// different dense inputs of shape `ncols x d`.
+/// Construction generates machine code specialized to the shape of the
+/// problem — the number of dense columns `d`, the element type, the ISA
+/// tier and the workload division strategy — and partitions the matrix's
+/// rows. Every launch hands the kernel the matrix, its dense operands and a
+/// fresh row-claim counter, so the engine can be executed repeatedly, and
+/// from several threads at once, against dense inputs of shape
+/// `ncols x d`.
 ///
 /// Execution runs on a persistent [`WorkerPool`] (the process-wide default
 /// unless [`crate::JitSpmmBuilder::pool`] supplied one): no threads are
@@ -39,44 +38,23 @@ pub struct JitSpmm<'a, T: Scalar> {
     /// The compiled state every launch runs against: set once at
     /// construction, immutable afterwards, owned by this engine alone.
     pub(super) core: EngineCore<T>,
-    /// Serializes launches of this engine's kernel. The dynamic counter is
-    /// shared mutable state embedded in the generated code, so two
-    /// concurrent launches of one engine (possible from safe code — the
-    /// engine is `Sync`) must not interleave a reset with a running claim
-    /// loop.
-    pub(super) launch: Mutex<()>,
-    /// The launch-thread token of the thread currently holding `launch`
-    /// (0 = unheld); lets a same-thread re-entry fail fast instead of
-    /// self-deadlocking (see the launch layer).
-    pub(super) launch_owner: AtomicU64,
     pub(super) pool: WorkerPool,
     pub(super) output_pool: Arc<BufferPool<T>>,
 }
 
-/// The compiled configuration of an engine: the kernel, its metadata, the
-/// partition and claim counter it launches with, and the per-slot spare
-/// kernels batches compile against it.
+/// The compiled configuration of an engine: the kernel, its metadata
+/// (which names the strategy) and the partition it launches with.
 pub(super) struct EngineCore<T: Scalar> {
     pub(super) kernel: CompiledKernel<T>,
     pub(super) meta: KernelMeta,
     pub(super) partition: Partition,
-    pub(super) counter: Box<DynamicCounter>,
-    /// The options this core's kernel was generated with, kept so the batch
-    /// pipeline can compile spare slot kernels ([`SlotKernel`]) on demand.
-    pub(super) kernel_options: KernelOptions,
-    /// The workload-division strategy this core compiled.
-    pub(super) strategy: Strategy,
-    /// Lazily compiled spare kernels backing batch pipeline slots 1.. for
-    /// dynamic-dispatch cores (see [`SlotKernel`]); cached so repeated
-    /// [`JitSpmm::execute_batch`] calls pay codegen once.
-    pub(super) batch_kernels: Mutex<Vec<Arc<SlotKernel<T>>>>,
 }
 
 impl<T: Scalar> std::fmt::Debug for JitSpmm<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JitSpmm")
             .field("d", &self.d)
-            .field("strategy", &self.core.strategy)
+            .field("strategy", &self.core.meta.strategy)
             .field("threads", &self.threads)
             .field("pool_workers", &self.pool.size())
             .field("code_bytes", &self.core.meta.code_bytes)
@@ -119,16 +97,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         let kernel_options =
             KernelOptions { isa, ccm: options.ccm, features, listing: options.listing };
         let core = JitSpmm::build_core(matrix, d, options.strategy, kernel_options, threads)?;
-        Ok(JitSpmm {
-            matrix,
-            d,
-            threads,
-            core,
-            launch: Mutex::new(()),
-            launch_owner: AtomicU64::new(0),
-            pool,
-            output_pool: Arc::new(BufferPool::new()),
-        })
+        Ok(JitSpmm { matrix, d, threads, core, pool, output_pool: Arc::new(BufferPool::new()) })
     }
 
     /// Generate, assemble and partition the engine's compiled configuration.
@@ -140,11 +109,23 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         threads: usize,
     ) -> Result<EngineCore<T>, JitSpmmError> {
         crate::codegen::validate_options(&kernel_options)?;
-        if let Strategy::RowSplitDynamic { batch: 0 } = strategy {
-            return Err(JitSpmmError::InvalidConfig("dynamic batch size must be non-zero".into()));
+        // The claim loop adds the batch, and the row loop scales by the row
+        // stride, as 32-bit immediates.
+        let fits_i32 = |n: usize| i32::try_from(n).is_ok();
+        if let Strategy::RowSplitDynamic { batch } = strategy {
+            if batch == 0 || !fits_i32(batch) {
+                return Err(JitSpmmError::InvalidConfig(format!(
+                    "dynamic batch size must be in 1..={}, not {batch}",
+                    i32::MAX
+                )));
+            }
         }
-        let counter = Box::new(DynamicCounter::new());
-        let binding = MatrixBinding::of(matrix);
+        if !d.checked_mul(T::KIND.bytes()).is_some_and(fits_i32) {
+            return Err(JitSpmmError::InvalidConfig(format!(
+                "a {d}-column dense row exceeds {} bytes",
+                i32::MAX
+            )));
+        }
         let kind = match strategy {
             Strategy::RowSplitDynamic { .. } => KernelKind::DynamicDispatch,
             _ => KernelKind::StaticRange,
@@ -152,15 +133,10 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
 
         let start = Instant::now();
         let generated = match strategy {
-            Strategy::RowSplitDynamic { batch } => generate_dynamic_kernel(
-                binding,
-                d,
-                T::KIND,
-                batch,
-                counter.as_ptr() as *const u8,
-                &kernel_options,
-            )?,
-            _ => generate_static_kernel(binding, d, T::KIND, &kernel_options)?,
+            Strategy::RowSplitDynamic { batch } => {
+                generate_dynamic_kernel(d, T::KIND, batch, &kernel_options)?
+            }
+            _ => generate_static_kernel(d, T::KIND, &kernel_options)?,
         };
         let kernel = CompiledKernel::new(&generated.code, kind, generated.listing)?;
         let codegen_time = start.elapsed();
@@ -177,15 +153,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             nnz_passes: generated.plan.passes(),
         };
         let partition = partition(matrix, strategy, threads);
-        Ok(EngineCore {
-            kernel,
-            meta,
-            partition,
-            counter,
-            kernel_options,
-            strategy,
-            batch_kernels: Mutex::new(Vec::new()),
-        })
+        Ok(EngineCore { kernel, meta, partition })
     }
 
     /// The sparse matrix this engine was compiled against.
@@ -224,54 +192,15 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         self.core.partition.clone()
     }
 
-    /// The cached spare [`SlotKernel`]s for batch pipeline slots `1..=extra`
-    /// of a dynamic-dispatch core, compiling any that do not exist yet.
-    /// Static-range cores need none and get an empty list.
-    pub(super) fn spare_slot_kernels(
-        &self,
-        extra: usize,
-    ) -> Result<Vec<Arc<SlotKernel<T>>>, JitSpmmError> {
-        let core = &self.core;
-        if extra == 0 || core.kernel.kind() != KernelKind::DynamicDispatch {
-            return Ok(Vec::new());
-        }
-        let Strategy::RowSplitDynamic { batch } = core.strategy else {
-            unreachable!("dynamic kernels are only generated for dynamic row-split")
-        };
-        // Listings are a debugging aid of the primary kernel; spare copies
-        // are byte-identical except for the counter address.
-        let options = KernelOptions { listing: false, ..core.kernel_options };
-        let binding = MatrixBinding::of(self.matrix);
-        let mut slots = crate::runtime::pool::lock(&core.batch_kernels);
-        while slots.len() < extra {
-            let counter = Box::new(DynamicCounter::new());
-            let generated = generate_dynamic_kernel(
-                binding,
-                self.d,
-                T::KIND,
-                batch,
-                counter.as_ptr() as *const u8,
-                &options,
-            )?;
-            let kernel = CompiledKernel::new(&generated.code, KernelKind::DynamicDispatch, None)?;
-            slots.push(Arc::new(SlotKernel { kernel, counter }));
-        }
-        Ok(slots.iter().take(extra).cloned().collect())
-    }
-
     /// Output buffers this engine's own pool holds spare.
     #[cfg(test)]
     pub(crate) fn spare_outputs(&self) -> usize {
         self.output_pool.spare_buffers()
     }
 
-    /// Spare slot kernels this engine has compiled for batch pipelines.
-    #[cfg(test)]
-    pub(crate) fn spare_kernels(&self) -> usize {
-        crate::runtime::pool::lock(&self.core.batch_kernels).len()
-    }
-
-    pub(super) fn check_shapes(
+    /// The shape check of every launch that writes a caller's `y`:
+    /// `x` is `ncols x d` and `y` is `nrows x d`.
+    pub(crate) fn check_shapes(
         &self,
         x: &DenseMatrix<T>,
         y: &DenseMatrix<T>,
@@ -306,9 +235,9 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
 /// with `ncols` columns expects — the one shape check behind every engine
 /// shape (single, sharded, mutable) and the serving router.
 ///
-/// Every launch path calls it **before** taking a launch lock, pinning a
-/// generation or touching a buffer pool, so user input can only ever produce
-/// a [`JitSpmmError::ShapeMismatch`], never a panic or a poisoned engine.
+/// Every launch path calls it **before** pinning a generation or touching a
+/// buffer pool, so user input can only ever produce a
+/// [`JitSpmmError::ShapeMismatch`], never a panic or a poisoned engine.
 pub(crate) fn check_input_shape<T: Scalar>(
     x: &DenseMatrix<T>,
     ncols: usize,
@@ -324,22 +253,11 @@ pub(crate) fn check_input_shape<T: Scalar>(
     Ok(())
 }
 
-/// A spare kernel instance backing one batch pipeline slot of a
-/// dynamic-dispatch engine. The row-claim counter's address is embedded in
-/// the generated code, so every launch that may be in flight concurrently
-/// needs its own counter — and therefore its own compiled copy. (Static
-/// kernels have no embedded mutable state; slots share the engine's.)
-pub(super) struct SlotKernel<T: Scalar> {
-    pub(super) kernel: CompiledKernel<T>,
-    /// The claim counter the spare kernel's `lock xadd` targets; boxed so
-    /// its address outlives any move of the surrounding struct.
-    pub(super) counter: Box<DynamicCounter>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::JitSpmmBuilder;
+    use crate::test_support::{integer_input, integer_valued, scalar_anchor};
     use jitspmm_asm::IsaLevel;
     use jitspmm_sparse::generate;
 
@@ -439,6 +357,27 @@ mod tests {
             .unwrap();
         let (y, _) = engine.execute(&x).unwrap();
         assert!(y.approx_eq(&expected, 1e-4));
+    }
+
+    #[test]
+    fn build_rejects_immediates_that_wrap() {
+        if !host_ok() {
+            eprintln!("skipping: host lacks AVX/FMA");
+            return;
+        }
+        let a = integer_valued(&generate::uniform::<f32>(300, 300, 3_000, 4));
+        // The claim loop adds the batch as a 32-bit immediate: 2^31 would
+        // wrap to a negative step.
+        let build = |strategy, d| JitSpmmBuilder::new().strategy(strategy).threads(2).build(&a, d);
+        let err = build(Strategy::RowSplitDynamic { batch: 1 << 31 }, 16).unwrap_err();
+        assert!(matches!(err, JitSpmmError::InvalidConfig(_)), "{err:?}");
+        // So is the row stride, `d * 4` bytes for f32.
+        let err = build(Strategy::RowSplitStatic, (1 << 29) + 1).unwrap_err();
+        assert!(matches!(err, JitSpmmError::InvalidConfig(_)), "{err:?}");
+        // The largest batch that fits still computes the right product.
+        let engine = build(Strategy::RowSplitDynamic { batch: i32::MAX as usize }, 16).unwrap();
+        let x = integer_input(300, 16, 1);
+        assert_eq!(*engine.execute(&x).unwrap().0, scalar_anchor(&a, &x));
     }
 
     #[test]

@@ -1,87 +1,23 @@
-//! Single-launch execution paths: the launch lock and the blocking
-//! `execute*` family. Every deferred launch — batched, sharded, mutable or
-//! served — goes through a [`crate::BatchStream`] instead (see `batch`).
+//! Single-launch execution paths: the blocking `execute*` family. Every
+//! deferred launch — batched, sharded, mutable or served — goes through a
+//! [`crate::BatchStream`] instead (see `batch`).
 //!
-//! Every path here runs against the engine's one immutable compiled core
-//! (kernel, partition, claim counter), under the launch lock.
+//! Every path here runs the engine's one immutable compiled core (kernel,
+//! partition) on a launch of its own: the operands and the claim counter
+//! live in this call's frame, so any number of launches of one engine may
+//! run at once.
 
+use crate::codegen::LaunchArgs;
 use crate::engine::compile::{check_input_shape, JitSpmm};
 use crate::engine::report::ExecutionReport;
 use crate::error::JitSpmmError;
-use crate::kernel::KernelKind;
 use crate::runtime::dispatch;
 use crate::runtime::PooledMatrix;
 use jitspmm_sparse::{DenseMatrix, Scalar};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, MutexGuard, TryLockError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A small process-unique id for the current thread, used to detect a thread
-/// re-acquiring an engine's launch lock it already holds (`std::sync::Mutex`
-/// would deadlock). `ThreadId::as_u64` is unstable, so mint our own.
-fn launch_thread_token() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TOKEN: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    TOKEN.with(|token| *token)
-}
-
-/// Holds an engine's launch lock for the duration of one launch, recording
-/// which thread holds it so a same-thread re-entry (e.g. `execute` while a
-/// [`crate::BatchStream`] over the engine is open) fails with
-/// [`JitSpmmError::LaunchInProgress`] instead of deadlocking.
-pub(crate) struct LaunchGuard<'a> {
-    owner: &'a AtomicU64,
-    _guard: MutexGuard<'a, ()>,
-}
-
-impl Drop for LaunchGuard<'_> {
-    fn drop(&mut self) {
-        // Cleared while the mutex is still held, so a racing thread can at
-        // worst read 0 and fall through to a blocking lock that is about to
-        // succeed.
-        self.owner.store(0, Ordering::Release);
-    }
-}
-
 impl<'a, T: Scalar> JitSpmm<'a, T> {
-    /// Begin a kernel launch: serialize against other launches of this
-    /// engine and reset the per-launch dispatch state. The returned guard
-    /// must be held until the launch completes.
-    ///
-    /// Invariant: the [`crate::DynamicCounter`] is core-owned shared state
-    /// whose address is embedded in dynamically dispatched kernels, so it
-    /// must be at row zero whenever such a kernel starts — whether the
-    /// launch goes through the pool, the single-thread path or the
-    /// emulator. To keep that invariant in one place the reset happens
-    /// here, unconditionally, before *every* launch (for static-range
-    /// kernels it is a harmless store to memory nothing reads), and under
-    /// the launch lock, so a concurrent launch of the same engine can never
-    /// interleave a reset with a running claim loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JitSpmmError::LaunchInProgress`] if the calling thread
-    /// already holds the launch lock (it holds an open stream over this
-    /// engine; blocking would self-deadlock). A launch held by *another*
-    /// thread is waited for.
-    pub(crate) fn begin_launch(&self) -> Result<LaunchGuard<'_>, JitSpmmError> {
-        let guard = match self.launch.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) => {
-                if self.launch_owner.load(Ordering::Acquire) == launch_thread_token() {
-                    return Err(JitSpmmError::LaunchInProgress);
-                }
-                crate::runtime::pool::lock(&self.launch)
-            }
-        };
-        self.launch_owner.store(launch_thread_token(), Ordering::Release);
-        self.core.counter.reset();
-        Ok(LaunchGuard { owner: &self.launch_owner, _guard: guard })
-    }
-
     /// Compute `Y = A * X` into an output buffer borrowed from the engine's
     /// internal pool.
     ///
@@ -101,16 +37,14 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         &self,
         x: &DenseMatrix<T>,
     ) -> Result<(PooledMatrix<T>, ExecutionReport), JitSpmmError> {
-        // Validate, then lock, then allocate — the ordering every launch
-        // path shares: a call that fails shape validation or blocks behind
-        // another launch must not pay the buffer-pool round trip first.
+        // Validate, then allocate: a call that fails shape validation must
+        // not pay the buffer-pool round trip first.
         check_input_shape(x, self.matrix.ncols(), self.d)?;
-        let launch = self.begin_launch()?;
         let mut y = PooledMatrix::new(
             self.output_pool.acquire(self.matrix.nrows(), self.d),
             Arc::clone(&self.output_pool),
         );
-        let report = self.launch_kernel(&launch, x, &mut y);
+        let report = self.launch_kernel(x, &mut y);
         Ok((y, report))
     }
 
@@ -131,43 +65,28 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         y: &mut DenseMatrix<T>,
     ) -> Result<ExecutionReport, JitSpmmError> {
         self.check_shapes(x, y)?;
-        let launch = self.begin_launch()?;
-        Ok(self.launch_kernel(&launch, x, y))
+        Ok(self.launch_kernel(x, y))
     }
 
     /// Dispatch one launch of the kernel over the pool. The caller has
-    /// already validated the shapes and holds the launch lock (`_launch`
-    /// proves it).
-    fn launch_kernel(
-        &self,
-        _launch: &LaunchGuard<'_>,
-        x: &DenseMatrix<T>,
-        y: &mut DenseMatrix<T>,
-    ) -> ExecutionReport {
+    /// already validated the shapes.
+    fn launch_kernel(&self, x: &DenseMatrix<T>, y: &mut DenseMatrix<T>) -> ExecutionReport {
         let core = &self.core;
         let start = Instant::now();
-        // SAFETY: the engine borrows the CSR matrix whose pointers the kernel
-        // embeds, the caller checked the shapes, and rows are partitioned
-        // disjointly across lanes (statically or via the dynamic counter,
-        // reset under the held launch lock).
+        // SAFETY: `LaunchArgs` is the contract: the engine borrows the
+        // matrix, the caller checked the shapes of `x` and `y`, the
+        // partition's ranges are disjoint, and the launch's claim counter is
+        // its own.
         let (kernel, wake) = unsafe {
-            match core.kernel.kind() {
-                KernelKind::DynamicDispatch => dispatch::run_dynamic(
-                    &self.pool,
-                    &core.kernel,
-                    self.threads,
-                    x.as_ptr(),
-                    y.as_mut_ptr(),
-                ),
-                KernelKind::StaticRange => dispatch::run_static(
-                    &self.pool,
-                    &core.kernel,
-                    &core.partition.ranges,
-                    self.threads,
-                    x.as_ptr(),
-                    y.as_mut_ptr(),
-                ),
-            }
+            dispatch::run_kernel(
+                &self.pool,
+                &core.kernel,
+                self.matrix,
+                &core.partition.ranges,
+                self.threads,
+                x.as_ptr(),
+                y.as_mut_ptr(),
+            )
         };
         let elapsed = start.elapsed();
         ExecutionReport {
@@ -176,7 +95,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             dispatch: elapsed.saturating_sub(kernel),
             wake,
             threads: self.threads,
-            strategy: core.strategy,
+            strategy: core.meta.strategy,
         }
     }
 
@@ -192,26 +111,13 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
         y: &mut DenseMatrix<T>,
     ) -> Result<ExecutionReport, JitSpmmError> {
         self.check_shapes(x, y)?;
-        let _launch = self.begin_launch()?;
         let core = &self.core;
         let start = Instant::now();
-        match core.kernel.kind() {
-            KernelKind::DynamicDispatch => {
-                // SAFETY: see execute_into.
-                unsafe { core.kernel.call_dynamic(x.as_ptr(), y.as_mut_ptr()) };
-            }
-            KernelKind::StaticRange => {
-                // SAFETY: see execute_into.
-                unsafe {
-                    core.kernel.call_static(
-                        0,
-                        self.matrix.nrows() as u64,
-                        x.as_ptr(),
-                        y.as_mut_ptr(),
-                    )
-                };
-            }
-        }
+        let args = LaunchArgs::new(self.matrix, x.as_ptr(), y.as_mut_ptr());
+        // SAFETY: `LaunchArgs` is the contract: the engine borrows the
+        // matrix, the shapes were checked, the range is the whole matrix and
+        // the block — with its claim counter — is this call's alone.
+        unsafe { core.kernel.call(&args, 0, self.matrix.nrows() as u64) };
         let elapsed = start.elapsed();
         Ok(ExecutionReport {
             elapsed,
@@ -219,7 +125,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
             dispatch: Duration::ZERO,
             wake: Duration::ZERO,
             threads: 1,
-            strategy: core.strategy,
+            strategy: core.meta.strategy,
         })
     }
 }

@@ -5,6 +5,7 @@ use crate::engine::JitSpmmBuilder;
 use crate::error::JitSpmmError;
 use crate::runtime::WorkerPool;
 use crate::schedule::Strategy;
+use crate::test_support::{integer_input, integer_valued, scalar_anchor, with_watchdog};
 use jitspmm_asm::CpuFeatures;
 use jitspmm_sparse::generate;
 use jitspmm_sparse::DenseMatrix;
@@ -106,7 +107,7 @@ fn one_stream_push_matches_blocking_execute() {
         let (y_blocking, _) = engine.execute(&x).unwrap();
         let y_blocking = y_blocking.into_dense();
         engine.pool().scope(|scope| {
-            let mut stream = engine.batch_stream(scope, 1).unwrap();
+            let mut stream = engine.batch_stream(scope, 1);
             assert!(stream.push(&x).unwrap().is_none());
             let (y_stream, report) = stream.finish().pop().unwrap();
             assert_eq!(*y_stream, y_blocking, "strategy {strategy}");
@@ -117,64 +118,129 @@ fn one_stream_push_matches_blocking_execute() {
 }
 
 #[test]
-fn concurrent_async_launches_of_one_engine_are_rejected() {
+fn two_streams_of_one_engine_run_side_by_side() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
     }
-    let a = generate::uniform::<f32>(300, 300, 3_000, 4);
-    let x = DenseMatrix::random(300, 8, 5);
-    let engine = JitSpmmBuilder::new().threads(2).pool(WorkerPool::new(2)).build(&a, 8).unwrap();
-    engine.pool().scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 1).unwrap();
-        assert!(stream.push(&x).unwrap().is_none());
-        // The dynamic counter is engine-owned; a second stream from this
-        // thread must be refused (not deadlock) while the first is open.
-        assert!(matches!(
-            engine.batch_stream(scope, 1).unwrap_err(),
-            JitSpmmError::LaunchInProgress
-        ));
-        let (y, _) = stream.finish().pop().unwrap();
-        assert!(y.approx_eq(&a.spmm_reference(&x), 1e-4));
-        // With the stream gone the engine accepts launches again.
-        let mut again = engine.batch_stream(scope, 1).unwrap();
-        assert!(again.push(&x).unwrap().is_none());
-        let (y2, _) = again.finish().pop().unwrap();
-        assert!(y2.approx_eq(&a.spmm_reference(&x), 1e-4));
-    });
+    let a = integer_valued(&generate::uniform::<f32>(300, 300, 3_000, 4));
+    let x = integer_input(300, 8, 5);
+    let expected = scalar_anchor(&a, &x);
+    for strategy in [Strategy::RowSplitStatic, Strategy::RowSplitDynamic { batch: 16 }] {
+        let engine = JitSpmmBuilder::new()
+            .strategy(strategy)
+            .threads(2)
+            .pool(WorkerPool::new(2))
+            .build(&a, 8)
+            .unwrap();
+        engine.pool().scope(|scope| {
+            // Each launch carries its own claim counter, so a second stream
+            // from this thread runs while the first has a launch in flight.
+            let mut first = engine.batch_stream(scope, 1);
+            assert!(first.push(&x).unwrap().is_none());
+            let mut second = engine.batch_stream(scope, 2);
+            assert!(second.push(&x).unwrap().is_none());
+            assert!(second.push_owned(x.clone()).unwrap().is_none());
+            for (y, _) in first.finish().into_iter().chain(second.finish()) {
+                assert_eq!(*y, expected, "strategy {strategy}");
+            }
+        });
+    }
 }
 
 #[test]
-fn blocking_execute_with_outstanding_handle_errors_instead_of_deadlocking() {
+fn blocking_launches_run_while_a_stream_is_open() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
     }
-    let a = generate::uniform::<f32>(200, 200, 2_000, 9);
-    let x = DenseMatrix::random(200, 8, 10);
-    let engine = JitSpmmBuilder::new().threads(2).pool(WorkerPool::new(2)).build(&a, 8).unwrap();
-    engine.pool().scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 1).unwrap();
-        assert!(stream.push(&x).unwrap().is_none());
-        // Same thread, launch lock held by the open stream with a launch in
-        // flight: a blocking execute must fail fast, not self-deadlock on
-        // the launch mutex.
-        assert!(matches!(engine.execute(&x).unwrap_err(), JitSpmmError::LaunchInProgress));
-        let mut y = DenseMatrix::zeros(200, 8);
-        assert!(matches!(
-            engine.execute_into(&x, &mut y).unwrap_err(),
-            JitSpmmError::LaunchInProgress
-        ));
-        assert!(matches!(
-            engine.execute_single_thread(&x, &mut y).unwrap_err(),
-            JitSpmmError::LaunchInProgress
-        ));
-        let (ya, _) = stream.finish().pop().unwrap();
-        assert!(ya.approx_eq(&a.spmm_reference(&x), 1e-4));
+    let a = integer_valued(&generate::uniform::<f32>(200, 200, 2_000, 9));
+    let x = integer_input(200, 8, 10);
+    let expected = scalar_anchor(&a, &x);
+    for strategy in [Strategy::RowSplitStatic, Strategy::RowSplitDynamic { batch: 16 }] {
+        let engine = JitSpmmBuilder::new()
+            .strategy(strategy)
+            .threads(2)
+            .pool(WorkerPool::new(2))
+            .build(&a, 8)
+            .unwrap();
+        engine.pool().scope(|scope| {
+            let mut stream = engine.batch_stream(scope, 1);
+            assert!(stream.push(&x).unwrap().is_none());
+            // Same thread, a launch of the stream in flight: every blocking
+            // launch runs beside it.
+            assert_eq!(*engine.execute(&x).unwrap().0, expected, "strategy {strategy}");
+            let mut y = DenseMatrix::zeros(200, 8);
+            engine.execute_into(&x, &mut y).unwrap();
+            assert_eq!(y, expected, "strategy {strategy}");
+            let mut y = DenseMatrix::zeros(200, 8);
+            engine.execute_single_thread(&x, &mut y).unwrap();
+            assert_eq!(y, expected, "strategy {strategy}");
+            let (ya, _) = stream.finish().pop().unwrap();
+            assert_eq!(*ya, expected, "strategy {strategy}");
+        });
+    }
+}
+
+#[test]
+fn concurrent_launches_of_one_engine_match_the_scalar_anchor() {
+    if !host_ok() {
+        eprintln!("skipping: host lacks AVX/FMA");
+        return;
+    }
+    const THREADS: usize = 4;
+    const LAUNCHES: usize = 12;
+    let a = integer_valued(&generate::rmat::<f32>(9, 6_000, generate::RmatConfig::GRAPH500, 3));
+    let inputs: Vec<DenseMatrix<f32>> =
+        (0..LAUNCHES as u64).map(|seed| integer_input(a.ncols(), 16, seed)).collect();
+    let expected: Vec<DenseMatrix<f32>> = inputs.iter().map(|x| scalar_anchor(&a, x)).collect();
+    let pool = WorkerPool::new(2);
+    // One engine per strategy, each shared by every thread: the dynamic
+    // kernel's lanes claim rows from a counter that each launch owns.
+    let engines: Vec<_> = [Strategy::RowSplitStatic, Strategy::RowSplitDynamic { batch: 8 }]
+        .into_iter()
+        .map(|strategy| {
+            JitSpmmBuilder::new().strategy(strategy).threads(2).pool(pool.clone()).build(&a, 16)
+        })
+        .collect::<Result<_, _>>()
+        .unwrap();
+    let nrows = a.nrows();
+    with_watchdog(|| {
+        std::thread::scope(|threads| {
+            for t in 0..THREADS {
+                let (engines, inputs, expected) = (&engines, &inputs, &expected);
+                threads.spawn(move || {
+                    for m in 0..LAUNCHES {
+                        let engine = &engines[(t + m) % engines.len()];
+                        let i = (t * 5 + m) % LAUNCHES;
+                        let (x, want) = (&inputs[i], &expected[i]);
+                        let what = format!("thread {t}, launch {m}, {}", engine.meta().strategy);
+                        match m % 4 {
+                            0 => assert_eq!(*engine.execute(x).unwrap().0, *want, "{what}"),
+                            1 => {
+                                let mut y = DenseMatrix::zeros(nrows, 16);
+                                engine.execute_into(x, &mut y).unwrap();
+                                assert_eq!(y, *want, "{what}");
+                            }
+                            2 => {
+                                let mut y = DenseMatrix::zeros(nrows, 16);
+                                engine.execute_single_thread(x, &mut y).unwrap();
+                                assert_eq!(y, *want, "{what}");
+                            }
+                            _ => engine.pool().scope(|scope| {
+                                let mut stream = engine.batch_stream(scope, 2);
+                                assert!(stream.push(x).unwrap().is_none());
+                                assert!(stream.push_owned(x.clone()).unwrap().is_none());
+                                for (y, _) in stream.finish() {
+                                    assert_eq!(*y, *want, "{what}");
+                                }
+                            }),
+                        }
+                    }
+                });
+            }
+        });
     });
-    // Lock released: blocking execution works again.
-    let (yb, _) = engine.execute(&x).unwrap();
-    assert!(yb.approx_eq(&a.spmm_reference(&x), 1e-4));
 }
 
 #[test]
@@ -193,8 +259,8 @@ fn two_engines_overlap_on_disjoint_lanes() {
     pool.scope(|scope| {
         // Both streams open at once, one worker lane each; every round has
         // a launch of each engine in flight together.
-        let mut sa = ea.batch_stream(scope, 1).unwrap();
-        let mut sb = eb.batch_stream(scope, 1).unwrap();
+        let mut sa = ea.batch_stream(scope, 1);
+        let mut sb = eb.batch_stream(scope, 1);
         for _ in 0..20 {
             let done_a = sa.push(&xa).unwrap();
             let done_b = sb.push(&xb).unwrap();
@@ -222,7 +288,7 @@ fn dropped_stream_joins_and_recycles_the_buffer() {
     // launch then takes.
     let first_ptr = engine.execute(&x).unwrap().0.as_ptr();
     engine.pool().scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 1).unwrap();
+        let mut stream = engine.batch_stream(scope, 1);
         assert!(stream.push(&x).unwrap().is_none());
         // Dropped without finish: must join and return the buffer.
     });
@@ -241,7 +307,7 @@ fn stream_push_on_inline_pool_completes_eagerly() {
     let x = DenseMatrix::random(100, 4, 4);
     let engine = JitSpmmBuilder::new().threads(2).pool(WorkerPool::inline()).build(&a, 4).unwrap();
     engine.pool().scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 1).unwrap();
+        let mut stream = engine.batch_stream(scope, 1);
         assert!(stream.push(&x).unwrap().is_none());
         // A push on a zero-worker pool has already run when it returns.
         assert!(stream.oldest_done());
@@ -260,7 +326,7 @@ fn stream_push_rejects_bad_shapes() {
     let engine = JitSpmmBuilder::new().threads(1).build(&a, 8).unwrap();
     let wrong = DenseMatrix::<f32>::zeros(10, 8);
     engine.pool().scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 1).unwrap();
+        let mut stream = engine.batch_stream(scope, 1);
         assert!(matches!(stream.push(&wrong).unwrap_err(), JitSpmmError::ShapeMismatch(_)));
         assert!(matches!(
             stream.push_owned(wrong.clone()).unwrap_err(),

@@ -21,12 +21,6 @@ pub enum JitSpmmError {
     /// A shard plan was requested for a sparse matrix with no rows — there
     /// is nothing to split (see [`crate::shard::plan_shards`]).
     EmptySparseMatrix,
-    /// The calling thread already holds this engine's launch lock — it has
-    /// a [`crate::BatchStream`] over the engine open — so blocking for the
-    /// lock would self-deadlock; one engine runs one launch at a time (its
-    /// dynamic row-claim counter is shared state embedded in the generated
-    /// code). Finish or drop the open stream first.
-    LaunchInProgress,
     /// A serving request was tagged with an engine id the server does not
     /// have (valid ids are `0..engines`).
     UnknownEngine {
@@ -51,9 +45,6 @@ impl fmt::Display for JitSpmmError {
             JitSpmmError::EmptyDenseMatrix => write!(f, "the dense matrix has zero columns"),
             JitSpmmError::EmptySparseMatrix => {
                 write!(f, "the sparse matrix has zero rows: nothing to shard")
-            }
-            JitSpmmError::LaunchInProgress => {
-                write!(f, "an asynchronous launch of this engine is still in flight")
             }
             JitSpmmError::UnknownEngine { requested, engines } => write!(
                 f,

@@ -1,17 +1,22 @@
 //! Compiled kernel wrapper: executable code plus metadata.
 
+use crate::codegen::LaunchArgs;
 use crate::schedule::Strategy;
 use jitspmm_asm::{AsmError, ExecutableBuffer, IsaLevel};
 use jitspmm_sparse::ScalarKind;
 use std::marker::PhantomData;
 use std::time::Duration;
 
-/// The call shape of a compiled kernel.
+/// How a compiled kernel divides rows. Both kinds share one call shape,
+/// `fn(args, row_start, row_end)`, where `args` carries the matrix, the
+/// dense operands and a per-launch claim counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// `fn(row_start, row_end, x, y)` — used by all static partitions.
+    /// Computes rows `[row_start, row_end)` — used by all static
+    /// partitions, one range per lane.
     StaticRange,
-    /// `fn(x, y)` — dynamic row dispatching with an embedded `NEXT` counter.
+    /// Ignores the range: every lane claims batches of rows from the
+    /// launch's counter with `lock xadd` until none are left (Listing 1).
     DynamicDispatch,
 }
 
@@ -92,31 +97,23 @@ impl<T> CompiledKernel<T> {
         self.listing.as_deref()
     }
 
-    /// Invoke a static-range kernel on rows `[start, end)`.
+    /// Run the kernel on the launch described by `args`: rows
+    /// `[start, end)` for a static-range kernel; a dynamic-dispatch kernel
+    /// ignores the range and claims rows from `args`' counter until none
+    /// are left.
     ///
     /// # Safety
     ///
-    /// The kernel embeds raw pointers to the CSR arrays it was compiled
-    /// against; those arrays must still be alive and unchanged. `x` must
-    /// point to at least `ncols * d` elements and `y` to at least
-    /// `nrows * d` writable elements of the correct type, and `start <= end
-    /// <= nrows`.
-    pub(crate) unsafe fn call_static(&self, start: u64, end: u64, x: *const T, y: *mut T) {
-        debug_assert_eq!(self.kernel_kind, KernelKind::StaticRange);
-        let f: extern "C" fn(u64, u64, *const T, *mut T) = std::mem::transmute(self.buf.entry());
-        f(start, end, x, y);
-    }
-
-    /// Invoke a dynamic-dispatch kernel (it loops until the shared counter
-    /// runs past the row count).
-    ///
-    /// # Safety
-    ///
-    /// Same requirements as [`CompiledKernel::call_static`]; additionally the
-    /// embedded `NEXT` counter must still be alive.
-    pub(crate) unsafe fn call_dynamic(&self, x: *const T, y: *mut T) {
-        debug_assert_eq!(self.kernel_kind, KernelKind::DynamicDispatch);
-        let f: extern "C" fn(*const T, *mut T) = std::mem::transmute(self.buf.entry());
-        f(x, y);
+    /// `args` is the whole contract. Its matrix arrays must be alive and
+    /// unchanged for the call, its `x` must point to at least `ncols * d`
+    /// elements and its `y` to at least `nrows * d` writable elements, for
+    /// the `d` and element type this kernel was compiled for. A static call
+    /// needs `start <= end <= nrows`. Calls running at once on one `args`
+    /// must write disjoint rows: disjoint ranges, or dynamic calls sharing
+    /// its counter, which must not have been advanced by another launch.
+    pub(crate) unsafe fn call(&self, args: &LaunchArgs<T>, start: u64, end: u64) {
+        let f: extern "C" fn(*const LaunchArgs<T>, u64, u64) =
+            std::mem::transmute(self.buf.entry());
+        f(args, start, end);
     }
 }

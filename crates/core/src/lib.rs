@@ -94,8 +94,8 @@
 //! let eng_b = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, 8)?;
 //! let x = DenseMatrix::random(200, 8, 3);
 //! pool.scope(|scope| -> Result<(), jitspmm::JitSpmmError> {
-//!     let mut sa = eng_a.batch_stream(scope, 1)?;
-//!     let mut sb = eng_b.batch_stream(scope, 1)?;
+//!     let mut sa = eng_a.batch_stream(scope, 1);
+//!     let mut sb = eng_b.batch_stream(scope, 1);
 //!     sa.push(&x)?; // in flight on worker lane 1
 //!     sb.push(&x)?; // in flight on worker lane 2
 //!     let (ya, _) = sa.finish().pop().expect("one input pushed");
@@ -121,7 +121,7 @@
 //! The steady-state traffic shape JIT compilation is amortized against is a
 //! *stream* of dense right-hand sides through one compiled kernel.
 //! [`JitSpmm::execute_batch`] pipelines a whole slice of inputs: validation
-//! happens once up front, the engine's launch lock is taken once, and up to
+//! happens once up front, and up to
 //! [`DEFAULT_BATCH_DEPTH`] launches stay in flight so workers flow from one
 //! input's job into the next without re-parking (a zero-worker pool runs
 //! each launch inline at submission through the same queue path). Every
@@ -260,9 +260,11 @@
 //! [`JitSpmmBuilder::build`] generates the kernel for exactly the requested
 //! configuration — a few microseconds of code generation, independent of
 //! the matrix size (the paper's Table IV) — and the resulting compiled core
-//! (kernel, partition, row-claim counter) is fixed for the engine's life
-//! and owned by that engine alone: every launch path runs against the same
-//! core, and nothing compiled is shared between engines. A restarted
+//! (kernel, partition) is fixed for the engine's life and owned by that
+//! engine alone: every launch path runs against the same core, and nothing
+//! compiled is shared between engines. The kernel depends only on shape;
+//! each launch hands it the matrix, the dense operands and a row-claim
+//! counter of its own, so launches of one engine may run at once. A restarted
 //! process — or an updated matrix — simply compiles again; a different
 //! configuration is a different engine.
 //!
@@ -331,8 +333,8 @@
 //! jitspmm (crates/core)
 //! ├── engine/            compile once, execute many
 //! │   ├── options        SpmmOptions, JitSpmmBuilder
-//! │   ├── compile        JitSpmm construction: the immutable compiled core, spare slot kernels
-//! │   ├── launch         blocking execute / execute_into / execute_single_thread, launch lock
+//! │   ├── compile        JitSpmm construction: the immutable compiled core
+//! │   ├── launch         blocking execute / execute_into / execute_single_thread
 //! │   ├── batch          every deferred launch: execute_batch, BatchStream over 1..K shard kernels
 //! │   └── report         ExecutionReport, the one per-launch report
 //! ├── update/            incremental matrix updates behind live serving
@@ -354,7 +356,7 @@
 //! │   └── dispatch       KernelJob, LaunchPayload slots, BufferPool
 //! ├── schedule           workload-division strategies and partitioning
 //! ├── tiling             coarse-grain column merging register allocation
-//! ├── codegen            the x86-64 kernel generator
+//! ├── codegen            the x86-64 kernel generator and its LaunchArgs ABI
 //! ├── baseline/          AOT baselines (scalar, auto-vectorized, MKL-like)
 //! └── profile            hardware-event models, emulator-based measurement
 //! ```
@@ -379,6 +381,9 @@ pub mod serve;
 pub mod shard;
 pub mod tiling;
 pub mod update;
+
+#[cfg(test)]
+mod test_support;
 
 pub use codegen::KernelOptions;
 pub use engine::{

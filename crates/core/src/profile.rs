@@ -17,6 +17,7 @@
 //! loads/branches/instructions than the AOT baselines by some factor), and
 //! both substitutes preserve exactly those ratios.
 
+use crate::codegen::LaunchArgs;
 use crate::engine::JitSpmm;
 use crate::error::JitSpmmError;
 use crate::tiling::CcmPlan;
@@ -185,11 +186,13 @@ pub fn lanes_for(isa: IsaLevel, kind: ScalarKind) -> usize {
 ///
 /// The emulator executes the exact machine code the engine generated (the
 /// same bytes that run natively), so the counts reflect the real instruction
-/// stream rather than a model.
+/// stream rather than a model. Like every launch, it runs on an argument
+/// block of its own, so it may overlap other launches of `engine`.
 ///
 /// # Errors
 ///
-/// Returns [`JitSpmmError::ShapeMismatch`] for shape errors and
+/// Returns [`JitSpmmError::ShapeMismatch`] for shape errors (the engine's
+/// own check, as [`JitSpmm::execute_into`]) and
 /// [`JitSpmmError::InvalidConfig`] if the emulator rejects an instruction
 /// (which would indicate an encoder/emulator mismatch — covered by tests).
 pub fn measure_jit_emulated<T: Scalar>(
@@ -197,31 +200,18 @@ pub fn measure_jit_emulated<T: Scalar>(
     x: &DenseMatrix<T>,
     y: &mut DenseMatrix<T>,
 ) -> Result<ProfileCounts, JitSpmmError> {
-    if x.nrows() != engine.matrix().ncols() || x.ncols() != engine.d() {
-        return Err(JitSpmmError::ShapeMismatch("dense input shape".into()));
-    }
-    if y.nrows() != engine.matrix().nrows() || y.ncols() != engine.d() {
-        return Err(JitSpmmError::ShapeMismatch("dense output shape".into()));
-    }
-    // A dynamically dispatched kernel claims rows from the engine's shared
-    // counter; reset it exactly as a native launch would, so emulation after
-    // a previous execution does not observe an exhausted counter (and
-    // silently compute nothing).
-    let _launch = engine.begin_launch()?;
+    engine.check_shapes(x, y)?;
+    let nrows = engine.matrix().nrows() as u64;
+    let args = LaunchArgs::new(engine.matrix(), x.as_ptr(), y.as_mut_ptr());
     let mut emulator = Emulator::new();
-    let args: Vec<u64> = match engine.kernel().kind() {
-        crate::kernel::KernelKind::StaticRange => {
-            vec![0, engine.matrix().nrows() as u64, x.as_ptr() as u64, y.as_mut_ptr() as u64]
-        }
-        crate::kernel::KernelKind::DynamicDispatch => {
-            vec![x.as_ptr() as u64, y.as_mut_ptr() as u64]
-        }
-    };
-    // SAFETY: the kernel was generated against live buffers owned by the
-    // borrowed matrix and the caller-provided dense matrices, whose shapes
-    // were validated above; the emulator performs the same accesses the
-    // hardware would.
-    let counters = unsafe { emulator.run(engine.kernel().code(), &args) }.map_err(emu_to_jit)?;
+    // SAFETY: `LaunchArgs` is the contract, as for a native call: the
+    // engine borrows the matrix, the shapes were checked above, the range is
+    // the whole matrix and the block is this call's alone. The emulator
+    // performs the same accesses the hardware would.
+    let counters = unsafe {
+        emulator.run(engine.kernel().code(), &[&args as *const LaunchArgs<T> as u64, 0, nrows])
+    }
+    .map_err(emu_to_jit)?;
     Ok(counters.into())
 }
 

@@ -2,31 +2,35 @@
 //! output buffers that make repeated [`crate::JitSpmm::execute`] calls
 //! allocation-free.
 
+use crate::codegen::LaunchArgs;
 use crate::kernel::{CompiledKernel, KernelKind};
 use crate::runtime::pool::{lock, ErasedTask};
 use crate::runtime::{JobSpec, WorkerPool};
 use crate::schedule::RowRange;
-use jitspmm_sparse::{DenseMatrix, Scalar};
+use jitspmm_sparse::{CsrMatrix, DenseMatrix, Scalar};
+use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// The erased payload of a kernel launch: everything one pool task needs to
-/// invoke the compiled code, as raw pointers.
+/// One kernel launch as a pool job: the kernel, the static ranges and the
+/// launch's own [`LaunchArgs`] block — operands and claim counter.
 ///
-/// A `KernelJob` has exactly two kinds of owner, and each outlives every
-/// dereference of the pointers inside:
+/// The counter lives here, so every launch starts from row zero and two
+/// launches of one kernel never share one. A `KernelJob` has exactly two
+/// kinds of owner, and each outlives every dereference of the pointers
+/// inside:
 ///
-/// * the blocking paths ([`run_static`] / [`run_dynamic`]) keep it on the
-///   stack, borrowed by the task closure, and do not return before the pool
-///   has joined the job;
+/// * the blocking path ([`run_kernel`]) keeps it on the stack, borrowed by
+///   the task closure, and does not return before the pool has joined the
+///   job;
 /// * a [`crate::BatchStream`] stores it in a [`LaunchPayload`] slot, which
 ///   is rewritten only after the stream has joined the launch submitted
 ///   from it and freed only after the stream's drop has joined every launch
 ///   (leaked, never freed, with a leaked stream).
 ///
-/// The pointees — kernel, partition, input and output buffers — are
+/// The pointees — kernel, partition, matrix, input and output buffers — are
 /// borrowed for at least as long as that owner holds the job, or for the
 /// [`crate::PoolScope`] a stream is anchored to, which joins every launch
 /// before returning; so nothing the workers dereference can be freed early.
@@ -35,35 +39,41 @@ pub(crate) struct KernelJob<T: Scalar> {
     /// Static partition ranges (`ptr`, `len`); unused for dynamic dispatch.
     ranges: *const RowRange,
     nranges: usize,
-    x: *const T,
-    y: *mut T,
+    args: LaunchArgs<T>,
 }
 
 // SAFETY: a KernelJob is only ever shared between pool participants running
 // disjoint task indices of one launch; the aliasing rules for the pointers
 // inside are exactly the (unsafe) launch contract its constructor callers
-// already uphold. The pointers themselves are plain addresses.
+// already uphold. The pointers themselves are plain addresses, and the
+// counter is atomic.
 unsafe impl<T: Scalar> Sync for KernelJob<T> {}
 // SAFETY: as above — ownership of the addresses may move between threads.
 unsafe impl<T: Scalar> Send for KernelJob<T> {}
 
 impl<T: Scalar> KernelJob<T> {
-    /// Capture a launch of `kernel` over `ranges` (static) or the embedded
-    /// claim loop (dynamic; `ranges` empty). Pointers, not borrows: the
-    /// caller is responsible for keeping the pointees alive until the job
-    /// completes (see the type-level docs for the two owners that do).
+    /// Capture a launch of `kernel` computing `y = matrix * x`, over
+    /// `ranges` (static) or the claim loop (dynamic). Pointers, not borrows:
+    /// the caller is responsible for keeping the pointees alive until the
+    /// job completes (see the type-level docs for the two owners that do).
     pub(crate) fn new(
         kernel: &CompiledKernel<T>,
+        matrix: &CsrMatrix<T>,
         ranges: &[RowRange],
         x: *const T,
         y: *mut T,
     ) -> KernelJob<T> {
-        KernelJob { kernel, ranges: ranges.as_ptr(), nranges: ranges.len(), x, y }
+        KernelJob {
+            kernel,
+            ranges: ranges.as_ptr(),
+            nranges: ranges.len(),
+            args: LaunchArgs::new(matrix, x, y),
+        }
     }
 
     /// The [`JobSpec`] for this launch: one task per range for static
     /// kernels, `lanes` identical claim-loop tasks for dynamic ones — in
-    /// both cases capped to `lanes` pool workers so concurrent engines can
+    /// both cases capped to `lanes` pool workers so concurrent launches can
     /// overlap on disjoint worker subsets.
     pub(crate) fn spec(&self, kind: KernelKind, lanes: usize) -> JobSpec {
         match kind {
@@ -76,10 +86,9 @@ impl<T: Scalar> KernelJob<T> {
     ///
     /// # Safety
     ///
-    /// Same contract as [`CompiledKernel::call_static`] /
-    /// [`CompiledKernel::call_dynamic`]: every pointer must be live, shapes
-    /// must match the compiled kernel, ranges must be pairwise disjoint and
-    /// the dynamic counter reset since the last launch.
+    /// The pointees must be alive and the job built as
+    /// [`CompiledKernel::call`] requires of its `args`: shapes matching the
+    /// compiled kernel, ranges pairwise disjoint.
     pub(crate) unsafe fn run(&self, index: usize) {
         // Chaos-test hook (test builds only): may panic or sleep here, the
         // point where a crash in generated code would surface.
@@ -88,7 +97,7 @@ impl<T: Scalar> KernelJob<T> {
         // SAFETY: the caller's contract keeps the kernel alive for the
         // job's lifetime; `new` took the pointer from a live reference.
         let kernel = unsafe { &*self.kernel };
-        match kernel.kind() {
+        let (start, end) = match kernel.kind() {
             KernelKind::StaticRange => {
                 // SAFETY: a static job's spec has one task per range
                 // (`spec`), so `index < nranges`, and the partition the
@@ -97,16 +106,14 @@ impl<T: Scalar> KernelJob<T> {
                 if range.is_empty() {
                     return;
                 }
-                // SAFETY: forwarded; disjoint ranges mean no two tasks write
-                // the same output rows.
-                unsafe { kernel.call_static(range.start as u64, range.end as u64, self.x, self.y) };
+                (range.start as u64, range.end as u64)
             }
-            KernelKind::DynamicDispatch => {
-                // SAFETY: forwarded; the shared counter hands out disjoint
-                // row batches.
-                unsafe { kernel.call_dynamic(self.x, self.y) };
-            }
-        }
+            // Every task claims from the job's own counter.
+            KernelKind::DynamicDispatch => (0, 0),
+        };
+        // SAFETY: forwarded; disjoint ranges or the shared counter mean no
+        // two tasks write the same output rows.
+        unsafe { kernel.call(&self.args, start, end) };
     }
 
     /// The [`ErasedTask`] trampoline for scoped erased submission.
@@ -125,18 +132,6 @@ impl<T: Scalar> KernelJob<T> {
     pub(crate) fn erased() -> ErasedTask {
         KernelJob::<T>::call
     }
-
-    /// An inert job used to initialize a [`LaunchPayload`] slot before its
-    /// first [`LaunchPayload::store`]; never submitted, never run.
-    fn placeholder() -> KernelJob<T> {
-        KernelJob {
-            kernel: std::ptr::null(),
-            ranges: std::ptr::null(),
-            nranges: 0,
-            x: std::ptr::null(),
-            y: std::ptr::null_mut(),
-        }
-    }
 }
 
 /// A reusable heap slot for one batch-pipeline lane's [`KernelJob`] payload.
@@ -144,22 +139,21 @@ impl<T: Scalar> KernelJob<T> {
 /// A batch pipeline pushes an unbounded stream of launches through a
 /// handful of slots, so each slot allocates its payload once and rewrites
 /// it in place between launches — steady-state submission performs no
-/// per-launch boxing. Slots are owned by the stream that created them, so
-/// payload reuse is **per engine, per slot**: a multi-engine server (one
-/// [`crate::BatchStream`] per engine, see [`crate::serve`]) never rewrites
-/// one engine's payload with another engine's launch. The allocation is owned through a raw pointer (the
+/// per-launch boxing. Slots are owned by the stream that created them, so a
+/// payload is only ever rewritten by its own stream, after joining the
+/// launch that used it. The allocation is owned through a raw pointer (the
 /// runtime-wide idiom for worker-visible payloads): moving the owner never
 /// retags the pointer workers derived from it, dropping the owner frees the
 /// slot — sound because the batch stream joins every launch before its
 /// slots drop — and leaking the owner leaks the slot rather than dangling
-/// it.
+/// it. The slot is empty (uninitialized) until its first store.
 pub(crate) struct LaunchPayload<T: Scalar> {
-    ptr: *mut KernelJob<T>,
+    ptr: *mut MaybeUninit<KernelJob<T>>,
 }
 
 impl<T: Scalar> LaunchPayload<T> {
     pub(crate) fn new() -> LaunchPayload<T> {
-        LaunchPayload { ptr: Box::into_raw(Box::new(KernelJob::placeholder())) }
+        LaunchPayload { ptr: Box::into_raw(Box::new(MaybeUninit::uninit())) }
     }
 
     /// Overwrite the slot with `job`, returning the erased data pointer to
@@ -172,7 +166,7 @@ impl<T: Scalar> LaunchPayload<T> {
     pub(crate) unsafe fn store(&mut self, job: KernelJob<T>) -> *const () {
         // SAFETY: `ptr` is the live allocation made in `new`; exclusivity is
         // forwarded from the caller's contract.
-        unsafe { self.ptr.write(job) };
+        unsafe { self.ptr.write(MaybeUninit::new(job)) };
         self.ptr as *const ()
     }
 }
@@ -181,55 +175,33 @@ impl<T: Scalar> Drop for LaunchPayload<T> {
     fn drop(&mut self) {
         // SAFETY: produced by `Box::into_raw` in `new`; the owning stream
         // joins all launches before dropping its slots, so no worker can
-        // still reach the payload.
+        // still reach the payload. A `KernelJob` needs no drop.
         drop(unsafe { Box::from_raw(self.ptr) });
     }
 }
 
-/// Dispatch a static-range kernel over the pool: one task per partition
-/// range, each invoking `fn(row_start, row_end, x, y)` on the compiled code,
-/// capped to `lanes` workers. Returns the job's critical-path (max
-/// per-participant) kernel time and its wake (enqueue→first-claim handoff)
-/// latency — zero when the job ran inline.
+/// Run one blocking launch of `kernel` over the pool — one task per range
+/// of a static kernel, `lanes` claim-loop tasks of a dynamic one, capped to
+/// `lanes` workers — on a job built here, on this stack frame, with its own
+/// claim counter. Returns the job's critical-path (max per-participant)
+/// kernel time and its wake (enqueue→first-claim handoff) latency — zero
+/// when the job ran inline.
 ///
 /// # Safety
 ///
-/// Same contract as [`CompiledKernel::call_static`] for every range: the CSR
-/// arrays the kernel embeds must be alive, `x`/`y` must match the compiled
-/// shapes, and the ranges must be pairwise disjoint.
-pub(crate) unsafe fn run_static<T: Scalar>(
+/// As [`CompiledKernel::call`] for the block built from `matrix`, `x` and
+/// `y`, with `ranges` pairwise disjoint.
+pub(crate) unsafe fn run_kernel<T: Scalar>(
     pool: &WorkerPool,
     kernel: &CompiledKernel<T>,
+    matrix: &CsrMatrix<T>,
     ranges: &[RowRange],
     lanes: usize,
     x: *const T,
     y: *mut T,
 ) -> (Duration, Duration) {
-    let job = KernelJob::new(kernel, ranges, x, y);
-    pool.run_spec_timed(job.spec(KernelKind::StaticRange, lanes), &|index| {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { job.run(index) };
-    })
-}
-
-/// Dispatch a dynamic-dispatch kernel over the pool: `lanes` identical tasks
-/// each running the kernel's embedded `lock xadd` claim loop until the rows
-/// are exhausted. Returns the job's critical-path kernel time and wake
-/// latency, as [`run_static`].
-///
-/// # Safety
-///
-/// Same contract as [`CompiledKernel::call_dynamic`]; additionally the
-/// engine's dynamic counter must have been reset since the last launch.
-pub(crate) unsafe fn run_dynamic<T: Scalar>(
-    pool: &WorkerPool,
-    kernel: &CompiledKernel<T>,
-    lanes: usize,
-    x: *const T,
-    y: *mut T,
-) -> (Duration, Duration) {
-    let job = KernelJob::new(kernel, &[], x, y);
-    pool.run_spec_timed(job.spec(KernelKind::DynamicDispatch, lanes), &|index| {
+    let job = KernelJob::new(kernel, matrix, ranges, x, y);
+    pool.run_spec_timed(job.spec(kernel.kind(), lanes), &|index| {
         // SAFETY: forwarded from the caller's contract.
         unsafe { job.run(index) };
     })

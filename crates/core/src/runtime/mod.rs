@@ -44,9 +44,8 @@
 //! each launch submitting a reusable per-slot payload (no per-launch boxing)
 //! and recycling double-buffered [`PooledMatrix`] outputs. Workers flow from
 //! one input's job straight into the next without re-parking — the queue, not
-//! the submitting thread, keeps them fed. Dynamic-dispatch engines give each
-//! in-flight slot its own claim counter (a spare compiled kernel, cached on
-//! the engine); static-range kernels are stateless and shared. On a
+//! the submitting thread, keeps them fed. Every slot launches the engine's
+//! one kernel; each launch's payload carries its own claim counter. On a
 //! zero-worker pool every launch runs inline at submission through the same
 //! queue path. Every input comes back with its own
 //! [`crate::ExecutionReport`].

@@ -250,20 +250,15 @@ pub fn partition<T: Scalar>(
     }
 }
 
-/// The shared counter used by dynamic row dispatching.
-///
-/// The generated code performs `lock xadd` directly on the embedded address
-/// of this counter.
+/// A shared row-claim counter for dynamic row dispatching in the Rust
+/// baselines: the host-side equivalent of the JIT kernel's claim loop.
 ///
 /// # Invariant
 ///
-/// The counter is engine-owned state shared by *every* launch of that
-/// engine's kernel — pooled, single-thread or emulated — and a
-/// dynamic kernel reads it before doing any work, so it must be back at row
-/// zero when a launch starts. The engine maintains this by resetting the
-/// counter unconditionally (for static kernels too, where the store is
-/// harmless) in one place, `JitSpmm::begin_launch`, rather than remembering
-/// to reset on each dynamic code path.
+/// A counter belongs to one launch: it starts at row zero and every lane of
+/// that launch claims from it, so no row is handed out twice. The JIT
+/// kernels follow the same rule with a counter of their own, carried in
+/// each launch's argument block rather than in a `DynamicCounter`.
 #[derive(Debug, Default)]
 pub struct DynamicCounter {
     next: AtomicU64,
@@ -273,16 +268,6 @@ impl DynamicCounter {
     /// A counter starting at row zero.
     pub fn new() -> DynamicCounter {
         DynamicCounter { next: AtomicU64::new(0) }
-    }
-
-    /// Reset to row zero (done before every kernel launch).
-    pub fn reset(&self) {
-        self.next.store(0, Ordering::SeqCst);
-    }
-
-    /// The raw address the generated `lock xadd` targets.
-    pub fn as_ptr(&self) -> *const AtomicU64 {
-        &self.next as *const AtomicU64
     }
 
     /// Current value (for tests and diagnostics).
@@ -392,10 +377,7 @@ mod tests {
         let c = DynamicCounter::new();
         assert_eq!(c.claim(128), 0);
         assert_eq!(c.claim(128), 128);
-        c.reset();
-        assert_eq!(c.claim(64), 0);
-        assert_eq!(c.load(), 64);
-        assert!(!c.as_ptr().is_null());
+        assert_eq!(c.load(), 256);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   [`ServerResponse::Rejected`] / [`ServerResponse::Failed`] responses,
 //!   never panics or poisoned engines;
 //! * each engine's requests flow through its own [`crate::BatchStream`]
-//!   pipeline (per-engine launch slots, payloads and spare kernels), fed by
+//!   pipeline (per-engine launch slots and payloads), fed by
 //!   value via [`crate::BatchStream::push_owned`], so cross-thread producers
 //!   need no `'env` borrows;
 //! * the per-engine lane caps from the runtime keep concurrently in-flight

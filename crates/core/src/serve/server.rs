@@ -282,20 +282,13 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     }
 
     /// Open a [`ServerSession`] inside `scope`: one pipeline per registered
-    /// engine (each holding its engine's launch lock until the session
-    /// ends, at [`crate::DEFAULT_BATCH_DEPTH`]), ready to route requests.
+    /// engine (at [`crate::DEFAULT_BATCH_DEPTH`]), ready to route requests.
     /// Engines registered after the session opens get their pipeline
     /// lazily, on first submission to their id.
-    ///
-    /// # Errors
-    ///
-    /// [`JitSpmmError::LaunchInProgress`] if the calling thread already
-    /// holds a launch of any engine, or a codegen error from compiling spare
-    /// slot kernels.
     fn session<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
-    ) -> Result<ServerSession<'scope, 'env, 'a, T>, JitSpmmError> {
+    ) -> ServerSession<'scope, 'env, 'a, T> {
         let mut session = ServerSession {
             server: self,
             scope,
@@ -307,12 +300,9 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         };
         session.sync_topology();
         for id in 0..session.lanes.len() {
-            // A failure midway (a held launch lock, codegen) drops the
-            // session — and with it the streams opened so far, releasing
-            // their engines.
-            session.open_stream(id)?;
+            session.open_stream(id);
         }
-        Ok(session)
+        session
     }
 
     /// The serving loop — the one way a request is served: `producer` runs
@@ -371,9 +361,8 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     ///
     /// # Errors
     ///
-    /// [`JitSpmmError::LaunchInProgress`] or a codegen error from opening
-    /// the session. Malformed *requests* do not error the loop here — they
-    /// come back as [`ServerResponse::Rejected`] / [`ServerResponse::Failed`].
+    /// None today: malformed *requests* do not error the loop — they come
+    /// back as [`ServerResponse::Rejected`] / [`ServerResponse::Failed`].
     ///
     /// # Panics
     ///
@@ -400,8 +389,8 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
             let (sender, queue) =
                 RequestQueue::controlled(options.admission, Arc::clone(&self.control));
             let producer_thread = threads.spawn(move || producer(sender));
-            let served = self.pool.scope(|scope| -> Result<_, JitSpmmError> {
-                let mut session = self.session(scope)?;
+            let report = self.pool.scope(|scope| {
+                let mut session = self.session(scope);
                 let bell = self.control.bell();
                 loop {
                     // Epoch first, predicates second: whatever changes after
@@ -439,14 +428,14 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
                 // the session; fold them into the report so offered load
                 // adds up.
                 report.rejected += self.control.take_rejected_sends();
-                Ok(report)
+                report
             });
             queue.close();
             let produced = match producer_thread.join() {
                 Ok(value) => value,
                 Err(payload) => resume_unwind(payload),
             };
-            served.map(|report| (report, produced))
+            Ok((report, produced))
         })
     }
 }
@@ -635,9 +624,8 @@ impl<'scope, 'env, T: Scalar> Lane<'scope, 'env, T> {
 /// ([`ServerSession::apply_updates`], fault containment) the serving loop
 /// drives.
 ///
-/// The session holds every open lane's launch lock until it is finished or
-/// dropped (dropping joins all in-flight launches and discards their
-/// results).
+/// Dropping the session joins all in-flight launches and discards their
+/// results.
 pub(crate) struct ServerSession<'scope, 'env, 'a, T: Scalar> {
     /// `'a` is the server's own data lifetime (the matrices its engines
     /// borrow), `'env` the session's borrow of it — kept apart because the
@@ -694,25 +682,24 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         }
     }
 
-    /// Open lane `id`'s pipeline if it has none right now.
-    fn open_stream(&mut self, id: usize) -> Result<(), JitSpmmError> {
+    /// Open lane `id`'s pipeline if it has none right now. Every lane
+    /// belongs to a registered engine (`sync_topology`), and engines are
+    /// never removed.
+    fn open_stream(&mut self, id: usize) {
         if self.lanes[id].stream.is_some() {
-            return Ok(());
+            return;
         }
-        let stream = if let Some(engine) = self.server.single(id) {
-            engine.batch_stream(self.scope, 0)?
-        } else if let Some(mutable) = self.server.mutable(id) {
+        let stream = match self.server.single(id) {
+            Some(engine) => engine.batch_stream(self.scope, 0),
             // The stream pins the engine's current generation (a read
             // guard): a queued update waits until this lane recycles.
-            mutable.batch_stream(self.scope, 0)?
-        } else {
-            return Err(JitSpmmError::UnknownEngine {
-                requested: id,
-                engines: self.server.engine_count(),
-            });
+            None => self
+                .server
+                .mutable(id)
+                .expect("lanes cover registered engines")
+                .batch_stream(self.scope, 0),
         };
         self.lanes[id].stream = Some(stream);
-        Ok(())
     }
 
     /// Apply every queued matrix update ([`ControlHandle::apply_update`]);
@@ -857,15 +844,7 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
             });
             return;
         }
-        if let Err(error) = self.open_stream(engine) {
-            self.counters.failed += 1;
-            self.ready.push_back(ServerResponse::Failed {
-                engine,
-                request: seq,
-                message: error.to_string(),
-            });
-            return;
-        }
+        self.open_stream(engine);
         // Make room first, one fault-contained join at a time: a panic
         // belongs to the oldest request, never to the one being pushed.
         while self.lanes[engine].stream.as_ref().is_some_and(|s| s.in_flight() == s.depth()) {

@@ -10,6 +10,7 @@ use crate::schedule::Strategy;
 use crate::serve::control::{AdmissionPolicy, RejectReason, SendError};
 use crate::serve::queue::ServerRequest;
 use crate::serve::report::ServerReport;
+use crate::test_support::with_watchdog;
 use jitspmm_asm::CpuFeatures;
 use jitspmm_sparse::DenseMatrix;
 use jitspmm_sparse::{generate, CsrMatrix};
@@ -435,45 +436,6 @@ fn panicking_consumer_still_closes_the_queue() {
     assert!(y.approx_eq(&ms[0].spmm_reference(&x), 1e-4));
 }
 
-/// Run `body` under a watchdog: the tests below check that a wake-up is
-/// never lost, and a lost wake-up hangs instead of failing — so a minute
-/// without `body` returning (or unwinding) aborts the test binary with a
-/// message, rather than asserting on a latency.
-fn with_watchdog<R>(body: impl FnOnce() -> R) -> R {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-    /// Calls the dog off when `body` is over, however it ends.
-    struct Leash(Arc<AtomicBool>, std::thread::Thread);
-    impl Drop for Leash {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::SeqCst);
-            self.1.unpark();
-        }
-    }
-    // libtest names each test's thread after the test (not when serialized).
-    let name = std::thread::current().name().unwrap_or("a serving test").to_string();
-    let over = Arc::new(AtomicBool::new(false));
-    let dog = {
-        let over = Arc::clone(&over);
-        std::thread::spawn(move || {
-            let deadline = Instant::now() + Duration::from_secs(60);
-            while !over.load(Ordering::SeqCst) {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    eprintln!(
-                        "watchdog: {name} hung for a minute — a serving-loop wake-up was lost"
-                    );
-                    std::process::abort();
-                }
-                std::thread::park_timeout(left);
-            }
-        })
-    };
-    let _leash = Leash(over, dog.thread().clone());
-    body()
-}
-
 #[test]
 fn a_finished_launch_wakes_the_idle_loop() {
     if !host_ok() {
@@ -636,7 +598,7 @@ fn an_update_deferred_by_an_outside_stream_lands_once_it_drops() {
                     let held = server_ref.add_mutable(late).unwrap();
                     let mutable = server_ref.mutable(held).unwrap();
                     pool_ref.scope(|scope| {
-                        let stream = mutable.batch_stream(scope, 1).unwrap();
+                        let stream = mutable.batch_stream(scope, 1);
                         assert!(control.apply_update(held, delta));
                         // The loop cannot apply it — and must neither
                         // stall the other engines nor go to sleep on it.

@@ -150,18 +150,12 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     /// output), the K launches overlap on disjoint lane-capped worker
     /// subsets, and the call returns once the slowest shard has joined, with
     /// that critical path as its [`ExecutionReport`]. Steady-state repeated
-    /// execution recycles the output buffer and compiles no spare kernels.
-    ///
-    /// The input is validated before any shard launch lock is taken;
-    /// concurrent sharded executes from other threads serialize per shard
-    /// by acquiring the shard launch locks in row order (ordered
-    /// acquisition, so blocking cannot deadlock).
+    /// execution recycles the output buffer. Concurrent sharded executes,
+    /// from this thread or others, run side by side.
     ///
     /// # Errors
     ///
-    /// [`JitSpmmError::ShapeMismatch`] if `x` is not `A.ncols() x d`, and
-    /// [`JitSpmmError::LaunchInProgress`] if the calling thread already
-    /// holds a launch of one of the shard engines.
+    /// [`JitSpmmError::ShapeMismatch`] if `x` is not `A.ncols() x d`.
     ///
     /// # Panics
     ///
@@ -179,17 +173,14 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     /// Compute `Y = A * X_i` for every input in `inputs`, pipelining the
     /// batch through all shards at once: one [`BatchStream`] launches every
     /// shard kernel of an input straight into its row range of one pooled
-    /// full-height output, with per-slot payloads and spare kernels. Each
-    /// output returns, in input order, with its per-input critical-path
-    /// [`ExecutionReport`].
+    /// full-height output, with per-slot payloads. Each output returns, in
+    /// input order, with its per-input critical-path [`ExecutionReport`].
     ///
     /// # Errors
     ///
     /// [`JitSpmmError::ShapeMismatch`] (naming the offending input index in
     /// a batch of several) if any input is not `A.ncols() x d` — nothing is
-    /// launched in that case — and [`JitSpmmError::LaunchInProgress`] if
-    /// the calling thread already holds a launch of one of the shard
-    /// engines.
+    /// launched in that case.
     ///
     /// # Panics
     ///
@@ -207,19 +198,12 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     /// form of [`ShardedSpmm::execute_batch`] for unbounded input streams,
     /// with `depth` as in [`JitSpmm::batch_stream`]. Every pushed input
     /// launches all shards into one pooled full-height output and completes
-    /// when its slowest shard has joined. The stream holds every shard
-    /// engine's launch lock until it is finished or dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`JitSpmmError::LaunchInProgress`] if the calling thread already
-    /// holds a launch of one of the shard engines, or a codegen error from
-    /// compiling spare slot kernels.
+    /// when its slowest shard has joined.
     pub fn batch_stream<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         depth: usize,
-    ) -> Result<BatchStream<'scope, 'env, T>, JitSpmmError> {
+    ) -> BatchStream<'scope, 'env, T> {
         BatchStream::open(scope, depth, &self.engines, &self.output_pool)
     }
 }

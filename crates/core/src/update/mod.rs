@@ -15,8 +15,9 @@
 //!   [`CsrMatrix::apply_delta`](jitspmm_sparse::CsrMatrix::apply_delta) on
 //!   their own sub-matrix; untouched shards' spec matrices are clones
 //!   sharing the previous non-zero storage (O(rows) row pointers copied);
-//! * **every** shard then compiles fresh against the new plan — a kernel
-//!   embeds the base addresses of the arrays it reads, so a compiled core
+//! * **every** shard then compiles fresh against the new plan: a kernel
+//!   depends only on shape, but a shard engine borrows the sub-matrix it
+//!   launches on and the partition cut from it, so a compiled engine
 //!   belongs to exactly one generation;
 //! * the rebuilt engine becomes the new *generation*, swapped in between
 //!   launches — in-flight work finishes on the old cores, everything
@@ -42,8 +43,8 @@
 //! in and drop the generation it replaces. Two consequences:
 //!
 //! * the read guard is what keeps a generation alive: a swap cannot start
-//!   while any launch is in flight, so nothing ever executes a kernel (or
-//!   reads the arrays it embeds) of a generation that has been freed, and
+//!   while any launch is in flight, so no launch ever reads the arrays of
+//!   a generation that has been freed, and
 //!   memory stays bounded by one generation however many updates arrive
 //!   ([`MutableSpmm::generations_retained`] reads 1 between swaps);
 //! * an update costs one shard-local merge per touched shard plus K shard
@@ -73,7 +74,7 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, TryLockError};
 
 /// One compiled snapshot of the evolving matrix: the shard plan it was cut
 /// from and the sharded engine compiled against it. A generation owns
-/// everything its kernels point at, so dropping it frees all of it.
+/// everything its launches read, so dropping it frees all of it.
 ///
 /// `engine` borrows `plan`'s heap allocation through a raw-pointer
 /// promotion to `'static`; it is declared first so it drops before the
@@ -282,16 +283,13 @@ impl<T: Scalar> MutableSpmm<T> {
     /// revision; deltas applied while it is open wait (or, in the serving
     /// loop, requeue) and take effect for streams opened afterwards.
     ///
-    /// # Errors
-    ///
-    /// As [`ShardedSpmm::batch_stream`].
     pub fn batch_stream<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         depth: usize,
-    ) -> Result<BatchStream<'scope, 'env, T>, JitSpmmError> {
+    ) -> BatchStream<'scope, 'env, T> {
         let (guard, generation) = self.pin();
-        Ok(generation.engine.batch_stream(scope, depth)?.holding(guard))
+        generation.engine.batch_stream(scope, depth).holding(guard)
     }
 
     /// Apply an edge-delta batch, compiling the next generation: touched
@@ -341,8 +339,8 @@ impl<T: Scalar> MutableSpmm<T> {
     /// Number of this engine's compiled generations that exist right now —
     /// a live gauge (+1 when a generation is built, -1 when it drops), not a
     /// count of applied updates. It reads 1 whenever no `apply` is midway;
-    /// more means something keeps a superseded generation (and everything
-    /// its kernels point at) alive.
+    /// more means something keeps a superseded generation (and the matrix
+    /// it holds) alive.
     pub fn generations_retained(&self) -> usize {
         self.live.load(Ordering::Relaxed)
     }

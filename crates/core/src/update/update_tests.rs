@@ -138,7 +138,7 @@ fn open_streams_pin_their_revision_and_defer_applies() {
     let inputs: Vec<DenseMatrix<f32>> =
         (0..3).map(|seed| DenseMatrix::random(128, 4, seed)).collect();
     pool.scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 2).unwrap();
+        let mut stream = engine.batch_stream(scope, 2);
         // The stream holds the generation read guard: a non-blocking apply
         // must report contention instead of swapping mid-stream.
         assert!(engine.try_apply(&delta).is_none());
@@ -163,7 +163,7 @@ fn open_streams_pin_their_revision_and_defer_applies() {
     // joins the in-flight launch against live memory, and the pin outlives
     // it — the generation can never be swapped out from under the leak.
     pool.scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 2).unwrap();
+        let mut stream = engine.batch_stream(scope, 2);
         assert!(stream.push(&inputs[1]).unwrap().is_none(), "depth 2 keeps it in flight");
         std::mem::forget(stream);
     });

@@ -24,8 +24,8 @@ use crate::storage::CsrStorage;
 /// `col_indices`/`values` alias the parent's buffers — only the rebased
 /// `row_ptr` (one `u64` per view row) is materialized. Non-zero arrays are
 /// immutable for a matrix's lifetime, so sharing is invisible to every
-/// consumer; element addresses are stable, which the JIT code generator
-/// relies on when it embeds them into emitted instructions.
+/// consumer; element addresses are stable, which the JIT engines rely on
+/// when they hand them to the generated code on every launch.
 ///
 /// # Example
 ///

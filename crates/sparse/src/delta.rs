@@ -6,7 +6,8 @@
 //! dimensions never change (dynamic graphs mutate edges, not the vertex
 //! set). Applying a batch produces a new [`CsrMatrix`]; the base is
 //! untouched, as CSR non-zero arrays are immutable for a matrix's whole
-//! lifetime (the JIT embeds their addresses into generated code).
+//! lifetime (JIT engines borrow them and hand their addresses to every
+//! launch).
 //!
 //! Two merge shapes are provided:
 //!

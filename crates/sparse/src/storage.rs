@@ -12,8 +12,8 @@
 //! `Vec`s into an `Arc` behind a shared reference. Since `Arc::new(vec)`
 //! moves the `Vec` header without touching its heap buffer, wrapping every
 //! matrix's arrays in `Arc` up front costs nothing per element, keeps the
-//! element addresses stable (the JIT code generator embeds those addresses
-//! into emitted instructions), and lets *any* matrix hand out zero-copy
+//! element addresses stable (every JIT launch hands those addresses to the
+//! generated code), and lets *any* matrix hand out zero-copy
 //! windows. So storage is always an `Arc`'d buffer plus an
 //! `offset..offset + len` window into it; a freshly built matrix simply
 //! windows the whole buffer.
@@ -172,7 +172,7 @@ mod tests {
         assert_eq!(ww.col_indices(), &[1]);
         assert!(ww.ptr_eq(&s));
         // Element addresses are stable across sharing — the property the
-        // JIT's embedded pointers rely on.
+        // JIT launches' array pointers rely on.
         assert_eq!(&s.col_indices()[1] as *const u32, w.col_indices().as_ptr());
     }
 

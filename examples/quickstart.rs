@@ -90,8 +90,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let eng_b = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, d)?;
     let start = Instant::now();
     let (ya, report_a, yb, report_b) = pool.scope(|scope| -> Result<_, jitspmm::JitSpmmError> {
-        let mut stream_a = eng_a.batch_stream(scope, 1)?;
-        let mut stream_b = eng_b.batch_stream(scope, 1)?;
+        let mut stream_a = eng_a.batch_stream(scope, 1);
+        let mut stream_b = eng_b.batch_stream(scope, 1);
         stream_a.push(&x)?; // returns immediately; job in flight
         stream_b.push(&xb)?; // second job overlaps the first
         let (ya, report_a) = stream_a.finish().pop().expect("one input pushed");

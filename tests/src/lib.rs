@@ -56,8 +56,7 @@ pub fn pathological() -> CsrMatrix<f32> {
 ///
 /// # Panics
 ///
-/// If the serve itself errors (the calling thread already holds a launch of
-/// one of the server's engines).
+/// If the serve itself errors.
 pub fn serve_all<T: Scalar>(
     server: &SpmmServer<'_, T>,
     requests: Vec<ServerRequest<T>>,

@@ -205,8 +205,8 @@ fn differential_matrix_async_overlap() {
         let blocking2 = e2.execute(&x2).unwrap().0.into_dense();
         pool.scope(|scope| {
             for round in 0..5 {
-                let mut stream1 = e1.batch_stream(scope, 1).unwrap();
-                let mut stream2 = e2.batch_stream(scope, 1).unwrap();
+                let mut stream1 = e1.batch_stream(scope, 1);
+                let mut stream2 = e2.batch_stream(scope, 1);
                 assert!(stream1.push(&x1).unwrap().is_none());
                 assert!(stream2.push(&x2).unwrap().is_none());
                 // Finish in reverse submission order to exercise
@@ -289,7 +289,7 @@ fn differential_matrix_batched() {
             drop(outputs);
             // Same inputs through the incremental stream, driven by hand.
             pool.scope(|scope| {
-                let mut stream = engine.batch_stream(scope, 2).unwrap();
+                let mut stream = engine.batch_stream(scope, 2);
                 let mut streamed = Vec::new();
                 for x in &inputs {
                     if let Some((y, _)) = stream.push(x).unwrap() {
@@ -356,7 +356,7 @@ fn batched_edge_case_mismatched_d_errors_without_corrupting_the_pipeline() {
     // unharmed.
     let bad = DenseMatrix::<f32>::zeros(m.ncols(), 4);
     pool.scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 2).unwrap();
+        let mut stream = engine.batch_stream(scope, 2);
         let mut completed = Vec::new();
         for (i, x) in good.iter().enumerate() {
             if i == 1 {
@@ -404,7 +404,7 @@ fn batched_edge_case_worker_panic_leaves_engine_reusable() {
     let boom = |_i: usize| panic!("mid-batch worker panic");
     let result = catch_unwind(AssertUnwindSafe(|| {
         pool.scope(|scope| {
-            let mut stream = engine.batch_stream(scope, 2).unwrap();
+            let mut stream = engine.batch_stream(scope, 2);
             let mut completed = Vec::new();
             for (i, x) in inputs.iter().enumerate() {
                 if i == 2 {
@@ -701,8 +701,8 @@ fn differential_matrix_borrowed_vs_owned_shards() {
     // engine compiled from that view must be *bit-identical* — single
     // launches and batches alike — to an engine compiled from a deep owned
     // copy of the same rows. Borrowed storage changes where the arrays live
-    // and what a plan weighs, never the bytes the generated kernel embeds
-    // (the base addresses differ; the loads and arithmetic do not).
+    // and what a plan weighs, never the generated kernel (it depends on
+    // shape only) or the arithmetic it performs.
     if !host_supports_jit() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;

@@ -3,11 +3,12 @@
 //! The contract under test: malformed user input — wrong shapes, unknown
 //! engine ids, zero column counts — is answered with a typed
 //! [`JitSpmmError`] (or, behind the server, a typed rejection or failed
-//! response) *before* the entry point touches the engine's launch lock or
+//! response) *before* the entry point pins a generation or touches a
 //! buffer pool. No entry point may panic on user input, and after any
 //! rejected call the engine (or server) must serve a well-formed request
 //! exactly as if the bad one had never happened.
 
+use jitspmm::profile::measure_jit_emulated;
 use jitspmm::serve::{RejectReason, SendError, ServeOptions, ServerRequest, SpmmServer};
 use jitspmm::shard::{plan_shards, ShardedSpmm};
 use jitspmm::{JitSpmm, JitSpmmBuilder, JitSpmmError, MutableSpmm, SpmmOptions, WorkerPool};
@@ -72,6 +73,13 @@ fn entry_points() -> Vec<EntryPoint> {
             },
         },
         EntryPoint {
+            name: "profile::measure_jit_emulated",
+            run: |e, x| {
+                let mut y = DenseMatrix::zeros(e.single.matrix().nrows(), e.single.d());
+                measure_jit_emulated(&e.single, &x, &mut y).map(drop)
+            },
+        },
+        EntryPoint {
             name: "execute_batch",
             run: |e, x| {
                 let inputs = vec![x];
@@ -81,7 +89,7 @@ fn entry_points() -> Vec<EntryPoint> {
         EntryPoint {
             name: "batch_stream push",
             run: |e, x| {
-                e.single.pool().scope(|scope| e.single.batch_stream(scope, 2)?.push(&x).map(drop))
+                e.single.pool().scope(|scope| e.single.batch_stream(scope, 2).push(&x).map(drop))
             },
         },
         EntryPoint {
@@ -89,7 +97,7 @@ fn entry_points() -> Vec<EntryPoint> {
             run: |e, x| {
                 e.single
                     .pool()
-                    .scope(|scope| e.single.batch_stream(scope, 2)?.push_owned(x).map(drop))
+                    .scope(|scope| e.single.batch_stream(scope, 2).push_owned(x).map(drop))
             },
         },
         EntryPoint {
@@ -106,7 +114,7 @@ fn entry_points() -> Vec<EntryPoint> {
         EntryPoint {
             name: "ShardedSpmm batch_stream push",
             run: |e, x| {
-                e.sharded.pool().scope(|scope| e.sharded.batch_stream(scope, 2)?.push(&x).map(drop))
+                e.sharded.pool().scope(|scope| e.sharded.batch_stream(scope, 2).push(&x).map(drop))
             },
         },
         EntryPoint {
@@ -114,7 +122,7 @@ fn entry_points() -> Vec<EntryPoint> {
             run: |e, x| {
                 e.sharded
                     .pool()
-                    .scope(|scope| e.sharded.batch_stream(scope, 2)?.push_owned(x).map(drop))
+                    .scope(|scope| e.sharded.batch_stream(scope, 2).push_owned(x).map(drop))
             },
         },
         EntryPoint {
@@ -131,7 +139,7 @@ fn entry_points() -> Vec<EntryPoint> {
         EntryPoint {
             name: "MutableSpmm batch_stream push",
             run: |e, x| {
-                e.mutable.pool().scope(|scope| e.mutable.batch_stream(scope, 2)?.push(&x).map(drop))
+                e.mutable.pool().scope(|scope| e.mutable.batch_stream(scope, 2).push(&x).map(drop))
             },
         },
         EntryPoint {
@@ -139,7 +147,7 @@ fn entry_points() -> Vec<EntryPoint> {
             run: |e, x| {
                 e.mutable
                     .pool()
-                    .scope(|scope| e.mutable.batch_stream(scope, 2)?.push_owned(x).map(drop))
+                    .scope(|scope| e.mutable.batch_stream(scope, 2).push_owned(x).map(drop))
             },
         },
     ]

@@ -236,7 +236,7 @@ fn a_shard_panic_fails_only_its_request() {
     assert_eq!(completed, survivors);
     assert_eq!((report.requests, report.failed, report.rejected), (total - 1, 1, 0));
     // A fresh session reopens the lane: the contained panic released the
-    // generation pin and every shard's launch lock.
+    // generation pin.
     let (responses, _) = serve_all(&server, vec![ServerRequest::new(0, inputs[0].clone())]);
     assert_eq!(**responses[0].output(), expected[0], "the lane serves again after the fault");
 }

@@ -148,8 +148,8 @@ proptest! {
         // Several rounds per case: races need repetition to surface.
         pool.scope(|scope| -> Result<(), TestCaseError> {
             for round in 0..4 {
-                let mut stream1 = e1.batch_stream(scope, 1).unwrap();
-                let mut stream2 = e2.batch_stream(scope, 1).unwrap();
+                let mut stream1 = e1.batch_stream(scope, 1);
+                let mut stream2 = e2.batch_stream(scope, 1);
                 prop_assert!(stream1.push(&x1).unwrap().is_none());
                 prop_assert!(stream2.push(&x2).unwrap().is_none());
                 let (y2, _) = stream2.finish().pop().unwrap();
@@ -238,7 +238,7 @@ proptest! {
         drop(outputs);
         // ...and once through the incremental stream at the drawn depth.
         pool.scope(|scope| -> Result<(), TestCaseError> {
-            let mut stream = engine.batch_stream(scope, depth).unwrap();
+            let mut stream = engine.batch_stream(scope, depth);
             let mut streamed = Vec::new();
             for x in &inputs {
                 if let Some((y, _)) = stream.push(x).unwrap() {
@@ -370,8 +370,8 @@ proptest! {
     /// A JIT engine compiled against a zero-copy [`CsrMatrix::share_rows`]
     /// view is bit-identical to one compiled against a deep owned copy of
     /// the same rows: borrowed storage changes where the nnz arrays live
-    /// (and how many bytes a shard plan holds), never the bytes the
-    /// generated code embeds or reads.
+    /// (and how many bytes a shard plan holds), never the generated code or
+    /// what it reads.
     #[test]
     fn borrowed_view_matches_owned(
         (nrows, ncols, entries) in arb_matrix(),

@@ -318,7 +318,7 @@ fn batch_stream_drop_without_finish_recycles_buffer_and_shutdown() {
         // The streamed launch acquires that same buffer; dropping the stream
         // without finishing must hand it back...
         pool.scope(|scope| {
-            let mut stream = engine.batch_stream(scope, 1).unwrap();
+            let mut stream = engine.batch_stream(scope, 1);
             assert!(stream.push(&x).unwrap().is_none());
             drop(stream);
         });
@@ -337,7 +337,7 @@ fn batch_stream_drop_without_finish_recycles_buffer_and_shutdown() {
 }
 
 /// An abandoned (dropped-unfinished) stream must leave the engine ready for
-/// the next launch immediately — the launch lock is released on drop.
+/// the next launch immediately — the drop joins its launches.
 #[test]
 fn abandoned_launch_releases_the_engine() {
     if !host_supports_jit() {
@@ -349,11 +349,11 @@ fn abandoned_launch_releases_the_engine() {
     let engine = JitSpmmBuilder::new().pool(WorkerPool::new(2)).threads(2).build(&a, 8).unwrap();
     engine.pool().scope(|scope| {
         for _ in 0..10 {
-            let mut stream = engine.batch_stream(scope, 1).unwrap();
+            let mut stream = engine.batch_stream(scope, 1);
             assert!(stream.push(&x).unwrap().is_none());
             drop(stream);
         }
-        let mut stream = engine.batch_stream(scope, 1).unwrap();
+        let mut stream = engine.batch_stream(scope, 1);
         assert!(stream.push(&x).unwrap().is_none());
         let (y, _) = stream.finish().pop().unwrap();
         assert!(y.approx_eq(&a.spmm_reference(&x), 1e-4));
