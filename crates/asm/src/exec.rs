@@ -62,8 +62,10 @@ pub struct ExecutableBuffer {
 }
 
 // SAFETY: the mapping is immutable (read+exec) for the lifetime of the value
-// and freed only in `Drop`, so sharing references across threads is sound.
+// and freed only in `Drop`, so moving its owner across threads is sound.
 unsafe impl Send for ExecutableBuffer {}
+// SAFETY: nothing writes the mapping after construction, so references on
+// several threads only ever read or execute it.
 unsafe impl Sync for ExecutableBuffer {}
 
 impl ExecutableBuffer {
@@ -191,6 +193,8 @@ mod tests {
         asm.mov_ri64(Gpr::Rax, 0x1234_5678_9ABC_DEF0u64 as i64);
         asm.ret();
         let buf = ExecutableBuffer::from_code(&asm.finalize().unwrap()).unwrap();
+        // SAFETY: the code above is a complete SysV function of this signature
+        // that touches no memory and returns; `buf` outlives every call through `f`.
         let f: extern "C" fn() -> u64 = unsafe { buf.as_fn0() };
         assert_eq!(f(), 0x1234_5678_9ABC_DEF0);
     }
@@ -202,6 +206,8 @@ mod tests {
         asm.add_rr64(Gpr::Rax, Gpr::Rsi);
         asm.ret();
         let buf = ExecutableBuffer::from_code(&asm.finalize().unwrap()).unwrap();
+        // SAFETY: the code above is a complete SysV function of this signature
+        // that touches no memory and returns; `buf` outlives every call through `f`.
         let f: extern "C" fn(u64, u64) -> u64 = unsafe { buf.as_fn2() };
         assert_eq!(f(40, 2), 42);
         assert_eq!(f(u64::MAX, 1), 0);
@@ -229,6 +235,8 @@ mod tests {
             })
             .collect();
         for (i, buf) in buffers.iter().enumerate() {
+            // SAFETY: the code above is a complete SysV function of this signature
+            // that touches no memory and returns; `buf` outlives every call through `f`.
             let f: extern "C" fn() -> u64 = unsafe { buf.as_fn0() };
             assert_eq!(f(), i as u64);
         }

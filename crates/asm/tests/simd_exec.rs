@@ -32,6 +32,9 @@ fn vmovups_xmm_round_trip() {
     asm.vmovups_store(Mem::base(Gpr::Rsi), VecReg::xmm(0));
     asm.ret();
     let buf = run_kernel(asm);
+    // SAFETY: the kernel assembled above is a complete SysV function of
+    // exactly this signature that returns and touches only the buffers it is
+    // passed; `buf` outlives every call through `f`.
     let f: extern "C" fn(*const f32, *mut f32) = unsafe { buf.as_fn2() };
     let src = [1.0f32, -2.5, 3.25, 4.0];
     let mut dst = [0.0f32; 4];
@@ -54,6 +57,9 @@ fn vfmadd231ss_matches_scalar_math() {
     asm.vmovss_store(Mem::base(Gpr::Rdi), Xmm::new(0));
     asm.ret();
     let buf = run_kernel(asm);
+    // SAFETY: the kernel assembled above is a complete SysV function of
+    // exactly this signature that returns and touches only the buffers it is
+    // passed; `buf` outlives every call through `f`.
     let f: extern "C" fn(*mut f32, *const f32, *const f32) = unsafe { buf.as_fn3() };
     let mut acc = [10.0f32];
     let a = [3.0f32];
@@ -79,6 +85,9 @@ fn vfmadd231ps_ymm_with_broadcast() {
     asm.vzeroupper();
     asm.ret();
     let buf = run_kernel(asm);
+    // SAFETY: the kernel assembled above is a complete SysV function of
+    // exactly this signature that returns and touches only the buffers it is
+    // passed; `buf` outlives every call through `f`.
     let f: extern "C" fn(*mut f32, *const f32, *const f32) = unsafe { buf.as_fn3() };
     let mut y: Vec<f32> = (0..8).map(|i| i as f32).collect();
     let a = [2.5f32];
@@ -116,6 +125,9 @@ fn vfmadd231ps_zmm31_listing2_shape() {
     asm.vmovups_store(Mem::base(Gpr::Rdi), zero);
     asm.ret();
     let buf = run_kernel(asm);
+    // SAFETY: the kernel assembled above is a complete SysV function of
+    // exactly this signature that returns and touches only the buffers it is
+    // passed; `buf` outlives every call through `f`.
     let f: extern "C" fn(*mut f32, *const f32, *const f32) = unsafe { buf.as_fn3() };
     let mut y = [0.0f32; 16];
     let a = [0.0f32, 3.0, 0.0, 0.0, 0.0]; // broadcast picks a[4*4-12 bytes] = a[1] = 3.0
@@ -138,6 +150,9 @@ fn high_zmm_registers_round_trip() {
     asm.vmovups_store(Mem::base(Gpr::Rsi), VecReg::zmm(20));
     asm.ret();
     let buf = run_kernel(asm);
+    // SAFETY: the kernel assembled above is a complete SysV function of
+    // exactly this signature that returns and touches only the buffers it is
+    // passed; `buf` outlives every call through `f`.
     let f: extern "C" fn(*const f32, *mut f32) = unsafe { buf.as_fn2() };
     let src: Vec<f32> = (0..16).map(|i| (i * i) as f32).collect();
     let mut dst = vec![0.0f32; 16];
@@ -162,6 +177,9 @@ fn f64_paths_match_scalar_math() {
     asm.vzeroupper();
     asm.ret();
     let buf = run_kernel(asm);
+    // SAFETY: the kernel assembled above is a complete SysV function of
+    // exactly this signature that returns and touches only the buffers it is
+    // passed; `buf` outlives every call through `f`.
     let f: extern "C" fn(*mut f64, *const f64, *const f64) = unsafe { buf.as_fn3() };
     let mut y = [1.0f64, 2.0, 3.0, 4.0];
     let a = [1.5f64];
@@ -177,6 +195,9 @@ fn f64_paths_match_scalar_math() {
     asm.vmovsd_store(Mem::base(Gpr::Rdi), Xmm::new(0));
     asm.ret();
     let buf = run_kernel(asm);
+    // SAFETY: the kernel assembled above is a complete SysV function of
+    // exactly this signature that returns and touches only the buffers it is
+    // passed; `buf` outlives every call through `f`.
     let f: extern "C" fn(*mut f64, *const f64, *const f64) = unsafe { buf.as_fn3() };
     let mut acc = [100.0f64];
     f(acc.as_mut_ptr(), [0.5f64].as_ptr(), [8.0f64].as_ptr());
@@ -199,6 +220,9 @@ fn mul_add_fallback_matches() {
     asm.vmovss_store(Mem::base(Gpr::Rdi), Xmm::new(0));
     asm.ret();
     let buf = run_kernel(asm);
+    // SAFETY: the kernel assembled above is a complete SysV function of
+    // exactly this signature that returns and touches only the buffers it is
+    // passed; `buf` outlives every call through `f`.
     let f: extern "C" fn(*mut f32, *const f32, *const f32) = unsafe { buf.as_fn3() };
     let mut acc = [1.0f32];
     f(acc.as_mut_ptr(), [6.0f32].as_ptr(), [7.0f32].as_ptr());
@@ -215,6 +239,9 @@ fn lock_xadd_fetch_add_semantics() {
     asm.lock_xadd_mr64(Mem::base(Gpr::Rdi), Gpr::Rax);
     asm.ret();
     let buf = run_kernel(asm);
+    // SAFETY: the kernel assembled above is a complete SysV function of
+    // exactly this signature that returns and touches only the buffers it is
+    // passed; `buf` outlives every call through `f`.
     let f: extern "C" fn(*mut u64, u64) -> u64 = unsafe { buf.as_fn2() };
     let mut next = 0u64;
     assert_eq!(f(&mut next, 128), 0);
@@ -251,6 +278,9 @@ fn scalar_dot_product_loop() {
     asm.vmovss_store(Mem::base(Gpr::Rcx), acc);
     asm.ret();
     let buf = run_kernel(asm);
+    // SAFETY: the kernel assembled above is a complete SysV function of
+    // exactly this signature that returns and touches only the buffers it is
+    // passed; `buf` outlives every call through `f`.
     let f: extern "C" fn(*const f32, *const f32, u64, *mut f32) =
         unsafe { std::mem::transmute(buf.entry()) };
     let a: Vec<f32> = (0..64).map(|i| i as f32).collect();

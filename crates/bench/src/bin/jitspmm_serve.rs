@@ -34,28 +34,28 @@
 //! queue send so responses (per-engine submission order) match up. Nothing
 //! on the way polls: the accept loop blocks in `accept()` (SHUTDOWN
 //! unblocks it with a loopback connection to itself), the serving loop
-//! parks until a request, a finished launch or an update wakes it, and
-//! every frame — length prefix included — leaves in one write.
+//! parks until a request or a finished launch wakes it, and every frame —
+//! length prefix included — leaves in one write.
 //!
 //! With `--mutable` every engine is registered as a [`MutableSpmm`]
 //! (sharded across `--shards`), and UPDATE frames mutate its matrix live:
-//! the delta is queued through [`jitspmm::serve::ControlHandle::apply_update`]
-//! and the serving loop swaps the merged generation in between launches —
-//! in-flight MULs finish on the old matrix, later MULs see the new one.
-//! INFO reports each engine's live nonzero count, matrix revision and
-//! compiled generations currently alive (1 unless a swap is midway), plus
-//! the server-wide applied/failed update counters.
+//! the connection thread calls [`MutableSpmm::apply`] itself, which merges,
+//! compiles and publishes the new generation, and acks with the revision it
+//! returned — in-flight MULs finish on the old matrix, MULs sent after the
+//! ack see the new one. INFO reports each engine's live nonzero count,
+//! matrix revision and compiled generations currently alive (1, plus one
+//! superseded generation while the engine's serving lane still pins it:
+//! the lane lets go at its next MUL), plus the server-wide applied/failed
+//! update counters.
 
-use jitspmm::serve::{
-    AdmissionPolicy, ControlHandle, ServeOptions, ServerRequest, ServerResponse, SpmmServer,
-};
+use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, ServerResponse, SpmmServer};
 use jitspmm::{JitSpmmBuilder, MutableSpmm, WorkerPool};
 use jitspmm_sparse::{generate, CsrMatrix, DeltaBatch, DenseMatrix};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -316,7 +316,7 @@ fn serve_listener(config: &ServerConfig, listener: TcpListener) -> Result<(), St
     let shutdown = &shutdown;
     let routes = &routes;
     let server_ref = &server;
-    let control = server.control();
+    let updates = &UpdateCounts::default();
 
     let options = ServeOptions::new(AdmissionPolicy::shedding(config.queue.max(1)));
     let (report, ()) = server
@@ -333,10 +333,9 @@ fn serve_listener(config: &ServerConfig, listener: TcpListener) -> Result<(), St
                             break;
                         }
                         let sender = sender.clone();
-                        let control = control.clone();
                         conns.spawn(move || {
                             serve_connection(
-                                stream, &sender, server_ref, &control, specs, routes, shutdown,
+                                stream, &sender, server_ref, updates, specs, routes, shutdown,
                             );
                         });
                     }
@@ -393,12 +392,19 @@ impl Shutdown {
     }
 }
 
+/// UPDATE frames applied and refused since the server started, for INFO.
+#[derive(Default)]
+struct UpdateCounts {
+    applied: AtomicUsize,
+    failed: AtomicUsize,
+}
+
 /// Handle one client connection: a sequence of request frames until EOF.
 fn serve_connection(
     mut stream: TcpStream,
     sender: &jitspmm::serve::RequestSender<f32>,
     server: &SpmmServer<'_, f32>,
-    control: &ControlHandle,
+    updates: &UpdateCounts,
     specs: &[MatrixSpec],
     routes: &[Mutex<VecDeque<ReplySlot>>],
     shutdown: &Shutdown,
@@ -436,13 +442,14 @@ fn serve_connection(
                     };
                     text.push_str(&line);
                 }
-                let (applied, failed) = control.update_counts();
+                let applied = updates.applied.load(Ordering::Relaxed);
+                let failed = updates.failed.load(Ordering::Relaxed);
                 text.push_str(&format!("updates: applied={applied} failed={failed}\n"));
                 let mut frame = vec![0u8];
                 frame.extend_from_slice(text.as_bytes());
                 frame
             }
-            Some(&OP_UPDATE) if payload.len() >= 9 => handle_update(&payload, server, control),
+            Some(&OP_UPDATE) if payload.len() >= 9 => handle_update(&payload, server, updates),
             Some(&OP_MUL) if payload.len() == 13 => {
                 let engine = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
                 let seed = u64::from_le_bytes(payload[5..13].try_into().unwrap());
@@ -504,15 +511,10 @@ fn serve_connection(
     }
 }
 
-/// Serializes UPDATE frames across connections, from reading the revision an
-/// update will produce to composing its ack: only while no other update is
-/// queued do "revision + 1" and "the failed counter moved" mean *this* delta.
-static UPDATE_ORDER: Mutex<()> = Mutex::new(());
-
-/// Decode an UPDATE frame, queue the delta through the control plane, and
-/// wait for the serving loop to swap the new generation in (or report the
-/// failure). Blocking here is fine: each connection has its own thread.
-fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, control: &ControlHandle) -> Vec<u8> {
+/// Decode an UPDATE frame and apply the delta on this connection's thread:
+/// the ack carries the revision [`MutableSpmm::apply`] produced, and a
+/// refused delta comes back as an error frame with the engine's reason.
+fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, updates: &UpdateCounts) -> Vec<u8> {
     let engine = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
     let count = u32::from_le_bytes(payload[5..9].try_into().unwrap()) as usize;
     if payload.len() != 9 + count * UPDATE_OP_BYTES {
@@ -538,33 +540,19 @@ fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, control: &Control
             other => return error_frame(&format!("unknown delta op kind {other}")),
         }
     }
-    let ack = |revision: u64| format!("\0revision={revision}").into_bytes();
     if delta.is_empty() {
         // An empty batch is a no-op that advances no revision (see
-        // `MutableSpmm::apply`): nothing to queue, nothing to wait for.
-        return ack(mutable.revision());
+        // `MutableSpmm::apply`) and counts as no update.
+        return format!("\0revision={}", mutable.revision()).into_bytes();
     }
-    let _order = UPDATE_ORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let target = mutable.revision() + 1;
-    let (_, failed_before) = control.update_counts();
-    if !control.apply_update(engine, delta) {
-        return error_frame(&format!("unknown engine {engine}"));
-    }
-    // Queuing the delta woke the serving loop. `wait_revision` comes back
-    // early when an update fails, so a rejected delta (bad indices) is
-    // reported at once — checked first, in case it failed before the wait
-    // began; the short slices only bound how late the timeout is noticed.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let (_, failed) = control.update_counts();
-        if failed > failed_before {
-            return error_frame("update rejected by the engine (out-of-range indices?)");
+    match mutable.apply(&delta) {
+        Ok(report) => {
+            updates.applied.fetch_add(1, Ordering::Relaxed);
+            format!("\0revision={}", report.revision).into_bytes()
         }
-        if control.wait_revision(engine, target, Duration::from_millis(50)) {
-            return ack(mutable.revision());
-        }
-        if Instant::now() > deadline {
-            return error_frame("update not applied before the timeout");
+        Err(e) => {
+            updates.failed.fetch_add(1, Ordering::Relaxed);
+            error_frame(&format!("update rejected by the engine: {e}"))
         }
     }
 }

@@ -80,97 +80,6 @@ pub fn spmm_mkl_like_f32_on(
     });
 }
 
-/// Run the MKL stand-in over a batch of f32 inputs, returning one output per
-/// input (in order) — the AOT vendor-library counterpart of
-/// [`crate::JitSpmm::execute_batch`] for like-for-like batched comparisons.
-///
-/// # Panics
-///
-/// Panics on shape mismatch between `a` and any input.
-pub fn spmm_mkl_like_f32_batch(
-    a: &CsrMatrix<f32>,
-    inputs: &[DenseMatrix<f32>],
-    threads: usize,
-) -> Vec<DenseMatrix<f32>> {
-    spmm_mkl_like_f32_batch_on(WorkerPool::global(), a, inputs, threads)
-}
-
-/// [`spmm_mkl_like_f32_batch`] on an explicit worker pool.
-///
-/// # Panics
-///
-/// Panics on shape mismatch between `a` and any input.
-pub fn spmm_mkl_like_f32_batch_on(
-    pool: &WorkerPool,
-    a: &CsrMatrix<f32>,
-    inputs: &[DenseMatrix<f32>],
-    threads: usize,
-) -> Vec<DenseMatrix<f32>> {
-    inputs
-        .iter()
-        .map(|x| {
-            let mut y = DenseMatrix::zeros(a.nrows(), x.ncols());
-            spmm_mkl_like_f32_on(pool, a, x, &mut y, threads);
-            y
-        })
-        .collect()
-}
-
-/// Multi-threaded, hand-vectorized f64 SpMM (MKL stand-in, double precision).
-///
-/// # Panics
-///
-/// Panics on shape mismatch between `a`, `x` and `y`.
-pub fn spmm_mkl_like_f64(
-    a: &CsrMatrix<f64>,
-    x: &DenseMatrix<f64>,
-    y: &mut DenseMatrix<f64>,
-    threads: usize,
-) {
-    spmm_mkl_like_f64_on(WorkerPool::global(), a, x, y, threads);
-}
-
-/// [`spmm_mkl_like_f64`] on an explicit worker pool.
-///
-/// # Panics
-///
-/// Panics on shape mismatch between `a`, `x` and `y`.
-pub fn spmm_mkl_like_f64_on(
-    pool: &WorkerPool,
-    a: &CsrMatrix<f64>,
-    x: &DenseMatrix<f64>,
-    y: &mut DenseMatrix<f64>,
-    threads: usize,
-) {
-    assert_eq!(x.nrows(), a.ncols(), "dense input rows must equal sparse columns");
-    assert_eq!(y.nrows(), a.nrows(), "dense output rows must equal sparse rows");
-    assert_eq!(y.ncols(), x.ncols(), "input and output column counts must match");
-    let threads = pool.lanes_for(threads);
-    let d = x.ncols();
-    let y_addr = y.as_mut_ptr() as usize;
-    let nrows = a.nrows();
-    let counter = DynamicCounter::new();
-    let use_avx512 = std::arch::is_x86_feature_detected!("avx512f");
-
-    // Cap the job to its own lane count so a concurrently running engine
-    // (or another baseline) keeps its share of the pool.
-    pool.run_spec(JobSpec::new(threads).max_lanes(threads), &|_lane| loop {
-        let start = counter.claim(BATCH as u64) as usize;
-        if start >= nrows {
-            break;
-        }
-        let end = (start + BATCH).min(nrows);
-        // SAFETY: as in the f32 case.
-        unsafe {
-            if use_avx512 {
-                rows_avx512_f64(a, x, y_addr as *mut f64, d, start, end);
-            } else {
-                rows_scalar_f64(a, x, y_addr as *mut f64, d, start, end);
-            }
-        }
-    });
-}
-
 /// AVX-512 f32 path: 16-wide column tiles with a register accumulator per
 /// tile.
 ///
@@ -282,74 +191,6 @@ unsafe fn rows_scalar_f32(
     }
 }
 
-/// AVX-512 f64 path: 8-wide column tiles.
-///
-/// # Safety
-///
-/// Requires AVX-512F; same aliasing requirements as the f32 path.
-#[target_feature(enable = "avx512f")]
-unsafe fn rows_avx512_f64(
-    a: &CsrMatrix<f64>,
-    x: &DenseMatrix<f64>,
-    y: *mut f64,
-    d: usize,
-    start: usize,
-    end: usize,
-) {
-    use std::arch::x86_64::*;
-    let xs = x.as_ptr();
-    for i in start..end {
-        let out = y.add(i * d);
-        let cols = a.row_cols(i);
-        let vals = a.row_values(i);
-        let mut j = 0usize;
-        while j + 8 <= d {
-            let mut acc = _mm512_setzero_pd();
-            for (&k, &aval) in cols.iter().zip(vals) {
-                let xrow = xs.add(k as usize * d + j);
-                acc = _mm512_fmadd_pd(_mm512_set1_pd(aval), _mm512_loadu_pd(xrow), acc);
-            }
-            _mm512_storeu_pd(out.add(j), acc);
-            j += 8;
-        }
-        while j < d {
-            let mut acc = 0.0f64;
-            for (&k, &aval) in cols.iter().zip(vals) {
-                acc += aval * *xs.add(k as usize * d + j);
-            }
-            *out.add(j) = acc;
-            j += 1;
-        }
-    }
-}
-
-/// Scalar f64 fallback.
-///
-/// # Safety
-///
-/// `y` must point to an `a.nrows() x d` buffer and rows `[start, end)` must
-/// not be concurrently accessed.
-unsafe fn rows_scalar_f64(
-    a: &CsrMatrix<f64>,
-    x: &DenseMatrix<f64>,
-    y: *mut f64,
-    d: usize,
-    start: usize,
-    end: usize,
-) {
-    let xs = x.as_ptr();
-    for i in start..end {
-        let out = std::slice::from_raw_parts_mut(y.add(i * d), d);
-        out.iter_mut().for_each(|v| *v = 0.0);
-        for (&k, &aval) in a.row_cols(i).iter().zip(a.row_values(i)) {
-            let xrow = std::slice::from_raw_parts(xs.add(k as usize * d), d);
-            for j in 0..d {
-                out[j] += aval * xrow[j];
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,30 +205,6 @@ mod tests {
             let mut y = DenseMatrix::zeros(a.nrows(), d);
             spmm_mkl_like_f32(&a, &x, &mut y, 4);
             assert!(y.approx_eq(&expected, 1e-4), "d = {d}");
-        }
-    }
-
-    #[test]
-    fn f32_batch_entry_point_matches_per_input_calls() {
-        let a = generate::uniform::<f32>(90, 80, 800, 23);
-        let inputs: Vec<DenseMatrix<f32>> =
-            (0..3).map(|seed| DenseMatrix::random(80, 6, 30 + seed)).collect();
-        let batch = spmm_mkl_like_f32_batch(&a, &inputs, 2);
-        assert_eq!(batch.len(), 3);
-        for (x, y) in inputs.iter().zip(&batch) {
-            assert!(y.approx_eq(&a.spmm_reference(x), 1e-4));
-        }
-    }
-
-    #[test]
-    fn f64_matches_reference() {
-        let a = generate::uniform::<f64>(150, 150, 2_000, 5);
-        for d in [4usize, 8, 11] {
-            let x = DenseMatrix::random(150, d, 9);
-            let expected = a.spmm_reference(&x);
-            let mut y = DenseMatrix::zeros(150, d);
-            spmm_mkl_like_f64(&a, &x, &mut y, 3);
-            assert!(y.approx_eq(&expected, 1e-10), "d = {d}");
         }
     }
 
@@ -408,6 +225,8 @@ mod tests {
         let a = generate::uniform::<f32>(64, 64, 600, 2);
         let x = DenseMatrix::random(64, 5, 7);
         let mut y = DenseMatrix::zeros(64, 5);
+        // SAFETY: `y` is a 64 x 5 buffer matching `a.nrows()` x d, and this
+        // one thread is the only one touching rows 0..64 of it.
         unsafe { rows_scalar_f32(&a, &x, y.as_mut_ptr(), 5, 0, 64) };
         assert!(y.approx_eq(&a.spmm_reference(&x), 1e-5));
     }

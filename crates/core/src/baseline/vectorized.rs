@@ -82,48 +82,6 @@ pub fn spmm_vectorized_on<T: Scalar>(
     }
 }
 
-/// Run the auto-vectorized baseline over a batch of inputs on the
-/// process-wide pool, returning one output per input (in order).
-///
-/// The AOT counterpart of [`crate::JitSpmm::execute_batch`], so benchmark
-/// and differential comparisons of batched serving stay like-for-like. An
-/// AOT kernel has no pipeline state to keep in flight; the batch is a plain
-/// loop over [`spmm_vectorized`].
-///
-/// # Panics
-///
-/// Panics on shape mismatch between `a` and any input.
-pub fn spmm_vectorized_batch<T: Scalar>(
-    a: &CsrMatrix<T>,
-    inputs: &[DenseMatrix<T>],
-    strategy: Strategy,
-    threads: usize,
-) -> Vec<DenseMatrix<T>> {
-    spmm_vectorized_batch_on(WorkerPool::global(), a, inputs, strategy, threads)
-}
-
-/// [`spmm_vectorized_batch`] on an explicit worker pool.
-///
-/// # Panics
-///
-/// Panics on shape mismatch between `a` and any input.
-pub fn spmm_vectorized_batch_on<T: Scalar>(
-    pool: &WorkerPool,
-    a: &CsrMatrix<T>,
-    inputs: &[DenseMatrix<T>],
-    strategy: Strategy,
-    threads: usize,
-) -> Vec<DenseMatrix<T>> {
-    inputs
-        .iter()
-        .map(|x| {
-            let mut y = DenseMatrix::zeros(a.nrows(), x.ncols());
-            spmm_vectorized_on(pool, a, x, &mut y, strategy, threads);
-            y
-        })
-        .collect()
-}
-
 /// Compute rows `[start, end)` of the output.
 ///
 /// # Safety
@@ -195,18 +153,6 @@ mod tests {
         let mut y = DenseMatrix::zeros(97, 3);
         spmm_vectorized(&a, &x, &mut y, Strategy::RowSplitDynamic { batch: 16 }, 3);
         assert!(y.approx_eq(&expected, 1e-4));
-    }
-
-    #[test]
-    fn batch_entry_point_matches_per_input_calls() {
-        let a = generate::uniform::<f32>(80, 70, 700, 13);
-        let inputs: Vec<DenseMatrix<f32>> =
-            (0..3).map(|seed| DenseMatrix::random(70, 5, 20 + seed)).collect();
-        let batch = spmm_vectorized_batch(&a, &inputs, Strategy::NnzSplit, 2);
-        assert_eq!(batch.len(), 3);
-        for (x, y) in inputs.iter().zip(&batch) {
-            assert!(y.approx_eq(&a.spmm_reference(x), 1e-4));
-        }
     }
 
     #[test]

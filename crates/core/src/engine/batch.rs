@@ -207,7 +207,7 @@ struct InFlight<T: Scalar> {
 
 /// Anything a stream keeps alive until it is gone (see
 /// [`BatchStream::holding`]). Type-erased only because its one implementor,
-/// the mutable engine's generation read guard, is private to `update/`.
+/// the mutable engine's pin on its generation, is private to `update/`.
 trait Held {}
 impl<G> Held for G {}
 
@@ -256,8 +256,9 @@ pub struct BatchStream<'scope, 'env, T: Scalar> {
     /// part allocated at open).
     reports: Vec<ExecutionReport>,
     /// Whatever must outlive every launch of this stream besides the `'env`
-    /// borrows — a mutable engine's generation read guard. Only released
-    /// with the stream, after its `Drop` has joined everything in flight.
+    /// borrows — a mutable engine's `Arc` on the generation it launches
+    /// through. Only released with the stream, after its `Drop` has joined
+    /// everything in flight.
     _hold: Option<Box<dyn Held + 'env>>,
 }
 
@@ -306,11 +307,11 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         }
     }
 
-    /// Keep `guard` alive until the stream is gone: released only after the
+    /// Keep `held` alive until the stream is gone: released only after the
     /// stream's `Drop` has joined every launch (or never, if the stream is
     /// leaked).
-    pub(crate) fn holding(mut self, guard: impl Sized + 'env) -> BatchStream<'scope, 'env, T> {
-        self._hold = Some(Box::new(guard));
+    pub(crate) fn holding(mut self, held: impl Sized + 'env) -> BatchStream<'scope, 'env, T> {
+        self._hold = Some(Box::new(held));
         self
     }
 

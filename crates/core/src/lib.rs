@@ -155,11 +155,9 @@
 //! the oldest completed output once the pipeline is full, so results arrive
 //! in submission order while buffers recycle), [`BatchStream::push_owned`]
 //! accepts inputs by value (so cross-thread producers need no `'env`
-//! borrows), and [`BatchStream::finish`] drains it. The AOT baselines gain
-//! matching batch entry points ([`baseline::scalar::spmm_scalar_batch`],
-//! [`baseline::vectorized::spmm_vectorized_batch`],
-//! [`baseline::mkl_like::spmm_mkl_like_f32_batch`]) so batched comparisons
-//! stay like-for-like.
+//! borrows), and [`BatchStream::finish`] drains it. The scalar baseline's
+//! batch entry point ([`baseline::scalar::spmm_scalar_batch`]) is the
+//! oracle batched paths are checked against.
 //!
 //! # Mixed-stream serving
 //!
@@ -177,9 +175,9 @@
 //! bounded request queue through its [`serve::RequestSender`] while the
 //! calling thread routes and hands each response to a consumer callback.
 //! That loop is completion-driven: it parks on the pool's completion bell
-//! (a [`runtime::WakeSlot`]) and runs when a request arrives, a launch
-//! finishes or an update is queued — no timer anywhere, so a microsecond
-//! kernel is answered in microseconds, not at the next tick.
+//! (a [`runtime::WakeSlot`]) and runs when a request arrives or a launch
+//! finishes — no timer anywhere, so a microsecond kernel is answered in
+//! microseconds, not at the next tick.
 //!
 //! # One FIFO loop, two admission policies, live updates
 //!
@@ -191,9 +189,8 @@
 //! with a typed [`serve::RejectReason`] — a producer flooding ten times the
 //! queue depth never blocks and learns each verdict in nanoseconds, and the
 //! admitted subset still produces outputs **bit-identical** to a blocking
-//! `execute`. Engines can be added while a serve is running, and a
-//! [`serve::ControlHandle`] queues live matrix updates for mutable engines
-//! (see below). A panic in generated code is contained to a typed
+//! `execute`. Engines can be added while a serve is running, and mutable
+//! engines take live matrix updates (see below). A panic in generated code is contained to a typed
 //! [`serve::ServerResponse::Failed`] for exactly the request that hit it —
 //! unrelated engines keep serving and the server stays usable; the
 //! cfg-gated `serve::fault` module injects such crashes for the chaos
@@ -317,15 +314,14 @@
 //! ```
 //!
 //! Behind the server, [`serve::SpmmServer::add_mutable`] registers a
-//! mutable engine under one logical id and
-//! [`serve::ControlHandle::apply_update`] applies a delta to a **live**
-//! [`serve::SpmmServer::serve_controlled`] session: queuing the delta wakes
-//! the serving loop, which drains the engine's in-flight lane, swaps
-//! generations, and admits subsequent requests against the new matrix —
-//! observable via
-//! [`serve::ControlHandle::engine_revision`] /
-//! [`serve::ControlHandle::wait_revision`]. The `jitspmm-serve` binary
-//! exposes the same path over TCP (`--mutable`, the `UPDATE` frame).
+//! mutable engine under one logical id, and an update to a **live**
+//! [`serve::SpmmServer::serve_controlled`] session is the same call:
+//! [`MutableSpmm::apply`] on [`serve::SpmmServer::mutable`], from any
+//! thread. It publishes the new generation without waiting for the serving
+//! loop; the engine's lane finishes its in-flight requests on the old
+//! matrix and reopens on the new one at its next request, so a request
+//! sent after `apply` returns sees the merged matrix. The `jitspmm-serve`
+//! binary exposes the same path over TCP (`--mutable`, the `UPDATE` frame).
 //!
 //! # Architecture map
 //!
@@ -340,11 +336,11 @@
 //! ├── update/            incremental matrix updates behind live serving
 //! │   ├── delta          delta routing onto shard row ranges
 //! │   ├── apply          shard-local merge + recompile, re-plan on drift
-//! │   └── (mod)          MutableSpmm generations, revision-pinned streams
+//! │   └── (mod)          MutableSpmm: Arc generations, streams pin one, apply publishes
 //! ├── serve/             multi-engine serving router: one FIFO loop
 //! │   ├── server         SpmmServer, the serve_controlled loop
 //! │   ├── queue          bounded FIFO request queue behind RequestSender, admission gate
-//! │   ├── control        AdmissionPolicy (block | shed), ControlHandle (live updates)
+//! │   ├── control        AdmissionPolicy (block | shed), typed rejections, the loop's bell
 //! │   ├── fault          cfg-gated crash/delay injection for chaos tests
 //! │   └── report         ServerReport (verdict counters + wall clock)
 //! ├── shard/             nnz-balanced multi-engine sharding
@@ -395,8 +391,8 @@ pub use profile::ProfileCounts;
 pub use runtime::{JobSpec, PoolScope, PooledMatrix, ScopedJobHandle, WakeSlot, WorkerPool};
 pub use schedule::{DynamicCounter, Partition, RowRange, Strategy};
 pub use serve::{
-    AdmissionPolicy, ControlHandle, RejectReason, RequestSender, SendError, ServeOptions,
-    ServerReport, ServerRequest, ServerResponse, SpmmServer,
+    AdmissionPolicy, RejectReason, RequestSender, SendError, ServeOptions, ServerReport,
+    ServerRequest, ServerResponse, SpmmServer,
 };
 pub use shard::{plan_shards, ShardPlan, ShardSpec, ShardedSpmm};
 pub use tiling::{CcmPlan, ColumnTile, Segment, SegmentWidth};

@@ -88,14 +88,19 @@ mod imp {
             // between our load above and the syscall makes it return
             // immediately (EAGAIN). Errors (EINTR included) surface as a
             // spurious return; callers loop on their predicate.
+            // SAFETY: `self.epoch` is a live futex word for the whole call,
+            // and FUTEX_WAIT only reads it.
             unsafe { futex(&self.epoch, FUTEX_WAIT_PRIVATE, epoch as u64) };
         }
 
         pub(super) fn wake_one(&self) {
+            // SAFETY: `self.epoch` is a live futex word for the whole call,
+            // and FUTEX_WAKE touches no memory of this process.
             unsafe { futex(&self.epoch, FUTEX_WAKE_PRIVATE, 1) };
         }
 
         pub(super) fn wake_all(&self) {
+            // SAFETY: as in `wake_one`.
             unsafe { futex(&self.epoch, FUTEX_WAKE_PRIVATE, i32::MAX as u64) };
         }
     }

@@ -45,11 +45,10 @@
 //!
 //! The loop runs on **events**, never on a timer: it parks on one
 //! [`crate::runtime::WakeSlot`] — the pool's completion bell, which every
-//! finishing launch bumps — and a queued request, the end of the stream
-//! and a queued update ring the same slot. Each lap applies queued
-//! updates, joins every lane whose oldest launch has finished (so one
-//! engine never holds back another's response), hands the responses out
-//! and launches the next queued request, none of it blocking.
+//! finishing launch bumps — and a queued request and the end of the stream
+//! ring the same slot. Each lap joins every lane whose oldest launch has
+//! finished (so one engine never holds back another's response), hands the
+//! responses out and launches the next queued request, none of it blocking.
 //! Around the loop:
 //!
 //! * **Admission control** — the request queue admits under an
@@ -62,11 +61,14 @@
 //! * **Engines added mid-serve** — [`SpmmServer::add_engine`] /
 //!   [`SpmmServer::add_mutable`] register engines while a serve runs; the
 //!   loop opens their pipeline on the first request naming the new id.
-//! * **Live updates** — [`ControlHandle::apply_update`] queues an edge
-//!   delta for a mutable engine and wakes the loop, which applies it
-//!   between launches; [`ControlHandle::wait_revision`] observes the swap
-//!   (or, early, that an update failed). Only an update whose engine is
-//!   pinned from outside the session keeps the loop lapping (yielding).
+//! * **Live updates** — an update is a call, not a message:
+//!   [`crate::update::MutableSpmm::apply`] on [`SpmmServer::mutable`], from
+//!   any thread, merges and compiles there and publishes the new generation
+//!   without waiting for the loop. A mutable engine's lane pins the
+//!   revision it opened on; when it routes a request after the revision
+//!   has moved, it drains its in-flight requests on the old matrix and
+//!   reopens on the new one. So a request sent after `apply` returns sees
+//!   the merged matrix, and the loop itself has no update path.
 //! * **Fault containment** — a worker panic (a crash in generated code)
 //!   becomes a typed [`ServerResponse::Failed`] for exactly the request
 //!   that hit it — on a sharded lane too: the pipeline joins every shard
@@ -86,7 +88,7 @@ pub mod fault;
 #[cfg(test)]
 mod server_tests;
 
-pub use control::{AdmissionPolicy, ControlHandle, RejectReason, SendError};
+pub use control::{AdmissionPolicy, RejectReason, SendError};
 pub use queue::{RequestSender, ServerRequest};
 pub use report::ServerReport;
 pub use server::{ServeOptions, ServerResponse, SpmmServer};

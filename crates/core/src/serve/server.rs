@@ -6,13 +6,11 @@ use crate::engine::{check_input_shape, BatchStream, ExecutionReport, JitSpmm};
 use crate::error::JitSpmmError;
 use crate::runtime::pool::lock;
 use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
-use crate::serve::control::{
-    AdmissionPolicy, ControlHandle, ControlShared, PendingUpdate, RejectReason,
-};
+use crate::serve::control::{AdmissionPolicy, ControlShared, RejectReason};
 use crate::serve::queue::{RequestQueue, RequestSender, ServerRequest, TryRecvError};
 use crate::serve::report::ServerReport;
 use crate::update::MutableSpmm;
-use jitspmm_sparse::{DeltaBatch, DenseMatrix, Scalar};
+use jitspmm_sparse::{DenseMatrix, Scalar};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -24,8 +22,8 @@ use std::time::Instant;
 enum EngineEntry<'a, T: Scalar> {
     Single(Arc<JitSpmm<'a, T>>),
     /// An updatable sharded engine ([`MutableSpmm`]): owns its generations,
-    /// so it carries no borrow lifetime; live deltas swap its generation
-    /// between launches via [`ControlHandle::apply_update`].
+    /// so it carries no borrow lifetime; [`MutableSpmm::apply`] publishes a
+    /// new one while the server runs.
     Mutable(Arc<MutableSpmm<T>>),
 }
 
@@ -42,8 +40,9 @@ enum EngineEntry<'a, T: Scalar> {
 ///
 /// Around the routing (see the [`crate::serve`] module docs): two admission
 /// policies with typed rejections, engines registered while a serve runs
-/// ([`SpmmServer::add_engine`]), live matrix updates
-/// ([`ControlHandle::apply_update`]) and fault containment.
+/// ([`SpmmServer::add_engine`]), live matrix updates (an
+/// [`MutableSpmm::apply`] through [`SpmmServer::mutable`]) and fault
+/// containment.
 ///
 /// ```
 /// use jitspmm::serve::{ServeOptions, ServerRequest, SpmmServer};
@@ -168,10 +167,13 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// tag the returned id, every request launches all shard kernels into
     /// one full-height output and responses come back in per-engine
     /// submission order, each reporting its critical path across the shards
-    /// as its [`ExecutionReport`]. Its matrix can also
-    /// change while the server runs: queue a [`DeltaBatch`] through
-    /// [`ControlHandle::apply_update`] and the serving loop swaps the
-    /// engine's generation between launches (see [`crate::update`]). Like
+    /// as its [`ExecutionReport`]. Its matrix can also change while the
+    /// server runs: any thread may call [`MutableSpmm::apply`] on
+    /// [`SpmmServer::mutable`]`(id)`. The apply runs on that thread and
+    /// publishes the new generation without waiting for the serving loop;
+    /// the engine's lane finishes what it launched on the old matrix and
+    /// reopens on the new one at its next request, so a request sent after
+    /// `apply` returns sees the merged matrix (see [`crate::update`]). Like
     /// [`SpmmServer::add_engine`], this works while a serve is running.
     ///
     /// # Errors
@@ -198,13 +200,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         let registered = self.control.register_engine();
         debug_assert_eq!(registered, id, "registry and control plane use one id space");
         Ok(id)
-    }
-
-    /// A cloneable handle onto this server's live-update mailbox: queue
-    /// matrix updates and observe revisions — from any thread, without
-    /// borrowing the server.
-    pub fn control(&self) -> ControlHandle {
-        ControlHandle::new(Arc::clone(&self.control))
     }
 
     /// Borrow the single (unsharded) engine behind logical id `id`; `None`
@@ -258,10 +253,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         engines.get(id).map(f)
     }
 
-    pub(crate) fn ctrl(&self) -> &ControlShared {
-        &self.control
-    }
-
     /// Shape-check `input` against logical engine `id`.
     pub(crate) fn check_request(
         &self,
@@ -282,9 +273,10 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     }
 
     /// Open a [`ServerSession`] inside `scope`: one pipeline per registered
-    /// engine (at [`crate::DEFAULT_BATCH_DEPTH`]), ready to route requests.
-    /// Engines registered after the session opens get their pipeline
-    /// lazily, on first submission to their id.
+    /// single engine (at [`crate::DEFAULT_BATCH_DEPTH`]), ready to route
+    /// requests. A mutable engine's lane, and the lane of any engine
+    /// registered after the session opens, gets its pipeline lazily, on
+    /// first submission to its id — so an idle session pins no generation.
     fn session<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
@@ -300,7 +292,9 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         };
         session.sync_topology();
         for id in 0..session.lanes.len() {
-            session.open_stream(id);
+            if self.mutable(id).is_none() {
+                session.open_stream(id);
+            }
         }
         session
     }
@@ -318,12 +312,13 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// engines keep serving and the server stays usable afterwards.
     ///
     /// The loop is driven by events, not by a clock: it parks on the pool's
-    /// completion bell and runs when a request arrives, a launch finishes or
-    /// a matrix update is queued ([`ControlHandle::apply_update`]) — each of
-    /// which rings that bell. Every lap joins whichever lanes' oldest
-    /// launches have finished, so one engine's slow request never holds
-    /// back another engine's response. Only while an update is deferred by
-    /// a pin held outside the session does it lap (yielding) without parking.
+    /// completion bell and runs when a request arrives or a launch finishes
+    /// — each of which rings that bell. Every lap joins whichever lanes'
+    /// oldest launches have finished, so one engine's slow request never
+    /// holds back another engine's response. Matrix updates are not the
+    /// loop's business: a [`MutableSpmm::apply`] on another thread publishes
+    /// the new generation, and the engine's lane picks it up when it routes
+    /// the next request.
     ///
     /// Returns the aggregated [`ServerReport`] — `requests` counts
     /// completions only; `rejected` / `failed` account for everything else,
@@ -397,16 +392,15 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
                     // this read also moves the epoch, and the wait below
                     // returns at once.
                     let epoch = bell.epoch();
-                    let deferred = session.apply_updates();
                     session.complete_finished();
                     while let Some(response) = session.ready.pop_front() {
                         consumer(response);
                     }
                     match queue.try_recv() {
                         // Launch the backlog in arrival order, one request
-                        // per lap so updates and finished launches
-                        // interleave with it (and a launch that ran inline,
-                        // ringing nothing, is joined on the next lap).
+                        // per lap so finished launches interleave with it
+                        // (and a launch that ran inline, ringing nothing, is
+                        // joined on the next lap).
                         Ok(request) => {
                             session.submit(request);
                             continue;
@@ -414,11 +408,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
                         Err(TryRecvError::Disconnected) if session.in_flight() == 0 => break,
                         Err(_) => {}
                     }
-                    if deferred {
-                        std::thread::yield_now();
-                    } else {
-                        bell.wait(epoch);
-                    }
+                    bell.wait(epoch);
                 }
                 let (rest, mut report) = session.finish();
                 for response in rest {
@@ -597,12 +587,15 @@ struct ServeCounters {
 }
 
 /// One logical engine's lane inside a session: its pipeline (opened lazily
-/// for engines registered after the session started, `None` while a live
-/// update recycles it) and the sequence numbers of its in-flight requests.
-/// Every completion leaves with its own [`ExecutionReport`]; the lane keeps
-/// no statistics.
+/// for mutable engines and engines registered after the session started,
+/// `None` between a recycle and the next request) and the sequence numbers
+/// of its in-flight requests. Every completion leaves with its own
+/// [`ExecutionReport`]; the lane keeps no statistics.
 struct Lane<'scope, 'env, T: Scalar> {
     stream: Option<BatchStream<'scope, 'env, T>>,
+    /// For an open mutable lane: the engine and the revision its stream
+    /// pinned. `None` for single engines and closed lanes.
+    pinned: Option<(&'env MutableSpmm<T>, u64)>,
     /// Global sequence numbers of this lane's in-flight requests, oldest
     /// first (per-engine completion is oldest-first, so the front is always
     /// the next to finish).
@@ -613,16 +606,15 @@ struct Lane<'scope, 'env, T: Scalar> {
 
 impl<'scope, 'env, T: Scalar> Lane<'scope, 'env, T> {
     fn new() -> Lane<'scope, 'env, T> {
-        Lane { stream: None, pending: VecDeque::new(), completed: 0 }
+        Lane { stream: None, pinned: None, pending: VecDeque::new(), completed: 0 }
     }
 }
 
 /// An open serving session, created by `SpmmServer::session`: one lane
 /// per logical engine — a [`BatchStream`] over the engine's one kernel or
 /// its K shard kernels — plus the request bookkeeping that tags every
-/// response with its engine id and sequence numbers, and the hooks
-/// ([`ServerSession::apply_updates`], fault containment) the serving loop
-/// drives.
+/// response with its engine id and sequence numbers, and the fault
+/// containment the serving loop relies on.
 ///
 /// Dropping the session joins all in-flight launches and discards their
 /// results.
@@ -689,62 +681,19 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         if self.lanes[id].stream.is_some() {
             return;
         }
-        let stream = match self.server.single(id) {
-            Some(engine) => engine.batch_stream(self.scope, 0),
-            // The stream pins the engine's current generation (a read
-            // guard): a queued update waits until this lane recycles.
-            None => self
-                .server
-                .mutable(id)
-                .expect("lanes cover registered engines")
-                .batch_stream(self.scope, 0),
-        };
-        self.lanes[id].stream = Some(stream);
-    }
-
-    /// Apply every queued matrix update ([`ControlHandle::apply_update`]);
-    /// called on every lap of the serving loop. For each: recycle the target
-    /// lane's pipeline — which joins its in-flight launches on the **old**
-    /// generation and releases this session's pin on it — then swap the
-    /// merged generation in; the lane reopens on its next submission
-    /// against the new matrix. An update naming a non-updatable engine, or
-    /// carrying a delta of the wrong scalar type, counts as failed. One whose
-    /// engine is still pinned from **outside** this session (a stream the
-    /// caller holds, an accessor mid-read) is deferred — requeued with the
-    /// rest of that engine's queue, so per-engine update order holds — and
-    /// the function returns `true`: nothing rings the bell when that pin
-    /// goes, so the loop must come back by itself instead of parking.
-    fn apply_updates(&mut self) -> bool {
-        let server = self.server;
-        let mut blocked: Vec<usize> = Vec::new();
-        let mut deferred: Vec<PendingUpdate> = Vec::new();
-        for update in server.ctrl().take_updates() {
-            let id = update.engine;
-            if blocked.contains(&id) {
-                deferred.push(update);
-                continue;
-            }
-            let outcome = match (server.mutable(id), update.delta.downcast_ref::<DeltaBatch<T>>()) {
-                (Some(mutable), Some(delta)) => {
-                    self.recycle_lane(id);
-                    mutable.try_apply(delta).map(|result| result.ok().map(|r| r.revision))
-                }
-                // A non-updatable engine or a mismatched scalar type: a
-                // counted failure, never a retry.
-                _ => Some(None),
-            };
-            match outcome {
-                Some(Some(revision)) => server.ctrl().note_update_applied(id, revision),
-                Some(None) => server.ctrl().note_update_failed(),
-                None => {
-                    blocked.push(id);
-                    deferred.push(update);
-                }
+        let lane = &mut self.lanes[id];
+        match self.server.single(id) {
+            Some(engine) => lane.stream = Some(engine.batch_stream(self.scope, 0)),
+            None => {
+                let mutable = self.server.mutable(id).expect("lanes cover registered engines");
+                // Read before pinning: an apply landing in between leaves
+                // the recorded revision older than the pinned one, which
+                // only costs one needless reopen.
+                let revision = mutable.revision();
+                lane.stream = Some(mutable.batch_stream(self.scope, 0));
+                lane.pinned = Some((mutable, revision));
             }
         }
-        let any_deferred = !deferred.is_empty();
-        server.ctrl().requeue_updates(deferred);
-        any_deferred
     }
 
     /// Join lane `id`'s oldest in-flight request, queueing its response — or
@@ -789,8 +738,8 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     /// (fault-aware, one at a time) and queueing the remaining responses —
     /// **without** closing the lane: its per-engine response index spans the
     /// gap, and the next submission lazily reopens a pipeline.
-    /// This is what frees a mutable engine's generation lock for a live
-    /// update mid-session. Idempotent; an engine registered since the last
+    /// This is what lets go of a mutable engine's superseded generation
+    /// mid-session. Idempotent; an engine registered since the last
     /// [`ServerSession::sync_topology`] has no lane yet and nothing to join.
     fn recycle_lane(&mut self, id: usize) {
         if id >= self.lanes.len() {
@@ -801,6 +750,7 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         }
         let ServerSession { lanes, ready, counters, .. } = &mut *self;
         let lane = &mut lanes[id];
+        lane.pinned = None;
         if let Some(stream) = lane.stream.take() {
             // Nothing is in flight (drained above), so finishing cannot
             // re-raise a worker panic.
@@ -818,8 +768,8 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     /// Route one request: every outcome — launch, typed rejection,
     /// contained failure — is queued as a ready response; the caller
     /// drains them. Checks, in order:
-    /// engine id, input shape, and room in the pipeline (joining older
-    /// launches as needed).
+    /// engine id, input shape, the revision a mutable lane pinned, and room
+    /// in the pipeline (joining older launches as needed).
     fn submit(&mut self, request: ServerRequest<T>) {
         self.started.get_or_insert_with(Instant::now);
         self.sync_topology();
@@ -844,6 +794,14 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
             });
             return;
         }
+        // A mutable engine that has published a newer generation since its
+        // lane pinned one: drain the lane on the old matrix and reopen, so
+        // a request routed after `apply` returned runs on the new one.
+        if let Some((mutable, revision)) = self.lanes[engine].pinned {
+            if mutable.revision() != revision {
+                self.recycle_lane(engine);
+            }
+        }
         self.open_stream(engine);
         // Make room first, one fault-contained join at a time: a panic
         // belongs to the oldest request, never to the one being pushed.
@@ -860,11 +818,10 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     }
 
     /// Drain every lane (in engine-id order, oldest launch first within
-    /// each), apply any pending matrix updates, and total the
-    /// [`ServerReport`] counters. The returned responses are the ones not
-    /// already handed out, in the order they became ready.
+    /// each) and total the [`ServerReport`] counters. The returned
+    /// responses are the ones not already handed out, in the order they
+    /// became ready.
     fn finish(mut self) -> (Vec<ServerResponse<T>>, ServerReport) {
-        self.apply_updates();
         self.sync_topology();
         for id in 0..self.lanes.len() {
             self.recycle_lane(id);

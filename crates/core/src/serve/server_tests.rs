@@ -471,39 +471,6 @@ fn a_finished_launch_wakes_the_idle_loop() {
 }
 
 #[test]
-fn a_queued_update_wakes_the_idle_loop() {
-    if !host_ok() {
-        eprintln!("skipping: host lacks AVX/FMA");
-        return;
-    }
-    use crate::update::MutableSpmm;
-    use jitspmm_sparse::DeltaBatch;
-    let a = generate::uniform::<f32>(90, 70, 700, 21);
-    let pool = WorkerPool::new(2);
-    let server = SpmmServer::with_pool(pool.clone());
-    server.add_mutable(MutableSpmm::compile(&a, 2, 1, 4, pool.clone()).unwrap()).unwrap();
-    let control = server.control();
-    let mut delta = DeltaBatch::new();
-    delta.upsert(3, 5, 2.5f32);
-    let (report, landed) = with_watchdog(|| {
-        server
-            .serve_controlled(
-                ServeOptions::default(),
-                move |_sender| {
-                    // No request, ever: the update alone must wake the loop.
-                    assert!(control.apply_update(0, delta));
-                    control.wait_revision(0, 1, std::time::Duration::from_secs(3_600))
-                },
-                |_response| unreachable!("no request was sent"),
-            )
-            .unwrap()
-    });
-    assert!(landed);
-    assert_eq!(report.offered(), 0);
-    assert_eq!(server.mutable(0).unwrap().revision(), 1);
-}
-
-#[test]
 fn many_producers_under_a_tight_bound_are_all_answered_in_order() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
@@ -569,60 +536,52 @@ fn many_producers_under_a_tight_bound_are_all_answered_in_order() {
 }
 
 #[test]
-fn an_update_deferred_by_an_outside_stream_lands_once_it_drops() {
+fn a_request_after_apply_runs_on_the_merged_matrix() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
     }
+    use crate::shard::{plan_shards, ShardedSpmm};
     use crate::update::MutableSpmm;
     use jitspmm_sparse::DeltaBatch;
-    let ms = matrices();
-    let pool = WorkerPool::new(2);
-    let engines = build_engines(&pool, &ms);
-    let d0 = engines[0].d();
-    let server = SpmmServer::new(engines).unwrap();
-    let late = MutableSpmm::compile(&ms[2], 2, 1, 4, pool.clone()).unwrap();
-    let control = server.control();
+    let a = generate::uniform::<f32>(90, 70, 700, 21);
     let mut delta = DeltaBatch::new();
-    delta.upsert(3, 5, 2.5f32);
+    delta.upsert(3, 5, 2.5f32).delete(40, 0).upsert(89, 69, -1.0);
+    let merged = a.apply_delta(&delta).unwrap();
+    let pool = WorkerPool::new(2);
+    let x = input_for(&a, 4, 9);
+    let from_scratch = |m: &CsrMatrix<f32>| {
+        let plan = plan_shards(m, 2, 1).unwrap();
+        let engine = ShardedSpmm::compile(&plan, 4, pool.clone()).unwrap();
+        pool.scope(|s| engine.execute(s, &x)).unwrap().0.into_dense()
+    };
+    let (before, after) = (from_scratch(&a), from_scratch(&merged));
+    let server = SpmmServer::with_pool(pool.clone());
+    server.add_mutable(MutableSpmm::compile(&a, 2, 1, 4, pool.clone()).unwrap()).unwrap();
     let (answered, answers) = std::sync::mpsc::channel();
-    let (server_ref, ms_ref, pool_ref) = (&server, &ms, &pool);
+    let (server_ref, x_ref) = (&server, &x);
     let (report, ()) = with_watchdog(|| {
         server
             .serve_controlled(
                 ServeOptions::default(),
                 move |sender| {
-                    // Registered mid-session and never sent a request:
-                    // the session opens no lane on it, so the only pin
-                    // on its generation is the stream opened here.
-                    let held = server_ref.add_mutable(late).unwrap();
-                    let mutable = server_ref.mutable(held).unwrap();
-                    pool_ref.scope(|scope| {
-                        let stream = mutable.batch_stream(scope, 1);
-                        assert!(control.apply_update(held, delta));
-                        // The loop cannot apply it — and must neither
-                        // stall the other engines nor go to sleep on it.
-                        for i in 0..64u64 {
-                            sender.send(0, input_for(&ms_ref[0], d0, i)).unwrap();
-                        }
-                        for _ in 0..64 {
-                            answers.recv().expect("requests complete beside a deferred update");
-                        }
-                        assert_eq!(control.engine_revision(held), Some(0));
-                        assert_eq!(control.update_counts(), (0, 0));
-                        drop(stream);
-                    });
-                    // Nothing rings when the pin goes: the loop finds out
-                    // by itself.
-                    assert!(control.wait_revision(held, 1, std::time::Duration::from_secs(3_600)));
+                    sender.send(0, x_ref.clone()).unwrap();
+                    let first: DenseMatrix<f32> = answers.recv().unwrap();
+                    assert_eq!(first, before, "the first MUL runs on revision 0");
+                    // The update is a call on this thread; the loop never
+                    // hears of it.
+                    let mutable = server_ref.mutable(0).unwrap();
+                    assert_eq!(mutable.apply(&delta).unwrap().revision, 1);
+                    sender.send(0, x_ref.clone()).unwrap();
+                    let second: DenseMatrix<f32> = answers.recv().unwrap();
+                    assert_eq!(second, after, "a MUL sent after apply returned sees its delta");
+                    // Routing it recycled the lane, dropping the pin on
+                    // revision 0.
+                    assert_eq!(mutable.generations_retained(), 1);
                 },
-                |response| {
-                    assert!(response.is_completed());
-                    answered.send(()).unwrap();
-                },
+                |response| answered.send(response.into_output().unwrap().into_dense()).unwrap(),
             )
             .unwrap()
     });
-    assert_eq!(report.requests, 64);
-    assert_eq!(server.mutable(3).unwrap().revision(), 1);
+    assert_eq!((report.requests, report.failed), (2, 0));
 }

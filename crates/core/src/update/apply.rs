@@ -8,6 +8,7 @@ use super::{Generation, MutableSpmm};
 use crate::error::JitSpmmError;
 use crate::shard::{choose_strategy, nnz_imbalance_of_specs, plan_shards, ShardPlan, ShardSpec};
 use jitspmm_sparse::{CsrMatrix, DeltaBatch, Scalar};
+use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Shard-nnz imbalance (heaviest over average) above which an update stops
@@ -34,26 +35,24 @@ pub struct UpdateReport {
     /// The new generation's achieved shard-nnz imbalance.
     pub nnz_imbalance: f64,
     /// Wall-clock time of the whole apply: split, merge, (re-)plan,
-    /// compile, swap.
+    /// compile, publish.
     pub elapsed: Duration,
 }
 
 impl<T: Scalar> MutableSpmm<T> {
-    /// The locked core of [`MutableSpmm::apply`]: the caller holds the
-    /// generation write lock, so no launch is in flight and `slot` — the
-    /// lock's slot — can be replaced and its old occupant freed. Every
-    /// fallible step happens before the swap — on error the previous
-    /// generation keeps serving untouched.
-    pub(super) fn apply_locked(
+    /// The core of [`MutableSpmm::apply`]: the caller holds the writer
+    /// mutex, so the generation read here is the one this call replaces.
+    /// Every fallible step happens before the publish — on error the
+    /// previous generation keeps serving untouched.
+    pub(super) fn apply_serialized(
         &self,
-        slot: &mut Generation<T>,
         delta: &DeltaBatch<T>,
     ) -> Result<UpdateReport, JitSpmmError> {
         let started = Instant::now();
         delta
             .validate(self.nrows, self.ncols)
             .map_err(|e| JitSpmmError::InvalidConfig(format!("delta batch: {e}")))?;
-        let current: &Generation<T> = slot;
+        let current = self.current();
         if delta.is_empty() {
             return Ok(UpdateReport {
                 revision: current.revision,
@@ -111,13 +110,18 @@ impl<T: Scalar> MutableSpmm<T> {
             revision,
             self.d,
             self.pool.clone(),
-            Some(current),
+            Some(&current),
             &self.live,
         )?;
         let nnz_imbalance = next.plan.nnz_imbalance();
-        // The swap: the superseded generation drops here, under the write
-        // lock — nothing else holds it.
-        *slot = next;
+        // The publish: swap the pointer, then let go of the superseded
+        // generation outside the lock. It is freed here unless an open
+        // stream still pins it, in which case that stream frees it.
+        let replaced = std::mem::replace(
+            &mut *self.generation.write().unwrap_or_else(PoisonError::into_inner),
+            Arc::new(next),
+        );
+        drop((replaced, current));
         Ok(UpdateReport {
             revision,
             touched_rows,

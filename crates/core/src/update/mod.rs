@@ -1,6 +1,7 @@
 //! Live incremental matrix updates: apply a [`DeltaBatch`] of edge
 //! mutations to a compiled sharded engine, re-merging **only the shards
-//! the delta touches** and hot-swapping the result between launches.
+//! the delta touches** and publishing the result without waiting for the
+//! launches still running on the previous one.
 //!
 //! The paper's whole premise is that compiling SpMM code *per matrix* is
 //! worth it because one matrix serves many multiplies, and its Table IV is
@@ -19,10 +20,10 @@
 //!   depends only on shape, but a shard engine borrows the sub-matrix it
 //!   launches on and the partition cut from it, so a compiled engine
 //!   belongs to exactly one generation;
-//! * the rebuilt engine becomes the new *generation*, swapped in between
-//!   launches — in-flight work finishes on the old cores, everything
-//!   admitted afterwards sees the new matrix, and the swap frees the old
-//!   generation;
+//! * the rebuilt engine becomes the new *generation*, published as soon as
+//!   it is built — in-flight work finishes on the generation it pinned,
+//!   everything opened afterwards sees the new matrix, and the superseded
+//!   generation is freed when the last stream pinning it drops;
 //! * when the accumulated deltas skew the shard balance past the re-plan
 //!   threshold (1.5x shard-nnz imbalance), the update re-cuts the whole
 //!   merged matrix first, reported via [`UpdateReport::replanned`].
@@ -34,30 +35,35 @@
 //!
 //! # The generation protocol
 //!
-//! A [`MutableSpmm`] owns **one** live generation behind an [`RwLock`].
-//! Every execute path is a stream opened by [`MutableSpmm::batch_stream`] —
-//! [`MutableSpmm::execute`] a depth-1 one, [`MutableSpmm::execute_batch`]
-//! one over the slice — and holds a **read** guard (riding inside the
-//! [`BatchStream`]) until its launches have joined;
-//! [`MutableSpmm::apply`] takes the **write** lock to swap the successor
-//! in and drop the generation it replaces. Two consequences:
+//! This is read-copy-update: readers pin a snapshot, and the writer
+//! publishes the next one without waiting for them. A [`MutableSpmm`] holds
+//! its live generation as an `Arc`; the lock around it is held only to
+//! clone or swap that pointer. Every launch path is a stream opened by
+//! [`MutableSpmm::batch_stream`] — [`MutableSpmm::execute`] a depth-1 one,
+//! [`MutableSpmm::execute_batch`] one over the slice — which clones the
+//! `Arc` and keeps the clone inside the [`BatchStream`] until its launches
+//! have joined. [`MutableSpmm::apply`] builds the successor from the live
+//! generation and swaps the pointer. Three consequences:
 //!
-//! * the read guard is what keeps a generation alive: a swap cannot start
-//!   while any launch is in flight, so no launch ever reads the arrays of
-//!   a generation that has been freed, and
-//!   memory stays bounded by one generation however many updates arrive
-//!   ([`MutableSpmm::generations_retained`] reads 1 between swaps);
-//! * an update costs one shard-local merge per touched shard plus K shard
-//!   compiles (microseconds each, independent of the matrix size), all
-//!   outside the launch path.
+//! * `apply` never waits for a launch, an open stream or a reader: a
+//!   stream held on the applying thread itself cannot deadlock it. A writer
+//!   mutex only makes concurrent applies take effect one after another;
+//! * a stream sees **one** revision from open to drop, and no launch ever
+//!   reads the arrays of a freed generation, because its stream owns a
+//!   reference to them;
+//! * memory is the current generation plus any superseded generation an
+//!   open stream still pins ([`MutableSpmm::generations_retained`] reads 1
+//!   when none does). An update costs one shard-local merge per touched
+//!   shard plus K shard compiles (microseconds each, independent of the
+//!   matrix size), all on the applying thread and outside every launch.
 //!
 //! [`crate::serve::SpmmServer`] registers a mutable engine behind one
-//! logical id ([`crate::serve::SpmmServer::add_mutable`]), and
-//! [`crate::serve::ControlHandle::apply_update`] applies a delta to a
-//! **live serving session** from outside: the session drains the engine's
-//! in-flight lane, swaps, and admits subsequent requests against the new
-//! matrix — all mid-stream, with per-engine revisions observable through
-//! [`crate::serve::ControlHandle::engine_revision`].
+//! logical id ([`crate::serve::SpmmServer::add_mutable`]); any thread may
+//! [`MutableSpmm::apply`] a delta to it through
+//! [`crate::serve::SpmmServer::mutable`] while a session serves it. The
+//! session's lane for the engine pins one revision and reopens on the next
+//! request once [`MutableSpmm::revision`] has moved, so a request routed
+//! after `apply` returns runs on the new matrix.
 
 mod apply;
 mod delta;
@@ -66,11 +72,12 @@ pub use apply::UpdateReport;
 
 use crate::engine::{run_batch, BatchStream, ExecutionReport};
 use crate::error::JitSpmmError;
+use crate::runtime::pool::lock;
 use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
 use crate::shard::{plan_shards, ShardPlan, ShardedSpmm};
 use jitspmm_sparse::{CsrMatrix, DeltaBatch, DenseMatrix, Scalar};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, TryLockError};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// One compiled snapshot of the evolving matrix: the shard plan it was cut
 /// from and the sharded engine compiled against it. A generation owns
@@ -104,8 +111,8 @@ impl<T: Scalar> Generation<T> {
         // SAFETY: the promoted reference points into `plan`'s heap
         // allocation, which the returned generation owns; the engine (the
         // only holder of the promoted lifetime) is dropped before the Arc,
-        // and the generation only by the write-locked swap or with its
-        // `MutableSpmm` — never while a launch holds the read guard.
+        // and the generation only when its last `Arc` goes — never while a
+        // stream launching through it still holds one.
         let plan_ref: &'static ShardPlan<T> = unsafe { &*Arc::as_ptr(&plan) };
         let mut engine = ShardedSpmm::compile(plan_ref, d, pool)?;
         if let Some(previous) = previous {
@@ -125,9 +132,10 @@ impl<T: Scalar> Drop for Generation<T> {
 /// A sharded SpMM engine over an **evolving** sparse matrix: compile once,
 /// execute many, and [`MutableSpmm::apply`] edge-level [`DeltaBatch`]es in
 /// between — re-merging only the shards each delta touches and compiling
-/// the successor generation fresh, which replaces (and frees) the current
-/// one. See the [module docs](crate::update) for the generation protocol
-/// and the bit-identity guarantee.
+/// the successor generation fresh, which replaces the current one without
+/// waiting for the streams still running on it. See the
+/// [module docs](crate::update) for the generation protocol and the
+/// bit-identity guarantee.
 ///
 /// ```
 /// use jitspmm::update::MutableSpmm;
@@ -155,10 +163,13 @@ impl<T: Scalar> Drop for Generation<T> {
 /// # }
 /// ```
 pub struct MutableSpmm<T: Scalar> {
-    /// The one live generation. Launch paths hold the read guard until
-    /// their launches have joined; `apply` swaps under the write lock,
-    /// dropping the generation it replaces.
-    generation: RwLock<Generation<T>>,
+    /// The live generation. The lock guards only the pointer: launch paths
+    /// clone the `Arc` and keep the clone until their launches have joined;
+    /// `apply` swaps in the successor.
+    generation: RwLock<Arc<Generation<T>>>,
+    /// Makes concurrent [`MutableSpmm::apply`] calls take effect one after
+    /// another, each building on the generation the previous one published.
+    writer: Mutex<()>,
     /// Counts this engine's [`Generation`] values that exist right now
     /// (see [`MutableSpmm::generations_retained`]).
     live: Arc<AtomicUsize>,
@@ -202,7 +213,8 @@ impl<T: Scalar> MutableSpmm<T> {
         let live = Arc::new(AtomicUsize::new(0));
         let generation = Generation::compile(plan, 0, d, pool.clone(), None, &live)?;
         Ok(MutableSpmm {
-            generation: RwLock::new(generation),
+            generation: RwLock::new(Arc::new(generation)),
+            writer: Mutex::new(()),
             live,
             pool,
             d,
@@ -212,39 +224,37 @@ impl<T: Scalar> MutableSpmm<T> {
         })
     }
 
-    /// Take the read side of the generation lock, ignoring poison: the slot
-    /// is only written by [`MutableSpmm::apply`], whose swap happens after
-    /// every fallible step, so a poisoned lock still guards a consistent
-    /// (merely possibly stale) generation.
-    fn read(&self) -> RwLockReadGuard<'_, Generation<T>> {
-        self.generation.read().unwrap_or_else(PoisonError::into_inner)
+    /// The live generation. The read lock is held only to clone the
+    /// pointer and ignores poison: the slot is only ever assigned a whole
+    /// `Arc`, so a poisoned lock still holds a consistent generation.
+    fn current(&self) -> Arc<Generation<T>> {
+        Arc::clone(&self.generation.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Pin the live generation for launching: the read guard plus the
-    /// generation it protects, promoted to the caller's `'env` borrow of
-    /// `self` (the lifetime [`PoolScope`] launches are typed against).
-    fn pin<'env>(&'env self) -> (RwLockReadGuard<'env, Generation<T>>, &'env Generation<T>) {
-        let guard = self.read();
-        // SAFETY: the reference outlives the guard by *type*, never by
-        // *use*. It points at the lock's slot inside `self`, whose value is
-        // replaced (and the old one dropped) only by `apply` under the
-        // write lock — unobtainable while `guard` lives — and every caller
-        // keeps the guard until each launch made through the reference has
-        // joined: the guard rides inside the [`BatchStream`] every launch
-        // goes through, whose `Drop` joins every launch before any of its
-        // fields is released. A leaked guard blocks swaps forever instead
-        // of dangling.
-        let generation = unsafe { &*(&*guard as *const Generation<T>) };
-        (guard, generation)
+    /// Pin the live generation for launching: an `Arc` on it plus the
+    /// generation itself, promoted to the caller's borrow of `self` (the
+    /// `'env` lifetime [`PoolScope`] launches are typed against).
+    fn pin(&self) -> (Arc<Generation<T>>, &Generation<T>) {
+        let pinned = self.current();
+        // SAFETY: the reference outlives the `Arc` by *type*, never by
+        // *use*. It points into the `Arc`'s heap allocation, which neither
+        // moves nor is freed while any clone lives — `apply` only swaps
+        // which `Arc` the engine holds. Every caller hands the `Arc` to the
+        // stream it launches through, where it rides in `_hold`
+        // ([`BatchStream::holding`]); that field drops only after the
+        // stream's `Drop` has joined every launch made through the
+        // reference. A leaked stream leaks its pin: the generation stays
+        // allocated instead of dangling.
+        let generation = unsafe { &*Arc::as_ptr(&pinned) };
+        (pinned, generation)
     }
 
     /// Compute `Y = A * X` through the current generation — a depth-1
     /// [`MutableSpmm::batch_stream`], with semantics, errors and report
     /// exactly as [`ShardedSpmm::execute`]. The input is validated before
-    /// the generation is pinned; the read guard is then held until the
-    /// launch has joined, so a concurrent [`MutableSpmm::apply`] waits for
-    /// the launch (and vice versa: this call briefly waits out an
-    /// in-progress swap).
+    /// the generation is pinned; the pin is then held until the launch has
+    /// joined, so the launch runs on one revision while a concurrent
+    /// [`MutableSpmm::apply`] publishes the next without waiting for it.
     ///
     /// # Errors
     ///
@@ -260,9 +270,9 @@ impl<T: Scalar> MutableSpmm<T> {
 
     /// Compute `Y = A * X_i` for a whole batch through the current
     /// generation — semantics, errors and reports exactly as
-    /// [`ShardedSpmm::execute_batch`]. The generation read guard is held
-    /// for the batch's duration: a delta applied concurrently lands after
-    /// the batch, never inside it.
+    /// [`ShardedSpmm::execute_batch`]. The generation is pinned for the
+    /// batch's duration: a delta applied concurrently takes effect for
+    /// later calls, never inside this batch.
     ///
     /// # Errors
     ///
@@ -277,27 +287,29 @@ impl<T: Scalar> MutableSpmm<T> {
 
     /// Open a [`BatchStream`] over the current generation's shard kernels —
     /// the incremental pipelined form of [`MutableSpmm::execute_batch`],
-    /// exactly [`ShardedSpmm::batch_stream`] plus the pin: the generation
-    /// read guard rides inside the stream until it is finished or dropped,
-    /// so every input pushed through one stream sees **one** matrix
-    /// revision; deltas applied while it is open wait (or, in the serving
-    /// loop, requeue) and take effect for streams opened afterwards.
-    ///
+    /// exactly [`ShardedSpmm::batch_stream`] plus the pin: an `Arc` on the
+    /// current generation rides inside the stream until it is finished or
+    /// dropped, so every input pushed through one stream sees **one**
+    /// matrix revision; deltas applied while it is open take effect for
+    /// streams opened afterwards, and the generation it pins stays
+    /// allocated until it drops.
     pub fn batch_stream<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         depth: usize,
     ) -> BatchStream<'scope, 'env, T> {
-        let (guard, generation) = self.pin();
-        generation.engine.batch_stream(scope, depth).holding(guard)
+        let (pinned, generation) = self.pin();
+        generation.engine.batch_stream(scope, depth).holding(pinned)
     }
 
-    /// Apply an edge-delta batch, compiling the next generation: touched
-    /// shards re-materialize, every shard compiles fresh, and the swap
-    /// waits for in-flight launches (the write lock) so no launch ever
-    /// spans two revisions — then frees the generation it replaced. When
-    /// the delta skews the shard balance past the re-plan threshold the
-    /// whole matrix is re-cut first ([`UpdateReport::replanned`]).
+    /// Apply an edge-delta batch, compiling the next generation on the
+    /// calling thread: touched shards re-materialize, every shard compiles
+    /// fresh, and the result is published without waiting for any launch —
+    /// streams already open finish on the generation they pinned, streams
+    /// opened after this returns see the merged matrix. When the delta
+    /// skews the shard balance past the re-plan threshold the whole matrix
+    /// is re-cut first ([`UpdateReport::replanned`]). Concurrent applies
+    /// take effect one after another.
     ///
     /// An empty batch is a no-op: no generation is built and the revision
     /// does not advance.
@@ -309,56 +321,39 @@ impl<T: Scalar> MutableSpmm<T> {
     /// not the vertex set), or a codegen error from rebuilding a shard. On
     /// error the engine keeps serving the previous generation unchanged.
     pub fn apply(&self, delta: &DeltaBatch<T>) -> Result<UpdateReport, JitSpmmError> {
-        let mut generation = self.generation.write().unwrap_or_else(PoisonError::into_inner);
-        self.apply_locked(&mut generation, delta)
-    }
-
-    /// Non-blocking [`MutableSpmm::apply`]: `None` if the generation lock
-    /// is held (launches in flight, or a user-held stream) — the serving
-    /// loop requeues and retries after recycling the engine's lane, so a
-    /// busy engine can never deadlock the session against its own stream.
-    pub(crate) fn try_apply(
-        &self,
-        delta: &DeltaBatch<T>,
-    ) -> Option<Result<UpdateReport, JitSpmmError>> {
-        match self.generation.try_write() {
-            Ok(mut generation) => Some(self.apply_locked(&mut generation, delta)),
-            Err(TryLockError::Poisoned(poisoned)) => {
-                Some(self.apply_locked(&mut poisoned.into_inner(), delta))
-            }
-            Err(TryLockError::WouldBlock) => None,
-        }
+        let _writer = lock(&self.writer);
+        self.apply_serialized(delta)
     }
 
     /// The current matrix revision: 0 at compile, +1 per non-empty applied
     /// delta (re-planned or not).
     pub fn revision(&self) -> u64 {
-        self.read().revision
+        self.current().revision
     }
 
     /// Number of this engine's compiled generations that exist right now —
     /// a live gauge (+1 when a generation is built, -1 when it drops), not a
-    /// count of applied updates. It reads 1 whenever no `apply` is midway;
-    /// more means something keeps a superseded generation (and the matrix
-    /// it holds) alive.
+    /// count of applied updates. It reads 1 whenever no `apply` is midway
+    /// and no open stream pins a superseded generation; more means such a
+    /// stream keeps that generation (and the matrix it holds) alive.
     pub fn generations_retained(&self) -> usize {
         self.live.load(Ordering::Relaxed)
     }
 
     /// Number of shards in the current generation's plan.
     pub fn shards(&self) -> usize {
-        self.read().plan.len()
+        self.current().plan.len()
     }
 
     /// Non-zeros of the current merged matrix.
     pub fn nnz(&self) -> usize {
-        self.read().plan.nnz()
+        self.current().plan.nnz()
     }
 
     /// The current plan's achieved nnz imbalance (see
     /// [`ShardPlan::nnz_imbalance`]).
     pub fn nnz_imbalance(&self) -> f64 {
-        self.read().plan.nnz_imbalance()
+        self.current().plan.nnz_imbalance()
     }
 
     /// Rows of the matrix (fixed for the engine's lifetime).
@@ -383,11 +378,11 @@ impl<T: Scalar> MutableSpmm<T> {
 
     /// Materialize the current logical matrix as one owned [`CsrMatrix`] —
     /// the concatenation of the current generation's shard sub-matrices.
-    /// O(nnz) under the generation read lock (a concurrent apply waits for
+    /// O(nnz) on a pinned generation (a concurrent apply does not wait for
     /// the copy); meant for oracles, checkpoints and tests, not the serving
     /// path.
     pub fn merged_matrix(&self) -> CsrMatrix<T> {
-        apply::concat_specs(self.read().plan.shards(), self.ncols)
+        apply::concat_specs(self.current().plan.shards(), self.ncols)
     }
 }
 

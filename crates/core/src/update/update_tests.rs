@@ -1,5 +1,6 @@
 //! Unit tests for the incremental-update subsystem: generation protocol
-//! (one live generation, freed by the swap), shard-local merging, re-plan
+//! (apply publishes without waiting, a superseded generation is freed with
+//! its last pin), shard-local merging, re-plan
 //! drift, and bit-identity of the incremental path
 //! against from-scratch compilation. The cross-crate differential family
 //! (serving paths included) lives in `tests/tests/update_differential.rs`.
@@ -47,7 +48,7 @@ fn superseded_generations_are_freed() {
     let engine = MutableSpmm::compile(&a, 4, 1, 8, pool.clone()).unwrap();
     assert_eq!(engine.generations_retained(), 1);
     // 200 single-op deltas, all inside the first shard's rows.
-    let first_shard_rows = engine.read().plan.shards()[0].rows.end;
+    let first_shard_rows = engine.current().plan.shards()[0].rows.end;
     let mut current = a.clone();
     for k in 0..200usize {
         let mut delta = DeltaBatch::new();
@@ -62,13 +63,13 @@ fn superseded_generations_are_freed() {
     // No non-zero data was ever copied for the untouched shards: their
     // spec matrices still alias the original matrix's storage, 200
     // generations on; the touched shard owns its merged copy.
-    let guard = engine.read();
-    let shards = guard.plan.shards();
+    let pinned = engine.current();
+    let shards = pinned.plan.shards();
     assert!(!shards[0].matrix.shares_storage_with(&a));
     for spec in &shards[1..] {
         assert!(spec.matrix.shares_storage_with(&a), "rows {:?} were re-materialized", spec.rows);
     }
-    drop(guard);
+    drop(pinned);
     assert_eq!(engine.merged_matrix(), current);
     let x = DenseMatrix::random(a.ncols(), 8, 3);
     let (y, _) = pool.scope(|s| engine.execute(s, &x)).unwrap();
@@ -129,46 +130,57 @@ fn out_of_bounds_ops_are_rejected_and_the_engine_keeps_serving() {
 }
 
 #[test]
-fn open_streams_pin_their_revision_and_defer_applies() {
+fn apply_does_not_wait() {
     let pool = WorkerPool::new(2);
     let a = generate::uniform::<f32>(128, 128, 1_500, 4);
     let engine = MutableSpmm::compile(&a, 2, 1, 4, pool.clone()).unwrap();
     let mut delta = DeltaBatch::new();
-    delta.upsert(0, 3, 2.0);
+    delta.upsert(0, 3, 2.0).upsert(100, 7, -1.5).delete(64, 0);
+    let merged = a.apply_delta(&delta).unwrap();
+    // From-scratch engines over the base and the merged matrix: the bits
+    // each revision must produce.
+    let (base_plan, merged_plan) =
+        (plan_shards(&a, 2, 1).unwrap(), plan_shards(&merged, 2, 1).unwrap());
+    let base = ShardedSpmm::compile(&base_plan, 4, pool.clone()).unwrap();
+    let fresh = ShardedSpmm::compile(&merged_plan, 4, pool.clone()).unwrap();
     let inputs: Vec<DenseMatrix<f32>> =
         (0..3).map(|seed| DenseMatrix::random(128, 4, seed)).collect();
     pool.scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 2);
-        // The stream holds the generation read guard: a non-blocking apply
-        // must report contention instead of swapping mid-stream.
-        assert!(engine.try_apply(&delta).is_none());
-        let mut outputs = Vec::new();
+        let mut old = engine.batch_stream(scope, 2);
+        assert!(old.push(&inputs[0]).unwrap().is_none(), "depth 2 keeps it in flight");
+        // Same thread, stream open, a launch in flight: an apply that waited
+        // for readers would deadlock here.
+        let report = engine.apply(&delta).unwrap();
+        assert_eq!((report.revision, engine.revision()), (1, 1));
+        assert_eq!(engine.generations_retained(), 2, "the open stream pins revision 0");
+        let mut outputs: Vec<_> = inputs[1..].iter().flat_map(|x| old.push(x).unwrap()).collect();
+        // A stream opened afterwards runs on the merged matrix, beside `old`.
         for x in &inputs {
-            if let Some((y, _)) = stream.push(x).unwrap() {
-                outputs.push(y);
-            }
+            let (y, _) = engine.execute(scope, x).unwrap();
+            let (want, _) = fresh.execute(scope, x).unwrap();
+            assert_eq!(*y, *want, "a stream opened after apply sees the merged matrix");
         }
-        outputs.extend(stream.finish().into_iter().map(|(y, _)| y));
-        for (x, y) in inputs.iter().zip(&outputs) {
-            assert!(y.approx_eq(&a.spmm_reference(x), 1e-4), "pre-update matrix served");
+        assert_eq!(engine.generations_retained(), 2, "revision 0 lives while `old` does");
+        // The open stream kept producing revision-0 bits; finishing drops it
+        // and its pin.
+        outputs.extend(old.finish());
+        assert_eq!(engine.generations_retained(), 1, "the last pin freed revision 0");
+        assert_eq!(outputs.len(), inputs.len());
+        for (x, (y, _)) in inputs.iter().zip(&outputs) {
+            let (want, _) = base.execute(scope, x).unwrap();
+            assert_eq!(**y, *want, "an open stream must stay on revision 0");
         }
     });
-    // Guard released: the same apply now lands.
-    let report = engine.try_apply(&delta).expect("lock free after finish").unwrap();
-    assert_eq!(report.revision, 1);
-    let merged = a.apply_delta(&delta).unwrap();
-    let (y, _) = pool.scope(|s| engine.execute(s, &inputs[0])).unwrap();
-    assert!(y.approx_eq(&merged.spmm_reference(&inputs[0]), 1e-4));
-    // A *forgotten* stream leaks its read guard with it: the scope still
-    // joins the in-flight launch against live memory, and the pin outlives
-    // it — the generation can never be swapped out from under the leak.
+    // A *forgotten* stream leaks its pin with it: the scope still joins the
+    // in-flight launch against live memory, later applies still land, and
+    // the pinned generation stays allocated instead of dangling.
     pool.scope(|scope| {
         let mut stream = engine.batch_stream(scope, 2);
         assert!(stream.push(&inputs[1]).unwrap().is_none(), "depth 2 keeps it in flight");
         std::mem::forget(stream);
     });
-    assert!(engine.try_apply(&delta).is_none());
-    assert_eq!((engine.revision(), engine.generations_retained()), (1, 1));
+    assert_eq!(engine.apply(&delta).unwrap().revision, 2);
+    assert_eq!(engine.generations_retained(), 2, "the leaked pin keeps revision 1");
 }
 
 #[test]

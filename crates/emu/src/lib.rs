@@ -168,6 +168,9 @@ mod tests {
     fn emulate(asm: Assembler, args: &[u64]) -> (HwCounters, u64) {
         let code = asm.finalize().unwrap();
         let mut emu = Emulator::new().with_max_instructions(10_000_000);
+        // SAFETY: every test kernel reads and writes only through the argument
+        // pointers it is given, each pointing at a live buffer of the length the
+        // test passes with it (or touches no memory at all).
         unsafe { emu.run_with_result(&code, args).unwrap() }
     }
 
@@ -280,6 +283,9 @@ mod tests {
         // 0F 31 = rdtsc, not in the supported subset.
         let code = vec![0x0F, 0x31, 0xC3];
         let mut emu = Emulator::new();
+        // SAFETY: the emulator only dereferences addresses the code computes,
+        // and this code touches no memory (it faults on decode or runs out of
+        // bounds or budget before any access).
         let err = unsafe { emu.run(&code, &[]) }.unwrap_err();
         match err {
             EmuError::Unsupported { offset, .. } => assert_eq!(offset, 0),
@@ -295,6 +301,9 @@ mod tests {
         asm.jmp(l);
         let code = asm.finalize().unwrap();
         let mut emu = Emulator::new().with_max_instructions(1000);
+        // SAFETY: the emulator only dereferences addresses the code computes,
+        // and this code touches no memory (it faults on decode or runs out of
+        // bounds or budget before any access).
         let err = unsafe { emu.run(&code, &[]) }.unwrap_err();
         assert!(matches!(err, EmuError::InstructionLimit { .. }));
     }
@@ -304,6 +313,9 @@ mod tests {
         // No ret: a single nop then out of bounds.
         let code = vec![0x90];
         let mut emu = Emulator::new();
+        // SAFETY: the emulator only dereferences addresses the code computes,
+        // and this code touches no memory (it faults on decode or runs out of
+        // bounds or budget before any access).
         let err = unsafe { emu.run(&code, &[]) }.unwrap_err();
         assert!(matches!(err, EmuError::RipOutOfRange { .. }));
     }

@@ -17,18 +17,30 @@ fn compare_u64(build: impl Fn(&mut Assembler), args: &[u64]) -> (u64, u64) {
     let buf = ExecutableBuffer::from_code(&code).expect("exec alloc");
     let native = match args.len() {
         0 => {
+            // SAFETY: the code assembled by `build` plus `ret` is a complete SysV
+            // function of this signature that returns and touches no memory beyond
+            // its arguments' pointees; `buf` outlives every call through `f`.
             let f: extern "C" fn() -> u64 = unsafe { buf.as_fn0() };
             f()
         }
         1 => {
+            // SAFETY: the code assembled by `build` plus `ret` is a complete SysV
+            // function of this signature that returns and touches no memory beyond
+            // its arguments' pointees; `buf` outlives every call through `f`.
             let f: extern "C" fn(u64) -> u64 = unsafe { buf.as_fn1() };
             f(args[0])
         }
         2 => {
+            // SAFETY: the code assembled by `build` plus `ret` is a complete SysV
+            // function of this signature that returns and touches no memory beyond
+            // its arguments' pointees; `buf` outlives every call through `f`.
             let f: extern "C" fn(u64, u64) -> u64 = unsafe { buf.as_fn2() };
             f(args[0], args[1])
         }
         3 => {
+            // SAFETY: the code assembled by `build` plus `ret` is a complete SysV
+            // function of this signature that returns and touches no memory beyond
+            // its arguments' pointees; `buf` outlives every call through `f`.
             let f: extern "C" fn(u64, u64, u64) -> u64 = unsafe { buf.as_fn3() };
             f(args[0], args[1], args[2])
         }
@@ -36,6 +48,9 @@ fn compare_u64(build: impl Fn(&mut Assembler), args: &[u64]) -> (u64, u64) {
     };
 
     let mut emu = Emulator::new().with_max_instructions(10_000_000);
+    // SAFETY: the emulator dereferences the addresses the code computes; the
+    // code reads and writes only through the argument pointers, which point at
+    // live buffers of the lengths passed alongside them.
     let (_, emulated) = unsafe { emu.run_with_result(&code, args).expect("emulation") };
     (native, emulated)
 }
@@ -109,10 +124,16 @@ fn float_dot_product_agrees_bit_exactly() {
     asm.ret();
     let code = asm.finalize().unwrap();
     let buf = ExecutableBuffer::from_code(&code).unwrap();
+    // SAFETY: the code assembled by `build` plus `ret` is a complete SysV
+    // function of this signature that returns and touches no memory beyond
+    // its arguments' pointees; `buf` outlives every call through `f`.
     let f: extern "C" fn(*mut f32, *const f32, u64) -> u64 =
         unsafe { std::mem::transmute(buf.entry()) };
     let native = f(a1.as_mut_ptr(), b.as_ptr(), a.len() as u64);
     let mut emu = Emulator::new().with_max_instructions(1_000_000);
+    // SAFETY: the emulator dereferences the addresses the code computes; the
+    // code reads and writes only through the argument pointers, which point at
+    // live buffers of the lengths passed alongside them.
     let (_, emulated) = unsafe {
         emu.run_with_result(&code, &[a2.as_mut_ptr() as u64, b.as_ptr() as u64, a.len() as u64])
             .unwrap()

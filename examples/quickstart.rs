@@ -265,50 +265,50 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 10. Mutate a served matrix live: register a *mutable* engine, serve
     //     requests against it, and apply an edge-delta batch mid-session
-    //     through the control handle. The serving loop drains the engine's
-    //     in-flight lane, re-merges only the shards the delta touches,
-    //     compiles every shard fresh (microseconds each) and swaps
-    //     generations between launches, freeing the old one — requests
-    //     admitted after the revision bump see the new matrix,
-    //     bit-identical to a from-scratch compile.
+    //     with a plain `apply` call from the producer thread. It re-merges
+    //     only the shards the delta touches, compiles every shard fresh
+    //     (microseconds each) and publishes the new generation without
+    //     waiting for the serving loop; the engine's lane finishes on the old
+    //     matrix and reopens on the new one at its next request, so requests
+    //     sent after `apply` returns see the new matrix, bit-identical to a
+    //     from-scratch compile.
     let graph = generate::uniform::<f32>(2_000, 2_000, 30_000, 46);
     let update_pool = WorkerPool::new(2);
     let mutable_server: SpmmServer<'_, f32> = SpmmServer::with_pool(update_pool.clone());
     let engine_id =
         mutable_server.add_mutable(MutableSpmm::compile(&graph, 2, 1, 8, update_pool.clone())?)?;
-    let control = mutable_server.control();
+    let mutable = mutable_server.mutable(engine_id).expect("registered above");
     let mut delta = DeltaBatch::new();
     for k in 0..64usize {
         delta.upsert(k * 31 % 2_000, k * 17 % 2_000, 0.5 + k as f32 * 0.01);
     }
-    let producer_control = control.clone();
-    let (update_report, ()) = mutable_server.serve_controlled(
+    let (update_report, applied) = mutable_server.serve_controlled(
         ServeOptions::new(AdmissionPolicy::blocking(4)),
-        move |sender| {
+        |sender| {
             // A request against the revision-0 matrix...
             let x = DenseMatrix::random(2_000, 8, 600);
             sender.send_request(ServerRequest::new(engine_id, x)).unwrap();
-            // ...then the live update: the loop applies it between launches.
-            producer_control.apply_update(engine_id, delta);
-            assert!(producer_control.wait_revision(engine_id, 1, Duration::from_secs(10)));
+            // ...then the live update, a call on this thread...
+            let applied = mutable.apply(&delta).expect("in-range delta");
             // ...and a request that sees the updated matrix.
             let x = DenseMatrix::random(2_000, 8, 601);
             sender.send_request(ServerRequest::new(engine_id, x)).unwrap();
+            applied
         },
         |response| assert!(response.is_completed()),
     )?;
-    let mutable = mutable_server.mutable(engine_id).expect("registered above");
     println!(
         "live update: {} requests served across revisions 0..={} \
-         ({} shards, nnz now {}; updates applied={} failed={})",
+         ({} shards, {} touched, nnz now {}; apply took {:?})",
         update_report.requests,
         mutable.revision(),
         mutable.shards(),
+        applied.touched_shards,
         mutable.nnz(),
-        control.update_counts().0,
-        control.update_counts().1,
+        applied.elapsed,
     );
     assert_eq!(update_report.requests, 2);
     assert_eq!(mutable.revision(), 1);
+    assert_eq!(mutable.generations_retained(), 1);
     Ok(())
 }

@@ -20,7 +20,6 @@ use jitspmm::{JitSpmmBuilder, WorkerPool};
 use jitspmm_integration_tests::{host_supports_jit, serve_all, small_skewed, small_uniform};
 use jitspmm_sparse::{DeltaBatch, DenseMatrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// The column count of `small_skewed()` (an RMAT scale-9 matrix is 512²).
 const SKEWED_COLS: usize = 512;
@@ -198,7 +197,6 @@ fn engines_can_be_added_while_a_session_is_open() {
     let merged = a.apply_delta(&delta).unwrap();
     let server = SpmmServer::new(vec![first]).unwrap();
     let server_ref = &server;
-    let control = server.control();
     let answered = AtomicUsize::new(0);
     let answered_ref = &answered;
     let answered_by = [AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0)];
@@ -221,8 +219,8 @@ fn engines_can_be_added_while_a_session_is_open() {
                 assert_eq!(id, 2);
                 // A live update to an engine no request has reached yet (it
                 // has no lane) applies instead of taking the serve down.
-                assert!(control.apply_update(2, delta));
-                assert!(control.wait_revision(2, 1, Duration::from_secs(30)));
+                let report = server_ref.mutable(2).unwrap().apply(&delta).unwrap();
+                assert_eq!(report.revision, 1);
                 sender
                     .send_request(ServerRequest::new(1, DenseMatrix::random(SKEWED_COLS, D, 2)))
                     .unwrap();

@@ -12,7 +12,6 @@ use jitspmm::{MutableSpmm, WorkerPool};
 use jitspmm_integration_tests::{host_supports_jit, pathological, small_skewed, small_uniform};
 use jitspmm_sparse::{CsrMatrix, DeltaBatch, DenseMatrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 const SHARDS: usize = 3;
 const D: usize = 8;
@@ -99,11 +98,11 @@ fn incremental_update_matches_from_scratch_blocking_and_batch() {
 }
 
 /// The live-serving path: a mutable engine behind
-/// [`SpmmServer::serve_controlled`] takes a delta mid-session via
-/// [`jitspmm::serve::ControlHandle::apply_update`]. Requests completed
+/// [`SpmmServer::serve_controlled`] takes a delta mid-session through a
+/// direct [`MutableSpmm::apply`] on the producer thread. Requests completed
 /// before the update must match a from-scratch compile of the base matrix;
-/// requests admitted after the revision bump must match a from-scratch
-/// compile of the merged matrix — bit for bit in both epochs.
+/// requests sent after `apply` returned must match a from-scratch compile
+/// of the merged matrix — bit for bit in both epochs.
 #[test]
 fn live_update_behind_serve_controlled_is_bit_identical() {
     if !host_supports_jit() {
@@ -129,11 +128,8 @@ fn live_update_behind_serve_controlled_is_bit_identical() {
         let server: SpmmServer<'_, f32> = SpmmServer::with_pool(pool.clone());
         let mutable = MutableSpmm::compile(&base, SHARDS, 1, D, pool.clone()).unwrap();
         let id = server.add_mutable(mutable).unwrap();
-        let control = server.control();
         let mut responses = Vec::new();
-        let inputs_ref = &inputs;
-        let producer_control = control.clone();
-        let producer_delta = delta.clone();
+        let (server_ref, inputs_ref, delta_ref) = (&server, &inputs, &delta);
         let answered = AtomicUsize::new(0);
         let answered_ref = &answered;
         let (report, ()) = server
@@ -148,8 +144,8 @@ fn live_update_behind_serve_controlled_is_bit_identical() {
                     while answered_ref.load(Ordering::SeqCst) < 3 {
                         std::thread::yield_now();
                     }
-                    assert!(producer_control.apply_update(id, producer_delta));
-                    assert!(producer_control.wait_revision(id, 1, Duration::from_secs(30)));
+                    let report = server_ref.mutable(id).unwrap().apply(delta_ref).unwrap();
+                    assert_eq!(report.revision, 1);
                     for x in &inputs_ref[3..] {
                         sender.send_request(ServerRequest::new(id, x.clone())).unwrap();
                     }
@@ -161,8 +157,9 @@ fn live_update_behind_serve_controlled_is_bit_identical() {
             )
             .unwrap();
         assert_eq!(report.requests, 6, "{name}: all requests completed");
-        assert_eq!(control.engine_revision(id), Some(1), "{name}");
-        assert_eq!(control.update_counts(), (1, 0), "{name}");
+        let mutable = server.mutable(id).unwrap();
+        assert_eq!(mutable.revision(), 1, "{name}");
+        assert_eq!(mutable.generations_retained(), 1, "{name}: the lane let go of revision 0");
         responses.sort_by_key(|r| r.request());
         for (i, response) in responses.iter().enumerate() {
             assert!(response.is_completed(), "{name}: request {i}");
@@ -177,7 +174,8 @@ fn live_update_behind_serve_controlled_is_bit_identical() {
 }
 
 /// Swaps race real sweeps: reader threads loop `execute` while a writer
-/// applies 100 deltas, each of which frees the generation it replaces.
+/// applies 100 deltas, each of which replaces a generation the readers may
+/// still pin (it is freed with the last pin).
 /// Every output must be bit-identical to the from-scratch result of one
 /// revision between the ones the reader observed around its call — a
 /// launch that ran through a freed generation (unmapped kernel, freed
