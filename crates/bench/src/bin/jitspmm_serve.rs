@@ -1,4 +1,5 @@
-//! `jitspmm-serve` — a TCP front end over [`jitspmm::SpmmServer`].
+//! `jitspmm-serve` — a TCP front end over compiled [`JitSpmm`] and
+//! [`MutableSpmm`] engines.
 //!
 //! Engines are described by **synthetic matrix specs** so a restarted server
 //! reconstructs byte-identical matrices — and therefore serves bit-identical
@@ -27,36 +28,38 @@
 //! input by *seed*: both sides derive it as `DenseMatrix::random(ncols, d,
 //! seed)`, so only 13 bytes cross the wire and a client can replay the exact
 //! request against a restarted server (`--expect FILE` compares the raw
-//! response bytes — bit identity, not an epsilon test). Requests are
-//! admitted under a shedding policy and routed through
-//! [`SpmmServer::serve_controlled`]; each connection thread parks on a
-//! per-engine FIFO of reply channels, pushed under the same lock as the
-//! queue send so responses (per-engine submission order) match up. Nothing
-//! on the way polls: the accept loop blocks in `accept()` (SHUTDOWN
-//! unblocks it with a loopback connection to itself), the serving loop
-//! parks until a request or a finished launch wakes it, and every frame —
-//! length prefix included — leaves in one write.
+//! response bytes — bit identity, not an epsilon test).
 //!
-//! With `--mutable` every engine is registered as a [`MutableSpmm`]
-//! (sharded across `--shards`), and UPDATE frames mutate its matrix live:
-//! the connection thread calls [`MutableSpmm::apply`] itself, which merges,
-//! compiles and publishes the new generation, and acks with the revision it
-//! returned — in-flight MULs finish on the old matrix, MULs sent after the
-//! ack see the new one. INFO reports each engine's live nonzero count,
-//! matrix revision and compiled generations currently alive (1, plus one
-//! superseded generation while the engine's serving lane still pins it:
-//! the lane lets go at its next MUL), plus the server-wide applied/failed
-//! update counters.
+//! Every request runs on the thread of the connection that sent it, and
+//! that thread writes the reply: no serving loop, no reply FIFO, no channel.
+//! A MUL builds its input, takes one of its engine's in-flight slots
+//! (`--queue` bounds the MULs running on one engine; one over the bound is
+//! shed with a `not admitted` error frame) and calls the engine itself —
+//! [`JitSpmm::execute`], or [`MutableSpmm::execute`] in a pool scope — so
+//! the worker pool's job queue is the only queue it waits in. A panic in
+//! the launch fails that MUL alone. Nothing polls: the accept loop blocks
+//! in `accept()` (SHUTDOWN unblocks it with a loopback connection to
+//! itself), and every frame — length prefix included — leaves in one write.
+//! Once the connections have closed, the server prints `done: C completed,
+//! R rejected, F failed`, one verdict per MUL that named an engine.
+//!
+//! With `--mutable` every engine is a [`MutableSpmm`] (sharded across
+//! `--shards`), and UPDATE frames mutate its matrix live: the connection
+//! thread calls [`MutableSpmm::apply`] itself, which merges, compiles and
+//! publishes the new generation, and acks with the revision it returned —
+//! in-flight MULs finish on the old matrix, MULs sent after the ack see the
+//! new one. INFO reports each engine's live nonzero count, matrix revision
+//! and compiled generations currently alive — 1 between requests, as a MUL
+//! pins its generation only while it runs — plus the server-wide
+//! applied/failed update counters.
 
-use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, ServerResponse, SpmmServer};
-use jitspmm::{JitSpmmBuilder, MutableSpmm, WorkerPool};
+use jitspmm::{JitSpmm, JitSpmmBuilder, MutableSpmm, WorkerPool};
 use jitspmm_sparse::{generate, CsrMatrix, DeltaBatch, DenseMatrix};
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 const OP_INFO: u8 = 1;
@@ -267,101 +270,82 @@ fn parse_server_args(args: &[String]) -> Result<ServerConfig, String> {
     Ok(config)
 }
 
-/// One MUL reply slot: pushed onto its engine's FIFO under the same lock as
-/// the queue send, popped by the serving loop's consumer in per-engine
-/// submission order.
-type ReplySlot = mpsc::Sender<ServerResponse<f32>>;
-
 fn run_server(args: &[String]) -> Result<(), String> {
     let config = parse_server_args(args)?;
     let listener =
         TcpListener::bind(&config.listen).map_err(|e| format!("bind {}: {e}", config.listen))?;
-    serve_listener(&config, listener)
+    let done = serve_listener(&config, listener)?;
+    println!("{done}");
+    Ok(())
+}
+
+/// A compiled engine the connection threads call directly.
+enum Engine<'m> {
+    Single(JitSpmm<'m, f32>),
+    Mutable(MutableSpmm<f32>),
+}
+
+/// What every connection thread of one server shares.
+struct Server<'m> {
+    specs: &'m [MatrixSpec],
+    engines: Vec<Engine<'m>>,
+    /// MULs running on each engine right now (see [`admit`]).
+    in_flight: Vec<AtomicUsize>,
+    /// The most MULs one engine runs at once (`--queue`).
+    max_in_flight: usize,
+    pool: WorkerPool,
+    counts: Counts,
+    shutdown: Shutdown,
 }
 
 /// Compile `config`'s engines and serve connections accepted on `listener`
-/// until a SHUTDOWN frame arrives.
-fn serve_listener(config: &ServerConfig, listener: TcpListener) -> Result<(), String> {
+/// until a SHUTDOWN frame arrives and every connection has closed; returns
+/// the `done:` line with the server's MUL verdicts.
+fn serve_listener(config: &ServerConfig, listener: TcpListener) -> Result<String, String> {
     let pool = WorkerPool::new(config.threads.max(1));
     let matrices: Vec<CsrMatrix<f32>> = config.specs.iter().map(MatrixSpec::build).collect();
-
-    let server: SpmmServer<'_, f32> = SpmmServer::with_pool(pool.clone());
+    let mut engines = Vec::with_capacity(matrices.len());
     for (spec, matrix) in config.specs.iter().zip(&matrices) {
-        if config.mutable {
-            let engine = MutableSpmm::compile(
-                matrix,
-                config.shards.max(1),
-                config.threads.max(1),
-                spec.d,
-                pool.clone(),
-            )
-            .map_err(|e| format!("compile failed: {e}"))?;
-            server.add_mutable(engine).map_err(|e| format!("server: {e}"))?;
+        let engine = if config.mutable {
+            let shards = config.shards.max(1);
+            MutableSpmm::compile(matrix, shards, config.threads.max(1), spec.d, pool.clone())
+                .map(Engine::Mutable)
         } else {
-            let engine = JitSpmmBuilder::new()
+            JitSpmmBuilder::new()
                 .pool(pool.clone())
                 .threads(config.threads.max(1))
                 .build(matrix, spec.d)
-                .map_err(|e| format!("compile failed: {e}"))?;
-            server.add_engine(engine).map_err(|e| format!("server: {e}"))?;
-        }
+                .map(Engine::Single)
+        };
+        engines.push(engine.map_err(|e| format!("compile failed: {e}"))?);
     }
-
-    let shutdown = Shutdown::new(&listener).map_err(|e| format!("local_addr: {e}"))?;
+    let server = Server {
+        specs: &config.specs,
+        in_flight: engines.iter().map(|_| AtomicUsize::new(0)).collect(),
+        engines,
+        max_in_flight: config.queue.max(1),
+        pool,
+        counts: Counts::default(),
+        shutdown: Shutdown::new(&listener).map_err(|e| format!("local_addr: {e}"))?,
+    };
     println!("jitspmm-serve listening on {}", config.listen);
 
-    let routes: Vec<Mutex<VecDeque<ReplySlot>>> =
-        config.specs.iter().map(|_| Mutex::new(VecDeque::new())).collect();
-    let specs = &config.specs;
-    let shutdown = &shutdown;
-    let routes = &routes;
-    let server_ref = &server;
-    let updates = &UpdateCounts::default();
-
-    let options = ServeOptions::new(AdmissionPolicy::shedding(config.queue.max(1)));
-    let (report, ()) = server
-        .serve_controlled(
-            options,
-            move |sender| {
-                std::thread::scope(|conns| {
-                    // Blocks in `accept()`; `Shutdown::request` connects
-                    // after raising the flag, so the connection that ends
-                    // this loop is its own (dropped unread).
-                    for stream in listener.incoming() {
-                        let Ok(stream) = stream else { break };
-                        if shutdown.requested.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let sender = sender.clone();
-                        conns.spawn(move || {
-                            serve_connection(
-                                stream, &sender, server_ref, updates, specs, routes, shutdown,
-                            );
-                        });
-                    }
-                });
-                // Conn threads have joined; dropping the last sender clone
-                // (the move above) ends the request stream.
-            },
-            |response| {
-                let slot = {
-                    let mut queue = routes[response.engine()].lock().expect("route lock");
-                    queue.pop_front()
-                };
-                if let Some(slot) = slot {
-                    // A dropped receiver (client hung up mid-request) is
-                    // fine; the output buffer just recycles.
-                    let _ = slot.send(response);
-                }
-            },
-        )
-        .map_err(|e| format!("serve: {e}"))?;
-
-    println!(
-        "jitspmm-serve done: {} completed, {} rejected, {} failed",
-        report.requests, report.rejected, report.failed
-    );
-    Ok(())
+    std::thread::scope(|conns| {
+        // Blocks in `accept()`; `Shutdown::request` connects after raising
+        // the flag, so the connection that ends this loop is its own
+        // (dropped unread).
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { break };
+            if server.shutdown.requested.load(Ordering::SeqCst) {
+                break;
+            }
+            conns.spawn(|| serve_connection(stream, &server));
+        }
+    });
+    let Counts { completed, rejected, failed, .. } = &server.counts;
+    let [completed, rejected, failed] =
+        [completed, rejected, failed].map(|n| n.load(Ordering::Relaxed));
+    Ok(format!("jitspmm-serve done: {completed} completed, {rejected} rejected, {failed} failed"))
 }
 
 /// What a SHUTDOWN frame sets off: a flag the accept loop looks at after
@@ -392,23 +376,36 @@ impl Shutdown {
     }
 }
 
-/// UPDATE frames applied and refused since the server started, for INFO.
+/// Verdicts since the server started: MULs for the `done:` line, UPDATEs
+/// for INFO.
 #[derive(Default)]
-struct UpdateCounts {
-    applied: AtomicUsize,
+struct Counts {
+    completed: AtomicUsize,
+    rejected: AtomicUsize,
     failed: AtomicUsize,
+    updates_applied: AtomicUsize,
+    updates_failed: AtomicUsize,
+}
+
+/// Count one more MUL on an engine unless `cap` run there already. The slot
+/// is given back when the returned guard drops — on unwind too.
+fn admit(running: &AtomicUsize, cap: usize) -> Option<Admitted<'_>> {
+    let more = |now: usize| (now < cap).then_some(now + 1);
+    running.fetch_update(Ordering::AcqRel, Ordering::Acquire, more).ok()?;
+    Some(Admitted(running))
+}
+
+/// One admitted MUL's slot in its engine's in-flight count.
+struct Admitted<'a>(&'a AtomicUsize);
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// Handle one client connection: a sequence of request frames until EOF.
-fn serve_connection(
-    mut stream: TcpStream,
-    sender: &jitspmm::serve::RequestSender<f32>,
-    server: &SpmmServer<'_, f32>,
-    updates: &UpdateCounts,
-    specs: &[MatrixSpec],
-    routes: &[Mutex<VecDeque<ReplySlot>>],
-    shutdown: &Shutdown,
-) {
+fn serve_connection(mut stream: TcpStream, server: &Server<'_>) {
     let _ = stream.set_nodelay(true);
     // Reused for every MUL reply of this connection: after the first one a
     // reply allocates nothing.
@@ -418,10 +415,10 @@ fn serve_connection(
             Some(&OP_INFO) => {
                 // Rendered live per request: nonzero count and matrix
                 // revision move while the server runs (UPDATE frames).
-                let mut text = format!("engines: {}\n", specs.len());
-                for (id, spec) in specs.iter().enumerate() {
-                    let line = if let Some(mutable) = server.mutable(id) {
-                        format!(
+                let mut text = format!("engines: {}\n", server.specs.len());
+                for (id, (spec, engine)) in server.specs.iter().zip(&server.engines).enumerate() {
+                    let line = match engine {
+                        Engine::Mutable(mutable) => format!(
                             "engine {id}: {}x{} nnz={} d={} kind=mutable shards={} rev={} \
                              generations={}\n",
                             spec.rows,
@@ -431,75 +428,33 @@ fn serve_connection(
                             mutable.shards(),
                             mutable.revision(),
                             mutable.generations_retained()
-                        )
-                    } else if server.single(id).is_some() {
-                        format!(
+                        ),
+                        Engine::Single(_) => format!(
                             "engine {id}: {}x{} nnz={} d={} kind=single\n",
                             spec.rows, spec.cols, spec.nnz, spec.d
-                        )
-                    } else {
-                        format!("engine {id}: unregistered\n")
+                        ),
                     };
                     text.push_str(&line);
                 }
-                let applied = updates.applied.load(Ordering::Relaxed);
-                let failed = updates.failed.load(Ordering::Relaxed);
+                let applied = server.counts.updates_applied.load(Ordering::Relaxed);
+                let failed = server.counts.updates_failed.load(Ordering::Relaxed);
                 text.push_str(&format!("updates: applied={applied} failed={failed}\n"));
                 let mut frame = vec![0u8];
                 frame.extend_from_slice(text.as_bytes());
                 frame
             }
-            Some(&OP_UPDATE) if payload.len() >= 9 => handle_update(&payload, server, updates),
+            Some(&OP_UPDATE) if payload.len() >= 9 => handle_update(&payload, server),
             Some(&OP_MUL) if payload.len() == 13 => {
                 let engine = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
                 let seed = u64::from_le_bytes(payload[5..13].try_into().unwrap());
-                match specs.get(engine) {
-                    None => error_frame(&format!("unknown engine {engine}")),
-                    Some(spec) => {
-                        let input = DenseMatrix::<f32>::random(spec.cols, spec.d, seed);
-                        let (reply, waiter) = mpsc::channel();
-                        // Push the reply slot and send under one lock so the
-                        // slot order matches per-engine submission order.
-                        let sent = {
-                            let mut queue = routes[engine].lock().expect("route lock");
-                            queue.push_back(reply);
-                            match sender.send_request(ServerRequest::new(engine, input)) {
-                                Ok(()) => true,
-                                Err(e) => {
-                                    queue.pop_back();
-                                    drop(queue);
-                                    let _ = write_frame(
-                                        &mut stream,
-                                        &error_frame(&format!("not admitted: {e}")),
-                                    );
-                                    false
-                                }
-                            }
-                        };
-                        if !sent {
-                            continue;
-                        }
-                        match waiter.recv() {
-                            Ok(ServerResponse::Completed { output, .. }) => {
-                                encode_mul_reply(&mut mul_frame, output.as_slice(), spec);
-                                if stream.write_all(&mul_frame).is_err() {
-                                    break;
-                                }
-                                continue;
-                            }
-                            Ok(ServerResponse::Rejected { reason, .. }) => {
-                                error_frame(&format!("rejected: {reason}"))
-                            }
-                            Ok(ServerResponse::Failed { message, .. }) => {
-                                error_frame(&format!("failed: {message}"))
-                            }
-                            Err(_) => error_frame("serving loop ended before the response"),
-                        }
-                    }
+                match handle_mul(server, engine, seed, &mut mul_frame) {
+                    Ok(()) if stream.write_all(&mul_frame).is_ok() => continue,
+                    Ok(()) => break,
+                    Err(reply) => reply,
                 }
             }
             Some(&OP_SHUTDOWN) => {
-                shutdown.request();
+                server.shutdown.request();
                 let _ = write_frame(&mut stream, &[0u8]);
                 break;
             }
@@ -511,16 +466,58 @@ fn serve_connection(
     }
 }
 
+/// Run one MUL on this connection's thread and lay its reply out in `frame`;
+/// a MUL that does not complete returns the error frame to send instead.
+/// Every MUL naming an engine counts once: completed, rejected or failed.
+fn handle_mul(
+    server: &Server<'_>,
+    engine: usize,
+    seed: u64,
+    frame: &mut Vec<u8>,
+) -> Result<(), Vec<u8>> {
+    let (Some(spec), Some(running)) = (server.specs.get(engine), server.in_flight.get(engine))
+    else {
+        return Err(error_frame(&format!("unknown engine {engine}")));
+    };
+    let input = DenseMatrix::<f32>::random(spec.cols, spec.d, seed);
+    let Some(_admitted) = admit(running, server.max_in_flight) else {
+        server.counts.rejected.fetch_add(1, Ordering::Relaxed);
+        return Err(error_frame(&format!(
+            "not admitted: {} MULs already in flight on engine {engine}",
+            server.max_in_flight
+        )));
+    };
+    let run = catch_unwind(AssertUnwindSafe(|| match &server.engines[engine] {
+        Engine::Single(single) => single.execute(&input),
+        Engine::Mutable(mutable) => server.pool.scope(|s| mutable.execute(s, &input)),
+    }));
+    let message = match run {
+        Ok(Ok((output, _))) => {
+            server.counts.completed.fetch_add(1, Ordering::Relaxed);
+            encode_mul_reply(frame, output.as_slice(), spec);
+            return Ok(());
+        }
+        Ok(Err(e)) => e.to_string(),
+        Err(panic) => panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "the launch panicked".to_string()),
+    };
+    server.counts.failed.fetch_add(1, Ordering::Relaxed);
+    Err(error_frame(&format!("failed: {message}")))
+}
+
 /// Decode an UPDATE frame and apply the delta on this connection's thread:
 /// the ack carries the revision [`MutableSpmm::apply`] produced, and a
 /// refused delta comes back as an error frame with the engine's reason.
-fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, updates: &UpdateCounts) -> Vec<u8> {
+fn handle_update(payload: &[u8], server: &Server<'_>) -> Vec<u8> {
     let engine = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
     let count = u32::from_le_bytes(payload[5..9].try_into().unwrap()) as usize;
     if payload.len() != 9 + count * UPDATE_OP_BYTES {
         return error_frame("malformed update frame");
     }
-    let Some(mutable) = server.mutable(engine) else {
+    let Some(Engine::Mutable(mutable)) = server.engines.get(engine) else {
         return error_frame(&format!("engine {engine} is not updatable (serve with --mutable)"));
     };
     let mut delta = DeltaBatch::new();
@@ -547,11 +544,11 @@ fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, updates: &UpdateC
     }
     match mutable.apply(&delta) {
         Ok(report) => {
-            updates.applied.fetch_add(1, Ordering::Relaxed);
+            server.counts.updates_applied.fetch_add(1, Ordering::Relaxed);
             format!("\0revision={}", report.revision).into_bytes()
         }
         Err(e) => {
-            updates.failed.fetch_add(1, Ordering::Relaxed);
+            server.counts.updates_failed.fetch_add(1, Ordering::Relaxed);
             error_frame(&format!("update rejected by the engine: {e}"))
         }
     }
@@ -742,12 +739,13 @@ mod tests {
         &["--mutable", "--shards", "2", "--matrix", "uniform:256,256,2000,1,4"];
 
     /// Run `body` against a live server started with `flags` on an ephemeral
-    /// loopback port, then shut it down (skipped where the host cannot JIT).
-    fn with_server(flags: &[&str], body: impl FnOnce(&str)) {
+    /// loopback port, then shut it down and return its `done:` line (`None`
+    /// where the host cannot JIT and the test is skipped).
+    fn with_server(flags: &[&str], body: impl FnOnce(&str)) -> Option<String> {
         let features = jitspmm::CpuFeatures::detect();
         if !(features.avx && features.has_fma()) {
             eprintln!("skipping: host lacks AVX/FMA");
-            return;
+            return None;
         }
         let config = parse_server_args(&args(flags)).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -755,7 +753,39 @@ mod tests {
         let server = std::thread::spawn(move || serve_listener(&config, listener));
         body(&addr);
         request(&mut connect(&addr).unwrap(), &[OP_SHUTDOWN]).unwrap();
-        server.join().unwrap().unwrap();
+        Some(server.join().unwrap().unwrap())
+    }
+
+    /// Run `body`, aborting the test binary if it has not returned within a
+    /// minute: a request whose reply never comes fails by hanging.
+    fn with_watchdog<R>(body: impl FnOnce() -> R) -> R {
+        use std::sync::Arc;
+        /// Calls the dog off when `body` is over, however it ends.
+        struct Leash(Arc<AtomicBool>, std::thread::Thread);
+        impl Drop for Leash {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+                self.1.unpark();
+            }
+        }
+        let name = std::thread::current().name().unwrap_or("a test").to_string();
+        let over = Arc::new(AtomicBool::new(false));
+        let dog = {
+            let over = Arc::clone(&over);
+            std::thread::spawn(move || {
+                let deadline = Instant::now() + Duration::from_secs(60);
+                while !over.load(Ordering::SeqCst) {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        eprintln!("watchdog: {name} hung for a minute");
+                        std::process::abort();
+                    }
+                    std::thread::park_timeout(left);
+                }
+            })
+        };
+        let _leash = Leash(over, dog.thread().clone());
+        body()
     }
 
     /// The text of an ok reply (`0u8` + UTF-8).
@@ -821,9 +851,9 @@ mod tests {
         });
     }
 
-    /// The serving loop is FIFO per engine and this front end pairs replies
-    /// to connections by that order alone, so concurrent connections to one
-    /// engine must each get the answer to their own request.
+    /// Each connection thread runs its own MULs and writes their replies,
+    /// so concurrent connections to one engine must each get the answer to
+    /// their own request.
     #[test]
     fn concurrent_connections_to_one_engine_each_get_their_own_reply() {
         const SPECS: [&str; 2] = ["uniform:256,256,2000,1,4", "uniform:192,320,3000,2,8"];
@@ -850,6 +880,63 @@ mod tests {
                     conns.spawn(move || client(conn));
                 }
             });
+        });
+    }
+
+    #[test]
+    fn an_in_flight_slot_is_refused_at_the_cap_and_given_back_on_drop_and_unwind() {
+        let running = AtomicUsize::new(0);
+        let first = admit(&running, 1).expect("a free slot");
+        assert!(admit(&running, 1).is_none(), "a second MUL at cap 1 must be refused");
+        drop(first);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _held = admit(&running, 1).expect("the dropped guard gave its slot back");
+            panic!("a launch panics while it holds the slot");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(running.load(Ordering::SeqCst), 0, "the unwind gave the slot back");
+        let (a, b) = (admit(&running, 2), admit(&running, 2));
+        assert!(a.is_some() && b.is_some() && admit(&running, 2).is_none());
+    }
+
+    #[test]
+    fn every_mul_over_two_connections_is_counted_once_on_the_done_line() {
+        const PER_CONN: u64 = 20;
+        let done = with_watchdog(|| {
+            with_server(&["--matrix", "uniform:256,256,2000,1,4"], |addr| {
+                std::thread::scope(|conns| {
+                    for conn in 0..2 {
+                        conns.spawn(move || {
+                            let mut stream = connect(addr).unwrap();
+                            for k in 0..PER_CONN {
+                                let reply = request(&mut stream, &mul_frame(0, conn * 100 + k));
+                                assert_eq!(reply.unwrap()[0], 0, "conn {conn} MUL {k} failed");
+                            }
+                        });
+                    }
+                });
+            })
+        });
+        if let Some(done) = done {
+            let n = 2 * PER_CONN;
+            assert_eq!(done, format!("jitspmm-serve done: {n} completed, 0 rejected, 0 failed"));
+        }
+    }
+
+    /// No thread holds a generation between requests, so the one an UPDATE
+    /// supersedes is freed at once, not at the engine's next MUL.
+    #[test]
+    fn after_mul_then_update_info_reads_one_generation_without_a_further_mul() {
+        with_watchdog(|| {
+            with_server(MUTABLE, |addr| {
+                let mut stream = connect(addr).unwrap();
+                let reply = request(&mut stream, &mul_frame(0, 7)).unwrap();
+                assert_eq!(reply[0], 0, "{}", reply_text(&reply));
+                let reply = request(&mut stream, &update_frame(0, &[(0, 3, 5, 1.5)])).unwrap();
+                assert_eq!(ok_text(&reply), "revision=1");
+                let info = ok_text(&request(&mut stream, &[OP_INFO]).unwrap());
+                assert!(info.contains(" rev=1 generations=1\n"), "{info}");
+            })
         });
     }
 

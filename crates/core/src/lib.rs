@@ -321,7 +321,10 @@
 //! loop; the engine's lane finishes its in-flight requests on the old
 //! matrix and reopens on the new one at its next request, so a request
 //! sent after `apply` returns sees the merged matrix. The `jitspmm-serve`
-//! binary exposes the same path over TCP (`--mutable`, the `UPDATE` frame).
+//! binary takes neither the server nor its loop: each connection thread
+//! calls [`MutableSpmm::apply`] for an `UPDATE` frame (`--mutable`) and
+//! [`MutableSpmm::execute`] in a pool scope for a `MUL`, and writes the
+//! reply itself.
 //!
 //! # Architecture map
 //!

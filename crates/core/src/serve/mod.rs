@@ -56,8 +56,8 @@
 //!   blocking the producer (backpressure — lossless, the reference the
 //!   differential suites serve through) and shedding
 //!   ([`crate::serve::SendError::Rejected`] with a typed [`RejectReason`],
-//!   without blocking — what the TCP front end uses). Sends naming an
-//!   unknown engine id are refused at the queue.
+//!   without blocking). Sends naming an unknown engine id are refused at
+//!   the queue.
 //! * **Engines added mid-serve** — [`SpmmServer::add_engine`] /
 //!   [`SpmmServer::add_mutable`] register engines while a serve runs; the
 //!   loop opens their pipeline on the first request naming the new id.
@@ -76,6 +76,12 @@
 //!   complete normally; unrelated engines keep serving and the server
 //!   remains usable. The cfg-gated [`fault`] module injects
 //!   such crashes for chaos tests.
+//!
+//! The `jitspmm-serve` binary does not use this loop: each of its
+//! connection threads calls its engine and writes the reply itself. The
+//! loop serves only library callers and the benchmark crate's in-process
+//! probe, which compiles against it; ROADMAP's "one hop" item deletes it
+//! together with that probe.
 
 mod control;
 mod queue;

@@ -225,7 +225,9 @@ impl<T: Scalar> CsrMatrix<T> {
     /// merge). Ops on rows outside the range are bounds-checked but not
     /// applied, so one global batch can be applied shard by shard and
     /// the concatenation of the per-shard results equals
-    /// [`CsrMatrix::apply_delta`].
+    /// [`CsrMatrix::apply_delta`]. Each run of rows no op touches is
+    /// copied with one slice copy per array; only touched rows are merged,
+    /// so the cost is a copy of the range plus a merge per touched row.
     ///
     /// # Errors
     ///
@@ -253,19 +255,38 @@ impl<T: Scalar> CsrMatrix<T> {
         let hi = ops.partition_point(|&(row, _, _)| row < end);
         let ops = &ops[lo..hi];
 
-        let base_nnz: usize = (self.row_ptr()[end] - self.row_ptr()[start]) as usize;
+        let base_ptr = self.row_ptr();
+        let (base_cols, base_vals) = (self.col_indices(), self.values());
+        let base_nnz = (base_ptr[end] - base_ptr[start]) as usize;
         let mut row_ptr: Vec<u64> = Vec::with_capacity(end - start + 1);
         let mut cols: Vec<u32> = Vec::with_capacity(base_nnz + ops.len());
         let mut vals: Vec<T> = Vec::with_capacity(base_nnz + ops.len());
         row_ptr.push(0);
-        let mut cursor = 0usize;
-        for row in start..end {
-            let row_ops_end =
-                cursor + ops[cursor..].partition_point(|&(op_row, _, _)| op_row == row);
-            let row_ops = &ops[cursor..row_ops_end];
-            cursor = row_ops_end;
-            merge_row(self.row_cols(row), self.row_values(row), row_ops, &mut cols, &mut vals);
+        // Rows `row..next` carry no op: copy them with one slice copy per
+        // array and shift their row pointers by where the run lands in the
+        // output. Then merge row `next`, the first one an op touches.
+        let (mut row, mut ops) = (start, ops);
+        loop {
+            let next = ops.first().map_or(end, |&(op_row, _, _)| op_row);
+            let (run_lo, run_hi) = (base_ptr[row] as usize, base_ptr[next] as usize);
+            let landed = cols.len() as u64;
+            cols.extend_from_slice(&base_cols[run_lo..run_hi]);
+            vals.extend_from_slice(&base_vals[run_lo..run_hi]);
+            let shift = |&p: &u64| p - run_lo as u64 + landed;
+            row_ptr.extend(base_ptr[row + 1..=next].iter().map(shift));
+            if next == end {
+                break;
+            }
+            let touched = ops.partition_point(|&(op_row, _, _)| op_row == next);
+            merge_row(
+                self.row_cols(next),
+                self.row_values(next),
+                &ops[..touched],
+                &mut cols,
+                &mut vals,
+            );
             row_ptr.push(cols.len() as u64);
+            (row, ops) = (next + 1, &ops[touched..]);
         }
         // Re-validating on construction is cheap insurance: the merge is
         // sorted by construction, so this can only fail on internal bugs.
@@ -331,6 +352,96 @@ fn merge_row<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The row-by-row merge the bulk one replaced, kept as its reference:
+    /// every row in range goes through `merge_row`, with or without ops.
+    fn apply_delta_rows_by_row(
+        m: &CsrMatrix<f32>,
+        start: usize,
+        end: usize,
+        delta: &DeltaBatch<f32>,
+    ) -> CsrMatrix<f32> {
+        let ops = delta.normalized();
+        let lo = ops.partition_point(|&(row, _, _)| row < start);
+        let hi = ops.partition_point(|&(row, _, _)| row < end);
+        let ops = &ops[lo..hi];
+        let (mut row_ptr, mut cols, mut vals) = (vec![0u64], Vec::new(), Vec::new());
+        let mut cursor = 0usize;
+        for row in start..end {
+            let row_ops_end =
+                cursor + ops[cursor..].partition_point(|&(op_row, _, _)| op_row == row);
+            merge_row(
+                m.row_cols(row),
+                m.row_values(row),
+                &ops[cursor..row_ops_end],
+                &mut cols,
+                &mut vals,
+            );
+            cursor = row_ops_end;
+            row_ptr.push(cols.len() as u64);
+        }
+        CsrMatrix::from_raw_parts(end - start, m.ncols(), row_ptr, cols, vals).unwrap()
+    }
+
+    /// A small matrix (possibly a row-range view of a larger one, so its
+    /// storage window does not start at zero) and a batch whose ops favour
+    /// the first and the last row and are deletes a third of the time.
+    fn arb_case() -> impl Strategy<Value = (CsrMatrix<f32>, DeltaBatch<f32>)> {
+        (1usize..12, 1usize..8, 0usize..3).prop_flat_map(|(nrows, ncols, skip)| {
+            let entries = collection::vec((0..nrows + skip, 0..ncols, -4.0f32..4.0f32), 0..40);
+            let ops = collection::vec((0usize..4, 0..nrows, 0..ncols, 0usize..3), 0..10);
+            (Just((nrows, ncols, skip)), entries, ops).prop_map(
+                |((nrows, ncols, skip), entries, ops)| {
+                    let full = CsrMatrix::from_triplets(nrows + skip, ncols, &entries).unwrap();
+                    let mut delta = DeltaBatch::new();
+                    for (place, row, col, kind) in ops {
+                        let row = [0, nrows - 1, row, row][place];
+                        if kind == 0 {
+                            delta.delete(row, col);
+                        } else {
+                            delta.upsert(row, col, kind as f32 + col as f32 / 8.0);
+                        }
+                    }
+                    (full.share_rows(skip, skip + nrows), delta)
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bulk merge equals the row-by-row merge on every sub-range,
+        /// the empty batch included.
+        #[test]
+        fn bulk_merge_matches_the_row_by_row_merge((m, delta) in arb_case()) {
+            for start in 0..=m.nrows() {
+                for end in start..=m.nrows() {
+                    let bulk = m.apply_delta_rows(start, end, &delta).unwrap();
+                    prop_assert_eq!(bulk, apply_delta_rows_by_row(&m, start, end, &delta));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_merge_handles_edge_rows_and_delete_only_rows() {
+        let m = base();
+        let mut delta = DeltaBatch::new();
+        delta.upsert(0, 1, 2.0); // the first row
+        delta.delete(2, 2).delete(2, 3); // a delete-only row, emptied
+        delta.delete(3, 0).upsert(3, 0, 6.0).delete(3, 3); // the last row
+        for (start, end) in [(0, 4), (0, 1), (1, 3), (2, 4), (3, 4), (2, 2)] {
+            let bulk = m.apply_delta_rows(start, end, &delta).unwrap();
+            assert_eq!(bulk, apply_delta_rows_by_row(&m, start, end, &delta), "{start}..{end}");
+        }
+        let merged = m.apply_delta(&delta).unwrap();
+        assert_eq!(merged.row_cols(0), &[0, 1, 2]);
+        assert!(merged.row_cols(2).is_empty());
+        assert_eq!(merged.row_cols(3), &[0, 1, 2]);
+        assert_eq!(merged.get(3, 0), Some(6.0));
+    }
 
     fn base() -> CsrMatrix<f32> {
         CsrMatrix::from_triplets(
