@@ -626,4 +626,146 @@ mod tests {
         let large = generate_static_kernel(256, ScalarKind::F32, &opts).unwrap();
         assert!(large.code.len() > small.code.len());
     }
+
+    /// The synthetic hosts every sweep generates for, so EVEX forms are
+    /// covered on any machine: full AVX-512, and the same without AVX-512DQ
+    /// (512-bit zeroing through `vpxord`).
+    const SWEEP_FEATURES: [CpuFeatures; 2] =
+        [CpuFeatures::full_avx512(), CpuFeatures { avx512dq: false, ..CpuFeatures::full_avx512() }];
+
+    /// Every kernel of the sweep for `isa`, in a fixed order: feature set ×
+    /// d × f32/f64 × CCM on/off × {static, dynamic batch 1, dynamic batch 128}.
+    fn swept_kernels(isa: IsaLevel) -> Vec<Vec<u8>> {
+        let mut kernels = Vec::new();
+        for features in SWEEP_FEATURES {
+            for d in [1, 8, 16, 32, 45, 64, 65] {
+                for kind in [ScalarKind::F32, ScalarKind::F64] {
+                    for ccm in [true, false] {
+                        let opts = KernelOptions { isa, ccm, features, listing: false };
+                        kernels.push(generate_static_kernel(d, kind, &opts).unwrap().code);
+                        for batch in [1, 128] {
+                            let gen = generate_dynamic_kernel(d, kind, batch, &opts).unwrap();
+                            kernels.push(gen.code);
+                        }
+                    }
+                }
+            }
+        }
+        kernels
+    }
+
+    /// FNV-1a (64-bit) over the concatenated kernels.
+    fn fnv1a64(kernels: &[Vec<u8>]) -> u64 {
+        kernels.iter().flatten().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The emitted bytes of every swept kernel, one digest per ISA tier. An
+    /// emitter change that moves a single byte changes a digest; such a
+    /// change updates this table in the same commit.
+    #[test]
+    fn pinned_kernel_bytes() {
+        const DIGESTS: [(IsaLevel, u64); 4] = [
+            (IsaLevel::Scalar, 0x1233_3771_0f80_c515),
+            (IsaLevel::Sse128, 0xea4c_ff89_c1ee_dcbd),
+            (IsaLevel::Avx2, 0xdbed_5e73_4297_a87d),
+            (IsaLevel::Avx512, 0x303f_60f5_0ede_3ea8),
+        ];
+        let got = IsaLevel::ALL.map(|isa| (isa, fnv1a64(&swept_kernels(isa))));
+        assert_eq!(got, DIGESTS, "emitted bytes moved");
+    }
+
+    /// Emulated (instructions, loads, branches) of one static launch over a
+    /// 6 x 5 matrix whose first and last rows are empty.
+    fn emulated_counts<T: Scalar>(d: usize, isa: IsaLevel, ccm: bool) -> [u64; 3] {
+        let entries = [(1, 0), (1, 3), (2, 4), (3, 1), (3, 2), (3, 4), (4, 0)];
+        let triplets: Vec<_> =
+            entries.iter().map(|&(r, c)| (r, c, T::from_f64(0.5 + c as f64))).collect();
+        let matrix = CsrMatrix::from_triplets(6, 5, &triplets).unwrap();
+        let x = vec![T::from_f64(0.25); matrix.ncols() * d];
+        let mut y = vec![T::from_f64(0.0); matrix.nrows() * d];
+        let opts = KernelOptions { isa, ccm, features: CpuFeatures::full_avx512(), listing: false };
+        let code = generate_static_kernel(d, T::KIND, &opts).unwrap().code;
+        let args = LaunchArgs::new(&matrix, x.as_ptr(), y.as_mut_ptr());
+        let argv = [&args as *const LaunchArgs<T> as u64, 0, matrix.nrows() as u64];
+        // SAFETY: the block points at `matrix`, `x` (ncols x d) and `y`
+        // (nrows x d), all alive for the call, and the range is every row:
+        // the accesses a native launch of this kernel would make.
+        let counters = unsafe { jitspmm_emu::Emulator::new().run(&code, &argv) }.unwrap();
+        [counters.instructions, counters.memory_loads, counters.branches]
+    }
+
+    /// Exact emulator counts of the static kernel: the numbers behind
+    /// `profile.emu_*`. An emitter change that moves them updates this
+    /// table in the same commit, so the review sees the delta.
+    #[test]
+    fn pinned_emulator_counts() {
+        #[rustfmt::skip]
+        const COUNTS: [(usize, IsaLevel, ScalarKind, bool, [u64; 3]); 48] = [
+            (1, IsaLevel::Scalar, ScalarKind::F32, true, [145, 45, 34]),
+            (1, IsaLevel::Scalar, ScalarKind::F32, false, [206, 51, 52]),
+            (1, IsaLevel::Scalar, ScalarKind::F64, true, [145, 45, 34]),
+            (1, IsaLevel::Scalar, ScalarKind::F64, false, [206, 51, 52]),
+            (1, IsaLevel::Sse128, ScalarKind::F32, true, [145, 45, 34]),
+            (1, IsaLevel::Sse128, ScalarKind::F32, false, [224, 51, 58]),
+            (1, IsaLevel::Sse128, ScalarKind::F64, true, [145, 45, 34]),
+            (1, IsaLevel::Sse128, ScalarKind::F64, false, [224, 51, 58]),
+            (1, IsaLevel::Avx2, ScalarKind::F32, true, [145, 45, 34]),
+            (1, IsaLevel::Avx2, ScalarKind::F32, false, [224, 51, 58]),
+            (1, IsaLevel::Avx2, ScalarKind::F64, true, [145, 45, 34]),
+            (1, IsaLevel::Avx2, ScalarKind::F64, false, [224, 51, 58]),
+            (1, IsaLevel::Avx512, ScalarKind::F32, true, [145, 45, 34]),
+            (1, IsaLevel::Avx512, ScalarKind::F32, false, [224, 51, 58]),
+            (1, IsaLevel::Avx512, ScalarKind::F64, true, [145, 45, 34]),
+            (1, IsaLevel::Avx512, ScalarKind::F64, false, [224, 51, 58]),
+            (16, IsaLevel::Scalar, ScalarKind::F32, true, [497, 170, 54]),
+            (16, IsaLevel::Scalar, ScalarKind::F32, false, [2051, 456, 532]),
+            (16, IsaLevel::Scalar, ScalarKind::F64, true, [497, 170, 54]),
+            (16, IsaLevel::Scalar, ScalarKind::F64, false, [2051, 456, 532]),
+            (16, IsaLevel::Sse128, ScalarKind::F32, true, [202, 66, 34]),
+            (16, IsaLevel::Sse128, ScalarKind::F32, false, [617, 132, 154]),
+            (16, IsaLevel::Sse128, ScalarKind::F64, true, [278, 94, 34]),
+            (16, IsaLevel::Sse128, ScalarKind::F64, false, [1133, 240, 282]),
+            (16, IsaLevel::Avx2, ScalarKind::F32, true, [164, 52, 34]),
+            (16, IsaLevel::Avx2, ScalarKind::F32, false, [359, 78, 90]),
+            (16, IsaLevel::Avx2, ScalarKind::F64, true, [202, 66, 34]),
+            (16, IsaLevel::Avx2, ScalarKind::F64, false, [617, 132, 154]),
+            (16, IsaLevel::Avx512, ScalarKind::F32, true, [145, 45, 34]),
+            (16, IsaLevel::Avx512, ScalarKind::F32, false, [230, 51, 58]),
+            (16, IsaLevel::Avx512, ScalarKind::F64, true, [164, 52, 34]),
+            (16, IsaLevel::Avx512, ScalarKind::F64, false, [359, 78, 90]),
+            (45, IsaLevel::Scalar, ScalarKind::F32, true, [1115, 393, 74]),
+            (45, IsaLevel::Scalar, ScalarKind::F32, false, [5618, 1239, 1460]),
+            (45, IsaLevel::Scalar, ScalarKind::F64, true, [1115, 393, 74]),
+            (45, IsaLevel::Scalar, ScalarKind::F64, false, [5618, 1239, 1460]),
+            (45, IsaLevel::Sse128, ScalarKind::F32, true, [354, 122, 34]),
+            (45, IsaLevel::Sse128, ScalarKind::F32, false, [1643, 348, 410]),
+            (45, IsaLevel::Sse128, ScalarKind::F64, true, [630, 219, 54]),
+            (45, IsaLevel::Sse128, ScalarKind::F64, false, [3062, 645, 762]),
+            (45, IsaLevel::Avx2, ScalarKind::F32, true, [259, 87, 34]),
+            (45, IsaLevel::Avx2, ScalarKind::F32, false, [1361, 294, 346]),
+            (45, IsaLevel::Avx2, ScalarKind::F64, true, [354, 122, 34]),
+            (45, IsaLevel::Avx2, ScalarKind::F64, false, [1643, 348, 410]),
+            (45, IsaLevel::Avx512, ScalarKind::F32, true, [221, 73, 34]),
+            (45, IsaLevel::Avx512, ScalarKind::F32, false, [1958, 429, 506]),
+            (45, IsaLevel::Avx512, ScalarKind::F64, true, [259, 87, 34]),
+            (45, IsaLevel::Avx512, ScalarKind::F64, false, [1361, 294, 346]),
+        ];
+        let mut rows = Vec::new();
+        for d in [1, 16, 45] {
+            for isa in IsaLevel::ALL {
+                for kind in [ScalarKind::F32, ScalarKind::F64] {
+                    for ccm in [true, false] {
+                        let counts = match kind {
+                            ScalarKind::F32 => emulated_counts::<f32>(d, isa, ccm),
+                            ScalarKind::F64 => emulated_counts::<f64>(d, isa, ccm),
+                        };
+                        rows.push((d, isa, kind, ccm, counts));
+                    }
+                }
+            }
+        }
+        assert_eq!(rows, COUNTS);
+    }
 }
