@@ -77,16 +77,6 @@ impl Assembler {
         Assembler { listing: Some(Vec::new()), ..Assembler::default() }
     }
 
-    /// The number of bytes emitted so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether any bytes have been emitted.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// The recorded listing (offset, mnemonic) if listing mode is enabled.
     pub fn listing(&self) -> Option<&[(usize, String)]> {
         self.listing.as_deref()
@@ -150,13 +140,6 @@ impl Assembler {
         self.buf.push_u64(imm as u64);
     }
 
-    /// `mov r32, imm32` (zero-extends into the full 64-bit register).
-    pub fn mov_ri32(&mut self, dst: Gpr, imm: u32) {
-        note!(self, "mov {}d, {imm:#x}", dst);
-        emit_legacy_opreg(&mut self.buf, false, 0xB8, dst.id());
-        self.buf.push_u32(imm);
-    }
-
     /// `mov r64, r64`.
     pub fn mov_rr64(&mut self, dst: Gpr, src: Gpr) {
         note!(self, "mov {dst}, {src}");
@@ -169,22 +152,10 @@ impl Assembler {
         emit_legacy(&mut self.buf, &[], true, &[0x8B], dst.id(), &RegMem::Mem(mem));
     }
 
-    /// `mov [mem], r64` (64-bit store).
-    pub fn mov_mr64(&mut self, mem: Mem, src: Gpr) {
-        note!(self, "mov qword {mem}, {src}");
-        emit_legacy(&mut self.buf, &[], true, &[0x89], src.id(), &RegMem::Mem(mem));
-    }
-
     /// `mov r32, [mem]` — 32-bit load, zero-extended into the 64-bit register.
     pub fn mov_rm32(&mut self, dst: Gpr, mem: Mem) {
         note!(self, "mov {}d, dword {mem}", dst);
         emit_legacy(&mut self.buf, &[], false, &[0x8B], dst.id(), &RegMem::Mem(mem));
-    }
-
-    /// `mov [mem], r32` (32-bit store).
-    pub fn mov_mr32(&mut self, mem: Mem, src: Gpr) {
-        note!(self, "mov dword {mem}, {}d", src);
-        emit_legacy(&mut self.buf, &[], false, &[0x89], src.id(), &RegMem::Mem(mem));
     }
 
     /// `add r64, imm32` (sign-extended immediate).
@@ -205,30 +176,6 @@ impl Assembler {
         emit_legacy(&mut self.buf, &[], true, &[0x01], src.id(), &RegMem::Reg(dst.id()));
     }
 
-    /// `add r64, [mem]`.
-    pub fn add_rm64(&mut self, dst: Gpr, mem: Mem) {
-        note!(self, "add {dst}, qword {mem}");
-        emit_legacy(&mut self.buf, &[], true, &[0x03], dst.id(), &RegMem::Mem(mem));
-    }
-
-    /// `sub r64, imm32` (sign-extended immediate).
-    pub fn sub_ri64(&mut self, dst: Gpr, imm: i32) {
-        note!(self, "sub {dst}, {imm}");
-        if (-128..=127).contains(&imm) {
-            emit_legacy(&mut self.buf, &[], true, &[0x83], 5, &RegMem::Reg(dst.id()));
-            self.buf.push_u8(imm as i8 as u8);
-        } else {
-            emit_legacy(&mut self.buf, &[], true, &[0x81], 5, &RegMem::Reg(dst.id()));
-            self.buf.push_i32(imm);
-        }
-    }
-
-    /// `sub r64, r64`.
-    pub fn sub_rr64(&mut self, dst: Gpr, src: Gpr) {
-        note!(self, "sub {dst}, {src}");
-        emit_legacy(&mut self.buf, &[], true, &[0x29], src.id(), &RegMem::Reg(dst.id()));
-    }
-
     /// `cmp r64, r64`.
     pub fn cmp_rr64(&mut self, a: Gpr, b: Gpr) {
         note!(self, "cmp {a}, {b}");
@@ -247,42 +194,16 @@ impl Assembler {
         }
     }
 
-    /// `cmp r64, [mem]`.
-    pub fn cmp_rm64(&mut self, a: Gpr, mem: Mem) {
-        note!(self, "cmp {a}, qword {mem}");
-        emit_legacy(&mut self.buf, &[], true, &[0x3B], a.id(), &RegMem::Mem(mem));
-    }
-
     /// `inc r64`.
     pub fn inc_r64(&mut self, dst: Gpr) {
         note!(self, "inc {dst}");
         emit_legacy(&mut self.buf, &[], true, &[0xFF], 0, &RegMem::Reg(dst.id()));
     }
 
-    /// `dec r64`.
-    pub fn dec_r64(&mut self, dst: Gpr) {
-        note!(self, "dec {dst}");
-        emit_legacy(&mut self.buf, &[], true, &[0xFF], 1, &RegMem::Reg(dst.id()));
-    }
-
     /// `lea r64, [mem]`.
     pub fn lea(&mut self, dst: Gpr, mem: Mem) {
         note!(self, "lea {dst}, {mem}");
         emit_legacy(&mut self.buf, &[], true, &[0x8D], dst.id(), &RegMem::Mem(mem));
-    }
-
-    /// `shl r64, imm8`.
-    pub fn shl_ri64(&mut self, dst: Gpr, imm: u8) {
-        note!(self, "shl {dst}, {imm}");
-        emit_legacy(&mut self.buf, &[], true, &[0xC1], 4, &RegMem::Reg(dst.id()));
-        self.buf.push_u8(imm);
-    }
-
-    /// `shr r64, imm8` (logical right shift).
-    pub fn shr_ri64(&mut self, dst: Gpr, imm: u8) {
-        note!(self, "shr {dst}, {imm}");
-        emit_legacy(&mut self.buf, &[], true, &[0xC1], 5, &RegMem::Reg(dst.id()));
-        self.buf.push_u8(imm);
     }
 
     /// `imul r64, r64, imm32`.
@@ -292,22 +213,10 @@ impl Assembler {
         self.buf.push_i32(imm);
     }
 
-    /// `imul r64, r64`.
-    pub fn imul_rr64(&mut self, dst: Gpr, src: Gpr) {
-        note!(self, "imul {dst}, {src}");
-        emit_legacy(&mut self.buf, &[], true, &[0x0F, 0xAF], dst.id(), &RegMem::Reg(src.id()));
-    }
-
     /// `xor r64, r64` (the canonical zeroing idiom).
     pub fn xor_rr64(&mut self, dst: Gpr, src: Gpr) {
         note!(self, "xor {dst}, {src}");
         emit_legacy(&mut self.buf, &[], true, &[0x31], src.id(), &RegMem::Reg(dst.id()));
-    }
-
-    /// `test r64, r64`.
-    pub fn test_rr64(&mut self, a: Gpr, b: Gpr) {
-        note!(self, "test {a}, {b}");
-        emit_legacy(&mut self.buf, &[], true, &[0x85], b.id(), &RegMem::Reg(a.id()));
     }
 
     /// `push r64`.
@@ -335,18 +244,6 @@ impl Assembler {
         self.buf.push_u8(0xC3);
     }
 
-    /// `nop`.
-    pub fn nop(&mut self) {
-        note!(self, "nop");
-        self.buf.push_u8(0x90);
-    }
-
-    /// `pause` — spin-wait hint used in contended loops.
-    pub fn pause(&mut self) {
-        note!(self, "pause");
-        self.buf.extend(&[0xF3, 0x90]);
-    }
-
     // ------------------------------------------------------------------
     // Control flow
     // ------------------------------------------------------------------
@@ -370,18 +267,6 @@ impl Assembler {
         self.buf.push_u8(0x0F);
         self.buf.push_u8(0x80 + cond.code());
         self.record_fixup(label);
-    }
-
-    /// `call r64` (indirect call through a register).
-    pub fn call_r64(&mut self, reg: Gpr) {
-        note!(self, "call {reg}");
-        emit_legacy(&mut self.buf, &[], false, &[0xFF], 2, &RegMem::Reg(reg.id()));
-    }
-
-    /// `jmp r64` (indirect jump through a register).
-    pub fn jmp_r64(&mut self, reg: Gpr) {
-        note!(self, "jmp {reg}");
-        emit_legacy(&mut self.buf, &[], false, &[0xFF], 4, &RegMem::Reg(reg.id()));
     }
 
     // ------------------------------------------------------------------
@@ -530,22 +415,6 @@ impl Assembler {
         );
     }
 
-    /// `vfmadd231ps dst, a, b` (register form).
-    pub fn vfmadd231ps_r(&mut self, dst: VecReg, a: VecReg, b: VecReg) {
-        note!(self, "vfmadd231ps {dst}, {a}, {b}");
-        self.vex_or_evex(
-            OpMap::M0F38,
-            Pp::P66,
-            false,
-            false,
-            0xB8,
-            dst,
-            a,
-            &RegMem::Reg(b.id()),
-            dst.width(),
-        );
-    }
-
     /// `vfmadd231pd dst, a, [mem]` — packed f64 FMA: `dst += a * mem`.
     pub fn vfmadd231pd_m(&mut self, dst: VecReg, a: VecReg, mem: Mem) {
         note!(self, "vfmadd231pd {dst}, {a}, {mem}");
@@ -595,124 +464,8 @@ impl Assembler {
     }
 
     // ------------------------------------------------------------------
-    // SIMD: multiply / add (non-FMA fallback path)
-    // ------------------------------------------------------------------
-
-    /// `vmulps dst, a, [mem]` — packed f32 multiply.
-    pub fn vmulps_m(&mut self, dst: VecReg, a: VecReg, mem: Mem) {
-        note!(self, "vmulps {dst}, {a}, {mem}");
-        self.vex_or_evex(
-            OpMap::M0F,
-            Pp::None,
-            false,
-            false,
-            0x59,
-            dst,
-            a,
-            &RegMem::Mem(mem),
-            dst.width(),
-        );
-    }
-
-    /// `vaddps dst, a, b` — packed f32 add.
-    pub fn vaddps_r(&mut self, dst: VecReg, a: VecReg, b: VecReg) {
-        note!(self, "vaddps {dst}, {a}, {b}");
-        self.vex_or_evex(
-            OpMap::M0F,
-            Pp::None,
-            false,
-            false,
-            0x58,
-            dst,
-            a,
-            &RegMem::Reg(b.id()),
-            dst.width(),
-        );
-    }
-
-    /// `vmulss dst, a, dword [mem]` — scalar f32 multiply.
-    pub fn vmulss_m(&mut self, dst: Xmm, a: Xmm, mem: Mem) {
-        note!(self, "vmulss xmm{}, xmm{}, {mem}", dst.id(), a.id());
-        self.vex_or_evex(
-            OpMap::M0F,
-            Pp::PF3,
-            false,
-            false,
-            0x59,
-            VecReg::from(dst),
-            VecReg::from(a),
-            &RegMem::Mem(mem),
-            VecWidth::X128,
-        );
-    }
-
-    /// `vaddss dst, a, b` — scalar f32 add (register form).
-    pub fn vaddss_r(&mut self, dst: Xmm, a: Xmm, b: Xmm) {
-        note!(self, "vaddss xmm{}, xmm{}, xmm{}", dst.id(), a.id(), b.id());
-        self.vex_or_evex(
-            OpMap::M0F,
-            Pp::PF3,
-            false,
-            false,
-            0x58,
-            VecReg::from(dst),
-            VecReg::from(a),
-            &RegMem::Reg(b.id()),
-            VecWidth::X128,
-        );
-    }
-
-    /// `vmulsd dst, a, qword [mem]` — scalar f64 multiply.
-    pub fn vmulsd_m(&mut self, dst: Xmm, a: Xmm, mem: Mem) {
-        note!(self, "vmulsd xmm{}, xmm{}, {mem}", dst.id(), a.id());
-        self.vex_or_evex(
-            OpMap::M0F,
-            Pp::PF2,
-            false,
-            true,
-            0x59,
-            VecReg::from(dst),
-            VecReg::from(a),
-            &RegMem::Mem(mem),
-            VecWidth::X128,
-        );
-    }
-
-    /// `vaddsd dst, a, b` — scalar f64 add (register form).
-    pub fn vaddsd_r(&mut self, dst: Xmm, a: Xmm, b: Xmm) {
-        note!(self, "vaddsd xmm{}, xmm{}, xmm{}", dst.id(), a.id(), b.id());
-        self.vex_or_evex(
-            OpMap::M0F,
-            Pp::PF2,
-            false,
-            true,
-            0x58,
-            VecReg::from(dst),
-            VecReg::from(a),
-            &RegMem::Reg(b.id()),
-            VecWidth::X128,
-        );
-    }
-
-    // ------------------------------------------------------------------
     // SIMD: loads and stores
     // ------------------------------------------------------------------
-
-    /// `vmovups dst, [mem]` — unaligned packed f32 load.
-    pub fn vmovups_load(&mut self, dst: VecReg, mem: Mem) {
-        note!(self, "vmovups {dst}, {mem}");
-        self.vex_or_evex(
-            OpMap::M0F,
-            Pp::None,
-            false,
-            false,
-            0x10,
-            dst,
-            VecReg::xmm(0),
-            &RegMem::Mem(mem),
-            dst.width(),
-        );
-    }
 
     /// `vmovups [mem], src` — unaligned packed f32 store.
     pub fn vmovups_store(&mut self, mem: Mem, src: VecReg) {
@@ -727,22 +480,6 @@ impl Assembler {
             VecReg::xmm(0),
             &RegMem::Mem(mem),
             src.width(),
-        );
-    }
-
-    /// `vmovupd dst, [mem]` — unaligned packed f64 load.
-    pub fn vmovupd_load(&mut self, dst: VecReg, mem: Mem) {
-        note!(self, "vmovupd {dst}, {mem}");
-        self.vex_or_evex(
-            OpMap::M0F,
-            Pp::P66,
-            false,
-            true,
-            0x10,
-            dst,
-            VecReg::xmm(0),
-            &RegMem::Mem(mem),
-            dst.width(),
         );
     }
 
@@ -826,13 +563,6 @@ impl Assembler {
             VecWidth::X128,
         );
     }
-
-    /// `vzeroupper` — clear the upper halves of the YMM registers; emitted
-    /// before returning to code that may use legacy SSE.
-    pub fn vzeroupper(&mut self) {
-        note!(self, "vzeroupper");
-        self.buf.extend(&[0xC5, 0xF8, 0x77]);
-    }
 }
 
 #[cfg(test)]
@@ -877,11 +607,11 @@ mod tests {
         let mut asm = Assembler::new();
         let l = asm.new_label();
         asm.bind(l).unwrap();
-        asm.nop();
+        asm.ret();
         asm.jmp(l);
         let code = asm.finalize().unwrap();
-        // nop (1 byte) + jmp rel32 (5 bytes): target 0, next_inst 6 => disp -6.
-        assert_eq!(code, vec![0x90, 0xE9, 0xFA, 0xFF, 0xFF, 0xFF]);
+        // ret (1 byte) + jmp rel32 (5 bytes): target 0, next_inst 6 => disp -6.
+        assert_eq!(code, vec![0xC3, 0xE9, 0xFA, 0xFF, 0xFF, 0xFF]);
     }
 
     #[test]
@@ -889,11 +619,11 @@ mod tests {
         let mut asm = Assembler::new();
         let l = asm.new_label();
         asm.jcc(Cond::Ge, l);
-        asm.nop();
+        asm.ret();
         asm.bind(l).unwrap();
         let code = asm.finalize().unwrap();
         // jge rel32 is 6 bytes; target is 7 => disp = 1.
-        assert_eq!(code, vec![0x0F, 0x8D, 0x01, 0x00, 0x00, 0x00, 0x90]);
+        assert_eq!(code, vec![0x0F, 0x8D, 0x01, 0x00, 0x00, 0x00, 0xC3]);
     }
 
     #[test]

@@ -17,9 +17,6 @@ pub(crate) enum OpMap {
     M0F = 1,
     /// The `0F 38` escape map.
     M0F38 = 2,
-    /// The `0F 3A` escape map.
-    #[allow(dead_code)]
-    M0F3A = 3,
 }
 
 /// The mandatory-prefix selector shared by VEX and EVEX (`pp`).
@@ -110,11 +107,6 @@ pub(crate) fn emit_modrm_sib(buf: &mut CodeBuffer, reg_field: u8, rm: &RegMem, a
                 (0b00, 0)
             } else if !avoid_disp8 && (-128..=127).contains(&disp) {
                 (0b01, 1)
-            } else if avoid_disp8 && disp == 0 {
-                // Forced displacement for rbp/r13 under EVEX: a single zero
-                // byte is still a plain (unscaled) encoding hazard, so use
-                // disp32 to stay tuple-size agnostic.
-                (0b10, 4)
             } else {
                 (0b10, 4)
             };

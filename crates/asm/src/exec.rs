@@ -216,12 +216,12 @@ mod tests {
     #[test]
     fn code_is_retained_verbatim() {
         let mut asm = Assembler::new();
-        asm.nop();
+        asm.inc_r64(Gpr::Rax);
         asm.ret();
         let code = asm.finalize().unwrap();
         let buf = ExecutableBuffer::from_code(&code).unwrap();
         assert_eq!(buf.code(), &code[..]);
-        assert_eq!(buf.code_len(), 2);
+        assert_eq!(buf.code_len(), 4);
     }
 
     #[test]

@@ -13,10 +13,14 @@
 //! * executable-memory management with W^X protection ([`ExecutableBuffer`]),
 //! * CPU feature detection ([`CpuFeatures`], [`IsaLevel`]).
 //!
-//! The instruction surface is the subset needed by the JITSPMM kernels
-//! (scalar and packed FMA, broadcasts, unaligned moves, the `lock xadd`
-//! dynamic-dispatch primitive, and the usual control-flow/ALU instructions),
-//! plus enough extra breadth to be generally useful.
+//! The instruction surface is exactly the forms the JITSPMM kernels emit
+//! (scalar and packed FMA with a memory operand, broadcasts, scalar loads,
+//! unaligned stores, the `lock xadd` dynamic-dispatch primitive, and the
+//! control-flow/ALU instructions of the row and non-zero loops). Every
+//! [`Assembler`] method has a caller in the code generator. A new form is
+//! one `Assembler` method, one `jitspmm_emu::Inst` variant, one decoder arm
+//! and one `execute` arm, plus one row of the emulator's encode/decode
+//! round-trip test, all in the change that makes the code generator emit it.
 //!
 //! # Example
 //!

@@ -1,16 +1,18 @@
 //! Hardware-execution tests for the SIMD encodings.
 //!
 //! These tests are the strongest available oracle for the VEX/EVEX encoder:
-//! they emit small kernels that use the same instructions as the JITSPMM code
-//! generator (`vxorps`, `vbroadcastss`, `vfmadd231ps/ss`, `vmovups`,
-//! `vmovss`, ...), run them on the host CPU, and compare the results against
-//! plain Rust arithmetic. Wrong prefix bits, ModRM forms, or displacement
-//! encodings would either fault or produce wrong numbers.
+//! they emit small kernels built only from the forms the JITSPMM code
+//! generator uses (`vxorps`/`vpxord`, `vbroadcastss/sd`, `vfmadd231*`,
+//! `vmovups`/`vmovss` stores, ...), run them on the host CPU, and compare the
+//! results against plain Rust arithmetic. Wrong prefix bits, ModRM forms, or
+//! displacement encodings would either fault or produce wrong numbers.
 //!
 //! Tests that need AVX2/FMA or AVX-512 skip themselves on hosts without
 //! those features.
 
-use jitspmm_asm::{Assembler, CpuFeatures, ExecutableBuffer, Gpr, Mem, Scale, VecReg, Xmm};
+use jitspmm_asm::{
+    Assembler, CpuFeatures, ExecutableBuffer, Gpr, Mem, Scale, VecReg, VecWidth, Xmm,
+};
 
 fn run_kernel(asm: Assembler) -> ExecutableBuffer {
     ExecutableBuffer::from_code(&asm.finalize().expect("finalize")).expect("exec alloc")
@@ -20,25 +22,45 @@ fn features() -> CpuFeatures {
     CpuFeatures::detect()
 }
 
-/// dst[0..4] = a[0..4] (xmm load + store round trip).
+/// Bring `[src]` into `acc` the way a kernel accumulates a row: zero `acc`,
+/// broadcast the 1.0 at `one` into `bcast`, then `acc += bcast * [src]`.
+/// Exact for the finite values these tests use.
+fn load_packed(asm: &mut Assembler, acc: VecReg, bcast: VecReg, one: Mem, src: Mem, f64: bool) {
+    if acc.width() == VecWidth::Z512 {
+        asm.vpxord(acc, acc, acc);
+    } else {
+        asm.vxorps(acc, acc, acc);
+    }
+    if f64 {
+        asm.vbroadcastsd(bcast, one);
+        asm.vfmadd231pd_m(acc, bcast, src);
+    } else {
+        asm.vbroadcastss(bcast, one);
+        asm.vfmadd231ps_m(acc, bcast, src);
+    }
+}
+
+/// dst[0..4] = src[0..4] through xmm0 and a `vmovups` store.
 #[test]
 fn vmovups_xmm_round_trip() {
-    if !features().avx {
-        eprintln!("skipping: no AVX");
+    if !features().has_fma() {
+        eprintln!("skipping: no FMA");
         return;
     }
+    // fn(src_ptr, one_ptr, dst_ptr)
     let mut asm = Assembler::new();
-    asm.vmovups_load(VecReg::xmm(0), Mem::base(Gpr::Rdi));
-    asm.vmovups_store(Mem::base(Gpr::Rsi), VecReg::xmm(0));
+    let one = Mem::base(Gpr::Rsi);
+    load_packed(&mut asm, VecReg::xmm(0), VecReg::xmm(1), one, Mem::base(Gpr::Rdi), false);
+    asm.vmovups_store(Mem::base(Gpr::Rdx), VecReg::xmm(0));
     asm.ret();
     let buf = run_kernel(asm);
     // SAFETY: the kernel assembled above is a complete SysV function of
     // exactly this signature that returns and touches only the buffers it is
     // passed; `buf` outlives every call through `f`.
-    let f: extern "C" fn(*const f32, *mut f32) = unsafe { buf.as_fn2() };
+    let f: extern "C" fn(*const f32, *const f32, *mut f32) = unsafe { buf.as_fn3() };
     let src = [1.0f32, -2.5, 3.25, 4.0];
     let mut dst = [0.0f32; 4];
-    f(src.as_ptr(), dst.as_mut_ptr());
+    f(src.as_ptr(), [1.0f32].as_ptr(), dst.as_mut_ptr());
     assert_eq!(src, dst);
 }
 
@@ -76,13 +98,14 @@ fn vfmadd231ps_ymm_with_broadcast() {
         eprintln!("skipping: no AVX2+FMA");
         return;
     }
-    // fn(y_ptr, aval_ptr, x_ptr): y[0..8] += broadcast(aval) * x[0..8]
+    // fn(y_ptr, aval_ptr, x_ptr): y[0..8] += broadcast(aval[0]) * x[0..8],
+    // with aval[1] = 1.0 for loading y.
     let mut asm = Assembler::new();
-    asm.vmovups_load(VecReg::ymm(2), Mem::base(Gpr::Rdi));
+    let one = Mem::base(Gpr::Rsi).disp(4);
+    load_packed(&mut asm, VecReg::ymm(2), VecReg::ymm(7), one, Mem::base(Gpr::Rdi), false);
     asm.vbroadcastss(VecReg::ymm(7), Mem::base(Gpr::Rsi));
     asm.vfmadd231ps_m(VecReg::ymm(2), VecReg::ymm(7), Mem::base(Gpr::Rdx));
     asm.vmovups_store(Mem::base(Gpr::Rdi), VecReg::ymm(2));
-    asm.vzeroupper();
     asm.ret();
     let buf = run_kernel(asm);
     // SAFETY: the kernel assembled above is a complete SysV function of
@@ -90,7 +113,7 @@ fn vfmadd231ps_ymm_with_broadcast() {
     // passed; `buf` outlives every call through `f`.
     let f: extern "C" fn(*mut f32, *const f32, *const f32) = unsafe { buf.as_fn3() };
     let mut y: Vec<f32> = (0..8).map(|i| i as f32).collect();
-    let a = [2.5f32];
+    let a = [2.5f32, 1.0];
     let x: Vec<f32> = (0..8).map(|i| (i as f32) * 0.5).collect();
     f(y.as_mut_ptr(), a.as_ptr(), x.as_ptr());
     for (i, &v) in y.iter().enumerate() {
@@ -145,18 +168,20 @@ fn high_zmm_registers_round_trip() {
         eprintln!("skipping: no AVX-512F");
         return;
     }
+    // fn(src_ptr, one_ptr, dst_ptr)
     let mut asm = Assembler::new();
-    asm.vmovups_load(VecReg::zmm(20), Mem::base(Gpr::Rdi));
-    asm.vmovups_store(Mem::base(Gpr::Rsi), VecReg::zmm(20));
+    let one = Mem::base(Gpr::Rsi);
+    load_packed(&mut asm, VecReg::zmm(20), VecReg::zmm(31), one, Mem::base(Gpr::Rdi), false);
+    asm.vmovups_store(Mem::base(Gpr::Rdx), VecReg::zmm(20));
     asm.ret();
     let buf = run_kernel(asm);
     // SAFETY: the kernel assembled above is a complete SysV function of
     // exactly this signature that returns and touches only the buffers it is
     // passed; `buf` outlives every call through `f`.
-    let f: extern "C" fn(*const f32, *mut f32) = unsafe { buf.as_fn2() };
+    let f: extern "C" fn(*const f32, *const f32, *mut f32) = unsafe { buf.as_fn3() };
     let src: Vec<f32> = (0..16).map(|i| (i * i) as f32).collect();
     let mut dst = vec![0.0f32; 16];
-    f(src.as_ptr(), dst.as_mut_ptr());
+    f(src.as_ptr(), [1.0f32].as_ptr(), dst.as_mut_ptr());
     assert_eq!(src, dst);
 }
 
@@ -168,13 +193,14 @@ fn f64_paths_match_scalar_math() {
         eprintln!("skipping: no AVX2+FMA");
         return;
     }
-    // fn(y_ptr, a_ptr, x_ptr): y[0..4] += broadcast(a) * x[0..4] (f64, ymm)
+    // fn(y_ptr, a_ptr, x_ptr): y[0..4] += broadcast(a[0]) * x[0..4] (f64,
+    // ymm), with a[1] = 1.0 for loading y.
     let mut asm = Assembler::new();
-    asm.vmovupd_load(VecReg::ymm(1), Mem::base(Gpr::Rdi));
+    let one = Mem::base(Gpr::Rsi).disp(8);
+    load_packed(&mut asm, VecReg::ymm(1), VecReg::ymm(5), one, Mem::base(Gpr::Rdi), true);
     asm.vbroadcastsd(VecReg::ymm(5), Mem::base(Gpr::Rsi));
     asm.vfmadd231pd_m(VecReg::ymm(1), VecReg::ymm(5), Mem::base(Gpr::Rdx));
     asm.vmovupd_store(Mem::base(Gpr::Rdi), VecReg::ymm(1));
-    asm.vzeroupper();
     asm.ret();
     let buf = run_kernel(asm);
     // SAFETY: the kernel assembled above is a complete SysV function of
@@ -182,7 +208,7 @@ fn f64_paths_match_scalar_math() {
     // passed; `buf` outlives every call through `f`.
     let f: extern "C" fn(*mut f64, *const f64, *const f64) = unsafe { buf.as_fn3() };
     let mut y = [1.0f64, 2.0, 3.0, 4.0];
-    let a = [1.5f64];
+    let a = [1.5f64, 1.0];
     let x = [10.0f64, 20.0, 30.0, 40.0];
     f(y.as_mut_ptr(), a.as_ptr(), x.as_ptr());
     assert_eq!(y, [16.0, 32.0, 48.0, 64.0]);
@@ -202,31 +228,6 @@ fn f64_paths_match_scalar_math() {
     let mut acc = [100.0f64];
     f(acc.as_mut_ptr(), [0.5f64].as_ptr(), [8.0f64].as_ptr());
     assert_eq!(acc[0], 104.0);
-}
-
-/// Non-FMA multiply/add fallback (vmulss + vaddss, vmulps + vaddps).
-#[test]
-fn mul_add_fallback_matches() {
-    if !features().avx {
-        eprintln!("skipping: no AVX");
-        return;
-    }
-    // fn(acc_ptr, a_ptr, x_ptr): acc[0] = acc[0] + a[0]*x[0]
-    let mut asm = Assembler::new();
-    asm.vmovss_load(Xmm::new(0), Mem::base(Gpr::Rdi));
-    asm.vmovss_load(Xmm::new(1), Mem::base(Gpr::Rsi));
-    asm.vmulss_m(Xmm::new(1), Xmm::new(1), Mem::base(Gpr::Rdx));
-    asm.vaddss_r(Xmm::new(0), Xmm::new(0), Xmm::new(1));
-    asm.vmovss_store(Mem::base(Gpr::Rdi), Xmm::new(0));
-    asm.ret();
-    let buf = run_kernel(asm);
-    // SAFETY: the kernel assembled above is a complete SysV function of
-    // exactly this signature that returns and touches only the buffers it is
-    // passed; `buf` outlives every call through `f`.
-    let f: extern "C" fn(*mut f32, *const f32, *const f32) = unsafe { buf.as_fn3() };
-    let mut acc = [1.0f32];
-    f(acc.as_mut_ptr(), [6.0f32].as_ptr(), [7.0f32].as_ptr());
-    assert_eq!(acc[0], 43.0);
 }
 
 /// The dynamic-row-dispatch primitive: `lock xadd` returns the old value and

@@ -546,6 +546,8 @@ fn emit_store(asm: &mut Assembler, seg: &Segment, dst: Mem, kind: ScalarKind) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jitspmm_emu::{decode, Emulator, Inst};
+    use std::collections::BTreeSet;
 
     fn native_or_skip() -> Option<KernelOptions> {
         let opts = KernelOptions::native();
@@ -654,6 +656,46 @@ mod tests {
         kernels
     }
 
+    /// `name(inst)` and `ALL` from one list: the `match` has no `_` arm, so
+    /// the list names every variant the decoder can return.
+    macro_rules! variants {
+        ($($v:ident),* $(,)?) => {
+            const ALL: &[&str] = &[$(stringify!($v)),*];
+            fn name(inst: &Inst) -> &'static str {
+                match inst {
+                    $(Inst::$v { .. } => stringify!($v),)*
+                }
+            }
+        };
+    }
+
+    variants! {
+        MovRegImm, MovRegRm, MovRmReg, AluRmImm, AluRmReg, Inc, Lea, ImulRegRmImm, Push, Pop, Xadd,
+        Ret, Jmp, Jcc, VXor, VBroadcast, VFmadd231, VMovLoad, VMovStore
+    }
+
+    /// Every swept kernel decodes from its first byte to its last, and the
+    /// sweep as a whole uses every form the decoder returns: codegen cannot
+    /// emit a form the emulator lacks, and the emulator keeps none that
+    /// codegen dropped. The hosts are synthetic, so this covers the EVEX
+    /// forms on any machine.
+    #[test]
+    fn decode_sweep_covers_every_variant() {
+        let mut seen = BTreeSet::new();
+        for isa in IsaLevel::ALL {
+            for code in swept_kernels(isa) {
+                let mut at = 0;
+                while at < code.len() {
+                    let (inst, len) =
+                        decode(&code, at).unwrap_or_else(|e| panic!("{isa} kernel: {e}"));
+                    seen.insert(name(&inst));
+                    at += len;
+                }
+            }
+        }
+        assert_eq!(seen, ALL.iter().copied().collect());
+    }
+
     /// FNV-1a (64-bit) over the concatenated kernels.
     fn fnv1a64(kernels: &[Vec<u8>]) -> u64 {
         kernels.iter().flatten().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
@@ -692,13 +734,13 @@ mod tests {
         // SAFETY: the block points at `matrix`, `x` (ncols x d) and `y`
         // (nrows x d), all alive for the call, and the range is every row:
         // the accesses a native launch of this kernel would make.
-        let counters = unsafe { jitspmm_emu::Emulator::new().run(&code, &argv) }.unwrap();
+        let counters = unsafe { Emulator::new().run(&code, &argv) }.unwrap();
         [counters.instructions, counters.memory_loads, counters.branches]
     }
 
-    /// Exact emulator counts of the static kernel: the numbers behind
-    /// `profile.emu_*`. An emitter change that moves them updates this
-    /// table in the same commit, so the review sees the delta.
+    /// Exact emulator counts of the static kernel (what `profile.emu_*`
+    /// reads on a larger matrix). An emitter change that moves them updates
+    /// this table in the same commit, so the review sees the delta.
     #[test]
     fn pinned_emulator_counts() {
         #[rustfmt::skip]

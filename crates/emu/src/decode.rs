@@ -1,7 +1,11 @@
-//! Instruction decoder for the supported x86-64 subset.
+//! Instruction decoder for the forms the code generator emits.
+//!
+//! Each arm has a twin `Assembler` method in `jitspmm-asm`. An encoding
+//! outside that set (another opcode, operand size, operand class or prefix)
+//! is [`EmuError::Unsupported`].
 
 use crate::error::EmuError;
-use crate::inst::{AluOp, Inst, MemOperand, OpWidth, RmOperand, VecKind};
+use crate::inst::{AluOp, Inst, MemOperand, OpWidth, VecKind};
 
 /// A byte cursor over the code buffer.
 struct Cursor<'a> {
@@ -58,456 +62,287 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decoded legacy prefixes.
-#[derive(Default)]
-struct Prefixes {
-    lock: bool,
-    rep_f3: bool,
-    opsize_66: bool,
-    rep_f2: bool,
-    rex: u8,
+/// A ModRM `r/m` operand.
+enum RmOperand {
+    Reg(u8),
+    Mem(MemOperand),
 }
 
-impl Prefixes {
-    fn rex_w(&self) -> bool {
-        self.rex & 0x08 != 0
-    }
-    fn rex_r(&self) -> u8 {
-        (self.rex >> 2) & 1
-    }
-    fn rex_x(&self) -> u8 {
-        (self.rex >> 1) & 1
-    }
-    fn rex_b(&self) -> u8 {
-        self.rex & 1
-    }
+/// The extension bits a REX, VEX or EVEX prefix gives the ModRM fields, each
+/// reduced to one bit.
+#[derive(Clone, Copy)]
+struct Ext {
+    r: u8,
+    x: u8,
+    b: u8,
+    /// EVEX: `X` is bit 4 of a register `r/m`, and an 8-bit displacement is
+    /// scaled by the operand's tuple size.
+    evex: bool,
 }
 
 /// Decode the ModRM byte (and SIB/displacement) that follows.
-///
-/// `reg_ext`, `rm_ext` and `index_ext` are the prefix-provided extension
-/// bits (already shifted to bit 3; `rm_ext_hi` is bit 4 for EVEX register
-/// operands). `force_disp32_on_mod1` rejects EVEX compressed disp8 forms.
-fn decode_modrm(
-    cur: &mut Cursor<'_>,
-    reg_ext: u8,
-    rm_ext: u8,
-    index_ext: u8,
-    rm_ext_hi: u8,
-) -> Result<(u8, RmOperand), EmuError> {
+fn decode_modrm(cur: &mut Cursor<'_>, ext: Ext) -> Result<(u8, RmOperand), EmuError> {
     let modrm = cur.u8()?;
     let md = modrm >> 6;
-    let reg = (reg_ext << 3) | ((modrm >> 3) & 0b111);
+    let reg = (ext.r << 3) | ((modrm >> 3) & 0b111);
     let rm_low = modrm & 0b111;
     if md == 0b11 {
-        let rm = (rm_ext_hi << 4) | (rm_ext << 3) | rm_low;
-        return Ok((reg, RmOperand::Reg(rm)));
+        let hi = if ext.evex { ext.x << 4 } else { 0 };
+        return Ok((reg, RmOperand::Reg(hi | (ext.b << 3) | rm_low)));
     }
-    // Memory operand.
     let (base, index) = if rm_low == 0b100 {
-        // SIB byte.
         let sib = cur.u8()?;
         let scale = sib >> 6;
         let idx_low = (sib >> 3) & 0b111;
         let base_low = sib & 0b111;
-        let index = if idx_low == 0b100 && index_ext == 0 {
+        let index = if idx_low == 0b100 && ext.x == 0 {
             None
         } else {
-            Some(((index_ext << 3) | idx_low, scale))
+            Some(((ext.x << 3) | idx_low, scale))
         };
         if base_low == 0b101 && md == 0b00 {
             return Err(cur.unsupported("SIB with no base register"));
         }
-        ((rm_ext << 3) | base_low, index)
+        ((ext.b << 3) | base_low, index)
     } else {
         if rm_low == 0b101 && md == 0b00 {
             return Err(cur.unsupported("RIP-relative addressing"));
         }
-        ((rm_ext << 3) | rm_low, None)
+        ((ext.b << 3) | rm_low, None)
     };
     let disp = match md {
         0b00 => 0,
+        // Hardware reads an EVEX disp8 as disp8*N. The assembler always
+        // writes disp32 under EVEX, so this form is not one of its own.
+        0b01 if ext.evex => return Err(cur.unsupported("EVEX compressed disp8")),
         0b01 => cur.i8()? as i32,
-        0b10 => cur.i32()?,
-        _ => unreachable!(),
+        _ => cur.i32()?,
     };
     Ok((reg, RmOperand::Mem(MemOperand { base, index, disp })))
 }
 
+/// ModRM whose `r/m` must be a register: `(reg, rm)`.
+fn modrm_reg(cur: &mut Cursor<'_>, ext: Ext) -> Result<(u8, u8), EmuError> {
+    match decode_modrm(cur, ext)? {
+        (reg, RmOperand::Reg(rm)) => Ok((reg, rm)),
+        (_, RmOperand::Mem(_)) => Err(cur.unsupported("memory operand in a register form")),
+    }
+}
+
+/// ModRM whose `r/m` must be memory: `(reg, mem)`.
+fn modrm_mem(cur: &mut Cursor<'_>, ext: Ext) -> Result<(u8, MemOperand), EmuError> {
+    match decode_modrm(cur, ext)? {
+        (reg, RmOperand::Mem(mem)) => Ok((reg, mem)),
+        (_, RmOperand::Reg(_)) => Err(cur.unsupported("register operand in a memory form")),
+    }
+}
+
 /// Decode one instruction starting at `offset`; returns the instruction and
 /// its encoded length.
+///
+/// # Errors
+///
+/// [`EmuError::Truncated`] if the code ends inside the instruction, and
+/// [`EmuError::Unsupported`] for any instruction that is not an [`Inst`].
 pub fn decode(code: &[u8], offset: usize) -> Result<(Inst, usize), EmuError> {
     let mut cur = Cursor::new(code, offset);
-    let mut prefixes = Prefixes::default();
-
-    // Legacy prefixes.
-    loop {
-        match cur.peek() {
-            Some(0xF0) => {
-                prefixes.lock = true;
-                cur.u8()?;
-            }
-            Some(0xF3) => {
-                prefixes.rep_f3 = true;
-                cur.u8()?;
-            }
-            Some(0xF2) => {
-                prefixes.rep_f2 = true;
-                cur.u8()?;
-            }
-            Some(0x66) => {
-                prefixes.opsize_66 = true;
-                cur.u8()?;
-            }
-            _ => break,
-        }
+    // `lock` is the only legacy prefix the kernels use, and only on `xadd`.
+    let lock = cur.peek() == Some(0xF0);
+    if lock {
+        cur.u8()?;
     }
-
-    // VEX / EVEX prefixes.
     match cur.peek() {
-        Some(0xC4) | Some(0xC5) => return decode_vex(code, offset, cur),
-        Some(0x62) => return decode_evex(code, offset, cur),
+        Some(0xC4) if !lock => return decode_vex(cur),
+        Some(0x62) if !lock => return decode_evex(cur),
         _ => {}
     }
-
-    // REX prefix.
-    if let Some(b) = cur.peek() {
-        if (0x40..=0x4F).contains(&b) {
-            prefixes.rex = b;
+    let rex = match cur.peek() {
+        Some(b @ 0x40..=0x4F) => {
             cur.u8()?;
+            b
         }
-    }
-
-    let width = if prefixes.rex_w() { OpWidth::W64 } else { OpWidth::W32 };
+        _ => 0,
+    };
+    let w = rex & 0x08 != 0;
+    let ext = Ext { r: (rex >> 2) & 1, x: (rex >> 1) & 1, b: rex & 1, evex: false };
+    // Group opcodes carry an opcode extension, not a register, in ModRM.reg.
+    let group = Ext { r: 0, ..ext };
     let opcode = cur.u8()?;
     let inst = match opcode {
-        0x90 => Inst::Nop,
         0xC3 => Inst::Ret,
         0xE9 => {
             let disp = cur.i32()? as i64;
             Inst::Jmp { target: (cur.pos as i64 + disp) as u64 }
         }
-        0x50..=0x57 => Inst::Push { reg: (prefixes.rex_b() << 3) | (opcode - 0x50) },
-        0x58..=0x5F => Inst::Pop { reg: (prefixes.rex_b() << 3) | (opcode - 0x58) },
-        0xB8..=0xBF => {
-            let dst = (prefixes.rex_b() << 3) | (opcode - 0xB8);
-            let imm = if prefixes.rex_w() { cur.u64()? } else { cur.u32()? as u64 };
-            Inst::MovRegImm { dst, imm }
+        0x50..=0x57 => Inst::Push { reg: (ext.b << 3) | (opcode - 0x50) },
+        0x58..=0x5F => Inst::Pop { reg: (ext.b << 3) | (opcode - 0x58) },
+        0xB8..=0xBF if w => {
+            Inst::MovRegImm { dst: (ext.b << 3) | (opcode - 0xB8), imm: cur.u64()? }
         }
-        0x89 => {
-            let (reg, rm) =
-                decode_modrm(&mut cur, prefixes.rex_r(), prefixes.rex_b(), prefixes.rex_x(), 0)?;
-            Inst::MovRmReg { dst: rm, src: reg, width }
+        0x89 if w => {
+            let (src, dst) = modrm_reg(&mut cur, ext)?;
+            Inst::MovRmReg { dst, src }
         }
         0x8B => {
-            let (reg, rm) =
-                decode_modrm(&mut cur, prefixes.rex_r(), prefixes.rex_b(), prefixes.rex_x(), 0)?;
-            Inst::MovRegRm { dst: reg, src: rm, width }
+            let (dst, src) = modrm_mem(&mut cur, ext)?;
+            Inst::MovRegRm { dst, src, width: if w { OpWidth::W64 } else { OpWidth::W32 } }
         }
-        0x8D => {
-            let (reg, rm) =
-                decode_modrm(&mut cur, prefixes.rex_r(), prefixes.rex_b(), prefixes.rex_x(), 0)?;
-            match rm {
-                RmOperand::Mem(mem) => Inst::Lea { dst: reg, mem },
-                RmOperand::Reg(_) => return Err(cur.unsupported("lea with register operand")),
-            }
+        0x8D if w => {
+            let (dst, mem) = modrm_mem(&mut cur, ext)?;
+            Inst::Lea { dst, mem }
         }
-        0x01 | 0x29 | 0x39 | 0x31 | 0x85 => {
+        0x01 | 0x39 | 0x31 if w => {
             let op = match opcode {
                 0x01 => AluOp::Add,
-                0x29 => AluOp::Sub,
                 0x39 => AluOp::Cmp,
-                0x31 => AluOp::Xor,
-                _ => AluOp::Test,
-            };
-            let (reg, rm) =
-                decode_modrm(&mut cur, prefixes.rex_r(), prefixes.rex_b(), prefixes.rex_x(), 0)?;
-            Inst::AluRmReg { op, dst: rm, src: reg }
-        }
-        0x03 | 0x2B | 0x3B | 0x33 => {
-            let op = match opcode {
-                0x03 => AluOp::Add,
-                0x2B => AluOp::Sub,
-                0x3B => AluOp::Cmp,
                 _ => AluOp::Xor,
             };
-            let (reg, rm) =
-                decode_modrm(&mut cur, prefixes.rex_r(), prefixes.rex_b(), prefixes.rex_x(), 0)?;
-            Inst::AluRegRm { op, dst: reg, src: rm }
+            let (src, dst) = modrm_reg(&mut cur, ext)?;
+            Inst::AluRmReg { op, dst, src }
         }
-        0x81 | 0x83 => {
-            let (digit, rm) = decode_modrm(&mut cur, 0, prefixes.rex_b(), prefixes.rex_x(), 0)?;
-            let imm = if opcode == 0x83 { cur.i8()? as i64 } else { cur.i32()? as i64 };
-            let op = match digit & 0b111 {
+        0x81 | 0x83 if w => {
+            let (digit, dst) = modrm_reg(&mut cur, group)?;
+            let op = match digit {
                 0 => AluOp::Add,
-                5 => AluOp::Sub,
                 7 => AluOp::Cmp,
-                6 => AluOp::Xor,
                 other => return Err(cur.unsupported(format!("group-1 /{other}"))),
             };
-            Inst::AluRmImm { op, dst: rm, imm }
+            let imm = if opcode == 0x83 { cur.i8()? as i64 } else { cur.i32()? as i64 };
+            Inst::AluRmImm { op, dst, imm }
         }
-        0x69 => {
-            let (reg, rm) =
-                decode_modrm(&mut cur, prefixes.rex_r(), prefixes.rex_b(), prefixes.rex_x(), 0)?;
-            let imm = cur.i32()? as i64;
-            Inst::ImulRegRmImm { dst: reg, src: rm, imm }
+        0x69 if w => {
+            let (dst, src) = modrm_reg(&mut cur, ext)?;
+            Inst::ImulRegRmImm { dst, src, imm: cur.i32()? as i64 }
         }
-        0xC1 => {
-            let (digit, rm) = decode_modrm(&mut cur, 0, prefixes.rex_b(), prefixes.rex_x(), 0)?;
-            let amount = cur.u8()?;
-            match digit & 0b111 {
-                4 => Inst::ShiftImm { dst: rm, left: true, amount },
-                5 => Inst::ShiftImm { dst: rm, left: false, amount },
-                other => return Err(cur.unsupported(format!("shift group /{other}"))),
+        0xFF if w => match modrm_reg(&mut cur, group)? {
+            (0, dst) => Inst::Inc { dst },
+            (other, _) => return Err(cur.unsupported(format!("group-5 /{other}"))),
+        },
+        0x0F => match cur.u8()? {
+            op2 @ 0x80..=0x8F => {
+                let disp = cur.i32()? as i64;
+                Inst::Jcc { cond: op2 - 0x80, target: (cur.pos as i64 + disp) as u64 }
             }
-        }
-        0xFF => {
-            let (digit, rm) = decode_modrm(&mut cur, 0, prefixes.rex_b(), prefixes.rex_x(), 0)?;
-            match digit & 0b111 {
-                0 => Inst::IncDec { dst: rm, dec: false },
-                1 => Inst::IncDec { dst: rm, dec: true },
-                other => return Err(cur.unsupported(format!("group-5 /{other}"))),
+            0xC1 if w && lock => {
+                let (reg, mem) = modrm_mem(&mut cur, ext)?;
+                Inst::Xadd { mem, reg }
             }
-        }
-        0x0F => {
-            let op2 = cur.u8()?;
-            match op2 {
-                0x80..=0x8F => {
-                    let disp = cur.i32()? as i64;
-                    Inst::Jcc { cond: op2 - 0x80, target: (cur.pos as i64 + disp) as u64 }
-                }
-                0xAF => {
-                    let (reg, rm) = decode_modrm(
-                        &mut cur,
-                        prefixes.rex_r(),
-                        prefixes.rex_b(),
-                        prefixes.rex_x(),
-                        0,
-                    )?;
-                    Inst::ImulRegRm { dst: reg, src: rm }
-                }
-                0xC1 => {
-                    let (reg, rm) = decode_modrm(
-                        &mut cur,
-                        prefixes.rex_r(),
-                        prefixes.rex_b(),
-                        prefixes.rex_x(),
-                        0,
-                    )?;
-                    match rm {
-                        RmOperand::Mem(mem) => Inst::Xadd { mem, reg },
-                        RmOperand::Reg(_) => {
-                            return Err(cur.unsupported("xadd with register destination"))
-                        }
-                    }
-                }
-                other => return Err(cur.unsupported(format!("two-byte opcode 0F {other:02X}"))),
-            }
-        }
-        other => return Err(cur.unsupported(format!("opcode {other:02X}"))),
+            other => return Err(cur.unsupported(format!("two-byte opcode 0F {other:02X}"))),
+        },
+        other => return Err(cur.unsupported(format!("opcode {other:02X} (REX {rex:02X})"))),
     };
+    if lock && !matches!(inst, Inst::Xadd { .. }) {
+        return Err(cur.unsupported("lock prefix outside xadd"));
+    }
     Ok((inst, cur.len()))
 }
 
-/// Shared VEX/EVEX opcode dispatch once the prefix fields are known.
-#[allow(clippy::too_many_arguments)]
-fn decode_avx_opcode(
-    cur: &mut Cursor<'_>,
+/// The VEX/EVEX fields the opcode dispatch needs beyond the ModRM
+/// extensions.
+struct Avx {
     map: u8,
     pp: u8,
     w: bool,
     width_bytes: usize,
-    reg_ext: u8,
-    reg_ext_hi: u8,
-    rm_ext: u8,
-    index_ext: u8,
-    rm_ext_hi: u8,
+    /// The non-destructive source register (`vvvv`, with `V'` under EVEX).
     vvvv: u8,
-) -> Result<Inst, EmuError> {
+    /// Bit 4 of ModRM.reg (`R'`, EVEX only).
+    r_hi: u8,
+}
+
+/// Shared VEX/EVEX opcode dispatch once the prefix fields are known.
+fn decode_avx_opcode(cur: &mut Cursor<'_>, avx: Avx, ext: Ext) -> Result<Inst, EmuError> {
     let opcode = cur.u8()?;
-    // vzeroupper has no ModRM byte.
-    if map == 1 && opcode == 0x77 {
-        return Ok(Inst::VZeroUpper);
-    }
-    let (reg_low, rm) = decode_modrm(cur, reg_ext, rm_ext, index_ext, rm_ext_hi)?;
-    let reg = (reg_ext_hi << 4) | reg_low;
-    let kind_ps = |pp: u8| if pp == 1 { VecKind::F64 } else { VecKind::F32 };
-    match (map, opcode) {
-        (1, 0x57) => Ok(Inst::VXor { dst: reg, a: vvvv, b: rm_reg(cur, rm)?, width_bytes }),
-        (1, 0xEF) => Ok(Inst::VXor { dst: reg, a: vvvv, b: rm_reg(cur, rm)?, width_bytes }),
-        (1, 0x10) | (1, 0x11) => {
-            // Moves: pp selects ps/pd/ss/sd.
-            let bytes = match pp {
-                0 => width_bytes,
-                1 => width_bytes,
+    let (reg, rm) = decode_modrm(cur, ext)?;
+    let reg = (avx.r_hi << 4) | reg;
+    let Avx { map, pp, w, width_bytes, vvvv, .. } = avx;
+    let fma_kind = if w { VecKind::F64 } else { VecKind::F32 };
+    Ok(match (map, opcode, pp, rm) {
+        // vxorps; vpxord exists only as EVEX.
+        (1, 0x57, 0, RmOperand::Reg(b)) => Inst::VXor { dst: reg, a: vvvv, b, width_bytes },
+        (1, 0xEF, 1, RmOperand::Reg(b)) if ext.evex => {
+            Inst::VXor { dst: reg, a: vvvv, b, width_bytes }
+        }
+        // vmovss / vmovsd loads.
+        (1, 0x10, 2 | 3, RmOperand::Mem(src)) => {
+            Inst::VMovLoad { dst: reg, src, width_bytes: if pp == 2 { 4 } else { 8 } }
+        }
+        // vmovups / vmovupd / vmovss / vmovsd stores.
+        (1, 0x11, _, RmOperand::Mem(dst)) => {
+            let width_bytes = match pp {
                 2 => 4,
                 3 => 8,
-                _ => unreachable!(),
+                _ => width_bytes,
             };
-            let mem = rm_mem(cur, rm)?;
-            if opcode == 0x10 {
-                Ok(Inst::VMovLoad { dst: reg, src: mem, width_bytes: bytes })
-            } else {
-                Ok(Inst::VMovStore { dst: mem, src: reg, width_bytes: bytes })
-            }
+            Inst::VMovStore { dst, src: reg, width_bytes }
         }
-        (1, 0x58) | (1, 0x59) => {
-            let (kind, bytes, scalar) = match pp {
-                0 => (VecKind::F32, width_bytes, false),
-                1 => (VecKind::F64, width_bytes, false),
-                2 => (VecKind::F32, 4, true),
-                3 => (VecKind::F64, 8, true),
-                _ => unreachable!(),
-            };
-            if opcode == 0x58 {
-                Ok(Inst::VAdd { dst: reg, a: vvvv, src: rm, kind, width_bytes: bytes, scalar })
-            } else {
-                Ok(Inst::VMul { dst: reg, a: vvvv, src: rm, kind, width_bytes: bytes, scalar })
-            }
+        (2, 0x18, 1, RmOperand::Mem(src)) => {
+            Inst::VBroadcast { dst: reg, src, kind: VecKind::F32, width_bytes }
         }
-        (2, 0x18) => Ok(Inst::VBroadcast {
-            dst: reg,
-            src: rm_mem(cur, rm)?,
-            kind: VecKind::F32,
-            width_bytes,
-        }),
-        (2, 0x19) => Ok(Inst::VBroadcast {
-            dst: reg,
-            src: rm_mem(cur, rm)?,
-            kind: VecKind::F64,
-            width_bytes,
-        }),
-        (2, 0xB8) => Ok(Inst::VFmadd231 {
+        (2, 0x19, 1, RmOperand::Mem(src)) => {
+            Inst::VBroadcast { dst: reg, src, kind: VecKind::F64, width_bytes }
+        }
+        (2, 0xB8, 1, RmOperand::Mem(src)) => {
+            Inst::VFmadd231 { dst: reg, a: vvvv, src, kind: fma_kind, width_bytes, scalar: false }
+        }
+        (2, 0xB9, 1, RmOperand::Mem(src)) => Inst::VFmadd231 {
             dst: reg,
             a: vvvv,
-            src: rm,
-            kind: if w { VecKind::F64 } else { VecKind::F32 },
-            width_bytes,
-            scalar: false,
-        }),
-        (2, 0xB9) => Ok(Inst::VFmadd231 {
-            dst: reg,
-            a: vvvv,
-            src: rm,
-            kind: if w { VecKind::F64 } else { VecKind::F32 },
+            src,
+            kind: fma_kind,
             width_bytes: if w { 8 } else { 4 },
             scalar: true,
-        }),
-        (m, o) => {
-            let _ = kind_ps;
-            Err(cur.unsupported(format!("AVX opcode map {m} op {o:02X}")))
-        }
-    }
+        },
+        _ => return Err(cur.unsupported(format!("AVX map {map} opcode {opcode:02X} pp {pp}"))),
+    })
 }
 
-fn rm_reg(cur: &Cursor<'_>, rm: RmOperand) -> Result<u8, EmuError> {
-    match rm {
-        RmOperand::Reg(r) => Ok(r),
-        RmOperand::Mem(_) => Err(cur.unsupported("expected a register operand")),
-    }
-}
-
-fn rm_mem(cur: &Cursor<'_>, rm: RmOperand) -> Result<MemOperand, EmuError> {
-    match rm {
-        RmOperand::Mem(m) => Ok(m),
-        RmOperand::Reg(_) => Err(cur.unsupported("expected a memory operand")),
-    }
-}
-
-fn decode_vex(
-    _code: &[u8],
-    _offset: usize,
-    mut cur: Cursor<'_>,
-) -> Result<(Inst, usize), EmuError> {
-    let first = cur.u8()?;
-    let (map, pp, w, vl, reg_ext, rm_ext, index_ext, vvvv) = if first == 0xC4 {
-        let b1 = cur.u8()?;
-        let b2 = cur.u8()?;
-        let map = b1 & 0b11111;
-        let reg_ext = ((!b1) >> 7) & 1;
-        let index_ext = ((!b1) >> 6) & 1;
-        let rm_ext = ((!b1) >> 5) & 1;
-        let w = b2 & 0x80 != 0;
-        let vvvv = ((!b2) >> 3) & 0xF;
-        let vl = (b2 >> 2) & 1;
-        let pp = b2 & 0b11;
-        (map, pp, w, vl, reg_ext, rm_ext, index_ext, vvvv)
-    } else {
-        // C5: two-byte VEX.
-        let b1 = cur.u8()?;
-        let reg_ext = ((!b1) >> 7) & 1;
-        let vvvv = ((!b1) >> 3) & 0xF;
-        let vl = (b1 >> 2) & 1;
-        let pp = b1 & 0b11;
-        (1u8, pp, false, vl, reg_ext, 0u8, 0u8, vvvv)
+/// Decode a three-byte (`C4`) VEX instruction.
+fn decode_vex(mut cur: Cursor<'_>) -> Result<(Inst, usize), EmuError> {
+    cur.u8()?;
+    let b1 = cur.u8()?;
+    let b2 = cur.u8()?;
+    let ext = Ext { r: (!b1 >> 7) & 1, x: (!b1 >> 6) & 1, b: (!b1 >> 5) & 1, evex: false };
+    let avx = Avx {
+        map: b1 & 0b1_1111,
+        pp: b2 & 0b11,
+        w: b2 & 0x80 != 0,
+        width_bytes: if (b2 >> 2) & 1 == 1 { 32 } else { 16 },
+        vvvv: (!b2 >> 3) & 0xF,
+        r_hi: 0,
     };
-    let width_bytes = if vl == 1 { 32 } else { 16 };
-    let inst = decode_avx_opcode(
-        &mut cur,
-        map,
-        pp,
-        w,
-        width_bytes,
-        reg_ext,
-        0,
-        rm_ext,
-        index_ext,
-        0,
-        vvvv,
-    )?;
+    let inst = decode_avx_opcode(&mut cur, avx, ext)?;
     Ok((inst, cur.len()))
 }
 
-fn decode_evex(
-    _code: &[u8],
-    _offset: usize,
-    mut cur: Cursor<'_>,
-) -> Result<(Inst, usize), EmuError> {
-    let first = cur.u8()?;
-    debug_assert_eq!(first, 0x62);
+/// Decode an EVEX instruction (no masking, broadcast or rounding control).
+fn decode_evex(mut cur: Cursor<'_>) -> Result<(Inst, usize), EmuError> {
+    cur.u8()?;
     let p0 = cur.u8()?;
     let p1 = cur.u8()?;
     let p2 = cur.u8()?;
-    let map = p0 & 0b111;
-    let reg_ext = ((!p0) >> 7) & 1;
-    let index_ext = ((!p0) >> 6) & 1;
-    let rm_ext = ((!p0) >> 5) & 1;
-    let reg_ext_hi = ((!p0) >> 4) & 1;
-    let w = p1 & 0x80 != 0;
-    let vvvv_lo = ((!p1) >> 3) & 0xF;
-    let pp = p1 & 0b11;
-    let vl = (p2 >> 5) & 0b11;
-    let vvvv_hi = ((!p2) >> 3) & 1;
-    let vvvv = (vvvv_hi << 4) | vvvv_lo;
     if p2 & 0b111 != 0 {
         return Err(cur.unsupported("EVEX masking"));
     }
     if p2 & 0b1_0000 != 0 {
         return Err(cur.unsupported("EVEX broadcast/rounding"));
     }
-    let width_bytes = match vl {
+    let width_bytes = match (p2 >> 5) & 0b11 {
         0 => 16,
         1 => 32,
         2 => 64,
         _ => return Err(cur.unsupported("EVEX vector length 3")),
     };
-    // For register rm operands EVEX.X carries bit 4; decode_modrm receives it
-    // as `rm_ext_hi`. For memory operands the same bit extends the index
-    // register, which decode_modrm also handles via `index_ext`.
-    let inst = decode_avx_opcode(
-        &mut cur,
-        map,
-        pp,
-        w,
+    let ext = Ext { r: (!p0 >> 7) & 1, x: (!p0 >> 6) & 1, b: (!p0 >> 5) & 1, evex: true };
+    let avx = Avx {
+        map: p0 & 0b111,
+        pp: p1 & 0b11,
+        w: p1 & 0x80 != 0,
         width_bytes,
-        reg_ext,
-        reg_ext_hi,
-        rm_ext,
-        index_ext,
-        index_ext,
-        vvvv,
-    )?;
+        vvvv: (((!p2 >> 3) & 1) << 4) | ((!p1 >> 3) & 0xF),
+        r_hi: (!p0 >> 4) & 1,
+    };
+    let inst = decode_avx_opcode(&mut cur, avx, ext)?;
     Ok((inst, cur.len()))
 }
 
@@ -539,11 +374,7 @@ mod tests {
             inst,
             Inst::MovRegRm {
                 dst: 10,
-                src: RmOperand::Mem(MemOperand {
-                    base: Gpr::Rbx.id(),
-                    index: Some((Gpr::Rdi.id(), 3)),
-                    disp: 8
-                }),
+                src: MemOperand { base: Gpr::Rbx.id(), index: Some((Gpr::Rdi.id(), 3)), disp: 8 },
                 width: OpWidth::W64,
             }
         );
@@ -571,7 +402,7 @@ mod tests {
         asm.ret();
         let code = asm.finalize().unwrap();
         let (i1, l1) = decode(&code, 0).unwrap();
-        assert_eq!(i1, Inst::AluRmReg { op: AluOp::Cmp, dst: RmOperand::Reg(10), src: 11 });
+        assert_eq!(i1, Inst::AluRmReg { op: AluOp::Cmp, dst: 10, src: 11 });
         let (i2, l2) = decode(&code, l1).unwrap();
         match i2 {
             Inst::Jcc { cond: 0xD, target } => {
@@ -581,7 +412,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         let (i3, _) = decode(&code, l1 + l2).unwrap();
-        assert_eq!(i3, Inst::AluRmImm { op: AluOp::Add, dst: RmOperand::Reg(0), imm: 100000 });
+        assert_eq!(i3, Inst::AluRmImm { op: AluOp::Add, dst: 0, imm: 100000 });
     }
 
     #[test]
@@ -606,7 +437,7 @@ mod tests {
             Inst::VFmadd231 {
                 dst: 2,
                 a: 7,
-                src: RmOperand::Mem(MemOperand { base: 8, index: None, disp: 32 }),
+                src: MemOperand { base: 8, index: None, disp: 32 },
                 kind: VecKind::F32,
                 width_bytes: 32,
                 scalar: false,
@@ -625,12 +456,23 @@ mod tests {
             Inst::VFmadd231 {
                 dst: 0,
                 a: 31,
-                src: RmOperand::Mem(MemOperand { base: 8, index: Some((12, 0)), disp: 0 }),
+                src: MemOperand { base: 8, index: Some((12, 0)), disp: 0 },
                 kind: VecKind::F32,
                 width_bytes: 64,
                 scalar: false,
             }
         );
+    }
+
+    #[test]
+    fn evex_compressed_disp8_is_unsupported() {
+        // vfmadd231ps zmm0, zmm31, [rdi + 1*N]: the codegen form, but with
+        // ModRM mod = 01 (disp8, which EVEX scales by the tuple size).
+        let code = [0x62, 0xF2, 0x05, 0x40, 0xB8, 0x47, 0x01];
+        match decode(&code, 0) {
+            Err(EmuError::Unsupported { offset: 0, .. }) => {}
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
@@ -671,29 +513,27 @@ mod tests {
     }
 
     #[test]
-    fn decodes_vxor_and_vzeroupper() {
+    fn decodes_vxor_and_vpxord() {
         let mut asm = Assembler::new();
         asm.vxorps(VecReg::zmm(3), VecReg::zmm(3), VecReg::zmm(3));
         asm.vxorps(VecReg::xmm(2), VecReg::xmm(2), VecReg::xmm(2));
-        asm.vzeroupper();
+        asm.vpxord(VecReg::zmm(20), VecReg::zmm(20), VecReg::zmm(20));
         let code = asm.finalize().unwrap();
         let (i1, l1) = decode(&code, 0).unwrap();
         assert_eq!(i1, Inst::VXor { dst: 3, a: 3, b: 3, width_bytes: 64 });
         let (i2, l2) = decode(&code, l1).unwrap();
         assert_eq!(i2, Inst::VXor { dst: 2, a: 2, b: 2, width_bytes: 16 });
         let (i3, _) = decode(&code, l1 + l2).unwrap();
-        assert_eq!(i3, Inst::VZeroUpper);
+        assert_eq!(i3, Inst::VXor { dst: 20, a: 20, b: 20, width_bytes: 64 });
     }
 
     #[test]
-    fn decodes_push_pop_lea_shift_imul() {
+    fn decodes_push_pop_lea_imul() {
         let mut asm = Assembler::new();
         asm.push_r64(Gpr::R13);
         asm.pop_r64(Gpr::Rbx);
         asm.lea(Gpr::Rax, Mem::base(Gpr::Rbp).index(Gpr::R9, Scale::S2).disp(-4));
-        asm.shl_ri64(Gpr::Rdx, 3);
         asm.imul_rri64(Gpr::R13, Gpr::Rdi, 180);
-        asm.imul_rr64(Gpr::Rax, Gpr::Rbx);
         let code = asm.finalize().unwrap();
         let mut off = 0;
         let mut insts = Vec::new();
@@ -705,9 +545,7 @@ mod tests {
         assert_eq!(insts[0], Inst::Push { reg: 13 });
         assert_eq!(insts[1], Inst::Pop { reg: 3 });
         assert!(matches!(insts[2], Inst::Lea { dst: 0, .. }));
-        assert_eq!(insts[3], Inst::ShiftImm { dst: RmOperand::Reg(2), left: true, amount: 3 });
-        assert_eq!(insts[4], Inst::ImulRegRmImm { dst: 13, src: RmOperand::Reg(7), imm: 180 });
-        assert_eq!(insts[5], Inst::ImulRegRm { dst: 0, src: RmOperand::Reg(3) });
+        assert_eq!(insts[3], Inst::ImulRegRmImm { dst: 13, src: 7, imm: 180 });
     }
 
     #[test]

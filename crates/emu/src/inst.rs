@@ -1,4 +1,10 @@
 //! Decoded-instruction representation.
+//!
+//! [`Inst`] is the table of the forms `jitspmm-asm` emits for the JITSPMM
+//! kernels: one variant per form, with each operand narrowed to the class
+//! the assembler encodes there (a register where it only writes a register,
+//! a memory operand where it only writes memory). The decoder returns these
+//! and nothing else.
 
 /// Element kind of a SIMD operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -9,7 +15,7 @@ pub enum VecKind {
     F64,
 }
 
-/// Operand width of a general-purpose operation.
+/// Operand width of a general-purpose load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpWidth {
     /// 32-bit (result zero-extended into the 64-bit register).
@@ -29,124 +35,82 @@ pub struct MemOperand {
     pub disp: i32,
 }
 
-/// A ModRM `r/m` operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RmOperand {
-    /// Direct register.
-    Reg(u8),
-    /// Memory reference.
-    Mem(MemOperand),
-}
-
 /// Arithmetic/logic operations sharing the standard two-operand encodings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AluOp {
     /// Addition (writes the destination and all flags).
     Add,
-    /// Subtraction.
-    Sub,
     /// Compare (subtraction that only writes flags).
     Cmp,
-    /// Bitwise exclusive or.
+    /// Bitwise exclusive or (register operands only).
     Xor,
-    /// Logical compare (`and` that only writes flags).
-    Test,
 }
 
-/// One decoded instruction of the supported subset.
+/// One decoded instruction of the supported subset. General-purpose
+/// operations are 64-bit unless they say otherwise.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Inst {
-    /// `mov reg, imm` (32- or 64-bit immediate; always zero-extends).
+    /// `mov r64, imm64` (opcode `B8+r`).
     MovRegImm {
         /// Destination register.
         dst: u8,
         /// Immediate value.
         imm: u64,
     },
-    /// `mov reg, r/m` (opcode `8B`).
+    /// `mov reg, [mem]` (opcode `8B`), 64-bit or zero-extending 32-bit.
     MovRegRm {
         /// Destination register.
         dst: u8,
-        /// Source operand.
-        src: RmOperand,
+        /// Source address.
+        src: MemOperand,
         /// Operand width.
         width: OpWidth,
     },
-    /// `mov r/m, reg` (opcode `89`).
+    /// `mov r64, r64` (opcode `89`).
     MovRmReg {
-        /// Destination operand.
-        dst: RmOperand,
+        /// Destination register.
+        dst: u8,
         /// Source register.
         src: u8,
-        /// Operand width.
-        width: OpWidth,
     },
-    /// ALU operation with an immediate operand (`81`/`83` group).
+    /// `add`/`cmp r64, imm` (`81`/`83` group).
     AluRmImm {
-        /// Operation.
+        /// Operation ([`AluOp::Add`] or [`AluOp::Cmp`]).
         op: AluOp,
-        /// Destination operand.
-        dst: RmOperand,
+        /// Destination register.
+        dst: u8,
         /// Sign-extended immediate.
         imm: i64,
     },
-    /// ALU operation, destination in the `reg` field (`03`, `2B`, `3B`, `33`).
-    AluRegRm {
+    /// `add`/`cmp`/`xor r64, r64` (`01`, `39`, `31`).
+    AluRmReg {
         /// Operation.
         op: AluOp,
         /// Destination register.
         dst: u8,
-        /// Source operand.
-        src: RmOperand,
-    },
-    /// ALU operation, destination in the `r/m` field (`01`, `29`, `39`,
-    /// `31`, `85`).
-    AluRmReg {
-        /// Operation.
-        op: AluOp,
-        /// Destination operand.
-        dst: RmOperand,
         /// Source register.
         src: u8,
     },
-    /// `inc`/`dec` on a register or memory operand.
-    IncDec {
-        /// Target operand.
-        dst: RmOperand,
-        /// `true` for `dec`.
-        dec: bool,
+    /// `inc r64`.
+    Inc {
+        /// Target register.
+        dst: u8,
     },
-    /// `lea reg, [mem]`.
+    /// `lea r64, [mem]`.
     Lea {
         /// Destination register.
         dst: u8,
         /// Address expression.
         mem: MemOperand,
     },
-    /// `shl`/`shr` by an immediate count.
-    ShiftImm {
-        /// Target operand.
-        dst: RmOperand,
-        /// `true` for a left shift.
-        left: bool,
-        /// Shift amount.
-        amount: u8,
-    },
-    /// `imul reg, r/m, imm32`.
+    /// `imul r64, r64, imm32`.
     ImulRegRmImm {
         /// Destination register.
         dst: u8,
-        /// Source operand.
-        src: RmOperand,
+        /// Source register.
+        src: u8,
         /// Immediate multiplier.
         imm: i64,
-    },
-    /// `imul reg, r/m`.
-    ImulRegRm {
-        /// Destination register.
-        dst: u8,
-        /// Source operand.
-        src: RmOperand,
     },
     /// `push reg`.
     Push {
@@ -158,7 +122,7 @@ pub enum Inst {
         /// Register popped into.
         reg: u8,
     },
-    /// `xadd [mem], reg` (optionally `lock`-prefixed).
+    /// `lock xadd [mem], r64`.
     Xadd {
         /// Memory operand.
         mem: MemOperand,
@@ -167,8 +131,6 @@ pub enum Inst {
     },
     /// `ret`.
     Ret,
-    /// `nop` / `pause`.
-    Nop,
     /// `jmp rel32`, target resolved to an absolute code offset.
     Jmp {
         /// Absolute target offset.
@@ -203,14 +165,14 @@ pub enum Inst {
         /// Destination width in bytes.
         width_bytes: usize,
     },
-    /// `vfmadd231ps/pd/ss/sd`: `dst += a * src`.
+    /// `vfmadd231ps/pd/ss/sd` with a memory operand: `dst += a * [src]`.
     VFmadd231 {
         /// Destination (accumulator) register.
         dst: u8,
         /// Multiplier register.
         a: u8,
-        /// Second multiplier operand (register or memory).
-        src: RmOperand,
+        /// Second multiplier's address.
+        src: MemOperand,
         /// Element kind.
         kind: VecKind,
         /// Operation width in bytes.
@@ -218,43 +180,13 @@ pub enum Inst {
         /// `true` for the scalar (`ss`/`sd`) forms.
         scalar: bool,
     },
-    /// `vmulps/ss/sd` (and `pd`): `dst = a * src`.
-    VMul {
-        /// Destination register.
-        dst: u8,
-        /// First source register.
-        a: u8,
-        /// Second source operand.
-        src: RmOperand,
-        /// Element kind.
-        kind: VecKind,
-        /// Operation width in bytes.
-        width_bytes: usize,
-        /// Scalar form.
-        scalar: bool,
-    },
-    /// `vaddps/ss/sd` (and `pd`): `dst = a + src`.
-    VAdd {
-        /// Destination register.
-        dst: u8,
-        /// First source register.
-        a: u8,
-        /// Second source operand.
-        src: RmOperand,
-        /// Element kind.
-        kind: VecKind,
-        /// Operation width in bytes.
-        width_bytes: usize,
-        /// Scalar form.
-        scalar: bool,
-    },
-    /// `vmovups/upd/ss/sd` load from memory.
+    /// `vmovss`/`vmovsd` load from memory (upper lanes zeroed).
     VMovLoad {
         /// Destination register.
         dst: u8,
         /// Source address.
         src: MemOperand,
-        /// Width in bytes (4/8 for scalar forms).
+        /// Width in bytes (4 or 8).
         width_bytes: usize,
     },
     /// `vmovups/upd/ss/sd` store to memory.
@@ -266,6 +198,4 @@ pub enum Inst {
         /// Width in bytes (4/8 for scalar forms).
         width_bytes: usize,
     },
-    /// `vzeroupper`.
-    VZeroUpper,
 }

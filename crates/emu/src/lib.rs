@@ -13,10 +13,12 @@
 //! decode or produces results that disagree with native execution, both of
 //! which the test suites check.
 //!
-//! The supported instruction subset is exactly what the JITSPMM code
-//! generator emits (ALU/control-flow, `lock xadd`, and the VEX/EVEX
-//! `vxorps`/`vpxord`/`vbroadcastss(d)`/`vfmadd231*`/`vmovups`/`vmovss`
-//! family), plus a little breadth for tests.
+//! The supported instruction subset is exactly the forms the JITSPMM code
+//! generator emits: [`Inst`] lists them, [`decode`] returns them, and any
+//! other encoding is [`EmuError::Unsupported`]. A new form lands as one
+//! `Assembler` method, one [`Inst`] variant, one decoder arm and one
+//! `execute` arm, plus one row of the encode/decode round-trip test, all in
+//! the change that makes the code generator emit it.
 //!
 //! # Example
 //!
@@ -50,8 +52,9 @@ mod machine;
 
 pub use cache::{CacheConfig, CacheModel};
 pub use counters::{BranchPredictor, HwCounters};
+pub use decode::decode;
 pub use error::EmuError;
-pub use inst::{AluOp, Inst, MemOperand, OpWidth, RmOperand, VecKind};
+pub use inst::{AluOp, Inst, MemOperand, OpWidth, VecKind};
 
 use machine::MachineState;
 
@@ -146,9 +149,8 @@ impl Emulator {
                 }
             };
             counters.instructions += 1;
-            let next = rip + len;
-            match state.execute(&inst, next as u64, &mut counters, &mut predictor)? {
-                machine::Flow::Next => rip = next,
+            match state.execute(&inst, &mut counters, &mut predictor)? {
+                machine::Flow::Next => rip += len,
                 machine::Flow::Jump(target) => {
                     if target == HALT_ADDRESS {
                         return Ok((counters, state.gpr(jitspmm_asm::Gpr::Rax)));
@@ -214,17 +216,18 @@ mod tests {
 
     #[test]
     fn memory_round_trip_counts_loads_and_stores() {
-        // fn(src, dst): dst[0] = src[0] + src[1]
+        // fn(src, dst): dst[0] += src[0] + src[1], the store through `xadd`
         let mut asm = Assembler::new();
         asm.mov_rm64(Gpr::Rax, Mem::base(Gpr::Rdi));
-        asm.add_rm64(Gpr::Rax, Mem::base(Gpr::Rdi).disp(8));
-        asm.mov_mr64(Mem::base(Gpr::Rsi), Gpr::Rax);
+        asm.mov_rm64(Gpr::Rcx, Mem::base(Gpr::Rdi).disp(8));
+        asm.add_rr64(Gpr::Rax, Gpr::Rcx);
+        asm.lock_xadd_mr64(Mem::base(Gpr::Rsi), Gpr::Rax);
         asm.ret();
         let src = [30u64, 12u64];
         let mut dst = [0u64];
         let (counters, _) = emulate(asm, &[src.as_ptr() as u64, dst.as_mut_ptr() as u64]);
         assert_eq!(dst[0], 42);
-        assert_eq!(counters.memory_loads, 3); // two data loads + ret
+        assert_eq!(counters.memory_loads, 4); // two data loads + xadd + ret
         assert_eq!(counters.memory_stores, 1);
     }
 
@@ -267,15 +270,15 @@ mod tests {
 
     #[test]
     fn shifts_lea_and_imul() {
-        // fn(a, b) -> ((a << 4) + b*24) >> 1
+        // fn(a, b) -> (a << 1) + ((b * 24) << 2) - 4. The kernels shift only
+        // through a scaled index, as in their row and column addressing.
         let mut asm = Assembler::new();
-        asm.shl_ri64(Gpr::Rdi, 4);
         asm.imul_rri64(Gpr::Rsi, Gpr::Rsi, 24);
-        asm.lea(Gpr::Rax, Mem::base(Gpr::Rdi).index(Gpr::Rsi, Scale::S1));
-        asm.shr_ri64(Gpr::Rax, 1);
+        asm.lea(Gpr::Rcx, Mem::base(Gpr::Rdi).index(Gpr::Rdi, Scale::S1));
+        asm.lea(Gpr::Rax, Mem::base(Gpr::Rcx).index(Gpr::Rsi, Scale::S4).disp(-4));
         asm.ret();
         let (_, v) = emulate(asm, &[3, 5]);
-        assert_eq!(v, ((3u64 << 4) + 5 * 24) >> 1);
+        assert_eq!(v, (3 << 1) + ((5 * 24) << 2) - 4);
     }
 
     #[test]
@@ -310,8 +313,10 @@ mod tests {
 
     #[test]
     fn falling_off_the_end_is_detected() {
-        // No ret: a single nop then out of bounds.
-        let code = vec![0x90];
+        // No ret: a single inc then out of bounds.
+        let mut asm = Assembler::new();
+        asm.inc_r64(Gpr::Rax);
+        let code = asm.finalize().unwrap();
         let mut emu = Emulator::new();
         // SAFETY: the emulator only dereferences addresses the code computes,
         // and this code touches no memory (it faults on decode or runs out of

@@ -2,7 +2,7 @@
 
 use crate::counters::{BranchPredictor, HwCounters};
 use crate::error::EmuError;
-use crate::inst::{AluOp, Inst, MemOperand, OpWidth, RmOperand, VecKind};
+use crate::inst::{AluOp, Inst, MemOperand, OpWidth, VecKind};
 use jitspmm_asm::Cond;
 
 /// Where execution continues after an instruction.
@@ -85,49 +85,17 @@ impl MachineState {
         addr.wrapping_add(mem.disp as i64 as u64)
     }
 
-    fn read_rm(&self, rm: &RmOperand, width: OpWidth, counters: &mut HwCounters) -> u64 {
-        match rm {
-            RmOperand::Reg(r) => match width {
-                OpWidth::W64 => self.gpr[*r as usize],
-                OpWidth::W32 => self.gpr[*r as usize] & 0xFFFF_FFFF,
-            },
-            RmOperand::Mem(mem) => {
-                counters.memory_loads += 1;
-                let addr = self.addr_of(mem);
-                // SAFETY: guaranteed by the caller of `Emulator::run`.
-                unsafe {
-                    match width {
-                        OpWidth::W64 => std::ptr::read_unaligned(addr as *const u64),
-                        OpWidth::W32 => std::ptr::read_unaligned(addr as *const u32) as u64,
-                    }
-                }
+    /// A 64-bit load, or a 32-bit one zero-extended.
+    fn load(&self, mem: &MemOperand, width: OpWidth, counters: &mut HwCounters) -> u64 {
+        counters.memory_loads += 1;
+        let addr = self.addr_of(mem);
+        // SAFETY: guaranteed by the caller of `Emulator::run`.
+        unsafe {
+            match width {
+                OpWidth::W64 => std::ptr::read_unaligned(addr as *const u64),
+                OpWidth::W32 => std::ptr::read_unaligned(addr as *const u32) as u64,
             }
         }
-    }
-
-    fn write_rm(&mut self, rm: &RmOperand, width: OpWidth, value: u64, counters: &mut HwCounters) {
-        match rm {
-            RmOperand::Reg(r) => self.write_reg(*r, width, value),
-            RmOperand::Mem(mem) => {
-                counters.memory_stores += 1;
-                let addr = self.addr_of(mem);
-                // SAFETY: guaranteed by the caller of `Emulator::run`.
-                unsafe {
-                    match width {
-                        OpWidth::W64 => std::ptr::write_unaligned(addr as *mut u64, value),
-                        OpWidth::W32 => std::ptr::write_unaligned(addr as *mut u32, value as u32),
-                    }
-                }
-            }
-        }
-    }
-
-    fn write_reg(&mut self, reg: u8, width: OpWidth, value: u64) {
-        // 32-bit writes zero-extend, as on real hardware.
-        self.gpr[reg as usize] = match width {
-            OpWidth::W64 => value,
-            OpWidth::W32 => value & 0xFFFF_FFFF,
-        };
     }
 
     fn set_logic_flags(&mut self, result: u64) {
@@ -169,23 +137,8 @@ impl MachineState {
         out
     }
 
-    fn vec_rm(&self, rm: &RmOperand, bytes: usize, counters: &mut HwCounters) -> [u8; 64] {
-        match rm {
-            RmOperand::Reg(r) => self.vec[*r as usize],
-            RmOperand::Mem(mem) => self.vec_read_mem(mem, bytes, counters),
-        }
-    }
-
-    /// Element-wise `dst[i] = acc[i] op (a[i], b[i])` over `bytes` of lanes.
-    fn lanewise(
-        dst: &mut [u8; 64],
-        a: &[u8; 64],
-        b: &[u8; 64],
-        kind: VecKind,
-        bytes: usize,
-        f32_op: impl Fn(f32, f32, f32) -> f32,
-        f64_op: impl Fn(f64, f64, f64) -> f64,
-    ) {
+    /// `dst[i] += a[i] * b[i]` over `bytes` of lanes, one rounding each.
+    fn fmadd(dst: &mut [u8; 64], a: &[u8; 64], b: &[u8; 64], kind: VecKind, bytes: usize) {
         match kind {
             VecKind::F32 => {
                 for lane in 0..bytes / 4 {
@@ -193,7 +146,7 @@ impl MachineState {
                     let d = f32::from_le_bytes(dst[o..o + 4].try_into().unwrap());
                     let x = f32::from_le_bytes(a[o..o + 4].try_into().unwrap());
                     let y = f32::from_le_bytes(b[o..o + 4].try_into().unwrap());
-                    dst[o..o + 4].copy_from_slice(&f32_op(d, x, y).to_le_bytes());
+                    dst[o..o + 4].copy_from_slice(&x.mul_add(y, d).to_le_bytes());
                 }
             }
             VecKind::F64 => {
@@ -202,83 +155,42 @@ impl MachineState {
                     let d = f64::from_le_bytes(dst[o..o + 8].try_into().unwrap());
                     let x = f64::from_le_bytes(a[o..o + 8].try_into().unwrap());
                     let y = f64::from_le_bytes(b[o..o + 8].try_into().unwrap());
-                    dst[o..o + 8].copy_from_slice(&f64_op(d, x, y).to_le_bytes());
+                    dst[o..o + 8].copy_from_slice(&x.mul_add(y, d).to_le_bytes());
                 }
             }
         }
     }
 
-    /// Execute one decoded instruction. `next` is the fall-through offset.
+    /// Execute one decoded instruction.
     pub(crate) fn execute(
         &mut self,
         inst: &Inst,
-        next: u64,
         counters: &mut HwCounters,
         predictor: &mut BranchPredictor,
     ) -> Result<Flow, EmuError> {
-        let _ = next;
         match inst {
-            Inst::Nop | Inst::VZeroUpper => {}
             Inst::MovRegImm { dst, imm } => self.gpr[*dst as usize] = *imm,
             Inst::MovRegRm { dst, src, width } => {
-                let v = self.read_rm(src, *width, counters);
-                self.write_reg(*dst, *width, v);
+                self.gpr[*dst as usize] = self.load(src, *width, counters);
             }
-            Inst::MovRmReg { dst, src, width } => {
-                let v = match width {
-                    OpWidth::W64 => self.gpr[*src as usize],
-                    OpWidth::W32 => self.gpr[*src as usize] & 0xFFFF_FFFF,
-                };
-                self.write_rm(dst, *width, v, counters);
-            }
-            Inst::AluRmImm { op, dst, imm } => {
-                let a = self.read_rm(dst, OpWidth::W64, counters);
-                let b = *imm as u64;
-                self.alu(*op, dst, a, b, counters);
-            }
-            Inst::AluRegRm { op, dst, src } => {
+            Inst::MovRmReg { dst, src } => self.gpr[*dst as usize] = self.gpr[*src as usize],
+            Inst::AluRmImm { op, dst, imm } => self.alu(*op, *dst, *imm as u64),
+            Inst::AluRmReg { op, dst, src } => self.alu(*op, *dst, self.gpr[*src as usize]),
+            Inst::Inc { dst } => {
                 let a = self.gpr[*dst as usize];
-                let b = self.read_rm(src, OpWidth::W64, counters);
-                self.alu(*op, &RmOperand::Reg(*dst), a, b, counters);
-            }
-            Inst::AluRmReg { op, dst, src } => {
-                let a = self.read_rm(dst, OpWidth::W64, counters);
-                let b = self.gpr[*src as usize];
-                self.alu(*op, dst, a, b, counters);
-            }
-            Inst::IncDec { dst, dec } => {
-                let a = self.read_rm(dst, OpWidth::W64, counters);
-                let result = if *dec { a.wrapping_sub(1) } else { a.wrapping_add(1) };
-                // INC/DEC leave CF untouched.
+                let result = a.wrapping_add(1);
+                // INC leaves CF untouched.
                 let cf = self.cf;
-                if *dec {
-                    self.set_sub_flags(a, 1, result);
-                } else {
-                    self.set_add_flags(a, 1, result);
-                }
+                self.set_add_flags(a, 1, result);
                 self.cf = cf;
-                self.write_rm(dst, OpWidth::W64, result, counters);
+                self.gpr[*dst as usize] = result;
             }
             Inst::Lea { dst, mem } => {
                 let addr = self.addr_of(mem);
                 self.gpr[*dst as usize] = addr;
             }
-            Inst::ShiftImm { dst, left, amount } => {
-                let a = self.read_rm(dst, OpWidth::W64, counters);
-                let result = if *left { a << (amount & 63) } else { a >> (amount & 63) };
-                self.set_logic_flags(result);
-                self.write_rm(dst, OpWidth::W64, result, counters);
-            }
             Inst::ImulRegRmImm { dst, src, imm } => {
-                let a = self.read_rm(src, OpWidth::W64, counters) as i64;
-                let result = a.wrapping_mul(*imm);
-                self.gpr[*dst as usize] = result as u64;
-                self.set_logic_flags(result as u64);
-            }
-            Inst::ImulRegRm { dst, src } => {
-                let a = self.gpr[*dst as usize] as i64;
-                let b = self.read_rm(src, OpWidth::W64, counters) as i64;
-                let result = a.wrapping_mul(b);
+                let result = (self.gpr[*src as usize] as i64).wrapping_mul(*imm);
                 self.gpr[*dst as usize] = result as u64;
                 self.set_logic_flags(result as u64);
             }
@@ -360,34 +272,10 @@ impl MachineState {
             }
             Inst::VFmadd231 { dst, a, src, kind, width_bytes, scalar } => {
                 let bytes = if *scalar { kind_bytes(*kind) } else { *width_bytes };
-                let vb = self.vec_rm(src, bytes, counters);
+                let vb = self.vec_read_mem(src, bytes, counters);
                 let va = self.vec[*a as usize];
                 let mut vd = self.vec[*dst as usize];
-                Self::lanewise(
-                    &mut vd,
-                    &va,
-                    &vb,
-                    *kind,
-                    bytes,
-                    |d, x, y| x.mul_add(y, d),
-                    |d, x, y| x.mul_add(y, d),
-                );
-                self.vec[*dst as usize] = vd;
-            }
-            Inst::VMul { dst, a, src, kind, width_bytes, scalar } => {
-                let bytes = if *scalar { kind_bytes(*kind) } else { *width_bytes };
-                let vb = self.vec_rm(src, bytes, counters);
-                let va = self.vec[*a as usize];
-                let mut vd = self.vec[*dst as usize];
-                Self::lanewise(&mut vd, &va, &vb, *kind, bytes, |_, x, y| x * y, |_, x, y| x * y);
-                self.vec[*dst as usize] = vd;
-            }
-            Inst::VAdd { dst, a, src, kind, width_bytes, scalar } => {
-                let bytes = if *scalar { kind_bytes(*kind) } else { *width_bytes };
-                let vb = self.vec_rm(src, bytes, counters);
-                let va = self.vec[*a as usize];
-                let mut vd = self.vec[*dst as usize];
-                Self::lanewise(&mut vd, &va, &vb, *kind, bytes, |_, x, y| x + y, |_, x, y| x + y);
+                Self::fmadd(&mut vd, &va, &vb, *kind, bytes);
                 self.vec[*dst as usize] = vd;
             }
             Inst::VMovLoad { dst, src, width_bytes } => {
@@ -409,30 +297,20 @@ impl MachineState {
         Ok(Flow::Next)
     }
 
-    fn alu(&mut self, op: AluOp, dst: &RmOperand, a: u64, b: u64, counters: &mut HwCounters) {
+    /// `dst = dst op b` for a register destination (`cmp` only sets flags).
+    fn alu(&mut self, op: AluOp, dst: u8, b: u64) {
+        let a = self.gpr[dst as usize];
         match op {
             AluOp::Add => {
                 let result = a.wrapping_add(b);
                 self.set_add_flags(a, b, result);
-                self.write_rm(dst, OpWidth::W64, result, counters);
+                self.gpr[dst as usize] = result;
             }
-            AluOp::Sub => {
-                let result = a.wrapping_sub(b);
-                self.set_sub_flags(a, b, result);
-                self.write_rm(dst, OpWidth::W64, result, counters);
-            }
-            AluOp::Cmp => {
-                let result = a.wrapping_sub(b);
-                self.set_sub_flags(a, b, result);
-            }
+            AluOp::Cmp => self.set_sub_flags(a, b, a.wrapping_sub(b)),
             AluOp::Xor => {
                 let result = a ^ b;
                 self.set_logic_flags(result);
-                self.write_rm(dst, OpWidth::W64, result, counters);
-            }
-            AluOp::Test => {
-                let result = a & b;
-                self.set_logic_flags(result);
+                self.gpr[dst as usize] = result;
             }
         }
     }

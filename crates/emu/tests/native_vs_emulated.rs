@@ -61,9 +61,11 @@ fn arithmetic_sequences_agree() {
         |asm| {
             asm.mov_rr64(Gpr::Rax, Gpr::Rdi);
             asm.add_rr64(Gpr::Rax, Gpr::Rsi);
-            asm.sub_ri64(Gpr::Rax, 17);
-            asm.shl_ri64(Gpr::Rax, 2);
+            asm.add_ri64(Gpr::Rax, -17);
+            asm.lea(Gpr::Rax, Mem::base(Gpr::Rsi).index(Gpr::Rax, Scale::S4).disp(-300));
             asm.imul_rri64(Gpr::Rax, Gpr::Rax, 3);
+            asm.inc_r64(Gpr::Rax);
+            asm.xor_rr64(Gpr::Rax, Gpr::Rdi);
             asm.add_ri64(Gpr::Rax, 1 << 20);
         },
         &[123456, 7890],
@@ -147,8 +149,8 @@ fn float_dot_product_agrees_bit_exactly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Random straight-line ALU programs produce identical results natively
-    /// and under emulation.
+    /// Random programs over the kernels' integer forms produce identical
+    /// results natively and under emulation.
     #[test]
     fn random_alu_programs_agree(
         ops in proptest::collection::vec((0u8..7, 0u8..4, -1000i32..1000), 1..20),
@@ -156,6 +158,8 @@ proptest! {
     ) {
         // Registers rax, rdi, rsi, rcx form the working set.
         let regs = [Gpr::Rax, Gpr::Rdi, Gpr::Rsi, Gpr::Rcx];
+        let scales = [Scale::S1, Scale::S2, Scale::S4, Scale::S8];
+        let conds = [Cond::E, Cond::Ne, Cond::L, Cond::Ge, Cond::Le, Cond::G];
         let build = |asm: &mut Assembler| {
             asm.xor_rr64(Gpr::Rax, Gpr::Rax);
             asm.xor_rr64(Gpr::Rcx, Gpr::Rcx);
@@ -163,12 +167,26 @@ proptest! {
                 let reg = regs[reg_idx as usize];
                 match op {
                     0 => asm.add_ri64(reg, imm),
-                    1 => asm.sub_ri64(reg, imm),
-                    2 => asm.add_rr64(Gpr::Rax, reg),
-                    3 => asm.sub_rr64(Gpr::Rax, reg),
-                    4 => asm.imul_rri64(reg, reg, (imm % 17).max(1)),
-                    5 => asm.shl_ri64(reg, (imm.unsigned_abs() % 8) as u8),
-                    _ => asm.xor_rr64(Gpr::Rax, reg),
+                    1 => asm.add_rr64(Gpr::Rax, reg),
+                    2 => asm.xor_rr64(Gpr::Rax, reg),
+                    3 => asm.imul_rri64(reg, reg, (imm % 17).max(1)),
+                    4 => {
+                        let scale = scales[imm.unsigned_abs() as usize % 4];
+                        asm.lea(reg, Mem::base(Gpr::Rax).index(reg, scale).disp(imm));
+                    }
+                    5 => asm.inc_r64(reg),
+                    _ => {
+                        // if !(reg cond imm) { rax += 1 }
+                        let skip = asm.new_label();
+                        if imm % 2 == 0 {
+                            asm.cmp_ri64(reg, imm);
+                        } else {
+                            asm.cmp_rr64(reg, Gpr::Rax);
+                        }
+                        asm.jcc(conds[imm.unsigned_abs() as usize % conds.len()], skip);
+                        asm.inc_r64(Gpr::Rax);
+                        asm.bind(skip).unwrap();
+                    }
                 }
             }
         };
