@@ -5,66 +5,44 @@
 /// [`crate::Assembler`] appends encoded instructions here; the buffer also
 /// supports patching previously emitted bytes, which label fixups use.
 #[derive(Debug, Default, Clone)]
-pub struct CodeBuffer {
+pub(crate) struct CodeBuffer {
     bytes: Vec<u8>,
 }
 
 impl CodeBuffer {
-    /// Create an empty buffer.
-    pub fn new() -> CodeBuffer {
-        CodeBuffer { bytes: Vec::new() }
-    }
-
-    /// Create an empty buffer with `capacity` bytes reserved.
-    pub fn with_capacity(capacity: usize) -> CodeBuffer {
-        CodeBuffer { bytes: Vec::with_capacity(capacity) }
-    }
-
     /// Current length in bytes (== the offset of the next emitted byte).
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// Whether no bytes have been emitted yet.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 
     /// Append a single byte.
     #[inline]
-    pub fn push_u8(&mut self, b: u8) {
+    pub(crate) fn push_u8(&mut self, b: u8) {
         self.bytes.push(b);
-    }
-
-    /// Append a little-endian 16-bit value.
-    #[inline]
-    pub fn push_u16(&mut self, v: u16) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian 32-bit value.
     #[inline]
-    pub fn push_u32(&mut self, v: u32) {
+    pub(crate) fn push_u32(&mut self, v: u32) {
         self.bytes.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian 64-bit value.
     #[inline]
-    pub fn push_u64(&mut self, v: u64) {
+    pub(crate) fn push_u64(&mut self, v: u64) {
         self.bytes.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a signed 32-bit value (little-endian).
     #[inline]
-    pub fn push_i32(&mut self, v: i32) {
+    pub(crate) fn push_i32(&mut self, v: i32) {
         self.push_u32(v as u32);
     }
 
     /// Append raw bytes.
     #[inline]
-    pub fn extend(&mut self, bytes: &[u8]) {
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
         self.bytes.extend_from_slice(bytes);
     }
 
@@ -73,40 +51,13 @@ impl CodeBuffer {
     /// # Panics
     ///
     /// Panics if `offset + 4` exceeds the buffer length.
-    pub fn patch_u32(&mut self, offset: usize, v: u32) {
+    pub(crate) fn patch_u32(&mut self, offset: usize, v: u32) {
         self.bytes[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// Read back four bytes at `offset` as a little-endian 32-bit value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + 4` exceeds the buffer length.
-    pub fn read_u32(&self, offset: usize) -> u32 {
-        u32::from_le_bytes(self.bytes[offset..offset + 4].try_into().unwrap())
-    }
-
-    /// A view of the emitted bytes.
-    #[inline]
-    pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
-    }
-
     /// Consume the buffer and return the bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.bytes
-    }
-}
-
-impl AsRef<[u8]> for CodeBuffer {
-    fn as_ref(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-impl From<CodeBuffer> for Vec<u8> {
-    fn from(buf: CodeBuffer) -> Vec<u8> {
-        buf.bytes
     }
 }
 
@@ -116,34 +67,30 @@ mod tests {
 
     #[test]
     fn push_widths_are_little_endian() {
-        let mut b = CodeBuffer::new();
+        let mut b = CodeBuffer::default();
         b.push_u8(0xAA);
-        b.push_u16(0x1122);
         b.push_u32(0x33445566);
         b.push_u64(0x778899AABBCCDDEE);
         assert_eq!(
-            b.as_slice(),
-            &[
-                0xAA, 0x22, 0x11, 0x66, 0x55, 0x44, 0x33, 0xEE, 0xDD, 0xCC, 0xBB, 0xAA, 0x99, 0x88,
-                0x77
-            ]
+            b.into_bytes(),
+            [0xAA, 0x66, 0x55, 0x44, 0x33, 0xEE, 0xDD, 0xCC, 0xBB, 0xAA, 0x99, 0x88, 0x77]
         );
     }
 
     #[test]
     fn patch_round_trips() {
-        let mut b = CodeBuffer::with_capacity(16);
+        let mut b = CodeBuffer::default();
         b.push_u32(0);
         b.push_u8(0xC3);
         b.patch_u32(0, 0xDEADBEEF);
-        assert_eq!(b.read_u32(0), 0xDEADBEEF);
         assert_eq!(b.len(), 5);
+        assert_eq!(b.into_bytes(), [0xEF, 0xBE, 0xAD, 0xDE, 0xC3]);
     }
 
     #[test]
     fn negative_i32_encoding() {
-        let mut b = CodeBuffer::new();
+        let mut b = CodeBuffer::default();
         b.push_i32(-1);
-        assert_eq!(b.as_slice(), &[0xFF, 0xFF, 0xFF, 0xFF]);
+        assert_eq!(b.into_bytes(), [0xFF, 0xFF, 0xFF, 0xFF]);
     }
 }

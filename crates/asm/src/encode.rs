@@ -249,7 +249,7 @@ mod tests {
     use crate::Scale;
 
     fn bytes(f: impl FnOnce(&mut CodeBuffer)) -> Vec<u8> {
-        let mut b = CodeBuffer::new();
+        let mut b = CodeBuffer::default();
         f(&mut b);
         b.into_bytes()
     }

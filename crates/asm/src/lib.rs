@@ -55,7 +55,6 @@ mod mem;
 mod reg;
 
 pub use assembler::Assembler;
-pub use buffer::CodeBuffer;
 pub use cond::Cond;
 pub use cpu::{CpuFeatures, IsaLevel};
 pub use error::AsmError;

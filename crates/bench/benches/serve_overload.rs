@@ -1,7 +1,8 @@
 //! Serving overload benchmark: flood an [`SpmmServer`] with 10x its
-//! admission queue depth under a *shedding* policy and measure what
-//! admission control is for — admission latency (how fast a producer learns
-//! accept/reject, p50/p99), shed rate, and goodput of the admitted subset.
+//! per-engine in-flight cap — that many sender threads, each sending one
+//! request at once — under a *shedding* policy, and measure what admission
+//! control is for: admission latency (how fast a shed sender learns its
+//! rejection, p50/p99), shed rate, and goodput of the admitted subset.
 //!
 //! Run with: `cargo bench -p jitspmm-bench --bench serve_overload`
 //! (add `-- --quick` for a fast pass). Emits a human-readable table on
@@ -13,10 +14,15 @@ use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
 use jitspmm::{CpuFeatures, JitSpmmBuilder, WorkerPool};
 use jitspmm_bench::{emit_bench_json, host_cores, TextTable};
 use jitspmm_sparse::{generate, DenseMatrix};
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-/// Offered load per run, as a multiple of the admission queue depth.
+/// Concurrent senders per run, as a multiple of the in-flight cap.
 const FLOOD_FACTOR: usize = 10;
+
+/// Stack size of each sender thread: a send needs little, and a flood at
+/// the largest cap starts hundreds of them.
+const SENDER_STACK: usize = 256 << 10;
 
 /// Nearest-rank percentile over an already-sorted sample.
 fn percentile(sorted: &[Duration], q: f64) -> Duration {
@@ -38,7 +44,10 @@ fn main() {
     let workers = cores.max(2);
     let reps = if quick { 3 } else { 8 };
     let d = 16usize;
-    let a = generate::uniform::<f32>(1_200, 1_200, 20_000, 9);
+    // Dense enough that one request runs for longer than a scheduler slice,
+    // so the senders overlap even on a two-core host; small enough in rows
+    // and columns that the flood's inputs and outputs stay small.
+    let a = generate::uniform::<f32>(4_000, 1_200, 3_000_000, 9);
     let pool = WorkerPool::new(workers);
     let engine = JitSpmmBuilder::new()
         .pool(pool.clone())
@@ -47,12 +56,12 @@ fn main() {
         .expect("JIT compilation failed");
     let server = SpmmServer::new(vec![engine]).expect("engine shares the pool");
     println!(
-        "serving overload: shedding admission under a {FLOOD_FACTOR}x flood \
-         ({workers} pool workers, {cores} host cores, {reps} reps per cap)\n"
+        "serving overload: shedding admission under {FLOOD_FACTOR}x the cap in concurrent \
+         senders ({workers} pool workers, {cores} host cores, {reps} reps per cap)\n"
     );
 
     let mut table = TextTable::new(&[
-        "queue cap",
+        "in-flight cap",
         "offered",
         "admitted(mean)",
         "shed rate",
@@ -71,22 +80,33 @@ fn main() {
         let mut shed_rate_sum = 0f64;
         let mut goodput_sum = 0f64;
         for _rep in 0..reps {
-            // Requests are materialized before the timed run: the admission
-            // numbers measure the send, not input cloning.
+            // Requests are materialized before the timed run, and every
+            // sender waits at the barrier: the admission numbers measure the
+            // send, not input cloning or thread start-up.
             let requests: Vec<ServerRequest<f32>> =
                 template.iter().map(|x| ServerRequest::new(0, x.clone())).collect();
+            let start = Barrier::new(total);
+            let shed = Mutex::new(Vec::with_capacity(total));
             let run_start = Instant::now();
-            let (report, sends) = server
+            let (report, ()) = server
                 .serve_controlled(
                     ServeOptions::new(AdmissionPolicy::shedding(cap)),
-                    move |sender| {
-                        let mut sends = Vec::with_capacity(requests.len());
-                        for request in requests {
-                            let start = Instant::now();
-                            let admitted = sender.send_request(request).is_ok();
-                            sends.push((start.elapsed(), admitted));
-                        }
-                        sends
+                    |sender| {
+                        std::thread::scope(|senders| {
+                            for request in requests {
+                                let (sender, start, shed) = (&sender, &start, &shed);
+                                std::thread::Builder::new()
+                                    .stack_size(SENDER_STACK)
+                                    .spawn_scoped(senders, move || {
+                                        start.wait();
+                                        let sent = Instant::now();
+                                        if sender.send_request(request).is_err() {
+                                            shed.lock().unwrap().push(sent.elapsed());
+                                        }
+                                    })
+                                    .expect("spawn a sender thread");
+                            }
+                        });
                     },
                     drop,
                 )
@@ -96,7 +116,7 @@ fn main() {
             admitted_sum += report.requests;
             shed_rate_sum += report.shed_rate();
             goodput_sum += report.requests as f64 / elapsed.as_secs_f64();
-            latencies.extend(sends.iter().map(|(latency, _)| *latency));
+            latencies.extend(shed.into_inner().unwrap());
         }
         latencies.sort();
         let p50 = percentile(&latencies, 0.50);
@@ -122,7 +142,7 @@ fn main() {
 
     table.print();
     println!(
-        "\n(admission latency is the producer-side cost of learning accept/reject under a \
+        "\n(admission latency is what a shed sender waits to learn its rejection under a \
          shedding policy — it must stay flat as the flood grows; goodput counts only \
          completed requests)"
     );

@@ -1,5 +1,5 @@
-//! `jitspmm-serve` — a TCP front end over compiled [`JitSpmm`] and
-//! [`MutableSpmm`] engines.
+//! `jitspmm-serve` — a TCP front end over an [`SpmmServer`] of compiled
+//! [`jitspmm::JitSpmm`] or [`MutableSpmm`] engines.
 //!
 //! Engines are described by **synthetic matrix specs** so a restarted server
 //! reconstructs byte-identical matrices — and therefore serves bit-identical
@@ -32,12 +32,12 @@
 //!
 //! Every request runs on the thread of the connection that sent it, and
 //! that thread writes the reply: no serving loop, no reply FIFO, no channel.
-//! A MUL builds its input, takes one of its engine's in-flight slots
+//! A MUL builds its input and calls [`SpmmServer::handle`] — the library's
+//! one serving path — which takes one of the engine's in-flight slots
 //! (`--queue` bounds the MULs running on one engine; one over the bound is
-//! shed with a `not admitted` error frame) and calls the engine itself —
-//! [`JitSpmm::execute`], or [`MutableSpmm::execute`] in a pool scope — so
-//! the worker pool's job queue is the only queue it waits in. A panic in
-//! the launch fails that MUL alone. Nothing polls: the accept loop blocks
+//! shed with a `not admitted` error frame) and runs the engine on this
+//! thread, so the worker pool's job queue is the only queue it waits in. A
+//! panic in the launch fails that MUL alone. Nothing polls: the accept loop blocks
 //! in `accept()` (SHUTDOWN unblocks it with a loopback connection to
 //! itself), and every frame — length prefix included — leaves in one write.
 //! Once the connections have closed, the server prints `done: C completed,
@@ -53,11 +53,11 @@
 //! pins its generation only while it runs — plus the server-wide
 //! applied/failed update counters.
 
-use jitspmm::{JitSpmm, JitSpmmBuilder, MutableSpmm, WorkerPool};
+use jitspmm::serve::{AdmissionPolicy, RejectReason, ServerRequest, ServerResponse, SpmmServer};
+use jitspmm::{JitSpmmBuilder, MutableSpmm, WorkerPool};
 use jitspmm_sparse::{generate, CsrMatrix, DeltaBatch, DenseMatrix};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -279,21 +279,13 @@ fn run_server(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// A compiled engine the connection threads call directly.
-enum Engine<'m> {
-    Single(JitSpmm<'m, f32>),
-    Mutable(MutableSpmm<f32>),
-}
-
 /// What every connection thread of one server shares.
 struct Server<'m> {
     specs: &'m [MatrixSpec],
-    engines: Vec<Engine<'m>>,
-    /// MULs running on each engine right now (see [`admit`]).
-    in_flight: Vec<AtomicUsize>,
+    /// Engine `i` serves `specs[i]`.
+    engines: SpmmServer<'m, f32>,
     /// The most MULs one engine runs at once (`--queue`).
     max_in_flight: usize,
-    pool: WorkerPool,
     counts: Counts,
     shutdown: Shutdown,
 }
@@ -304,27 +296,25 @@ struct Server<'m> {
 fn serve_listener(config: &ServerConfig, listener: TcpListener) -> Result<String, String> {
     let pool = WorkerPool::new(config.threads.max(1));
     let matrices: Vec<CsrMatrix<f32>> = config.specs.iter().map(MatrixSpec::build).collect();
-    let mut engines = Vec::with_capacity(matrices.len());
+    let engines = SpmmServer::with_pool(pool.clone());
     for (spec, matrix) in config.specs.iter().zip(&matrices) {
-        let engine = if config.mutable {
-            let shards = config.shards.max(1);
-            MutableSpmm::compile(matrix, shards, config.threads.max(1), spec.d, pool.clone())
-                .map(Engine::Mutable)
+        let threads = config.threads.max(1);
+        let added = if config.mutable {
+            MutableSpmm::compile(matrix, config.shards.max(1), threads, spec.d, pool.clone())
+                .and_then(|mutable| engines.add_mutable(mutable))
         } else {
             JitSpmmBuilder::new()
                 .pool(pool.clone())
-                .threads(config.threads.max(1))
+                .threads(threads)
                 .build(matrix, spec.d)
-                .map(Engine::Single)
+                .and_then(|single| engines.add_engine(single))
         };
-        engines.push(engine.map_err(|e| format!("compile failed: {e}"))?);
+        added.map_err(|e| format!("compile failed: {e}"))?;
     }
     let server = Server {
         specs: &config.specs,
-        in_flight: engines.iter().map(|_| AtomicUsize::new(0)).collect(),
         engines,
         max_in_flight: config.queue.max(1),
-        pool,
         counts: Counts::default(),
         shutdown: Shutdown::new(&listener).map_err(|e| format!("local_addr: {e}"))?,
     };
@@ -387,23 +377,6 @@ struct Counts {
     updates_failed: AtomicUsize,
 }
 
-/// Count one more MUL on an engine unless `cap` run there already. The slot
-/// is given back when the returned guard drops — on unwind too.
-fn admit(running: &AtomicUsize, cap: usize) -> Option<Admitted<'_>> {
-    let more = |now: usize| (now < cap).then_some(now + 1);
-    running.fetch_update(Ordering::AcqRel, Ordering::Acquire, more).ok()?;
-    Some(Admitted(running))
-}
-
-/// One admitted MUL's slot in its engine's in-flight count.
-struct Admitted<'a>(&'a AtomicUsize);
-
-impl Drop for Admitted<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 /// Handle one client connection: a sequence of request frames until EOF.
 fn serve_connection(mut stream: TcpStream, server: &Server<'_>) {
     let _ = stream.set_nodelay(true);
@@ -416,9 +389,9 @@ fn serve_connection(mut stream: TcpStream, server: &Server<'_>) {
                 // Rendered live per request: nonzero count and matrix
                 // revision move while the server runs (UPDATE frames).
                 let mut text = format!("engines: {}\n", server.specs.len());
-                for (id, (spec, engine)) in server.specs.iter().zip(&server.engines).enumerate() {
-                    let line = match engine {
-                        Engine::Mutable(mutable) => format!(
+                for (id, spec) in server.specs.iter().enumerate() {
+                    let line = match server.engines.mutable(id) {
+                        Some(mutable) => format!(
                             "engine {id}: {}x{} nnz={} d={} kind=mutable shards={} rev={} \
                              generations={}\n",
                             spec.rows,
@@ -429,7 +402,7 @@ fn serve_connection(mut stream: TcpStream, server: &Server<'_>) {
                             mutable.revision(),
                             mutable.generations_retained()
                         ),
-                        Engine::Single(_) => format!(
+                        None => format!(
                             "engine {id}: {}x{} nnz={} d={} kind=single\n",
                             spec.rows, spec.cols, spec.nnz, spec.d
                         ),
@@ -475,34 +448,28 @@ fn handle_mul(
     seed: u64,
     frame: &mut Vec<u8>,
 ) -> Result<(), Vec<u8>> {
-    let (Some(spec), Some(running)) = (server.specs.get(engine), server.in_flight.get(engine))
-    else {
+    let Some(spec) = server.specs.get(engine) else {
         return Err(error_frame(&format!("unknown engine {engine}")));
     };
     let input = DenseMatrix::<f32>::random(spec.cols, spec.d, seed);
-    let Some(_admitted) = admit(running, server.max_in_flight) else {
-        server.counts.rejected.fetch_add(1, Ordering::Relaxed);
-        return Err(error_frame(&format!(
-            "not admitted: {} MULs already in flight on engine {engine}",
-            server.max_in_flight
-        )));
-    };
-    let run = catch_unwind(AssertUnwindSafe(|| match &server.engines[engine] {
-        Engine::Single(single) => single.execute(&input),
-        Engine::Mutable(mutable) => server.pool.scope(|s| mutable.execute(s, &input)),
-    }));
-    let message = match run {
-        Ok(Ok((output, _))) => {
+    let admission = AdmissionPolicy::shedding(server.max_in_flight);
+    let message = match server.engines.handle(admission, ServerRequest::new(engine, input)) {
+        ServerResponse::Completed { output, .. } => {
             server.counts.completed.fetch_add(1, Ordering::Relaxed);
             encode_mul_reply(frame, output.as_slice(), spec);
             return Ok(());
         }
-        Ok(Err(e)) => e.to_string(),
-        Err(panic) => panic
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "the launch panicked".to_string()),
+        ServerResponse::Rejected { reason: RejectReason::QueueFull, .. } => {
+            server.counts.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(error_frame(&format!(
+                "not admitted: {} MULs already in flight on engine {engine}",
+                server.max_in_flight
+            )));
+        }
+        ServerResponse::Rejected { reason: RejectReason::UnknownEngine, .. } => {
+            return Err(error_frame(&format!("unknown engine {engine}")));
+        }
+        ServerResponse::Failed { message, .. } => message,
     };
     server.counts.failed.fetch_add(1, Ordering::Relaxed);
     Err(error_frame(&format!("failed: {message}")))
@@ -517,7 +484,7 @@ fn handle_update(payload: &[u8], server: &Server<'_>) -> Vec<u8> {
     if payload.len() != 9 + count * UPDATE_OP_BYTES {
         return error_frame("malformed update frame");
     }
-    let Some(Engine::Mutable(mutable)) = server.engines.get(engine) else {
+    let Some(mutable) = server.engines.mutable(engine) else {
         return error_frame(&format!("engine {engine} is not updatable (serve with --mutable)"));
     };
     let mut delta = DeltaBatch::new();
@@ -881,22 +848,6 @@ mod tests {
                 }
             });
         });
-    }
-
-    #[test]
-    fn an_in_flight_slot_is_refused_at_the_cap_and_given_back_on_drop_and_unwind() {
-        let running = AtomicUsize::new(0);
-        let first = admit(&running, 1).expect("a free slot");
-        assert!(admit(&running, 1).is_none(), "a second MUL at cap 1 must be refused");
-        drop(first);
-        let unwound = catch_unwind(AssertUnwindSafe(|| {
-            let _held = admit(&running, 1).expect("the dropped guard gave its slot back");
-            panic!("a launch panics while it holds the slot");
-        }));
-        assert!(unwound.is_err());
-        assert_eq!(running.load(Ordering::SeqCst), 0, "the unwind gave the slot back");
-        let (a, b) = (admit(&running, 2), admit(&running, 2));
-        assert!(a.is_some() && b.is_some() && admit(&running, 2).is_none());
     }
 
     #[test]

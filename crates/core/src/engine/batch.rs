@@ -1,7 +1,6 @@
 //! The batched serving pipeline: [`JitSpmm::execute_batch`] over input
-//! slices and the incremental [`BatchStream`] for unbounded streams, with
-//! both borrowed ([`BatchStream::push`]) and owned
-//! ([`BatchStream::push_owned`]) inputs. One stream type serves every
+//! slices and the incremental [`BatchStream`] for unbounded streams
+//! ([`BatchStream::push`]). One stream type serves every
 //! engine shape: a single engine is the one-part case, a sharded engine's
 //! K row-shard kernels write one shared full-height output in place. It is
 //! the only deferred launch path: a one-shot sharded or mutable `execute`
@@ -53,8 +52,8 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     ///
     /// For unbounded streams — where inputs arrive one at a time and
     /// outputs should be consumed as they complete — drive a
-    /// [`BatchStream`] directly via [`JitSpmm::batch_stream`]. To serve a
-    /// mixed request stream across *several* engines sharing one pool, see
+    /// [`BatchStream`] directly via [`JitSpmm::batch_stream`]. To serve
+    /// requests across *several* engines sharing one pool, see
     /// [`crate::serve::SpmmServer`].
     ///
     /// ```
@@ -198,11 +197,6 @@ struct InFlight<T: Scalar> {
     slot: usize,
     y: PooledMatrix<T>,
     submitted: Instant,
-    /// An input pushed by value ([`BatchStream::push_owned`]), kept alive
-    /// here until every part's launch has been joined — the workers
-    /// dereference its buffer. `None` for borrowed pushes, whose input
-    /// lives for `'env`.
-    _input: Option<DenseMatrix<T>>,
 }
 
 /// Anything a stream keeps alive until it is gone (see
@@ -219,10 +213,7 @@ impl<G> Held for G {}
 ///
 /// [`BatchStream::push`] submits the next input and, once the pipeline is
 /// full, hands back the **oldest** completed output — results always come
-/// back in submission order. Cross-thread producers that cannot provide
-/// `'env` borrows hand inputs over by value with
-/// [`BatchStream::push_owned`]; the stream keeps each owned input alive
-/// until its launch has been joined. [`BatchStream::finish`] drains the
+/// back in submission order. [`BatchStream::finish`] drains the
 /// pipeline. Every input comes back with its own [`ExecutionReport`];
 /// aggregating them is the caller's business.
 ///
@@ -237,8 +228,8 @@ impl<G> Held for G {}
 /// streams — while the stream is open. Dropping the stream mid-batch joins
 /// the launches still in flight and discards their results; leaking it
 /// (`std::mem::forget`) is safe — the owning [`PoolScope`] still joins
-/// every launch — but leaks the in-flight output buffers (and any owned
-/// inputs); the engines keep working.
+/// every launch — but leaks the in-flight output buffers; the engines keep
+/// working.
 pub struct BatchStream<'scope, 'env, T: Scalar> {
     /// The kernels every input fans out to, in row order; one for a single
     /// engine.
@@ -349,31 +340,6 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         Ok(self.push_validated(x))
     }
 
-    /// [`BatchStream::push`] for an input handed over **by value**, so a
-    /// producer on another thread (or any caller without an `'env` borrow to
-    /// offer — a request queue, a network socket) can feed the pipeline. The
-    /// stream keeps the input alive until its launch has been joined, then
-    /// drops it; everything else — ordering, completion, reporting — matches
-    /// [`BatchStream::push`]. The multi-engine serving router
-    /// ([`crate::serve::SpmmServer`]) feeds every request through this path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JitSpmmError::ShapeMismatch`] if `x` is not `A.ncols() x d`;
-    /// the rejected input is dropped (it was passed by value) and the
-    /// pipeline is unaffected.
-    ///
-    /// # Panics
-    ///
-    /// As [`BatchStream::push`].
-    pub fn push_owned(
-        &mut self,
-        x: DenseMatrix<T>,
-    ) -> Result<Option<(PooledMatrix<T>, ExecutionReport)>, JitSpmmError> {
-        self.check(&x)?;
-        Ok(self.push_owned_validated(x))
-    }
-
     /// The input-shape check every part shares: the first part's matrix
     /// columns by the stream's `d`.
     fn check(&self, x: &DenseMatrix<T>) -> Result<(), JitSpmmError> {
@@ -386,18 +352,7 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         let done = self.make_room();
         // `x` is borrowed for 'env, which outlives the scope's join of
         // every launch (`submit`'s liveness contract).
-        self.submit(x.as_ptr(), None);
-        done
-    }
-
-    /// [`BatchStream::push_owned`] for pre-validated inputs (the serving
-    /// router validates at its own entry point).
-    pub(crate) fn push_owned_validated(&mut self, x: DenseMatrix<T>) -> Option<Completed<T>> {
-        let done = self.make_room();
-        // `submit` stows the matrix in the in-flight entry before anything
-        // launches; moving a `DenseMatrix` never moves its heap buffer, so
-        // the pointer taken here stays valid.
-        self.submit(x.as_ptr(), Some(x));
+        self.submit(x.as_ptr());
         done
     }
 
@@ -408,29 +363,6 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
             Some(self.complete_oldest())
         } else {
             None
-        }
-    }
-
-    /// Whether every launch of the oldest in-flight input has finished, so
-    /// [`BatchStream::complete_next`] would return without waiting. Never
-    /// blocks; `false` with nothing in flight.
-    pub(crate) fn oldest_done(&self) -> bool {
-        self.in_flight
-            .front()
-            .is_some_and(|oldest| self.slots[oldest.slot].handles.iter().all(|job| job.is_done()))
-    }
-
-    /// Join the oldest in-flight input, if any — the serving loop's building
-    /// block: it drains pipelines one completion at a time and wraps each
-    /// call in `catch_unwind` to convert a worker panic into a typed
-    /// per-request failure. A panic unwinds out of here with every launch
-    /// of that input joined and the pipeline bookkeeping already restored
-    /// (see [`BatchStream::complete_oldest`]), so the stream stays usable.
-    pub(crate) fn complete_next(&mut self) -> Option<Completed<T>> {
-        if self.in_flight.is_empty() {
-            None
-        } else {
-            Some(self.complete_oldest())
         }
     }
 
@@ -452,10 +384,9 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
     /// Launch the input behind `x_ptr` from a free slot: one pooled output,
     /// one job per part. The caller guarantees a free slot exists (the
     /// pipeline was drained to below depth), that the input passed
-    /// validation, and that the pointee stays alive until every launch is
-    /// joined — by `'env` borrow, or by `owned` (the same matrix, passed by
-    /// value), which this function stows in the in-flight entry.
-    fn submit(&mut self, x_ptr: *const T, owned: Option<DenseMatrix<T>>) {
+    /// validation, and that the pointee lives for `'env`, so past every
+    /// launch's join.
+    fn submit(&mut self, x_ptr: *const T) {
         let index = self
             .slots
             .iter()
@@ -469,8 +400,8 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         let submitted = Instant::now();
         // Stowed *before* the first launch, so even an unwind out of the
         // loop below reaches the stream's drop — which joins the slot's
-        // handles — with the output and the owned input still alive.
-        self.in_flight.push_back(InFlight { slot: index, y, submitted, _input: owned });
+        // handles — with the output still alive.
+        self.in_flight.push_back(InFlight { slot: index, y, submitted });
         let slot = &mut self.slots[index];
         for (part, payload) in self.parts.iter().zip(&mut slot.payloads) {
             let engine = part.engine;
@@ -490,11 +421,11 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
             // only rewritten by a later `submit` from this slot, which
             // needs `handles` empty — i.e. after `complete_oldest` joined
             // all of them — or freed after the stream's drop joined them.
-            // The output and any owned input sit in the in-flight entry
-            // pushed above, which `complete_oldest` releases only after
-            // joining every part and the stream's drop only after joining
-            // every slot. The kernel, the partition, the engine-borrowed CSR
-            // arrays and a borrowed input live for at least 'env, which
+            // The output sits in the in-flight entry pushed above, which
+            // `complete_oldest` releases only after joining every part and
+            // the stream's drop only after joining every slot. The kernel,
+            // the partition, the engine-borrowed CSR arrays and the input
+            // live for at least 'env, which
             // cannot end before the scope has joined the job; a leaked
             // stream leaks all of the above, never frees it. Parts write
             // pairwise disjoint row ranges of the output, shapes were
@@ -538,8 +469,8 @@ impl<'scope, 'env, T: Scalar> BatchStream<'scope, 'env, T> {
         }
         slot.handles.clear();
         if let Some(payload) = panic {
-            // `launch` (the output, any owned input) drops with the unwind,
-            // strictly after the joins above.
+            // `launch` (and its output) drops with the unwind, strictly
+            // after the joins above.
             resume_unwind(payload);
         }
         let report = match self.reports[..] {
@@ -577,8 +508,8 @@ pub(super) fn merge_input_reports(reports: &[ExecutionReport]) -> ExecutionRepor
 impl<T: Scalar> Drop for BatchStream<'_, '_, T> {
     fn drop(&mut self) {
         // Join every launch still in flight before anything it points at is
-        // released: the payload slots, the in-flight outputs and owned
-        // inputs and whatever `_hold` keeps alive all drop with the fields,
+        // released: the payload slots, the in-flight outputs and whatever
+        // `_hold` keeps alive all drop with the fields,
         // right after this body. Panics are discarded
         // here — `push`/`finish` re-raise them — so an abandoned stream
         // cannot poison the scope exit.

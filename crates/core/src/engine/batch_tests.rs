@@ -139,106 +139,6 @@ fn batch_stream_survives_a_mismatched_push() {
 }
 
 #[test]
-fn push_owned_matches_borrowed_push_exactly() {
-    if !host_ok() {
-        eprintln!("skipping: host lacks AVX/FMA");
-        return;
-    }
-    let a = generate::rmat::<f32>(8, 2_500, generate::RmatConfig::GRAPH500, 12);
-    for strategy in [Strategy::RowSplitStatic, Strategy::RowSplitDynamic { batch: 16 }] {
-        let engine = JitSpmmBuilder::new()
-            .strategy(strategy)
-            .threads(2)
-            .pool(WorkerPool::new(2))
-            .build(&a, 8)
-            .unwrap();
-        let inputs: Vec<DenseMatrix<f32>> =
-            (0..6).map(|seed| DenseMatrix::random(a.ncols(), 8, 500 + seed)).collect();
-        let expected: Vec<DenseMatrix<f32>> =
-            inputs.iter().map(|x| engine.execute(x).unwrap().0.into_dense()).collect();
-        // Owned pushes must be bit-identical to the blocking path, in
-        // submission order.
-        engine.pool().scope(|scope| {
-            let mut stream = engine.batch_stream(scope, 2);
-            let mut outputs = Vec::new();
-            for x in &inputs {
-                if let Some((y, _)) = stream.push_owned(x.clone()).unwrap() {
-                    outputs.push(y.into_dense());
-                }
-            }
-            outputs.extend(stream.finish().into_iter().map(|(y, _)| y.into_dense()));
-            assert_eq!(outputs, expected, "strategy {strategy}");
-        });
-    }
-}
-
-#[test]
-fn push_owned_from_a_producer_thread() {
-    if !host_ok() {
-        eprintln!("skipping: host lacks AVX/FMA");
-        return;
-    }
-    // The motivating shape: a producer thread creates inputs that never
-    // live in the consumer's 'env, handing them over by value through a
-    // channel. The stream must keep each one alive until its launch has
-    // been joined.
-    let a = generate::uniform::<f32>(120, 120, 1_100, 3);
-    let engine = JitSpmmBuilder::new().threads(2).pool(WorkerPool::new(2)).build(&a, 8).unwrap();
-    let expected: Vec<DenseMatrix<f32>> = (0..8)
-        .map(|seed| {
-            engine.execute(&DenseMatrix::random(120, 8, 900 + seed)).unwrap().0.into_dense()
-        })
-        .collect();
-    let (tx, rx) = std::sync::mpsc::sync_channel::<DenseMatrix<f32>>(2);
-    std::thread::scope(|ts| {
-        ts.spawn(move || {
-            for seed in 0..8 {
-                tx.send(DenseMatrix::random(120, 8, 900 + seed)).unwrap();
-            }
-        });
-        engine.pool().scope(|scope| {
-            let mut stream = engine.batch_stream(scope, 2);
-            let mut outputs = Vec::new();
-            for x in rx {
-                if let Some((y, _)) = stream.push_owned(x).unwrap() {
-                    outputs.push(y.into_dense());
-                }
-            }
-            outputs.extend(stream.finish().into_iter().map(|(y, _)| y.into_dense()));
-            assert_eq!(outputs, expected);
-        });
-    });
-}
-
-#[test]
-fn push_owned_rejects_bad_shapes_without_disturbing_the_pipeline() {
-    if !host_ok() {
-        eprintln!("skipping: host lacks AVX/FMA");
-        return;
-    }
-    let a = generate::uniform::<f32>(70, 70, 500, 6);
-    let engine = JitSpmmBuilder::new().threads(1).build(&a, 4).unwrap();
-    let good: Vec<DenseMatrix<f32>> = (0..3).map(|seed| DenseMatrix::random(70, 4, seed)).collect();
-    engine.pool().scope(|scope| {
-        let mut stream = engine.batch_stream(scope, 2);
-        let mut done = 0usize;
-        for (i, x) in good.iter().enumerate() {
-            if i == 1 {
-                assert!(matches!(
-                    stream.push_owned(DenseMatrix::<f32>::zeros(70, 9)).unwrap_err(),
-                    JitSpmmError::ShapeMismatch(_)
-                ));
-            }
-            if stream.push_owned(x.clone()).unwrap().is_some() {
-                done += 1;
-            }
-        }
-        done += stream.finish().len();
-        assert_eq!(done, good.len());
-    });
-}
-
-#[test]
 fn execute_runs_while_a_batch_stream_is_open() {
     if !host_ok() {
         eprintln!("skipping: host lacks AVX/FMA");
@@ -302,15 +202,15 @@ fn a_leaked_batch_stream_is_joined_by_the_scope() {
     let engine = JitSpmmBuilder::new().threads(2).pool(WorkerPool::new(2)).build(&a, 8).unwrap();
     engine.pool().scope(|scope| {
         let mut stream = engine.batch_stream(scope, 2);
-        assert!(stream.push_owned(x.clone()).unwrap().is_none());
+        assert!(stream.push(&x).unwrap().is_none());
         assert_eq!(stream.in_flight(), 1);
         // `mem::forget` is safe: the scope must join the in-flight launch
         // before the engine, the matrix or anything the stream owns could
         // be freed — the forgotten stream leaks them instead.
         std::mem::forget(stream);
     });
-    // The leaked stream leaked its output and the owned input, and nothing
-    // else: the engine keeps working, on every launch path.
+    // The leaked stream leaked its output and nothing else: the engine
+    // keeps working, on every launch path.
     assert_eq!(*engine.execute(&x).unwrap().0, expected);
     let mut y = DenseMatrix::zeros(128, 8);
     engine.execute_into(&x, &mut y).unwrap();
@@ -358,7 +258,7 @@ fn repeated_streams_and_a_serving_session_match_execute() {
     let mut served = Vec::new();
     let (report, ()) = server
         .serve_controlled(
-            ServeOptions::new(AdmissionPolicy::blocking(4)),
+            ServeOptions::new(AdmissionPolicy::shedding(1)),
             |sender| {
                 for x in &inputs {
                     sender.send_request(ServerRequest::new(0, x.clone())).unwrap();

@@ -140,7 +140,7 @@ fn two_streams_of_one_engine_run_side_by_side() {
             assert!(first.push(&x).unwrap().is_none());
             let mut second = engine.batch_stream(scope, 2);
             assert!(second.push(&x).unwrap().is_none());
-            assert!(second.push_owned(x.clone()).unwrap().is_none());
+            assert!(second.push(&x).unwrap().is_none());
             for (y, _) in first.finish().into_iter().chain(second.finish()) {
                 assert_eq!(*y, expected, "strategy {strategy}");
             }
@@ -230,7 +230,7 @@ fn concurrent_launches_of_one_engine_match_the_scalar_anchor() {
                             _ => engine.pool().scope(|scope| {
                                 let mut stream = engine.batch_stream(scope, 2);
                                 assert!(stream.push(x).unwrap().is_none());
-                                assert!(stream.push_owned(x.clone()).unwrap().is_none());
+                                assert!(stream.push(x).unwrap().is_none());
                                 for (y, _) in stream.finish() {
                                     assert_eq!(*y, *want, "{what}");
                                 }
@@ -309,9 +309,10 @@ fn stream_push_on_inline_pool_completes_eagerly() {
     engine.pool().scope(|scope| {
         let mut stream = engine.batch_stream(scope, 1);
         assert!(stream.push(&x).unwrap().is_none());
-        // A push on a zero-worker pool has already run when it returns.
-        assert!(stream.oldest_done());
-        let (y, _) = stream.finish().pop().unwrap();
+        let (y, report) = stream.finish().pop().unwrap();
+        // A push on a zero-worker pool ran at submission: no worker was
+        // woken for it.
+        assert_eq!(report.wake, std::time::Duration::ZERO);
         assert!(y.approx_eq(&a.spmm_reference(&x), 1e-4));
     });
 }
@@ -328,10 +329,6 @@ fn stream_push_rejects_bad_shapes() {
     engine.pool().scope(|scope| {
         let mut stream = engine.batch_stream(scope, 1);
         assert!(matches!(stream.push(&wrong).unwrap_err(), JitSpmmError::ShapeMismatch(_)));
-        assert!(matches!(
-            stream.push_owned(wrong.clone()).unwrap_err(),
-            JitSpmmError::ShapeMismatch(_)
-        ));
         // Nothing was submitted.
         assert_eq!(stream.in_flight(), 0);
         assert!(stream.finish().is_empty());

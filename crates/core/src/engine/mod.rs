@@ -30,7 +30,6 @@ mod launch_tests;
 
 pub(crate) use batch::run_batch;
 pub use batch::{BatchStream, DEFAULT_BATCH_DEPTH};
-pub(crate) use compile::check_input_shape;
 pub use compile::JitSpmm;
 pub use options::{JitSpmmBuilder, SpmmOptions};
 pub use report::ExecutionReport;

@@ -26,8 +26,8 @@ pub struct ExecutionReport {
     pub dispatch: Duration,
     /// The wake (handoff) component of `dispatch`: time from the launch's
     /// enqueue until the first participant claimed a task — the cost of
-    /// getting a parked worker onto the job (futex or condvar, see
-    /// [`crate::WakeSlot`]). Zero for launches that ran inline on the
+    /// getting a parked worker onto the job (a futex word on Linux, a
+    /// condvar elsewhere). Zero for launches that ran inline on the
     /// calling thread (single-thread engines, zero-worker pools), where no
     /// handoff happens at all.
     pub wake: Duration,

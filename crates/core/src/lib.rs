@@ -153,51 +153,36 @@
 //! For unbounded streams, [`JitSpmm::batch_stream`] exposes the pipeline
 //! incrementally: [`BatchStream::push`] submits the next input (returning
 //! the oldest completed output once the pipeline is full, so results arrive
-//! in submission order while buffers recycle), [`BatchStream::push_owned`]
-//! accepts inputs by value (so cross-thread producers need no `'env`
-//! borrows), and [`BatchStream::finish`] drains it. The scalar baseline's
+//! in submission order while buffers recycle), and [`BatchStream::finish`]
+//! drains it. The scalar baseline's
 //! batch entry point ([`baseline::scalar::spmm_scalar_batch`]) is the
 //! oracle batched paths are checked against.
 //!
-//! # Mixed-stream serving
+//! # Serving: one handler
 //!
 //! One level up from batching through a single engine, the [`serve`] module
-//! routes a **mixed** request stream across several compiled engines
-//! sharing one pool — the paper's amortization argument applied across
-//! kernels. An [`serve::SpmmServer`] owns N engines (different matrices,
-//! `d`, strategies), validates every engine-tagged request before touching
-//! any launch state, feeds each engine's requests through its own batch
-//! pipeline by value, keeps concurrent engines on disjoint lane-capped
-//! worker subsets, hands every completed response out with its own
-//! [`ExecutionReport`], and totals goodput and verdicts in a
-//! [`serve::ServerReport`]. There is one entry point,
-//! [`serve::SpmmServer::serve_controlled`]: a producer thread feeds the
-//! bounded request queue through its [`serve::RequestSender`] while the
-//! calling thread routes and hands each response to a consumer callback.
-//! That loop is completion-driven: it parks on the pool's completion bell
-//! (a [`runtime::WakeSlot`]) and runs when a request arrives or a launch
-//! finishes — no timer anywhere, so a microsecond kernel is answered in
-//! microseconds, not at the next tick.
-//!
-//! # One FIFO loop, two admission policies, live updates
-//!
-//! Routing is only half of serving — the other half is staying bounded and
-//! alive when the traffic misbehaves. [`serve::SpmmServer::serve_controlled`]
-//! launches requests in arrival order under the [`serve::AdmissionPolicy`]
-//! in its [`serve::ServeOptions`]: the policy bounds the queue and, at the
-//! bound, either blocks the producer (backpressure — lossless) or sheds
-//! with a typed [`serve::RejectReason`] — a producer flooding ten times the
-//! queue depth never blocks and learns each verdict in nanoseconds, and the
-//! admitted subset still produces outputs **bit-identical** to a blocking
-//! `execute`. Engines can be added while a serve is running, and mutable
-//! engines take live matrix updates (see below). A panic in generated code is contained to a typed
-//! [`serve::ServerResponse::Failed`] for exactly the request that hit it —
-//! unrelated engines keep serving and the server stays usable; the
-//! cfg-gated `serve::fault` module injects such crashes for the chaos
-//! suite. Every verdict is accounted in the [`serve::ServerReport`]
-//! counters (`requests`, `rejected`, `failed` —
-//! [`serve::ServerReport::offered`] always adds up to the load the
-//! producers offered).
+//! serves requests across several compiled engines sharing one pool — the
+//! paper's amortization argument applied across kernels. An
+//! [`serve::SpmmServer`] holds N engines (different matrices, `d`,
+//! strategies, single or sharded) behind logical ids, and
+//! [`serve::SpmmServer::handle`] is the one path a request takes: look the
+//! engine up, take one of its in-flight slots under the
+//! [`serve::AdmissionPolicy`] (or shed with a typed
+//! [`serve::RejectReason`]), run the engine's `execute` on the calling
+//! thread under `catch_unwind`, and return a typed
+//! [`serve::ServerResponse`] with the launch's own [`ExecutionReport`]. No
+//! queue and no serving thread sit in between; concurrent requests for
+//! different engines run on disjoint lane-capped worker subsets. The
+//! `jitspmm-serve` binary calls the handler from each connection thread;
+//! [`serve::SpmmServer::serve_controlled`] calls it from each
+//! [`serve::RequestSender::send_request`] and hands the response to a
+//! consumer before the send returns, totalling the verdicts in a
+//! [`serve::ServerReport`] ([`serve::ServerReport::offered`] always adds
+//! up to the sends). Engines can be added while requests run, mutable
+//! engines take live matrix updates (see below), and a panic in generated
+//! code is contained to a typed [`serve::ServerResponse::Failed`] for
+//! exactly the request that hit it; the cfg-gated `serve::fault` module
+//! injects such crashes for the chaos suite.
 //!
 //! ```
 //! use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
@@ -210,7 +195,7 @@
 //! let inputs: Vec<DenseMatrix<f32>> =
 //!     (0..6).map(|seed| DenseMatrix::random(200, 8, seed)).collect();
 //! let (report, sent) = server.serve_controlled(
-//!     ServeOptions::new(AdmissionPolicy::blocking(2)),
+//!     ServeOptions::new(AdmissionPolicy::shedding(1)),
 //!     |sender| {
 //!         let mut sent = 0;
 //!         for x in inputs {
@@ -268,7 +253,7 @@
 //! # The futex wake path
 //!
 //! The park/wake handoff between submitters and workers runs on raw futex
-//! words on Linux ([`WakeSlot`], a condvar fallback elsewhere via
+//! words on Linux (a condvar fallback elsewhere via
 //! `--no-default-features`), and every [`ExecutionReport`] exposes the
 //! measured handoff as [`ExecutionReport::wake`], so the dispatch tail is
 //! attributable per launch, not just in benchmarks.
@@ -314,17 +299,14 @@
 //! ```
 //!
 //! Behind the server, [`serve::SpmmServer::add_mutable`] registers a
-//! mutable engine under one logical id, and an update to a **live**
-//! [`serve::SpmmServer::serve_controlled`] session is the same call:
-//! [`MutableSpmm::apply`] on [`serve::SpmmServer::mutable`], from any
-//! thread. It publishes the new generation without waiting for the serving
-//! loop; the engine's lane finishes its in-flight requests on the old
-//! matrix and reopens on the new one at its next request, so a request
-//! sent after `apply` returns sees the merged matrix. The `jitspmm-serve`
-//! binary takes neither the server nor its loop: each connection thread
+//! mutable engine under one logical id, and an update while requests run
+//! is the same call: [`MutableSpmm::apply`] on
+//! [`serve::SpmmServer::mutable`], from any thread. It publishes the new
+//! generation at once; a request already running finishes on the old
+//! matrix, and a request sent after `apply` returns sees the merged one.
+//! The `jitspmm-serve` binary does exactly this: each connection thread
 //! calls [`MutableSpmm::apply`] for an `UPDATE` frame (`--mutable`) and
-//! [`MutableSpmm::execute`] in a pool scope for a `MUL`, and writes the
-//! reply itself.
+//! [`serve::SpmmServer::handle`] for a `MUL`, and writes the reply itself.
 //!
 //! # Architecture map
 //!
@@ -340,10 +322,9 @@
 //! │   ├── delta          delta routing onto shard row ranges
 //! │   ├── apply          shard-local merge + recompile, re-plan on drift
 //! │   └── (mod)          MutableSpmm: Arc generations, streams pin one, apply publishes
-//! ├── serve/             multi-engine serving router: one FIFO loop
-//! │   ├── server         SpmmServer, the serve_controlled loop
-//! │   ├── queue          bounded FIFO request queue behind RequestSender, admission gate
-//! │   ├── control        AdmissionPolicy (block | shed), typed rejections, the loop's bell
+//! ├── serve/             multi-engine serving: one handler, run on the sending thread
+//! │   ├── server         SpmmServer registry, handle, serve_controlled + RequestSender
+//! │   ├── control        AdmissionPolicy (per-engine in-flight bound), typed rejections
 //! │   ├── fault          cfg-gated crash/delay injection for chaos tests
 //! │   └── report         ServerReport (verdict counters + wall clock)
 //! ├── shard/             nnz-balanced multi-engine sharding
@@ -351,7 +332,7 @@
 //! │   └── engine         ShardedSpmm: K engines behind one BatchStream, in-place launches
 //! ├── runtime/           persistent execution substrate
 //! │   ├── pool           WorkerPool: FIFO job queue, lane caps, scopes
-//! │   ├── wake           WakeSlot: futex wake path (condvar fallback)
+//! │   ├── wake           WakeSlot (crate-private): futex wake path (condvar fallback)
 //! │   └── dispatch       KernelJob, LaunchPayload slots, BufferPool
 //! ├── schedule           workload-division strategies and partitioning
 //! ├── tiling             coarse-grain column merging register allocation
@@ -391,7 +372,7 @@ pub use engine::{
 pub use error::JitSpmmError;
 pub use kernel::{CompiledKernel, KernelKind, KernelMeta};
 pub use profile::ProfileCounts;
-pub use runtime::{JobSpec, PoolScope, PooledMatrix, ScopedJobHandle, WakeSlot, WorkerPool};
+pub use runtime::{JobSpec, PoolScope, PooledMatrix, ScopedJobHandle, WorkerPool};
 pub use schedule::{DynamicCounter, Partition, RowRange, Strategy};
 pub use serve::{
     AdmissionPolicy, RejectReason, RequestSender, SendError, ServeOptions, ServerReport,

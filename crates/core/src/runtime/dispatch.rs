@@ -243,8 +243,8 @@ impl<T: Scalar> BufferPool<T> {
         BufferPool { free: Mutex::new(Vec::new()), capacity: AtomicUsize::new(MAX_POOLED_BUFFERS) }
     }
 
-    /// Grow the retained-spares bound to `outstanding` (a serving loop that
-    /// holds a whole batch of outputs at once would otherwise re-allocate
+    /// Grow the retained-spares bound to `outstanding` (a caller that holds
+    /// a whole batch of outputs at once would otherwise re-allocate
     /// `batch - MAX_POOLED_BUFFERS` buffers on every batch). The raised
     /// bound persists — it is a cache sized for the largest batch this
     /// engine serves — but never exceeds [`MAX_RESERVED_BUFFERS`] buffers,

@@ -39,7 +39,7 @@
 //! # Batched serving
 //!
 //! [`crate::JitSpmm::execute_batch`] and [`crate::BatchStream`] build the
-//! serving loop on top of these pieces: a stream of dense inputs is
+//! batched pipeline on top of these pieces: a stream of dense inputs is
 //! pipelined through the job queue with up to `depth` launches in flight,
 //! each launch submitting a reusable per-slot payload (no per-launch boxing)
 //! and recycling double-buffered [`PooledMatrix`] outputs. Workers flow from
@@ -55,10 +55,9 @@
 //! dispatch cost.
 
 pub mod pool;
-pub mod wake;
+pub(crate) mod wake;
 
 pub(crate) mod dispatch;
 
 pub use dispatch::PooledMatrix;
 pub use pool::{JobSpec, PoolScope, ScopedJobHandle, WorkerPool};
-pub use wake::WakeSlot;

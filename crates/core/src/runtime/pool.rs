@@ -1,6 +1,6 @@
 //! The persistent worker pool: threads are spawned once, park on a
-//! [`WakeSlot`] (a futex word on Linux, a condvar elsewhere — see
-//! [`super::wake`]), and serve jobs from a FIFO queue with per-job lane
+//! `WakeSlot` (a futex word on Linux, a condvar elsewhere — see the
+//! crate-private `runtime::wake`), and serve jobs from a FIFO queue with per-job lane
 //! capping, a notify-one wake chain and scoped deferred submission.
 //!
 //! # Why not `std::thread::scope` per call?
@@ -26,7 +26,7 @@
 //!
 //! # Wake cost is bounded by the lanes a job uses
 //!
-//! Submission wakes exactly one worker ([`WakeSlot::wake_one`]). A worker
+//! Submission wakes exactly one worker (`WakeSlot::wake_one`). A worker
 //! that claims a lane and observes that more lane slots (of its job or a
 //! queued successor) are still unclaimed wakes one more — a notify-one
 //! chain. A job that needs `k` lanes therefore causes O(k) wake-ups, where
@@ -314,8 +314,6 @@ struct Shared {
     /// Waiters park here until their job's `done` flag is set; bumped (under
     /// the state mutex) whenever any job completes. The done-wait itself is
     /// lock-free: `done` is an atomic and [`WakeSlot::wait`] needs no mutex.
-    /// Doubles as the serving loop's doorbell
-    /// ([`WorkerPool::completion_bell`]).
     done: WakeSlot,
 }
 
@@ -546,15 +544,6 @@ impl WorkerPool {
     /// not).
     pub fn same_pool(&self, other: &WorkerPool) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// The slot bumped and woken whenever **any** job of this pool
-    /// completes — the serving loop's doorbell: it parks here, and whoever
-    /// hands it other work (a request, an update) rings the same slot, so
-    /// one wait covers every reason to run. Waiters see wake-ups meant for
-    /// others and re-check their predicate, as [`super::wake`] asks anyway.
-    pub(crate) fn completion_bell(&self) -> &WakeSlot {
-        &self.inner.shared.done
     }
 
     /// Resolve a requested lane count against this pool: `0` means one lane

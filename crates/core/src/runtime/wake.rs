@@ -1,6 +1,5 @@
 //! [`WakeSlot`]: the one park/wake primitive — the pool's workers and
-//! waiters park on it, and so does the serving loop (on the pool's
-//! completion slot) — a futex word on Linux, a mutex + condvar everywhere
+//! waiters park on it — a futex word on Linux, a mutex + condvar everywhere
 //! else.
 //!
 //! # Why not just the condvar
@@ -42,9 +41,7 @@
 //! "x86_64"))]` — a raw `syscall` instruction, no new dependencies. The
 //! `futex` feature is on by default; building with
 //! `--no-default-features` (or on any other platform) selects the condvar
-//! fallback, which implements the identical epoch protocol. Which one is
-//! active is visible via [`WakeSlot::FUTEX_BACKED`], so benches can label
-//! their numbers.
+//! fallback, which implements the identical epoch protocol.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -59,8 +56,6 @@ mod imp {
     const FUTEX_WAIT_PRIVATE: u64 = 128;
     /// `FUTEX_WAKE | FUTEX_PRIVATE_FLAG`.
     const FUTEX_WAKE_PRIVATE: u64 = 1 | 128;
-
-    pub(super) const FUTEX_BACKED: bool = true;
 
     pub(super) struct Imp {
         epoch: AtomicU32,
@@ -141,8 +136,6 @@ mod imp {
     use super::{AtomicU32, Ordering};
     use std::sync::{Condvar, Mutex};
 
-    pub(super) const FUTEX_BACKED: bool = false;
-
     pub(super) struct Imp {
         epoch: AtomicU32,
         lock: Mutex<()>,
@@ -188,64 +181,45 @@ mod imp {
 /// An epoch-counted park/wake slot: futex-backed on Linux x86_64 (with the
 /// default `futex` feature), condvar-backed elsewhere. See the
 /// [module docs](self) for the protocol.
-pub struct WakeSlot {
+pub(crate) struct WakeSlot {
     imp: imp::Imp,
 }
 
 impl WakeSlot {
-    /// Whether this build's slots are futex-backed (`false` = condvar
-    /// fallback). Benches record this next to their wake latencies.
-    pub const FUTEX_BACKED: bool = imp::FUTEX_BACKED;
-
     /// A fresh slot at epoch zero.
-    pub fn new() -> WakeSlot {
+    pub(crate) fn new() -> WakeSlot {
         WakeSlot { imp: imp::Imp::new() }
     }
 
     /// The current epoch. Read it under the mutex that guards the waited-on
     /// predicate (or before re-checking a lock-free predicate), then pass it
     /// to [`WakeSlot::wait`].
-    pub fn epoch(&self) -> u32 {
+    pub(crate) fn epoch(&self) -> u32 {
         self.imp.epoch()
     }
 
     /// Block until the epoch moves past `epoch` — or spuriously; callers
     /// loop around their predicate. Returns immediately if the epoch has
     /// already moved.
-    pub fn wait(&self, epoch: u32) {
+    pub(crate) fn wait(&self, epoch: u32) {
         self.imp.wait(epoch);
     }
 
     /// Advance the epoch. Call while the predicate's guard is still held so
     /// the bump cannot fall between a waiter's predicate check and its
     /// `wait`.
-    pub fn bump(&self) {
+    pub(crate) fn bump(&self) {
         self.imp.bump();
     }
 
     /// Wake one waiter (callable after the guard is dropped).
-    pub fn wake_one(&self) {
+    pub(crate) fn wake_one(&self) {
         self.imp.wake_one();
     }
 
     /// Wake every waiter (callable after the guard is dropped).
-    pub fn wake_all(&self) {
+    pub(crate) fn wake_all(&self) {
         self.imp.wake_all();
-    }
-}
-
-impl Default for WakeSlot {
-    fn default() -> WakeSlot {
-        WakeSlot::new()
-    }
-}
-
-impl std::fmt::Debug for WakeSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WakeSlot")
-            .field("epoch", &self.epoch())
-            .field("futex", &WakeSlot::FUTEX_BACKED)
-            .finish()
     }
 }
 

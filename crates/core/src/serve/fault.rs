@@ -1,14 +1,10 @@
-//! Fault injection for chaos-testing the serving stack.
-//!
-//! Compiled only under `cfg(test)` or the `fault-injection` feature; release
-//! builds of the crate carry none of this. The hooks are global, armed
-//! countdowns consumed by **kernel-job entries** — the point where a pool
-//! participant is about to run a compiled kernel — which is exactly where a
-//! real crash in generated code would surface. The
-//! serving layer's contract under these faults is what the chaos tests
-//! assert: a panicked kernel job fails only its own request (a typed
-//! [`crate::serve::ServerResponse::Failed`]), unrelated engines keep
-//! serving, and the server remains usable afterwards.
+//! Fault injection for chaos-testing the serving stack, compiled only under
+//! `cfg(test)` or the `fault-injection` feature. The hooks are global, armed
+//! countdowns consumed by **kernel-job entries** — where a pool participant
+//! is about to run a compiled kernel, exactly where a real crash in generated
+//! code would surface. Under them a panicked kernel job fails only its own
+//! request (a typed [`crate::serve::ServerResponse::Failed`]), and the server
+//! stays usable.
 //!
 //! Because the state is process-global, tests that arm faults must
 //! serialize through [`exclusive`] and should compute any reference results

@@ -4,35 +4,28 @@
 use std::time::Duration;
 
 /// The verdict counters of one serving run, returned by
-/// [`crate::serve::SpmmServer::serve_controlled`].
-///
-/// Timing lives per request: every [`crate::serve::ServerResponse::Completed`]
-/// carries its own [`crate::ExecutionReport`], which is what tail latencies
-/// are computed from. This report only counts: `requests`, `elapsed` and
-/// [`ServerReport::throughput`] span the mixed stream end to end, and the
-/// outcome counters (`rejected`, `failed`) separate goodput from offered
-/// load: `requests` counts **completed** work only.
+/// [`crate::serve::SpmmServer::serve_controlled`]. Timing lives per request
+/// (every [`crate::serve::ServerResponse::Completed`] carries its own
+/// [`crate::ExecutionReport`]); this report only counts, and `requests`
+/// counts **completed** work only.
 #[derive(Debug, Clone)]
 pub struct ServerReport {
-    /// Total requests completed (a [`crate::serve::ServerResponse`] with an
-    /// output), across all engines — the goodput.
+    /// Requests completed, across all engines — the goodput.
     pub requests: usize,
-    /// Wall-clock time from the first submission to the last join.
+    /// Wall-clock time of the serve: from the producer's start to its
+    /// return.
     pub elapsed: Duration,
-    /// Requests refused by admission control or the router — queue-full
-    /// shedding, unknown engine ids.
+    /// Requests refused by admission control — shed at an engine's
+    /// in-flight bound, or naming an unknown engine id.
     pub rejected: usize,
-    /// Requests that were launched but failed — a worker panic converted to
-    /// a typed [`crate::serve::ServerResponse::Failed`], or a shape
-    /// mismatch caught at routing time.
+    /// Requests admitted that failed (a contained worker panic, a wrong
+    /// input shape).
     pub failed: usize,
 }
 
 impl ServerReport {
-    /// Requests completed per second of serving wall-clock time, across all
-    /// engines. An empty run and a run whose wall clock rounds to zero both
-    /// report `0.0` rather than dividing by zero (which for floats would
-    /// yield `NaN` or `inf` and poison any aggregate built on top).
+    /// Requests completed per second of wall-clock time; `0.0` for an empty
+    /// run or one whose wall clock rounds to zero (never `NaN` or `inf`).
     pub fn throughput(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs == 0.0 || self.requests == 0 {

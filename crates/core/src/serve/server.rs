@@ -1,95 +1,65 @@
-//! The [`SpmmServer`]: N compiled engines, one pool, one mixed request
-//! stream served FIFO, bounded under overload by its admission policy and
-//! kept alive under faults by containment.
+//! The [`SpmmServer`]: N compiled engines behind logical ids on one pool,
+//! and [`SpmmServer::handle`], the one path every request takes.
 
-use crate::engine::{check_input_shape, BatchStream, ExecutionReport, JitSpmm};
+use crate::engine::{ExecutionReport, JitSpmm};
 use crate::error::JitSpmmError;
 use crate::runtime::pool::lock;
-use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
-use crate::serve::control::{AdmissionPolicy, ControlShared, RejectReason};
-use crate::serve::queue::{RequestQueue, RequestSender, ServerRequest, TryRecvError};
+use crate::runtime::{PooledMatrix, WorkerPool};
+use crate::serve::control::{AdmissionPolicy, RejectReason, SendError};
 use crate::serve::report::ServerReport;
 use crate::update::MutableSpmm;
 use jitspmm_sparse::{DenseMatrix, Scalar};
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// One registered engine behind one logical id. The `Arc` pins the
-/// engine's address so [`SpmmServer::single`] can hand out borrows while
-/// the registry vector grows behind its mutex.
-enum EngineEntry<'a, T: Scalar> {
+/// The engine behind one logical id, in an `Arc` so that the accessors hand
+/// out clones that outlive the registry lock.
+enum Engine<'a, T: Scalar> {
     Single(Arc<JitSpmm<'a, T>>),
-    /// An updatable sharded engine ([`MutableSpmm`]): owns its generations,
-    /// so it carries no borrow lifetime; [`MutableSpmm::apply`] publishes a
-    /// new one while the server runs.
     Mutable(Arc<MutableSpmm<T>>),
 }
 
-/// A multi-engine serving router: owns N compiled [`JitSpmm`] engines —
-/// different matrices, column counts, strategies — that share one
-/// [`WorkerPool`], and routes a mixed stream of engine-tagged requests to
-/// their per-engine batch pipelines.
-///
-/// Each engine's launches are lane-capped to its configured thread count, so
-/// requests for different engines execute **concurrently on disjoint worker
-/// subsets** of the shared pool instead of serializing; within one engine,
-/// requests pipeline through that engine's [`BatchStream`] and come back in
-/// submission order.
-///
-/// Around the routing (see the [`crate::serve`] module docs): two admission
-/// policies with typed rejections, engines registered while a serve runs
-/// ([`SpmmServer::add_engine`]), live matrix updates (an
-/// [`MutableSpmm::apply`] through [`SpmmServer::mutable`]) and fault
-/// containment.
+/// One registered id: its engine and the requests running on it now.
+struct Entry<'a, T: Scalar> {
+    engine: Engine<'a, T>,
+    /// Requests holding one of this engine's in-flight [`Slot`]s.
+    in_flight: AtomicUsize,
+}
+
+/// A registry of compiled engines — different matrices, column counts,
+/// strategies, single or sharded — that share one [`WorkerPool`], each
+/// behind a logical id, and [`SpmmServer::handle`], which serves one request
+/// **on the calling thread** (see the [`crate::serve`] module docs). Engines
+/// can be registered while requests run, and a mutable engine's matrix
+/// changes with a plain [`MutableSpmm::apply`] through
+/// [`SpmmServer::mutable`].
 ///
 /// ```
-/// use jitspmm::serve::{ServeOptions, ServerRequest, SpmmServer};
+/// use jitspmm::serve::{AdmissionPolicy, RejectReason, ServerRequest, ServerResponse, SpmmServer};
 /// use jitspmm::{JitSpmmBuilder, WorkerPool};
 /// use jitspmm_sparse::{generate, DenseMatrix};
 ///
 /// # fn main() -> Result<(), jitspmm::JitSpmmError> {
 /// let pool = WorkerPool::new(2);
 /// let a = generate::uniform::<f32>(96, 96, 800, 1);
-/// let b = generate::uniform::<f32>(64, 80, 500, 2);
-/// let server = SpmmServer::new(vec![
-///     JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&a, 8)?,
-///     JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, 4)?,
-/// ])?;
-/// // A mixed, interleaved request stream: engine ids tag each input.
-/// let input = |i: usize| {
-///     if i % 2 == 0 {
-///         DenseMatrix::<f32>::random(96, 8, 10 + i as u64)
-///     } else {
-///         DenseMatrix::<f32>::random(80, 4, 20 + i as u64)
-///     }
-/// };
-/// let mut responses = Vec::new();
-/// let (report, ()) = server.serve_controlled(
-///     ServeOptions::default(),
-///     |sender| {
-///         for i in 0..6 {
-///             sender.send_request(ServerRequest::new(i % 2, input(i))).expect("admitted");
-///         }
-///     },
-///     |response| responses.push(response),
-/// )?;
-/// assert_eq!(responses.len(), 6);
-/// assert_eq!(report.requests, 6);
-/// for r in &responses {
-///     let reference = if r.engine() == 0 { &a } else { &b };
-///     assert!(r.output().approx_eq(&reference.spmm_reference(&input(r.request())), 1e-4));
-/// }
+/// let server = SpmmServer::new(vec![JitSpmmBuilder::new().pool(pool).build(&a, 8)?])?;
+/// let admission = AdmissionPolicy::shedding(4);
+/// let x = DenseMatrix::<f32>::random(96, 8, 10);
+/// let response = server.handle(admission, ServerRequest::new(0, x.clone()));
+/// assert!(response.output().approx_eq(&a.spmm_reference(&x), 1e-4));
+/// // An id no engine has is refused with a typed reason.
+/// let response = server.handle(admission, ServerRequest::new(1, x));
+/// assert!(matches!(response, ServerResponse::Rejected { reason: RejectReason::UnknownEngine, .. }));
 /// # Ok(())
 /// # }
 /// ```
 pub struct SpmmServer<'a, T: Scalar> {
-    /// Logical-id-indexed engine registry. **Append-only**: entries are
-    /// never removed, replaced or reordered while the server lives — which
-    /// is what makes the borrow-returning accessors sound.
-    engines: Mutex<Vec<EngineEntry<'a, T>>>,
-    control: Arc<ControlShared>,
+    /// Logical-id-indexed registry, **append-only**: an id, once handed
+    /// out, names the same engine for the server's life. The lock is held
+    /// only to look an entry up or to append one.
+    engines: Mutex<Vec<Arc<Entry<'a, T>>>>,
     pool: WorkerPool,
 }
 
@@ -110,83 +80,58 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     ///
     /// Returns [`JitSpmmError::InvalidConfig`] if `engines` is empty or if
     /// the engines do not all execute on the **same** [`WorkerPool`] — the
-    /// disjoint-lane overlap the router promises only holds within one pool
-    /// (build every engine with [`crate::JitSpmmBuilder::pool`] on clones of
-    /// one pool).
+    /// disjoint-lane overlap only holds within one pool (build every engine
+    /// with [`crate::JitSpmmBuilder::pool`] on clones of one pool).
     pub fn new(engines: Vec<JitSpmm<'a, T>>) -> Result<SpmmServer<'a, T>, JitSpmmError> {
-        let Some(first) = engines.first() else {
-            return Err(JitSpmmError::InvalidConfig(
-                "an SpmmServer needs at least one engine".to_string(),
-            ));
-        };
-        let pool = first.pool().clone();
-        if let Some(stray) = engines.iter().position(|e| !e.pool().same_pool(&pool)) {
-            return Err(JitSpmmError::InvalidConfig(format!(
-                "engine {stray} executes on a different worker pool; all of a server's \
-                 engines must share one pool"
-            )));
+        let empty = || JitSpmmError::InvalidConfig("an SpmmServer needs an engine".to_string());
+        let server = SpmmServer::with_pool(engines.first().ok_or_else(empty)?.pool().clone());
+        for engine in engines {
+            server.add_engine(engine)?;
         }
-        let control = Arc::new(ControlShared::new(pool.clone()));
-        for _ in &engines {
-            control.register_engine();
-        }
-        let entries = engines.into_iter().map(|e| EngineEntry::Single(Arc::new(e))).collect();
-        Ok(SpmmServer { engines: Mutex::new(entries), control, pool })
+        Ok(server)
     }
 
     /// Build a server with **no** engines yet, over `pool`: register them
     /// afterwards with [`SpmmServer::add_engine`] /
-    /// [`SpmmServer::add_mutable`] — before or while a serve runs. Until an
+    /// [`SpmmServer::add_mutable`], before or while requests run. Until an
     /// engine is registered every request is rejected with the typed
     /// [`RejectReason::UnknownEngine`].
     pub fn with_pool(pool: WorkerPool) -> SpmmServer<'a, T> {
-        SpmmServer {
-            engines: Mutex::new(Vec::new()),
-            control: Arc::new(ControlShared::new(pool.clone())),
-            pool,
-        }
+        SpmmServer { engines: Mutex::new(Vec::new()), pool }
     }
 
-    /// Register another single engine while the server (and any session) is
-    /// live, returning its new logical id. An open
-    /// [`SpmmServer::serve_controlled`] loop routes to it as soon as a
-    /// request names the id.
+    /// Register another single engine, returning its new logical id. A
+    /// request naming the id is served as soon as this returns, also in a
+    /// [`SpmmServer::serve_controlled`] that is already running.
     ///
     /// # Errors
     ///
     /// [`JitSpmmError::InvalidConfig`] if the engine does not execute on
     /// this server's pool.
     pub fn add_engine(&self, engine: JitSpmm<'a, T>) -> Result<usize, JitSpmmError> {
-        self.register(engine.pool().clone(), EngineEntry::Single(Arc::new(engine)))
+        self.register(engine.pool().clone(), Engine::Single(Arc::new(engine)))
     }
 
     /// Register an **updatable** engine ([`MutableSpmm`]) behind one
     /// logical engine id, which this returns — the one way a sharded engine
-    /// ([`crate::shard::ShardedSpmm`]) gets behind the server. To the
-    /// routing layer it is indistinguishable from a single engine: requests
-    /// tag the returned id, every request launches all shard kernels into
-    /// one full-height output and responses come back in per-engine
-    /// submission order, each reporting its critical path across the shards
-    /// as its [`ExecutionReport`]. Its matrix can also change while the
-    /// server runs: any thread may call [`MutableSpmm::apply`] on
-    /// [`SpmmServer::mutable`]`(id)`. The apply runs on that thread and
-    /// publishes the new generation without waiting for the serving loop;
-    /// the engine's lane finishes what it launched on the old matrix and
-    /// reopens on the new one at its next request, so a request sent after
-    /// `apply` returns sees the merged matrix (see [`crate::update`]). Like
-    /// [`SpmmServer::add_engine`], this works while a serve is running.
+    /// gets behind the server. A request to it launches all shard kernels
+    /// into one full-height output and reports its critical path across the
+    /// shards. Any thread may change its matrix with [`MutableSpmm::apply`]
+    /// on [`SpmmServer::mutable`]`(id)`: a request already running finishes
+    /// on the old matrix, one sent after `apply` returns sees the merged one
+    /// (see [`crate::update`]). Works while requests run.
     ///
     /// # Errors
     ///
     /// [`JitSpmmError::InvalidConfig`] if the engine does not execute on
     /// this server's pool.
     pub fn add_mutable(&self, mutable: MutableSpmm<T>) -> Result<usize, JitSpmmError> {
-        self.register(mutable.pool().clone(), EngineEntry::Mutable(Arc::new(mutable)))
+        self.register(mutable.pool().clone(), Engine::Mutable(Arc::new(mutable)))
     }
 
-    /// Append `entry` (an engine executing on `pool`) to the registry and
-    /// the control plane, returning its logical id.
-    fn register(&self, pool: WorkerPool, entry: EngineEntry<'a, T>) -> Result<usize, JitSpmmError> {
+    /// Append `engine` (executing on `pool`) to the registry, returning its
+    /// logical id.
+    fn register(&self, pool: WorkerPool, engine: Engine<'a, T>) -> Result<usize, JitSpmmError> {
         if !pool.same_pool(&self.pool) {
             return Err(JitSpmmError::InvalidConfig(
                 "the engine executes on a different worker pool; all of a server's engines \
@@ -195,44 +140,25 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
             ));
         }
         let mut engines = lock(&self.engines);
-        engines.push(entry);
-        let id = engines.len() - 1;
-        let registered = self.control.register_engine();
-        debug_assert_eq!(registered, id, "registry and control plane use one id space");
-        Ok(id)
+        engines.push(Arc::new(Entry { engine, in_flight: AtomicUsize::new(0) }));
+        Ok(engines.len() - 1)
     }
 
-    /// Borrow the single (unsharded) engine behind logical id `id`; `None`
-    /// if the id is unknown or names a mutable engine.
-    pub fn single(&self, id: usize) -> Option<&JitSpmm<'a, T>> {
-        let engines = lock(&self.engines);
-        match engines.get(id)? {
-            EngineEntry::Single(engine) => {
-                let ptr = Arc::as_ptr(engine);
-                // SAFETY: the registry is append-only — entries are never
-                // removed or replaced while the server lives — and the Arc
-                // in the vector keeps the engine alive until the server
-                // drops, which the returned borrow (tied to `&self`) cannot
-                // outlive. Vector growth moves only the Arc handle, never
-                // the pointee.
-                Some(unsafe { &*ptr })
-            }
-            _ => None,
+    /// The single (unsharded) engine behind logical id `id`; `None` if the
+    /// id is unknown or names a mutable engine.
+    pub fn single(&self, id: usize) -> Option<Arc<JitSpmm<'a, T>>> {
+        match &lock(&self.engines).get(id)?.engine {
+            Engine::Single(engine) => Some(Arc::clone(engine)),
+            Engine::Mutable(_) => None,
         }
     }
 
-    /// Borrow the updatable engine ([`MutableSpmm`]) behind logical id
-    /// `id`; `None` if the id is unknown or names a non-updatable engine.
-    pub fn mutable(&self, id: usize) -> Option<&MutableSpmm<T>> {
-        let engines = lock(&self.engines);
-        match engines.get(id)? {
-            EngineEntry::Mutable(mutable) => {
-                let ptr = Arc::as_ptr(mutable);
-                // SAFETY: as in [`SpmmServer::single`] — append-only
-                // registry, Arc-pinned pointee, borrow tied to `&self`.
-                Some(unsafe { &*ptr })
-            }
-            _ => None,
+    /// The updatable engine ([`MutableSpmm`]) behind logical id `id`;
+    /// `None` if the id is unknown or names a single engine.
+    pub fn mutable(&self, id: usize) -> Option<Arc<MutableSpmm<T>>> {
+        match &lock(&self.engines).get(id)?.engine {
+            Engine::Mutable(mutable) => Some(Arc::clone(mutable)),
+            Engine::Single(_) => None,
         }
     }
 
@@ -246,83 +172,53 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         &self.pool
     }
 
-    /// Run `f` against the registry entry for `id`, if any. Private — `f`
-    /// runs under the registry lock and must not call back into it.
-    fn with_entry<R>(&self, id: usize, f: impl FnOnce(&EngineEntry<'a, T>) -> R) -> Option<R> {
-        let engines = lock(&self.engines);
-        engines.get(id).map(f)
-    }
-
-    /// Shape-check `input` against logical engine `id`.
-    pub(crate) fn check_request(
+    /// Serve one request on the calling thread — the one path every request
+    /// takes, from [`RequestSender::send_request`] and from each connection
+    /// thread of `jitspmm-serve`:
+    ///
+    /// 1. look the engine up (one short registry lock, one `Arc` clone); an
+    ///    unknown id is [`RejectReason::UnknownEngine`];
+    /// 2. take one of the engine's in-flight slots: at most
+    ///    [`AdmissionPolicy::shedding`]`(n)` requests run on one engine, and
+    ///    one more is shed at once as [`RejectReason::QueueFull`];
+    /// 3. run the engine's `execute` (a mutable engine's in a scope of this
+    ///    server's pool) under `catch_unwind`: a wrong input shape or a
+    ///    worker panic is a [`ServerResponse::Failed`] for this request
+    ///    alone, and the slot comes back on unwind too.
+    ///
+    /// The slots are per engine and the bound per call: pass the same
+    /// `admission` from every caller of one server.
+    pub fn handle(
         &self,
-        id: usize,
-        input: &DenseMatrix<T>,
-    ) -> Result<(), JitSpmmError> {
-        match self.with_entry(id, |entry| match entry {
-            EngineEntry::Single(engine) => {
-                check_input_shape(input, engine.matrix().ncols(), engine.d())
-            }
-            EngineEntry::Mutable(mutable) => check_input_shape(input, mutable.ncols(), mutable.d()),
-        }) {
-            Some(result) => result,
-            None => {
-                Err(JitSpmmError::UnknownEngine { requested: id, engines: self.engine_count() })
-            }
-        }
-    }
-
-    /// Open a [`ServerSession`] inside `scope`: one pipeline per registered
-    /// single engine (at [`crate::DEFAULT_BATCH_DEPTH`]), ready to route
-    /// requests. A mutable engine's lane, and the lane of any engine
-    /// registered after the session opens, gets its pipeline lazily, on
-    /// first submission to its id — so an idle session pins no generation.
-    fn session<'scope, 'env>(
-        &'env self,
-        scope: &'scope PoolScope<'scope, 'env>,
-    ) -> ServerSession<'scope, 'env, 'a, T> {
-        let mut session = ServerSession {
-            server: self,
-            scope,
-            lanes: Vec::new(),
-            ready: VecDeque::new(),
-            counters: ServeCounters::default(),
-            next_request: 0,
-            started: None,
+        admission: AdmissionPolicy,
+        request: ServerRequest<T>,
+    ) -> ServerResponse<T> {
+        let ServerRequest { engine: id, input } = request;
+        let Some(entry) = lock(&self.engines).get(id).cloned() else {
+            return ServerResponse::Rejected { engine: id, reason: RejectReason::UnknownEngine };
         };
-        session.sync_topology();
-        for id in 0..session.lanes.len() {
-            if self.mutable(id).is_none() {
-                session.open_stream(id);
-            }
+        let Some(_slot) = Slot::take(&entry.in_flight, admission.max_in_flight) else {
+            return ServerResponse::Rejected { engine: id, reason: RejectReason::QueueFull };
+        };
+        let run = catch_unwind(AssertUnwindSafe(|| match &entry.engine {
+            Engine::Single(single) => single.execute(&input),
+            Engine::Mutable(mutable) => self.pool.scope(|s| mutable.execute(s, &input)),
+        }));
+        match run {
+            Ok(Ok((output, report))) => ServerResponse::Completed { engine: id, output, report },
+            Ok(Err(error)) => ServerResponse::Failed { engine: id, message: error.to_string() },
+            Err(panic) => ServerResponse::Failed { engine: id, message: panic_message(&*panic) },
         }
-        session
     }
 
-    /// The serving loop — the one way a request is served: `producer` runs
-    /// on a fresh thread feeding a queue that admits under
-    /// `options.admission` (block or shed, with typed
-    /// [`crate::serve::SendError`]s), requests launch in **arrival order**,
-    /// and every outcome — completed, rejected, failed — reaches `consumer`
-    /// as a typed [`ServerResponse`] the moment it exists. Responses of one
-    /// engine arrive in that engine's submission order; across engines the
-    /// order follows completion ([`ServerResponse::request`] re-sequences
-    /// globally).
-    /// Worker panics are contained to the request that hit them; unrelated
-    /// engines keep serving and the server stays usable afterwards.
-    ///
-    /// The loop is driven by events, not by a clock: it parks on the pool's
-    /// completion bell and runs when a request arrives or a launch finishes
-    /// — each of which rings that bell. Every lap joins whichever lanes'
-    /// oldest launches have finished, so one engine's slow request never
-    /// holds back another engine's response. Matrix updates are not the
-    /// loop's business: a [`MutableSpmm::apply`] on another thread publishes
-    /// the new generation, and the engine's lane picks it up when it routes
-    /// the next request.
-    ///
-    /// Returns the aggregated [`ServerReport`] — `requests` counts
-    /// completions only; `rejected` / `failed` account for everything else,
-    /// including sends the queue refused — and the producer's return value.
+    /// Serve a producer's requests: `producer` runs on the calling thread
+    /// with a [`RequestSender`], whose [`RequestSender::send_request`] runs
+    /// a request through [`SpmmServer::handle`] on the sending thread under
+    /// `options.admission` and hands the response to `consumer` before it
+    /// returns. Share the sender with scoped threads to send concurrently;
+    /// `consumer` runs behind a mutex, on whichever thread sent the request.
+    /// Returns the [`ServerReport`] (its [`ServerReport::offered`] adds up
+    /// to the sends) and the producer's return value.
     ///
     /// ```
     /// use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
@@ -332,39 +228,36 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// # fn main() -> Result<(), jitspmm::JitSpmmError> {
     /// let pool = WorkerPool::new(2);
     /// let a = generate::uniform::<f32>(64, 64, 400, 1);
-    /// let server =
-    ///     SpmmServer::new(vec![JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&a, 4)?])?;
-    /// let options = ServeOptions::new(AdmissionPolicy::shedding(8));
-    /// let (report, sent) = server.serve_controlled(
-    ///     options,
+    /// let server = SpmmServer::new(vec![JitSpmmBuilder::new().pool(pool).build(&a, 4)?])?;
+    /// // Two senders, at most two requests in flight on the engine.
+    /// let (report, ()) = server.serve_controlled(
+    ///     ServeOptions::new(AdmissionPolicy::shedding(2)),
     ///     |sender| {
-    ///         let mut sent = 0;
-    ///         for i in 0..4u64 {
-    ///             let request = ServerRequest::new(0, DenseMatrix::random(64, 4, i));
-    ///             if sender.send_request(request).is_ok() {
-    ///                 sent += 1;
-    ///             }
-    ///         }
-    ///         sent
+    ///         let send = |seed| {
+    ///             let x = DenseMatrix::random(64, 4, seed);
+    ///             sender.send_request(ServerRequest::new(0, x)).expect("admitted")
+    ///         };
+    ///         std::thread::scope(|senders| {
+    ///             senders.spawn(|| (0..4).for_each(send));
+    ///             (4..8).for_each(send);
+    ///         });
     ///     },
     ///     |response| assert!(response.is_completed()),
     /// )?;
-    /// assert_eq!(report.requests, sent);
+    /// assert_eq!(report.requests, 8);
     /// # Ok(())
     /// # }
     /// ```
     ///
     /// # Errors
     ///
-    /// None today: malformed *requests* do not error the loop — they come
-    /// back as [`ServerResponse::Rejected`] / [`ServerResponse::Failed`].
+    /// None today: malformed requests come back as [`SendError`]s and
+    /// [`ServerResponse::Failed`] responses.
     ///
     /// # Panics
     ///
-    /// Re-raises a producer or consumer panic; the queue is closed on every
-    /// exit from this call, so a producer blocked in `send` can never
-    /// deadlock against a loop that has stopped consuming, and in-flight
-    /// launches are joined first.
+    /// A producer or consumer panic unwinds out of this call; the server
+    /// stays usable.
     pub fn serve_controlled<P, R, C>(
         &self,
         options: ServeOptions,
@@ -372,68 +265,53 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         mut consumer: C,
     ) -> Result<(ServerReport, R), JitSpmmError>
     where
-        P: FnOnce(RequestSender<T>) -> R + Send,
-        R: Send,
-        C: FnMut(ServerResponse<T>),
+        P: FnOnce(RequestSender<'_, 'a, T>) -> R,
+        C: FnMut(ServerResponse<T>) + Send,
     {
-        std::thread::scope(|threads| {
-            // The queue lives in this frame, so *every* exit from it — normal
-            // return, a session error, or a panic unwinding through it —
-            // drops (closes) the queue before `thread::scope` joins the
-            // producer, which may be blocked in `send` on a full queue.
-            let (sender, queue) =
-                RequestQueue::controlled(options.admission, Arc::clone(&self.control));
-            let producer_thread = threads.spawn(move || producer(sender));
-            let report = self.pool.scope(|scope| {
-                let mut session = self.session(scope);
-                let bell = self.control.bell();
-                loop {
-                    // Epoch first, predicates second: whatever changes after
-                    // this read also moves the epoch, and the wait below
-                    // returns at once.
-                    let epoch = bell.epoch();
-                    session.complete_finished();
-                    while let Some(response) = session.ready.pop_front() {
-                        consumer(response);
-                    }
-                    match queue.try_recv() {
-                        // Launch the backlog in arrival order, one request
-                        // per lap so finished launches interleave with it
-                        // (and a launch that ran inline, ringing nothing, is
-                        // joined on the next lap).
-                        Ok(request) => {
-                            session.submit(request);
-                            continue;
-                        }
-                        Err(TryRecvError::Disconnected) if session.in_flight() == 0 => break,
-                        Err(_) => {}
-                    }
-                    bell.wait(epoch);
-                }
-                let (rest, mut report) = session.finish();
-                for response in rest {
-                    consumer(response);
-                }
-                // Sends the queue refused (shed, unknown id) never reached
-                // the session; fold them into the report so offered load
-                // adds up.
-                report.rejected += self.control.take_rejected_sends();
-                report
-            });
-            queue.close();
-            let produced = match producer_thread.join() {
-                Ok(value) => value,
-                Err(payload) => resume_unwind(payload),
-            };
-            Ok((report, produced))
-        })
+        let started = Instant::now();
+        let outlet = Mutex::new(Outlet {
+            consumer: &mut consumer,
+            report: ServerReport { requests: 0, elapsed: Duration::ZERO, rejected: 0, failed: 0 },
+        });
+        let produced =
+            producer(RequestSender { server: self, admission: options.admission, outlet: &outlet });
+        let mut report = lock(&outlet).report.clone();
+        report.elapsed = started.elapsed();
+        Ok((report, produced))
     }
+}
+
+/// A request's hold on one of its engine's in-flight slots, given back when
+/// it drops — on unwind too.
+pub(super) struct Slot<'e>(&'e AtomicUsize);
+
+impl<'e> Slot<'e> {
+    /// Count one more request on `in_flight` unless `cap` run there already.
+    pub(super) fn take(in_flight: &'e AtomicUsize, cap: usize) -> Option<Slot<'e>> {
+        let more = |now: usize| (now < cap).then_some(now + 1);
+        in_flight.fetch_update(Ordering::AcqRel, Ordering::Acquire, more).ok()?;
+        Some(Slot(in_flight))
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// The printable message of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let text = payload.downcast_ref::<&str>().copied();
+    text.or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("the launch panicked")
+        .to_string()
 }
 
 /// Options for [`SpmmServer::serve_controlled`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// How the request queue admits (depth, block vs shed).
+    /// How many requests may run on one engine at once.
     pub admission: AdmissionPolicy,
 }
 
@@ -444,53 +322,107 @@ impl ServeOptions {
     }
 }
 
-impl Default for ServeOptions {
-    fn default() -> ServeOptions {
-        ServeOptions::new(AdmissionPolicy::blocking(16))
+/// One serving request: a dense input tagged with the id of the engine that
+/// should execute it.
+///
+/// ```
+/// use jitspmm::serve::ServerRequest;
+/// use jitspmm_sparse::DenseMatrix;
+///
+/// let request = ServerRequest::new(0, DenseMatrix::<f32>::random(64, 8, 7));
+/// assert_eq!(request.engine, 0);
+/// assert_eq!(request.input.ncols(), 8);
+/// ```
+#[derive(Debug)]
+pub struct ServerRequest<T: Scalar> {
+    /// Which of the server's engines this request targets.
+    pub engine: usize,
+    /// The dense right-hand side.
+    pub input: DenseMatrix<T>,
+}
+
+impl<T: Scalar> ServerRequest<T> {
+    /// A request for `engine`.
+    pub fn new(engine: usize, input: DenseMatrix<T>) -> ServerRequest<T> {
+        ServerRequest { engine, input }
     }
 }
 
-/// The outcome of one serving request: completed with an output, rejected
-/// by the router with a typed [`RejectReason`], or failed after
-/// launch (a contained worker panic, or a shape mismatch on the controlled
-/// path). Every request submitted to a controlled serve produces exactly
-/// one of these.
+/// What [`SpmmServer::serve_controlled`] shares with its senders: the
+/// consumer and the verdicts so far.
+struct Outlet<'s, T: Scalar> {
+    consumer: &'s mut (dyn FnMut(ServerResponse<T>) + Send),
+    report: ServerReport,
+}
+
+/// The sending side of one [`SpmmServer::serve_controlled`], handed to its
+/// producer. Share it by reference with scoped threads to send from
+/// several at once.
+pub struct RequestSender<'s, 'a, T: Scalar> {
+    server: &'s SpmmServer<'a, T>,
+    admission: AdmissionPolicy,
+    outlet: &'s Mutex<Outlet<'s, T>>,
+}
+
+impl<T: Scalar> RequestSender<'_, '_, T> {
+    /// Run `request` through [`SpmmServer::handle`] on this thread and hand
+    /// its response — completed, or failed — to the serve's consumer before
+    /// returning.
+    ///
+    /// # Errors
+    ///
+    /// [`SendError::Rejected`] when the handler refuses the request (shed
+    /// at the engine's bound, or an unknown id); the consumer sees nothing
+    /// of it and the report counts it as rejected.
+    pub fn send_request(&self, request: ServerRequest<T>) -> Result<(), SendError> {
+        let response = self.server.handle(self.admission, request);
+        let mut outlet = lock(self.outlet);
+        match response {
+            ServerResponse::Rejected { reason, .. } => {
+                outlet.report.rejected += 1;
+                Err(SendError::Rejected(reason))
+            }
+            response => {
+                if response.is_completed() {
+                    outlet.report.requests += 1;
+                } else {
+                    outlet.report.failed += 1;
+                }
+                (outlet.consumer)(response);
+                Ok(())
+            }
+        }
+    }
+}
+
+/// The outcome of one request: completed with an output, refused with a
+/// typed [`RejectReason`], or failed in its launch. [`SpmmServer::handle`]
+/// returns exactly one per request.
 #[derive(Debug)]
 pub enum ServerResponse<T: Scalar> {
     /// The request executed; `output` is `Y = A_engine * X`.
     Completed {
         /// The engine that executed the request.
         engine: usize,
-        /// Per-engine completion index (the `index`-th response of this
-        /// engine); responses of one engine always arrive in this order.
-        index: usize,
-        /// Global submission sequence number across the whole session.
-        request: usize,
         /// The computed output, borrowed from the engine's buffer pool
         /// (dropping it recycles the buffer).
         output: PooledMatrix<T>,
-        /// Per-launch timing, as the batch layer reports it.
+        /// The launch's own timing.
         report: ExecutionReport,
     },
-    /// The router refused the request after admission (engine unknown);
-    /// nothing was launched.
+    /// The request was refused before anything launched.
     Rejected {
         /// The engine the request named.
         engine: usize,
-        /// Global submission sequence number.
-        request: usize,
         /// Why it was refused.
         reason: RejectReason,
     },
-    /// The request was launched (or about to launch) and failed — a worker
-    /// panic contained to this request, or a shape mismatch caught at
-    /// routing time.
+    /// The request failed: an input of the wrong shape, or a worker panic
+    /// contained to this request.
     Failed {
         /// The engine the request named.
         engine: usize,
-        /// Global submission sequence number.
-        request: usize,
-        /// The panic message or validation error.
+        /// The engine's error or the panic message.
         message: String,
     },
 }
@@ -505,30 +437,9 @@ impl<T: Scalar> ServerResponse<T> {
         }
     }
 
-    /// Global submission sequence number across the session.
-    pub fn request(&self) -> usize {
-        match self {
-            ServerResponse::Completed { request, .. }
-            | ServerResponse::Rejected { request, .. }
-            | ServerResponse::Failed { request, .. } => *request,
-        }
-    }
-
     /// Whether the request completed with an output.
     pub fn is_completed(&self) -> bool {
         matches!(self, ServerResponse::Completed { .. })
-    }
-
-    /// Per-engine completion index.
-    ///
-    /// # Panics
-    ///
-    /// If the response is not [`ServerResponse::Completed`].
-    pub fn index(&self) -> usize {
-        match self {
-            ServerResponse::Completed { index, .. } => *index,
-            other => panic!("response for request {} has no index: not completed", other.request()),
-        }
     }
 
     /// Borrow the computed output.
@@ -539,9 +450,7 @@ impl<T: Scalar> ServerResponse<T> {
     pub fn output(&self) -> &PooledMatrix<T> {
         match self {
             ServerResponse::Completed { output, .. } => output,
-            other => {
-                panic!("response for request {} has no output: not completed", other.request())
-            }
+            other => panic!("response from engine {} has no output: not completed", other.engine()),
         }
     }
 
@@ -553,7 +462,7 @@ impl<T: Scalar> ServerResponse<T> {
         }
     }
 
-    /// Per-launch timing, if the request completed.
+    /// The launch's timing, if the request completed.
     pub fn report(&self) -> Option<&ExecutionReport> {
         match self {
             ServerResponse::Completed { report, .. } => Some(report),
@@ -561,279 +470,11 @@ impl<T: Scalar> ServerResponse<T> {
         }
     }
 
-    /// The rejection reason, if the router refused the request.
-    pub fn rejection(&self) -> Option<RejectReason> {
-        match self {
-            ServerResponse::Rejected { reason, .. } => Some(*reason),
-            _ => None,
-        }
-    }
-
-    /// The failure message, if the request failed after admission.
+    /// The failure message, if the request failed.
     pub fn failure(&self) -> Option<&str> {
         match self {
             ServerResponse::Failed { message, .. } => Some(message),
             _ => None,
         }
-    }
-}
-
-/// Per-session outcome counters, aggregated into the [`ServerReport`].
-#[derive(Debug, Default, Clone, Copy)]
-struct ServeCounters {
-    completed: usize,
-    rejected: usize,
-    failed: usize,
-}
-
-/// One logical engine's lane inside a session: its pipeline (opened lazily
-/// for mutable engines and engines registered after the session started,
-/// `None` between a recycle and the next request) and the sequence numbers
-/// of its in-flight requests. Every completion leaves with its own
-/// [`ExecutionReport`]; the lane keeps no statistics.
-struct Lane<'scope, 'env, T: Scalar> {
-    stream: Option<BatchStream<'scope, 'env, T>>,
-    /// For an open mutable lane: the engine and the revision its stream
-    /// pinned. `None` for single engines and closed lanes.
-    pinned: Option<(&'env MutableSpmm<T>, u64)>,
-    /// Global sequence numbers of this lane's in-flight requests, oldest
-    /// first (per-engine completion is oldest-first, so the front is always
-    /// the next to finish).
-    pending: VecDeque<usize>,
-    /// Completed responses handed out so far (the per-engine index).
-    completed: usize,
-}
-
-impl<'scope, 'env, T: Scalar> Lane<'scope, 'env, T> {
-    fn new() -> Lane<'scope, 'env, T> {
-        Lane { stream: None, pinned: None, pending: VecDeque::new(), completed: 0 }
-    }
-}
-
-/// An open serving session, created by `SpmmServer::session`: one lane
-/// per logical engine — a [`BatchStream`] over the engine's one kernel or
-/// its K shard kernels — plus the request bookkeeping that tags every
-/// response with its engine id and sequence numbers, and the fault
-/// containment the serving loop relies on.
-///
-/// Dropping the session joins all in-flight launches and discards their
-/// results.
-pub(crate) struct ServerSession<'scope, 'env, 'a, T: Scalar> {
-    /// `'a` is the server's own data lifetime (the matrices its engines
-    /// borrow), `'env` the session's borrow of it — kept apart because the
-    /// registry mutex makes [`SpmmServer`] invariant in `'a`.
-    server: &'env SpmmServer<'a, T>,
-    /// Kept so lanes can open lazily (engines registered mid-session).
-    scope: &'scope PoolScope<'scope, 'env>,
-    lanes: Vec<Lane<'scope, 'env, T>>,
-    /// Responses produced but not yet handed out (the serving loop drains
-    /// this).
-    ready: VecDeque<ServerResponse<T>>,
-    counters: ServeCounters,
-    /// Next global submission sequence number.
-    next_request: usize,
-    /// First-submission timestamp, for the whole-server wall clock.
-    started: Option<Instant>,
-}
-
-/// Extract a printable message from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panic".to_string()
-    }
-}
-
-/// Pop the lane's oldest pending sequence number and queue a completed
-/// response. Free function so callers can hold disjoint field borrows.
-fn emit_completed<T: Scalar>(
-    lane: &mut Lane<'_, '_, T>,
-    engine: usize,
-    ready: &mut VecDeque<ServerResponse<T>>,
-    counters: &mut ServeCounters,
-    output: PooledMatrix<T>,
-    report: ExecutionReport,
-) {
-    let request = lane.pending.pop_front().expect("completed launches were submitted");
-    let index = lane.completed;
-    lane.completed += 1;
-    counters.completed += 1;
-    ready.push_back(ServerResponse::Completed { engine, index, request, output, report });
-}
-
-impl<T: Scalar> ServerSession<'_, '_, '_, T> {
-    /// Grow the lane vector to cover engines registered since the last
-    /// look; new lanes open their pipeline lazily, on first submission.
-    fn sync_topology(&mut self) {
-        let count = self.server.engine_count();
-        while self.lanes.len() < count {
-            self.lanes.push(Lane::new());
-        }
-    }
-
-    /// Open lane `id`'s pipeline if it has none right now. Every lane
-    /// belongs to a registered engine (`sync_topology`), and engines are
-    /// never removed.
-    fn open_stream(&mut self, id: usize) {
-        if self.lanes[id].stream.is_some() {
-            return;
-        }
-        let lane = &mut self.lanes[id];
-        match self.server.single(id) {
-            Some(engine) => lane.stream = Some(engine.batch_stream(self.scope, 0)),
-            None => {
-                let mutable = self.server.mutable(id).expect("lanes cover registered engines");
-                // Read before pinning: an apply landing in between leaves
-                // the recorded revision older than the pinned one, which
-                // only costs one needless reopen.
-                let revision = mutable.revision();
-                lane.stream = Some(mutable.batch_stream(self.scope, 0));
-                lane.pinned = Some((mutable, revision));
-            }
-        }
-    }
-
-    /// Join lane `id`'s oldest in-flight request, queueing its response — or
-    /// a typed [`ServerResponse::Failed`] if a worker panicked, for exactly
-    /// the request that hit it: the stream joins every launch of a request
-    /// before it unwinds, so the lane (sharded or not) keeps serving the
-    /// requests pipelined behind the panic. Blocks until that request has
-    /// finished; a no-op on a lane with nothing in flight.
-    fn complete_one(&mut self, id: usize) {
-        let ServerSession { lanes, ready, counters, .. } = &mut *self;
-        let lane = &mut lanes[id];
-        let Some(stream) = lane.stream.as_mut() else {
-            return;
-        };
-        match catch_unwind(AssertUnwindSafe(|| stream.complete_next())) {
-            Ok(Some((output, report))) => {
-                emit_completed(lane, id, ready, counters, output, report);
-            }
-            Ok(None) => {}
-            Err(payload) => {
-                let request = lane.pending.pop_front().expect("failed launches were submitted");
-                counters.failed += 1;
-                let message = panic_message(payload.as_ref());
-                ready.push_back(ServerResponse::Failed { engine: id, request, message });
-            }
-        }
-    }
-
-    /// Join, without blocking, every launch that has already finished: each
-    /// lane's oldest in-flight request while it is done (per-engine order is
-    /// oldest-first, so a finished launch behind an unfinished one waits
-    /// for it — on its own lane only).
-    fn complete_finished(&mut self) {
-        for id in 0..self.lanes.len() {
-            while self.lanes[id].stream.as_ref().is_some_and(|s| s.oldest_done()) {
-                self.complete_one(id);
-            }
-        }
-    }
-
-    /// Release lane `id`'s pipeline — joining its in-flight launches
-    /// (fault-aware, one at a time) and queueing the remaining responses —
-    /// **without** closing the lane: its per-engine response index spans the
-    /// gap, and the next submission lazily reopens a pipeline.
-    /// This is what lets go of a mutable engine's superseded generation
-    /// mid-session. Idempotent; an engine registered since the last
-    /// [`ServerSession::sync_topology`] has no lane yet and nothing to join.
-    fn recycle_lane(&mut self, id: usize) {
-        if id >= self.lanes.len() {
-            return;
-        }
-        while self.lanes[id].stream.as_ref().is_some_and(|s| s.in_flight() > 0) {
-            self.complete_one(id);
-        }
-        let ServerSession { lanes, ready, counters, .. } = &mut *self;
-        let lane = &mut lanes[id];
-        lane.pinned = None;
-        if let Some(stream) = lane.stream.take() {
-            // Nothing is in flight (drained above), so finishing cannot
-            // re-raise a worker panic.
-            for (output, exec) in stream.finish() {
-                emit_completed(lane, id, ready, counters, output, exec);
-            }
-        }
-    }
-
-    /// Total launches currently in flight across all lanes.
-    fn in_flight(&self) -> usize {
-        self.lanes.iter().filter_map(|l| l.stream.as_ref()).map(|s| s.in_flight()).sum()
-    }
-
-    /// Route one request: every outcome — launch, typed rejection,
-    /// contained failure — is queued as a ready response; the caller
-    /// drains them. Checks, in order:
-    /// engine id, input shape, the revision a mutable lane pinned, and room
-    /// in the pipeline (joining older launches as needed).
-    fn submit(&mut self, request: ServerRequest<T>) {
-        self.started.get_or_insert_with(Instant::now);
-        self.sync_topology();
-        let engine = request.engine;
-        let seq = self.next_request;
-        self.next_request += 1;
-        if engine >= self.lanes.len() {
-            self.counters.rejected += 1;
-            self.ready.push_back(ServerResponse::Rejected {
-                engine,
-                request: seq,
-                reason: RejectReason::UnknownEngine,
-            });
-            return;
-        }
-        if let Err(error) = self.server.check_request(engine, &request.input) {
-            self.counters.failed += 1;
-            self.ready.push_back(ServerResponse::Failed {
-                engine,
-                request: seq,
-                message: error.to_string(),
-            });
-            return;
-        }
-        // A mutable engine that has published a newer generation since its
-        // lane pinned one: drain the lane on the old matrix and reopen, so
-        // a request routed after `apply` returned runs on the new one.
-        if let Some((mutable, revision)) = self.lanes[engine].pinned {
-            if mutable.revision() != revision {
-                self.recycle_lane(engine);
-            }
-        }
-        self.open_stream(engine);
-        // Make room first, one fault-contained join at a time: a panic
-        // belongs to the oldest request, never to the one being pushed.
-        while self.lanes[engine].stream.as_ref().is_some_and(|s| s.in_flight() == s.depth()) {
-            self.complete_one(engine);
-        }
-        let lane = &mut self.lanes[engine];
-        lane.pending.push_back(seq);
-        let stream = lane.stream.as_mut().expect("lane opened above");
-        // Below depth, a push only submits: a kernel panic — even one that
-        // ran inline on a zero-worker pool — is deferred to the join.
-        let done = stream.push_owned_validated(request.input);
-        debug_assert!(done.is_none(), "the pipeline was drained below depth");
-    }
-
-    /// Drain every lane (in engine-id order, oldest launch first within
-    /// each) and total the [`ServerReport`] counters. The returned
-    /// responses are the ones not already handed out, in the order they
-    /// became ready.
-    fn finish(mut self) -> (Vec<ServerResponse<T>>, ServerReport) {
-        self.sync_topology();
-        for id in 0..self.lanes.len() {
-            self.recycle_lane(id);
-        }
-        let elapsed = self.started.map(|t| t.elapsed()).unwrap_or_default();
-        let responses: Vec<ServerResponse<T>> = self.ready.drain(..).collect();
-        let report = ServerReport {
-            requests: self.counters.completed,
-            elapsed,
-            rejected: self.counters.rejected,
-            failed: self.counters.failed,
-        };
-        (responses, report)
     }
 }

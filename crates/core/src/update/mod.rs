@@ -60,10 +60,10 @@
 //! [`crate::serve::SpmmServer`] registers a mutable engine behind one
 //! logical id ([`crate::serve::SpmmServer::add_mutable`]); any thread may
 //! [`MutableSpmm::apply`] a delta to it through
-//! [`crate::serve::SpmmServer::mutable`] while a session serves it. The
-//! session's lane for the engine pins one revision and reopens on the next
-//! request once [`MutableSpmm::revision`] has moved, so a request routed
-//! after `apply` returns runs on the new matrix.
+//! [`crate::serve::SpmmServer::mutable`] while requests run. Each request
+//! is one [`MutableSpmm::execute`], whose depth-1 stream pins the live
+//! generation only while it runs, so a request sent after `apply` returns
+//! runs on the new matrix and nothing holds the old one between requests.
 
 mod apply;
 mod delta;

@@ -96,7 +96,9 @@ impl Emulator {
     /// # Errors
     ///
     /// Fails on instructions outside the supported subset, control flow that
-    /// leaves the code buffer, or exceeding the instruction ceiling.
+    /// leaves the code buffer, a `push`, `pop` or `ret` that leaves the
+    /// private stack ([`EmuError::StackFault`]), or exceeding the
+    /// instruction ceiling.
     ///
     /// # Safety
     ///
@@ -126,7 +128,7 @@ impl Emulator {
         assert!(args.len() <= 6, "at most six integer arguments are supported");
         let mut state = MachineState::new(self.stack_bytes);
         state.set_args(args);
-        state.push_u64(HALT_ADDRESS);
+        state.push_u64(HALT_ADDRESS)?;
 
         let mut counters = HwCounters::default();
         let mut predictor = BranchPredictor::new();
@@ -266,6 +268,36 @@ mod tests {
         assert_eq!(v, 77);
         assert_eq!(counters.memory_stores, 1);
         assert_eq!(counters.memory_loads, 2); // pop + ret
+    }
+
+    /// The error `asm` stops with; its code may touch nothing but the
+    /// emulator's own stack.
+    fn stack_fault_of(asm: Assembler) -> EmuError {
+        let code = asm.finalize().unwrap();
+        let mut emu = Emulator::new().with_max_instructions(1_000_000);
+        // SAFETY: the code only pushes and pops, and every stack access is
+        // checked against the emulator's private stack.
+        unsafe { emu.run(&code, &[]) }.unwrap_err()
+    }
+
+    #[test]
+    fn a_pop_past_the_halt_sentinel_is_a_stack_fault() {
+        // The pop takes the halt sentinel; the ret reads above the stack.
+        let mut asm = Assembler::new();
+        asm.pop_r64(Gpr::Rax);
+        asm.ret();
+        assert!(matches!(stack_fault_of(asm), EmuError::StackFault));
+    }
+
+    #[test]
+    fn a_push_below_the_stack_base_is_a_stack_fault() {
+        // 1 MiB of stack holds 131,072 slots; the loop pushes forever.
+        let mut asm = Assembler::new();
+        let top = asm.new_label();
+        asm.bind(top).unwrap();
+        asm.push_r64(Gpr::Rax);
+        asm.jmp(top);
+        assert!(matches!(stack_fault_of(asm), EmuError::StackFault));
     }
 
     #[test]

@@ -60,21 +60,30 @@ impl MachineState {
         self.gpr[reg.id() as usize]
     }
 
-    /// Push a 64-bit value (used to seed the return address).
-    pub(crate) fn push_u64(&mut self, value: u64) {
-        self.gpr[4] = self.gpr[4].wrapping_sub(8);
-        let addr = self.gpr[4];
-        // SAFETY: rsp stays inside the private stack allocation for the
-        // shallow frames the kernels use.
-        unsafe { std::ptr::write_unaligned(addr as *mut u64, value) };
+    /// Where the 8-byte stack slot at address `addr` starts in the private
+    /// stack; [`EmuError::StackFault`] unless the whole slot lies inside it.
+    fn stack_slot(&self, addr: u64) -> Result<usize, EmuError> {
+        let offset = addr.wrapping_sub(self.stack.as_ptr() as u64);
+        match offset.checked_add(8) {
+            Some(end) if end <= self.stack.len() as u64 => Ok(offset as usize),
+            _ => Err(EmuError::StackFault),
+        }
     }
 
-    fn pop_u64(&mut self) -> u64 {
-        let addr = self.gpr[4];
-        // SAFETY: mirrors push_u64.
-        let v = unsafe { std::ptr::read_unaligned(addr as *const u64) };
+    /// Push a 64-bit value (also used to seed the return address).
+    pub(crate) fn push_u64(&mut self, value: u64) -> Result<(), EmuError> {
+        let rsp = self.gpr[4].wrapping_sub(8);
+        let at = self.stack_slot(rsp)?;
+        self.stack[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        self.gpr[4] = rsp;
+        Ok(())
+    }
+
+    fn pop_u64(&mut self) -> Result<u64, EmuError> {
+        let at = self.stack_slot(self.gpr[4])?;
+        let value = u64::from_le_bytes(self.stack[at..at + 8].try_into().expect("an 8-byte slot"));
         self.gpr[4] = self.gpr[4].wrapping_add(8);
-        v
+        Ok(value)
     }
 
     fn addr_of(&self, mem: &MemOperand) -> u64 {
@@ -197,11 +206,11 @@ impl MachineState {
             Inst::Push { reg } => {
                 counters.memory_stores += 1;
                 let v = self.gpr[*reg as usize];
-                self.push_u64(v);
+                self.push_u64(v)?;
             }
             Inst::Pop { reg } => {
                 counters.memory_loads += 1;
-                let v = self.pop_u64();
+                let v = self.pop_u64()?;
                 self.gpr[*reg as usize] = v;
             }
             Inst::Xadd { mem, reg } => {
@@ -221,7 +230,7 @@ impl MachineState {
             Inst::Ret => {
                 counters.memory_loads += 1;
                 counters.branches += 1;
-                let target = self.pop_u64();
+                let target = self.pop_u64()?;
                 return Ok(Flow::Jump(target));
             }
             Inst::Jmp { target } => {

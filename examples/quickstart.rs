@@ -137,13 +137,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("all {} batched results verified", outputs.len());
     drop(outputs);
 
-    // 7. Mixed-stream serving: route one stream of engine-tagged requests
-    //    across several compiled engines sharing a pool. A producer thread
-    //    feeds a bounded queue (backpressure, owned inputs — no borrows tie
-    //    it to the serving scope); the server validates each request, routes
-    //    it to its engine's pipeline on disjoint lane-capped workers, and
-    //    hands every response out with its own launch report; per-engine
-    //    tails are computed from those, beside whole-server throughput.
+    // 7. Mixed-stream serving: send one stream of engine-tagged requests
+    //    across several compiled engines sharing a pool. Each send runs its
+    //    request on the sending thread through the server's one handler —
+    //    look the engine up, take an in-flight slot, execute — and hands the
+    //    response, with its own launch report, to the consumer before it
+    //    returns; per-engine tails are computed from those, beside
+    //    whole-server throughput.
     let serve_pool = WorkerPool::new(2);
     let small_a = generate::rmat::<f32>(11, 40_000, generate::RmatConfig::GRAPH500, 44);
     let small_b = generate::uniform::<f32>(1_500, 1_200, 25_000, 45);
@@ -154,7 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cols = (small_a.ncols(), small_b.ncols());
     let mut responses = Vec::new();
     let (report, sent) = server.serve_controlled(
-        ServeOptions::new(AdmissionPolicy::blocking(4)),
+        ServeOptions::new(AdmissionPolicy::shedding(1)),
         move |sender| {
             let mut sent = 0usize;
             for i in 0..10u64 {
@@ -164,7 +164,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 } else {
                     DenseMatrix::random(cols.1, 8, 300 + i)
                 };
-                if sender.send(engine, input).is_ok() {
+                if sender.send_request(ServerRequest::new(engine, input)).is_ok() {
                     sent += 1;
                 }
             }
@@ -185,13 +185,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         kernel_percentile(engine_reports(0), 99.0),
         kernel_percentile(engine_reports(1), 99.0),
     );
-    let mut next_index = [0usize; 2];
-    for r in &responses {
-        let m = server.single(r.engine()).expect("both engines are single").matrix();
-        assert_eq!(r.output().nrows(), m.nrows());
-        // Each engine's responses stream out in its submission order.
-        assert_eq!(r.index(), next_index[r.engine()]);
-        next_index[r.engine()] += 1;
+    for (i, r) in responses.iter().enumerate() {
+        let engine = server.single(r.engine()).expect("both engines are single");
+        assert_eq!(r.output().nrows(), engine.matrix().nrows());
+        // One sender: the responses arrive in send order.
+        assert_eq!(r.engine(), i % 2);
     }
     println!("all {} routed responses verified for shape and order", responses.len());
     drop(responses);
@@ -224,34 +222,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(y_sharded.approx_eq(&reference, 1e-4), "sharded result disagrees with the reference");
     println!("sharded result verified against the reference implementation");
 
-    // 9. Admission under overload: flood the server with far more requests
-    //    than its queue admits, under a *shedding* policy — overflow comes
-    //    back to the producer immediately as a typed rejection instead of
-    //    blocking it. Every admitted request is answered in arrival order
+    // 9. Admission under overload: flood the server from eight sender
+    //    threads at once under a cap of one request in flight per engine —
+    //    a request over the cap comes back to its sender immediately as a
+    //    typed rejection instead of waiting. Every request is answered
     //    (completed, rejected or failed — never silently dropped), and the
     //    report separates goodput from offered load.
-    let options = ServeOptions::new(AdmissionPolicy::shedding(4));
+    let options = ServeOptions::new(AdmissionPolicy::shedding(1));
     let cols = (small_a.ncols(), small_b.ncols());
     let (ctrl_report, offered) = server.serve_controlled(
         options,
         move |sender| {
-            let mut offered = 0usize;
-            for i in 0..40u64 {
-                let engine = (i % 2) as usize;
-                let input = if engine == 0 {
-                    DenseMatrix::random(cols.0, 16, 400 + i)
-                } else {
-                    DenseMatrix::random(cols.1, 8, 500 + i)
-                };
-                offered += 1;
-                // A shedding queue never blocks: overflow is a typed error.
-                let _ = sender.send_request(ServerRequest::new(engine, input));
-            }
-            offered
+            std::thread::scope(|senders| {
+                for t in 0..8u64 {
+                    let sender = &sender;
+                    senders.spawn(move || {
+                        for i in 0..5u64 {
+                            let engine = ((t + i) % 2) as usize;
+                            let seed = 400 + 10 * t + i;
+                            let input = if engine == 0 {
+                                DenseMatrix::random(cols.0, 16, seed)
+                            } else {
+                                DenseMatrix::random(cols.1, 8, seed)
+                            };
+                            // Shedding never waits: overflow is a typed error.
+                            let _ = sender.send_request(ServerRequest::new(engine, input));
+                        }
+                    });
+                }
+            });
+            40
         },
         |response| {
-            // Completions carry outputs; rejections say exactly why.
-            debug_assert!(response.is_completed() || response.rejection().is_some());
+            // A shed request never reaches the consumer: its sender got
+            // the typed rejection.
+            assert!(response.is_completed());
         },
     )?;
     println!(
@@ -267,10 +272,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //     requests against it, and apply an edge-delta batch mid-session
     //     with a plain `apply` call from the producer thread. It re-merges
     //     only the shards the delta touches, compiles every shard fresh
-    //     (microseconds each) and publishes the new generation without
-    //     waiting for the serving loop; the engine's lane finishes on the old
-    //     matrix and reopens on the new one at its next request, so requests
-    //     sent after `apply` returns see the new matrix, bit-identical to a
+    //     (microseconds each) and publishes the new generation at once; a
+    //     request already running finishes on the old matrix, and requests
+    //     sent after `apply` returns see the new one, bit-identical to a
     //     from-scratch compile.
     let graph = generate::uniform::<f32>(2_000, 2_000, 30_000, 46);
     let update_pool = WorkerPool::new(2);
@@ -283,7 +287,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         delta.upsert(k * 31 % 2_000, k * 17 % 2_000, 0.5 + k as f32 * 0.01);
     }
     let (update_report, applied) = mutable_server.serve_controlled(
-        ServeOptions::new(AdmissionPolicy::blocking(4)),
+        ServeOptions::new(AdmissionPolicy::shedding(1)),
         |sender| {
             // A request against the revision-0 matrix...
             let x = DenseMatrix::random(2_000, 8, 600);

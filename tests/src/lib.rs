@@ -47,12 +47,11 @@ pub fn pathological() -> CsrMatrix<f32> {
 }
 
 /// Serve a pre-collected request batch through
-/// [`SpmmServer::serve_controlled`] and collect every response: blocking
-/// admission sized to the batch (nothing is shed for lack of room),
-/// responses sorted by [`ServerResponse::request`]. A send
-/// the queue refuses outright (unknown engine) produces no
-/// response and takes no sequence number; it is counted in
-/// [`ServerReport::rejected`].
+/// [`SpmmServer::serve_controlled`] from one sender and collect every
+/// response: one request in flight at a time, so `shedding(1)` sheds
+/// nothing and the responses come back in send order. A send the handler
+/// refuses outright (unknown engine) produces no response; it is counted
+/// in [`ServerReport::rejected`].
 ///
 /// # Panics
 ///
@@ -61,7 +60,7 @@ pub fn serve_all<T: Scalar>(
     server: &SpmmServer<'_, T>,
     requests: Vec<ServerRequest<T>>,
 ) -> (Vec<ServerResponse<T>>, ServerReport) {
-    let options = ServeOptions::new(AdmissionPolicy::blocking(requests.len().max(1)));
+    let options = ServeOptions::new(AdmissionPolicy::shedding(1));
     let mut responses = Vec::with_capacity(requests.len());
     let (report, ()) = server
         .serve_controlled(
@@ -73,8 +72,7 @@ pub fn serve_all<T: Scalar>(
             },
             |response| responses.push(response),
         )
-        .expect("the serving loop opens its session");
-    responses.sort_by_key(|r| r.request());
+        .expect("serving a batch does not error");
     (responses, report)
 }
 

@@ -9,7 +9,9 @@
 //! exactly as if the bad one had never happened.
 
 use jitspmm::profile::measure_jit_emulated;
-use jitspmm::serve::{RejectReason, SendError, ServeOptions, ServerRequest, SpmmServer};
+use jitspmm::serve::{
+    AdmissionPolicy, RejectReason, SendError, ServeOptions, ServerRequest, SpmmServer,
+};
 use jitspmm::shard::{plan_shards, ShardedSpmm};
 use jitspmm::{JitSpmm, JitSpmmBuilder, JitSpmmError, MutableSpmm, SpmmOptions, WorkerPool};
 use jitspmm_integration_tests::{host_supports_jit, serve_all};
@@ -93,14 +95,6 @@ fn entry_points() -> Vec<EntryPoint> {
             },
         },
         EntryPoint {
-            name: "batch_stream push_owned",
-            run: |e, x| {
-                e.single
-                    .pool()
-                    .scope(|scope| e.single.batch_stream(scope, 2).push_owned(x).map(drop))
-            },
-        },
-        EntryPoint {
             name: "ShardedSpmm::execute",
             run: |e, x| e.sharded.pool().scope(|scope| e.sharded.execute(scope, &x).map(drop)),
         },
@@ -118,14 +112,6 @@ fn entry_points() -> Vec<EntryPoint> {
             },
         },
         EntryPoint {
-            name: "ShardedSpmm batch_stream push_owned",
-            run: |e, x| {
-                e.sharded
-                    .pool()
-                    .scope(|scope| e.sharded.batch_stream(scope, 2).push_owned(x).map(drop))
-            },
-        },
-        EntryPoint {
             name: "MutableSpmm::execute",
             run: |e, x| e.mutable.pool().scope(|scope| e.mutable.execute(scope, &x).map(drop)),
         },
@@ -140,14 +126,6 @@ fn entry_points() -> Vec<EntryPoint> {
             name: "MutableSpmm batch_stream push",
             run: |e, x| {
                 e.mutable.pool().scope(|scope| e.mutable.batch_stream(scope, 2).push(&x).map(drop))
-            },
-        },
-        EntryPoint {
-            name: "MutableSpmm batch_stream push_owned",
-            run: |e, x| {
-                e.mutable
-                    .pool()
-                    .scope(|scope| e.mutable.batch_stream(scope, 2).push_owned(x).map(drop))
             },
         },
     ]
@@ -192,10 +170,10 @@ fn every_entry_point_rejects_malformed_shapes_and_stays_usable() {
         }
     }
 
-    // Behind the server the same inputs are admitted and then failed at
-    // routing time with the ShapeMismatch text — the serving loop itself
-    // does not error — and the well-formed request queued behind each is
-    // served as if the bad one had never happened.
+    // Behind the server the same inputs are admitted and then failed with
+    // the ShapeMismatch text — the serve itself does not error — and the
+    // well-formed request sent after each is served as if the bad one had
+    // never happened.
     let server = SpmmServer::new(vec![engines.single]).unwrap();
     for bad in BadInput::all() {
         let requests =
@@ -240,21 +218,21 @@ fn server_rejects_unknown_engine_ids_everywhere() {
     let engine = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&a, 4).unwrap();
     let server = SpmmServer::new(vec![engine]).unwrap();
     let input = || DenseMatrix::<f32>::random(40, 4, 9);
-    // The queue refuses the send with a typed reason; nothing reaches the
-    // router, the serve does not abort, and a good request sent afterwards
+    // The handler refuses the send with a typed reason; nothing reaches the
+    // consumer, the serve does not abort, and a good request sent afterwards
     // still goes through.
     let mut responses = Vec::new();
     let (report, ()) = server
         .serve_controlled(
-            ServeOptions::default(),
+            ServeOptions::new(AdmissionPolicy::shedding(1)),
             |sender| {
                 for id in [3, 1] {
                     assert_eq!(
-                        sender.send(id, input()),
+                        sender.send_request(ServerRequest::new(id, input())),
                         Err(SendError::Rejected(RejectReason::UnknownEngine))
                     );
                 }
-                sender.send(0, input()).unwrap();
+                sender.send_request(ServerRequest::new(0, input())).unwrap();
             },
             |response| responses.push(response),
         )

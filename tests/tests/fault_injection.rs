@@ -4,9 +4,9 @@
 //! The containment contract under test: a panicked kernel job fails only its
 //! own request — a typed [`ServerResponse::Failed`] carrying the panic
 //! message — while unrelated engines keep serving and the server stays
-//! usable afterwards. A sharded engine is no exception: its pipeline joins
+//! usable afterwards. A sharded engine is no exception: its launch joins
 //! every shard of a request before it unwinds, so a shard panic fails that
-//! one request and the lane keeps serving.
+//! one request and the engine keeps serving.
 //!
 //! The fault hooks are process-global, so every test here holds
 //! [`fault::exclusive`] for its whole body — the tests serialize against
@@ -18,7 +18,7 @@ use jitspmm::serve::{fault, AdmissionPolicy, ServeOptions, ServerRequest, SpmmSe
 use jitspmm::{JitSpmmBuilder, WorkerPool};
 use jitspmm_integration_tests::{host_supports_jit, serve_all, small_skewed, small_uniform};
 use jitspmm_sparse::DenseMatrix;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SKEWED_COLS: usize = 512;
 const UNIFORM_COLS: usize = 350;
@@ -33,19 +33,16 @@ fn a_kernel_panic_fails_only_its_request() {
     }
     let a = small_uniform();
     let b = small_skewed();
-    // One worker: kernel jobs enter in submission order, so the armed
-    // countdown deterministically hits the first request sent.
     let pool = WorkerPool::new(1);
     let server = SpmmServer::new(vec![
         JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&a, D).unwrap(),
         JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, D).unwrap(),
     ])
     .unwrap();
-    // Four requests across both engines. The kernel entry that trips the
-    // armed countdown races between the pool worker and the serving loop's
-    // help-first join, so *which* request dies is not deterministic — and
-    // must not matter: the contract is that exactly one dies, typed, and
-    // every other request is answered bit-identically.
+    // Four requests across both engines, sent one at a time: the first
+    // kernel entry after arming is the first request's, and it dies. The
+    // contract is that exactly one dies, typed, and every other request is
+    // answered bit-identically.
     let requests: Vec<(usize, DenseMatrix<f32>)> = vec![
         (0, DenseMatrix::random(UNIFORM_COLS, D, 10)),
         (1, DenseMatrix::random(SKEWED_COLS, D, 20)),
@@ -64,7 +61,7 @@ fn a_kernel_panic_fails_only_its_request() {
     let mut completed: Vec<DenseMatrix<f32>> = Vec::new();
     let (report, ()) = server
         .serve_controlled(
-            ServeOptions::new(AdmissionPolicy::blocking(8)),
+            ServeOptions::new(AdmissionPolicy::shedding(1)),
             |sender| {
                 for (engine, x) in requests.iter() {
                     sender.send_request(ServerRequest::new(*engine, x.clone())).unwrap();
@@ -82,7 +79,8 @@ fn a_kernel_panic_fails_only_its_request() {
 
     // Exactly one request failed, with the injected message.
     assert_eq!(failed.len(), 1, "exactly one request fails: {failed:?}");
-    let (_, message) = &failed[0];
+    let (engine, message) = &failed[0];
+    assert_eq!(*engine, 0, "the first request sent takes the armed panic");
     assert!(
         message.contains(fault::INJECTED_PANIC),
         "the typed failure carries the panic message, got: {message}"
@@ -104,7 +102,8 @@ fn a_kernel_panic_fails_only_its_request() {
     }
 
     // The server is reusable after the fault (the countdown is spent),
-    // including the engine that took the panic.
+    // including the engine that took the panic: its in-flight slot came
+    // back with the unwind, so a cap of one admits again.
     let reuse: Vec<ServerRequest<f32>> = vec![
         ServerRequest::new(0, DenseMatrix::random(UNIFORM_COLS, D, 30)),
         ServerRequest::new(1, DenseMatrix::random(SKEWED_COLS, D, 31)),
@@ -131,22 +130,24 @@ fn a_mid_stream_panic_spares_later_requests_on_the_same_engine() {
     let expected: Vec<DenseMatrix<f32>> =
         inputs.iter().map(|x| (*server.single(0).unwrap().execute(x).unwrap().0).clone()).collect();
 
-    // The third kernel entry panics — one request in the middle of the
-    // stream (which one exactly depends on the worker/helper entry race).
+    // The third kernel entry panics: requests run one at a time with one
+    // entry each, so the third request, in the middle of the stream.
     fault::arm_kernel_panic(3);
     let mut failed_requests: Vec<usize> = Vec::new();
     let mut completed: Vec<DenseMatrix<f32>> = Vec::new();
     let (report, ()) = server
         .serve_controlled(
-            ServeOptions::new(AdmissionPolicy::blocking(8)),
+            ServeOptions::new(AdmissionPolicy::shedding(1)),
             |sender| {
                 for x in inputs.iter().cloned() {
                     sender.send_request(ServerRequest::new(0, x)).unwrap();
                 }
             },
             |response| {
+                // One sender, nothing shed: the k-th response answers the
+                // k-th send.
                 if response.failure().is_some() {
-                    failed_requests.push(response.request());
+                    failed_requests.push(failed_requests.len() + completed.len());
                 } else {
                     completed.push((**response.output()).clone());
                 }
@@ -154,12 +155,11 @@ fn a_mid_stream_panic_spares_later_requests_on_the_same_engine() {
         )
         .unwrap();
 
-    assert_eq!(failed_requests.len(), 1, "exactly one mid-stream request fails");
+    assert_eq!(failed_requests, [2], "exactly the third request fails");
     assert_eq!(report.failed, 1);
     assert_eq!(report.requests, total - 1);
-    // The stream recovered: every other request — including the ones
-    // pipelined behind the panic — completed bit-identical to its
-    // reference.
+    // The engine recovered: every other request — including the ones sent
+    // after the panic — completed bit-identical to its reference.
     assert_eq!(completed.len(), total - 1);
     let mut used = vec![false; expected.len()];
     for output in &completed {
@@ -201,26 +201,30 @@ fn a_shard_panic_fails_only_its_request() {
         .map(|x| pool.scope(|scope| direct.execute(scope, x)).unwrap().0.into_dense())
         .collect();
 
-    // Every request enters one single-lane kernel job per shard, claimed in
-    // submission order: the tenth entry is a shard of the third request,
-    // mid-session, with requests pipelined on both sides of it.
+    // Every request enters one single-lane kernel job per shard, and the
+    // requests run one at a time: the tenth entry is a shard of the third
+    // request, mid-session, with requests on both sides of it.
     fault::arm_kernel_panic(10);
     let mut failed: Vec<(usize, String)> = Vec::new();
     let mut completed: Vec<usize> = Vec::new();
     let (report, ()) = server
         .serve_controlled(
-            ServeOptions::new(AdmissionPolicy::blocking(8)),
+            ServeOptions::new(AdmissionPolicy::shedding(1)),
             |sender| {
                 for x in inputs.iter().cloned() {
                     sender.send_request(ServerRequest::new(0, x)).unwrap();
                 }
             },
-            |response| match response.failure() {
-                Some(message) => failed.push((response.request(), message.to_string())),
-                None => {
-                    let request = response.request();
-                    assert_eq!(**response.output(), expected[request], "request {request}");
-                    completed.push(request);
+            |response| {
+                // One sender, nothing shed: the k-th response answers the
+                // k-th send.
+                let request = failed.len() + completed.len();
+                match response.failure() {
+                    Some(message) => failed.push((request, message.to_string())),
+                    None => {
+                        assert_eq!(**response.output(), expected[request], "request {request}");
+                        completed.push(request);
+                    }
                 }
             },
         )
@@ -231,14 +235,14 @@ fn a_shard_panic_fails_only_its_request() {
     assert!(message.contains(fault::INJECTED_PANIC), "typed failure, got: {message}");
     assert!(0 < *victim && *victim < total - 1, "the panic lands mid-session, at {victim}");
     // Everything before *and after* the victim completed, in order, on the
-    // same lane: nothing was poisoned, rejected or dropped.
+    // same engine: nothing was poisoned, rejected or dropped.
     let survivors: Vec<usize> = (0..total).filter(|r| r != victim).collect();
     assert_eq!(completed, survivors);
     assert_eq!((report.requests, report.failed, report.rejected), (total - 1, 1, 0));
-    // A fresh session reopens the lane: the contained panic released the
-    // generation pin.
+    // The contained panic released the generation pin.
+    assert_eq!(server.mutable(0).unwrap().generations_retained(), 1);
     let (responses, _) = serve_all(&server, vec![ServerRequest::new(0, inputs[0].clone())]);
-    assert_eq!(**responses[0].output(), expected[0], "the lane serves again after the fault");
+    assert_eq!(**responses[0].output(), expected[0], "the engine serves again after the fault");
 }
 
 #[test]
@@ -248,43 +252,50 @@ fn a_slow_engine_does_not_hold_back_another_engines_response() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
     }
+    const STALL: Duration = Duration::from_millis(500);
     let a = small_uniform();
     let b = small_skewed();
-    // Two workers, and engine 0 launches two tasks: both workers pass
-    // through engine 0's job before either can reach engine 1's, so the
-    // first kernel entry after arming — the one that stalls — is engine 0's
-    // whichever worker gets there first, and the other worker goes on to
-    // run engine 1.
     let pool = WorkerPool::new(2);
     let server = SpmmServer::new(vec![
         JitSpmmBuilder::new().pool(pool.clone()).threads(2).build(&a, D).unwrap(),
         JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, D).unwrap(),
     ])
     .unwrap();
-    let slow = DenseMatrix::random(UNIFORM_COLS, D, 40);
-    let fast = DenseMatrix::random(SKEWED_COLS, D, 41);
+    let inputs =
+        [DenseMatrix::random(UNIFORM_COLS, D, 40), DenseMatrix::random(SKEWED_COLS, D, 41)];
     let expected = [
-        (*server.single(0).unwrap().execute(&slow).unwrap().0).clone(),
-        (*server.single(1).unwrap().execute(&fast).unwrap().0).clone(),
+        (*server.single(0).unwrap().execute(&inputs[0]).unwrap().0).clone(),
+        (*server.single(1).unwrap().execute(&inputs[1]).unwrap().0).clone(),
     ];
 
-    fault::arm_kernel_delay(Duration::from_millis(500), 1);
-    let mut order = Vec::new();
+    // One sender thread per engine, both at once; the first kernel entry
+    // after arming — whichever engine's it is — stalls.
+    fault::arm_kernel_delay(STALL, 1);
+    let started = Instant::now();
+    let mut arrivals: Vec<(usize, Duration)> = Vec::new();
     let (report, ()) = server
         .serve_controlled(
-            ServeOptions::new(AdmissionPolicy::blocking(8)),
+            ServeOptions::new(AdmissionPolicy::shedding(1)),
             |sender| {
-                sender.send(0, slow).unwrap();
-                sender.send(1, fast).unwrap();
+                std::thread::scope(|senders| {
+                    for (engine, x) in inputs.iter().enumerate() {
+                        let sender = &sender;
+                        senders.spawn(move || {
+                            sender.send_request(ServerRequest::new(engine, x.clone())).unwrap()
+                        });
+                    }
+                });
             },
             |response| {
                 assert_eq!(**response.output(), expected[response.engine()]);
-                order.push(response.engine());
+                arrivals.push((response.engine(), started.elapsed()));
             },
         )
         .unwrap();
-    // Engine 1's launch finished while engine 0's was still stalled, and
-    // its response left then — not after a join of the older launch.
-    assert_eq!(order, [1, 0], "engine 0's stall held engine 1's response back");
+    // The other engine's response left while the stalled launch slept, not
+    // after it.
     assert_eq!(report.requests, 2);
+    assert_ne!(arrivals[0].0, arrivals[1].0);
+    assert!(arrivals[1].1 >= STALL, "one launch must have stalled: {arrivals:?}");
+    assert!(arrivals[0].1 < STALL, "a stall held the other engine's response back: {arrivals:?}");
 }

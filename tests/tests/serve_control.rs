@@ -1,25 +1,31 @@
-//! Integration tests for the serving loop's admission and topology:
-//! blocking backpressure and load shedding under overload, per-engine FIFO
-//! order, and engines added while a serve runs.
+//! Integration tests for admission and topology: load shedding under
+//! overload from concurrent senders, per-sender order, and engines added
+//! while a serve runs.
 //!
 //! The contracts under test, end to end:
 //!
-//! - Producers never block indefinitely: blocking policies make progress
-//!   because the serving loop drains concurrently, shedding policies refuse
-//!   overflow immediately with a typed [`RejectReason`].
+//! - Senders never block on admission: a request over its engine's
+//!   in-flight bound is refused at once with a typed [`RejectReason`].
 //! - Every offered request is accounted for — completed, rejected or failed —
 //!   and [`ServerReport::offered`] adds up exactly.
 //! - Admission never changes answers: whatever subset is admitted, its
 //!   outputs are bit-identical to the same requests run through `execute`.
+//!
+//! The overload test holds requests in their kernels with the process-global
+//! fault hooks, so every test here takes [`fault::exclusive`]: the tests
+//! serialize against each other and no other test's kernels consume the
+//! armed delay.
 
 use jitspmm::serve::{
-    AdmissionPolicy, RejectReason, SendError, ServeOptions, ServerRequest, SpmmServer,
+    fault, AdmissionPolicy, RejectReason, SendError, ServeOptions, ServerRequest, SpmmServer,
 };
 use jitspmm::update::MutableSpmm;
 use jitspmm::{JitSpmmBuilder, WorkerPool};
 use jitspmm_integration_tests::{host_supports_jit, serve_all, small_skewed, small_uniform};
 use jitspmm_sparse::{DeltaBatch, DenseMatrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
+use std::time::Duration;
 
 /// The column count of `small_skewed()` (an RMAT scale-9 matrix is 512²).
 const SKEWED_COLS: usize = 512;
@@ -29,6 +35,7 @@ const D: usize = 4;
 
 #[test]
 fn admission_table_accounts_for_every_send_under_overload() {
+    let _guard = fault::exclusive();
     if !host_supports_jit() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -38,16 +45,15 @@ fn admission_table_accounts_for_every_send_under_overload() {
     let engine = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&a, D).unwrap();
     let server = SpmmServer::new(vec![engine]).unwrap();
 
-    // One row per admission regime; `total` floods well past the cap. The
-    // shedding row is the acceptance case: 10x the queue depth, producer
-    // returns immediately from every send.
-    let rows: [(&str, AdmissionPolicy, usize, bool); 2] = [
-        ("blocking backpressure", AdmissionPolicy::blocking(3), 30, true),
-        ("shedding at 10x queue depth", AdmissionPolicy::shedding(4), 40, false),
-    ];
-    for (name, policy, total, admits_all) in rows {
+    // One row per regime: `senders` threads send one request each, all at
+    // once. The first `cap` admitted requests stall in their kernels (an
+    // armed delay), so the other senders arrive while every slot is held:
+    // a cap at the sender count admits all, a cap below it sheds.
+    let rows: [(&str, usize, usize); 2] =
+        [("cap at the sender count", 4, 4), ("10 senders over a cap of 2", 2, 10)];
+    for (name, cap, senders) in rows {
         let inputs: Vec<DenseMatrix<f32>> =
-            (0..total).map(|i| DenseMatrix::random(UNIFORM_COLS, D, 1_000 + i as u64)).collect();
+            (0..senders).map(|i| DenseMatrix::random(UNIFORM_COLS, D, 1_000 + i as u64)).collect();
         // References from the very engine that will serve — the comparison
         // below is bit-for-bit, not approximate.
         let expected: Vec<DenseMatrix<f32>> = inputs
@@ -55,68 +61,72 @@ fn admission_table_accounts_for_every_send_under_overload() {
             .map(|x| (*server.single(0).unwrap().execute(x).unwrap().0).clone())
             .collect();
 
-        let mut completed: Vec<(usize, DenseMatrix<f32>)> = Vec::new();
-        let (report, send_rejections) = server
+        fault::arm_kernel_delay(Duration::from_millis(300), cap as u64);
+        let start = Barrier::new(senders);
+        let mut completed: Vec<DenseMatrix<f32>> = Vec::new();
+        let (report, shed) = server
             .serve_controlled(
-                ServeOptions::new(policy),
+                ServeOptions::new(AdmissionPolicy::shedding(cap)),
                 |sender| {
-                    let mut rejections = 0usize;
-                    for input in inputs.iter().cloned() {
-                        match sender.send_request(ServerRequest::new(0, input)) {
-                            Ok(()) => {}
-                            Err(SendError::Rejected(RejectReason::QueueFull)) => rejections += 1,
-                            Err(other) => panic!("{name}: unexpected send error: {other}"),
+                    let shed = AtomicUsize::new(0);
+                    std::thread::scope(|threads| {
+                        for x in &inputs {
+                            let (sender, start, shed) = (&sender, &start, &shed);
+                            threads.spawn(move || {
+                                let request = ServerRequest::new(0, x.clone());
+                                start.wait();
+                                match sender.send_request(request) {
+                                    Ok(()) => {}
+                                    Err(SendError::Rejected(RejectReason::QueueFull)) => {
+                                        shed.fetch_add(1, Ordering::SeqCst);
+                                    }
+                                    Err(other) => panic!("{name}: unexpected send error: {other}"),
+                                }
+                            });
                         }
-                    }
-                    rejections
+                    });
+                    shed.into_inner()
                 },
                 |response| {
                     assert!(response.is_completed(), "{name}: admitted requests must complete");
-                    completed.push((response.index(), (**response.output()).clone()));
+                    completed.push((**response.output()).clone());
                 },
             )
             .unwrap();
+        fault::disarm();
 
         // Accounting: every send is answered exactly once, somewhere.
-        assert_eq!(report.offered(), total, "{name}: offered load must add up");
+        assert_eq!(report.offered(), senders, "{name}: offered load must add up");
         assert_eq!(report.requests, completed.len(), "{name}");
         assert_eq!(report.failed, 0, "{name}");
-        assert_eq!(report.rejected, send_rejections, "{name}: shed sends are counted");
-        assert_eq!(report.requests + report.rejected, total, "{name}");
-        if admits_all {
-            assert_eq!(report.requests, total, "{name}: blocking admission drops nothing");
+        assert_eq!(report.rejected, shed, "{name}: shed sends are counted");
+        if cap >= senders {
+            assert_eq!(report.requests, senders, "{name}: nothing is shed at the sender count");
         } else {
-            assert!(report.requests >= 1, "{name}: some requests must get through");
-            assert!(report.rejected >= 1, "{name}: a 10x flood must shed");
+            assert!(report.requests >= cap, "{name}: the first {cap} requests get through");
+            assert!(report.rejected >= 1, "{name}: senders over the cap must be shed");
         }
 
-        // Bit-identical results. Under blocking admission the admitted set
-        // is everything and per-engine completion order equals send order;
-        // under shedding the admitted subset is timing-dependent, so match
-        // each output to a unique reference.
-        let mut used = vec![false; total];
-        for (index, output) in &completed {
-            if admits_all {
-                assert_eq!(output, &expected[*index], "{name}: request {index} diverged");
-            } else {
-                let hit = expected
-                    .iter()
-                    .enumerate()
-                    .position(|(i, e)| !used[i] && output == e)
-                    .unwrap_or_else(|| {
-                        panic!("{name}: a completed output matches no FIFO reference")
-                    });
-                used[hit] = true;
-            }
+        // Bit-identical results. Which senders got through is
+        // timing-dependent, so match each output to a unique reference.
+        let mut used = vec![false; senders];
+        for output in &completed {
+            let hit = expected
+                .iter()
+                .enumerate()
+                .position(|(i, e)| !used[i] && output == e)
+                .unwrap_or_else(|| panic!("{name}: a completed output matches no reference"));
+            used[hit] = true;
         }
     }
 }
 
 #[test]
 fn blocking_controlled_serve_keeps_each_engine_fifo_and_bit_identical() {
-    // Under blocking admission the serving loop hands each engine's
-    // responses to the consumer in that engine's submission order, every
-    // one bit-identical to a blocking `execute`.
+    // Each send blocks until its request has run, so one sender's responses
+    // reach the consumer in its send order — per engine too — every one
+    // bit-identical to a blocking `execute`.
+    let _guard = fault::exclusive();
     if !host_supports_jit() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -129,7 +139,7 @@ fn blocking_controlled_serve_keeps_each_engine_fifo_and_bit_identical() {
         JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, D).unwrap(),
     ])
     .unwrap();
-    // An uneven interleaving, so the two lanes are not in lockstep.
+    // An uneven interleaving, so the two engines are not in lockstep.
     let pattern = [0usize, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0, 0];
     let inputs: Vec<(usize, DenseMatrix<f32>)> = pattern
         .iter()
@@ -144,15 +154,15 @@ fn blocking_controlled_serve_keeps_each_engine_fifo_and_bit_identical() {
         .map(|(engine, x)| server.single(*engine).unwrap().execute(x).unwrap().0.into_dense())
         .collect();
 
-    // The queue bound (4) makes the producer park, so arrivals interleave
-    // with completions.
     let mut streamed = Vec::new();
     let (report, ()) = server
         .serve_controlled(
-            ServeOptions::new(AdmissionPolicy::blocking(4)),
+            ServeOptions::new(AdmissionPolicy::shedding(1)),
             |sender| {
                 for (engine, x) in &inputs {
-                    sender.send(*engine, x.clone()).expect("blocking sends are always admitted");
+                    sender
+                        .send_request(ServerRequest::new(*engine, x.clone()))
+                        .expect("one sender is never shed");
                 }
             },
             |response| streamed.push(response),
@@ -166,13 +176,7 @@ fn blocking_controlled_serve_keeps_each_engine_fifo_and_bit_identical() {
         let lane: Vec<_> = streamed.iter().filter(|r| r.engine() == engine).collect();
         let submitted: Vec<usize> = (0..pattern.len()).filter(|&i| pattern[i] == engine).collect();
         assert_eq!(lane.len(), submitted.len());
-        for (k, (response, &g)) in lane.iter().zip(&submitted).enumerate() {
-            assert_eq!(response.index(), k, "engine {engine}: completion order is not FIFO");
-            assert_eq!(
-                response.request(),
-                g,
-                "engine {engine}: response {k} is not its {k}-th send"
-            );
+        for (response, &g) in lane.iter().zip(&submitted) {
             assert_eq!(**response.output(), expected[g], "request {g} diverged from execute");
         }
     }
@@ -180,6 +184,7 @@ fn blocking_controlled_serve_keeps_each_engine_fifo_and_bit_identical() {
 
 #[test]
 fn engines_can_be_added_while_a_session_is_open() {
+    let _guard = fault::exclusive();
     if !host_supports_jit() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
@@ -203,22 +208,24 @@ fn engines_can_be_added_while_a_session_is_open() {
 
     let (report, ()) = server
         .serve_controlled(
-            ServeOptions::new(AdmissionPolicy::blocking(8)),
+            ServeOptions::new(AdmissionPolicy::shedding(1)),
             move |sender| {
                 sender
                     .send_request(ServerRequest::new(0, DenseMatrix::random(UNIFORM_COLS, D, 1)))
                     .unwrap();
-                while answered_ref.load(Ordering::SeqCst) < 1 {
-                    std::thread::yield_now();
-                }
+                assert_eq!(
+                    answered_ref.load(Ordering::SeqCst),
+                    1,
+                    "answered before the send returned"
+                );
                 // Topology grows under an open session; the new ids serve
                 // the very next requests.
                 let id = server_ref.add_engine(late_single).unwrap();
                 assert_eq!(id, 1);
                 let id = server_ref.add_mutable(late_sharded).unwrap();
                 assert_eq!(id, 2);
-                // A live update to an engine no request has reached yet (it
-                // has no lane) applies instead of taking the serve down.
+                // A live update to an engine no request has reached yet
+                // applies instead of taking the serve down.
                 let report = server_ref.mutable(2).unwrap().apply(&delta).unwrap();
                 assert_eq!(report.revision, 1);
                 sender
